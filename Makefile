@@ -18,8 +18,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line repeats the tests that reach dedup and group-commit
+# state from several goroutines at once: one clean -race pass says little
+# about an interleaving it did not happen to run.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'GroupCommit|Dedup' ./internal/hrt
 
 # Full benchmark run; also regenerates the committed machine-readable
 # report (kernel, transport mode, RTT, wall time, interactions, blocking

@@ -60,9 +60,10 @@ type Dedup struct {
 	// Tracer, when set, receives replay/resend/evict/bounce events.
 	Tracer *obs.Tracer
 	// Persist, when set, makes execution durable: requests are executed
-	// through it (capturing hidden-store deltas) and journaled — under the
-	// session's shard lock, before the response is released — so the
-	// journal preserves per-session order and a crash never acknowledges
+	// through it (capturing hidden-store deltas) and journaled while the
+	// request holds its session's in-flight slot — no stripe lock — before
+	// the response is released and before lastSeq moves. The slot keeps the
+	// journal in per-session seq order, and a crash never acknowledges
 	// state it cannot recover. Replays, gaps, and bounces touch no state
 	// and are not journaled.
 	Persist *Durability
@@ -115,9 +116,11 @@ type dedupEntry struct {
 	// executed and every reply-bearing request bounces with the
 	// session-evicted error.
 	lost bool
-	// done is non-nil while a request of this session is executing;
+	// done is non-nil while a request of this session is in flight —
+	// executing, or waiting for its journal record to become durable;
 	// duplicates and successors wait on it instead of racing. Requests
-	// within a session execute strictly one at a time, in seq order.
+	// within a session run strictly one at a time, in seq order, and the
+	// holder publishes lastSeq/respSeq/resp/deferred when it closes done.
 	done chan struct{}
 	used uint64
 	// lastSeen timestamps the session's newest request, for EvictGrace.
@@ -277,7 +280,9 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 		e.lastSeen = d.timeNow()
 	}
 	if isNew {
-		d.evictLocked(sh)
+		// Tracer sinks are caller-supplied code: the evictions are reported
+		// once every path below has let go of the stripe lock.
+		defer d.traceEvicted(d.evictLocked(sh))
 	}
 
 	// Serialize the session: wait out any in-flight execution so requests
@@ -314,20 +319,17 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 	case req.Seq <= e.lastSeq:
 		// Already executed (or skipped). One-way duplicates — window
 		// replays after a resend — are dropped silently.
+		last, cached, hit := e.lastSeq, e.resp, req.Seq == e.respSeq
+		sh.mu.Unlock()
 		d.Replays.Add(1)
 		d.Tracer.Emit(obs.LevelDebug, "dedup_replay",
 			obs.Uint("session", req.Session), obs.Uint("seq", req.Seq))
 		if req.NoReply() {
-			sh.mu.Unlock()
 			return Response{}, nil
 		}
-		if req.Seq == e.respSeq {
-			resp := e.resp
-			sh.mu.Unlock()
-			return resp, nil
+		if hit {
+			return cached, nil
 		}
-		last := e.lastSeq
-		sh.mu.Unlock()
 		return Response{
 			Seq: req.Seq,
 			Ack: last,
@@ -350,16 +352,22 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 		return Response{Seq: req.Seq, Ack: last, Flags: RespResend}, nil
 	}
 
-	// req.Seq == e.lastSeq+1: the next request in order. Execute it —
-	// unless the session is poisoned, in which case the window drains
-	// without touching hidden state and the deferred error reports.
+	// req.Seq == e.lastSeq+1: the next request in order. Claim the
+	// session's in-flight slot and let go of the stripe: execution, the
+	// journal append and the wait for its fsync all run with no stripe
+	// lock held, so other sessions of the stripe keep executing and their
+	// records queue behind the same fsync. The slot alone keeps this
+	// session's requests — hence its journal records — in seq order, and
+	// nobody else touches the entry's replay fields while it is held.
 	e.done = make(chan struct{})
-	poisoned := e.deferred
+	deferred := e.deferred
 	sh.mu.Unlock()
 
+	// A poisoned session drains its window without touching hidden state;
+	// the deferred error reports instead.
 	var resp Response
 	var eff *recEffects
-	if poisoned == "" {
+	if deferred == "" {
 		if d.Persist != nil {
 			resp, eff = d.Persist.execute(req)
 		} else {
@@ -373,45 +381,50 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 			}
 		}
 	}
-
-	sh.mu.Lock()
-	e.lastSeq = req.Seq
 	if req.NoReply() {
-		if resp.Err != "" && e.deferred == "" {
-			e.deferred = resp.Err
+		if deferred == "" {
+			deferred = resp.Err
 		}
-		if d.Persist != nil {
-			// Journal before close(e.done): the session's next request may
-			// not run until this one's record is on disk, which is what
-			// keeps the journal in per-session seq order.
-			if perr := d.Persist.journal(req, resp, eff); perr != nil && e.deferred == "" {
-				e.deferred = perr.Error()
-			}
+	} else {
+		if deferred != "" {
+			// The failure happened earlier in program order; it outranks
+			// whatever this request produced.
+			resp = Response{Err: deferred}
 		}
-		close(e.done)
-		e.done = nil
-		sh.mu.Unlock()
-		return Response{}, nil
+		resp.Seq = req.Seq
+		resp.Ack = req.Seq
 	}
-	if e.deferred != "" {
-		// The failure happened earlier in program order; it outranks
-		// whatever this request produced.
-		resp = Response{Err: e.deferred}
-	}
-	resp.Seq = req.Seq
-	resp.Ack = e.lastSeq
 	if d.Persist != nil {
 		if perr := d.Persist.journal(req, resp, eff); perr != nil {
-			// The record is not durable, so the answer must not be either:
-			// acknowledge nothing a restart would take back.
-			resp = Response{Seq: req.Seq, Ack: e.lastSeq, Err: perr.Error()}
+			if req.NoReply() {
+				if deferred == "" {
+					deferred = perr.Error()
+				}
+			} else {
+				// The record is not durable, so the answer must not be either:
+				// acknowledge nothing a restart would take back.
+				resp = Response{Seq: req.Seq, Ack: req.Seq, Err: perr.Error()}
+			}
 		}
 	}
-	e.respSeq = req.Seq
-	e.resp = resp
+
+	// Publish only now that the record is journaled: HighWater (the mux
+	// window ack) and the replay cache never run ahead of the journal, and
+	// the session's next request may not start before this one's record
+	// is on disk.
+	sh.mu.Lock()
+	e.lastSeq = req.Seq
+	e.deferred = deferred
+	if !req.NoReply() {
+		e.respSeq = req.Seq
+		e.resp = resp
+	}
 	close(e.done)
 	e.done = nil
 	sh.mu.Unlock()
+	if req.NoReply() {
+		return Response{}, nil
+	}
 	return resp, nil
 }
 
@@ -420,8 +433,9 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 // window — their clients are likely still alive, and losing their
 // high-water mark would break exactly-once on the next retry. When
 // everyone is in grace (or executing) the stripe runs over cap instead.
-// Caller holds sh.mu.
-func (d *Dedup) evictLocked(sh *dedupShard) {
+// Caller holds sh.mu and passes the returned victims to traceEvicted once
+// it has released it.
+func (d *Dedup) evictLocked(sh *dedupShard) (evicted []uint64) {
 	var cutoff time.Time
 	if d.EvictGrace > 0 {
 		cutoff = d.timeNow().Add(-d.EvictGrace)
@@ -442,11 +456,20 @@ func (d *Dedup) evictLocked(sh *dedupShard) {
 			}
 		}
 		if !found {
-			return
+			break
 		}
 		delete(sh.sessions, victim)
 		d.Evictions.Add(1)
-		d.Tracer.Emit(obs.LevelInfo, "dedup_evict", obs.Uint("session", victim))
+		evicted = append(evicted, victim)
+	}
+	return evicted
+}
+
+// traceEvicted reports evictLocked's victims. Tracer sinks are
+// caller-supplied code, so this runs with no stripe lock held.
+func (d *Dedup) traceEvicted(evicted []uint64) {
+	for _, id := range evicted {
+		d.Tracer.Emit(obs.LevelInfo, "dedup_evict", obs.Uint("session", id))
 	}
 }
 

@@ -32,8 +32,11 @@ import (
 // recovered replay cache instead of bouncing or re-executing.
 //
 // Crash consistency argument. A record is appended after its request
-// executed in memory but before the response is released (and, for
-// one-way requests, before the session's next request may run). A crash
+// executed in memory but before the response is released and before the
+// session's next request may run: the request holds its session's dedup
+// in-flight slot — and no dedup stripe lock — from execution until the
+// record is durable, so a session's records reach the journal in seq
+// order while other sessions' records queue behind the same fsync. A crash
 // between execute and append loses the in-memory mutation with the
 // process, so the un-acknowledged request replays cleanly after recovery;
 // a crash after append is replayed from the journal. Either way the
@@ -75,7 +78,8 @@ type Durability struct {
 	// drains the queue, writes the batch in one coalesced write, fsyncs
 	// once, and releases every waiter. While a waiter blocks it holds the
 	// quiesce read lock, so under the quiesce write lock the queue is
-	// empty and the committer idle — rotation never races a batch.
+	// empty and the committer idle — rotation never races a batch, and
+	// every record of a batch saw the same journal handle.
 	commitq       chan *walCommit
 	commitStop    chan struct{}
 	commitDone    chan struct{}
@@ -114,14 +118,24 @@ type Durability struct {
 	snapPauseNS     *obs.Histogram
 }
 
-// walCommit is one encoded record waiting in the group-commit queue.
-// done (buffered) receives the batch's outcome once the committer has
+// walCommit is one encoded record waiting in the group-commit queue:
+// the payload, the journal the enqueuing worker found open, and done
+// (buffered), which receives the batch's outcome once the committer has
 // made the record durable — nil, or the write/fsync error that poisoned
-// the batch.
+// the batch. Entries are recycled through walCommitPool; the committer
+// must not touch one after sending on its done.
 type walCommit struct {
 	payload []byte
+	j       *wal.Journal
 	done    chan error
 }
+
+var walCommitPool = sync.Pool{New: func() any { return &walCommit{done: make(chan error, 1)} }}
+
+// recBufPool recycles record encode buffers. Journal.Append and
+// AppendBatch copy the payload into their own scratch, so a buffer is
+// free again as soon as the append returns.
+var recBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // DurabilityOptions configures a Durability layer.
 type DurabilityOptions struct {
@@ -676,22 +690,12 @@ func (p *Durability) execute(req Request) (Response, *recEffects) {
 	return Response{Err: fmt.Sprintf("hrt: unknown op %d", req.Op)}, &recEffects{}
 }
 
-// journalErr frames a journal failure as a response error. Once an append
-// fails the in-memory state is ahead of the durable state, so the server
-// refuses to acknowledge: better a loud client error than an
-// acknowledgement a restart would take back.
+// journal encodes the executed request's record and appends it, returning
+// once the record is durable. A failure is framed as a response error and
+// poisons the layer: the in-memory state is then ahead of the durable
+// state, so the server refuses to acknowledge — better a loud client
+// error than an acknowledgement a restart would take back.
 func (p *Durability) journal(req Request, resp Response, eff *recEffects) error {
-	p.mu.Lock()
-	if p.failed != nil {
-		err := p.failed
-		p.mu.Unlock()
-		return err
-	}
-	open := p.wlog != nil
-	p.mu.Unlock()
-	if !open {
-		return fmt.Errorf("hrt: journal not open")
-	}
 	rec := journalRecord{
 		op: req.Op, noReply: req.NoReply(),
 		session: req.Session, seq: req.Seq,
@@ -708,24 +712,40 @@ func (p *Durability) journal(req Request, resp Response, eff *recEffects) error 
 		rec.globalsVersion = eff.globalsVersion
 		rec.deltas = eff.deltas
 	}
-	payload, err := appendRecord(nil, &rec)
+	buf := recBufPool.Get().(*[]byte)
+	defer recBufPool.Put(buf)
+	payload, err := appendRecord((*buf)[:0], &rec)
 	if err == nil {
+		*buf = payload[:0]
 		start := time.Now()
 		err = p.append(payload)
 		p.appendNS.Observe(time.Since(start))
 	}
 	if err != nil {
-		err = fmt.Errorf("hrt: journal append failed: %w", err)
-		p.appendErrors.Add(1)
-		p.opts.Tracer.Emit(obs.LevelError, "wal_append_error", obs.Err(err))
-		p.mu.Lock()
-		p.failed = err
-		p.mu.Unlock()
-		return err
+		return p.appendFailed(err)
 	}
 	p.appends.Add(1)
 	p.appendBytes.Add(int64(len(payload)))
 	return nil
+}
+
+// appendFailed counts a failed append, poisons the layer with the first
+// one, and returns the error every later journal call reports.
+func (p *Durability) appendFailed(err error) error {
+	p.mu.Lock()
+	if err == p.failed {
+		// append refused up front with the recorded failure itself.
+		p.mu.Unlock()
+		return err
+	}
+	if p.failed == nil {
+		p.failed = fmt.Errorf("hrt: journal append failed: %w", err)
+	}
+	failed := p.failed
+	p.mu.Unlock()
+	p.appendErrors.Add(1)
+	p.opts.Tracer.Emit(obs.LevelError, "wal_append_error", obs.Err(err))
+	return failed
 }
 
 // append routes one encoded record into the journal: through the
@@ -736,33 +756,44 @@ func (p *Durability) journal(req Request, resp Response, eff *recEffects) error 
 // replication acks and snapshot triggers never run ahead of disk.
 func (p *Durability) append(payload []byte) error {
 	p.mu.Lock()
-	if p.failed != nil {
-		err := p.failed
-		p.mu.Unlock()
+	err, j, q := p.failed, p.wlog, p.commitq
+	p.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	j := p.wlog
-	q := p.commitq
-	p.mu.Unlock()
 	if j == nil {
 		return fmt.Errorf("hrt: journal not open")
 	}
 	if q != nil {
-		w := &walCommit{payload: payload, done: make(chan error, 1)}
+		w := walCommitPool.Get().(*walCommit)
+		w.payload, w.j = payload, j
 		start := time.Now()
 		q <- w
 		err := <-w.done
 		p.commitWaitNS.Observe(time.Since(start))
+		w.payload, w.j = nil, nil
+		walCommitPool.Put(w)
 		return err
 	}
 	if err := j.Append(payload); err != nil {
 		return err
 	}
-	p.mu.Lock()
-	p.sinceSnap++
-	p.mu.Unlock()
-	p.notifyAppend()
+	p.advance(1)
 	return nil
+}
+
+// advance counts n newly durable records toward the next snapshot and
+// wakes journal tail followers (see AppendNotify), under one acquisition
+// of p.mu; a rotation passes 0. Caller must not hold p.mu.
+func (p *Durability) advance(n int) {
+	p.mu.Lock()
+	p.sinceSnap += n
+	ch := p.notify
+	p.notify = nil
+	p.mu.Unlock()
+	if ch != nil {
+		close(ch)
+	}
 }
 
 // commitLoop is the dedicated WAL committer goroutine: it blocks for
@@ -774,23 +805,36 @@ func (p *Durability) append(payload []byte) error {
 // fields without racing this goroutine.
 func (p *Durability) commitLoop(q chan *walCommit, stop, done chan struct{}) {
 	defer close(done)
+	// batch and payloads are reused from one batch to the next. failed is
+	// the first write or fsync error: the journal's tail is suspect from
+	// then on, so every later batch is refused without touching the file.
+	var batch []*walCommit
+	var payloads [][]byte
+	var failed error
 	for {
 		select {
 		case <-stop:
 			return
 		case w := <-q:
-			p.commitBatch(p.fillBatch(w, q, stop))
+			batch = p.fillBatch(append(batch[:0], w), q, stop)
+			if failed == nil {
+				payloads, failed = p.commitBatch(batch, payloads[:0])
+			}
+			// A released entry goes back to its worker's pool: it must not
+			// be touched after this send.
+			for _, w := range batch {
+				w.done <- failed
+			}
 		}
 	}
 }
 
-// fillBatch drains the queue behind first, up to CommitBytes of
-// payload; with CommitInterval > 0 it lingers that long for stragglers
-// once the queue runs dry, trading a bounded latency hit for fuller
-// batches.
-func (p *Durability) fillBatch(first *walCommit, q chan *walCommit, stop chan struct{}) []*walCommit {
-	batch := []*walCommit{first}
-	size := len(first.payload)
+// fillBatch drains the queue behind batch's first record, up to
+// CommitBytes of payload; with CommitInterval > 0 it lingers that long
+// for stragglers once the queue runs dry, trading a bounded latency hit
+// for fuller batches.
+func (p *Durability) fillBatch(batch []*walCommit, q chan *walCommit, stop chan struct{}) []*walCommit {
+	size := len(batch[0].payload)
 	// With the queue dry, give the goroutines blocked on this batch a
 	// few scheduler turns to publish their records before the fsync is
 	// paid — on a starved scheduler the committer can otherwise wake the
@@ -836,34 +880,21 @@ func (p *Durability) fillBatch(first *walCommit, q chan *walCommit, stop chan st
 }
 
 // commitBatch makes one batch durable — one write, one fsync, one
-// position advance — then releases every waiter at once.
-func (p *Durability) commitBatch(batch []*walCommit) {
-	p.mu.Lock()
-	j := p.wlog
-	err := p.failed
-	p.mu.Unlock()
-	if err == nil && j == nil {
-		err = fmt.Errorf("hrt: journal not open")
-	}
-	if err == nil {
-		payloads := make([][]byte, len(batch))
-		for i, w := range batch {
-			payloads[i] = w.payload
-		}
-		err = j.AppendBatch(payloads)
-	}
-	if err == nil {
-		p.mu.Lock()
-		p.sinceSnap += len(batch)
-		p.mu.Unlock()
-		p.notifyAppend()
-		p.commitBatches.Add(1)
-		p.commitRecords.Add(int64(len(batch)))
-		p.commitBatchRecs.Observe(time.Duration(len(batch)))
-	}
+// position advance. The journal is the one the batch's workers found
+// open: they hold the quiesce read lock until released, so no rotation
+// can have replaced it. payloads is scratch, returned for the next batch.
+func (p *Durability) commitBatch(batch []*walCommit, payloads [][]byte) ([][]byte, error) {
 	for _, w := range batch {
-		w.done <- err
+		payloads = append(payloads, w.payload)
 	}
+	if err := batch[0].j.AppendBatch(payloads); err != nil {
+		return payloads, err
+	}
+	p.advance(len(batch))
+	p.commitBatches.Add(1)
+	p.commitRecords.Add(int64(len(batch)))
+	p.commitBatchRecs.Observe(time.Duration(len(batch)))
+	return payloads, nil
 }
 
 // stopCommitter shuts down the group-commit goroutine. Called under the
@@ -972,7 +1003,7 @@ func (p *Durability) Snapshot() error {
 	cut.begin = begin
 	cut.pause = time.Since(begin)
 	p.snapPauseNS.Observe(cut.pause)
-	p.notifyAppend() // wake replication pumps so they roll to the new generation
+	p.advance(0) // wake replication pumps so they roll to the new generation
 	p.snapWG.Add(1)
 	go func() {
 		defer p.snapWG.Done()
@@ -1116,7 +1147,7 @@ func (p *Durability) AdoptSnapshot(payload []byte) error {
 	}
 	p.pruneBelow(next)
 	p.snapshots.Add(1)
-	p.notifyAppend()
+	p.advance(0)
 	p.opts.Tracer.Emit(obs.LevelInfo, "wal_snapshot_adopted",
 		obs.Uint("generation", next), obs.Int("bytes", int64(len(payload))))
 	return nil

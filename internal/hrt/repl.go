@@ -484,7 +484,7 @@ func (d *Dedup) replBegin(session, seq uint64) bool {
 		e.lastSeen = d.timeNow()
 	}
 	if isNew {
-		d.evictLocked(sh)
+		defer d.traceEvicted(d.evictLocked(sh))
 	}
 	for e.done != nil {
 		done := e.done
@@ -610,38 +610,14 @@ func (p *Durability) AppendNotify() <-chan struct{} {
 	return p.notify
 }
 
-// notifyAppend wakes tail followers. Caller must not hold p.mu.
-func (p *Durability) notifyAppend() {
-	p.mu.Lock()
-	ch := p.notify
-	p.notify = nil
-	p.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
-}
-
 // appendReplicated journals a record received from a fleet peer verbatim.
 // It shares the primary path's failure semantics: an append failure
 // poisons the layer, so this replica stops acknowledging replication it
 // cannot make durable.
 func (p *Durability) appendReplicated(payload []byte) error {
-	p.mu.Lock()
-	if p.failed != nil {
-		err := p.failed
-		p.mu.Unlock()
-		return err
-	}
-	p.mu.Unlock()
 	start := time.Now()
 	if err := p.append(payload); err != nil {
-		err = fmt.Errorf("hrt: replicated journal append failed: %w", err)
-		p.appendErrors.Add(1)
-		p.opts.Tracer.Emit(obs.LevelError, "wal_append_error", obs.Err(err))
-		p.mu.Lock()
-		p.failed = err
-		p.mu.Unlock()
-		return err
+		return p.appendFailed(err)
 	}
 	p.appendNS.Observe(time.Since(start))
 	p.appends.Add(1)
