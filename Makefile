@@ -26,7 +26,7 @@ race:
 	$(GO) test -race -count=10 -run 'GroupCommit|Dedup' ./internal/hrt
 
 # Full benchmark run; also regenerates the committed machine-readable
-# report (kernel, transport mode, RTT, wall time, interactions, blocking
+# report (kernel, session mode, RTT, wall time, interactions, blocking
 # round trips, wire bytes) so perf regressions show up in review diffs.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -49,7 +49,8 @@ bench-load:
 	$(GO) test -bench='^BenchmarkWire' -benchmem -run=^$$ ./internal/hrt
 
 # Short-mode smoke for the load harness: a small concurrent run through
-# the real socket path in both transport modes and stripe configurations.
+# the real socket path with synchronous and pipelined sessions, in both
+# stripe configurations.
 bench-load-quick:
 	$(GO) test -short -run='^TestLoadSmoke$$' -v .
 

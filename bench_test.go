@@ -391,12 +391,12 @@ func BenchmarkMicroTCPRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer ts.Close()
-	tr, err := hrt.DialTCP(addr.String())
+	mt, err := hrt.DialMux(hrt.MuxConfig{Addr: addr.String()})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer tr.Close()
-	sess := &hrt.Session{T: tr}
+	defer mt.Close()
+	sess := &hrt.Session{T: mt.Stream(0, nil)}
 	inst, err := sess.Enter("f", 0)
 	if err != nil {
 		b.Fatal(err)

@@ -250,14 +250,12 @@ func cmdRun(args []string) error {
 	split := fs.String("split", "", "comma-separated f[:seed] functions to split")
 	rtt := fs.Duration("rtt", 0, "simulated round-trip latency")
 	server := fs.String("server", "", "address of a remote hiddend (default: in-process)")
-	clusterPeers := fs.String("cluster", "", "comma-separated fleet membership (every replica's address); the transport resolves the session's owner by rendezvous placement and follows failovers (forces the non-pipelined transport)")
+	clusterPeers := fs.String("cluster", "", "comma-separated fleet membership (every replica's address); the session rides one pooled connection per replica, homes on its rendezvous owner and follows failovers (always synchronous)")
 	stats := fs.String("stats", "", `emit interaction statistics to stderr: "text" (one line) or "json" (schema-stable document)`)
 	trace := fs.String("trace", "", "write redacted runtime trace events (JSON lines) to this file")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-attempt I/O deadline on the hiddend link")
 	retries := fs.Int("retries", 8, "max retries per round trip on the hiddend link (-1 disables)")
-	pipeline := fs.Bool("pipeline", true, "pipeline reply-free hidden calls (one-way sends, coalesced writes)")
-	mux := fs.Bool("mux", true, "multiplex the session over a shared connection (with -cluster: one pooled upstream per replica); -mux=false dials a dedicated connection")
-	window := fs.Int("window", 64, "max unacknowledged in-flight requests when pipelining or multiplexing")
+	window := fs.Int("window", 64, "max unacknowledged in-flight hidden calls: 0 makes every hidden call a blocking round trip (the paper's synchronous model), N>0 sends reply-free calls one-way with up to N in flight")
 	execFlag := fs.String("exec", "vm", "in-process fragment execution engine: vm (compiled bytecode) or interp (tree-walking oracle); a remote hiddend picks its own")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -306,91 +304,43 @@ func cmdRun(args []string) error {
 	var t hrt.Transport
 	serverLabel := *server
 	if *clusterPeers != "" {
-		// Fleet mode: the session id is fixed up front so the resolver can
-		// rank the membership for it, and the reconnecting transport
-		// re-resolves the owner on every dial — a redirect or a dead
-		// primary both converge on the replica that actually serves the
-		// session. Pipelining is not fleet-aware, so the synchronous
-		// transport is used regardless of -pipeline.
+		// Fleet mode: the session rides the pool's one multiplexed upstream
+		// per replica; each attempt re-ranks the membership, so a redirect
+		// or a dead primary both converge on the replica that actually
+		// serves the session. The pool's transport is reply-bearing only,
+		// so a fleet session is synchronous whatever -window says.
 		peers := splitPeerList(*clusterPeers)
 		if len(peers) == 0 {
 			return fmt.Errorf("run: -cluster needs at least one replica address")
 		}
 		session := rand.Uint64() | 1
-		if *mux {
-			pool := cluster.NewMuxPool(cluster.MuxPoolConfig{
-				Peers:    peers,
-				Timeout:  *timeout,
-				Policy:   hrt.RetryPolicy{Retries: *retries},
-				Window:   *window,
-				Counters: counters,
-				Tracer:   tracer,
-			})
-			defer pool.Close()
-			t = pool.SessionTransport(session)
-		} else {
-			tr, err := hrt.DialReconnect(hrt.ReconnectConfig{
-				Resolver: cluster.SessionResolver(peers, session, 0),
-				Session:  session,
-				Timeout:  *timeout,
-				Policy:   hrt.RetryPolicy{Retries: *retries},
-				Counters: counters,
-				Tracer:   tracer,
-			})
-			if err != nil {
-				return err
-			}
-			defer tr.Close()
-			t = tr
-		}
+		pool := cluster.NewMuxPool(cluster.MuxPoolConfig{
+			Peers:    peers,
+			Timeout:  *timeout,
+			Policy:   hrt.RetryPolicy{Retries: *retries},
+			Window:   *window,
+			Counters: counters,
+			Tracer:   tracer,
+		})
+		defer pool.Close()
+		t = pool.SessionTransport(session)
 		serverLabel = cluster.Owner(session, peers)
-		*pipeline = false
 	} else if *server != "" {
-		if *mux {
-			mt, err := hrt.DialMux(hrt.MuxConfig{
-				Addr:     *server,
-				Timeout:  *timeout,
-				Policy:   hrt.RetryPolicy{Retries: *retries},
-				Window:   *window,
-				Counters: counters,
-				Tracer:   tracer,
-			})
-			if err != nil {
-				return err
-			}
-			defer mt.Close()
-			stream := mt.Stream(0, counters)
-			reg.Gauge("hrt_inflight_window", func() int64 { return int64(stream.InFlight()) })
-			t = stream
-		} else if *pipeline {
-			tr, err := hrt.DialPipeline(hrt.PipelineConfig{
-				Addr:     *server,
-				Timeout:  *timeout,
-				Policy:   hrt.RetryPolicy{Retries: *retries},
-				Window:   *window,
-				Counters: counters,
-				Tracer:   tracer,
-			})
-			if err != nil {
-				return err
-			}
-			defer tr.Close()
-			reg.Gauge("hrt_inflight_window", func() int64 { return int64(tr.InFlight()) })
-			t = tr
-		} else {
-			tr, err := hrt.DialReconnect(hrt.ReconnectConfig{
-				Addr:     *server,
-				Timeout:  *timeout,
-				Policy:   hrt.RetryPolicy{Retries: *retries},
-				Counters: counters,
-				Tracer:   tracer,
-			})
-			if err != nil {
-				return err
-			}
-			defer tr.Close()
-			t = tr
+		mt, err := hrt.DialMux(hrt.MuxConfig{
+			Addr:     *server,
+			Timeout:  *timeout,
+			Policy:   hrt.RetryPolicy{Retries: *retries},
+			Window:   *window,
+			Counters: counters,
+			Tracer:   tracer,
+		})
+		if err != nil {
+			return err
 		}
+		defer mt.Close()
+		stream := mt.Stream(0, counters)
+		reg.Gauge("hrt_inflight_window", func() int64 { return int64(stream.InFlight()) })
+		t = stream
 	} else {
 		local := hrt.NewServer(hrt.NewRegistry(res))
 		local.SetExecMode(execMode)
@@ -407,9 +357,9 @@ func cmdRun(args []string) error {
 	// bounce surfaces as a typed error naming the server and session, and
 	// is tallied into the -stats document.
 	var hidden interp.HiddenSession = &hrt.Session{T: t, Addr: serverLabel, Counters: counters}
-	if *pipeline {
+	if *window > 0 {
 		// Falls back to the synchronous session when the chain cannot do
-		// one-way sends (a sync-only server or wrapper).
+		// one-way sends (the fleet pool's transport).
 		if as := hrt.NewAsyncSession(t); as != nil {
 			as.Addr = serverLabel
 			as.Counters = counters
@@ -484,11 +434,9 @@ func cmdLoadtest(args []string) error {
 	joinMidRun := fs.Bool("join-mid-run", false, "fleet mode: boot one extra cold backend at half-run; it joins via snapshot catch-up transfer while the load keeps running (requires -backends)")
 	sessions := fs.Int("sessions", 8, "concurrent client sessions")
 	ops := fs.Int("ops", 1000, "hidden fragment calls per session")
-	pipeline := fs.Bool("pipeline", false, "drive the pipelined transport (one-way calls + flush barriers)")
-	muxFlag := fs.Bool("mux", true, "multiplex sessions over shared connections (fleet mode: one pooled upstream per replica); -mux=false dials one connection per session")
-	muxConns := fs.Int("mux-conns", 0, "shared connection count with -mux (0 = one per 256 sessions, capped at 64)")
-	window := fs.Int("window", 0, "pipelined/muxed in-flight window (0 = transport default)")
-	barrier := fs.Int("barrier-every", 16, "pipelined ops between flush barriers")
+	muxConns := fs.Int("mux-conns", 0, "shared connection count (0 = one per 256 sessions, capped at 64)")
+	window := fs.Int("window", 64, "per-session in-flight window: 0 drives blocking round trips, N>0 drives one-way calls with flush barriers and up to N in flight (fleet mode is always blocking)")
+	barrier := fs.Int("barrier-every", 16, "one-way ops between flush barriers")
 	shards := fs.Int("shards", 0, "self-hosted server session shards (0 = GOMAXPROCS, 1 = serial baseline; ignored with -server)")
 	split := fs.String("split", "", `workload split spec "f:seed" (default: built-in workload; with a program file it must name one of its functions)`)
 	dataDir := fs.String("data-dir", "", "make the self-hosted server durable: journal session state in this directory (measures WAL overhead; ignored with -server)")
@@ -529,8 +477,6 @@ func cmdLoadtest(args []string) error {
 			source:      source,
 			split:       *split,
 			dataDir:     *dataDir,
-			pipeline:    *pipeline,
-			mux:         *muxFlag,
 			server:      *server,
 			asJSON:      *asJSON,
 		})
@@ -539,8 +485,6 @@ func cmdLoadtest(args []string) error {
 		Addr:           *server,
 		Sessions:       *sessions,
 		Ops:            *ops,
-		Pipeline:       *pipeline,
-		Mux:            *muxFlag,
 		MuxConns:       *muxConns,
 		Window:         *window,
 		BarrierEvery:   *barrier,
@@ -568,12 +512,8 @@ func cmdLoadtest(args []string) error {
 			durable += fmt.Sprintf(", group commit ≤%d bytes", res.CommitBytes)
 		}
 	}
-	mode := res.Mode
-	if res.MuxConns > 0 {
-		mode = fmt.Sprintf("%s over %d conns", res.Mode, res.MuxConns)
-	}
-	fmt.Printf("loadtest: %d sessions × %d ops (%s, exec=%s, shards=%s, GOMAXPROCS=%d%s)\n",
-		res.Sessions, res.OpsPerSession, mode, res.ExecMode, shardsLabel(res.Shards), res.GOMAXPROCS, durable)
+	fmt.Printf("loadtest: %d sessions × %d ops (%s over %d conns, exec=%s, shards=%s, GOMAXPROCS=%d%s)\n",
+		res.Sessions, res.OpsPerSession, res.Mode, res.MuxConns, res.ExecMode, shardsLabel(res.Shards), res.GOMAXPROCS, durable)
 	fmt.Printf("  throughput: %.0f ops/sec (%d ops in %s)\n",
 		res.OpsPerSec, res.TotalOps, time.Duration(res.ElapsedNs))
 	fmt.Printf("  blocking ops: %d, p50 %s, p99 %s, p99.9 %s, max %s\n",
@@ -596,8 +536,6 @@ type clusterLoadtestArgs struct {
 	source      string
 	split       string
 	dataDir     string
-	pipeline    bool
-	mux         bool
 	server      string
 	asJSON      bool
 }
@@ -608,9 +546,6 @@ type clusterLoadtestArgs struct {
 func clusterLoadtest(a clusterLoadtestArgs) error {
 	if a.server != "" {
 		return fmt.Errorf("loadtest: -server and fleet mode (-cluster/-backends) are mutually exclusive")
-	}
-	if a.pipeline {
-		return fmt.Errorf("loadtest: -pipeline is not fleet-aware; fleet mode drives the synchronous transport")
 	}
 	if (a.killPrimary || a.joinMidRun) && len(a.addrs) > 0 {
 		return fmt.Errorf("loadtest: -kill-primary and -join-mid-run only work on self-hosted backends (-backends), not a running fleet")
@@ -625,7 +560,6 @@ func clusterLoadtest(a clusterLoadtestArgs) error {
 		Source:      a.source,
 		Split:       a.split,
 		DataDir:     a.dataDir,
-		Mux:         a.mux,
 	})
 	if err != nil {
 		return err

@@ -254,16 +254,15 @@ func driveCorpus(t *testing.T, res *core.Result, addrFor func(session uint64) st
 	t.Helper()
 	policy := hrt.RetryPolicy{Retries: 40, BackoffBase: 2 * time.Millisecond, BackoffMax: 50 * time.Millisecond}
 	for s := 1; s <= 30; s++ {
-		rt, err := hrt.DialReconnect(hrt.ReconnectConfig{
+		rt, err := hrt.DialMux(hrt.MuxConfig{
 			Addr:    addrFor(uint64(1000 + s)),
-			Session: uint64(1000 + s),
 			Timeout: 2 * time.Second,
 			Policy:  policy,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess := &hrt.Session{T: rt}
+		sess := &hrt.Session{T: rt.Stream(uint64(1000+s), nil)}
 		inst, err := sess.Enter("f", 0)
 		if err != nil {
 			t.Fatal(err)

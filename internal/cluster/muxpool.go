@@ -1,11 +1,12 @@
 package cluster
 
-// Client-side connection sharing for the fleet. The per-session transports
-// (hrt.DialReconnect with a SessionResolver) open one TCP connection per
-// session; at fleet scale that multiplies connections by membership. A
-// MuxPool instead keeps ONE multiplexed upstream per replica and routes
-// every session's exchanges over the pooled connection of its rendezvous
-// owner — M sessions across N replicas cost N sockets, not M.
+// Client-side connection sharing for the fleet. One connection per session
+// would multiply connections by membership at fleet scale, so a MuxPool
+// keeps ONE multiplexed upstream per replica and routes every session's
+// exchanges over the pooled connection of its rendezvous owner — M
+// sessions across N replicas cost N sockets, not M. It is also the fleet
+// client's resolver: each attempt re-ranks the live membership, falls
+// down the rank past dead replicas, and follows owner redirects.
 
 import (
 	"fmt"

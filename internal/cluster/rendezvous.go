@@ -3,10 +3,10 @@
 // with rendezvous (highest-random-weight) hashing over the live member
 // set, the owning primary streams its WAL records to the other replicas
 // after each mutating request, and when a primary dies the client's
-// reconnecting transport re-resolves the session onto the promoted
-// follower — which has replayed the streamed journal into its own stores
-// and answers retried (session, seq) stamps from the replicated dedup
-// cache, so the handover preserves exactly-once execution.
+// MuxPool re-homes the session onto the promoted follower — which has
+// replayed the streamed journal into its own stores and answers retried
+// (session, seq) stamps from the replicated dedup cache, so the handover
+// preserves exactly-once execution.
 package cluster
 
 import (

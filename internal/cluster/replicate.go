@@ -847,28 +847,3 @@ func (g *Group) clearStage() {
 	g.stage = nil
 	g.recvMu.Unlock()
 }
-
-// ---------------------------------------------------------------------------
-// Client-side resolution
-
-// SessionResolver returns a resolver for hrt.ReconnectConfig: it ranks the
-// fleet by the session's rendezvous order and returns the first replica
-// that accepts a TCP connection — which is exactly the replica the fleet's
-// own routers consider the session's live owner, so the redirected (or
-// reconnecting) client and the servers converge on the same home.
-func SessionResolver(peers []string, session uint64, dialTimeout time.Duration) func() (string, error) {
-	if dialTimeout <= 0 {
-		dialTimeout = 500 * time.Millisecond
-	}
-	rank := Rank(session, peers)
-	return func() (string, error) {
-		for _, addr := range rank {
-			conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-			if err == nil {
-				conn.Close()
-				return addr, nil
-			}
-		}
-		return "", fmt.Errorf("cluster: no live replica for session %d among %v", session, rank)
-	}
-}

@@ -102,11 +102,12 @@ func TestHiddenFieldsOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ts.Close()
-	tr, err := hrt.DialTCP(addr.String())
+	mt, err := hrt.DialMux(hrt.MuxConfig{Addr: addr.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
+	defer mt.Close()
+	tr := mt.Stream(0, nil)
 	want, _, err := hrt.RunOriginal(res.Orig, 1_000_000)
 	if err != nil {
 		t.Fatal(err)

@@ -23,12 +23,10 @@ import (
 	"slicehide/internal/interp"
 )
 
-// clusterChaosClient is chaosClient against the fleet. By default the
-// session rides the pooled multiplexed upstreams of a cluster.MuxPool,
-// which follows owner redirects and falls down the rendezvous rank when
-// the primary dies; SLICEHIDE_CHAOS_MUX=false reverts to the per-session
-// reconnecting transport with a fleet resolver that re-resolves the
-// session's live owner on every dial.
+// clusterChaosClient is chaosClient against the fleet: the session rides
+// the pooled multiplexed upstreams of a cluster.MuxPool, which follows
+// owner redirects and falls down the rendezvous rank when the primary
+// dies.
 func clusterChaosClient(t *testing.T, res *core.Result, peers []string, session uint64, kills []int64, fire func(int)) (string, error) {
 	t.Helper()
 	policy := hrt.RetryPolicy{
@@ -36,29 +34,13 @@ func clusterChaosClient(t *testing.T, res *core.Result, peers []string, session 
 		BackoffBase: 2 * time.Millisecond,
 		BackoffMax:  100 * time.Millisecond,
 	}
-	var tr hrt.Transport
-	if chaosMux() {
-		pool := cluster.NewMuxPool(cluster.MuxPoolConfig{
-			Peers:   peers,
-			Timeout: 2 * time.Second,
-			Policy:  policy,
-		})
-		defer pool.Close()
-		tr = pool.SessionTransport(session)
-	} else {
-		rt, err := hrt.DialReconnect(hrt.ReconnectConfig{
-			Resolver: cluster.SessionResolver(peers, session, 250*time.Millisecond),
-			Session:  session,
-			Timeout:  2 * time.Second,
-			Policy:   policy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		tr = rt
-	}
-	killer := &killerTransport{inner: tr, kills: kills, fire: fire}
+	pool := cluster.NewMuxPool(cluster.MuxPoolConfig{
+		Peers:   peers,
+		Timeout: 2 * time.Second,
+		Policy:  policy,
+	})
+	defer pool.Close()
+	killer := &killerTransport{inner: pool.SessionTransport(session), kills: kills, fire: fire}
 	var b strings.Builder
 	in := interp.New(res.Open, interp.Options{
 		Out:        &b,

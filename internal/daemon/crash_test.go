@@ -36,21 +36,6 @@ import (
 
 const childEnv = "SLICEHIDE_HIDDEND_CHILD"
 
-// muxEnv mirrors SLICEHIDE_CHAOS_EXEC for the link layer: the chaos
-// harnesses drive their clients over multiplexed transports by default,
-// and SLICEHIDE_CHAOS_MUX=false reverts both the clients and every
-// hiddend child (via -mux=false) to one TCP connection per session, so
-// CI exercises the pre-mux link layer once per run.
-const muxEnv = "SLICEHIDE_CHAOS_MUX"
-
-func chaosMux() bool {
-	switch os.Getenv(muxEnv) {
-	case "false", "0", "off":
-		return false
-	}
-	return true
-}
-
 // fsyncEnv turns on -fsync for every hiddend child, so the CI chaos leg
 // exercises the group-commit path (batched writes, one flush per batch)
 // under the byte-identical-output referee.
@@ -152,9 +137,6 @@ func startChild(t *testing.T, args ...string) *child {
 	if mode := os.Getenv("SLICEHIDE_CHAOS_EXEC"); mode != "" {
 		args = append([]string{"-exec", mode}, args...)
 	}
-	if !chaosMux() {
-		args = append([]string{"-mux=false"}, args...)
-	}
 	if chaosFsync() {
 		args = append([]string{"-fsync"}, args...)
 	}
@@ -246,11 +228,9 @@ func (k *killerTransport) RoundTrip(req hrt.Request) (hrt.Response, error) {
 }
 
 // chaosClient runs the open program against addr with kills seeded at the
-// given interaction counts. By default the session rides a stream of a
-// multiplexed connection (the production link layer); SLICEHIDE_CHAOS_MUX=false
-// reverts to the per-session reconnecting transport. Both survive kills:
-// the mux transport re-dials and replays unacknowledged frames, the
-// reconnecting transport re-dials per exchange.
+// given interaction counts. The session rides one stream of a multiplexed
+// connection, which survives kills by re-dialing and replaying
+// unacknowledged frames.
 func chaosClient(t *testing.T, res *core.Result, addr string, session uint64, kills []int64, fire func(int)) (string, error) {
 	t.Helper()
 	policy := hrt.RetryPolicy{
@@ -258,32 +238,16 @@ func chaosClient(t *testing.T, res *core.Result, addr string, session uint64, ki
 		BackoffBase: 2 * time.Millisecond,
 		BackoffMax:  100 * time.Millisecond,
 	}
-	var tr hrt.Transport
-	if chaosMux() {
-		mt, err := hrt.DialMux(hrt.MuxConfig{
-			Addr:    addr,
-			Timeout: 2 * time.Second,
-			Policy:  policy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mt.Close()
-		tr = mt.Stream(session, nil)
-	} else {
-		rt, err := hrt.DialReconnect(hrt.ReconnectConfig{
-			Addr:    addr,
-			Session: session,
-			Timeout: 2 * time.Second,
-			Policy:  policy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		tr = rt
+	mt, err := hrt.DialMux(hrt.MuxConfig{
+		Addr:    addr,
+		Timeout: 2 * time.Second,
+		Policy:  policy,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	killer := &killerTransport{inner: tr, kills: kills, fire: fire}
+	defer mt.Close()
+	killer := &killerTransport{inner: mt.Stream(session, nil), kills: kills, fire: fire}
 	var b strings.Builder
 	in := interp.New(res.Open, interp.Options{
 		Out:        &b,

@@ -43,13 +43,9 @@ type Config struct {
 	MaxConns    int
 	MaxSessions int
 	EvictGrace  time.Duration
-	Pipeline    bool
-	// Mux accepts multiplexed connections carrying many sessions (default
-	// on); -mux=false forces every session onto its own TCP connection.
-	Mux       bool
-	Shards    int
-	Admin     string
-	TraceFile string
+	Shards      int
+	Admin       string
+	TraceFile   string
 
 	// DataDir, when set, makes the server crash-recoverable: hidden
 	// session state is journaled to and snapshotted in this directory,
@@ -115,8 +111,6 @@ func ParseFlags(args []string) (Config, error) {
 	fs.IntVar(&cfg.MaxConns, "max-conns", 0, "maximum concurrently served connections (0 = unlimited)")
 	fs.IntVar(&cfg.MaxSessions, "max-sessions", 0, "maximum cached replay sessions (0 = default 1024)")
 	fs.DurationVar(&cfg.EvictGrace, "evict-grace", 0, "protect sessions seen within this window from replay-cache eviction (0 disables)")
-	fs.BoolVar(&cfg.Pipeline, "pipeline", true, "accept pipelined (reply-free) frames; -pipeline=false forces clients back to the synchronous protocol")
-	fs.BoolVar(&cfg.Mux, "mux", true, "accept multiplexed connections carrying many sessions; -mux=false forces one TCP connection per session")
 	fs.IntVar(&cfg.Shards, "shards", 0, "session-state lock stripes for hidden state and the replay cache (0 = GOMAXPROCS, rounded up to a power of two; 1 = the serial single-lock server)")
 	fs.StringVar(&cfg.Admin, "admin", "", "serve the admin endpoint (/healthz, /metrics, /trace, /debug/pprof/) on this address (empty disables)")
 	fs.StringVar(&cfg.TraceFile, "trace", "", "write redacted runtime trace events (JSON lines) to this file")
@@ -250,17 +244,15 @@ func Start(cfg Config) (*Daemon, error) {
 	server := hrt.NewServerShards(hrt.NewRegistry(res), shards)
 	server.SetExecMode(exec)
 	d.server = &hrt.TCPServer{
-		Server:          server,
-		ReadTimeout:     cfg.Timeout,
-		WriteTimeout:    cfg.Timeout,
-		MaxConns:        cfg.MaxConns,
-		MaxSessions:     cfg.MaxSessions,
-		EvictGrace:      cfg.EvictGrace,
-		DisablePipeline: !cfg.Pipeline,
-		DisableMux:      !cfg.Mux,
-		Shards:          shards,
-		Tracer:          d.tracer,
-		Persist:         d.persist,
+		Server:       server,
+		ReadTimeout:  cfg.Timeout,
+		WriteTimeout: cfg.Timeout,
+		MaxConns:     cfg.MaxConns,
+		MaxSessions:  cfg.MaxSessions,
+		EvictGrace:   cfg.EvictGrace,
+		Shards:       shards,
+		Tracer:       d.tracer,
+		Persist:      d.persist,
 	}
 	reg := obs.NewRegistry()
 	d.server.RegisterMetrics(reg)

@@ -57,10 +57,6 @@ type ClusterLoadConfig struct {
 	// DataDir is the base directory for the self-hosted replicas' WALs
 	// (default: a fresh temp dir, removed after the run).
 	DataDir string
-	// Mux shares one multiplexed upstream connection per replica among
-	// every session (see cluster.MuxPool) instead of dialing one TCP
-	// connection per session.
-	Mux bool
 }
 
 // ClusterLoadResult is one fleet run's measurement, the document
@@ -296,17 +292,14 @@ func RunClusterLoad(c ClusterLoadConfig) (ClusterLoadResult, error) {
 		}()
 	}
 
-	// Mux mode: every session's exchanges ride the pool's one shared
-	// multiplexed connection per replica; the retry budget matches the
-	// per-session transports so a kill run rides out failover either way.
-	var pool *cluster.MuxPool
-	if cfg.Mux {
-		pool = cluster.NewMuxPool(cluster.MuxPoolConfig{
-			Peers:  addrs,
-			Policy: hrt.RetryPolicy{Retries: 60, BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond},
-		})
-		defer pool.Close()
-	}
+	// Every session's exchanges ride the pool's one shared multiplexed
+	// connection per replica; the retry budget is generous enough to ride
+	// out a primary's death (probe detection plus promotion).
+	pool := cluster.NewMuxPool(cluster.MuxPoolConfig{
+		Peers:  addrs,
+		Policy: hrt.RetryPolicy{Retries: 60, BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond},
+	})
+	defer pool.Close()
 
 	// Mid-run join: boot the cold replica once enough of the corpus has
 	// landed, wait out its catch-up (snapshot transfer + stream), then hand
@@ -367,9 +360,7 @@ func RunClusterLoad(c ClusterLoadConfig) (ClusterLoadResult, error) {
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
-			if pool != nil {
-				pool.UpdatePeers(addrs)
-			}
+			pool.UpdatePeers(addrs)
 		}()
 	} else {
 		close(joined)
@@ -382,7 +373,15 @@ func RunClusterLoad(c ClusterLoadConfig) (ClusterLoadResult, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = clusterWorker(addrs, ids[w], pool, comp, fragID, args, cfg, hist, &done)
+			// The victim's own sessions pause at their halfway mark until it
+			// is down: tearing a backend down is not instantaneous, and
+			// sessions that finished on it meanwhile would leave the run with
+			// no failover to measure.
+			var hold <-chan struct{}
+			if victim >= 0 && cluster.Owner(ids[w], addrs) == backends[victim].addr {
+				hold = killed
+			}
+			errs[w] = clusterWorker(pool.SessionTransport(ids[w]), ids[w], comp, fragID, args, cfg, hold, hist, &done)
 		}(w)
 	}
 	wg.Wait()
@@ -447,33 +446,21 @@ func RunClusterLoad(c ClusterLoadConfig) (ClusterLoadResult, error) {
 	return result, nil
 }
 
-// clusterWorker is one session against the fleet: either a reconnecting
-// per-session transport whose resolver follows the session's rendezvous
-// rank, or (with a pool) the session's slice of the shared multiplexed
-// upstreams. Both carry a retry budget generous enough to ride out a
-// primary's death (probe detection plus promotion).
-func clusterWorker(addrs []string, session uint64, pool *cluster.MuxPool, comp string, fragID int, args []interp.Value, cfg ClusterLoadConfig, hist *obs.Histogram, done *atomic.Int64) error {
-	var t hrt.Transport
-	if pool != nil {
-		t = pool.SessionTransport(session)
-	} else {
-		tr, err := hrt.DialReconnect(hrt.ReconnectConfig{
-			Resolver: cluster.SessionResolver(addrs, session, 250*time.Millisecond),
-			Session:  session,
-			Policy:   hrt.RetryPolicy{Retries: 60, BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond},
-		})
-		if err != nil {
-			return err
-		}
-		defer tr.Close()
-		t = tr
-	}
+// clusterWorker is one session against the fleet, driving synchronous
+// calls over its slice of the pool's shared multiplexed upstreams. A
+// non-nil hold parks the session halfway through until it is closed.
+func clusterWorker(t hrt.Transport, session uint64, comp string, fragID int, args []interp.Value, cfg ClusterLoadConfig, hold <-chan struct{}, hist *obs.Histogram, done *atomic.Int64) error {
 	sess := &hrt.Session{T: t}
 	inst, err := sess.Enter(comp, 0)
 	if err != nil {
 		return err
 	}
 	for op := 0; op < cfg.Ops; op++ {
+		// Halfway rounds up, so even a fleet whose every session is held
+		// reaches the kill threshold (half of all ops, rounded down).
+		if hold != nil && op == (cfg.Ops+1)/2 {
+			<-hold
+		}
 		start := time.Now()
 		if _, err := sess.Call(comp, inst, fragID, args); err != nil {
 			return fmt.Errorf("clusterload: session %d op %d: %w", session, op, err)

@@ -47,21 +47,15 @@ type LoadConfig struct {
 	Sessions int
 	// Ops is the number of hidden fragment calls per session. Default 1000.
 	Ops int
-	// Pipeline drives the pipelined transport (one-way calls with a flush
-	// barrier every BarrierEvery ops) instead of the synchronous one.
-	Pipeline bool
-	// Mux multiplexes every session over a small shared set of TCP
-	// connections (MuxConns of them) instead of one connection per
-	// session; sessions drive one-way calls with periodic barriers like
-	// Pipeline. Mux takes precedence over Pipeline.
-	Mux bool
-	// MuxConns is the shared connection count in Mux mode
-	// (0 = ceil(Sessions/256), capped at 64).
+	// MuxConns is how many multiplexed connections the sessions share,
+	// round-robin (0 = ceil(Sessions/256), capped at 64).
 	MuxConns int
-	// Window is the pipelined/muxed in-flight window (0 = transport
-	// default).
+	// Window selects how each session drives its stream: 0 makes every
+	// call a blocking round trip (the synchronous model); N>0 sends calls
+	// one-way with a flush barrier every BarrierEvery ops and at most N
+	// in flight.
 	Window int
-	// BarrierEvery is how many pipelined ops ride between flush barriers.
+	// BarrierEvery is how many one-way ops ride between flush barriers.
 	// Default 16.
 	BarrierEvery int
 	// Shards is the self-hosted server's session stripe count
@@ -101,11 +95,10 @@ type LoadConfig struct {
 // `slicehide loadtest -json` prints and BENCH_load.json collects.
 type LoadResult struct {
 	Schema   int    `json:"schema"`
-	Mode     string `json:"mode"` // "sync", "pipelined", or "mux"
+	Mode     string `json:"mode"` // "sync" (Window 0) or "pipelined"
 	Sessions int    `json:"sessions"`
-	// MuxConns is the shared TCP connection count in mux mode (0 in the
-	// one-connection-per-session modes).
-	MuxConns      int     `json:"mux_conns,omitempty"`
+	// MuxConns is the number of TCP connections the sessions shared.
+	MuxConns      int     `json:"mux_conns"`
 	OpsPerSession int     `json:"ops_per_session"`
 	TotalOps      int64   `json:"total_ops"`
 	Shards        int     `json:"shards"` // 0 = remote server, stripe count unknown
@@ -137,8 +130,10 @@ type LoadResult struct {
 // added exec_mode when fragment execution moved to compiled bytecode;
 // version 3 added the "mux" mode and its mux_conns count; version 4 added
 // p99.9 to latency snapshots and the group-commit fields (commit_bytes,
-// commit_batch_mean) alongside dedicated durability rows in the report.
-const LoadSchemaVersion = 4
+// commit_batch_mean) alongside dedicated durability rows in the report;
+// version 5 dropped the per-connection transports: mode is "sync" or
+// "pipelined", every row rides mux connections and mux_conns is always set.
+const LoadSchemaVersion = 5
 
 func (c *LoadConfig) withDefaults() LoadConfig {
 	cfg := *c
@@ -254,36 +249,27 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 		args[i] = interp.IntV(int64(i%5 + 1))
 	}
 
-	// Mux mode: all sessions share a small pool of multiplexed
-	// connections, dialed up front so a dial failure surfaces before any
-	// load is generated. Sessions map onto connections round-robin.
-	var muxConns []*hrt.MuxTransport
-	muxConnCount := 0
-	if cfg.Mux {
-		muxConnCount = cfg.MuxConns
-		if muxConnCount <= 0 {
-			muxConnCount = (cfg.Sessions + 255) / 256
-			if muxConnCount > 64 {
-				muxConnCount = 64
-			}
+	// All sessions share a small pool of multiplexed connections, dialed up
+	// front so a dial failure surfaces before any load is generated.
+	// Sessions map onto connections round-robin.
+	connCount := cfg.MuxConns
+	if connCount <= 0 {
+		connCount = (cfg.Sessions + 255) / 256
+		if connCount > 64 {
+			connCount = 64
 		}
-		if muxConnCount < 1 {
-			muxConnCount = 1
+	}
+	if connCount > cfg.Sessions {
+		connCount = cfg.Sessions
+	}
+	conns := make([]*hrt.MuxTransport, connCount)
+	for i := range conns {
+		mt, err := hrt.DialMux(hrt.MuxConfig{Addr: addr, Window: cfg.Window})
+		if err != nil {
+			return LoadResult{}, fmt.Errorf("loadgen: dial mux connection %d: %w", i, err)
 		}
-		if muxConnCount > cfg.Sessions {
-			muxConnCount = cfg.Sessions
-		}
-		for i := 0; i < muxConnCount; i++ {
-			mt, err := hrt.DialMux(hrt.MuxConfig{Addr: addr, Window: cfg.Window})
-			if err != nil {
-				for _, open := range muxConns {
-					open.Close()
-				}
-				return LoadResult{}, fmt.Errorf("loadgen: dial mux connection %d: %w", i, err)
-			}
-			muxConns = append(muxConns, mt)
-			defer mt.Close()
-		}
+		defer mt.Close()
+		conns[i] = mt
 	}
 
 	var wg sync.WaitGroup
@@ -293,14 +279,7 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			switch {
-			case cfg.Mux:
-				errs[w] = loadWorkerMux(muxConns[w%len(muxConns)], comp, fragID, args, cfg, hist)
-			case cfg.Pipeline:
-				errs[w] = loadWorkerPipelined(addr, comp, fragID, args, cfg, hist)
-			default:
-				errs[w] = loadWorkerSync(addr, comp, fragID, args, cfg, hist)
-			}
+			errs[w] = loadWorker(conns[w%len(conns)], comp, fragID, args, cfg, hist)
 		}(w)
 	}
 	wg.Wait()
@@ -312,10 +291,7 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 	}
 
 	mode := "sync"
-	switch {
-	case cfg.Mux:
-		mode = "mux"
-	case cfg.Pipeline:
+	if cfg.Window > 0 {
 		mode = "pipelined"
 	}
 	batchMean := 0.0
@@ -331,7 +307,7 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 		Schema:          LoadSchemaVersion,
 		Mode:            mode,
 		Sessions:        cfg.Sessions,
-		MuxConns:        muxConnCount,
+		MuxConns:        connCount,
 		OpsPerSession:   cfg.Ops,
 		TotalOps:        total,
 		Shards:          shards,
@@ -346,79 +322,30 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 	}, nil
 }
 
-// loadWorkerSync is one session over the synchronous fault-tolerant
-// transport: every call blocks for its reply.
-func loadWorkerSync(addr, comp string, fragID int, args []interp.Value, cfg LoadConfig, hist *obs.Histogram) error {
-	tr, err := hrt.DialReconnect(hrt.ReconnectConfig{Addr: addr})
-	if err != nil {
-		return err
-	}
-	defer tr.Close()
-	sess := &hrt.Session{T: tr}
-	inst, err := sess.Enter(comp, 0)
-	if err != nil {
-		return err
-	}
-	for op := 0; op < cfg.Ops; op++ {
-		start := time.Now()
-		if _, err := sess.Call(comp, inst, fragID, args); err != nil {
+// loadWorker is one session attached to a shared multiplexed connection.
+// With Window 0 every call blocks for its reply. Otherwise calls go
+// one-way down the session's stream and only the periodic flush barrier
+// blocks, while the connection's writer coalesces this session's frames
+// with every other session riding the same socket.
+func loadWorker(mt *hrt.MuxTransport, comp string, fragID int, args []interp.Value, cfg LoadConfig, hist *obs.Histogram) error {
+	stream := mt.Stream(0, nil)
+	defer stream.Close()
+	if cfg.Window <= 0 {
+		sess := &hrt.Session{T: stream}
+		inst, err := sess.Enter(comp, 0)
+		if err != nil {
 			return err
 		}
-		hist.Observe(time.Since(start))
-	}
-	return sess.Exit(comp, inst)
-}
-
-// loadWorkerPipelined is one session over the pipelined transport: calls
-// go one-way and only the periodic flush barrier blocks.
-func loadWorkerPipelined(addr, comp string, fragID int, args []interp.Value, cfg LoadConfig, hist *obs.Histogram) error {
-	tr, err := hrt.DialPipeline(hrt.PipelineConfig{Addr: addr, Window: cfg.Window})
-	if err != nil {
-		return err
-	}
-	defer tr.Close()
-	as := hrt.NewAsyncSession(tr)
-	if as == nil {
-		return fmt.Errorf("loadgen: pipelined transport is not async-capable")
-	}
-	inst, err := as.EnterAsync(comp, 0)
-	if err != nil {
-		return err
-	}
-	for op := 0; op < cfg.Ops; op++ {
-		if err := as.CallOneWay(comp, inst, fragID, args); err != nil {
-			return err
-		}
-		if (op+1)%cfg.BarrierEvery == 0 {
+		for op := 0; op < cfg.Ops; op++ {
 			start := time.Now()
-			if err := as.Barrier(); err != nil {
+			if _, err := sess.Call(comp, inst, fragID, args); err != nil {
 				return err
 			}
 			hist.Observe(time.Since(start))
 		}
+		return sess.Exit(comp, inst)
 	}
-	if err := as.ExitAsync(comp, inst); err != nil {
-		return err
-	}
-	start := time.Now()
-	if err := as.Barrier(); err != nil {
-		return err
-	}
-	hist.Observe(time.Since(start))
-	return nil
-}
-
-// loadWorkerMux is one session attached to a shared multiplexed
-// connection: calls go one-way down the session's stream and only the
-// periodic flush barrier blocks, while the connection's writer coalesces
-// this session's frames with every other session riding the same socket.
-func loadWorkerMux(mt *hrt.MuxTransport, comp string, fragID int, args []interp.Value, cfg LoadConfig, hist *obs.Histogram) error {
-	stream := mt.Stream(0, nil)
-	defer stream.Close()
 	as := hrt.NewAsyncSession(stream)
-	if as == nil {
-		return fmt.Errorf("loadgen: mux stream is not async-capable")
-	}
 	inst, err := as.EnterAsync(comp, 0)
 	if err != nil {
 		return err
@@ -457,10 +384,10 @@ type LoadBenchReport struct {
 	// are only meaningful up to this count.
 	NumCPU int `json:"num_cpu"`
 	Config struct {
-		Sessions     int  `json:"sessions"`
-		OpsPerSess   int  `json:"ops_per_session"`
-		Pipeline     bool `json:"pipeline"`
-		ShardedCount int  `json:"sharded_count"`
+		Sessions     int `json:"sessions"`
+		OpsPerSess   int `json:"ops_per_session"`
+		Window       int `json:"window"`
+		ShardedCount int `json:"sharded_count"`
 	} `json:"config"`
 	Rows []LoadResult `json:"rows"`
 }
@@ -477,7 +404,7 @@ func WriteLoadBenchJSON(w io.Writer, cfg LoadConfig, shardedCount int) error {
 	rep.NumCPU = runtime.NumCPU()
 	rep.Config.Sessions = base.Sessions
 	rep.Config.OpsPerSess = base.Ops
-	rep.Config.Pipeline = base.Pipeline
+	rep.Config.Window = base.Window
 	rep.Config.ShardedCount = shardedCount
 
 	prev := runtime.GOMAXPROCS(0)
@@ -502,35 +429,25 @@ func WriteLoadBenchJSON(w io.Writer, cfg LoadConfig, shardedCount int) error {
 		}
 	}
 
-	// Multiplexed rows: the same workload at the matrix's session count
-	// (comparable to the per-connection rows above), then the scale point
-	// the shared-connection design exists for — 10k concurrent sessions
-	// over at most 64 TCP connections.
+	// Scale row: the point the shared-connection design exists for — 10k
+	// concurrent sessions over at most 64 TCP connections.
 	runtime.GOMAXPROCS(4)
-	for _, scale := range []struct {
-		sessions, ops int
-	}{
-		{base.Sessions, base.Ops},
-		{10_000, 50},
-	} {
-		run := base
-		run.Mux = true
-		run.Sessions = scale.sessions
-		run.Ops = scale.ops
-		run.Shards = shardedCount
-		run.ExecMode = "vm"
-		r, err := RunLoad(run)
-		if err != nil {
-			return err
-		}
-		r.GOMAXPROCS = 4
-		rep.Rows = append(rep.Rows, r)
+	scale := base
+	scale.Sessions = 10_000
+	scale.Ops = 50
+	scale.Shards = shardedCount
+	scale.ExecMode = "vm"
+	r, err := RunLoad(scale)
+	if err != nil {
+		return err
 	}
+	r.GOMAXPROCS = 4
+	rep.Rows = append(rep.Rows, r)
 
 	// Durability rows: the workload against a journaled server in three
 	// tiers — wal (no fsync), wal+fsync with per-append fsync
 	// (CommitBytes 0, the pre-group-commit behavior), and wal+fsync with
-	// group commit — under both the blocking and pipelined transports.
+	// group commit — driven both synchronously (Window 0) and one-way.
 	// The fsync pair is the headline: group commit coalesces concurrent
 	// sessions' appends into one fsync per batch, so its ops/sec should
 	// sit a multiple above the per-append baseline and its
@@ -538,7 +455,7 @@ func WriteLoadBenchJSON(w io.Writer, cfg LoadConfig, shardedCount int) error {
 	// so the fsync queue — not the replay cache's stripe locks (which
 	// hold the journal call) — is what the pair measures.
 	const durSessions = 64
-	for _, pipeline := range []bool{false, true} {
+	for _, window := range []int{0, base.Window} {
 		for _, tier := range []struct {
 			fsync       bool
 			commitBytes int
@@ -552,8 +469,7 @@ func WriteLoadBenchJSON(w io.Writer, cfg LoadConfig, shardedCount int) error {
 				return err
 			}
 			run := base
-			run.Pipeline = pipeline
-			run.Mux = false
+			run.Window = window
 			run.Sessions = durSessions
 			run.Ops = 200
 			run.Shards = durSessions

@@ -70,7 +70,8 @@ func main() {
 }
 
 // TestChaosCorpusOverFaultyTCP is the acceptance test for the
-// fault-tolerant link: every corpus split program runs over real TCP
+// fault-tolerant link driven synchronously (one stream, every hidden call
+// a blocking round trip): every corpus split program runs over real TCP
 // through a fault-injecting proxy that severs the connection on a
 // schedule and randomly drops, delays, and corrupts frames — and still
 // produces output byte-identical to the unsplit interpreter run, with
@@ -114,7 +115,7 @@ func TestChaosCorpusOverFaultyTCP(t *testing.T) {
 			defer proxy.Close()
 
 			counters := &Counters{}
-			tr, err := DialReconnect(ReconnectConfig{
+			tr := dialStream(t, MuxConfig{
 				Addr:    paddr.String(),
 				Timeout: 250 * time.Millisecond,
 				Policy: RetryPolicy{
@@ -123,12 +124,7 @@ func TestChaosCorpusOverFaultyTCP(t *testing.T) {
 					BackoffMax:  8 * time.Millisecond,
 					JitterSeed:  seed,
 				},
-				Counters: counters,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tr.Close()
+			}, 0, counters)
 
 			var b strings.Builder
 			in := interp.New(cp.res.Open, interp.Options{
@@ -167,7 +163,7 @@ func TestChaosCorpusOverFaultyTCP(t *testing.T) {
 }
 
 // TestChaosCorpusPipelinedOverFaultyTCP repeats the chaos acceptance test
-// over the pipelined transport: one-way frames stream through the same
+// with the stream driven one-way: reply-free frames stream through the same
 // fault-injecting proxy (drops now create server-side sequence gaps, the
 // case the resend protocol exists for) and every split program must still
 // produce byte-identical output with hidden state mutated exactly once.
@@ -209,7 +205,7 @@ func TestChaosCorpusPipelinedOverFaultyTCP(t *testing.T) {
 			defer proxy.Close()
 
 			counters := &Counters{}
-			tr, err := DialPipeline(PipelineConfig{
+			tr := dialStream(t, MuxConfig{
 				Addr:    paddr.String(),
 				Timeout: 250 * time.Millisecond,
 				Policy: RetryPolicy{
@@ -218,17 +214,12 @@ func TestChaosCorpusPipelinedOverFaultyTCP(t *testing.T) {
 					BackoffMax:  8 * time.Millisecond,
 					JitterSeed:  seed,
 				},
-				Window:   32,
-				Counters: counters,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tr.Close()
+				Window: 32,
+			}, 0, counters)
 
 			as := NewAsyncSession(&Counting{Inner: tr, Counters: counters})
 			if as == nil {
-				t.Fatal("pipelined transport not async-capable")
+				t.Fatal("stream not async-capable")
 			}
 			var b strings.Builder
 			in := interp.New(cp.res.Open, interp.Options{
@@ -266,8 +257,8 @@ func TestChaosCorpusPipelinedOverFaultyTCP(t *testing.T) {
 	}
 }
 
-// TestChaosCorpusMuxedOverFaultyTCP repeats the chaos acceptance test over
-// the multiplexed transport: eight interleaved sessions share one muxed
+// TestChaosCorpusMuxedOverFaultyTCP repeats the chaos acceptance test with
+// many streams: eight interleaved sessions share one muxed
 // connection through the fault-injecting proxy, so every injected fault —
 // a dropped frame of one session, a severed shared connection that takes
 // all eight down at once — is recovered per session. Each session must

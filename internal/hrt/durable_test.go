@@ -310,11 +310,7 @@ func TestDurablePoisonedSessionSurvivesRestart(t *testing.T) {
 func TestDurableTCPRestartEndToEnd(t *testing.T) {
 	runOnce := func(t *testing.T, res *core.Result, addr string, session uint64) string {
 		t.Helper()
-		tr, err := DialReconnect(ReconnectConfig{Addr: addr, Session: session})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
+		tr := dialStream(t, MuxConfig{Addr: addr}, session, nil)
 		var b strings.Builder
 		in := interp.New(res.Open, interp.Options{
 			Out:        &b,
@@ -439,8 +435,8 @@ func TestSessionEvictedErrorTyped(t *testing.T) {
 	}
 }
 
-// stampTransport stamps (session, seq) like the reconnecting transport
-// does, without its retry machinery.
+// stampTransport stamps (session, seq) like a client stream does, without
+// its retry machinery.
 type stampTransport struct {
 	inner   Transport
 	session uint64
@@ -465,19 +461,19 @@ func TestDrainQuiescesServer(t *testing.T) {
 	}
 	defer ts.Close()
 
-	finishing, err := DialTCP(addr.String())
+	finishing, err := DialMux(MuxConfig{Addr: addr.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := finishing.RoundTrip(Request{Op: OpEnter, Fn: "f"}); err != nil {
+	if _, err := finishing.Stream(0, nil).RoundTrip(Request{Op: OpEnter, Fn: "f"}); err != nil {
 		t.Fatal(err)
 	}
-	straggler, err := DialTCP(addr.String())
+	straggler, err := DialMux(MuxConfig{Addr: addr.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer straggler.Close()
-	if _, err := straggler.RoundTrip(Request{Op: OpEnter, Fn: "f"}); err != nil {
+	if _, err := straggler.Stream(0, nil).RoundTrip(Request{Op: OpEnter, Fn: "f"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -493,11 +489,9 @@ func TestDrainQuiescesServer(t *testing.T) {
 	}
 	// The listener is down: new connections are refused or severed without
 	// service.
-	if late, err := DialTCP(addr.String()); err == nil {
-		if _, err := late.RoundTrip(Request{Op: OpEnter, Fn: "f"}); err == nil {
-			t.Error("draining server served a new connection")
-		}
+	if late, err := DialMux(MuxConfig{Addr: addr.String(), Timeout: time.Second}); err == nil {
 		late.Close()
+		t.Error("draining server served a new connection")
 	}
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)

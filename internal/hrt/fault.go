@@ -18,7 +18,7 @@ import (
 // FaultKind is one injectable link fault.
 type FaultKind int
 
-// Injectable faults, applied once per round trip.
+// Injectable faults, applied once per trip (see FaultScript).
 const (
 	// FaultNone forwards the round trip untouched.
 	FaultNone FaultKind = iota
@@ -55,13 +55,14 @@ func (k FaultKind) String() string {
 	return fmt.Sprintf("fault(%d)", int(k))
 }
 
-// FaultScript decides the fault for round trip number trip (0-based,
-// counted across reconnections so deterministic scripts survive
-// re-dials).
+// FaultScript decides the fault for trip number trip (0-based, counted
+// across reconnections so deterministic scripts survive re-dials). A trip
+// is one round trip through a FaultTransport, or one relayed frame in
+// either direction through a FaultProxy.
 type FaultScript func(trip int) FaultKind
 
-// FaultRates are per-round-trip probabilities for SeededScript; they
-// should sum to at most 1.
+// FaultRates are per-trip probabilities for SeededScript; they should sum
+// to at most 1.
 type FaultRates struct {
 	DropRequest  float64
 	DropResponse float64
@@ -70,8 +71,8 @@ type FaultRates struct {
 	Sever        float64
 }
 
-// SeededScript draws one fault per round trip from rates, deterministic
-// in seed.
+// SeededScript draws one fault per trip from rates, deterministic in
+// seed.
 func SeededScript(seed int64, rates FaultRates) FaultScript {
 	rng := rand.New(rand.NewSource(seed))
 	var mu sync.Mutex
@@ -98,7 +99,7 @@ func SeededScript(seed int64, rates FaultRates) FaultScript {
 	}
 }
 
-// SeverEvery cuts the connection on every n-th round trip.
+// SeverEvery cuts the connection on every n-th trip.
 func SeverEvery(n int) FaultScript {
 	return func(trip int) FaultKind {
 		if n > 0 && (trip+1)%n == 0 {
@@ -168,16 +169,16 @@ func (t *FaultTransport) RoundTrip(req Request) (Response, error) {
 
 // ---------------------------------------------------------------------------
 
-// FaultProxy is a fault-injecting TCP proxy placed between a
-// ReconnectTransport and a TCPServer. It relays whole protocol frames and
-// consults its script once per round trip, so it can lose a request
-// before the server sees it, lose a response after the server executed
-// (the dangerous replay case), delay, garble the frame, or cut the
-// connection — all deterministically under a seeded script.
+// FaultProxy is a fault-injecting TCP proxy placed between a MuxTransport
+// and a TCPServer. It relays whole protocol frames in both directions and
+// consults its script once per frame, so it can lose a request before the
+// server sees it, lose a response after the server executed (the
+// dangerous replay case), delay, garble a frame, or cut the connection —
+// all deterministically under a seeded script.
 type FaultProxy struct {
 	// Backend is the real hidden server's address.
 	Backend string
-	// Script picks the fault per round trip; nil injects nothing.
+	// Script picks the fault per relayed frame; nil injects nothing.
 	Script FaultScript
 	// Delay is the extra latency of FaultDelay faults.
 	Delay time.Duration
@@ -243,8 +244,17 @@ func (p *FaultProxy) untrack(conn net.Conn) {
 	conn.Close()
 }
 
-// serve relays frames between one client connection and a dedicated
-// backend connection, injecting at most one fault per round trip.
+// serve relays one client connection to a dedicated backend connection.
+// The mux hello exchange relays untouched — a connection that never
+// establishes exercises nothing — and a connection that opens with
+// anything else is closed: session traffic has no other wire path. After
+// the hello the two directions relay independently (the backend emits
+// unsolicited window-update frames, and replies complete out of order
+// across sessions): an upstream goroutine forwards request frames while
+// the downstream loop forwards mux frames. Each direction consults the
+// script per frame and applies the fault kinds it can express (upstream:
+// drop-request, corrupt, delay, sever; downstream: drop-response, delay,
+// sever), skipping the rest.
 func (p *FaultProxy) serve(client net.Conn) {
 	backend, err := net.Dial("tcp", p.Backend)
 	if err != nil {
@@ -253,83 +263,10 @@ func (p *FaultProxy) serve(client net.Conn) {
 	defer backend.Close()
 	cr, cw := bufio.NewReader(client), bufio.NewWriter(client)
 	br, bw := bufio.NewReader(backend), bufio.NewWriter(backend)
-	for {
-		req, err := ReadRequest(cr)
-		if err != nil {
-			return
-		}
-		if req.Op == OpMuxHello {
-			p.serveMuxRelay(client, backend, cr, br, cw, bw, req)
-			return
-		}
-		fault := FaultNone
-		if p.Script != nil {
-			fault = p.Script(int(p.trip.Add(1) - 1))
-		}
-		switch fault {
-		case FaultSever:
-			p.injected[FaultSever].Add(1)
-			return // cuts both sides mid round trip
-		case FaultDropRequest:
-			p.injected[FaultDropRequest].Add(1)
-			continue // the client's deadline fires; it re-dials and retries
-		case FaultCorrupt:
-			p.injected[FaultCorrupt].Add(1)
-			// Break the framing (bogus op, oversized string length) so the
-			// server kills the connection instead of executing a garbled
-			// request as if it were valid.
-			backend.Write([]byte{0xEE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
-			return
-		}
-		if err := WriteRequest(bw, req); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		if req.NoReply() {
-			// Reply-free pipelined frame: the backend sends nothing back,
-			// so don't block reading a response. A drop-response fault is
-			// meaningless here (there is no response to lose); a delay
-			// fault stalls the stream like a congested link would.
-			if fault == FaultDelay {
-				p.injected[FaultDelay].Add(1)
-				time.Sleep(p.Delay)
-			}
-			continue
-		}
-		resp, err := ReadResponse(br)
-		if err != nil {
-			return
-		}
-		switch fault {
-		case FaultDropResponse:
-			p.injected[FaultDropResponse].Add(1)
-			continue // the hidden side executed; only the reply is lost
-		case FaultDelay:
-			p.injected[FaultDelay].Add(1)
-			time.Sleep(p.Delay)
-		}
-		if err := WriteResponse(cw, resp); err != nil {
-			return
-		}
-		if err := cw.Flush(); err != nil {
-			return
-		}
+	hello, err := ReadRequest(cr)
+	if err != nil || hello.Op != OpMuxHello {
+		return
 	}
-}
-
-// serveMuxRelay relays a connection that switched to the multiplexed
-// protocol. The strict request→response pairing of serve no longer holds
-// there — the backend emits unsolicited window-update frames, and replies
-// complete out of order across sessions — so the two directions relay
-// independently: an upstream goroutine forwards request frames while the
-// downstream loop forwards mux frames. Each direction consults the script
-// per frame and applies the fault kinds it can express (upstream:
-// drop-request, corrupt, delay, sever; downstream: drop-response, delay,
-// sever), skipping the rest. The hello exchange itself relays untouched —
-// a mux connection that never establishes exercises nothing.
-func (p *FaultProxy) serveMuxRelay(client, backend net.Conn, cr, br *bufio.Reader, cw, bw *bufio.Writer, hello Request) {
 	if err := WriteRequest(bw, hello); err != nil {
 		return
 	}
@@ -367,11 +304,7 @@ func (p *FaultProxy) serveMuxRelay(client, backend net.Conn, cr, br *bufio.Reade
 			if err != nil {
 				return
 			}
-			fault := FaultNone
-			if p.Script != nil {
-				fault = p.Script(int(p.trip.Add(1) - 1))
-			}
-			switch fault {
+			switch p.nextFault() {
 			case FaultSever:
 				p.injected[FaultSever].Add(1)
 				return
@@ -380,6 +313,9 @@ func (p *FaultProxy) serveMuxRelay(client, backend net.Conn, cr, br *bufio.Reade
 				continue
 			case FaultCorrupt:
 				p.injected[FaultCorrupt].Add(1)
+				// Break the framing (bogus op, oversized string length) so the
+				// server kills the connection instead of executing a garbled
+				// request as if it were valid.
 				backend.Write([]byte{0xEE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 				return
 			case FaultDelay:
@@ -403,11 +339,7 @@ func (p *FaultProxy) serveMuxRelay(client, backend net.Conn, cr, br *bufio.Reade
 		if err != nil {
 			return
 		}
-		fault := FaultNone
-		if p.Script != nil {
-			fault = p.Script(int(p.trip.Add(1) - 1))
-		}
-		switch fault {
+		switch p.nextFault() {
 		case FaultSever:
 			p.injected[FaultSever].Add(1)
 			return
@@ -425,6 +357,14 @@ func (p *FaultProxy) serveMuxRelay(client, backend net.Conn, cr, br *bufio.Reade
 			return
 		}
 	}
+}
+
+// nextFault draws the script's verdict for the next relayed frame.
+func (p *FaultProxy) nextFault() FaultKind {
+	if p.Script == nil {
+		return FaultNone
+	}
+	return p.Script(int(p.trip.Add(1) - 1))
 }
 
 // Injected reports how many faults of one kind were applied.

@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"slicehide/internal/obs"
@@ -36,9 +36,13 @@ import (
 // per session: a stream whose in-flight window fills blocks (or barriers)
 // only itself; the link and every other stream keep moving. The server
 // demultiplexes by session stamp onto per-session workers backed by the
-// same sharded dedup/durability path the per-conn protocol uses, so
-// pipelining, resend-rewind, and exactly-once semantics compose unchanged
-// per session.
+// sharded dedup/durability path, so pipelining, resend-rewind, and
+// exactly-once semantics hold per session.
+//
+// This is the only wire path for session traffic. A stream driven through
+// RoundTrip alone is the paper's synchronous RPC link; the same stream
+// driven through Send/Flush is the pipelined link; many streams on one
+// connection is the multiplexed one.
 
 // OpMuxHello opens a multiplexed connection. Like OpRepl it lives outside
 // the journal record op range (OpEnter..OpFlush), so a mux handshake can
@@ -54,6 +58,15 @@ const muxProtoVersion = 1
 // maxMuxWindow caps the per-session window a server grants, bounding the
 // per-session buffering a client can demand.
 const maxMuxWindow = 4096
+
+// defaultWindow is the per-session in-flight window when none is asked for.
+const defaultWindow = 64
+
+// muxWorkerIdle is the reaper period of a server-side mux connection: a
+// session worker that served nothing across one full period is retired,
+// so a long-lived pooled upstream carrying short sessions does not
+// accumulate a goroutine and a queue per session it ever saw.
+const muxWorkerIdle = 500 * time.Millisecond
 
 // WriteMuxFrame encodes one multiplexed server→client frame — the owning
 // session id followed by the response body — as a single Write.
@@ -112,6 +125,8 @@ type MuxConfig struct {
 	Tracer *obs.Tracer
 }
 
+var errTransportClosed = Terminal(errors.New("hrt: transport closed"))
+
 // muxKey routes responses read off a multiplexed connection to the
 // exchange waiting for them.
 type muxKey struct {
@@ -122,25 +137,23 @@ type muxKey struct {
 // MuxTransport is the open-machine side of a multiplexed connection. It
 // owns the socket, the shared writer goroutine, and the reader goroutine;
 // individual sessions attach through Stream, which returns a MuxStream
-// implementing the same Transport/AsyncTransport contract the per-session
-// transports do. All transport and stream state is guarded by one mutex —
-// streams are cheap bookkeeping, the socket is the contended resource.
+// implementing the Transport/AsyncTransport contract. All transport and
+// stream state is guarded by one mutex — streams are cheap bookkeeping,
+// the socket is the contended resource.
 //
-// Fault tolerance matches PipelineTransport: on a broken link the next
-// blocking exchange re-dials (one hello, shared by every stream) and the
-// writer replays each stream's unacknowledged window; the server's dedup
-// layer makes the replay exactly-once per session, and RespResend rewinds
-// a single stream's write cursor without disturbing the others.
+// Fault tolerance: every request carries its (session, seq) stamp, so on a
+// broken link the next blocking exchange re-dials (one hello, shared by
+// every stream) and the writer replays each stream's unacknowledged
+// window; the server's dedup layer makes the replay exactly-once per
+// session, and RespResend rewinds a single stream's write cursor without
+// disturbing the others.
 type MuxTransport struct {
 	timeout time.Duration
-	pol     RetryPolicy
+	pacer   *retryPacer
 	dial    func() (net.Conn, error)
 
 	counters *Counters
 	tracer   *obs.Tracer
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -162,8 +175,8 @@ type MuxTransport struct {
 
 // DialMux connects a multiplexed client to a hidden-component server. The
 // initial dial and hello happen eagerly so configuration errors (including
-// a server refusing multiplexed connections) surface here; later re-dials
-// happen on demand.
+// a server refusing the hello) surface here; later re-dials happen on
+// demand.
 func DialMux(cfg MuxConfig) (*MuxTransport, error) {
 	if cfg.Dial == nil {
 		addr := cfg.Addr
@@ -175,19 +188,13 @@ func DialMux(cfg MuxConfig) (*MuxTransport, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = defaultWindow
 	}
-	pol := cfg.Policy.withDefaults()
-	seed := pol.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
 	t := &MuxTransport{
 		timeout:  cfg.Timeout,
-		pol:      pol,
+		pacer:    newRetryPacer(cfg.Policy),
 		dial:     cfg.Dial,
 		window:   cfg.Window,
 		counters: cfg.Counters,
 		tracer:   cfg.Tracer,
-		rng:      rand.New(rand.NewSource(seed)),
 		streams:  make(map[uint64]*MuxStream),
 		pending:  make(map[muxKey]chan Response),
 	}
@@ -209,13 +216,6 @@ func (t *MuxTransport) Window() int {
 	return t.window
 }
 
-// ActiveStreams reports the number of attached streams (for tests).
-func (t *MuxTransport) ActiveStreams() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.streams)
-}
-
 // Stream attaches a session to the connection, creating it on first use.
 // A zero session id picks a fresh random one. counters, when set, tallies
 // the stream's own retries, stalls, and one-way/round-trip splits.
@@ -235,7 +235,7 @@ func (t *MuxTransport) Stream(session uint64, counters *Counters) *MuxStream {
 
 // connectLocked dials a fresh connection, performs the mux hello
 // synchronously, and starts the reader goroutine. A server that refuses
-// multiplexing is a terminal error — retrying cannot change its answer.
+// the hello is a terminal error — retrying cannot change its answer.
 // Caller holds t.mu.
 func (t *MuxTransport) connectLocked() error {
 	conn, err := t.dial()
@@ -279,8 +279,8 @@ func (t *MuxTransport) connectLocked() error {
 		t.window = int(ack.Inst)
 	}
 	if t.conn != nil {
-		// A re-dial must never orphan a live socket (see the matching guard
-		// in connTransport.connectLocked).
+		// A re-dial must never orphan a live socket: a connect racing an
+		// installed connection closes what it replaces.
 		t.conn.Close()
 	}
 	t.conn, t.w = conn, w
@@ -306,6 +306,47 @@ func (t *MuxTransport) connectLocked() error {
 	return nil
 }
 
+// meterWriter tallies bytes actually written to the wire (coalesced frames
+// and retransmissions included): logical sizes live in Counters.BytesSent,
+// true volume in WireBytesSent.
+type meterWriter struct {
+	w io.Writer
+	n *atomic.Int64
+}
+
+func (m *meterWriter) Write(p []byte) (int, error) {
+	n, err := m.w.Write(p)
+	m.n.Add(int64(n))
+	return n, err
+}
+
+// meterReader tallies bytes actually read off the wire.
+type meterReader struct {
+	r io.Reader
+	n *atomic.Int64
+}
+
+func (m *meterReader) Read(p []byte) (int, error) {
+	n, err := m.r.Read(p)
+	m.n.Add(int64(n))
+	return n, err
+}
+
+// liveConnLocked readies the link for one exchange: it fails terminally
+// once the transport (or the asking stream) is closed, and re-dials a
+// dropped connection. Caller holds t.mu.
+func (t *MuxTransport) liveConnLocked(streamClosed bool) error {
+	if t.closed || streamClosed {
+		return errTransportClosed
+	}
+	if t.conn == nil {
+		if err := t.connectLocked(); err != nil {
+			return fmt.Errorf("hrt: redial hidden server: %w", err)
+		}
+	}
+	return nil
+}
+
 // markDirtyLocked queues s for the writer goroutine. Caller holds t.mu.
 func (t *MuxTransport) markDirtyLocked(s *MuxStream) {
 	if !s.queued {
@@ -319,8 +360,7 @@ func (t *MuxTransport) markDirtyLocked(s *MuxStream) {
 // stream's unwritten frames and every loose one-shot request into the
 // shared bufio buffer, then flushes once — frames from many sessions
 // coalesce into one segment. It holds t.mu across the batch (bounded by
-// the write deadline, the same trade-off the per-session pipelined
-// transport makes) and survives reconnects; it exits only at Close.
+// the write deadline) and survives reconnects; it exits only at Close.
 func (t *MuxTransport) writeLoop() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -369,11 +409,8 @@ func (t *MuxTransport) writeLoop() {
 		if err != nil {
 			// Drop the connection; in-flight windows replay on the next
 			// exchange's re-dial.
-			if t.conn == conn {
-				t.conn, t.w = nil, nil
-			}
 			t.mu.Unlock()
-			conn.Close()
+			t.dropConn(conn)
 			t.mu.Lock()
 		}
 	}
@@ -415,21 +452,47 @@ func (t *MuxTransport) readLoop(conn net.Conn, r *bufio.Reader, dead chan struct
 }
 
 // dropConn discards conn if it is still current, forcing the next
-// exchange to re-dial.
+// exchange to re-dial. Whoever uninstalls a connection closes it —
+// connectLocked and Close follow the same rule — so each socket is closed
+// exactly once however many goroutines notice it failing.
 func (t *MuxTransport) dropConn(conn net.Conn) {
 	t.mu.Lock()
-	if t.conn == conn {
+	current := t.conn == conn
+	if current {
 		t.conn, t.w = nil, nil
 	}
 	t.mu.Unlock()
-	conn.Close()
+	if current {
+		conn.Close()
+	}
 }
 
-// removePending discards an exchange's response slot.
-func (t *MuxTransport) removePending(key muxKey) {
+// await blocks until the response registered under key arrives on ch, the
+// connection it was sent on dies, or the exchange deadline passes. On
+// either failure the response slot is discarded; a timeout also closes
+// the socket so the reader goroutine exits and every stream replays its
+// window over the re-dial.
+func (t *MuxTransport) await(key muxKey, ch chan Response, conn net.Conn, dead chan struct{}) (Response, error) {
+	var timeout <-chan time.Time
+	if t.timeout > 0 {
+		timer := time.NewTimer(t.timeout)
+		defer timer.Stop()
+		timeout = timer.C
+	}
+	var err error
+	select {
+	case resp := <-ch:
+		return resp, nil
+	case <-dead:
+		err = errors.New("hrt: connection lost")
+	case <-timeout:
+		err = errors.New("hrt: exchange timed out")
+		t.dropConn(conn)
+	}
 	t.mu.Lock()
 	delete(t.pending, key)
 	t.mu.Unlock()
+	return Response{}, err
 }
 
 // Exchange performs one blocking round trip for a pre-stamped request —
@@ -440,15 +503,9 @@ func (t *MuxTransport) removePending(key muxKey) {
 // shared writer, and waits for the matching response.
 func (t *MuxTransport) Exchange(req Request) (Response, error) {
 	t.mu.Lock()
-	if t.closed {
+	if err := t.liveConnLocked(false); err != nil {
 		t.mu.Unlock()
-		return Response{}, Terminal(errors.New("hrt: transport closed"))
-	}
-	if t.conn == nil {
-		if err := t.connectLocked(); err != nil {
-			t.mu.Unlock()
-			return Response{}, fmt.Errorf("hrt: redial hidden server: %w", err)
-		}
+		return Response{}, err
 	}
 	key := muxKey{req.Session, req.Seq}
 	ch := make(chan Response, 1)
@@ -457,30 +514,7 @@ func (t *MuxTransport) Exchange(req Request) (Response, error) {
 	t.cond.Signal()
 	conn, dead := t.conn, t.dead
 	t.mu.Unlock()
-
-	var timer *time.Timer
-	var timeout <-chan time.Time
-	if t.timeout > 0 {
-		timer = time.NewTimer(t.timeout)
-		timeout = timer.C
-	}
-	select {
-	case resp := <-ch:
-		if timer != nil {
-			timer.Stop()
-		}
-		return resp, nil
-	case <-dead:
-		if timer != nil {
-			timer.Stop()
-		}
-		t.removePending(key)
-		return Response{}, errors.New("hrt: connection lost")
-	case <-timeout:
-		t.removePending(key)
-		t.dropConn(conn)
-		return Response{}, errors.New("hrt: exchange timed out")
-	}
+	return t.await(key, ch, conn, dead)
 }
 
 // Close shuts the connection and every stream down; subsequent operations
@@ -502,12 +536,12 @@ func (t *MuxTransport) Close() error {
 // MuxStream
 
 // MuxStream is one session's view of a multiplexed connection. It
-// implements the same Transport/AsyncTransport contract as the
-// per-session transports — reply-free sends coalesce into an ordered
-// in-flight window, reply-bearing exchanges are barriers, RespResend
-// rewinds and replays — but its frames share the connection's writer with
-// every other stream, and its window backpressure (a full in-flight
-// window forces a flush barrier) lands on this session alone.
+// implements the Transport/AsyncTransport contract — reply-free sends
+// coalesce into an ordered in-flight window, reply-bearing exchanges are
+// barriers, RespResend rewinds and replays. Its frames share the
+// connection's writer with every other stream, and its window
+// backpressure (a full in-flight window forces a flush barrier) lands on
+// this session alone.
 type MuxStream struct {
 	t        *MuxTransport
 	session  uint64
@@ -560,7 +594,7 @@ func (s *MuxStream) Send(req Request) error {
 	t.mu.Lock()
 	if t.closed || s.closed {
 		t.mu.Unlock()
-		return Terminal(errors.New("hrt: transport closed"))
+		return errTransportClosed
 	}
 	if len(s.inflight) >= t.window {
 		t.mu.Unlock()
@@ -591,7 +625,7 @@ func (s *MuxStream) Flush() error {
 	t.mu.Lock()
 	if t.closed || s.closed {
 		t.mu.Unlock()
-		return Terminal(errors.New("hrt: transport closed"))
+		return errTransportClosed
 	}
 	if len(s.inflight) == 0 {
 		t.mu.Unlock()
@@ -619,7 +653,7 @@ func (s *MuxStream) RoundTrip(req Request) (Response, error) {
 	t.mu.Lock()
 	if t.closed || s.closed {
 		t.mu.Unlock()
-		return Response{}, Terminal(errors.New("hrt: transport closed"))
+		return Response{}, errTransportClosed
 	}
 	s.seq++
 	req.Session, req.Seq = s.session, s.seq
@@ -642,32 +676,7 @@ func (s *MuxStream) Close() error {
 // resending, and backing off across attempts, bounded by the connection's
 // retry policy.
 func (s *MuxStream) exchange(req Request) (Response, error) {
-	t := s.t
-	var lastErr error = errors.New("hrt: link failure")
-	attempts := 0
-	for attempt := 0; ; attempt++ {
-		resp, err := s.attempt(req)
-		attempts++
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !Retryable(err) || attempt >= t.pol.Retries {
-			break
-		}
-		if s.counters != nil {
-			s.counters.Retries.Add(1)
-		}
-		t.rngMu.Lock()
-		d := backoffDelay(t.pol, t.rng, attempt)
-		t.rngMu.Unlock()
-		t.tracer.Emit(obs.LevelInfo, "retry",
-			obs.Uint("session", s.session), obs.Uint("seq", req.Seq),
-			obs.Int("attempt", int64(attempt+1)), obs.Dur("backoff", d), obs.Err(err))
-		t.pol.Sleep(d)
-	}
-	return Response{}, fmt.Errorf("hrt: request %d of session %d failed after %d attempt(s): %w",
-		req.Seq, req.Session, attempts, lastErr)
+	return s.t.pacer.run(s, req, s.counters, s.t.tracer)
 }
 
 // attempt is one try of an exchange: ensure a connection, hand the
@@ -684,15 +693,9 @@ func (s *MuxStream) attempt(req Request) (Response, error) {
 			t.mu.Unlock()
 			return Response{}, errors.New("hrt: server demanded resend repeatedly without progress")
 		}
-		if t.closed || s.closed {
+		if err := t.liveConnLocked(s.closed); err != nil {
 			t.mu.Unlock()
-			return Response{}, Terminal(errors.New("hrt: transport closed"))
-		}
-		if t.conn == nil {
-			if err := t.connectLocked(); err != nil {
-				t.mu.Unlock()
-				return Response{}, fmt.Errorf("hrt: redial hidden server: %w", err)
-			}
+			return Response{}, err
 		}
 		key := muxKey{s.session, req.Seq}
 		ch := make(chan Response, 1)
@@ -712,51 +715,30 @@ func (s *MuxStream) attempt(req Request) (Response, error) {
 		conn, dead := t.conn, t.dead
 		t.mu.Unlock()
 
-		var timer *time.Timer
-		var timeout <-chan time.Time
-		if t.timeout > 0 {
-			timer = time.NewTimer(t.timeout)
-			timeout = timer.C
+		resp, err := t.await(key, ch, conn, dead)
+		if err != nil {
+			return Response{}, err
 		}
-		stop := func() {
-			if timer != nil {
-				timer.Stop()
-			}
-		}
-		select {
-		case resp := <-ch:
-			stop()
-			t.mu.Lock()
-			if resp.Flags&RespResend != 0 && resp.Ack < req.Seq {
-				// The server refused to execute past a sequence gap;
-				// rewind to its high-water mark and resend the tail.
-				s.pruneLocked(resp.Ack)
-				if resp.Ack < s.wroteSeq {
-					s.wroteSeq = resp.Ack
-				}
-				t.mu.Unlock()
-				if s.counters != nil {
-					s.counters.Retries.Add(1)
-				}
-				t.tracer.Emit(obs.LevelInfo, "resend_rewind",
-					obs.Uint("session", s.session), obs.Uint("seq", req.Seq), obs.Uint("ack", resp.Ack))
-				continue
-			}
+		t.mu.Lock()
+		if resp.Flags&RespResend != 0 && resp.Ack < req.Seq {
+			// The server refused to execute past a sequence gap; rewind to
+			// its high-water mark and resend the tail.
 			s.pruneLocked(resp.Ack)
-			s.pruneLocked(req.Seq)
+			if resp.Ack < s.wroteSeq {
+				s.wroteSeq = resp.Ack
+			}
 			t.mu.Unlock()
-			return resp, nil
-		case <-dead:
-			stop()
-			t.removePending(key)
-			return Response{}, errors.New("hrt: connection lost")
-		case <-timeout:
-			t.removePending(key)
-			// Close the socket so the reader goroutine exits too; the other
-			// streams replay their windows over the re-dial.
-			t.dropConn(conn)
-			return Response{}, errors.New("hrt: exchange timed out")
+			if s.counters != nil {
+				s.counters.Retries.Add(1)
+			}
+			t.tracer.Emit(obs.LevelInfo, "resend_rewind",
+				obs.Uint("session", s.session), obs.Uint("seq", req.Seq), obs.Uint("ack", resp.Ack))
+			continue
 		}
+		s.pruneLocked(resp.Ack)
+		s.pruneLocked(req.Seq)
+		t.mu.Unlock()
+		return resp, nil
 	}
 }
 
@@ -764,16 +746,34 @@ func (s *MuxStream) attempt(req Request) (Response, error) {
 // Server side
 
 // muxConnState is the per-connection state the demux read loop, the
-// per-session workers, and the shared response writer cooperate through.
+// per-session workers, the idle reaper, and the shared response writer
+// cooperate through.
 type muxConnState struct {
 	conn   net.Conn
 	respCh chan muxWrite
 	// dead flips when any worker or the writer hits a failure that must
 	// tear the connection down; everyone else drains without acting.
+	dead atomic.Bool
+	// mu guards workers, which the demux loop and the reaper share.
 	mu         sync.Mutex
-	dead       bool
-	wg         sync.WaitGroup // per-session workers
+	workers    map[uint64]*muxSessionWorker
+	wg         sync.WaitGroup // per-session workers and the reaper
 	writerDone chan struct{}
+}
+
+// muxSessionWorker is one session's in-order queue on a mux connection.
+type muxSessionWorker struct {
+	ch chan Request
+	// pending counts requests dispatched to ch and not yet fully served.
+	// The demux loop increments it under st.mu before sending; the worker
+	// decrements it after serving. Zero observed under st.mu therefore
+	// means the queue is empty and the worker idle, and stays true until
+	// the lock is released — the handshake that lets the reaper retire the
+	// worker without dropping or reordering a frame.
+	pending atomic.Int64
+	// idle marks a worker the reaper found with nothing pending; a second
+	// consecutive pass retires it, any dispatch in between clears the mark.
+	idle bool
 }
 
 type muxWrite struct {
@@ -781,18 +781,10 @@ type muxWrite struct {
 	resp    Response
 }
 
-func (st *muxConnState) isDead() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.dead
-}
-
 // fail severs the connection: the read loop unblocks with an error and
 // tears the workers down.
 func (st *muxConnState) fail() {
-	st.mu.Lock()
-	st.dead = true
-	st.mu.Unlock()
+	st.dead.Store(true)
 	st.conn.Close()
 }
 
@@ -802,17 +794,14 @@ func (st *muxConnState) fail() {
 // dispatched by session stamp to a per-session worker goroutine — so one
 // slow session backpressures only itself — and every response leaves as a
 // mux frame through a single shared writer goroutine that coalesces
-// bursts into one flush.
+// bursts into one flush. This loop is the only place session requests
+// enter the server.
 func (ts *TCPServer) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer, hello Request) {
 	writeHelloAck := func(resp Response) bool {
 		if ts.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(ts.WriteTimeout))
 		}
 		return WriteResponse(w, resp) == nil && w.Flush() == nil
-	}
-	if ts.DisableMux {
-		writeHelloAck(Response{Seq: hello.Seq, Err: "hrt: this server does not accept multiplexed connections"})
-		return
 	}
 	if hello.Frag != muxProtoVersion {
 		writeHelloAck(Response{Seq: hello.Seq, Err: fmt.Sprintf("hrt: unsupported mux protocol version %d", hello.Frag)})
@@ -831,14 +820,25 @@ func (ts *TCPServer) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer, h
 	ts.muxHellos.Add(1)
 	ts.muxConns.Add(1)
 	defer ts.muxConns.Add(-1)
-	st := &muxConnState{conn: conn, respCh: make(chan muxWrite, 256), writerDone: make(chan struct{})}
+	st := &muxConnState{
+		conn:       conn,
+		respCh:     make(chan muxWrite, 256),
+		workers:    make(map[uint64]*muxSessionWorker),
+		writerDone: make(chan struct{}),
+	}
 	go ts.muxWriteLoop(st, w)
-	workers := make(map[uint64]chan Request)
+	stopReaper := make(chan struct{})
+	st.wg.Add(1)
+	go ts.muxReapLoop(st, stopReaper)
 	defer func() {
-		for _, ch := range workers {
-			close(ch)
+		close(stopReaper)
+		st.mu.Lock()
+		for _, wk := range st.workers {
+			close(wk.ch)
 		}
-		ts.muxStreams.Add(-int64(len(workers)))
+		ts.muxStreams.Add(-int64(len(st.workers)))
+		st.workers = nil
+		st.mu.Unlock()
 		st.wg.Wait()
 		close(st.respCh)
 		<-st.writerDone
@@ -855,19 +855,57 @@ func (ts *TCPServer) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer, h
 			return // protocol violation on an established mux connection
 		}
 		ts.requests.Add(1)
-		ch := workers[req.Session]
-		if ch == nil {
+		st.mu.Lock()
+		wk := st.workers[req.Session]
+		if wk == nil {
 			// The channel capacity exceeds the granted window, so a
 			// well-behaved client can never block the demux loop on one
 			// session; a client that overruns its window stalls only its
 			// own connection.
-			ch = make(chan Request, window+2)
-			workers[req.Session] = ch
+			wk = &muxSessionWorker{ch: make(chan Request, window+2)}
+			st.workers[req.Session] = wk
 			ts.muxStreams.Add(1)
 			st.wg.Add(1)
-			go ts.muxWorker(st, window, ch)
+			go ts.muxWorker(st, window, wk)
 		}
-		ch <- req
+		wk.pending.Add(1)
+		wk.idle = false
+		st.mu.Unlock()
+		wk.ch <- req
+	}
+}
+
+// muxReapLoop retires session workers that sat idle for a full
+// muxWorkerIdle period. MuxStream.Close tells the server nothing, so
+// without it a worker, its goroutine and its queue would live until the
+// connection closed.
+func (ts *TCPServer) muxReapLoop(st *muxConnState, stop <-chan struct{}) {
+	defer st.wg.Done()
+	tick := time.NewTicker(muxWorkerIdle)
+	defer tick.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-tick.C:
+		}
+		st.mu.Lock()
+		for session, wk := range st.workers {
+			if wk.pending.Load() != 0 {
+				continue
+			}
+			if !wk.idle {
+				wk.idle = true
+				continue
+			}
+			// Nothing queued, nothing executing, and the demux loop cannot
+			// dispatch while we hold st.mu: closing the queue ends the
+			// worker, and the session's next request starts a fresh one.
+			delete(st.workers, session)
+			close(wk.ch)
+			ts.muxStreams.Add(-1)
+		}
+		st.mu.Unlock()
 	}
 }
 
@@ -877,7 +915,7 @@ func (ts *TCPServer) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer, h
 func (ts *TCPServer) muxWriteLoop(st *muxConnState, w *bufio.Writer) {
 	defer close(st.writerDone)
 	for mw := range st.respCh {
-		if st.isDead() {
+		if st.dead.Load() {
 			continue // drain so workers never block on a severed connection
 		}
 		if ts.WriteTimeout > 0 {
@@ -909,36 +947,36 @@ func (ts *TCPServer) muxWriteLoop(st *muxConnState, w *bufio.Writer) {
 	}
 }
 
-// muxWorker serves one session's requests in order, mirroring the plain
-// per-connection serve loop: redirects, reply-free execution with
-// deferred errors, and reply-bearing exchanges all flow through the same
-// dedup/durability path. As a session's one-way requests execute, the
-// worker emits a RespWindow update every half-window so the client's
-// in-flight window self-prunes without barriers; the update is gated on
-// the replication commit gate like any reply, so an acknowledged sequence
-// number is never released before its records are on every connected
-// follower.
-func (ts *TCPServer) muxWorker(st *muxConnState, window int, ch chan Request) {
+// muxWorker serves one session's requests in order: redirects, reply-free
+// execution with deferred errors, and reply-bearing exchanges all flow
+// through the same dedup/durability path. As a session's one-way requests
+// execute, the worker emits a RespWindow update every half-window so the
+// client's in-flight window self-prunes without barriers; the update is
+// gated on the replication commit gate like any reply, so an acknowledged
+// sequence number is never released before its records are on every
+// connected follower.
+func (ts *TCPServer) muxWorker(st *muxConnState, window int, wk *muxSessionWorker) {
 	defer st.wg.Done()
 	oneway := 0
 	updateEvery := window / 2
 	if updateEvery < 1 {
 		updateEvery = 1
 	}
-	for req := range ch {
-		if st.isDead() {
-			continue // drain remaining frames after a failure
+	for req := range wk.ch {
+		if !st.dead.Load() { // else drain remaining frames after a failure
+			ts.muxServeOne(st, req, &oneway, updateEvery)
 		}
-		ts.muxServeOne(st, req, &oneway, updateEvery)
+		wk.pending.Add(-1)
 	}
 }
 
 // muxServeOne dispatches one request of a session. A panic (a codec or
-// execution bug hit by an adversarial frame) severs the connection
-// instead of silently wedging the session's worker.
+// execution bug hit by an adversarial frame) is counted, traced, and
+// severs the connection instead of silently wedging the session's worker.
 func (ts *TCPServer) muxServeOne(st *muxConnState, req Request, oneway *int, updateEvery int) {
 	defer func() {
 		if recover() != nil {
+			ts.notePanic(req)
 			st.fail()
 		}
 	}()
@@ -953,10 +991,8 @@ func (ts *TCPServer) muxServeOne(st *muxConnState, req Request, oneway *int, upd
 		return
 	}
 	if req.NoReply() {
-		if ts.DisablePipeline {
-			st.fail() // refuse pipelined clients
-			return
-		}
+		// Reply-free: execute in order via the dedup layer (which defers
+		// errors and skips duplicates/gaps) and write nothing back.
 		start := time.Now()
 		_, _ = ts.roundTrip(req)
 		ts.Metrics.Observe(req.Op, true, time.Since(start))

@@ -2,6 +2,7 @@ package hrt
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"slicehide/internal/core"
 	"slicehide/internal/interp"
+	"slicehide/internal/obs"
 )
 
 func TestMuxFrameRoundTrip(t *testing.T) {
@@ -123,60 +125,6 @@ var errNotAsync = Terminal(errStr("mux stream chain is not async-capable"))
 type errStr string
 
 func (e errStr) Error() string { return string(e) }
-
-// TestMuxSyncSession drives a plain synchronous session over a muxed
-// connection — the non-pipelined protocol must compose with mux too.
-func TestMuxSyncSession(t *testing.T) {
-	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
-	ts := &TCPServer{Server: NewServer(NewRegistry(res))}
-	addr, err := ts.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	mt, err := DialMux(MuxConfig{Addr: addr.String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mt.Close()
-	sess := &Session{T: mt.Stream(0, nil)}
-	if _, err := sess.Enter("missing", 0); err == nil {
-		t.Error("expected error for unknown function over mux")
-	}
-	inst, err := sess.Enter("f", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Exit("f", inst); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMuxDisabledRefusesHello pins the opt-out: a server with DisableMux
-// answers the hello with an error and DialMux fails terminally.
-func TestMuxDisabledRefusesHello(t *testing.T) {
-	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
-	ts := &TCPServer{Server: NewServer(NewRegistry(res)), DisableMux: true}
-	addr, err := ts.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	if _, err := DialMux(MuxConfig{Addr: addr.String(), Timeout: time.Second}); err == nil {
-		t.Fatal("DialMux must fail against a DisableMux server")
-	} else if Retryable(err) {
-		t.Errorf("mux refusal must be terminal, got retryable %v", err)
-	}
-	// The plain protocol still works on the same server.
-	tr, err := DialTCP(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if _, err := (&Session{T: tr}).Enter("f", 0); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestMuxWindowClamp verifies the server clamps an oversized requested
 // window and the client adopts the grant.
@@ -366,4 +314,168 @@ func TestMuxWindowUpdatesPruneInFlight(t *testing.T) {
 	if err := as.Barrier(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMuxServerRetiresIdleWorkers is the regression test for the
+// server-side stream leak: MuxStream.Close tells the server nothing, so a
+// long-lived connection carrying short sessions used to accumulate one
+// worker goroutine and queue per session it ever saw. 200 sequential
+// attach→call→Close streams must bring mux_active_streams back down once
+// they go idle, and a retired session's next requests must still be served
+// in order with hidden and replay state intact.
+func TestMuxServerRetiresIdleWorkers(t *testing.T) {
+	res := split(t, stressSrc, core.Spec{Func: "f", Seed: "a"})
+	initFrag, fetchFrag := stressFrags(t, res)
+	server := NewServer(NewRegistry(res))
+	ts := &TCPServer{Server: server}
+	addr, err := ts.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	mt, err := DialMux(MuxConfig{Addr: addr.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mt.Close()
+	waitStreams := func(max int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * muxWorkerIdle)
+		for ts.muxStreams.Load() > max {
+			if time.Now().After(deadline) {
+				t.Fatalf("mux_active_streams stuck at %d, want <= %d", ts.muxStreams.Load(), max)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	// A long-lived session that stays attached across the churn.
+	keep := mt.Stream(0, nil)
+	sess := &Session{T: keep}
+	inst, err := sess.Enter("f", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Call("f", inst, initFrag, []interp.Value{interp.IntV(41)}); err != nil {
+		t.Fatal(err)
+	}
+
+	const churn = 200
+	for i := 0; i < churn; i++ {
+		s := mt.Stream(0, nil)
+		short := &Session{T: s}
+		in, err := short.Enter("f", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := short.Exit("f", in); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	}
+	if got := ts.muxStreams.Load(); got < 2 {
+		t.Fatalf("mux_active_streams = %d right after the churn; workers retired before going idle", got)
+	}
+	waitStreams(0)
+
+	// The retired long-lived session resumes on a fresh worker: a pipelined
+	// burst executes in order against the hidden state it left behind...
+	as := NewAsyncSession(keep)
+	for _, v := range []int64{7, 8, 9} {
+		if err := as.CallOneWay("f", inst, initFrag, []interp.Value{interp.IntV(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := sess.Call("f", inst, fetchFrag, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.I != 9 {
+		t.Errorf("fetch after retirement = %d, want 9 (the last of the in-order burst)", got.I)
+	}
+	// ...and its replay cache survived: re-sending the fetch's stamp is
+	// answered from the cache, not executed again.
+	calls := server.Stats().Calls
+	replay, err := mt.Exchange(Request{Op: OpCall, Fn: "f", Inst: inst, Frag: fetchFrag,
+		Session: keep.Session(), Seq: ts.dedup.HighWater(keep.Session())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay.Val.I != 9 || server.Stats().Calls != calls {
+		t.Errorf("replayed fetch after retirement: val %d (want 9), calls %d (want %d)",
+			replay.Val.I, server.Stats().Calls, calls)
+	}
+	if got := ts.muxStreams.Load(); got != 1 {
+		t.Errorf("mux_active_streams = %d with one active session, want 1", got)
+	}
+}
+
+// panicRouter stands in for a serving-path bug hit by an adversarial frame.
+type panicRouter struct{}
+
+func (panicRouter) Route(uint64, bool) (string, bool) { panic("router bug") }
+
+// TestMuxServingPanicIsObservable: a panic while serving a request severs
+// that connection (the server stays up), moves hrt_conn_panics_total, and
+// emits one conn_panic event naming op/session/seq — never the payload.
+func TestMuxServingPanicIsObservable(t *testing.T) {
+	const sentinel int64 = 701234567
+	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
+	tracer := obs.NewTracer(obs.TracerConfig{Level: obs.LevelDebug})
+	reg := obs.NewRegistry()
+	ts := &TCPServer{Server: NewServer(NewRegistry(res)), Router: panicRouter{}, Tracer: tracer}
+	ts.RegisterMetrics(reg)
+	addr, err := ts.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+
+	stream := dialStream(t, MuxConfig{
+		Addr:    addr.String(),
+		Timeout: time.Second,
+		Policy:  RetryPolicy{Retries: -1},
+	}, 99, nil)
+	_, err = stream.RoundTrip(Request{Op: OpCall, Fn: "f", Args: []interp.Value{interp.IntV(sentinel)}})
+	if err == nil {
+		t.Fatal("request served by a panicking router")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for ts.ActiveConns() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("connection survived a serving panic")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := reg.Snapshot().Counters["hrt_conn_panics_total"]; got != 1 {
+		t.Errorf("hrt_conn_panics_total = %d, want 1", got)
+	}
+	var panics int
+	needle := strconv.FormatInt(sentinel, 10)
+	for _, ev := range tracer.Events() {
+		for k, v := range ev.Attrs {
+			if strings.Contains(v, needle) {
+				t.Errorf("event %q attr %q leaks the argument value: %q", ev.Kind, k, v)
+			}
+		}
+		if ev.Kind != "conn_panic" {
+			continue
+		}
+		panics++
+		if ev.Attrs["op"] != "call" || ev.Attrs["session"] != "99" || ev.Attrs["seq"] != "1" {
+			t.Errorf("conn_panic attrs = %v, want op=call session=99 seq=1", ev.Attrs)
+		}
+		if len(ev.Attrs) != 3 {
+			t.Errorf("conn_panic carries more than op/session/seq: %v", ev.Attrs)
+		}
+	}
+	if panics != 1 {
+		t.Errorf("%d conn_panic events, want 1", panics)
+	}
+	// The server itself is unharmed: a fresh connection still handshakes.
+	mt, err := DialMux(MuxConfig{Addr: addr.String(), Timeout: time.Second})
+	if err != nil {
+		t.Fatalf("server down after a serving panic: %v", err)
+	}
+	mt.Close()
 }

@@ -84,13 +84,13 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr, err := DialPipeline(PipelineConfig{Addr: addr.String(), Timeout: 5 * time.Second})
+			mt, err := DialMux(MuxConfig{Addr: addr.String(), Timeout: 5 * time.Second})
 			if err != nil {
 				t.Errorf("dial: %v", err)
 				return
 			}
-			defer tr.Close()
-			as := NewAsyncSession(tr)
+			defer mt.Close()
+			as := NewAsyncSession(mt.Stream(0, nil))
 			var b strings.Builder
 			in := interp.New(res.Open, interp.Options{
 				Out:        &b,

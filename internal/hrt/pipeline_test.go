@@ -11,8 +11,8 @@ import (
 	"slicehide/internal/interp"
 )
 
-// pipeSrc makes many consecutive hidden updates per activation so the
-// pipelined transport has something to coalesce.
+// pipeSrc makes many consecutive hidden updates per activation so a
+// pipelined stream has something to coalesce.
 const pipeSrc = `
 func f(x: int, y: int): int {
     var a: int = x * 3 + y;
@@ -31,6 +31,63 @@ func main() {
     }
     print(total);
 }`
+
+// dialStream dials a mux connection under cfg and attaches one stream to
+// it — the whole client side of a single-session link. counters, when
+// set, also receives the connection-level tallies (reconnects, wire
+// volume). The connection closes with the test.
+func dialStream(t *testing.T, cfg MuxConfig, session uint64, counters *Counters) *MuxStream {
+	t.Helper()
+	cfg.Counters = counters
+	mt, err := DialMux(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mt.Close() })
+	return mt.Stream(session, counters)
+}
+
+// fakeMuxServer accepts mux connections, grants the hello, and hands every
+// reply-bearing request to respond, which writes whatever mux frames the
+// test wants the client to see. One-way frames are swallowed.
+func fakeMuxServer(t *testing.T, respond func(w *bufio.Writer, req Request)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+				hello, err := ReadRequest(r)
+				if err != nil || hello.Op != OpMuxHello {
+					return
+				}
+				WriteResponse(w, Response{Inst: hello.Inst})
+				w.Flush()
+				for {
+					req, err := ReadRequest(r)
+					if err != nil {
+						return
+					}
+					if req.NoReply() {
+						continue
+					}
+					respond(w, req)
+					w.Flush()
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
 
 // pipeRun drives the open program over an async session built on tr and
 // returns the output.
@@ -53,10 +110,10 @@ func pipeRun(t *testing.T, res *core.Result, tr Transport, counters *Counters) s
 	return b.String()
 }
 
-// TestPipelineTCPMatchesSync is the happy-path acceptance test: the
-// pipelined TCP transport produces byte-identical output, executes every
-// hidden operation exactly once, and blocks for far fewer round trips
-// than it performs interactions.
+// TestPipelineTCPMatchesSync is the happy-path acceptance test: one
+// stream driven through Send/Flush produces byte-identical output,
+// executes every hidden operation exactly once, and blocks for far fewer
+// round trips than it performs interactions.
 func TestPipelineTCPMatchesSync(t *testing.T) {
 	res := split(t, pipeSrc, core.Spec{Func: "f", Seed: "a"})
 	want, _, err := RunOriginal(res.Orig, chaosMaxSteps)
@@ -72,11 +129,7 @@ func TestPipelineTCPMatchesSync(t *testing.T) {
 	defer ts.Close()
 
 	counters := &Counters{}
-	tr, err := DialPipeline(PipelineConfig{Addr: addr.String(), Counters: counters})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dialStream(t, MuxConfig{Addr: addr.String()}, 0, counters)
 
 	got := pipeRun(t, res, tr, counters)
 	if got != want {
@@ -118,18 +171,18 @@ func TestPipelineGapResend(t *testing.T) {
 	}
 	defer ts.Close()
 
-	// Drop a handful of early frames (mostly one-way updates streaming
-	// ahead of the first barrier); each loss leaves a sequence gap the
-	// server must refuse to execute past.
-	dropTrips := map[int]bool{3: true, 5: true, 11: true}
-	proxy := &FaultProxy{
-		Backend: addr.String(),
-		Script: func(trip int) FaultKind {
-			if dropTrips[trip] {
-				return FaultDropRequest
-			}
-			return FaultNone
-		},
+	// Drop a handful of early request frames (mostly one-way updates
+	// streaming ahead of the first barrier); each loss leaves a sequence
+	// gap the server must refuse to execute past. The proxy counts frames
+	// in both directions and only an upstream frame can be dropped, so each
+	// drop is armed from its trip number until it lands on one.
+	dropFrom := []int{3, 5, 11}
+	proxy := &FaultProxy{Backend: addr.String()}
+	proxy.Script = func(trip int) FaultKind {
+		if n := int(proxy.Injected(FaultDropRequest)); n < len(dropFrom) && trip >= dropFrom[n] {
+			return FaultDropRequest
+		}
+		return FaultNone
 	}
 	paddr, err := proxy.Start("127.0.0.1:0")
 	if err != nil {
@@ -138,7 +191,7 @@ func TestPipelineGapResend(t *testing.T) {
 	defer proxy.Close()
 
 	counters := &Counters{}
-	tr, err := DialPipeline(PipelineConfig{
+	tr := dialStream(t, MuxConfig{
 		Addr:    paddr.String(),
 		Timeout: 100 * time.Millisecond,
 		Policy: RetryPolicy{
@@ -147,12 +200,7 @@ func TestPipelineGapResend(t *testing.T) {
 			BackoffMax:  8 * time.Millisecond,
 			JitterSeed:  3,
 		},
-		Counters: counters,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	}, 0, counters)
 
 	got := pipeRun(t, res, tr, counters)
 	if got != want {
@@ -164,8 +212,8 @@ func TestPipelineGapResend(t *testing.T) {
 		t.Errorf("exactly-once violated: server %+v, client calls=%d enters=%d exits=%d",
 			stats, counters.Calls.Load(), counters.Enters.Load(), counters.Exits.Load())
 	}
-	if proxy.Injected(FaultDropRequest) == 0 {
-		t.Fatal("no frames were dropped; the test is vacuous")
+	if got := proxy.Injected(FaultDropRequest); got != int64(len(dropFrom)) {
+		t.Fatalf("dropped %d frames, want %d; the test is vacuous", got, len(dropFrom))
 	}
 	if counters.Retries.Load() == 0 {
 		t.Error("dropped frames never forced a resend")
@@ -189,11 +237,7 @@ func TestPipelineWindowStall(t *testing.T) {
 	defer ts.Close()
 
 	counters := &Counters{}
-	tr, err := DialPipeline(PipelineConfig{Addr: addr.String(), Window: 2, Counters: counters})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dialStream(t, MuxConfig{Addr: addr.String(), Window: 2}, 0, counters)
 
 	if got := pipeRun(t, res, tr, counters); got != want {
 		t.Fatalf("output %q, want %q", got, want)
@@ -207,47 +251,17 @@ func TestPipelineWindowStall(t *testing.T) {
 // sequence numbers and acknowledgements from the future; neither may
 // wedge the in-flight window or corrupt its pruning.
 func TestPipelineMalformedAcks(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
-				for {
-					req, err := ReadRequest(r)
-					if err != nil {
-						return
-					}
-					if req.NoReply() {
-						continue
-					}
-					// An orphan response nobody is waiting for, then an ack
-					// claiming sequence numbers the client never sent.
-					WriteResponse(w, Response{Seq: req.Seq + 777, Ack: req.Seq + 999})
-					WriteResponse(w, Response{Seq: req.Seq, Ack: req.Seq + 1000})
-					w.Flush()
-				}
-			}()
-		}
-	}()
-
-	tr, err := DialPipeline(PipelineConfig{
-		Addr:    ln.Addr().String(),
+	addr := fakeMuxServer(t, func(w *bufio.Writer, req Request) {
+		// An orphan response nobody is waiting for, then an ack claiming
+		// sequence numbers the client never sent.
+		WriteMuxFrame(w, req.Session, Response{Seq: req.Seq + 777, Ack: req.Seq + 999})
+		WriteMuxFrame(w, req.Session, Response{Seq: req.Seq, Ack: req.Seq + 1000})
+	})
+	tr := dialStream(t, MuxConfig{
+		Addr:    addr,
 		Timeout: time.Second,
 		Policy:  RetryPolicy{Retries: 2, Sleep: func(time.Duration) {}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	}, 0, nil)
 
 	for i := 0; i < 3; i++ {
 		if err := tr.Send(Request{Op: OpCall, Fn: "f", Frag: i}); err != nil {
@@ -266,45 +280,15 @@ func TestPipelineMalformedAcks(t *testing.T) {
 // demands resends forever: the client must give up with an error instead
 // of looping.
 func TestPipelineResendLoopBounded(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
-				for {
-					req, err := ReadRequest(r)
-					if err != nil {
-						return
-					}
-					if req.NoReply() {
-						continue
-					}
-					WriteResponse(w, Response{Seq: req.Seq, Ack: 0, Flags: RespResend})
-					w.Flush()
-				}
-			}()
-		}
-	}()
-
-	tr, err := DialPipeline(PipelineConfig{
-		Addr:    ln.Addr().String(),
+	addr := fakeMuxServer(t, func(w *bufio.Writer, req Request) {
+		WriteMuxFrame(w, req.Session, Response{Seq: req.Seq, Ack: 0, Flags: RespResend})
+	})
+	tr := dialStream(t, MuxConfig{
+		Addr:    addr,
 		Window:  4,
 		Timeout: time.Second,
 		Policy:  RetryPolicy{Retries: 1, Sleep: func(time.Duration) {}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	}, 0, nil)
 	if err := tr.Send(Request{Op: OpCall, Fn: "f"}); err != nil {
 		t.Fatal(err)
 	}
@@ -323,60 +307,12 @@ func TestPipelineDeferredError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ts.Close()
-	tr, err := DialPipeline(PipelineConfig{Addr: addr.String(), Timeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dialStream(t, MuxConfig{Addr: addr.String(), Timeout: time.Second}, 0, nil)
 	if err := tr.Send(Request{Op: OpCall, Fn: "no-such-function"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Flush(); err == nil {
 		t.Fatal("one-way execution error was swallowed")
-	}
-}
-
-// TestPipelineDisabledServer verifies the opt-out: a server started with
-// DisablePipeline refuses reply-free frames (the pipelined client fails
-// terminally instead of wedging) while synchronous clients keep working.
-func TestPipelineDisabledServer(t *testing.T) {
-	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
-	ts := &TCPServer{Server: NewServer(NewRegistry(res)), DisablePipeline: true}
-	addr, err := ts.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-
-	tr, err := DialPipeline(PipelineConfig{
-		Addr:    addr.String(),
-		Timeout: 200 * time.Millisecond,
-		Policy:  RetryPolicy{Retries: 2, Sleep: func(time.Duration) {}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if err := tr.Send(Request{Op: OpCall, Fn: "f"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Flush(); err == nil {
-		t.Fatal("server with pipelining disabled accepted a one-way frame")
-	}
-
-	// The synchronous protocol is unaffected.
-	sync, err := DialTCP(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sync.Close()
-	sess := &Session{T: sync}
-	inst, err := sess.Enter("f", 0)
-	if err != nil {
-		t.Fatalf("sync client refused by DisablePipeline server: %v", err)
-	}
-	if err := sess.Exit("f", inst); err != nil {
-		t.Fatal(err)
 	}
 }
 

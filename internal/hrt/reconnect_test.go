@@ -62,7 +62,7 @@ func (ct *connTracker) dialed() int {
 }
 
 // flipRouter redirects every stamped request while on; tests flip it to
-// force the resolver-driven re-dial path.
+// force the redirect-driven retry path.
 type flipRouter struct {
 	on    atomic.Bool
 	owner string
@@ -72,13 +72,12 @@ func (r *flipRouter) Route(session uint64, known bool) (string, bool) {
 	return r.owner, r.on.Load()
 }
 
-// TestConnTransportRedialNeverOrphans is the leak regression test: a
-// connect that lands while a previous connection is still installed (the
-// racy interleaving of a resolver-driven redirect re-dial with an
-// idle-timeout disconnect) must close the old socket, not overwrite and
-// leak it. Before the fix the first connection was simply dropped on the
-// floor with its file descriptor open.
-func TestConnTransportRedialNeverOrphans(t *testing.T) {
+// TestMuxRedialNeverOrphans is the leak regression test: a connect that
+// lands while a previous connection is still installed (the racy
+// interleaving of two exchanges re-dialing after an idle-timeout
+// disconnect) must close the old socket, not overwrite and leak it, and
+// each socket the client dials is closed exactly once.
+func TestMuxRedialNeverOrphans(t *testing.T) {
 	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
 	ts := &TCPServer{Server: NewServer(NewRegistry(res))}
 	addr, err := ts.ListenAndServe("127.0.0.1:0")
@@ -88,15 +87,14 @@ func TestConnTransportRedialNeverOrphans(t *testing.T) {
 	defer ts.Close()
 
 	tracker := &connTracker{}
-	ct := &connTransport{dial: tracker.dialer(addr.String()), timeout: time.Second}
-	ct.mu.Lock()
-	if err := ct.connectLocked(); err != nil {
-		ct.mu.Unlock()
+	mt, err := DialMux(MuxConfig{Dial: tracker.dialer(addr.String()), Timeout: time.Second})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the race loser re-dialing over an installed connection.
-	err = ct.connectLocked()
-	ct.mu.Unlock()
+	mt.mu.Lock()
+	err = mt.connectLocked()
+	mt.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,23 +107,45 @@ func TestConnTransportRedialNeverOrphans(t *testing.T) {
 	if tracker.conns[1].closes.Load() != 0 {
 		t.Error("re-dial closed the fresh connection it just installed")
 	}
-	if err := ct.Close(); err != nil {
+	if err := mt.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := tracker.leaked(); got != 0 {
 		t.Errorf("%d connections leaked after Close", got)
 	}
-	if got := tracker.conns[1].closes.Load(); got != 1 {
-		t.Errorf("current connection closed %d times, want exactly 1", got)
+	for i, c := range tracker.conns {
+		if got := c.closes.Load(); got != 1 {
+			t.Errorf("connection %d closed %d times, want exactly 1", i, got)
+		}
 	}
 }
 
-// TestReconnectRedirectThenIdleDisconnect drives the first ordering of
-// the double-close race end to end: an owner redirect discards the
-// connection, and the idle-timeout disconnect of the replacement follows.
-// Every dialed connection must be closed exactly once by teardown and the
-// transport must keep working across both events.
-func TestReconnectRedirectThenIdleDisconnect(t *testing.T) {
+// redirectFollower is the client half of the fleet's redirect protocol
+// reduced to one replica: a Retry layer over MuxTransport.Exchange that
+// surfaces an owner redirect as a retryable error, the way
+// cluster.MuxPool's per-session transport does. The shared connection
+// stays up across the redirect.
+func redirectFollower(mt *MuxTransport, session uint64) Transport {
+	return &Retry{
+		Session: session,
+		Policy:  RetryPolicy{BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond},
+		Inner: roundTripFunc(func(req Request) (Response, error) {
+			resp, err := mt.Exchange(req)
+			if err != nil {
+				return Response{}, err
+			}
+			if oe := ParseOwnerRedirect(resp.Err, ""); oe != nil {
+				return Response{}, oe
+			}
+			return resp, nil
+		}),
+	}
+}
+
+// redirectIdleHarness starts a redirect-capable server that reaps idle
+// connections after 50ms, and a tracked mux connection to it.
+func redirectIdleHarness(t *testing.T) (*flipRouter, *connTracker, *MuxTransport, *Counters) {
+	t.Helper()
 	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
 	router := &flipRouter{owner: "10.0.0.99:7070"}
 	ts := &TCPServer{Server: NewServer(NewRegistry(res)), Router: router, ReadTimeout: 50 * time.Millisecond}
@@ -133,32 +153,46 @@ func TestReconnectRedirectThenIdleDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ts.Close()
-
+	t.Cleanup(func() { ts.Close() })
 	tracker := &connTracker{}
 	counters := &Counters{}
-	tr, err := DialReconnect(ReconnectConfig{
-		Dial:     tracker.dialer(addr.String()),
-		Timeout:  time.Second,
-		Policy:   RetryPolicy{BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond},
-		Counters: counters,
-	})
+	mt, err := DialMux(MuxConfig{Dial: tracker.dialer(addr.String()), Timeout: time.Second, Counters: counters})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mark the dial as resolving so redirects are retryable: the "resolver"
-	// keeps landing on the same (now non-redirecting) replica.
-	tr.conn.resolving = true
+	return router, tracker, mt, counters
+}
 
-	sess := &Session{T: tr}
+// assertClosedOnce checks every dialed connection was closed by the client
+// exactly once: none leaked, none double-closed. (The server's idle reaper
+// closes its own end, which is invisible here.)
+func assertClosedOnce(t *testing.T, tracker *connTracker) {
+	t.Helper()
+	tracker.mu.Lock()
+	defer tracker.mu.Unlock()
+	for i, c := range tracker.conns {
+		if got := c.closes.Load(); got != 1 {
+			t.Errorf("connection %d closed %d times by the client, want exactly 1", i, got)
+		}
+	}
+}
+
+// TestReconnectRedirectThenIdleDisconnect drives the first ordering end
+// to end: an owner redirect is retried on the same connection, and the
+// idle-timeout disconnect of that connection follows. The session must
+// keep working across both events and every dialed connection must be
+// closed exactly once by teardown.
+func TestReconnectRedirectThenIdleDisconnect(t *testing.T) {
+	router, tracker, mt, counters := redirectIdleHarness(t)
+	sess := &Session{T: redirectFollower(mt, 0)}
 	inst, err := sess.Enter("f", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Ordering 1: redirect lands first. One round trip is refused, the
-	// connection is discarded, and the retry lands after the flag flips
-	// back (a fleet whose membership settled).
+	// Ordering 1: redirect lands first. One round trip is refused and the
+	// retry lands after the flag flips back (a fleet whose membership
+	// settled).
 	router.on.Store(true)
 	go func() {
 		time.Sleep(10 * time.Millisecond)
@@ -168,7 +202,7 @@ func TestReconnectRedirectThenIdleDisconnect(t *testing.T) {
 		t.Fatalf("exit across redirect: %v", err)
 	}
 
-	// ...then the idle timeout severs the replacement connection.
+	// ...then the idle timeout severs the connection.
 	time.Sleep(150 * time.Millisecond)
 	inst2, err := sess.Enter("f", 0)
 	if err != nil {
@@ -177,50 +211,22 @@ func TestReconnectRedirectThenIdleDisconnect(t *testing.T) {
 	if err := sess.Exit("f", inst2); err != nil {
 		t.Fatal(err)
 	}
+	if counters.Reconnects.Load() == 0 {
+		t.Error("idle disconnect never forced a re-dial")
+	}
 
-	if err := tr.Close(); err != nil {
+	if err := mt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tracker.leaked(); got != 0 {
-		t.Errorf("%d connections leaked across redirect + idle disconnect", got)
-	}
-	tracker.mu.Lock()
-	defer tracker.mu.Unlock()
-	for i, c := range tracker.conns {
-		// The client closes each connection it owns exactly once; an extra
-		// client-side close would be the double-Close race. (The server's
-		// idle reaper closes its own end, which is invisible here.)
-		if got := c.closes.Load(); got > 1 {
-			t.Errorf("connection %d closed %d times by the client", i, got)
-		}
-	}
+	assertClosedOnce(t, tracker)
 }
 
 // TestReconnectIdleDisconnectThenRedirect drives the opposite ordering:
 // the idle timeout severs the connection first, and the re-dialed
 // replacement is greeted with an owner redirect. Same invariants.
 func TestReconnectIdleDisconnectThenRedirect(t *testing.T) {
-	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
-	router := &flipRouter{owner: "10.0.0.99:7070"}
-	ts := &TCPServer{Server: NewServer(NewRegistry(res)), Router: router, ReadTimeout: 50 * time.Millisecond}
-	addr, err := ts.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-
-	tracker := &connTracker{}
-	tr, err := DialReconnect(ReconnectConfig{
-		Dial:    tracker.dialer(addr.String()),
-		Timeout: time.Second,
-		Policy:  RetryPolicy{BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.conn.resolving = true
-
-	sess := &Session{T: tr}
+	router, tracker, mt, counters := redirectIdleHarness(t)
+	sess := &Session{T: redirectFollower(mt, 0)}
 	inst, err := sess.Enter("f", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -237,18 +243,12 @@ func TestReconnectIdleDisconnectThenRedirect(t *testing.T) {
 	if err := sess.Exit("f", inst); err != nil {
 		t.Fatalf("exit across idle disconnect + redirect: %v", err)
 	}
+	if counters.Reconnects.Load() == 0 {
+		t.Error("idle disconnect never forced a re-dial")
+	}
 
-	if err := tr.Close(); err != nil {
+	if err := mt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tracker.leaked(); got != 0 {
-		t.Errorf("%d connections leaked across idle disconnect + redirect", got)
-	}
-	tracker.mu.Lock()
-	defer tracker.mu.Unlock()
-	for i, c := range tracker.conns {
-		if got := c.closes.Load(); got > 1 {
-			t.Errorf("connection %d closed %d times by the client", i, got)
-		}
-	}
+	assertClosedOnce(t, tracker)
 }

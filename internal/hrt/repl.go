@@ -220,7 +220,7 @@ func (e *OwnerRedirectError) Hint() string {
 	}
 	return fmt.Sprintf("the fleet places this session on %s; "+
 		"point the client at that replica, or pass the full fleet address "+
-		"list (slicehide run -cluster, or a ReconnectConfig resolver) so "+
+		"list (slicehide run -cluster, or a cluster.MuxPool) so "+
 		"the transport can re-resolve the owner itself", owner)
 }
 
@@ -243,12 +243,6 @@ func IsOwnerRedirect(err error) bool {
 // cluster.MuxPool) parse redirects themselves to re-home a session
 // without tearing the shared connection down.
 func ParseOwnerRedirect(msg, addr string) *OwnerRedirectError {
-	return parseOwnerRedirect(msg, addr)
-}
-
-// parseOwnerRedirect upgrades a wire message carrying the redirect marker
-// to the typed error (nil when the marker is absent).
-func parseOwnerRedirect(msg, addr string) *OwnerRedirectError {
 	i := strings.Index(msg, ownerRedirectMsg)
 	if i < 0 {
 		return nil

@@ -103,7 +103,7 @@ func FuzzReplFrame(f *testing.F) {
 
 func TestOwnerRedirectParse(t *testing.T) {
 	msg := ownerRedirectErr(4242, "10.1.2.3:7070")
-	oe := parseOwnerRedirect(msg, "10.9.9.9:7070")
+	oe := ParseOwnerRedirect(msg, "10.9.9.9:7070")
 	if oe == nil {
 		t.Fatalf("marker not recognized in %q", msg)
 	}
@@ -125,7 +125,7 @@ func TestOwnerRedirectParse(t *testing.T) {
 	if IsOwnerRedirect(errors.New("some other failure")) {
 		t.Fatal("IsOwnerRedirect(unrelated) = true")
 	}
-	if parseOwnerRedirect("no marker here", "") != nil {
+	if ParseOwnerRedirect("no marker here", "") != nil {
 		t.Fatal("parse without marker returned a redirect")
 	}
 	if !strings.Contains(oe.Hint(), "10.1.2.3:7070") {

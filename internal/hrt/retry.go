@@ -109,50 +109,74 @@ type Retry struct {
 	Tracer *obs.Tracer
 
 	once  sync.Once
-	pol   RetryPolicy
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	pacer *retryPacer
 	seq   atomic.Uint64
-}
-
-func (t *Retry) init() {
-	t.pol = t.Policy.withDefaults()
-	if t.Session == 0 {
-		t.Session = NewSessionID()
-	}
-	seed := t.pol.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
-	t.rng = rand.New(rand.NewSource(seed))
 }
 
 // RoundTrip stamps, sends, and retries until success, a terminal error,
 // or attempt exhaustion.
 func (t *Retry) RoundTrip(req Request) (Response, error) {
-	t.once.Do(t.init)
+	t.once.Do(func() {
+		t.pacer = newRetryPacer(t.Policy)
+		if t.Session == 0 {
+			t.Session = NewSessionID()
+		}
+	})
 	req.Session = t.Session
 	req.Seq = t.seq.Add(1)
+	return t.pacer.run(t, req, t.Counters, t.Tracer)
+}
+
+func (t *Retry) attempt(req Request) (Response, error) { return t.Inner.RoundTrip(req) }
+
+// attempter is one try of a stamped request; retryPacer.run decides
+// whether the next try happens.
+type attempter interface {
+	attempt(req Request) (Response, error)
+}
+
+// retryPacer is a retry budget plus its jittered backoff source: the one
+// retry loop behind both the Retry transport and every MuxStream exchange,
+// so both pace re-sends identically.
+type retryPacer struct {
+	pol RetryPolicy
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+func newRetryPacer(pol RetryPolicy) *retryPacer {
+	pol = pol.withDefaults()
+	seed := pol.JitterSeed
+	if seed == 0 {
+		seed = 1
+	}
+	return &retryPacer{pol: pol, rng: rand.New(rand.NewSource(seed))}
+}
+
+// run drives a to completion for one stamped request: retryable failures
+// are re-attempted with the same stamp under backoff until success, a
+// terminal error, or exhaustion of the budget.
+func (p *retryPacer) run(a attempter, req Request, counters *Counters, tracer *obs.Tracer) (Response, error) {
 	var lastErr error
 	attempts := 0
 	for attempt := 0; ; attempt++ {
-		resp, err := t.Inner.RoundTrip(req)
+		resp, err := a.attempt(req)
 		attempts++
 		if err == nil {
 			return resp, nil
 		}
 		lastErr = err
-		if !Retryable(err) || attempt >= t.pol.Retries {
+		if !Retryable(err) || attempt >= p.pol.Retries {
 			break
 		}
-		if t.Counters != nil {
-			t.Counters.Retries.Add(1)
+		if counters != nil {
+			counters.Retries.Add(1)
 		}
-		d := t.backoff(attempt)
-		t.Tracer.Emit(obs.LevelInfo, "retry",
+		d := p.backoff(attempt)
+		tracer.Emit(obs.LevelInfo, "retry",
 			obs.Uint("session", req.Session), obs.Uint("seq", req.Seq),
 			obs.Int("attempt", int64(attempt+1)), obs.Dur("backoff", d), obs.Err(err))
-		t.pol.Sleep(d)
+		p.pol.Sleep(d)
 	}
 	return Response{}, fmt.Errorf("hrt: request %d of session %d failed after %d attempt(s): %w",
 		req.Seq, req.Session, attempts, lastErr)
@@ -160,22 +184,15 @@ func (t *Retry) RoundTrip(req Request) (Response, error) {
 
 // backoff returns the jittered exponential delay before retry `attempt`
 // (0-based): uniform in [base·2ᵃ/2, base·2ᵃ], capped at BackoffMax.
-func (t *Retry) backoff(attempt int) time.Duration {
-	t.rngMu.Lock()
-	defer t.rngMu.Unlock()
-	return backoffDelay(t.pol, t.rng, attempt)
-}
-
-// backoffDelay computes one jittered exponential backoff step; shared by
-// the synchronous Retry transport and the pipelined transport so both
-// links pace re-sends identically. Caller guards rng.
-func backoffDelay(pol RetryPolicy, rng *rand.Rand, attempt int) time.Duration {
-	d := pol.BackoffBase
-	for i := 0; i < attempt && d < pol.BackoffMax; i++ {
+func (p *retryPacer) backoff(attempt int) time.Duration {
+	d := p.pol.BackoffBase
+	for i := 0; i < attempt && d < p.pol.BackoffMax; i++ {
 		d *= 2
 	}
-	if d > pol.BackoffMax || d <= 0 {
-		d = pol.BackoffMax
+	if d > p.pol.BackoffMax || d <= 0 {
+		d = p.pol.BackoffMax
 	}
-	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return d/2 + time.Duration(p.rng.Int63n(int64(d/2)+1))
 }

@@ -52,8 +52,8 @@ func stressValue(w, r, c int) int64 {
 	return int64(w)*1_000_000 + int64(r)*1_000 + int64(c)
 }
 
-// TestConcurrentSessionsStress runs 8 concurrent sessions — half on the
-// synchronous reconnecting transport, half on the pipelined one — against
+// TestConcurrentSessionsStress runs 8 concurrent sessions — half driving
+// their stream synchronously, half one-way — against
 // a single sharded TCPServer, each interleaving Enter/Call/Exit rounds.
 // Every worker checks its fetches byte-for-byte against the transcript a
 // faultless serial execution would produce, and the run ends with an
@@ -125,14 +125,15 @@ func TestConcurrentSessionsStress(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			mt, err := DialMux(MuxConfig{Addr: addr.String()})
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			defer mt.Close()
+			tr := mt.Stream(0, nil)
 			if w%2 == 0 {
-				// Synchronous fault-tolerant transport.
-				tr, err := DialReconnect(ReconnectConfig{Addr: addr.String()})
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				defer tr.Close()
+				// Synchronous: every operation is a blocking round trip.
 				sess := &Session{T: tr}
 				transcripts[w], errs[w] = runRounds(w, sessionOps{
 					enter: func() (int64, error) { return sess.Enter("f", 0) },
@@ -143,20 +144,10 @@ func TestConcurrentSessionsStress(t *testing.T) {
 				})
 				return
 			}
-			// Pipelined transport: init calls go one-way, fetches are
-			// reply-bearing (ordered behind the one-way window), the exit
-			// is one-way with a flush barrier closing each round.
-			tr, err := DialPipeline(PipelineConfig{Addr: addr.String()})
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer tr.Close()
+			// Pipelined: init calls go one-way, fetches are reply-bearing
+			// (ordered behind the one-way window), the exit is one-way with
+			// a flush barrier closing each round.
 			as := NewAsyncSession(tr)
-			if as == nil {
-				errs[w] = errors.New("pipeline transport not async-capable")
-				return
-			}
 			transcripts[w], errs[w] = runRounds(w, sessionOps{
 				enter: func() (int64, error) { return as.EnterAsync("f", 0) },
 				call: func(inst int64, frag int, args []interp.Value) (interp.Value, error) {

@@ -2,7 +2,6 @@ package hrt
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -34,14 +33,6 @@ type TCPServer struct {
 	MaxConns int
 	// MaxSessions caps the replay cache (default 1024).
 	MaxSessions int
-	// DisablePipeline refuses reply-free (pipelined) frames: a connection
-	// that sends one is closed, forcing the client back to the
-	// synchronous protocol (cmd/hiddend -pipeline=false).
-	DisablePipeline bool
-	// DisableMux refuses multiplexed connections: an OpMuxHello is
-	// answered with an error, forcing each session back onto its own
-	// connection (cmd/hiddend -mux=false).
-	DisableMux bool
 	// EvictGrace protects recently-seen sessions from replay-cache
 	// eviction (see Dedup.EvictGrace).
 	EvictGrace time.Duration
@@ -90,6 +81,9 @@ type TCPServer struct {
 	wg       sync.WaitGroup
 	dedup    *Dedup
 	requests obs.CounterHandle
+	// panics counts serving goroutines that died to a recovered panic
+	// (hrt_conn_panics_total); each also emits one conn_panic trace event.
+	panics obs.CounterHandle
 
 	// Multiplexing tallies (see serveMux): live mux connections, live
 	// per-session streams across them, hellos accepted, window updates
@@ -149,6 +143,7 @@ func (ts *TCPServer) RegisterMetrics(reg *obs.Registry) {
 	ts.Metrics = NewRuntimeMetrics(reg)
 	ts.Server.RegisterVMMetrics(reg)
 	ts.requests = reg.Counter("hrt_requests_total")
+	ts.panics = reg.Counter("hrt_conn_panics_total")
 	reg.Gauge("hrt_active_conns", func() int64 { return int64(ts.ActiveConns()) })
 	reg.Gauge("hrt_active_activations", func() int64 { return int64(ts.Server.ActiveInstances()) })
 	reg.Gauge("hrt_dedup_sessions", func() int64 {
@@ -225,81 +220,68 @@ func (ts *TCPServer) untrack(conn net.Conn) {
 	conn.Close()
 }
 
+// muxRequiredErr answers a session request that arrives outside a
+// multiplexed connection: clients from before the per-connection protocol
+// was removed get an explicit, actionable refusal instead of a hang.
+const muxRequiredErr = "hrt: multiplexed connection required: this server executes session requests only on a connection opened with a mux hello (upgrade the client)"
+
+// serveConn performs a fresh connection's handshake. The first frame
+// decides what the connection is for its lifetime: a mux hello makes it
+// the (only) carrier of session requests, OpRepl a replication stream,
+// and OpPing a gossip/liveness exchange that may repeat. Anything else
+// gets one plain error response and a closed socket.
 func (ts *TCPServer) serveConn(conn net.Conn) {
-	// A panic while serving one connection (a codec or execution bug hit
-	// by an adversarial frame) must not take the hidden server down; the
-	// client sees a closed connection and retries elsewhere.
-	defer func() { recover() }()
+	var req Request
+	// A panic while serving one connection (a codec or handler bug hit by an
+	// adversarial frame) must not take the hidden server down; the client
+	// sees a closed connection and retries elsewhere.
+	defer func() {
+		if recover() != nil {
+			ts.notePanic(req)
+		}
+	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	for {
 		if ts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(ts.ReadTimeout))
 		}
-		req, err := ReadRequest(r)
-		if err != nil {
+		var err error
+		if req, err = ReadRequest(r); err != nil {
 			return // EOF, deadline, or broken connection
 		}
 		ts.requests.Add(1)
-		if req.Op == OpRepl {
-			// The connection becomes a replication stream for its lifetime.
+		switch req.Op {
+		case OpRepl:
 			ts.serveRepl(conn, r, w, req)
 			return
-		}
-		if req.Op == OpPing {
+		case OpMuxHello:
+			ts.serveMux(conn, r, w, req)
+			return
+		case OpPing:
 			if !ts.serveGossip(conn, w, req) {
 				return
 			}
 			continue
 		}
-		if req.Op == OpMuxHello {
-			// The connection becomes multiplexed for its lifetime.
-			ts.serveMux(conn, r, w, req)
-			return
-		}
-		if resp, redirect := ts.routeRedirect(req); redirect {
-			if req.NoReply() {
-				// A one-way frame for a session routed elsewhere cannot carry
-				// its redirect; drop it and report at the next reply-bearing
-				// request, where the in-order semantics surface errors anyway.
-				continue
-			}
-			if ts.WriteTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(ts.WriteTimeout))
-			}
-			if WriteResponse(w, resp) != nil || w.Flush() != nil {
-				return
-			}
-			continue
-		}
-		if req.NoReply() {
-			if ts.DisablePipeline {
-				return // refuse pipelined clients
-			}
-			// Reply-free: execute in order via the dedup layer (which
-			// defers errors and skips duplicates/gaps) and read the next
-			// frame without writing anything back.
-			start := time.Now()
-			_, _ = ts.roundTrip(req)
-			ts.Metrics.Observe(req.Op, true, time.Since(start))
-			continue
-		}
-		start := time.Now()
-		resp, err := ts.roundTrip(req)
-		ts.Metrics.Observe(req.Op, false, time.Since(start))
-		if err != nil {
-			resp = Response{Err: err.Error()}
-		}
 		if ts.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(ts.WriteTimeout))
 		}
-		if err := WriteResponse(w, resp); err != nil {
-			return
+		// Best effort: the connection closes whether or not the refusal lands.
+		if WriteResponse(w, Response{Seq: req.Seq, Err: muxRequiredErr}) == nil {
+			_ = w.Flush()
 		}
-		if err := w.Flush(); err != nil {
-			return
-		}
+		return
 	}
+}
+
+// notePanic records a recovered serving panic: the counter moves and one
+// trace event names the request being served by op/session/seq only —
+// never its payload (the obs.Secret rule).
+func (ts *TCPServer) notePanic(req Request) {
+	ts.panics.Add(1)
+	ts.Tracer.Emit(obs.LevelError, "conn_panic",
+		obs.Str("op", req.Op.String()), obs.Uint("session", req.Session), obs.Uint("seq", req.Seq))
 }
 
 // roundTrip dispatches one request through the dedup layer, threading it
@@ -387,54 +369,5 @@ func (ts *TCPServer) Close() error {
 			err = perr
 		}
 	}
-	return err
-}
-
-// TCPTransport is the plain (non-retrying) open-machine side of the TCP
-// link. It serializes round trips over a single connection (the open
-// component is sequential, matching the paper's synchronous RPC model).
-// Production deployments should prefer DialReconnect, which adds
-// deadlines, retries, and reconnection on top of the same wire protocol.
-type TCPTransport struct {
-	mu   sync.Mutex
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-}
-
-// DialTCP connects to a hidden-component server.
-func DialTCP(addr string) (*TCPTransport, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("hrt: dial hidden server: %w", err)
-	}
-	return &TCPTransport{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
-}
-
-// RoundTrip sends one request and reads its response.
-func (t *TCPTransport) RoundTrip(req Request) (Response, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.conn == nil {
-		return Response{}, errors.New("hrt: transport closed")
-	}
-	if err := WriteRequest(t.w, req); err != nil {
-		return Response{}, err
-	}
-	if err := t.w.Flush(); err != nil {
-		return Response{}, err
-	}
-	return ReadResponse(t.r)
-}
-
-// Close shuts the connection down.
-func (t *TCPTransport) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.conn == nil {
-		return nil
-	}
-	err := t.conn.Close()
-	t.conn = nil
 	return err
 }

@@ -1,7 +1,9 @@
 package hrt
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -84,11 +86,7 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 	defer ts.Close()
 
-	tr, err := DialTCP(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dialStream(t, MuxConfig{Addr: addr.String()}, 0, nil)
 
 	counters := &Counters{}
 	var b strings.Builder
@@ -120,12 +118,7 @@ func TestTCPServerErrorsPropagate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ts.Close()
-	tr, err := DialTCP(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	sess := &Session{T: tr}
+	sess := &Session{T: dialStream(t, MuxConfig{Addr: addr.String()}, 0, nil)}
 	if _, err := sess.Enter("missing", 0); err == nil {
 		t.Error("expected error for unknown function over TCP")
 	}
@@ -139,10 +132,31 @@ func TestTCPServerErrorsPropagate(t *testing.T) {
 	}
 }
 
-func TestTCPTransportClosed(t *testing.T) {
-	tr := &TCPTransport{}
-	if _, err := tr.RoundTrip(Request{Op: OpEnter, Fn: "f"}); err == nil {
-		t.Error("closed transport must error")
+// TestStreamClosed: a closed stream, and every stream of a closed
+// connection, fails terminally instead of touching the link.
+func TestStreamClosed(t *testing.T) {
+	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
+	ts := &TCPServer{Server: NewServer(NewRegistry(res))}
+	addr, err := ts.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	mt, err := DialMux(MuxConfig{Addr: addr.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, open := mt.Stream(0, nil), mt.Stream(0, nil)
+	closed.Close()
+	if _, err := closed.RoundTrip(Request{Op: OpEnter, Fn: "f"}); err == nil || Retryable(err) {
+		t.Errorf("closed stream: err = %v, want terminal", err)
+	}
+	if _, err := open.RoundTrip(Request{Op: OpEnter, Fn: "f"}); err != nil {
+		t.Errorf("sibling of a closed stream: %v", err)
+	}
+	mt.Close()
+	if _, err := open.RoundTrip(Request{Op: OpEnter, Fn: "f"}); err == nil || Retryable(err) {
+		t.Errorf("stream of a closed connection: err = %v, want terminal", err)
 	}
 }
 
@@ -196,33 +210,16 @@ func TestTCPServerMaxConns(t *testing.T) {
 	}
 	defer ts.Close()
 
-	first, err := DialTCP(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer first.Close()
-	sess := &Session{T: first}
+	sess := &Session{T: dialStream(t, MuxConfig{Addr: addr.String()}, 0, nil)}
 	inst, err := sess.Enter("f", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The second connection is over the cap: its first round trip must
-	// fail once the server closes it.
-	second, err := DialTCP(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
-	overCap := false
-	for i := 0; i < 100; i++ {
-		if _, err := (&Session{T: second}).Enter("f", 0); err != nil {
-			overCap = true
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !overCap {
+	// The second connection is over the cap: the server closes it before
+	// answering its hello.
+	if second, err := DialMux(MuxConfig{Addr: addr.String(), Timeout: time.Second}); err == nil {
+		second.Close()
 		t.Error("connection beyond MaxConns was served")
 	}
 	// The first connection keeps working.
@@ -232,8 +229,8 @@ func TestTCPServerMaxConns(t *testing.T) {
 }
 
 // TestTCPServerIdleReadTimeout verifies the per-connection read deadline:
-// an idle connection is disconnected, and a reconnecting client rides
-// through the disconnect transparently.
+// an idle connection is disconnected, and the client rides through the
+// disconnect transparently.
 func TestTCPServerIdleReadTimeout(t *testing.T) {
 	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
 	ts := &TCPServer{Server: NewServer(NewRegistry(res)), ReadTimeout: 50 * time.Millisecond}
@@ -244,17 +241,11 @@ func TestTCPServerIdleReadTimeout(t *testing.T) {
 	defer ts.Close()
 
 	counters := &Counters{}
-	tr, err := DialReconnect(ReconnectConfig{
-		Addr:     addr.String(),
-		Timeout:  time.Second,
-		Policy:   RetryPolicy{BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond},
-		Counters: counters,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	sess := &Session{T: tr}
+	sess := &Session{T: dialStream(t, MuxConfig{
+		Addr:    addr.String(),
+		Timeout: time.Second,
+		Policy:  RetryPolicy{BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond},
+	}, 0, counters)}
 	inst, err := sess.Enter("f", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +263,7 @@ func TestTCPServerIdleReadTimeout(t *testing.T) {
 }
 
 // TestTCPExactlyOnceSessionStamping runs a split program over plain TCP
-// with the reconnect transport and checks the server executed exactly one
+// on a synchronous stream and checks the server executed exactly one
 // operation per logical round trip (fault-free baseline of the chaos
 // test).
 func TestTCPExactlyOnceSessionStamping(t *testing.T) {
@@ -284,11 +275,7 @@ func TestTCPExactlyOnceSessionStamping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ts.Close()
-	tr, err := DialReconnect(ReconnectConfig{Addr: addr.String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dialStream(t, MuxConfig{Addr: addr.String()}, 0, nil)
 	counters := &Counters{}
 	var b strings.Builder
 	in := interp.New(res.Open, interp.Options{
@@ -303,5 +290,110 @@ func TestTCPExactlyOnceSessionStamping(t *testing.T) {
 	if stats.Calls != counters.Calls.Load() || stats.Enters != counters.Enters.Load() || stats.Exits != counters.Exits.Load() {
 		t.Errorf("server executions %+v != client logical counts calls=%d enters=%d exits=%d",
 			stats, counters.Calls.Load(), counters.Enters.Load(), counters.Exits.Load())
+	}
+}
+
+// TestFreshConnectionMustOpenMux pins the protocol edge the single wire
+// path leaves: a session request as the first frame of a connection — what
+// a client from before the per-connection protocol was removed would send
+// — gets one actionable error response and a closed socket, never a hang
+// and never an execution.
+func TestFreshConnectionMustOpenMux(t *testing.T) {
+	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
+	server := NewServer(NewRegistry(res))
+	ts := &TCPServer{Server: server}
+	addr, err := ts.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	if err := WriteRequest(conn, Request{Op: OpEnter, Fn: "f", Session: 7, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	resp, err := ReadResponse(r)
+	if err != nil {
+		t.Fatalf("no response to a per-connection request: %v", err)
+	}
+	if resp.Seq != 1 || !strings.Contains(resp.Err, "multiplexed connection required") {
+		t.Errorf("response %+v, want seq 1 and the mux-required error", resp)
+	}
+	if _, err := r.ReadByte(); err != io.EOF {
+		t.Errorf("connection left open after the refusal: %v", err)
+	}
+	if got := server.Stats().Enters; got != 0 {
+		t.Errorf("refused request executed %d times", got)
+	}
+}
+
+// TestMuxConnectionRejectsHandshakeFrames: OpMuxHello and OpRepl are
+// connection-opening frames; inside an established mux connection either
+// is a protocol violation that closes it.
+func TestMuxConnectionRejectsHandshakeFrames(t *testing.T) {
+	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
+	ts := &TCPServer{Server: NewServer(NewRegistry(res))}
+	addr, err := ts.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	for _, op := range []Op{OpMuxHello, OpRepl} {
+		conn, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		r := bufio.NewReader(conn)
+		if err := WriteRequest(conn, Request{Op: OpMuxHello, Inst: 8, Frag: muxProtoVersion}); err != nil {
+			t.Fatal(err)
+		}
+		if ack, err := ReadResponse(r); err != nil || ack.Err != "" || ack.Inst != 8 {
+			t.Fatalf("hello: ack %+v, err %v", ack, err)
+		}
+		if err := WriteRequest(conn, Request{Op: op, Frag: muxProtoVersion}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadMuxFrame(r); err != io.EOF {
+			t.Errorf("%v inside a mux connection: read err = %v, want the connection closed", op, err)
+		}
+		conn.Close()
+	}
+}
+
+// TestPingOnlyConnection: a connection may consist of nothing but OpPing
+// exchanges, and a server with no fleet attached still acknowledges them —
+// the plain liveness probe.
+func TestPingOnlyConnection(t *testing.T) {
+	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
+	ts := &TCPServer{Server: NewServer(NewRegistry(res))}
+	addr, err := ts.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	r := bufio.NewReader(conn)
+	for i := 0; i < 3; i++ {
+		if err := WriteRequest(conn, Request{Op: OpPing, Fn: "probe", Frag: PingSync}); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := ReadResponse(r); err != nil || resp.Err != "" {
+			t.Fatalf("ping %d: resp %+v, err %v", i, resp, err)
+		}
+	}
+	if table, err := GossipExchange(addr.String(), "probe", PingSync, "", time.Second); err != nil || table != "" {
+		t.Errorf("GossipExchange against a non-fleet server: table %q, err %v", table, err)
 	}
 }

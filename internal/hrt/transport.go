@@ -503,14 +503,14 @@ func (s *Session) respError(resp Response) error {
 		}
 		return &SessionEvictedError{Addr: s.Addr, Session: parseEvictedSession(resp.Err), Detail: "hrt: " + resp.Err}
 	}
-	if oe := parseOwnerRedirect(resp.Err, s.Addr); oe != nil {
+	if oe := ParseOwnerRedirect(resp.Err, s.Addr); oe != nil {
 		return oe
 	}
 	return fmt.Errorf("hrt: %s", resp.Err)
 }
 
 // wrapEvicted upgrades an error carrying the session-evicted marker (a
-// pipelined transport's deferred barrier error) to the typed form.
+// one-way send's deferred barrier error) to the typed form.
 func (s *Session) wrapEvicted(err error) error {
 	if err == nil {
 		return nil
@@ -529,7 +529,7 @@ func (s *Session) wrapEvicted(err error) error {
 		}
 		return &SessionEvictedError{Addr: s.Addr, Session: parseEvictedSession(err.Error()), Detail: err.Error()}
 	}
-	if oe := parseOwnerRedirect(err.Error(), s.Addr); oe != nil {
+	if oe := ParseOwnerRedirect(err.Error(), s.Addr); oe != nil {
 		return oe
 	}
 	return err

@@ -12,6 +12,7 @@ package slicehide
 import (
 	"flag"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -131,8 +132,8 @@ var benchLoadJSONPath = flag.String("bench-load-json", "", "write BENCH_load.jso
 // TestWriteLoadBenchJSON regenerates the committed BENCH_load.json when
 // invoked with -bench-load-json (skipped otherwise, so plain `go test`
 // stays fast): the pipelined socket workload at {1, 4} GOMAXPROCS ×
-// {1 shard, 8 shards}, plus multiplexed rows — including the
-// 10k-sessions-over-shared-connections point.
+// {1 shard, 8 shards}, the 10k-sessions-over-shared-connections point,
+// and the durability tiers driven synchronously and one-way.
 func TestWriteLoadBenchJSON(t *testing.T) {
 	if *benchLoadJSONPath == "" {
 		t.Skip("pass -bench-load-json <path> to write the load report")
@@ -140,7 +141,6 @@ func TestWriteLoadBenchJSON(t *testing.T) {
 	cfg := experiments.LoadConfig{
 		Sessions:     8,
 		Ops:          4000,
-		Pipeline:     true,
 		Window:       128,
 		BarrierEvery: 64,
 	}
@@ -151,7 +151,7 @@ func TestWriteLoadBenchJSON(t *testing.T) {
 }
 
 // TestLoadSmoke is the `make bench-load-quick` gate: a small concurrent
-// run through the real socket harness in both transport modes and both
+// run through the real socket harness, synchronous and pipelined, in both
 // stripe configurations, checking every session completed every op.
 func TestLoadSmoke(t *testing.T) {
 	for _, tc := range []struct {
@@ -160,11 +160,11 @@ func TestLoadSmoke(t *testing.T) {
 	}{
 		{"sync/serial", experiments.LoadConfig{Sessions: 4, Ops: 50, Shards: 1}},
 		{"sync/sharded", experiments.LoadConfig{Sessions: 4, Ops: 50, Shards: 4}},
-		{"pipelined/serial", experiments.LoadConfig{Sessions: 4, Ops: 50, Shards: 1, Pipeline: true, BarrierEvery: 8}},
-		{"pipelined/sharded", experiments.LoadConfig{Sessions: 4, Ops: 50, Shards: 4, Pipeline: true, BarrierEvery: 8}},
+		{"pipelined/serial", experiments.LoadConfig{Sessions: 4, Ops: 50, Shards: 1, Window: 64, BarrierEvery: 8}},
+		{"pipelined/sharded", experiments.LoadConfig{Sessions: 4, Ops: 50, Shards: 4, Window: 64, BarrierEvery: 8}},
 		{"sync/interp", experiments.LoadConfig{Sessions: 4, Ops: 50, Shards: 4, ExecMode: "interp"}},
-		{"mux/sharded", experiments.LoadConfig{Sessions: 8, Ops: 50, Shards: 4, Mux: true, BarrierEvery: 8}},
-		{"mux/sharedConns", experiments.LoadConfig{Sessions: 32, Ops: 20, Shards: 4, Mux: true, MuxConns: 2, BarrierEvery: 8}},
+		{"pipelined/sharedConns", experiments.LoadConfig{Sessions: 32, Ops: 20, Shards: 4, Window: 64, MuxConns: 2, BarrierEvery: 8}},
+		{"sync/sharedConns", experiments.LoadConfig{Sessions: 32, Ops: 20, Shards: 4, MuxConns: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := experiments.RunLoad(tc.cfg)
@@ -174,13 +174,15 @@ func TestLoadSmoke(t *testing.T) {
 			if want := int64(tc.cfg.Sessions) * int64(tc.cfg.Ops); r.TotalOps != want {
 				t.Errorf("TotalOps = %d, want %d", r.TotalOps, want)
 			}
-			if tc.cfg.Mux {
-				if r.Mode != "mux" {
-					t.Errorf("Mode = %q, want mux", r.Mode)
-				}
-				if tc.cfg.MuxConns > 0 && r.MuxConns != tc.cfg.MuxConns {
-					t.Errorf("MuxConns = %d, want %d", r.MuxConns, tc.cfg.MuxConns)
-				}
+			if want, _, _ := strings.Cut(tc.name, "/"); r.Mode != want {
+				t.Errorf("Mode = %q, want %q", r.Mode, want)
+			}
+			wantConns := 1
+			if tc.cfg.MuxConns > 0 {
+				wantConns = tc.cfg.MuxConns
+			}
+			if r.MuxConns != wantConns {
+				t.Errorf("MuxConns = %d, want %d", r.MuxConns, wantConns)
 			}
 			if r.OpsPerSec <= 0 {
 				t.Errorf("OpsPerSec = %v, want > 0", r.OpsPerSec)
