@@ -69,8 +69,9 @@ bench-cluster-quick:
 # Run the wire-codec and durability-layer fuzzers for a short budget
 # each (the journal frame scanner and the journal record decoder face
 # crash-mangled files the same way the wire codec faces a hostile peer),
-# plus the execution-engine differential fuzzer (bytecode VM vs the
-# tree-walking oracle: any output, error, or counter divergence crashes).
+# plus the two execution-engine differential fuzzers (hidden fragments and
+# whole open programs, bytecode VM vs the tree-walking oracles: any output,
+# error, step-count, or hidden-call-sequence divergence crashes).
 fuzz:
 	$(GO) test ./internal/hrt -run=^$$ -fuzz=FuzzReadRequest -fuzztime=10s
 	$(GO) test ./internal/hrt -run=^$$ -fuzz=FuzzReadResponse -fuzztime=10s
@@ -78,4 +79,5 @@ fuzz:
 	$(GO) test ./internal/hrt -run=^$$ -fuzz=FuzzJournalRecord -fuzztime=10s
 	$(GO) test ./internal/hrt -run=^$$ -fuzz=FuzzReplFrame -fuzztime=10s
 	$(GO) test ./internal/hrt -run=^$$ -fuzz=FuzzVMvsInterp -fuzztime=30s
+	$(GO) test ./internal/hrt -run=^$$ -fuzz=FuzzMachineVsInterp -fuzztime=30s
 	$(GO) test ./internal/wal -run=^$$ -fuzz=FuzzScanJournal -fuzztime=10s

@@ -7,13 +7,13 @@
 //
 // Usage:
 //
-//	slicehide tables  [-table 1|2|3|4|5|attack|all] [-scale f] [-kernel-scale n] [-rtt d]
+//	slicehide tables  [-table 1|2|3|4|5|attack|all] [-scale f] [-kernel-scale n] [-rtt d] [-no-cfh]
 //	slicehide analyze <file.mj>
 //	slicehide split   -func f [-seed v] [-no-cfh] <file.mj>
-//	slicehide ilp     -func f [-seed v] <file.mj>
-//	slicehide run     [-split f[:v],g[:v],...] [-rtt d] [-server addr | -cluster a1,a2,...] [-timeout d] [-retries n] [-pipeline] [-mux] [-window n] [-stats text|json] [-trace file] <file.mj>
-//	slicehide loadtest [-server addr | -cluster a1,a2,... | -backends n [-kill-primary] [-join-mid-run]] [-sessions m] [-ops k] [-pipeline] [-mux] [-mux-conns n] [-window n] [-shards n] [-split f:v] [-data-dir dir [-fsync] [-commit-bytes n] [-commit-interval d]] [-json] [program.mj]
-//	slicehide attack  -func f [-seed v] [-calls n] [-window k] <file.mj>
+//	slicehide ilp     -func f [-seed v] [-min-at-uses] <file.mj>
+//	slicehide run     [-split f[:v],g[:v],...] [-rtt d] [-server addr | -cluster a1,a2,...] [-timeout d] [-retries n] [-window n] [-stats text|json] [-trace file] <file.mj>
+//	slicehide loadtest [-server addr | -cluster a1,a2,... | -backends n [-kill-primary] [-join-mid-run]] [-sessions m] [-ops k] [-mux-conns n] [-window n] [-barrier-every n] [-shards n] [-split f:v] [-data-dir dir [-fsync] [-commit-bytes n] [-commit-interval d]] [-json] [program.mj]
+//	slicehide attack  -func f [-seed v] [-calls n] [-window k] [-rng n] <file.mj>
 package main
 
 import (
@@ -38,6 +38,7 @@ import (
 	"slicehide/internal/obs"
 	"slicehide/internal/report"
 	"slicehide/internal/slicer"
+	"slicehide/internal/vm"
 )
 
 func main() {
@@ -256,16 +257,11 @@ func cmdRun(args []string) error {
 	timeout := fs.Duration("timeout", 5*time.Second, "per-attempt I/O deadline on the hiddend link")
 	retries := fs.Int("retries", 8, "max retries per round trip on the hiddend link (-1 disables)")
 	window := fs.Int("window", 64, "max unacknowledged in-flight hidden calls: 0 makes every hidden call a blocking round trip (the paper's synchronous model), N>0 sends reply-free calls one-way with up to N in flight")
-	execFlag := fs.String("exec", "vm", "in-process fragment execution engine: vm (compiled bytecode) or interp (tree-walking oracle); a remote hiddend picks its own")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("run: expected one source file")
-	}
-	execMode, err := interp.ParseExecMode(*execFlag)
-	if err != nil {
-		return fmt.Errorf("run: %w", err)
 	}
 	statsMode, err := parseStatsMode(*stats)
 	if err != nil {
@@ -277,8 +273,7 @@ func cmdRun(args []string) error {
 	}
 	specs := parseSpecs(*split)
 	if len(specs) == 0 {
-		in := interp.New(prog, interp.Options{Out: os.Stdout})
-		return in.Run()
+		return vm.NewMachine(prog, interp.Options{Out: os.Stdout}).Run()
 	}
 	res, err := core.SplitProgram(prog, specs, slicer.Policy{})
 	if err != nil {
@@ -342,9 +337,7 @@ func cmdRun(args []string) error {
 		reg.Gauge("hrt_inflight_window", func() int64 { return int64(stream.InFlight()) })
 		t = stream
 	} else {
-		local := hrt.NewServer(hrt.NewRegistry(res))
-		local.SetExecMode(execMode)
-		t = &hrt.Local{Server: local}
+		t = &hrt.Local{Server: hrt.NewServer(hrt.NewRegistry(res))}
 	}
 	if *rtt > 0 {
 		t = &hrt.Latency{Inner: t, RTT: *rtt}
@@ -374,11 +367,12 @@ func cmdRun(args []string) error {
 	if tracer != nil {
 		opts.Trace = hrt.InterpTracer{T: tracer}
 	}
-	in := interp.New(res.Open, opts)
+	in := vm.NewMachine(res.Open, opts)
 	start := time.Now()
 	runErr := in.Run()
 	if statsMode != "" {
 		doc := experiments.NewRunStats(counters, time.Since(start), runErr)
+		doc.OpenSteps = in.Steps()
 		doc.AddRegistry(reg)
 		if statsMode == "json" {
 			if err := doc.WriteJSON(os.Stderr); err != nil {
@@ -443,7 +437,6 @@ func cmdLoadtest(args []string) error {
 	fsync := fs.Bool("fsync", false, "fsync every journal append on the self-hosted durable server (requires -data-dir)")
 	commitBytes := fs.Int("commit-bytes", 1<<20, "group-commit batch bound in bytes on the self-hosted durable server; 0 writes and fsyncs each append individually (requires -data-dir)")
 	commitInterval := fs.Duration("commit-interval", 0, "let a group-commit batch linger this long for stragglers before fsync (0 = commit as soon as the queue drains; requires -data-dir)")
-	execFlag := fs.String("exec", "vm", "self-hosted server fragment execution engine: vm (compiled bytecode) or interp (tree-walking oracle); ignored with -server")
 	asJSON := fs.Bool("json", false, "emit the schema-versioned LoadResult JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -495,7 +488,6 @@ func cmdLoadtest(args []string) error {
 		Fsync:          *fsync,
 		CommitBytes:    *commitBytes,
 		CommitInterval: *commitInterval,
-		ExecMode:       *execFlag,
 	})
 	if err != nil {
 		return err
@@ -512,8 +504,8 @@ func cmdLoadtest(args []string) error {
 			durable += fmt.Sprintf(", group commit ≤%d bytes", res.CommitBytes)
 		}
 	}
-	fmt.Printf("loadtest: %d sessions × %d ops (%s over %d conns, exec=%s, shards=%s, GOMAXPROCS=%d%s)\n",
-		res.Sessions, res.OpsPerSession, res.Mode, res.MuxConns, res.ExecMode, shardsLabel(res.Shards), res.GOMAXPROCS, durable)
+	fmt.Printf("loadtest: %d sessions × %d ops (%s over %d conns, shards=%s, GOMAXPROCS=%d%s)\n",
+		res.Sessions, res.OpsPerSession, res.Mode, res.MuxConns, shardsLabel(res.Shards), res.GOMAXPROCS, durable)
 	fmt.Printf("  throughput: %.0f ops/sec (%d ops in %s)\n",
 		res.OpsPerSec, res.TotalOps, time.Duration(res.ElapsedNs))
 	fmt.Printf("  blocking ops: %d, p50 %s, p99 %s, p99.9 %s, max %s\n",
@@ -634,7 +626,7 @@ func cmdAttack(args []string) error {
 	f := prog.Func(*fn)
 	server := hrt.NewServer(hrt.NewRegistry(res))
 	obs := attack.NewObserver(&hrt.Local{Server: server}, *window)
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		Hidden:     &hrt.Session{T: obs},
 		SplitFuncs: res.SplitSet(),
 		MaxSteps:   1_000_000_000,

@@ -19,6 +19,7 @@ import (
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/slicer"
+	"slicehide/internal/vm"
 )
 
 const weakSrc = `
@@ -48,7 +49,7 @@ func digest(seed: int, rounds: int): int {
 func main() { }
 `
 
-func attackFunc(label, src, fn, seedVar string, drive func(in *interp.Interp, rng *rand.Rand) error) {
+func attackFunc(label, src, fn, seedVar string, drive func(in *vm.Machine, rng *rand.Rand) error) {
 	prog, err := ir.Compile(src)
 	if err != nil {
 		log.Fatal(err)
@@ -59,7 +60,7 @@ func attackFunc(label, src, fn, seedVar string, drive func(in *interp.Interp, rn
 	}
 	server := hrt.NewServer(hrt.NewRegistry(res))
 	obs := attack.NewObserver(&hrt.Local{Server: server}, 4)
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		Hidden:     &hrt.Session{T: obs},
 		SplitFuncs: res.SplitSet(),
 		MaxSteps:   100_000_000,
@@ -84,7 +85,7 @@ func attackFunc(label, src, fn, seedVar string, drive func(in *interp.Interp, rn
 
 func main() {
 	attackFunc("linear pricing formula (weak hiding)", weakSrc, "price", "total",
-		func(in *interp.Interp, rng *rand.Rand) error {
+		func(in *vm.Machine, rng *rand.Rand) error {
 			for i := 0; i < 120; i++ {
 				_, err := in.Call("price", []interp.Value{
 					interp.IntV(int64(rng.Intn(90) + 1)),
@@ -98,7 +99,7 @@ func main() {
 		})
 
 	attackFunc("iterated digest under hidden control flow (strong hiding)", strongSrc, "digest", "h",
-		func(in *interp.Interp, rng *rand.Rand) error {
+		func(in *vm.Machine, rng *rand.Rand) error {
 			for i := 0; i < 400; i++ {
 				_, err := in.Call("digest", []interp.Value{
 					interp.IntV(int64(rng.Intn(500) + 1)),

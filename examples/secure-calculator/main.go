@@ -21,6 +21,7 @@ import (
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/slicer"
+	"slicehide/internal/vm"
 )
 
 const src = `
@@ -114,7 +115,7 @@ func main() {
 	var transport hrt.Transport = &hrt.Latency{Inner: &hrt.Local{Server: server}, RTT: 200 * time.Microsecond}
 	transport = &hrt.Counting{Inner: transport, Counters: counters}
 	var sb strings.Builder
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		Out:        &sb,
 		Hidden:     &hrt.Session{T: transport},
 		SplitFuncs: res.SplitSet(),
@@ -133,8 +134,8 @@ func main() {
 	fmt.Printf("split over simulated LAN:  %v (%d interactions, %d values shipped)\n",
 		lan.Round(time.Microsecond), counters.Interactions(), counters.ValuesSent.Load())
 	fmt.Println("\nfor a workload this tiny the round trips dominate; Table 5 in")
-	fmt.Println("EXPERIMENTS.md measures realistic workloads where the overhead")
-	fmt.Println("lands in the paper's 3-58% band.")
+	fmt.Println("EXPERIMENTS.md measures realistic workloads, synchronous and")
+	fmt.Println("pipelined, against the paper's 3-58% band.")
 }
 
 func fieldNames(res *core.Result) []string {

@@ -129,14 +129,9 @@ type child struct {
 }
 
 // startChild launches this test binary as hiddend and waits until it
-// reports the listener is up. SLICEHIDE_CHAOS_EXEC selects the child's
-// fragment execution engine (vm or interp), so CI runs the whole chaos
-// harness once per engine; unset means the default (vm).
+// reports the listener is up.
 func startChild(t *testing.T, args ...string) *child {
 	t.Helper()
-	if mode := os.Getenv("SLICEHIDE_CHAOS_EXEC"); mode != "" {
-		args = append([]string{"-exec", mode}, args...)
-	}
 	if chaosFsync() {
 		args = append([]string{"-fsync"}, args...)
 	}

@@ -23,7 +23,6 @@ import (
 	"slicehide/internal/cluster"
 	"slicehide/internal/core"
 	"slicehide/internal/hrt"
-	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/obs"
 	"slicehide/internal/slicer"
@@ -91,10 +90,6 @@ type Config struct {
 	// (0 = the cluster default, 5s).
 	ReplAckTimeout time.Duration
 
-	// ExecMode selects the fragment execution engine: "vm" (default)
-	// runs compiled bytecode, "interp" the tree-walking oracle.
-	ExecMode string
-
 	// Stdout receives the human-readable startup/shutdown lines (defaults
 	// to os.Stdout).
 	Stdout io.Writer
@@ -124,12 +119,8 @@ func ParseFlags(args []string) (Config, error) {
 	fs.BoolVar(&cfg.Replicate, "replicate", false, "stream the WAL to every peer and gate responses on follower acknowledgement, so sessions survive this replica's death (requires -data-dir, and -peers or -join)")
 	fs.StringVar(&cfg.Join, "join", "", "join the running fleet via the member at this address: adopt its membership table and catch up (snapshot transfer + WAL streaming) before reporting ready (requires -replicate)")
 	fs.DurationVar(&cfg.ReplAckTimeout, "repl-ack-timeout", 0, "how long a response may wait for follower acknowledgement before degrading to asynchronous replication (0 = default 5s; requires -replicate)")
-	fs.StringVar(&cfg.ExecMode, "exec", "vm", "fragment execution engine: vm (compiled bytecode) or interp (tree-walking oracle)")
 	if err := fs.Parse(args); err != nil {
 		return Config{}, err
-	}
-	if _, err := interp.ParseExecMode(cfg.ExecMode); err != nil {
-		return Config{}, fmt.Errorf("hiddend: %w", err)
 	}
 	if cfg.Split == "" || fs.NArg() != 1 {
 		return Config{}, fmt.Errorf("usage: hiddend -listen addr -split f[:seed],... [-data-dir dir] [-peers addr,...] program.mj")
@@ -236,15 +227,8 @@ func Start(cfg Config) (*Daemon, error) {
 			Tracer:         d.tracer,
 		})
 	}
-	exec, err := interp.ParseExecMode(cfg.ExecMode)
-	if err != nil {
-		d.closeTrace()
-		return nil, fmt.Errorf("hiddend: %w", err)
-	}
-	server := hrt.NewServerShards(hrt.NewRegistry(res), shards)
-	server.SetExecMode(exec)
 	d.server = &hrt.TCPServer{
-		Server:       server,
+		Server:       hrt.NewServerShards(hrt.NewRegistry(res), shards),
 		ReadTimeout:  cfg.Timeout,
 		WriteTimeout: cfg.Timeout,
 		MaxConns:     cfg.MaxConns,

@@ -21,6 +21,7 @@ import (
 	"slicehide/internal/ir"
 	"slicehide/internal/report"
 	"slicehide/internal/slicer"
+	"slicehide/internal/vm"
 )
 
 // Config controls experiment scale so tests stay fast while benchmarks run
@@ -275,32 +276,38 @@ func runKernelOnce(k corpus.Kernel, label string, size int, cfg Config) (Table5R
 		return Table5Row{}, err
 	}
 
-	start := time.Now()
-	wantOut, _, err := hrt.RunOriginal(res.Orig, cfg.MaxSteps)
+	var wantOut string
+	before, err := medianWall(func() (err error) {
+		wantOut, _, err = hrt.RunOriginal(res.Orig, cfg.MaxSteps)
+		return err
+	})
 	if err != nil {
 		return Table5Row{}, err
 	}
-	before := time.Since(start)
 
 	wrap := func(t hrt.Transport) hrt.Transport {
 		return &hrt.Latency{Inner: t, RTT: cfg.RTT}
 	}
 
-	start = time.Now()
-	out := hrt.RunSplit(res, wrap, cfg.MaxSteps)
-	after := time.Since(start)
-	if out.Err != nil {
-		return Table5Row{}, out.Err
+	var out hrt.RunOutcome
+	after, err := medianWall(func() error {
+		out = hrt.RunSplit(res, wrap, cfg.MaxSteps)
+		return out.Err
+	})
+	if err != nil {
+		return Table5Row{}, err
 	}
 	if out.Output != wantOut {
 		return Table5Row{}, fmt.Errorf("split changed output: %q vs %q", out.Output, wantOut)
 	}
 
-	start = time.Now()
-	pout := hrt.RunSplitOpts(res, wrap, cfg.MaxSteps, hrt.RunOptions{Pipeline: true})
-	pipelined := time.Since(start)
-	if pout.Err != nil {
-		return Table5Row{}, fmt.Errorf("pipelined run: %w", pout.Err)
+	var pout hrt.RunOutcome
+	pipelined, err := medianWall(func() error {
+		pout = hrt.RunSplitOpts(res, wrap, cfg.MaxSteps, hrt.RunOptions{Pipeline: true})
+		return pout.Err
+	})
+	if err != nil {
+		return Table5Row{}, fmt.Errorf("pipelined run: %w", err)
 	}
 	if pout.Output != wantOut {
 		return Table5Row{}, fmt.Errorf("pipelining changed output: %q vs %q", pout.Output, wantOut)
@@ -325,6 +332,22 @@ func runKernelOnce(k corpus.Kernel, label string, size int, cfg Config) (Table5R
 		PipelinedPct:      ppct,
 		PipelinedBlocking: pout.Blocking,
 	}, nil
+}
+
+// medianWall times run five times and returns the median. A kernel run is
+// tens of milliseconds on the bytecode machine — short enough for one GC
+// cycle or a burst of page faults to move a single measurement by half.
+func medianWall(run func() error) (time.Duration, error) {
+	var walls [5]time.Duration
+	for i := range walls {
+		start := time.Now()
+		if err := run(); err != nil {
+			return 0, err
+		}
+		walls[i] = time.Since(start)
+	}
+	sort.Slice(walls[:], func(i, j int) bool { return walls[i] < walls[j] })
+	return walls[len(walls)/2], nil
 }
 
 // RenderTable5 formats Table 5, extended with the pipelined transport
@@ -428,7 +451,7 @@ func main() { }`, "f", "a", 2},
 		}
 		server := hrt.NewServer(hrt.NewRegistry(res))
 		obs := attack.NewObserver(&hrt.Local{Server: server}, 4)
-		in := interp.New(res.Open, interp.Options{
+		in := vm.NewMachine(res.Open, interp.Options{
 			MaxSteps:   cfg.MaxSteps,
 			Hidden:     &hrt.Session{T: obs},
 			SplitFuncs: res.SplitSet(),

@@ -85,10 +85,6 @@ type LoadConfig struct {
 	// admit stragglers before it fsyncs (0 = fsync as soon as the queue
 	// drains).
 	CommitInterval time.Duration
-	// ExecMode selects the self-hosted server's fragment execution engine:
-	// "vm" (default, compiled bytecode) or "interp" (the tree-walking
-	// oracle). Ignored when Addr is set — a remote server picks its own.
-	ExecMode string
 }
 
 // LoadResult is one load run's measurement, the schema-versioned document
@@ -120,9 +116,8 @@ type LoadResult struct {
 	// pipeline achieved (0 when group commit was off); >1 means appends
 	// actually coalesced under this load.
 	CommitBatchMean float64 `json:"commit_batch_mean,omitempty"`
-	// ExecMode records the fragment execution engine the server ran:
-	// "vm" (compiled bytecode) or "interp" (tree-walking oracle);
-	// "remote" when targeting a server whose engine this client can't see.
+	// ExecMode is always "vm": the bytecode VM is the only fragment
+	// execution engine. The field stays so the document keeps its shape.
 	ExecMode string `json:"exec_mode"`
 }
 
@@ -198,14 +193,8 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 	addr := cfg.Addr
 	shards := cfg.Shards
 	durability := ""
-	execLabel := "remote"
 	var persist *hrt.Durability
 	if addr == "" {
-		exec, err := interp.ParseExecMode(cfg.ExecMode)
-		if err != nil {
-			return LoadResult{}, fmt.Errorf("loadgen: %w", err)
-		}
-		execLabel = exec.String()
 		if cfg.DataDir != "" {
 			persist = hrt.NewDurability(hrt.DurabilityOptions{
 				Dir:            cfg.DataDir,
@@ -218,10 +207,8 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 				durability = "wal+fsync"
 			}
 		}
-		inner := hrt.NewServerShards(hrt.NewRegistry(res), shards)
-		inner.SetExecMode(exec)
 		srv := &hrt.TCPServer{
-			Server:  inner,
+			Server:  hrt.NewServerShards(hrt.NewRegistry(res), shards),
 			Shards:  shards,
 			Persist: persist,
 		}
@@ -318,7 +305,7 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 		Durability:      durability,
 		CommitBytes:     commitBytes,
 		CommitBatchMean: batchMean,
-		ExecMode:        execLabel,
+		ExecMode:        "vm",
 	}, nil
 }
 
@@ -409,23 +396,17 @@ func WriteLoadBenchJSON(w io.Writer, cfg LoadConfig, shardedCount int) error {
 
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
-	// Each (procs, shards) cell runs under both execution engines, so the
-	// report carries the interpreter-vs-VM overhead alongside the striping
-	// comparison.
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{1, shardedCount} {
-			for _, exec := range []string{"vm", "interp"} {
-				run := base
-				run.Shards = shards
-				run.ExecMode = exec
-				r, err := RunLoad(run)
-				if err != nil {
-					return err
-				}
-				r.GOMAXPROCS = procs
-				rep.Rows = append(rep.Rows, r)
+			run := base
+			run.Shards = shards
+			r, err := RunLoad(run)
+			if err != nil {
+				return err
 			}
+			r.GOMAXPROCS = procs
+			rep.Rows = append(rep.Rows, r)
 		}
 	}
 
@@ -436,7 +417,6 @@ func WriteLoadBenchJSON(w io.Writer, cfg LoadConfig, shardedCount int) error {
 	scale.Sessions = 10_000
 	scale.Ops = 50
 	scale.Shards = shardedCount
-	scale.ExecMode = "vm"
 	r, err := RunLoad(scale)
 	if err != nil {
 		return err
@@ -473,7 +453,6 @@ func WriteLoadBenchJSON(w io.Writer, cfg LoadConfig, shardedCount int) error {
 			run.Sessions = durSessions
 			run.Ops = 200
 			run.Shards = durSessions
-			run.ExecMode = "vm"
 			run.DataDir = dir
 			run.Fsync = tier.fsync
 			run.CommitBytes = tier.commitBytes

@@ -13,7 +13,8 @@ import (
 // RunStatsSchemaVersion identifies the `slicehide run -stats json`
 // document layout. Bump it on any incompatible change; downstream
 // tooling (the Table 5 harness, ad-hoc analysis scripts) keys on it.
-const RunStatsSchemaVersion = 1
+// Version 2 added open_steps.
+const RunStatsSchemaVersion = 2
 
 // RunStats is the machine-readable statistics document one `slicehide
 // run` emits with -stats json. It carries every interaction counter the
@@ -29,6 +30,11 @@ type RunStats struct {
 	Error  string `json:"error,omitempty"`
 
 	ElapsedNs int64 `json:"elapsed_ns"`
+
+	// OpenSteps is the open machine's own work: statements it executed
+	// (one per statement reached, one per completed loop iteration). It is
+	// structure the open machine observes anyway — nothing hidden.
+	OpenSteps int64 `json:"open_steps"`
 
 	// Interaction counters (logical protocol events, client side).
 	Interactions int64 `json:"interactions"`
@@ -121,10 +127,15 @@ func (s RunStats) WriteJSON(w io.Writer) error {
 
 // Text renders the legacy single-line human form (-stats text).
 func (s RunStats) Text() string {
-	line := fmt.Sprintf("interactions=%d one-way=%d blocking=%d flushes=%d window-stalls=%d values-sent=%d activations=%d bytes-sent=%d bytes-recv=%d wire-sent=%d wire-recv=%d retries=%d reconnects=%d bounces=%d elapsed=%s",
+	var stepsPerSec float64
+	if s.ElapsedNs > 0 {
+		stepsPerSec = float64(s.OpenSteps) / time.Duration(s.ElapsedNs).Seconds()
+	}
+	line := fmt.Sprintf("interactions=%d one-way=%d blocking=%d flushes=%d window-stalls=%d values-sent=%d activations=%d bytes-sent=%d bytes-recv=%d wire-sent=%d wire-recv=%d retries=%d reconnects=%d bounces=%d open-steps=%d steps/s=%.0f elapsed=%s",
 		s.Interactions, s.OneWay, s.Blocking, s.Flushes, s.WindowStalls,
 		s.ValuesSent, s.Activations, s.BytesSent, s.BytesRecv,
 		s.WireBytesSent, s.WireBytesRecv, s.Retries, s.Reconnects, s.SessionBounces,
+		s.OpenSteps, stepsPerSec,
 		time.Duration(s.ElapsedNs).Round(time.Millisecond))
 	if s.Failed {
 		line = "FAILED " + line

@@ -22,6 +22,7 @@ func TestRunStatsSchema(t *testing.T) {
 	c.ValuesSent.Add(7)
 
 	s := NewRunStats(c, 125*time.Millisecond, nil)
+	s.OpenSteps = 5000
 	reg := obs.NewRegistry()
 	reg.Gauge("hrt_inflight_window", func() int64 { return 2 })
 	reg.Histogram("hrt_latency_call_sync_ns").Observe(40 * time.Microsecond)
@@ -37,7 +38,7 @@ func TestRunStatsSchema(t *testing.T) {
 		t.Fatalf("not JSON: %v", err)
 	}
 	for _, key := range []string{
-		"schema_version", "failed", "elapsed_ns",
+		"schema_version", "failed", "elapsed_ns", "open_steps",
 		"interactions", "one_way", "blocking", "flushes", "window_stalls",
 		"values_sent", "activations",
 		"bytes_sent", "bytes_recv", "wire_bytes_sent", "wire_bytes_recv",
@@ -47,8 +48,14 @@ func TestRunStatsSchema(t *testing.T) {
 			t.Errorf("document missing key %q", key)
 		}
 	}
-	if doc["schema_version"].(float64) != RunStatsSchemaVersion {
+	if doc["schema_version"].(float64) != 2 {
 		t.Errorf("schema_version = %v", doc["schema_version"])
+	}
+	if doc["open_steps"].(float64) != 5000 {
+		t.Errorf("open_steps = %v", doc["open_steps"])
+	}
+	if txt := s.Text(); !strings.Contains(txt, "open-steps=5000 steps/s=40000 ") {
+		t.Errorf("text form lacks the open side's work: %q", txt)
 	}
 	if doc["failed"].(bool) {
 		t.Error("failed = true on a successful run")

@@ -7,22 +7,30 @@ import (
 	"slicehide/internal/core"
 	"slicehide/internal/corpus"
 	"slicehide/internal/hrt"
-	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/slicer"
 )
 
-// Differential oracle: the bytecode VM and the tree-walking interpreter
-// must be observably identical — same program output byte for byte, and
-// same interaction counters (the Table 5 measurements depend on them).
-// The tree-walker is the semantic reference; the VM is the hot path.
+// Differential oracle for the hidden side: the bytecode VM and the
+// tree-walking fragment executor must be observably identical — same
+// program output byte for byte, and same interaction counters (the Table 5
+// measurements depend on them). The tree-walker is the semantic reference,
+// reachable only from here; the VM is the only production engine.
+
+// runSplitRef is hrt.RunSplitOpts with the server on the reference
+// executor.
+func runSplitRef(res *core.Result, maxSteps int64, opts hrt.RunOptions) hrt.RunOutcome {
+	server := hrt.NewServer(hrt.NewRegistry(res))
+	server.UseTreeWalker()
+	return hrt.RunSplitOn(server, res, nil, maxSteps, opts)
+}
 
 // runBothModes executes one split program under both engines and fails
 // the test on any observable divergence.
 func runBothModes(t *testing.T, res *core.Result, maxSteps int64, label string) {
 	t.Helper()
-	iv := hrt.RunSplitOpts(res, nil, maxSteps, hrt.RunOptions{Exec: interp.ExecInterp})
-	vm := hrt.RunSplitOpts(res, nil, maxSteps, hrt.RunOptions{Exec: interp.ExecVM})
+	iv := runSplitRef(res, maxSteps, hrt.RunOptions{})
+	vm := hrt.RunSplitOpts(res, nil, maxSteps, hrt.RunOptions{})
 	ivErr, vmErr := "", ""
 	if iv.Err != nil {
 		ivErr = iv.Err.Error()
@@ -132,8 +140,8 @@ func TestDifferentialVMvsInterpKernels(t *testing.T) {
 		runBothModes(t, res, 100_000_000, k.Name)
 		// Pipelined transport: one-way calls, coalesced writes — the
 		// engines must agree there too.
-		ivp := hrt.RunSplitOpts(res, nil, 100_000_000, hrt.RunOptions{Pipeline: true, Exec: interp.ExecInterp})
-		vmp := hrt.RunSplitOpts(res, nil, 100_000_000, hrt.RunOptions{Pipeline: true, Exec: interp.ExecVM})
+		ivp := runSplitRef(res, 100_000_000, hrt.RunOptions{Pipeline: true})
+		vmp := hrt.RunSplitOpts(res, nil, 100_000_000, hrt.RunOptions{Pipeline: true})
 		if ivp.Err != nil || vmp.Err != nil {
 			t.Fatalf("%s pipelined: interp err %v, vm err %v", k.Name, ivp.Err, vmp.Err)
 		}

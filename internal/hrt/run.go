@@ -6,6 +6,7 @@ import (
 	"slicehide/internal/core"
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
+	"slicehide/internal/vm"
 )
 
 // RunOutcome summarizes one end-to-end execution of a split program.
@@ -41,16 +42,12 @@ type RunOptions struct {
 	// hidden calls go one-way and only barriers/reply-bearing calls block.
 	// The outermost wrapped transport must be async-capable.
 	Pipeline bool
-	// Exec selects the hidden server's fragment execution engine
-	// (bytecode VM by default; the tree-walking interpreter is kept as a
-	// differential oracle).
-	Exec interp.ExecMode
 }
 
 // RunOriginal executes the unsplit program and returns its output.
 func RunOriginal(prog *ir.Program, maxSteps int64) (string, int64, error) {
 	var b strings.Builder
-	in := interp.New(prog, interp.Options{Out: &b, MaxSteps: maxSteps})
+	in := vm.NewMachine(prog, interp.Options{Out: &b, MaxSteps: maxSteps})
 	err := in.Run()
 	return b.String(), in.Steps(), err
 }
@@ -64,8 +61,11 @@ func RunSplit(res *core.Result, wrap func(Transport) Transport, maxSteps int64) 
 
 // RunSplitOpts is RunSplit with pipelining control.
 func RunSplitOpts(res *core.Result, wrap func(Transport) Transport, maxSteps int64, opts RunOptions) RunOutcome {
-	server := NewServer(NewRegistry(res))
-	server.SetExecMode(opts.Exec)
+	return runSplitOn(NewServer(NewRegistry(res)), res, wrap, maxSteps, opts)
+}
+
+// runSplitOn is RunSplitOpts against a given server.
+func runSplitOn(server *Server, res *core.Result, wrap func(Transport) Transport, maxSteps int64, opts RunOptions) RunOutcome {
 	var t Transport = &Local{Server: server}
 	if wrap != nil {
 		t = wrap(t)
@@ -79,7 +79,7 @@ func RunSplitOpts(res *core.Result, wrap func(Transport) Transport, maxSteps int
 		}
 	}
 	var b strings.Builder
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		Out:        &b,
 		MaxSteps:   maxSteps,
 		Hidden:     hidden,

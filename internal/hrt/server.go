@@ -32,8 +32,8 @@ type Registry struct {
 	// global-variable extension); keys are hidden global variables.
 	GlobalInit map[*ir.Var]interp.Value
 	// Prog is the bytecode form of Components, compiled once at build: it
-	// also owns the slot layouts both execution modes address stores
-	// through, and the program hash recovery checks snapshots against.
+	// also owns the slot layouts the stores are addressed through, and the
+	// program hash recovery checks snapshots against.
 	Prog *vm.Program
 }
 
@@ -112,9 +112,10 @@ type Server struct {
 	// was taken in.
 	globalsVersion uint64
 
-	// exec selects the fragment executor: the bytecode VM (default) or
-	// the tree-walking interpreter kept as its differential oracle.
-	exec interp.ExecMode
+	// treeWalk runs fragments on the tree-walking executor below instead
+	// of the bytecode VM. It is the VM's differential oracle: only tests
+	// set it (export_test.go), no production path or flag does.
+	treeWalk bool
 	// frames pools VM temp frames, sized to the program's largest
 	// fragment.
 	frames *vm.FramePool
@@ -209,14 +210,6 @@ func NewServerShards(reg *Registry, shards int) *Server {
 	s.frames = vm.NewFramePool(reg.Prog.MaxTemps)
 	return s
 }
-
-// SetExecMode selects the fragment executor. Call before serving traffic;
-// both modes address the same slot-based stores, so the choice only picks
-// the execution engine.
-func (s *Server) SetExecMode(m interp.ExecMode) { s.exec = m }
-
-// ExecMode reports the selected fragment executor.
-func (s *Server) ExecMode() interp.ExecMode { return s.exec }
 
 // clearMemos drops every stripe's cached activation resolution (called
 // after bulk state mutation: snapshot import).
@@ -463,7 +456,7 @@ func (s *Server) callSession(session uint64, fn string, inst int64, frag int, ar
 		defer s.globalsMu.Unlock()
 	}
 
-	if s.exec == interp.ExecInterp {
+	if s.treeWalk {
 		// Tree-walking oracle path.
 		fr := s.reg.Components[fn].Frags[frag]
 		ex := &fragExec{
@@ -579,7 +572,8 @@ func zeroValue(v *ir.Var) interp.Value {
 }
 
 // ---------------------------------------------------------------------------
-// Fragment execution
+// Reference fragment execution: the tree-walking oracle the differential
+// tests compare the bytecode VM against (Server.treeWalk).
 
 type argBinding struct {
 	v   *ir.Var

@@ -7,42 +7,6 @@ import (
 	"slicehide/internal/ir"
 )
 
-// ExecMode selects how the hidden runtime executes fragment bodies: the
-// compiled bytecode VM (the default hot path) or the tree-walking
-// interpreter (kept as the differential-testing oracle). It lives here, at
-// the bottom of the execution stack, so both internal/vm and internal/hrt
-// can consume it without an import cycle.
-type ExecMode int
-
-const (
-	// ExecVM executes fragments as compiled bytecode (default).
-	ExecVM ExecMode = iota
-	// ExecInterp tree-walks fragment IR (the differential oracle).
-	ExecInterp
-)
-
-func (m ExecMode) String() string {
-	switch m {
-	case ExecVM:
-		return "vm"
-	case ExecInterp:
-		return "interp"
-	}
-	return fmt.Sprintf("ExecMode(%d)", int(m))
-}
-
-// ParseExecMode parses the -exec flag values "vm" and "interp"; the
-// empty string means the default (vm), so zero-valued configs work.
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "vm", "":
-		return ExecVM, nil
-	case "interp":
-		return ExecInterp, nil
-	}
-	return ExecVM, fmt.Errorf("unknown exec mode %q (want vm or interp)", s)
-}
-
 // EvalBinOp applies a (non-short-circuit) binary operator to two values,
 // dispatching on the language-neutral operator enum. This is the single
 // definition of MiniJ binary-operator semantics: EvalBinary converts and

@@ -99,7 +99,8 @@ type Options struct {
 	Trace Tracer
 }
 
-// Interp executes a MiniJ IR program.
+// Interp executes a MiniJ IR program by walking its tree: the reference
+// vm.Machine is tested against.
 type Interp struct {
 	prog    *ir.Program
 	opts    Options
@@ -279,7 +280,18 @@ func (in *Interp) step(s ir.Stmt) error {
 	return nil
 }
 
+// execStmt runs one statement. A runtime error that reaches it without a
+// source position — raised by an expression, a call, or a nested statement
+// the splitter synthesized — leaves with this statement's.
 func (in *Interp) execStmt(fr *frame, s ir.Stmt) (signal, Value, error) {
+	sig, v, err := in.exec(fr, s)
+	if re, ok := err.(*RuntimeError); ok && !re.Pos.Valid() && s.Pos().Valid() {
+		err = &RuntimeError{Pos: s.Pos(), Msg: re.Msg}
+	}
+	return sig, v, err
+}
+
+func (in *Interp) exec(fr *frame, s ir.Stmt) (signal, Value, error) {
 	if err := in.step(s); err != nil {
 		return sigNone, Value{}, err
 	}

@@ -1,7 +1,12 @@
-// Package interp implements a tree-walking interpreter for MiniJ IR. It
-// executes original (unsplit) programs for baseline measurements and is
-// reused by the split runtime (package hrt) to execute open components,
-// dispatching H(...) calls to a hidden component through a transport.
+// Package interp is the bottom of the execution stack: MiniJ's runtime
+// values, the one definition of its operator semantics (EvalBinOp), the
+// contracts between a running open program and the hidden runtime
+// (HiddenSession, AsyncHiddenSession, Tracer), and the tree-walking
+// interpreter that defines the language's reference semantics.
+//
+// Programs run on the bytecode machine of package vm. The interpreter here
+// is what the differential tests compare that machine against; no
+// production path constructs one (CI checks it).
 package interp
 
 import (

@@ -95,8 +95,11 @@ const (
 )
 
 // ZeroKindOf classifies v's semantic type.
-func ZeroKindOf(v *Var) ZeroKind {
-	b, ok := v.Type.(*types.Basic)
+func ZeroKindOf(v *Var) ZeroKind { return ZeroKindOfType(v.Type) }
+
+// ZeroKindOfType classifies a semantic type.
+func ZeroKindOfType(t types.Type) ZeroKind {
+	b, ok := t.(*types.Basic)
 	if !ok {
 		return ZeroNull
 	}

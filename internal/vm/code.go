@@ -3,8 +3,7 @@ package vm
 // Instr is one three-address instruction: Dst <- A op B, with Dst doubling
 // as the relative jump offset for control flow and the statement count for
 // OpStep. Operands address one of six value spaces through their top bits,
-// so an operand fetch is a switch and an index — no map lookups at run
-// time.
+// so an operand fetch is two indexes — no map lookups at run time.
 type Instr struct {
 	Op   Opcode
 	Dst  uint32
@@ -48,6 +47,31 @@ const (
 	OpRet      // return A
 	OpRetNil   // return null (explicit empty return)
 	OpFail     // raise fails[Dst]
+
+	// Whole-program opcodes (Machine only; fragments never touch
+	// aggregates, make calls, or perform I/O). Numbered after the fragment
+	// set so fragment bytecode — and the program hash recovery checks —
+	// is unchanged by their existence.
+	OpIndex    // Dst <- A[B]
+	OpSetIndex // A[B] <- Dst (Dst is the value operand)
+	OpGetField // Dst <- A.names[B]
+	OpSetField // A.names[B] <- Dst (Dst is the value operand)
+	OpNewObj   // Dst <- new classes[A]
+	OpNewArr   // Dst <- new [A]elem, every element B
+	OpLen      // Dst <- len(A)
+	OpThis     // Dst <- A, failing when A holds no receiver
+	OpStr      // Dst <- string(A), print's per-argument rendering
+	OpPrint    // barrier, then print registers A..A+B joined by spaces
+	OpCall     // Dst <- calls[A](...), callee window at register B
+	OpHCall    // Dst <- hidden call hcalls[A], shared-store object in B
+	// Compare-and-branch, fusing a condition's comparison with its OpJumpF:
+	// pc += Dst unless A op B. In the order of OpEq..OpGeq.
+	OpJumpNEq
+	OpJumpNNeq
+	OpJumpNLt
+	OpJumpNLeq
+	OpJumpNGt
+	OpJumpNGeq
 	opCount
 )
 
@@ -58,6 +82,11 @@ var opNames = [...]string{
 	OpEq: "eq", OpNeq: "neq", OpLt: "lt", OpLeq: "leq", OpGt: "gt", OpGeq: "geq",
 	OpJump: "jump", OpJumpF: "jumpf", OpJumpRawF: "jumprawf", OpJumpRawT: "jumprawt",
 	OpRet: "ret", OpRetNil: "retnil", OpFail: "fail",
+	OpIndex: "index", OpSetIndex: "setindex", OpGetField: "getfield", OpSetField: "setfield",
+	OpNewObj: "newobj", OpNewArr: "newarr", OpLen: "len", OpThis: "this",
+	OpStr: "str", OpPrint: "print", OpCall: "call", OpHCall: "hcall",
+	OpJumpNEq: "jumpneq", OpJumpNNeq: "jumpnneq", OpJumpNLt: "jumpnlt",
+	OpJumpNLeq: "jumpnleq", OpJumpNGt: "jumpngt", OpJumpNGeq: "jumpngeq",
 }
 
 func (op Opcode) String() string {
@@ -72,7 +101,7 @@ const (
 	opdShift   = 29
 	opdIdxMask = 1<<opdShift - 1
 
-	spcTemp   = 0 // frame temporaries
+	spcTemp   = 0 // frame temporaries; a Machine's whole register window
 	spcConst  = 1 // fragment constant pool
 	spcArg    = 2 // call arguments ($a0..)
 	spcAct    = 3 // activation store slots

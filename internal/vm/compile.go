@@ -1,8 +1,6 @@
 package vm
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -256,56 +254,8 @@ func walkExpr(e ir.Expr, onRef func(*ir.Var)) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Fragment compiler
-
-// constKey identifies a constant-pool entry; Value itself holds reference
-// fields, so the dedup key is the scalar payload.
-type constKey struct {
-	kind interp.ValueKind
-	i    int64
-	f    float64
-	b    bool
-	s    string
-}
-
-// fragCompiler lowers one fragment body. Temporaries are scratch within a
-// statement (nothing lives across statements except through stores), so
-// the temp counter resets per statement and NTemps is the high-water mark.
-type fragCompiler struct {
-	prog *Program
-	comp *Comp
-	args []*ir.Var
-
-	code     []Instr
-	consts   []interp.Value
-	constIdx map[constKey]uint32
-	fails    []error
-	failIdx  map[string]uint32
-
-	curTemp, nTemps int32
-	// pending counts statements reached since the last OpStep; it is
-	// flushed before any control transfer so loop iterations accumulate
-	// steps and the MaxFragSteps limit fires like the tree-walker's.
-	pending uint32
-
-	loops    []*loopCtx
-	endJumps []int
-}
-
-type loopCtx struct {
-	breaks, bodyConts, postConts []int
-	inPost                       bool
-}
-
 func compileFrag(p *Program, cc *Comp, fr *core.Fragment) *Frag {
-	c := &fragCompiler{
-		prog:     p,
-		comp:     cc,
-		args:     fr.ArgVars,
-		constIdx: make(map[constKey]uint32),
-		failIdx:  make(map[string]uint32),
-	}
+	c := &compiler{pool: newPool(), prog: p, comp: cc, args: fr.ArgVars}
 	c.stmts(fr.Body)
 	for _, pc := range c.endJumps {
 		c.patch(pc, len(c.code))
@@ -318,319 +268,4 @@ func compileFrag(p *Program, cc *Comp, fr *core.Fragment) *Frag {
 		fails:  c.fails,
 		NTemps: c.nTemps,
 	}
-}
-
-func (c *fragCompiler) emit(in Instr) int {
-	c.code = append(c.code, in)
-	return len(c.code) - 1
-}
-
-// patch sets a jump's relative offset once its target is known.
-func (c *fragCompiler) patch(pc, target int) {
-	c.code[pc].Dst = uint32(int32(target - pc))
-}
-
-func (c *fragCompiler) flush() {
-	if c.pending > 0 {
-		c.emit(Instr{Op: OpStep, Dst: c.pending})
-		c.pending = 0
-	}
-}
-
-func (c *fragCompiler) allocTemp() uint32 {
-	t := c.curTemp
-	c.curTemp++
-	if c.curTemp > c.nTemps {
-		c.nTemps = c.curTemp
-	}
-	return opd(spcTemp, t)
-}
-
-func (c *fragCompiler) constOpd(v interp.Value) uint32 {
-	key := constKey{kind: v.Kind, i: v.I, f: v.F, b: v.B, s: v.S}
-	if o, ok := c.constIdx[key]; ok {
-		return o
-	}
-	o := opd(spcConst, int32(len(c.consts)))
-	c.consts = append(c.consts, v)
-	c.constIdx[key] = o
-	return o
-}
-
-// fail emits an instruction raising a prebuilt error with the given
-// message. Code the caller emits after it is unreachable.
-func (c *fragCompiler) fail(msg string) {
-	idx, ok := c.failIdx[msg]
-	if !ok {
-		idx = uint32(len(c.fails))
-		c.fails = append(c.fails, errors.New(msg))
-		c.failIdx[msg] = idx
-	}
-	c.emit(Instr{Op: OpFail, Dst: idx})
-}
-
-// readOpd resolves a variable read, mirroring the tree-walker's order:
-// argument bindings first (by identity, in ArgVars order — they shadow
-// stores even after the variable is assigned), then the globals store for
-// global variables, the per-object field store for fields of class-owned
-// components (missing fields read as their typed zero, like the
-// zero-initialized field stores), and the activation store otherwise.
-// Unknown variables compile to the tree-walker's error.
-func (c *fragCompiler) readOpd(v *ir.Var) uint32 {
-	for i, av := range c.args {
-		if av == v {
-			return opd(spcArg, int32(i))
-		}
-	}
-	if v.Kind == ir.VarGlobal {
-		if s, ok := c.prog.Globals.Slot(v); ok {
-			return opd(spcGlobal, s)
-		}
-		return c.unknownVar(v)
-	}
-	if v.Kind == ir.VarField && c.comp.Class != "" {
-		if fl := c.prog.Fields[c.comp.Class]; fl != nil {
-			if s, ok := fl.Slot(v); ok {
-				return opd(spcField, s)
-			}
-		}
-		return c.constOpd(ZeroValue(v))
-	}
-	if s, ok := c.comp.Act.Slot(v); ok {
-		return opd(spcAct, s)
-	}
-	return c.unknownVar(v)
-}
-
-func (c *fragCompiler) unknownVar(v *ir.Var) uint32 {
-	c.fail("hrt: fragment reads unknown variable " + v.String())
-	// The operand is never loaded (OpFail returns), but keep it valid.
-	return c.constOpd(interp.IntV(0))
-}
-
-// writeOpd resolves an assignment target. The pre-scan already added the
-// slot, so Add is a lookup here.
-func (c *fragCompiler) writeOpd(v *ir.Var) uint32 {
-	switch {
-	case v.Kind == ir.VarGlobal:
-		return opd(spcGlobal, c.prog.Globals.Add(v))
-	case v.Kind == ir.VarField && c.comp.Class != "":
-		return opd(spcField, c.prog.fieldLayout(c.comp.Class).Add(v))
-	default:
-		return opd(spcAct, c.comp.Act.Add(v))
-	}
-}
-
-func (c *fragCompiler) stmts(list []ir.Stmt) {
-	for _, st := range list {
-		c.pending++
-		c.curTemp = 0
-		switch st := st.(type) {
-		case *ir.AssignStmt:
-			vt, ok := st.Lhs.(*ir.VarTarget)
-			if !ok {
-				// The tree-walker evaluates the RHS before checking the
-				// target, so RHS errors win.
-				c.exprTo(c.allocTemp(), st.Rhs)
-				c.fail("hrt: fragment assigns to non-variable target")
-				continue
-			}
-			c.exprTo(c.writeOpd(vt.Var), st.Rhs)
-		case *ir.IfStmt:
-			c.flush()
-			cond := c.expr(st.Cond)
-			jf := c.emit(Instr{Op: OpJumpF, A: cond})
-			c.stmts(st.Then)
-			if len(st.Else) > 0 {
-				j := c.emit(Instr{Op: OpJump})
-				c.patch(jf, len(c.code))
-				c.stmts(st.Else)
-				c.patch(j, len(c.code))
-			} else {
-				c.patch(jf, len(c.code))
-			}
-		case *ir.WhileStmt:
-			c.flush()
-			loopStart := len(c.code)
-			cond := c.expr(st.Cond)
-			jf := c.emit(Instr{Op: OpJumpF, A: cond})
-			lc := &loopCtx{}
-			c.loops = append(c.loops, lc)
-			c.stmts(st.Body)
-			// continue in the body runs the post block; continue in the
-			// post block skips straight to the iteration step (the
-			// tree-walker does not check for it after the post block).
-			for _, pc := range lc.bodyConts {
-				c.patch(pc, len(c.code))
-			}
-			lc.inPost = true
-			c.stmts(st.Post)
-			stepPC := c.emit(Instr{Op: OpStep, Dst: 1})
-			for _, pc := range lc.postConts {
-				c.patch(pc, stepPC)
-			}
-			jb := c.emit(Instr{Op: OpJump})
-			c.patch(jb, loopStart)
-			c.patch(jf, len(c.code))
-			for _, pc := range lc.breaks {
-				c.patch(pc, len(c.code))
-			}
-			c.loops = c.loops[:len(c.loops)-1]
-		case *ir.ReturnStmt:
-			c.flush()
-			if st.Value == nil {
-				c.emit(Instr{Op: OpRetNil})
-				continue
-			}
-			v := c.expr(st.Value)
-			c.emit(Instr{Op: OpRet, A: v})
-		case *ir.BreakStmt:
-			c.flush()
-			pc := c.emit(Instr{Op: OpJump})
-			if len(c.loops) == 0 {
-				// Outside a loop the signal unwinds to the top, ending
-				// the fragment with the "any" value.
-				c.endJumps = append(c.endJumps, pc)
-			} else {
-				lc := c.loops[len(c.loops)-1]
-				lc.breaks = append(lc.breaks, pc)
-			}
-		case *ir.ContinueStmt:
-			c.flush()
-			pc := c.emit(Instr{Op: OpJump})
-			if len(c.loops) == 0 {
-				c.endJumps = append(c.endJumps, pc)
-			} else if lc := c.loops[len(c.loops)-1]; lc.inPost {
-				lc.postConts = append(lc.postConts, pc)
-			} else {
-				lc.bodyConts = append(lc.bodyConts, pc)
-			}
-		default:
-			c.flush()
-			c.fail(fmt.Sprintf("hrt: fragment contains unsupported statement %T", st))
-		}
-	}
-	c.flush()
-}
-
-// expr compiles e and returns the operand holding its value: a direct
-// slot/constant for leaves, a fresh temp otherwise.
-func (c *fragCompiler) expr(e ir.Expr) uint32 {
-	switch e := e.(type) {
-	case *ir.Const:
-		switch e.Kind {
-		case ir.ConstInt, ir.ConstFloat, ir.ConstBool, ir.ConstString, ir.ConstNull:
-			return c.constOpd(ConstValue(e))
-		}
-		return c.unsupported(e)
-	case *ir.VarRef:
-		return c.readOpd(e.Var)
-	}
-	t := c.allocTemp()
-	c.exprTo(t, e)
-	return t
-}
-
-// exprTo compiles e into dst, fusing the final operation's destination so
-// assignments need no extra move. Every shape writes dst exactly once, as
-// its last action, so an error inside e leaves dst unwritten.
-func (c *fragCompiler) exprTo(dst uint32, e ir.Expr) {
-	switch e := e.(type) {
-	case *ir.Const, *ir.VarRef:
-		c.emit(Instr{Op: OpMov, Dst: dst, A: c.expr(e)})
-	case *ir.Unary:
-		x := c.expr(e.X)
-		switch ir.UnOpOf(e.Op) {
-		case ir.UnNeg:
-			c.emit(Instr{Op: OpNeg, Dst: dst, A: x})
-		case ir.UnNot:
-			c.emit(Instr{Op: OpNot, Dst: dst, A: x})
-		default:
-			// The tree-walker evaluates the operand, finds no matching
-			// operator, and reports the node unsupported.
-			c.fail(fmt.Sprintf("hrt: fragment contains unsupported expression %T", e))
-		}
-	case *ir.Binary:
-		op := ir.BinOpOf(e.Op)
-		if op == ir.BinAnd || op == ir.BinOr {
-			c.shortCircuit(dst, op, e)
-			return
-		}
-		oc := binOpcode(op)
-		if oc == OpNop {
-			c.fail(fmt.Sprintf("hrt: fragment contains unsupported expression %T", e))
-			return
-		}
-		x := c.expr(e.X)
-		y := c.expr(e.Y)
-		c.emit(Instr{Op: oc, Dst: dst, A: x, B: y})
-	case *ir.CondExpr:
-		cond := c.expr(e.C)
-		jf := c.emit(Instr{Op: OpJumpF, A: cond})
-		c.exprTo(dst, e.T)
-		j := c.emit(Instr{Op: OpJump})
-		c.patch(jf, len(c.code))
-		c.exprTo(dst, e.F)
-		c.patch(j, len(c.code))
-	case *ir.ConvertExpr:
-		x := c.expr(e.X)
-		oc := OpConvI
-		if e.ToFloat {
-			oc = OpConvF
-		}
-		c.emit(Instr{Op: oc, Dst: dst, A: x})
-	default:
-		c.unsupported(e)
-	}
-}
-
-// shortCircuit compiles && and ||, preserving the tree-walker's raw-bool
-// reads: the left operand short-circuits on its raw B field, and the
-// result is the normalized bool of whichever operand decided it.
-func (c *fragCompiler) shortCircuit(dst uint32, op ir.BinOp, e *ir.Binary) {
-	x := c.expr(e.X)
-	jop := OpJumpRawF
-	if op == ir.BinOr {
-		jop = OpJumpRawT
-	}
-	jshort := c.emit(Instr{Op: jop, A: x})
-	y := c.expr(e.Y)
-	c.emit(Instr{Op: OpToBool, Dst: dst, A: y})
-	jend := c.emit(Instr{Op: OpJump})
-	c.patch(jshort, len(c.code))
-	c.emit(Instr{Op: OpMov, Dst: dst, A: c.constOpd(interp.BoolV(op == ir.BinOr))})
-	c.patch(jend, len(c.code))
-}
-
-func (c *fragCompiler) unsupported(e ir.Expr) uint32 {
-	c.fail(fmt.Sprintf("hrt: fragment contains unsupported expression %T", e))
-	return c.constOpd(interp.IntV(0))
-}
-
-func binOpcode(op ir.BinOp) Opcode {
-	switch op {
-	case ir.BinAdd:
-		return OpAdd
-	case ir.BinSub:
-		return OpSub
-	case ir.BinMul:
-		return OpMul
-	case ir.BinDiv:
-		return OpDiv
-	case ir.BinMod:
-		return OpMod
-	case ir.BinEq:
-		return OpEq
-	case ir.BinNeq:
-		return OpNeq
-	case ir.BinLt:
-		return OpLt
-	case ir.BinLeq:
-		return OpLeq
-	case ir.BinGt:
-		return OpGt
-	case ir.BinGeq:
-		return OpGeq
-	}
-	return OpNop
 }

@@ -14,6 +14,9 @@ import (
 // between calls) and overflow into a FramePool.
 type Frame struct {
 	temps []interp.Value
+	// sp is the operand file of the execution in progress, kept here so a
+	// call binds five slices instead of building a file from scratch.
+	sp spaces
 }
 
 // FramePool recycles frames across activations. One pool serves a whole
@@ -50,6 +53,7 @@ func (p *FramePool) Put(f *Frame) {
 	if f == nil {
 		return
 	}
+	f.sp = spaces{} // drop the last execution's stores and arguments
 	p.mu.Lock()
 	p.free = append(p.free, f)
 	p.mu.Unlock()
@@ -87,223 +91,389 @@ func addSlot(list []int32, s int32) []int32 {
 	return append(list, s)
 }
 
+// add records a store into slot i of a persistent space (temps are scratch
+// and never recorded).
+func (w *WriteSet) add(space, i uint32) {
+	switch space {
+	case spcAct:
+		w.Act = addSlot(w.Act, int32(i))
+	case spcGlobal:
+		w.Globals = addSlot(w.Globals, int32(i))
+	case spcField:
+		w.Fields = addSlot(w.Fields, int32(i))
+	}
+}
+
 var errStepLimit = errors.New("hrt: fragment step limit exceeded")
 
-// errDivZero matches the interpreter's division-by-zero error; a prebuilt
-// instance keeps the error path allocation-free.
-var errDivZero = &interp.RuntimeError{Msg: "division by zero"}
+// Prebuilt errors matching the interpreter's messages; shared instances
+// keep the error path allocation-free. A Machine copies one before
+// attaching a source position.
+var (
+	errDivZero     = &interp.RuntimeError{Msg: "division by zero"}
+	errReadNullArr = &interp.RuntimeError{Msg: "read from null array"}
+	errStoreNull   = &interp.RuntimeError{Msg: "store into null array"}
+	errReadNullObj = &interp.RuntimeError{Msg: "read field of null object"}
+	errStoreObj    = &interp.RuntimeError{Msg: "store into null object"}
+	errLenNull     = &interp.RuntimeError{Msg: "len of null array"}
+	errLenNonArray = &interp.RuntimeError{Msg: "len of non-array"}
+	errNoThis      = &interp.RuntimeError{Msg: "this outside method"}
+)
+
+// null is what a function without a return value returns. Never written.
+var null interp.Value
+
+// spaces is the operand file of one execution: one slice per operand
+// space, indexed by an operand's top bits.
+type spaces [1 << (32 - opdShift)][]interp.Value
 
 // Exec runs the fragment: args are the $a0.. bindings, env the resolved
 // stores, ws an optional write tracker. It returns the fragment's returned
 // value, or null for fragments that fall off the end (the "any" the open
 // side discards). Semantics mirror the tree-walking executor exactly; the
 // differential fuzzer enforces it.
-func (f *Frag) Exec(fr *Frame, args []interp.Value, env Env, ws *WriteSet) (interp.Value, error) {
-	code := f.Code
-	temps := fr.temps
-	consts := f.Consts
-	act, globals, fields := env.Act, env.Globals, env.Fields
+func (f *Frag) Exec(fr *Frame, args []interp.Value, env Env, ws *WriteSet) (v interp.Value, err error) {
+	sp := &fr.sp
+	sp[spcTemp], sp[spcConst], sp[spcArg] = fr.temps, f.Consts, args
+	sp[spcAct], sp[spcGlobal], sp[spcField] = env.Act, env.Globals, env.Fields
+	err = run(nil, f.Code, sp, f.fails, ws, 0, MaxFragSteps, &v)
+	return v, err
+}
 
+// run is the one dispatch loop. A fragment enters it with its Env-bound
+// operand spaces and no machine; a Machine enters with its own operand
+// file, whose temp space is the running function's register window, and
+// switches windows on call and return. steps/limit carry the step
+// accounting: one per statement reached, one per completed loop iteration.
+// The returned value goes to *out, which starts null: handing a 64-byte
+// Value back through two levels of return costs more than the dispatch of
+// a short fragment.
+//
+// The loop carries as little as it can — code, pc, steps — because every
+// variable assigned inside it costs a spill per dispatch; the call stack
+// lives in the machine.
+func run(m *Machine, code []Instr, sp *spaces, fails []error, ws *WriteSet, steps, limit int64, out *interp.Value) error {
 	ld := func(o uint32) *interp.Value {
-		i := o & opdIdxMask
-		switch o >> opdShift {
-		case spcTemp:
-			return &temps[i]
-		case spcConst:
-			return &consts[i]
-		case spcArg:
-			return &args[i]
-		case spcAct:
-			return &act[i]
-		case spcGlobal:
-			return &globals[i]
-		default:
-			return &fields[i]
-		}
+		return &sp[o>>opdShift][o&opdIdxMask]
 	}
-	st := func(o uint32, v interp.Value) {
-		i := o & opdIdxMask
-		switch o >> opdShift {
-		case spcTemp:
-			temps[i] = v
-		case spcAct:
-			act[i] = v
-			if ws != nil {
-				ws.Act = addSlot(ws.Act, int32(i))
-			}
-		case spcGlobal:
-			globals[i] = v
-			if ws != nil {
-				ws.Globals = addSlot(ws.Globals, int32(i))
-			}
-		default:
-			fields[i] = v
-			if ws != nil {
-				ws.Fields = addSlot(ws.Fields, int32(i))
-			}
+	// dst resolves a destination operand and records the write; call it
+	// only when the store is certain to follow.
+	dst := func(o uint32) *interp.Value {
+		if ws != nil {
+			ws.add(o>>opdShift, o&opdIdxMask)
 		}
+		return &sp[o>>opdShift][o&opdIdxMask]
 	}
 
-	var steps int64
-	for pc := 0; pc < len(code); {
-		in := &code[pc]
-		switch in.Op {
-		case OpStep:
-			steps += int64(in.Dst)
-			if steps > MaxFragSteps {
-				return interp.NullV(), errStepLimit
-			}
-		case OpMov:
-			st(in.Dst, *ld(in.A))
-		case OpNeg:
-			x := ld(in.A)
-			if x.Kind == interp.KindFloat {
-				st(in.Dst, interp.FloatV(-x.F))
-			} else {
-				st(in.Dst, interp.IntV(-x.I))
-			}
-		case OpNot:
-			st(in.Dst, interp.BoolV(!ld(in.A).B))
-		case OpToBool:
-			st(in.Dst, interp.BoolV(ld(in.A).B))
-		case OpConvF:
-			x := ld(in.A)
-			if x.Kind == interp.KindInt {
-				st(in.Dst, interp.FloatV(float64(x.I)))
-			} else {
-				st(in.Dst, *x)
-			}
-		case OpConvI:
-			x := ld(in.A)
-			if x.Kind == interp.KindFloat {
-				st(in.Dst, interp.IntV(int64(x.F)))
-			} else {
-				st(in.Dst, *x)
-			}
-		case OpAdd:
-			a, b := ld(in.A), ld(in.B)
-			switch a.Kind {
-			case interp.KindInt:
-				st(in.Dst, interp.IntV(a.I+b.I))
-			case interp.KindFloat:
-				st(in.Dst, interp.FloatV(a.F+b.F))
-			case interp.KindString:
-				st(in.Dst, interp.StrV(a.S+b.S))
-			default:
-				if _, err := interp.EvalBinOp(ir.BinAdd, *a, *b); err != nil {
-					return interp.NullV(), err
+	var (
+		pc  int
+		err error
+	)
+	// Two loops, so that code is invariant in the one that dispatches: the
+	// outer one runs once per stretch of one function's code, between
+	// calls and returns.
+	next := code
+stretch:
+	for {
+		code := next
+		for pc < len(code) {
+			in := &code[pc]
+			switch in.Op {
+			case OpStep:
+				steps += int64(in.Dst)
+				if steps > limit {
+					if m == nil {
+						return errStepLimit
+					}
+					return m.abortAtLimit(int(in.A), steps)
 				}
-			}
-		case OpSub:
-			a, b := ld(in.A), ld(in.B)
-			if a.Kind == interp.KindFloat {
-				st(in.Dst, interp.FloatV(a.F-b.F))
-			} else {
-				st(in.Dst, interp.IntV(a.I-b.I))
-			}
-		case OpMul:
-			a, b := ld(in.A), ld(in.B)
-			if a.Kind == interp.KindFloat {
-				st(in.Dst, interp.FloatV(a.F*b.F))
-			} else {
-				st(in.Dst, interp.IntV(a.I*b.I))
-			}
-		case OpDiv:
-			a, b := ld(in.A), ld(in.B)
-			if a.Kind == interp.KindFloat {
-				st(in.Dst, interp.FloatV(a.F/b.F))
-			} else if b.I == 0 {
-				return interp.NullV(), errDivZero
-			} else {
-				st(in.Dst, interp.IntV(a.I/b.I))
-			}
-		case OpMod:
-			a, b := ld(in.A), ld(in.B)
-			if b.I == 0 {
-				return interp.NullV(), errDivZero
-			}
-			st(in.Dst, interp.IntV(a.I%b.I))
-		case OpEq:
-			st(in.Dst, interp.BoolV(ld(in.A).Equal(*ld(in.B))))
-		case OpNeq:
-			st(in.Dst, interp.BoolV(!ld(in.A).Equal(*ld(in.B))))
-		case OpLt, OpLeq, OpGt, OpGeq:
-			v, err := compare(in.Op, ld(in.A), ld(in.B))
-			if err != nil {
-				return interp.NullV(), err
-			}
-			st(in.Dst, v)
-		case OpJump:
-			pc += int(int32(in.Dst))
-			continue
-		case OpJumpF:
-			if !ld(in.A).IsTrue() {
+			case OpMov:
+				*dst(in.Dst) = *ld(in.A)
+			case OpNeg:
+				x := ld(in.A)
+				if x.Kind == interp.KindFloat {
+					*dst(in.Dst) = interp.FloatV(-x.F)
+				} else {
+					*dst(in.Dst) = interp.IntV(-x.I)
+				}
+			case OpNot:
+				*dst(in.Dst) = interp.BoolV(!ld(in.A).B)
+			case OpToBool:
+				*dst(in.Dst) = interp.BoolV(ld(in.A).B)
+			case OpConvF:
+				x := ld(in.A)
+				if x.Kind == interp.KindInt {
+					*dst(in.Dst) = interp.FloatV(float64(x.I))
+				} else {
+					*dst(in.Dst) = *x
+				}
+			case OpConvI:
+				x := ld(in.A)
+				if x.Kind == interp.KindFloat {
+					*dst(in.Dst) = interp.IntV(int64(x.F))
+				} else {
+					*dst(in.Dst) = *x
+				}
+			case OpAdd:
+				a, b := ld(in.A), ld(in.B)
+				switch a.Kind {
+				case interp.KindInt:
+					*dst(in.Dst) = interp.IntV(a.I + b.I)
+				case interp.KindFloat:
+					*dst(in.Dst) = interp.FloatV(a.F + b.F)
+				case interp.KindString:
+					*dst(in.Dst) = interp.StrV(a.S + b.S)
+				default:
+					if _, err = interp.EvalBinOp(ir.BinAdd, *a, *b); err != nil {
+						goto fail
+					}
+				}
+			case OpSub:
+				a, b := ld(in.A), ld(in.B)
+				if a.Kind == interp.KindFloat {
+					*dst(in.Dst) = interp.FloatV(a.F - b.F)
+				} else {
+					*dst(in.Dst) = interp.IntV(a.I - b.I)
+				}
+			case OpMul:
+				a, b := ld(in.A), ld(in.B)
+				if a.Kind == interp.KindFloat {
+					*dst(in.Dst) = interp.FloatV(a.F * b.F)
+				} else {
+					*dst(in.Dst) = interp.IntV(a.I * b.I)
+				}
+			case OpDiv:
+				a, b := ld(in.A), ld(in.B)
+				if a.Kind == interp.KindFloat {
+					*dst(in.Dst) = interp.FloatV(a.F / b.F)
+				} else if b.I == 0 {
+					err = errDivZero
+					goto fail
+				} else {
+					*dst(in.Dst) = interp.IntV(a.I / b.I)
+				}
+			case OpMod:
+				a, b := ld(in.A), ld(in.B)
+				if b.I == 0 {
+					err = errDivZero
+					goto fail
+				}
+				*dst(in.Dst) = interp.IntV(a.I % b.I)
+			case OpEq:
+				*dst(in.Dst) = interp.BoolV(equal(ld(in.A), ld(in.B)))
+			case OpNeq:
+				*dst(in.Dst) = interp.BoolV(!equal(ld(in.A), ld(in.B)))
+			case OpLt, OpLeq, OpGt, OpGeq:
+				var ok bool
+				if ok, err = compare(in.Op, ld(in.A), ld(in.B)); err != nil {
+					goto fail
+				}
+				*dst(in.Dst) = interp.BoolV(ok)
+			case OpJumpNEq:
+				if !equal(ld(in.A), ld(in.B)) {
+					pc += int(int32(in.Dst))
+					continue
+				}
+			case OpJumpNNeq:
+				if equal(ld(in.A), ld(in.B)) {
+					pc += int(int32(in.Dst))
+					continue
+				}
+			case OpJumpNLt, OpJumpNLeq, OpJumpNGt, OpJumpNGeq:
+				var ok bool
+				if ok, err = compare(in.Op-OpJumpNLt+OpLt, ld(in.A), ld(in.B)); err != nil {
+					goto fail
+				}
+				if !ok {
+					pc += int(int32(in.Dst))
+					continue
+				}
+			case OpJump:
 				pc += int(int32(in.Dst))
 				continue
+			case OpJumpF:
+				if !ld(in.A).IsTrue() {
+					pc += int(int32(in.Dst))
+					continue
+				}
+			case OpJumpRawF:
+				if !ld(in.A).B {
+					pc += int(int32(in.Dst))
+					continue
+				}
+			case OpJumpRawT:
+				if ld(in.A).B {
+					pc += int(int32(in.Dst))
+					continue
+				}
+			case OpRet, OpRetNil:
+				v := &null
+				if in.Op == OpRet {
+					v = ld(in.A)
+				}
+				if m == nil {
+					*out = *v
+					return nil
+				}
+				if next, pc = m.ret(v); next == nil {
+					m.steps = steps
+					*out = *v
+					return nil
+				}
+				continue stretch
+			case OpFail:
+				err = fails[in.Dst]
+				goto fail
+
+			case OpIndex:
+				arr, i := ld(in.A), ld(in.B).I
+				if arr.Kind != interp.KindArray || arr.Arr == nil {
+					err = errReadNullArr
+					goto fail
+				}
+				if i < 0 || i >= int64(len(arr.Arr.Elems)) {
+					err = indexErr(i, len(arr.Arr.Elems))
+					goto fail
+				}
+				*dst(in.Dst) = arr.Arr.Elems[i]
+			case OpSetIndex:
+				arr, i := ld(in.A), ld(in.B).I
+				if arr.Kind != interp.KindArray || arr.Arr == nil {
+					err = errStoreNull
+					goto fail
+				}
+				if i < 0 || i >= int64(len(arr.Arr.Elems)) {
+					err = indexErr(i, len(arr.Arr.Elems))
+					goto fail
+				}
+				arr.Arr.Elems[i] = *ld(in.Dst)
+			case OpGetField:
+				obj := ld(in.A)
+				if obj.Kind != interp.KindObject || obj.Obj == nil {
+					err = errReadNullObj
+					goto fail
+				}
+				*dst(in.Dst) = obj.Obj.Fields[m.names[in.B]]
+			case OpSetField:
+				obj := ld(in.A)
+				if obj.Kind != interp.KindObject || obj.Obj == nil {
+					err = errStoreObj
+					goto fail
+				}
+				obj.Obj.Fields[m.names[in.B]] = *ld(in.Dst)
+			case OpNewObj:
+				*dst(in.Dst) = m.newObject(&m.classes[in.A])
+			case OpNewArr:
+				var v interp.Value
+				if v, err = newArray(ld(in.A).I, ld(in.B)); err != nil {
+					goto fail
+				}
+				*dst(in.Dst) = v
+			case OpLen:
+				x := ld(in.A)
+				switch {
+				case x.Kind == interp.KindString:
+					*dst(in.Dst) = interp.IntV(int64(len(x.S)))
+				case x.Kind != interp.KindArray:
+					err = errLenNonArray
+					goto fail
+				case x.Arr == nil:
+					err = errLenNull
+					goto fail
+				default:
+					*dst(in.Dst) = interp.IntV(int64(len(x.Arr.Elems)))
+				}
+			case OpThis:
+				x := ld(in.A)
+				if x.Obj == nil {
+					err = errNoThis
+					goto fail
+				}
+				*dst(in.Dst) = *x
+			case OpStr:
+				*dst(in.Dst) = interp.StrV(ld(in.A).String())
+			case OpPrint:
+				if err = m.print(sp[spcTemp][in.A : in.A+in.B]); err != nil {
+					goto fail
+				}
+			case OpCall:
+				if next, err = m.call(in, pc); err != nil {
+					goto fail
+				}
+				pc = 0
+				continue stretch
+			case OpHCall:
+				var v interp.Value
+				if v, err = m.hcall(&m.hcalls[in.A], ld(in.B)); err != nil {
+					goto fail
+				}
+				*dst(in.Dst) = v
 			}
-		case OpJumpRawF:
-			if !ld(in.A).B {
-				pc += int(int32(in.Dst))
-				continue
-			}
-		case OpJumpRawT:
-			if ld(in.A).B {
-				pc += int(int32(in.Dst))
-				continue
-			}
-		case OpRet:
-			return *ld(in.A), nil
-		case OpRetNil:
-			return interp.NullV(), nil
-		case OpFail:
-			return interp.NullV(), f.fails[in.Dst]
+			pc++
 		}
-		pc++
+		// Fell off the end: "any", the open side discards this value.
+		// (Machine functions always end in OpRetNil and leave through the
+		// return case.)
+		return nil
 	}
-	// Fell off the end: "any", the open side discards this value.
-	return interp.NullV(), nil
+
+fail:
+	if m == nil {
+		return err
+	}
+	return m.abort(err, pc, steps)
+}
+
+// equal is Value.Equal with the all-int case, which dominates, decided
+// without copying either value.
+func equal(a, b *interp.Value) bool {
+	if a.Kind == interp.KindInt && b.Kind == interp.KindInt {
+		return a.I == b.I
+	}
+	return a.Equal(*b)
 }
 
 // compare mirrors interp.EvalBinOp's ordered comparisons, including the
 // comparator-style float semantics (NaN compares equal-rank, so <= and >=
 // are the negations of > and <).
-func compare(op Opcode, a, b *interp.Value) (interp.Value, error) {
+func compare(op Opcode, a, b *interp.Value) (bool, error) {
 	switch a.Kind {
 	case interp.KindInt:
 		switch op {
 		case OpLt:
-			return interp.BoolV(a.I < b.I), nil
+			return a.I < b.I, nil
 		case OpLeq:
-			return interp.BoolV(a.I <= b.I), nil
+			return a.I <= b.I, nil
 		case OpGt:
-			return interp.BoolV(a.I > b.I), nil
+			return a.I > b.I, nil
 		default:
-			return interp.BoolV(a.I >= b.I), nil
+			return a.I >= b.I, nil
 		}
 	case interp.KindFloat:
 		switch op {
 		case OpLt:
-			return interp.BoolV(a.F < b.F), nil
+			return a.F < b.F, nil
 		case OpLeq:
-			return interp.BoolV(!(a.F > b.F)), nil
+			return !(a.F > b.F), nil
 		case OpGt:
-			return interp.BoolV(a.F > b.F), nil
+			return a.F > b.F, nil
 		default:
-			return interp.BoolV(!(a.F < b.F)), nil
+			return !(a.F < b.F), nil
 		}
 	case interp.KindString:
 		switch op {
 		case OpLt:
-			return interp.BoolV(a.S < b.S), nil
+			return a.S < b.S, nil
 		case OpLeq:
-			return interp.BoolV(a.S <= b.S), nil
+			return a.S <= b.S, nil
 		case OpGt:
-			return interp.BoolV(a.S > b.S), nil
+			return a.S > b.S, nil
 		default:
-			return interp.BoolV(a.S >= b.S), nil
+			return a.S >= b.S, nil
 		}
 	}
-	return interp.EvalBinOp(binOpOfCmp(op), *a, *b)
+	v, err := interp.EvalBinOp(binOpOfCmp(op), *a, *b)
+	return v.B, err
 }
 
 func binOpOfCmp(op Opcode) ir.BinOp {

@@ -1,9 +1,12 @@
-// Package vm compiles hidden-component fragments (package core) into a
-// flat three-address bytecode and executes it with a dispatch loop. It is
-// the hot execution path of the hidden server: the tree-walking executor
-// in package hrt re-resolves every variable through maps and allocates per
-// call, while compiled fragments address preresolved integer slots in
-// activation/globals/field stores and run on a pooled temp frame.
+// Package vm is the execution engine on both sides of the split. It
+// compiles MiniJ IR into a flat three-address bytecode and executes it
+// with one dispatch loop: hidden-component fragments (package core) as a
+// Program, addressing preresolved integer slots in activation/globals/field
+// stores on a pooled temp frame; and whole programs — an open component or
+// an unsplit original — as a Machine, with calls over register windows,
+// aggregates, output and the hidden-call operations. The tree-walkers in
+// packages interp and hrt resolve every name through maps on every step;
+// they remain as the references the differential tests compare against.
 //
 // The package consumes IR only: operator kinds cross the boundary through
 // the language-neutral ir.BinOp/ir.UnOp enums, never lang/token (enforced

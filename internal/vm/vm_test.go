@@ -12,11 +12,12 @@ import (
 
 func intVar(name string) *ir.Var { return &ir.Var{Name: name, Kind: ir.VarLocal} }
 
-func ref(v *ir.Var) ir.Expr            { return &ir.VarRef{Var: v} }
-func num(n int64) ir.Expr              { return &ir.Const{Kind: ir.ConstInt, I: n} }
+func ref(v *ir.Var) ir.Expr { return &ir.VarRef{Var: v} }
+func num(n int64) ir.Expr   { return &ir.Const{Kind: ir.ConstInt, I: n} }
 func assign(v *ir.Var, e ir.Expr) ir.Stmt {
 	return &ir.AssignStmt{Lhs: &ir.VarTarget{Var: v}, Rhs: e}
 }
+
 // The layering rule bars the vm package itself from lang/token; its test
 // binary is free to use it to build IR by hand.
 func bin(op token.Kind, x, y ir.Expr) ir.Expr {
@@ -143,4 +144,59 @@ func BenchmarkFragExec(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// machineSrc is a Table 5-shaped loop: array reads, arithmetic, nested
+// conditionals and a call per chunk.
+const machineSrc = `
+func mix(h: int, x: int): int { return (h * 131 + x) % 1000000007; }
+func main() {
+    var n: int = 20000;
+    var a: int[] = new int[n];
+    var s: int = 42;
+    for (var i: int = 0; i < n; i++) {
+        s = (s * 1103515245 + 12345) % 2147483648;
+        a[i] = s;
+    }
+    var h: int = 7;
+    var odd: int = 0;
+    var i: int = 0;
+    while (i < n) {
+        var t: int = a[i] % 97;
+        if (t < 40) { odd = odd + 1; } else if (t < 80) { odd = odd - 1; }
+        if (i % 512 == 511) { h = mix(h, odd); }
+        i = i + 1;
+    }
+    print(h, odd);
+}`
+
+// TestMachineMatchesWalker is the in-package smoke check; the differential
+// suite in package hrt is the real oracle.
+func TestMachineMatchesWalker(t *testing.T) {
+	prog := ir.MustCompile(machineSrc)
+	var want, got strings.Builder
+	ref := interp.New(prog, interp.Options{Out: &want})
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(prog, interp.Options{Out: &got})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() || m.Steps() != ref.Steps() {
+		t.Fatalf("machine printed %q in %d steps, walker %q in %d", got.String(), m.Steps(), want.String(), ref.Steps())
+	}
+}
+
+func BenchmarkMachineRun(b *testing.B) {
+	prog := ir.MustCompile(machineSrc)
+	var steps int64
+	for i := 0; i < b.N; i++ {
+		m := NewMachine(prog, interp.Options{})
+		if err := m.Run(); err != nil {
+			b.Fatal(err)
+		}
+		steps += m.Steps()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }

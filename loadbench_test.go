@@ -96,13 +96,12 @@ func benchLoadDirect(b *testing.B, shards int) {
 func BenchmarkLoadDirectSerial(b *testing.B)  { benchLoadDirect(b, 1) }
 func BenchmarkLoadDirectSharded(b *testing.B) { benchLoadDirect(b, runtime.GOMAXPROCS(0)) }
 
-// benchExecMode is the single-session direct-dispatch loop under one
-// execution engine: no contention, no sockets — just the cost of one
-// hidden fragment call end to end through CallSession.
-func benchExecMode(b *testing.B, mode interp.ExecMode) {
+// BenchmarkFragmentCall is the single-session direct-dispatch loop: no
+// contention, no sockets — just the cost of one hidden fragment call end
+// to end through CallSession.
+func BenchmarkFragmentCall(b *testing.B) {
 	res, fragID, args := loadBenchSplit(b)
 	server := hrt.NewServer(hrt.NewRegistry(res))
-	server.SetExecMode(mode)
 	inst, err := server.EnterSession(1, "work", 0, 0)
 	if err != nil {
 		b.Fatal(err)
@@ -114,13 +113,6 @@ func benchExecMode(b *testing.B, mode interp.ExecMode) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkVMVsInterp is the execution-engine micro-pair: the compiled
-// bytecode VM against the tree-walking oracle on the same fragment.
-func BenchmarkVMVsInterp(b *testing.B) {
-	b.Run("vm", func(b *testing.B) { benchExecMode(b, interp.ExecVM) })
-	b.Run("interp", func(b *testing.B) { benchExecMode(b, interp.ExecInterp) })
 }
 
 // benchLoadJSONPath makes `make bench-load` emit the machine-readable
@@ -162,7 +154,6 @@ func TestLoadSmoke(t *testing.T) {
 		{"sync/sharded", experiments.LoadConfig{Sessions: 4, Ops: 50, Shards: 4}},
 		{"pipelined/serial", experiments.LoadConfig{Sessions: 4, Ops: 50, Shards: 1, Window: 64, BarrierEvery: 8}},
 		{"pipelined/sharded", experiments.LoadConfig{Sessions: 4, Ops: 50, Shards: 4, Window: 64, BarrierEvery: 8}},
-		{"sync/interp", experiments.LoadConfig{Sessions: 4, Ops: 50, Shards: 4, ExecMode: "interp"}},
 		{"pipelined/sharedConns", experiments.LoadConfig{Sessions: 32, Ops: 20, Shards: 4, Window: 64, MuxConns: 2, BarrierEvery: 8}},
 		{"sync/sharedConns", experiments.LoadConfig{Sessions: 32, Ops: 20, Shards: 4, MuxConns: 2}},
 	} {
