@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-quick bench-load bench-load-quick bench-cluster bench-cluster-quick fuzz
+.PHONY: check vet build cross test race bench bench-quick bench-load bench-load-quick bench-cluster bench-cluster-quick fuzz
 
-check: vet build race bench-quick bench-load-quick bench-cluster-quick
+check: vet build cross race bench-quick bench-load-quick bench-cluster-quick
 
 vet:
 	$(GO) vet ./...
@@ -15,15 +15,25 @@ vet:
 build:
 	$(GO) build ./...
 
+# The journal flushes with fdatasync on Linux and falls back to a full
+# fsync behind a build tag elsewhere; cross-building the two packages that
+# reach it keeps that fallback compiling (stdlib-only, works offline).
+cross:
+	GOOS=darwin $(GO) build ./internal/wal ./internal/hrt
+	GOOS=windows $(GO) build ./internal/wal
+
 test:
 	$(GO) test ./...
 
 # The second line repeats the tests that reach dedup and group-commit
 # state from several goroutines at once: one clean -race pass says little
 # about an interleaving it did not happen to run.
+# The third line repeats the crash matrix of the zero-filled journal
+# layout (seeded, no wall-clock waits) and its tail readers.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'GroupCommit|Dedup' ./internal/hrt
+	$(GO) test -race -count=3 -run 'Crash|TailScanner|EmptyRecord|JournalChain|ParentWritten' ./internal/wal ./internal/hrt
 
 # Full benchmark run; also regenerates the committed machine-readable
 # report (kernel, session mode, RTT, wall time, interactions, blocking

@@ -45,6 +45,10 @@ const (
 	pumpBackoffMax = 2 * time.Second
 )
 
+// tailPollInterval is how long a caught-up pump waits for an append
+// notification before re-reading the journal tail anyway.
+const tailPollInterval = 500 * time.Millisecond
+
 // maxSnapXfer bounds a staged snapshot transfer (defense against a
 // corrupt or hostile SnapBegin length).
 const maxSnapXfer = 1 << 30
@@ -523,6 +527,10 @@ func (g *Group) streamGeneration(conn net.Conn, w *bufio.Writer, stopCh <-chan s
 		return false, 0, err
 	}
 	defer tail.Close()
+	// One timer for every caught-up wait of this generation's stream: a
+	// time.After per wait is a live timer per replicated record.
+	poll := time.NewTimer(tailPollInterval)
+	defer poll.Stop()
 	var idx int64
 	sealed := false
 	for {
@@ -556,13 +564,20 @@ func (g *Group) streamGeneration(conn net.Conn, w *bufio.Writer, stopCh <-chan s
 			sealed = true
 			continue
 		}
+		if !poll.Stop() {
+			select { // fired during an earlier wait that notify won
+			case <-poll.C:
+			default:
+			}
+		}
+		poll.Reset(tailPollInterval)
 		select {
 		case <-notify:
 		case <-g.stop:
 			return true, idx, errors.New("cluster: group closed")
 		case <-stopCh:
 			return true, idx, errors.New("cluster: pump stopped")
-		case <-time.After(500 * time.Millisecond):
+		case <-poll.C:
 			// Paranoia poll: nothing should be lost given the
 			// acquire-before-read protocol, but a cheap re-check beats a
 			// wedged fleet if that invariant ever breaks.

@@ -34,7 +34,7 @@ func holdNextSync(t *testing.T, j *wal.Journal) (held <-chan struct{}, release f
 	// inside the held fsync: callers register crash with t.Cleanup before
 	// calling here, so this release runs first.
 	t.Cleanup(release)
-	j.SetSyncFunc(func(f *os.File) error {
+	j.SetSyncFunc(func(f *os.File, _ int64) error {
 		enterOnce.Do(func() { close(entered) })
 		<-gate
 		return f.Sync()
@@ -402,28 +402,7 @@ func TestDedupTraceSinksRunOutsideStripeLock(t *testing.T) {
 // journal record, snapshot and file formats are unchanged, so every
 // session resumes.
 func TestRecoverParentWrittenDataDir(t *testing.T) {
-	dir := t.TempDir()
-	fixtures, err := filepath.Glob("testdata/pr11_datadir/*")
-	if err != nil || len(fixtures) == 0 {
-		t.Fatalf("no fixture files: %v", err)
-	}
-	for _, src := range fixtures {
-		in, err := os.Open(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := os.Create(filepath.Join(dir, filepath.Base(src)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			t.Fatal(err)
-		}
-		in.Close()
-		if err := out.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := copyParentWrittenDataDir(t)
 	res := split(t, stressSrc, core.Spec{Func: "f", Seed: "a"})
 	_, fetchFrag := stressFrags(t, res)
 	server, dd, p := startDurable(t, res, dir, DurabilityOptions{Fsync: true, CommitBytes: 1 << 20, SnapshotEvery: -1})
@@ -450,5 +429,92 @@ func TestRecoverParentWrittenDataDir(t *testing.T) {
 	}
 	if hw := dd.HighWater(22); hw != 1 {
 		t.Errorf("HighWater(22) = %d, want 1", hw)
+	}
+}
+
+// copyParentWrittenDataDir copies the committed pr11_datadir fixture (plain
+// append-only v1 journals, no zero fill) into a fresh directory.
+func copyParentWrittenDataDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	fixtures, err := filepath.Glob("testdata/pr11_datadir/*")
+	if err != nil || len(fixtures) == 0 {
+		t.Fatalf("no fixture files: %v", err)
+	}
+	for _, src := range fixtures {
+		in, err := os.Open(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := os.Create(filepath.Join(dir, filepath.Base(src)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(out, in); err != nil {
+			t.Fatal(err)
+		}
+		in.Close()
+		if err := out.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestParentWrittenDataDirTakesZeroFilledAppends carries a v1 data
+// directory into the zero-filled layout and back: recover it under Fsync
+// (the tip journal is truncated at its prefix and filled ahead), append,
+// die without sealing, recover again over records + zero fill, append,
+// and shut down cleanly — after which every journal file is once more
+// exactly as long as its log, which is all a v1 reader ever expected.
+func TestParentWrittenDataDirTakesZeroFilledAppends(t *testing.T) {
+	dir := copyParentWrittenDataDir(t)
+	opts := DurabilityOptions{Fsync: true, CommitBytes: 1 << 20, SnapshotEvery: -1}
+	res := split(t, stressSrc, core.Spec{Func: "f", Seed: "a"})
+	initFrag, fetchFrag := stressFrags(t, res)
+
+	_, dd1, p1 := startDurable(t, res, dir, opts)
+	mustRoundTrip(t, dd1, Request{Op: OpCall, Session: 21, Seq: 5, Fn: "f", Inst: 1,
+		Frag: initFrag, Args: []interp.Value{interp.IntV(73)}})
+	tip := p1.journalPath(p1.gen)
+	logEnd := p1.wlog.Size()
+	crash(t, p1)
+	if info, err := os.Stat(tip); err != nil || info.Size() <= logEnd {
+		t.Fatalf("killed journal is %d bytes (%v), want zero fill beyond its log end %d", info.Size(), err, logEnd)
+	}
+
+	server2, dd2, p2 := startDurable(t, split(t, stressSrc, core.Spec{Func: "f", Seed: "a"}), dir, opts)
+	if rec := p2.Recovered(); rec.Generation != 1 || rec.Records != 4 || rec.Sessions != 2 {
+		t.Errorf("second recovery %+v, want generation 1, the fixture's 3 records + 1, 2 sessions", rec)
+	}
+	fetch := Request{Op: OpCall, Session: 21, Seq: 6, Fn: "f", Inst: 1, Frag: fetchFrag}
+	if resp := mustRoundTrip(t, dd2, fetch); resp.Err != "" || !resp.Val.Equal(interp.IntV(73)) {
+		t.Errorf("fetch after second recovery %+v, want 73", resp)
+	}
+	liveStats := server2.Stats()
+	if err := p2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journals, err := filepath.Glob(filepath.Join(dir, "journal-*.wal"))
+	if err != nil || len(journals) == 0 {
+		t.Fatalf("no journals after close: %v", err)
+	}
+	for _, path := range journals {
+		validLen, _, err := wal.ScanFile(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info, err := os.Stat(path); err != nil || info.Size() != validLen {
+			t.Errorf("%s is %d bytes after a clean close (%v), want its log end %d", filepath.Base(path), info.Size(), err, validLen)
+		}
+	}
+
+	server3, _, p3 := startDurable(t, split(t, stressSrc, core.Spec{Func: "f", Seed: "a"}), dir, opts)
+	defer crash(t, p3)
+	if rec := p3.Recovered(); !rec.SnapshotUsed || rec.Records != 0 {
+		t.Errorf("recovery after clean close %+v, want the final snapshot and no replay", rec)
+	}
+	if got := server3.Stats(); got != liveStats {
+		t.Errorf("stats after clean close %+v, want %+v", got, liveStats)
 	}
 }

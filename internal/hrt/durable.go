@@ -111,7 +111,9 @@ type Durability struct {
 	snapErrors      obs.CounterHandle
 	snapCorrupt     obs.CounterHandle
 	appendBytes     obs.CounterHandle
+	preallocExtends obs.CounterHandle
 	appendNS        *obs.Histogram
+	syncNS          *obs.Histogram
 	snapshotNS      *obs.Histogram
 	commitBatchRecs *obs.Histogram
 	commitWaitNS    *obs.Histogram
@@ -143,9 +145,10 @@ type DurabilityOptions struct {
 	// (created if absent). It lives on the secure device: journal records
 	// and snapshots contain hidden values.
 	Dir string
-	// Fsync fsyncs every journal append, making acknowledged state durable
-	// against machine death (power loss). Off, appends are still one
-	// write(2) each, durable against process death.
+	// Fsync flushes every journal append (fdatasync into a zero-filled
+	// region, see package wal), making acknowledged state durable against
+	// machine death (power loss). Off, appends are still one write(2)
+	// each, durable against process death.
 	Fsync bool
 	// SnapshotEvery rotates to a fresh snapshot + journal generation after
 	// this many journaled records. 0 means the default (4096); negative
@@ -212,6 +215,11 @@ func (p *Durability) RegisterMetrics(reg *obs.Registry) {
 	p.snapErrors = reg.Counter("wal_snapshot_errors_total")
 	p.snapCorrupt = reg.Counter("wal_snapshot_corrupt_total")
 	p.appendNS = reg.Histogram("wal_append_ns")
+	// wal_sync_ns is the time inside the journal's flush alone (wal_append_ns
+	// adds the encode, the commit-queue wait and the write); a moving
+	// wal_prealloc_extends_total means commits are growing the file again.
+	p.syncNS = reg.Histogram("wal_sync_ns")
+	p.preallocExtends = reg.Counter("wal_prealloc_extends_total")
 	p.snapshotNS = reg.Histogram("wal_snapshot_ns")
 	// wal_commit_batch_records counts records per durable batch (stored
 	// in the histogram's ns field, so mean = sum/count = records/batch).
@@ -256,6 +264,18 @@ func (p *Durability) snapPath(gen uint64) string {
 
 func (p *Durability) journalPath(gen uint64) string {
 	return filepath.Join(p.opts.Dir, fmt.Sprintf("journal-%08d.wal", gen))
+}
+
+// openJournal opens generation gen's journal for appending after its first
+// validLen bytes, under the configured flush policy, with the flush
+// metrics attached.
+func (p *Durability) openJournal(gen uint64, validLen int64) (*wal.Journal, error) {
+	j, err := wal.Open(p.journalPath(gen), validLen, p.opts.Fsync)
+	if err != nil {
+		return nil, err
+	}
+	j.Observe(func(took time.Duration) { p.syncNS.Observe(took) }, func() { p.preallocExtends.Add(1) })
+	return j, nil
 }
 
 // start runs recovery against server and dedup, then opens the journal for
@@ -314,7 +334,7 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 		list = append(list, *ss)
 	}
 	dedup.restoreSessions(list)
-	j, err := wal.Open(p.journalPath(tip), validLen, p.opts.Fsync)
+	j, err := p.openJournal(tip, validLen)
 	if err != nil {
 		return err
 	}
@@ -349,20 +369,17 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 	return nil
 }
 
-// scanStoppedShort reports whether the journal at path holds bytes past
-// its valid prefix — a torn or corrupt suffix. For the tip journal that
-// suffix is simply truncated; for a non-tip journal in a recovery chain
-// it means later generations were built on records that cannot be
+// scanStoppedShort reports whether the journal at path holds anything but
+// zero fill past its valid prefix — a torn or corrupt suffix. (Zero fill
+// alone is a generation whose seal was cut short by the crash: rotation
+// swaps the journal under the quiesce, the sealed file is truncated to
+// its log end only later, on the snapshot writer.) For the tip journal a
+// damaged suffix is simply truncated; for a non-tip journal in a recovery
+// chain it means later generations were built on records that cannot be
 // reproduced, so the chain must be cut.
 func scanStoppedShort(path string, validLen int64) (bool, error) {
-	info, err := os.Stat(path)
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return info.Size() > validLen, nil
+	clean, err := wal.ZeroFrom(path, validLen)
+	return !clean, err
 }
 
 // loadBase picks the newest generation with a readable snapshot (falling
@@ -983,7 +1000,7 @@ func (p *Durability) Snapshot() error {
 	if err == nil {
 		// Open the next generation's journal before taking the write
 		// hold, keeping file creation (and its fsync) out of the pause.
-		j, err = wal.Open(p.journalPath(next), 0, p.opts.Fsync)
+		j, err = p.openJournal(next, 0)
 	}
 	if err != nil {
 		p.snapshotting.Store(false)
@@ -1132,7 +1149,7 @@ func (p *Durability) AdoptSnapshot(payload []byte) error {
 	if err := wal.WriteSnapshot(p.snapPath(next), payload); err != nil {
 		return fmt.Errorf("hrt: adopt snapshot: %w", err)
 	}
-	j, err := wal.Open(p.journalPath(next), 0, p.opts.Fsync)
+	j, err := p.openJournal(next, 0)
 	if err != nil {
 		return fmt.Errorf("hrt: adopt snapshot journal: %w", err)
 	}
@@ -1167,7 +1184,7 @@ func (p *Durability) Close() error {
 		p.mu.Lock()
 		next := p.gen + 1
 		p.mu.Unlock()
-		j, jerr := wal.Open(p.journalPath(next), 0, p.opts.Fsync)
+		j, jerr := p.openJournal(next, 0)
 		if jerr != nil {
 			p.snapshotting.Store(false)
 			err = jerr

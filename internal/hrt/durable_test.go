@@ -71,13 +71,40 @@ func startDurable(t *testing.T, res *core.Result, dir string, opts DurabilityOpt
 }
 
 // crash abandons a durability layer without the final snapshot Close would
-// write, so the next boot must recover from the journal like after SIGKILL.
+// write and without sealing the journal, so the next boot must recover
+// from what SIGKILL leaves: under Fsync, records followed by zero fill.
 func crash(t *testing.T, p *Durability) {
 	t.Helper()
 	p.stopCommitter()
-	if err := p.wlog.Close(); err != nil {
+	if err := p.wlog.Abandon(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// writeJournalAt plants raw bytes in the journal file at path, building
+// the on-disk state a crash would leave.
+func writeJournalAt(t *testing.T, path string, off int64, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// zeroJournalFrom overwrites the journal at path with zeros from off to
+// its end: what a machine crash makes of records written into the filled
+// region but never flushed (the zeros under them were durable).
+func zeroJournalFrom(t *testing.T, path string, off int64) {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeJournalAt(t, path, off, make([]byte, max(info.Size()-off, 0)))
 }
 
 func mustRoundTrip(t *testing.T, dd *Dedup, req Request) Response {

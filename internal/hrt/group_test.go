@@ -38,7 +38,7 @@ func TestGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 	// committer, which is stuck inside the held fsync.
 	t.Cleanup(unblock)
 	var syncs atomic.Int32
-	p.wlog.SetSyncFunc(func(f *os.File) error {
+	p.wlog.SetSyncFunc(func(f *os.File, _ int64) error {
 		if syncs.Add(1) == 1 {
 			<-release
 		}
@@ -102,12 +102,15 @@ func TestGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 }
 
 // TestGroupCommitCrashInsideBatch is the satellite-4 referee: the
-// machine dies between a batch's coalesced write and its fsync. The
+// machine dies between a batch's coalesced write and its flush. The
 // sync hook stops flushing (the write landed in page cache only) while
-// remembering the last durable boundary; after the crash the journal is
-// truncated to that boundary, simulating the lost cache. Recovery must
-// resume from the fsynced prefix, and the client's retry of the lost
-// request must re-execute exactly once.
+// remembering the last durable log end it was told; after the crash the
+// journal reads as zeros from that boundary on, simulating the lost cache
+// over the durable zero fill (the file's length is no boundary any more:
+// it lies a chunk beyond the log end, so truncating to f.Stat().Size()
+// would keep the doomed batch). Recovery must resume from the flushed
+// prefix, and the client's retry of the lost request must re-execute
+// exactly once.
 func TestGroupCommitCrashInsideBatch(t *testing.T) {
 	dir := t.TempDir()
 	res := split(t, stressSrc, core.Spec{Func: "f", Seed: "a"})
@@ -115,20 +118,16 @@ func TestGroupCommitCrashInsideBatch(t *testing.T) {
 	opts := DurabilityOptions{Fsync: true, CommitBytes: 1 << 20, SnapshotEvery: -1}
 
 	server1, dd1, p1 := startDurable(t, res, dir, opts)
-	var durable atomic.Int64 // journal size at the last completed fsync
+	var durable atomic.Int64 // log end at the last completed flush
 	var dying atomic.Bool
-	p1.wlog.SetSyncFunc(func(f *os.File) error {
+	p1.wlog.SetSyncFunc(func(f *os.File, end int64) error {
 		if dying.Load() {
-			return nil // fsync never reaches the platter
+			return nil // the flush never reaches the platter
 		}
 		if err := f.Sync(); err != nil {
 			return err
 		}
-		info, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		durable.Store(info.Size())
+		durable.Store(end)
 		return nil
 	})
 
@@ -144,9 +143,7 @@ func TestGroupCommitCrashInsideBatch(t *testing.T) {
 		Frag: initFrag, Args: []interp.Value{interp.IntV(7)}})
 	journalFile := p1.journalPath(p1.gen)
 	crash(t, p1)
-	if err := os.Truncate(journalFile, durable.Load()); err != nil {
-		t.Fatal(err)
-	}
+	zeroJournalFrom(t, journalFile, durable.Load())
 
 	res2 := split(t, stressSrc, core.Spec{Func: "f", Seed: "a"})
 	server2, dd2, p2 := startDurable(t, res2, dir, opts)
@@ -292,5 +289,60 @@ func TestJournalChainRecovery(t *testing.T) {
 	fetched := mustRoundTrip(t, dd2, Request{Op: OpCall, Session: 4, Seq: 4, Fn: "f", Inst: inst, Frag: fetchFrag})
 	if fetched.Err != "" || !fetched.Val.Equal(interp.IntV(23)) {
 		t.Errorf("post-chain fetch %+v, want 23", fetched)
+	}
+}
+
+// TestJournalChainAcrossUnsealedGeneration is the crash right after a
+// rotation under Fsync: journal-1 is in service, and the process dies
+// before the snapshot writer sealed journal-0 (truncated its zero fill
+// away) or landed snap-1. Journal-0 then ends in zeros, not at its log
+// end. Those zeros are not damage: the chain must carry on into
+// journal-1. A torn record in the same place still cuts it.
+func TestJournalChainAcrossUnsealedGeneration(t *testing.T) {
+	for _, shape := range []struct {
+		name        string
+		suffix      []byte
+		wantGen     uint64
+		wantRecords int64
+	}{
+		{"zero fill", make([]byte, 1<<20), 1, 3},
+		{"zero fill then a stale frame", append(make([]byte, 4096), 9, 0, 0, 0, 1, 2, 3, 4), 0, 2},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			dir := t.TempDir()
+			res := split(t, stressSrc, core.Spec{Func: "f", Seed: "a"})
+			initFrag, fetchFrag := stressFrags(t, res)
+			opts := DurabilityOptions{Fsync: true, CommitBytes: 1 << 20, SnapshotEvery: -1}
+
+			_, dd1, p1 := startDurable(t, res, dir, opts)
+			inst := mustRoundTrip(t, dd1, Request{Op: OpEnter, Session: 4, Seq: 1, Fn: "f"}).Inst
+			mustRoundTrip(t, dd1, Request{Op: OpCall, Session: 4, Seq: 2, Fn: "f", Inst: inst,
+				Frag: initFrag, Args: []interp.Value{interp.IntV(11)}})
+			sealedEnd := p1.wlog.Size()
+			if err := p1.Snapshot(); err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			p1.snapWG.Wait()
+			mustRoundTrip(t, dd1, Request{Op: OpCall, Session: 4, Seq: 3, Fn: "f", Inst: inst,
+				Frag: initFrag, Args: []interp.Value{interp.IntV(23)}})
+			crash(t, p1)
+			// Undo what the snapshot writer got done before the "crash".
+			if err := os.Remove(p1.snapPath(1)); err != nil {
+				t.Fatal(err)
+			}
+			writeJournalAt(t, p1.journalPath(0), sealedEnd, shape.suffix)
+
+			_, dd2, p2 := startDurable(t, split(t, stressSrc, core.Spec{Func: "f", Seed: "a"}), dir, opts)
+			defer crash(t, p2)
+			rec := p2.Recovered()
+			if rec.Generation != shape.wantGen || rec.Records != shape.wantRecords {
+				t.Fatalf("recovered generation=%d records=%d, want %d and %d", rec.Generation, rec.Records, shape.wantGen, shape.wantRecords)
+			}
+			want := []int64{11, 23}[shape.wantGen]
+			fetched := mustRoundTrip(t, dd2, Request{Op: OpCall, Session: 4, Seq: uint64(shape.wantRecords) + 1, Fn: "f", Inst: inst, Frag: fetchFrag})
+			if fetched.Err != "" || !fetched.Val.Equal(interp.IntV(want)) {
+				t.Errorf("post-recovery fetch %+v, want %d", fetched, want)
+			}
+		})
 	}
 }

@@ -19,8 +19,9 @@ import (
 //
 // A TailScanner reads with its own file handle, so it never contends with
 // the appender beyond the OS page cache, and it applies the same
-// stop-at-corruption discipline as Scan: a torn or CRC-broken frame at the
-// current end of file is not an error, it is "not yet" — the appender's
+// stop-at-corruption discipline as Scan: a zero frame (the live zero fill
+// ahead of a sync journal's log end), or a torn or CRC-broken frame at the
+// current log end, is not an error, it is "not yet" — the appender's
 // single write(2) per record will complete it, and the scanner re-reads
 // from the same offset on the next call.
 
@@ -61,10 +62,10 @@ func OpenTail(path string, off int64) (*TailScanner, error) {
 }
 
 // Next returns the next complete record's payload, or ErrTailCaughtUp when
-// the file ends (or ends in a not-yet-complete frame) at the current
-// offset. The returned slice is reused by the following Next call. A CRC
-// mismatch on a frame that is fully present is a real error: unlike
-// recovery, a live tail never legitimately crosses corrupt history.
+// the log ends (end of file, zero fill, or a not-yet-complete frame) at
+// the current offset. The returned slice is reused by the following Next
+// call. A CRC mismatch on a frame that is fully present is a real error:
+// unlike recovery, a live tail never legitimately crosses corrupt history.
 func (t *TailScanner) Next() ([]byte, error) {
 	var frame [frameSize]byte
 	n, err := t.f.ReadAt(frame[:], t.off)
@@ -76,6 +77,9 @@ func (t *TailScanner) Next() ([]byte, error) {
 	}
 	length := binary.LittleEndian.Uint32(frame[0:4])
 	sum := binary.LittleEndian.Uint32(frame[4:8])
+	if length == 0 {
+		return nil, ErrTailCaughtUp // zero fill: nothing written here yet
+	}
 	if length > MaxRecord {
 		return nil, fmt.Errorf("wal: tail frame length %d exceeds limit", length)
 	}

@@ -10,95 +10,124 @@ import (
 	"time"
 )
 
-func tailJournal(t *testing.T) (*Journal, string) {
+// bothLayouts runs fn against a plain journal (the file ends at the log
+// end) and a sync one (zero fill ahead of it): a tail reader must behave
+// the same whether "nothing here yet" reads as end-of-file or as zeros.
+func bothLayouts(t *testing.T, fn func(t *testing.T, j *Journal, path string)) {
+	for _, layout := range []struct {
+		name string
+		sync bool
+	}{{"eof tail", false}, {"zero tail", true}} {
+		t.Run(layout.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal-00000000.wal")
+			j, err := Open(path, 0, layout.sync)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { j.Close() })
+			fn(t, j, path)
+		})
+	}
+}
+
+// writeAtLogEnd plants raw bytes at off the way an in-flight append of
+// the journal's own would: the log end is not the end of the file when
+// the journal is zero-filled ahead, so O_APPEND would miss it.
+func writeAtLogEnd(t *testing.T, path string, off int64, chunks ...[]byte) int64 {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "journal-00000000.wal")
-	j, err := Open(path, 0, false)
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { j.Close() })
-	return j, path
+	defer f.Close()
+	for _, b := range chunks {
+		if _, err := f.WriteAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+		off += int64(len(b))
+	}
+	return off
+}
+
+func frameFor(payload []byte) []byte {
+	var frame [frameSize]byte
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	return frame[:]
 }
 
 func TestTailScannerFollowsAppends(t *testing.T) {
-	j, path := tailJournal(t)
-	tail, err := OpenTail(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tail.Close()
-
-	if _, err := tail.Next(); err != ErrTailCaughtUp {
-		t.Fatalf("empty journal: got %v, want ErrTailCaughtUp", err)
-	}
-	recs := [][]byte{[]byte("one"), []byte("two"), []byte("three")}
-	for _, r := range recs {
-		if err := j.Append(r); err != nil {
+	bothLayouts(t, func(t *testing.T, j *Journal, path string) {
+		tail, err := OpenTail(path, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i, want := range recs {
-		got, err := tail.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("record %d: got %q, want %q", i, got, want)
-		}
-	}
-	if _, err := tail.Next(); err != ErrTailCaughtUp {
-		t.Fatalf("after drain: got %v, want ErrTailCaughtUp", err)
-	}
+		defer tail.Close()
 
-	// A restart from a saved offset resumes exactly where it left off.
-	off := tail.Offset()
-	if err := j.Append([]byte("four")); err != nil {
-		t.Fatal(err)
-	}
-	tail2, err := OpenTail(path, off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tail2.Close()
-	got, err := tail2.Next()
-	if err != nil || string(got) != "four" {
-		t.Fatalf("resumed read: got %q, %v", got, err)
-	}
+		if _, err := tail.Next(); err != ErrTailCaughtUp {
+			t.Fatalf("empty journal: got %v, want ErrTailCaughtUp", err)
+		}
+		recs := [][]byte{[]byte("one"), []byte("two"), []byte("three")}
+		for _, r := range recs {
+			if err := j.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, want := range recs {
+			got, err := tail.Next()
+			if err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("record %d: got %q, want %q", i, got, want)
+			}
+		}
+		if _, err := tail.Next(); err != ErrTailCaughtUp {
+			t.Fatalf("after drain: got %v, want ErrTailCaughtUp", err)
+		}
+
+		// A restart from a saved offset resumes exactly where it left off.
+		off := tail.Offset()
+		if err := j.Append([]byte("four")); err != nil {
+			t.Fatal(err)
+		}
+		tail2, err := OpenTail(path, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tail2.Close()
+		got, err := tail2.Next()
+		if err != nil || string(got) != "four" {
+			t.Fatalf("resumed read: got %q, %v", got, err)
+		}
+	})
 }
 
-// A torn frame at the end of the file — the appender's write caught
-// mid-flight — must read as "caught up", not as an error, and the scanner
-// must deliver the record once the write completes.
+// A torn frame at the log end — the appender's write caught mid-flight —
+// must read as "caught up", not as an error.
 func TestTailScannerTornTail(t *testing.T) {
-	j, path := tailJournal(t)
-	if err := j.Append([]byte("whole")); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a torn append: a frame header promising more payload bytes
-	// than are present.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var frame [frameSize]byte
-	binary.LittleEndian.PutUint32(frame[0:4], 100)
-	if _, err := f.Write(frame[:]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	bothLayouts(t, func(t *testing.T, j *Journal, path string) {
+		if err := j.Append([]byte("whole")); err != nil {
+			t.Fatal(err)
+		}
+		// Simulate a torn append: a frame header promising more payload
+		// bytes than have landed (end-of-file or zeros follow it).
+		var frame [frameSize]byte
+		binary.LittleEndian.PutUint32(frame[0:4], 100)
+		writeAtLogEnd(t, path, j.Size(), frame[:])
 
-	tail, err := OpenTail(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tail.Close()
-	if got, err := tail.Next(); err != nil || string(got) != "whole" {
-		t.Fatalf("first record: got %q, %v", got, err)
-	}
-	if _, err := tail.Next(); err != ErrTailCaughtUp {
-		t.Fatalf("torn tail: got %v, want ErrTailCaughtUp", err)
-	}
+		tail, err := OpenTail(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tail.Close()
+		if got, err := tail.Next(); err != nil || string(got) != "whole" {
+			t.Fatalf("first record: got %q, %v", got, err)
+		}
+		if _, err := tail.Next(); err != ErrTailCaughtUp {
+			t.Fatalf("torn tail: got %v, want ErrTailCaughtUp", err)
+		}
+	})
 }
 
 // TestTailScannerTornAcrossRotation pins the generation-boundary seam of
@@ -110,147 +139,117 @@ func TestTailScannerTornTail(t *testing.T) {
 // never advances the offset and the completed record is then delivered
 // exactly once, including from a scanner re-opened at the saved offset
 // (a pump that reconnected mid-rotation).
+//
+// Ported to the zero-filled layout: the torn bytes are planted at the log
+// end with WriteAt (O_APPEND lands past the zero fill), and "no record
+// after the boundary one" is a zero frame there, not end-of-file — which
+// the scanner used to deliver as an endless run of empty records.
 func TestTailScannerTornAcrossRotation(t *testing.T) {
-	j, path := tailJournal(t)
-	if err := j.Append([]byte("before")); err != nil {
-		t.Fatal(err)
-	}
-	tail, err := OpenTail(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tail.Close()
-	if got, err := tail.Next(); err != nil || string(got) != "before" {
-		t.Fatalf("first record: got %q, %v", got, err)
-	}
+	bothLayouts(t, func(t *testing.T, j *Journal, path string) {
+		if err := j.Append([]byte("before")); err != nil {
+			t.Fatal(err)
+		}
+		tail, err := OpenTail(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tail.Close()
+		if got, err := tail.Next(); err != nil || string(got) != "before" {
+			t.Fatalf("first record: got %q, %v", got, err)
+		}
 
-	// Tear the boundary record: frame header and half the payload are
-	// visible, the rest of the write has not landed yet.
-	payload := []byte("boundary-record")
-	var frame [frameSize]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(frame[:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(payload[:7]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+		// Tear the boundary record: frame header and half the payload are
+		// visible, the rest of the write has not landed yet.
+		payload := []byte("boundary-record")
+		mid := writeAtLogEnd(t, path, j.Size(), frameFor(payload), payload[:7])
 
-	// The torn record is "not yet", however many times it is retried, and
-	// retries never advance the offset — advancing here is exactly the bug
-	// that would drop the record on the post-rotation pass.
-	if _, err := tail.Next(); err != ErrTailCaughtUp {
-		t.Fatalf("torn record: got %v, want ErrTailCaughtUp", err)
-	}
-	saved := tail.Offset()
-	if _, err := tail.Next(); err != ErrTailCaughtUp {
-		t.Fatalf("torn record retry: got %v, want ErrTailCaughtUp", err)
-	}
-	if got := tail.Offset(); got != saved {
-		t.Fatalf("caught-up read advanced the offset %d -> %d", saved, got)
-	}
+		// The torn record is "not yet", however many times it is retried,
+		// and retries never advance the offset — advancing here is exactly
+		// the bug that would drop the record on the post-rotation pass.
+		if _, err := tail.Next(); err != ErrTailCaughtUp {
+			t.Fatalf("torn record: got %v, want ErrTailCaughtUp", err)
+		}
+		saved := tail.Offset()
+		if _, err := tail.Next(); err != ErrTailCaughtUp {
+			t.Fatalf("torn record retry: got %v, want ErrTailCaughtUp", err)
+		}
+		if got := tail.Offset(); got != saved {
+			t.Fatalf("caught-up read advanced the offset %d -> %d", saved, got)
+		}
 
-	// Rotation seals the generation only after the append's write(2)
-	// returns, so by the scanner's sealed pass the record is whole.
-	f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(payload[7:]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+		// Rotation seals the generation only after the append's write(2)
+		// returns, so by the scanner's sealed pass the record is whole.
+		writeAtLogEnd(t, path, mid, payload[7:])
 
-	// The live scanner delivers the record exactly once...
-	got, err := tail.Next()
-	if err != nil || string(got) != string(payload) {
-		t.Fatalf("sealed pass: got %q, %v", got, err)
-	}
-	if _, err := tail.Next(); err != ErrTailCaughtUp {
-		t.Fatalf("after boundary record: got %v, want ErrTailCaughtUp", err)
-	}
-	// ...and so does a scanner restarted from the offset saved while the
-	// record was torn — no duplicate, no gap.
-	tail2, err := OpenTail(path, saved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tail2.Close()
-	got2, err := tail2.Next()
-	if err != nil || string(got2) != string(payload) {
-		t.Fatalf("restarted scanner: got %q, %v", got2, err)
-	}
-	if _, err := tail2.Next(); err != ErrTailCaughtUp {
-		t.Fatalf("restarted scanner drained: got %v, want ErrTailCaughtUp", err)
-	}
-	if tail2.Offset() != tail.Offset() {
-		t.Fatalf("offsets diverged: restarted %d vs live %d", tail2.Offset(), tail.Offset())
-	}
+		// The live scanner delivers the record exactly once...
+		got, err := tail.Next()
+		if err != nil || string(got) != string(payload) {
+			t.Fatalf("sealed pass: got %q, %v", got, err)
+		}
+		if _, err := tail.Next(); err != ErrTailCaughtUp {
+			t.Fatalf("after boundary record: got %v, want ErrTailCaughtUp", err)
+		}
+		// ...and so does a scanner restarted from the offset saved while
+		// the record was torn — no duplicate, no gap.
+		tail2, err := OpenTail(path, saved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tail2.Close()
+		got2, err := tail2.Next()
+		if err != nil || string(got2) != string(payload) {
+			t.Fatalf("restarted scanner: got %q, %v", got2, err)
+		}
+		if _, err := tail2.Next(); err != ErrTailCaughtUp {
+			t.Fatalf("restarted scanner drained: got %v, want ErrTailCaughtUp", err)
+		}
+		if tail2.Offset() != tail.Offset() {
+			t.Fatalf("offsets diverged: restarted %d vs live %d", tail2.Offset(), tail.Offset())
+		}
+	})
 }
 
 // TestTailScannerCRCTornThenCompleted covers the other torn-write shape:
 // the frame claims its full length and that many bytes are readable, but
-// the payload bytes are not all there yet (the file was extended by a
-// later write racing the reader, or the page holding the tail is stale).
-// A CRC mismatch on a full-length frame at the tail must read as "not
-// yet" — and the record must arrive intact, once, when the write settles.
+// the payload bytes are not all there yet. Over a zero-filled tail this is
+// the common shape, not the rare one — the bytes a frame promises are
+// always readable, as zeros, before the write that fills them lands. A CRC
+// mismatch on a full-length frame at the tail must read as "not yet" — and
+// the record must arrive intact, once, when the write settles.
 func TestTailScannerCRCTornThenCompleted(t *testing.T) {
-	j, path := tailJournal(t)
-	if err := j.Append([]byte("prefix")); err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("settles-later")
-	var frame [frameSize]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := f.Seek(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full-length frame, but the payload's second half is still zeros.
-	garbled := make([]byte, len(payload))
-	copy(garbled, payload[:6])
-	if _, err := f.WriteAt(frame[:], base); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(garbled, base+frameSize); err != nil {
-		t.Fatal(err)
-	}
+	bothLayouts(t, func(t *testing.T, j *Journal, path string) {
+		if err := j.Append([]byte("prefix")); err != nil {
+			t.Fatal(err)
+		}
+		payload := []byte("settles-later")
+		base := j.Size()
+		// Full-length frame, but the payload's second half is still zeros.
+		garbled := make([]byte, len(payload))
+		copy(garbled, payload[:6])
+		writeAtLogEnd(t, path, base, frameFor(payload), garbled)
 
-	tail, err := OpenTail(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tail.Close()
-	if got, err := tail.Next(); err != nil || string(got) != "prefix" {
-		t.Fatalf("first record: got %q, %v", got, err)
-	}
-	if _, err := tail.Next(); err != ErrTailCaughtUp {
-		t.Fatalf("garbled tail frame: got %v, want ErrTailCaughtUp", err)
-	}
+		tail, err := OpenTail(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tail.Close()
+		if got, err := tail.Next(); err != nil || string(got) != "prefix" {
+			t.Fatalf("first record: got %q, %v", got, err)
+		}
+		if _, err := tail.Next(); err != ErrTailCaughtUp {
+			t.Fatalf("garbled tail frame: got %v, want ErrTailCaughtUp", err)
+		}
 
-	// The write settles: the true payload bytes land in place.
-	if _, err := f.WriteAt(payload, base+frameSize); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	got, err := tail.Next()
-	if err != nil || string(got) != string(payload) {
-		t.Fatalf("settled record: got %q, %v", got, err)
-	}
-	if _, err := tail.Next(); err != ErrTailCaughtUp {
-		t.Fatalf("after settled record: got %v, want ErrTailCaughtUp", err)
-	}
+		// The write settles: the true payload bytes land in place.
+		writeAtLogEnd(t, path, base+frameSize, payload)
+		got, err := tail.Next()
+		if err != nil || string(got) != string(payload) {
+			t.Fatalf("settled record: got %q, %v", got, err)
+		}
+		if _, err := tail.Next(); err != ErrTailCaughtUp {
+			t.Fatalf("after settled record: got %v, want ErrTailCaughtUp", err)
+		}
+	})
 }
 
 func TestOffsetTrackerMinAndWait(t *testing.T) {

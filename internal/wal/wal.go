@@ -14,21 +14,39 @@
 //
 //   - Process death (SIGKILL, panic): bytes already handed to write(2) are
 //     safe in the OS page cache, so the journal performs one write per
-//     record with no user-space buffering. Records never straddle a
-//     partial user-space flush.
-//   - Machine death (power loss, kernel crash): only fsynced bytes are
-//     safe. Opening the journal with sync=true fsyncs after every append,
+//     record (or per batch) with no user-space buffering. Records never
+//     straddle a partial user-space flush.
+//   - Machine death (power loss, kernel crash): only flushed bytes are
+//     safe. Opening the journal with sync=true flushes after every append,
 //     trading throughput for zero-loss durability; sync=false accepts
 //     that the tail since the last Sync may vanish.
 //
-// In both cases recovery scans the journal from the start and stops
-// cleanly at the first record that is truncated or fails its CRC — the
-// valid prefix is the recovered history, and the file is truncated there
-// before new appends.
+// The log end is a property of the records, not of the file length. A
+// sync journal keeps its file filled with written zeros one chunk
+// (preallocChunk) ahead of the log end, so a commit overwrites bytes the
+// file already has and fdatasync has only those data blocks to flush —
+// appending at end-of-file instead makes every commit change the inode's
+// length, which the filesystem must journal before the flush returns. A
+// frame whose length field is zero is therefore the end of the log, for
+// recovery and for a live tail reader alike; Append refuses empty
+// payloads so no record can look like one. When a write would cross the
+// filled frontier the fill is topped up first; that changes the length,
+// and fdatasync does flush a length change a later read depends on, so
+// the record is covered all the same. Close truncates the file back to
+// the log end: a cleanly closed journal is a plain run of records.
+//
+// In both failure classes recovery scans the journal from the start and
+// stops cleanly at the first frame that is zero, truncated or fails its
+// CRC — the valid prefix is the recovered history. Open truncates the
+// file there and only then re-fills it, durably, before it accepts an
+// append: an intact record stranded beyond a torn one is wiped, so no
+// later append that happens to end where it begins can splice it back
+// into history.
 package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -37,6 +55,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // journalMagic opens every journal file; snapMagic opens every snapshot.
@@ -54,58 +73,104 @@ const (
 	// MaxRecord bounds one record's payload so a corrupt length field can
 	// never make recovery over-allocate.
 	MaxRecord = 1 << 26
+	// preallocChunk is how far ahead of the log end a sync journal keeps
+	// its file zero-filled: about 12 000 of the hidden runtime's records
+	// between top-ups, and 1 MiB for Open to write and flush.
+	preallocChunk = 1 << 20
 )
+
+// zeroPage is the source of every zero-fill write. Its size is the size
+// of those writes on purpose: filling a chunk with one 1 MiB write leaves
+// the page cache holding the region in large folios, and every commit
+// into it then flushed ≈ 20 µs slower on ext4 (EXPERIMENTS.md, Durability
+// overhead); 64 KiB and 4 KiB writes measured alike.
+var zeroPage [64 << 10]byte
 
 // Journal is an append-only record log. Appends are serialized; each
 // record is framed as [len u32][crc32 u32][payload] and handed to the
-// kernel in a single write, so a killed process never leaves a
-// half-buffered record behind (a torn write at the very tail is caught by
-// the CRC on recovery).
+// kernel in a single write at the log end, so a killed process never
+// leaves a half-buffered record behind (a torn write at the very tail is
+// caught by the CRC on recovery).
 type Journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	sync    bool
+	mu   sync.Mutex
+	f    *os.File
+	sync bool
+	// size is the log end: header plus every framed record. filled is the
+	// file length a sync journal has zero-filled up to (filled ≥ size);
+	// a journal without sync never fills, and its file ends at size.
 	size    int64
+	filled  int64
 	records int64
 	scratch []byte
-	// syncFn, when set, replaces f.Sync for every flush this handle
-	// issues. It exists for crash testing: a test can observe exactly
-	// which byte offsets were made durable, or suppress the flush to
-	// simulate a machine dying between a batch's coalesced write and its
-	// fsync.
-	syncFn func(*os.File) error
+	// syncFn, when set, replaces the flush of Append, AppendBatch, Sync
+	// and Close. It exists for crash testing: a
+	// test observes exactly which log end each flush made durable, or
+	// suppresses the flush to simulate a machine dying between a batch's
+	// coalesced write and its flush.
+	syncFn func(f *os.File, end int64) error
+	// synced and extended, when set, observe the commit path: the time
+	// each flush took, and each zero-fill top-up an append had to make.
+	synced   func(took time.Duration)
+	extended func()
 }
 
-// SetSyncFunc installs fn in place of the file's own Sync for every
-// flush this journal issues (Append, AppendBatch, Sync, Close). Passing
-// nil restores the real fsync. Test hook: the group-commit crash tests
-// use it to record the last durable boundary and to inject sync faults.
-func (j *Journal) SetSyncFunc(fn func(*os.File) error) {
+// SetSyncFunc installs fn in place of the journal's own flush (Append,
+// AppendBatch, Sync, Close); end is the log end the flush covers. Passing
+// nil restores the real flush. Test hook: the crash tests use it to record
+// the last durable boundary and to inject sync faults.
+func (j *Journal) SetSyncFunc(fn func(f *os.File, end int64) error) {
 	j.mu.Lock()
 	j.syncFn = fn
 	j.mu.Unlock()
 }
 
-// syncLocked flushes through the hook. Caller holds j.mu.
-func (j *Journal) syncLocked() error {
+// Observe installs callbacks for the commit path of a sync journal:
+// synced receives the duration of every flush an append waits for,
+// extended runs after every top-up of the zero-filled region made inside
+// an append (Open's initial fill is not one). Either may be nil. They run
+// with the journal locked and must not call back into it.
+func (j *Journal) Observe(synced func(took time.Duration), extended func()) {
+	j.mu.Lock()
+	j.synced, j.extended = synced, extended
+	j.mu.Unlock()
+}
+
+// syncLocked flushes the file's data up to the log end `end`, through the
+// hook when one is set. Caller holds j.mu.
+func (j *Journal) syncLocked(end int64) error {
 	if j.syncFn != nil {
-		return j.syncFn(j.f)
+		return j.syncFn(j.f, end)
 	}
-	return j.f.Sync()
+	return datasync(j.f)
+}
+
+// fillLocked extends the zero-filled region to one chunk past end. The
+// zeros are written, not fallocated: an allocated-but-unwritten extent
+// still costs a metadata update when a record first lands in it.
+func (j *Journal) fillLocked(end int64) error {
+	for target := end + preallocChunk; j.filled < target; {
+		n := min(target-j.filled, int64(len(zeroPage)))
+		if _, err := j.f.WriteAt(zeroPage[:n], j.filled); err != nil {
+			return err
+		}
+		j.filled += n
+	}
+	return nil
 }
 
 // Open opens (creating if absent) the journal at path for appending.
 // validLen is the length of the valid prefix reported by ScanFile; any
-// bytes beyond it — a torn tail from the previous crash — are truncated
-// away so new records extend known-good history. sync selects the fsync
-// policy: true fsyncs every append (power-loss durable), false leaves
-// flushing to the OS (process-death durable only).
+// bytes beyond it — a torn tail from the previous crash, or the zero fill
+// of a journal that was not closed — are truncated away so new records
+// extend known-good history. sync selects the flush policy: true flushes
+// every append (power-loss durable) into a region Open has zero-filled
+// and made durable beforehand, false leaves flushing to the OS
+// (process-death durable only) and the file ending at the log end.
 func Open(path string, validLen int64, sync bool) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open journal: %w", err)
 	}
-	j := &Journal{f: f, sync: sync}
 	if validLen < headerSize {
 		// Empty or corrupt-from-the-start file: rewrite the header.
 		if err := f.Truncate(0); err != nil {
@@ -123,11 +188,14 @@ func Open(path string, validLen int64, sync bool) (*Journal, error) {
 			return nil, fmt.Errorf("wal: truncate journal tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: seek journal end: %w", err)
-	}
+	j := &Journal{f: f, sync: sync, size: validLen, filled: validLen}
 	if sync {
+		// Truncate first, fill second, and a full fsync (the length changed
+		// twice) before the first append can be acknowledged.
+		if err := j.fillLocked(validLen); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: zero-fill journal: %w", err)
+		}
 		if err := f.Sync(); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("wal: sync journal: %w", err)
@@ -137,56 +205,36 @@ func Open(path string, validLen int64, sync bool) (*Journal, error) {
 			return nil, err
 		}
 	}
-	j.size = validLen
 	return j, nil
 }
 
 // Append frames payload and writes it as one record. With the sync policy
-// enabled the record is fsynced before Append returns, so a caller that
+// enabled the record is flushed before Append returns, so a caller that
 // replies to a client after Append never acknowledges state a crash can
-// lose.
+// lose. An empty payload is refused: its frame would be all zeros, which
+// is how the log end reads.
 func (j *Journal) Append(payload []byte) error {
-	if len(payload) > MaxRecord {
-		return fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(payload), MaxRecord)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("wal: journal closed")
-	}
-	need := frameSize + len(payload)
-	if cap(j.scratch) < need {
-		j.scratch = make([]byte, 0, need+need/2)
-	}
-	b := j.scratch[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	b = append(b, payload...)
-	j.scratch = b
-	if _, err := j.f.Write(b); err != nil {
-		return fmt.Errorf("wal: append record: %w", err)
-	}
-	if j.sync {
-		if err := j.syncLocked(); err != nil {
-			return fmt.Errorf("wal: fsync record: %w", err)
-		}
-	}
-	j.size += int64(need)
-	j.records++
-	return nil
+	return j.appendFrames(payload)
 }
 
 // AppendBatch frames every payload and hands the whole batch to the
 // kernel in one write, then — under the sync policy — issues a single
-// fsync covering all of it. This is the group-commit primitive: N
+// flush covering all of it. This is the group-commit primitive: N
 // records queued by concurrent sessions share one write(2) and one
 // flush instead of paying one each. Like Append, a record is either
 // wholly before or wholly after any crash point; a machine crash
-// between the write and the fsync can lose any suffix of the batch,
+// between the write and the flush can lose any suffix of the batch,
 // which recovery truncates away at the last intact record.
 func (j *Journal) AppendBatch(payloads [][]byte) error {
+	return j.appendFrames(payloads...)
+}
+
+func (j *Journal) appendFrames(payloads ...[]byte) error {
 	need := 0
 	for _, p := range payloads {
+		if len(p) == 0 {
+			return fmt.Errorf("wal: empty record")
+		}
 		if len(p) > MaxRecord {
 			return fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(p), MaxRecord)
 		}
@@ -207,15 +255,28 @@ func (j *Journal) AppendBatch(payloads [][]byte) error {
 		b = append(b, p...)
 	}
 	j.scratch = b
-	if _, err := j.f.Write(b); err != nil {
-		return fmt.Errorf("wal: append batch: %w", err)
-	}
-	if j.sync {
-		if err := j.syncLocked(); err != nil {
-			return fmt.Errorf("wal: fsync batch: %w", err)
+	end := j.size + int64(need)
+	if j.sync && end > j.filled {
+		if err := j.fillLocked(end); err != nil {
+			return fmt.Errorf("wal: zero-fill journal: %w", err)
+		}
+		if j.extended != nil {
+			j.extended()
 		}
 	}
-	j.size += int64(need)
+	if _, err := j.f.WriteAt(b, j.size); err != nil {
+		return fmt.Errorf("wal: append %d record(s): %w", len(payloads), err)
+	}
+	if j.sync {
+		start := time.Now()
+		if err := j.syncLocked(end); err != nil {
+			return fmt.Errorf("wal: flush %d record(s): %w", len(payloads), err)
+		}
+		if j.synced != nil {
+			j.synced(time.Since(start))
+		}
+	}
+	j.size = end
 	j.records += int64(len(payloads))
 	return nil
 }
@@ -228,17 +289,23 @@ func (j *Journal) Sync() error {
 	if j.f == nil {
 		return nil
 	}
-	return j.syncLocked()
+	return j.syncLocked(j.size)
 }
 
-// Close syncs and closes the journal.
+// Close truncates the file back to the log end, flushes and closes it.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
 	}
-	err := j.syncLocked()
+	var err error
+	if j.filled > j.size {
+		err = j.f.Truncate(j.size)
+	}
+	if err == nil {
+		err = j.syncLocked(j.size) // a length change is within fdatasync's remit
+	}
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}
@@ -246,7 +313,22 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// Size reports the journal's current byte length (header included).
+// Abandon drops the file handle without flushing or truncating, leaving
+// on disk what a killed process leaves: for a sync journal, the records
+// followed by the zero fill. For crash tests.
+func (j *Journal) Abandon() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return nil
+	}
+	err := j.f.Close()
+	j.f = nil
+	return err
+}
+
+// Size reports the log end: the byte length of the header and every
+// record, whatever the file's own length.
 func (j *Journal) Size() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -261,11 +343,12 @@ func (j *Journal) Records() int64 {
 }
 
 // Scan reads a journal byte stream, invoking fn for each intact record in
-// order. It stops cleanly — without error — at the first sign of
-// corruption: a bad header, a truncated frame, an oversized length, or a
-// CRC mismatch. The returned validLen is the byte length of the valid
-// prefix (what Open should truncate to) and n is the number of intact
-// records. The only errors returned are fn's own and non-EOF read
+// order. It stops cleanly — without error — at the log end, which is a
+// frame with a zero length field (the zero fill of a journal that was not
+// closed) or the end of the input, and at the first sign of corruption: a
+// bad header, a truncated frame, an oversized length, or a CRC mismatch.
+// The returned validLen is the byte length of the valid prefix (what Open
+// should truncate to) and n is the number of intact records. The only errors returned are fn's own and non-EOF read
 // failures; corrupt input is never an error, because a torn tail is the
 // expected shape of a crashed journal.
 func Scan(r io.Reader, fn func(payload []byte) error) (validLen int64, n int64, err error) {
@@ -285,8 +368,8 @@ func Scan(r io.Reader, fn func(payload []byte) error) (validLen int64, n int64, 
 		}
 		length := binary.LittleEndian.Uint32(frame[0:4])
 		sum := binary.LittleEndian.Uint32(frame[4:8])
-		if length > MaxRecord {
-			return validLen, n, nil // corrupt length field
+		if length == 0 || length > MaxRecord {
+			return validLen, n, nil // log end, or a corrupt length field
 		}
 		if cap(buf) < int(length) {
 			buf = make([]byte, length)
@@ -320,6 +403,35 @@ func ScanFile(path string, fn func(payload []byte) error) (validLen int64, n int
 	}
 	defer f.Close()
 	return Scan(bufio.NewReaderSize(f, 1<<16), fn)
+}
+
+// ZeroFrom reports whether the journal at path holds nothing but zero fill
+// from offset off to its end (a file that ends at or before off qualifies,
+// and so does a missing one). Recovery uses it to tell a journal that was
+// simply not closed from one whose scan stopped at damage.
+func ZeroFrom(path string, off int64) (bool, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return true, nil
+		}
+		return false, fmt.Errorf("wal: open journal tail: %w", err)
+	}
+	defer f.Close()
+	buf := make([]byte, len(zeroPage))
+	for {
+		n, err := f.ReadAt(buf, off)
+		if !bytes.Equal(buf[:n], zeroPage[:n]) {
+			return false, nil
+		}
+		off += int64(n)
+		if err == io.EOF {
+			return true, nil
+		}
+		if err != nil {
+			return false, fmt.Errorf("wal: read journal tail: %w", err)
+		}
+	}
 }
 
 // WriteSnapshot atomically replaces the snapshot at path with payload:

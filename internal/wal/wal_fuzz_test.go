@@ -11,7 +11,8 @@ import (
 // crash left on disk — so the scanner faces arbitrary input and must
 // never panic, never over-allocate, and always stop cleanly at the first
 // corrupt record. The fuzzer feeds it raw bytes (seeded with valid
-// journals, torn tails, bit flips, and duplicate records) and checks the
+// journals, torn tails, bit flips, duplicate records, and the zero fill a
+// killed sync journal leaves behind its log end) and checks the
 // invariants Scan promises.
 
 func fuzzJournal(records ...[]byte) []byte {
@@ -30,20 +31,28 @@ func fuzzJournal(records ...[]byte) []byte {
 func FuzzScanJournal(f *testing.F) {
 	valid := fuzzJournal([]byte("alpha"), []byte(""), []byte("beta\x00\xff"))
 	f.Add(valid)
-	f.Add(valid[:len(valid)-2])               // torn payload
-	f.Add(valid[:headerSize+3])               // torn frame header
-	f.Add(fuzzJournal())                      // header only
-	f.Add([]byte{})                           // empty file
+	f.Add(valid[:len(valid)-2])                                        // torn payload
+	f.Add(valid[:headerSize+3])                                        // torn frame header
+	f.Add(fuzzJournal())                                               // header only
+	f.Add([]byte{})                                                    // empty file
 	f.Add([]byte("SLWAL\x01\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00")) // huge length
 	dup := fuzzJournal([]byte("same"), []byte("same"))
 	f.Add(dup)
 	flip := append([]byte(nil), valid...)
 	flip[headerSize+frameSize+1] ^= 0x10
 	f.Add(flip)
+	prefix := fuzzJournal([]byte("alpha"), []byte("beta"))
+	zeros := make([]byte, 4096)
+	f.Add(bytes.Join([][]byte{prefix, zeros}, nil)) // valid prefix + zeros
+	stale := fuzzJournal([]byte("stale"))[headerSize:]
+	f.Add(bytes.Join([][]byte{prefix, zeros, stale}, nil)) // ... + stale record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var total int64
 		validLen, n, err := Scan(bytes.NewReader(data), func(p []byte) error {
+			if len(p) == 0 {
+				t.Fatal("scan delivered an empty record: a zero frame is the log end")
+			}
 			total += int64(len(p))
 			return nil
 		})

@@ -38,18 +38,73 @@ func scanAll(t *testing.T, path string) [][]byte {
 	return got
 }
 
+// TestJournalRoundTrip appends through a sync journal (zero fill ahead of
+// the log end) and a plain one alike. It used to round-trip an empty
+// record; an empty record's frame is eight zero bytes, which is what the
+// log end looks like, so Append now refuses it and the test pins that.
 func TestJournalRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.wal")
-	want := [][]byte{[]byte("one"), {}, []byte("three\x00with\xffbytes"), bytes.Repeat([]byte("x"), 10_000)}
-	appendAll(t, path, true, want...)
+	for _, sync := range []bool{true, false} {
+		path := filepath.Join(t.TempDir(), "j.wal")
+		want := [][]byte{[]byte("one"), {0}, []byte("three\x00with\xffbytes"), bytes.Repeat([]byte("x"), 10_000)}
+		appendAll(t, path, sync, want...)
 
-	got := scanAll(t, path)
-	if len(got) != len(want) {
-		t.Fatalf("recovered %d records, want %d", len(got), len(want))
+		got := scanAll(t, path)
+		if len(got) != len(want) {
+			t.Fatalf("sync=%v: recovered %d records, want %d", sync, len(got), len(want))
+		}
+		wantLen := int64(headerSize)
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("sync=%v: record %d: got %q want %q", sync, i, got[i], want[i])
+			}
+			wantLen += frameSize + int64(len(want[i]))
+		}
+		// A cleanly closed journal is a plain run of records again.
+		if info, err := os.Stat(path); err != nil || info.Size() != wantLen {
+			t.Errorf("sync=%v: closed journal is %d bytes (%v), want its log end %d", sync, info.Size(), err, wantLen)
+		}
 	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Errorf("record %d: got %q want %q", i, got[i], want[i])
+}
+
+// TestEmptyRecordRefused: [len=0][crc32("")=0] is an all-zero frame, so an
+// empty record cannot be told from the end of the log. Append and
+// AppendBatch refuse it before a byte reaches the file, and both readers
+// stop at such a frame even when an intact record follows it.
+func TestEmptyRecordRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	j, err := Open(path, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(nil); err == nil {
+		t.Error("empty record accepted by Append")
+	}
+	if err := j.AppendBatch([][]byte{[]byte("ok"), {}}); err == nil {
+		t.Error("empty record accepted by AppendBatch")
+	}
+	if j.Records() != 0 || j.Size() != headerSize {
+		t.Errorf("refused appends advanced the journal to %d records, %d bytes", j.Records(), j.Size())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, fuzzJournal([]byte("kept"), nil, []byte("beyond")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := scanAll(t, path); len(got) != 1 || string(got[0]) != "kept" {
+		t.Errorf("scan across a zero frame: %q, want only the record before it", got)
+	}
+	tail, err := OpenTail(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	if got, err := tail.Next(); err != nil || string(got) != "kept" {
+		t.Fatalf("tail first record: %q, %v", got, err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := tail.Next(); err != ErrTailCaughtUp {
+			t.Fatalf("tail at a zero frame: %v, want ErrTailCaughtUp", err)
 		}
 	}
 }
@@ -238,7 +293,9 @@ func TestJournalManyRecords(t *testing.T) {
 // TestAppendBatchCoalesces pins the group-commit primitive: a batch of
 // records lands as one coalesced write that scans back identically to
 // the same records appended one by one, with size/record accounting and
-// a single fsync (observed through the sync hook) for the whole batch.
+// a single flush (observed through the sync hook, which is told the log
+// end it covers) for the whole batch. The batch used to carry an empty
+// record; see TestEmptyRecordRefused for why it no longer can.
 func TestAppendBatchCoalesces(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
 	j, err := Open(path, 0, true)
@@ -246,16 +303,21 @@ func TestAppendBatchCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	var syncs int
-	j.SetSyncFunc(func(f *os.File) error {
+	var flushedTo int64
+	j.SetSyncFunc(func(f *os.File, end int64) error {
 		syncs++
+		flushedTo = end
 		return f.Sync()
 	})
-	batch := [][]byte{[]byte("alpha"), {}, bytes.Repeat([]byte("b"), 5000), []byte("tail")}
+	batch := [][]byte{[]byte("alpha"), {0}, bytes.Repeat([]byte("b"), 5000), []byte("tail")}
 	if err := j.AppendBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 	if syncs != 1 {
 		t.Errorf("batch issued %d fsyncs, want 1", syncs)
+	}
+	if flushedTo != j.Size() {
+		t.Errorf("flush covered log end %d, journal ends at %d", flushedTo, j.Size())
 	}
 	if got := j.Records(); got != int64(len(batch)) {
 		t.Errorf("Records() = %d, want %d", got, len(batch))
