@@ -28,11 +28,14 @@ test:
 # The second line repeats the tests that reach dedup and group-commit
 # state from several goroutines at once: one clean -race pass says little
 # about an interleaving it did not happen to run.
-# The third line repeats the crash matrix of the zero-filled journal
+# The third line does the same for the split side's only shared state, the
+# per-function facts built lazily on first use.
+# The fourth line repeats the crash matrix of the zero-filled journal
 # layout (seeded, no wall-clock waits) and its tail readers.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'GroupCommit|Dedup' ./internal/hrt
+	$(GO) test -race -count=10 -run 'SharedFactsConcurrent' ./internal/slicer
 	$(GO) test -race -count=3 -run 'Crash|TailScanner|EmptyRecord|JournalChain|ParentWritten' ./internal/wal ./internal/hrt
 
 # Full benchmark run; also regenerates the committed machine-readable

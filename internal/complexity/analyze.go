@@ -91,50 +91,31 @@ type analyzer struct {
 	constDef map[*dataflow.Def]bool
 	acDef    map[*dataflow.Def]AC
 
-	// enclosing maps statement IDs to their enclosing if/while statements,
-	// innermost last.
+	// enclosing and loopsOf are the function's shared enclosure tables
+	// (slicer.Facts): statement ID to the if/while statements, and to the
+	// whiles, around it.
 	enclosing map[int][]ir.Stmt
-	// loopsOf maps statement IDs to enclosing while statements.
-	loopsOf map[int][]*ir.WhileStmt
+	loopsOf   map[int][]*ir.WhileStmt
 }
 
+// newAnalyzer sets up the per-seed state over the function's shared facts;
+// this is where a function's CFG and reaching definitions are first asked
+// for, once however many of its seeds are analyzed.
 func newAnalyzer(sf *core.SplitFunc) *analyzer {
+	facts := slicer.FactsOf(sf.Orig)
 	a := &analyzer{
 		sf:         sf,
-		g:          sf.Slice.Graph,
-		reach:      sf.Slice.Reach,
 		roles:      sf.Slice.Roles,
 		hidden:     sf.Slice.Hidden,
 		observable: make(map[*dataflow.Def]bool),
 		constDef:   make(map[*dataflow.Def]bool),
 		acDef:      make(map[*dataflow.Def]AC),
-		enclosing:  make(map[int][]ir.Stmt),
-		loopsOf:    make(map[int][]*ir.WhileStmt),
+		enclosing:  facts.Enclosing,
+		loopsOf:    facts.LoopsOf,
 	}
-	a.buildEnclosure(sf.Orig.Body, nil)
+	a.g, a.reach = facts.Flow()
 	a.classifyDefs()
 	return a
-}
-
-func (a *analyzer) buildEnclosure(stmts []ir.Stmt, stack []ir.Stmt) {
-	for _, st := range stmts {
-		a.enclosing[st.ID()] = append([]ir.Stmt(nil), stack...)
-		for _, en := range stack {
-			if w, ok := en.(*ir.WhileStmt); ok {
-				a.loopsOf[st.ID()] = append(a.loopsOf[st.ID()], w)
-			}
-		}
-		switch st := st.(type) {
-		case *ir.IfStmt:
-			inner := append(append([]ir.Stmt(nil), stack...), st)
-			a.buildEnclosure(st.Then, inner)
-			a.buildEnclosure(st.Else, inner)
-		case *ir.WhileStmt:
-			inner := append(append([]ir.Stmt(nil), stack...), st)
-			a.buildEnclosure(st.Body, inner)
-			a.buildEnclosure(st.Post, inner)
-		}
-	}
 }
 
 // classifyDefs decides observability: a def is observable when its value is

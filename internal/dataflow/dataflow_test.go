@@ -208,63 +208,6 @@ func f(x: int): int {
 	_ = g
 }
 
-func TestLiveness(t *testing.T) {
-	p, err := ir.Compile(`
-func f(x: int, y: int): int {
-    var a: int = x + 1;
-    var b: int = 2;
-    if (a > 0) {
-        b = y;
-    }
-    return a + b;
-}`)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	f := p.Func("f")
-	g := cfg.Build(f)
-	l := Live(g)
-	x := f.LookupVar("x")
-	y := f.LookupVar("y")
-	a := f.LookupVar("a")
-	if !l.LiveAtEntry(x) || !l.LiveAtEntry(y) {
-		t.Error("params used later must be live at entry")
-	}
-	if l.LiveAtEntry(a) {
-		t.Error("a is defined before use; must not be live at entry")
-	}
-	// After the if (at return), a and b are live-in.
-	ret := g.ByStmt[4]
-	if !l.LiveIn[ret][a] {
-		t.Error("a must be live at return")
-	}
-	if l.LiveIn[ret][x] {
-		t.Error("x must be dead at return")
-	}
-}
-
-func TestLivenessLoop(t *testing.T) {
-	p := ir.MustCompile(`
-func f(n: int): int {
-    var s: int = 0;
-    var i: int = 0;
-    while (i < n) {
-        s = s + i;
-        i = i + 1;
-    }
-    return s;
-}`)
-	f := p.Func("f")
-	g := cfg.Build(f)
-	l := Live(g)
-	s := f.LookupVar("s")
-	i := f.LookupVar("i")
-	cond := g.ByStmt[2]
-	if !l.LiveIn[cond][s] || !l.LiveIn[cond][i] {
-		t.Error("s and i must be live at loop condition")
-	}
-}
-
 func TestResultStringStable(t *testing.T) {
 	_, r := analyze(t, `func f(x: int): int { var a: int = x; return a; }`, "f")
 	s1, s2 := r.String(), r.String()

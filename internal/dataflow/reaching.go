@@ -1,6 +1,6 @@
 // Package dataflow implements the intraprocedural dataflow analyses used by
 // the slicer and the splitting transformation: reaching definitions, def-use
-// and use-def chains, and live variables.
+// and use-def chains.
 //
 // Aggregates are handled conservatively through pseudo-variables (see
 // ir.VarElems / ir.VarHeap): stores into array elements or object fields are

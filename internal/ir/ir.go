@@ -7,6 +7,7 @@ package ir
 
 import (
 	"fmt"
+	"sync"
 
 	"slicehide/internal/lang/token"
 	"slicehide/internal/lang/types"
@@ -332,6 +333,12 @@ func (*HCallStmt) stmtNode()    {}
 // Functions, classes, programs
 
 // Func is a function or method in IR form.
+//
+// A Func is immutable once the pass that builds it returns: Build for the
+// functions of a compiled program, the splitting transformation for the
+// open functions and fragment shells it emits. No pass edits a function it
+// was handed; every pass emits new ones. Analyses cached on the function
+// (Facts) rest on this, and so does calling them from several goroutines.
 type Func struct {
 	Name   string
 	Class  string // empty for top-level functions
@@ -342,6 +349,19 @@ type Func struct {
 
 	nextStmtID int
 	varsByName map[string]*Var // uniquified name -> var (locals+params)
+
+	factsOnce sync.Once
+	facts     any
+}
+
+// Facts returns what build(f) returned the first time Facts was called on
+// f; later calls, from any goroutine, return that same value and ignore
+// build. The value must depend on f alone and is read-only once returned.
+// The slot has one client, slicer.FactsOf (package ir cannot name the
+// analyses that fill it), and is dropped with the function.
+func (f *Func) Facts(build func(*Func) any) any {
+	f.factsOnce.Do(func() { f.facts = build(f) })
+	return f.facts
 }
 
 // QName returns "Class.Name" for methods and "Name" for functions.

@@ -19,8 +19,6 @@ import (
 	"sort"
 	"strings"
 
-	"slicehide/internal/cfg"
-	"slicehide/internal/dataflow"
 	"slicehide/internal/ir"
 )
 
@@ -104,11 +102,6 @@ type Slice struct {
 	Roles map[int]Role
 	// Stmts maps statement IDs in the slice to their IR statements.
 	Stmts map[int]ir.Stmt
-
-	// Graph and Reach expose the underlying analyses for reuse by the
-	// splitting transformation and the complexity analysis.
-	Graph *cfg.Graph
-	Reach *dataflow.Result
 }
 
 // Size returns the number of statements in the slice.
@@ -135,68 +128,29 @@ func rhsReferencesHidden(e ir.Expr, hidden map[*ir.Var]bool) bool {
 	return false
 }
 
-// Compute slices f forward from seed under policy.
+// Compute slices f forward from seed under policy. It reads only f's
+// shared facts: the hidden set is reachability in the feeds graph, and only
+// statements mentioning a hidden variable can take a role (Step 3).
 func Compute(f *ir.Func, seed *ir.Var, policy Policy) *Slice {
-	g := cfg.Build(f)
-	reach := dataflow.Reaching(g)
+	fa := FactsOf(f)
 	s := &Slice{
 		Func:   f,
 		Seed:   seed,
-		Hidden: map[*ir.Var]bool{seed: true},
+		Hidden: fa.closure(seed, policy),
 		Roles:  make(map[int]Role),
 		Stmts:  make(map[int]ir.Stmt),
-		Graph:  g,
-		Reach:  reach,
 	}
-
-	// Collect assignments once.
-	type assign struct {
-		stmt *ir.AssignStmt
-		lhs  *ir.Var // nil if not a variable target
-	}
-	var assigns []assign
-	ir.WalkStmts(f.Body, func(st ir.Stmt) bool {
-		if a, ok := st.(*ir.AssignStmt); ok {
-			var lhs *ir.Var
-			switch t := a.Lhs.(type) {
-			case *ir.VarTarget:
-				lhs = t.Var
-			case *ir.FieldTarget:
-				// Class fields participate in the forward closure when the
-				// policy allows hiding them (the §2.2 OO extension).
-				lhs = t.FieldVar
-			}
-			assigns = append(assigns, assign{stmt: a, lhs: lhs})
-		}
-		return true
-	})
-
-	// Fixpoint: forward closure over data dependences (Step 1).
-	for changed := true; changed; {
-		changed = false
-		for _, a := range assigns {
-			if a.lhs == nil || s.Hidden[a.lhs] || !policy.HideableVar(a.lhs) {
+	for v := range s.Hidden {
+		for _, st := range fa.mentions[v] {
+			if _, done := s.Roles[st.ID()]; done {
 				continue
 			}
-			if ir.HasCall(a.stmt.Rhs) {
-				continue
-			}
-			if rhsReferencesHidden(a.stmt.Rhs, s.Hidden) {
-				s.Hidden[a.lhs] = true
-				changed = true
+			if role := classify(st, s.Hidden, policy); role != RoleNone {
+				s.Roles[st.ID()] = role
+				s.Stmts[st.ID()] = st
 			}
 		}
 	}
-
-	// Classification (Step 3).
-	ir.WalkStmts(f.Body, func(st ir.Stmt) bool {
-		role := classify(st, s.Hidden, policy)
-		if role != RoleNone {
-			s.Roles[st.ID()] = role
-			s.Stmts[st.ID()] = st
-		}
-		return true
-	})
 	return s
 }
 
