@@ -31,12 +31,18 @@ test:
 # The third line does the same for the split side's only shared state, the
 # per-function facts built lazily on first use.
 # The fourth line repeats the crash matrix of the zero-filled journal
-# layout (seeded, no wall-clock waits) and its tail readers.
+# layout (seeded, no wall-clock waits) and its tail readers, the read-ahead
+# window cases (TailScannerWindow, TailScannerOneReadPerWakeup) included.
+# The fifth line repeats the replication pump's shared state: the ack
+# lift that the ack reader and the pump both drive, the shown table every
+# inbound stream and every pump meet in, and the in-process fleets that
+# exercise the origin skip end to end.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'GroupCommit|Dedup' ./internal/hrt
 	$(GO) test -race -count=10 -run 'SharedFactsConcurrent' ./internal/slicer
 	$(GO) test -race -count=3 -run 'Crash|TailScanner|EmptyRecord|JournalChain|ParentWritten' ./internal/wal ./internal/hrt
+	$(GO) test -race -count=10 -run 'OriginSkip|Lift|ReplStream' ./internal/cluster
 
 # Full benchmark run; also regenerates the committed machine-readable
 # report (kernel, session mode, RTT, wall time, interactions, blocking

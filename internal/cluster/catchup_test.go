@@ -21,7 +21,6 @@ import (
 	"slicehide/internal/hrt"
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
-	"slicehide/internal/obs"
 	"slicehide/internal/slicer"
 )
 
@@ -188,40 +187,7 @@ type catchupReplica struct {
 // identity is cfg.Self (they differ for the proxied joiner).
 func startCatchupReplica(t *testing.T, res *core.Result, dir, listen string, cfg Config) *catchupReplica {
 	t.Helper()
-	tracer := obs.NewTracer(obs.TracerConfig{Level: obs.LevelDebug})
-	cfg.Tracer = tracer
-	cfg.Replicate = true
-	cfg.MembershipPath = MembershipPath(dir)
-	if cfg.SnapChunk == 0 {
-		cfg.SnapChunk = 64
-	}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = 50 * time.Millisecond
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 250 * time.Millisecond
-	}
-	if cfg.CommitTimeout == 0 {
-		cfg.CommitTimeout = time.Second
-	}
-	ts := &hrt.TCPServer{
-		Server: hrt.NewServer(hrt.NewRegistry(res)),
-		Tracer: tracer,
-		Persist: hrt.NewDurability(hrt.DurabilityOptions{
-			Dir:           dir,
-			SnapshotEvery: 4,
-			Tracer:        tracer,
-		}),
-	}
-	g, err := New(cfg, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ts.ListenAndServe(listen); err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	return &catchupReplica{ts: ts, g: g}
+	return startReplica(t, res, dir, listen, cfg, 4)
 }
 
 func (r *catchupReplica) stop() {

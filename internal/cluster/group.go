@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	crand "crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -107,6 +109,11 @@ type Group struct {
 	cfg     Config
 	ts      *hrt.TCPServer
 	tracker *wal.OffsetTracker
+	// boot identifies this process incarnation in replication handshakes,
+	// both the ones we dial and the ones we answer; shown remembers which
+	// records each peer incarnation has shown us (see replicate.go).
+	boot  uint64
+	shown *shownTable
 
 	mu        sync.Mutex
 	members   Membership
@@ -148,11 +155,14 @@ type Group struct {
 	// ignorance, and serve stale state until the first sender reconnected.
 	recvAnnounced map[string]int
 
-	redirects  atomic.Int64
-	replBytes  atomic.Int64
-	failoverNS atomic.Int64
-	syncWaits  atomic.Int64
-	syncStalls atomic.Int64
+	redirects atomic.Int64
+	replBytes atomic.Int64
+	// replSkipped counts records the pumps passed over because the peer had
+	// itself shown them to us.
+	replSkipped atomic.Int64
+	failoverNS  atomic.Int64
+	syncWaits   atomic.Int64
+	syncStalls  atomic.Int64
 	// replReceived/replApplied tally the incoming replication stream:
 	// records read off the wire vs. records applied to local state. Their
 	// difference is this follower's own apply lag, the receiving-side
@@ -166,8 +176,8 @@ type Group struct {
 }
 
 // New builds the group and wires it into ts: the Router hook (owner
-// redirects), the ReplHandler/ReplResume hooks (inbound streams and their
-// resume positions), the Gossip hook (membership exchange over liveness
+// redirects), the ReplHandler/ReplResume/ReplBoot hooks (inbound streams,
+// their resume positions, and the boot id the handshake answers with), the Gossip hook (membership exchange over liveness
 // pings), and — with Replicate — the durability layer's commit gate. Call
 // Start once the server is listening.
 func New(cfg Config, ts *hrt.TCPServer) (*Group, error) {
@@ -180,6 +190,10 @@ func New(cfg Config, ts *hrt.TCPServer) (*Group, error) {
 	if cfg.Replicate && ts.Persist == nil {
 		return nil, errors.New("cluster: replication requires a durable server (-wal)")
 	}
+	boot, err := newBootID()
+	if err != nil {
+		return nil, err
+	}
 	members := NewMembership(cfg.Peers)
 	if cfg.MembershipPath != "" {
 		if persisted, ok := LoadMembership(cfg.MembershipPath); ok && persisted.Supersedes(members) {
@@ -190,6 +204,8 @@ func New(cfg Config, ts *hrt.TCPServer) (*Group, error) {
 		cfg:           cfg,
 		ts:            ts,
 		tracker:       wal.NewOffsetTracker(),
+		boot:          boot,
+		shown:         newShownTable(shownSize),
 		members:       members,
 		alive:         make(map[string]bool, len(members.Members)),
 		fails:         make(map[string]int, len(members.Members)),
@@ -210,12 +226,27 @@ func New(cfg Config, ts *hrt.TCPServer) (*Group, error) {
 	}
 	ts.Router = g
 	ts.ReplHandler = g.handleRepl
+	ts.ReplBoot = g.boot
 	ts.ReplResume = g.replResume
 	ts.Gossip = g
 	if cfg.Replicate {
 		ts.Persist.SetCommitter(g)
 	}
 	return g, nil
+}
+
+// newBootID draws the random non-zero id that tells this process
+// incarnation from every other, its own earlier lives included.
+func newBootID() (uint64, error) {
+	var b [8]byte
+	for {
+		if _, err := crand.Read(b[:]); err != nil {
+			return 0, fmt.Errorf("cluster: boot id: %w", err)
+		}
+		if id := binary.LittleEndian.Uint64(b[:]); id != 0 {
+			return id, nil
+		}
+	}
 }
 
 // Start launches the prober, the join loop (with JoinSeed), and — with
@@ -801,6 +832,7 @@ func (g *Group) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("repl_lag_records", g.Lag)
 	reg.Gauge("repl_apply_lag_records", func() int64 { return g.replReceived.Load() - g.replApplied.Load() })
 	reg.Gauge("repl_bytes", g.replBytes.Load)
+	reg.Gauge("repl_skipped_records", g.replSkipped.Load)
 	reg.Gauge("owner_redirects", g.redirects.Load)
 	reg.Gauge("failover_ns", g.failoverNS.Load)
 	reg.Gauge("repl_sync_waits", g.syncWaits.Load)

@@ -38,6 +38,16 @@ import (
 // state base covering the gap). A cold replica's first state therefore
 // only ever arrives as a snapshot import or as a full-history stream from
 // generation zero — either way, gap-free.
+//
+// A pump does not ship a record back to a peer that already showed it to
+// us. The handshake trades boot ids (one random id per Group, i.e. per
+// process incarnation); the inbound side notes, for every record frame it
+// reads, "this (session, seq) was shown to us by boot β", and a pump whose
+// peer answered the handshake with β passes over a record so marked — that
+// incarnation read it out of its own journal before it reached us. A
+// restarted peer answers with a new boot id, so nothing its previous life
+// showed us is withheld from it: a replica that lost its data directory
+// still gets its own records back.
 
 // pumpBackoffMin/Max bound the reconnect backoff.
 const (
@@ -105,40 +115,150 @@ func (st *snapStage) nchunks() int64 {
 	return (st.total + int64(st.chunk) - 1) / int64(st.chunk)
 }
 
-// sealTable records, per streaming connection, how many records each
-// sealed generation held, so follower acks can be lifted across rotation
-// boundaries: an ack of {G, N} where generation G sealed at N records is
-// equivalently {G+1, 0}. Without the lift, a journal that rotates right
-// after its last record leaves the fully-caught-up follower's newest ack
-// in old-generation coordinates, and the lag gauge's conservative
-// cross-generation floor reports phantom lag on an empty journal.
-type sealTable struct {
-	mu     sync.Mutex
-	counts map[uint64]int64
+// shownSize bounds the shown table. An entry only has to outlive the gap
+// between a record's arrival and the pumps reading it back out of the
+// journal; anything older matters to a reconnecting pump re-reading
+// history, where forgetting costs a duplicate frame and nothing else.
+const shownSize = 8192
+
+// shownKey says: the record stamped (session, seq) was shown to us by the
+// process incarnation boot.
+type shownKey struct{ session, seq, boot uint64 }
+
+// shownTable is the bounded set of shownKeys, oldest forgotten first. A
+// forgotten (or never noted) record is relayed like any other; only a
+// present entry ever suppresses a frame.
+type shownTable struct {
+	mu   sync.Mutex
+	ring []shownKey // insertion order, ring[next] the oldest once full
+	next int
+	set  map[shownKey]struct{}
 }
 
-func newSealTable() *sealTable {
-	return &sealTable{counts: make(map[uint64]int64)}
+func newShownTable(size int) *shownTable {
+	return &shownTable{ring: make([]shownKey, 0, size), set: make(map[shownKey]struct{}, size)}
 }
 
-func (s *sealTable) seal(gen uint64, n int64) {
-	s.mu.Lock()
-	s.counts[gen] = n
-	s.mu.Unlock()
-}
-
-// normalize lifts pos through every sealed-generation boundary it sits
-// exactly on.
-func (s *sealTable) normalize(pos wal.Position) wal.Position {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		n, ok := s.counts[pos.Gen]
-		if !ok || pos.Records != n {
-			return pos
-		}
-		pos = wal.Position{Gen: pos.Gen + 1, Records: 0}
+func (t *shownTable) note(k shownKey) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.set[k]; ok {
+		return
 	}
+	if len(t.ring) < cap(t.ring) {
+		t.ring = append(t.ring, k)
+	} else {
+		delete(t.set, t.ring[t.next])
+		t.ring[t.next] = k
+		t.next = (t.next + 1) % len(t.ring)
+	}
+	t.set[k] = struct{}{}
+}
+
+func (t *shownTable) has(k shownKey) bool {
+	t.mu.Lock()
+	_, ok := t.set[k]
+	t.mu.Unlock()
+	return ok
+}
+
+// liftStep says an acknowledgement of from stands for one of to: every
+// position after from up to to needed no acknowledgement of its own.
+type liftStep struct{ from, to wal.Position }
+
+// ackLift records, per streaming connection, the stretches of the stream
+// that need no acknowledgement, so follower acks can be lifted across
+// them. A generation that sealed at N records makes {G, N} equivalently
+// {G+1, 0} — without that lift, a journal that rotates right after its
+// last record leaves the fully-caught-up follower's newest ack in
+// old-generation coordinates, and the lag gauge's conservative
+// cross-generation floor reports phantom lag on an empty journal. A record
+// the pump passed over (the peer showed it to us) makes {G, i-1}
+// equivalently {G, i}: the peer will never acknowledge a frame it was not
+// sent, and the commit gate, Lag and Ready must not wait for it to.
+//
+// The pump adds steps in stream order and acks arrive in stream order, so
+// the steps form a queue. Lifting and tracker.Ack happen under mu from
+// both the ack reader and the pump: done separately, an ack that lands
+// between the pump's step and its re-lift is recorded unlifted and stays
+// that way until the next record.
+type ackLift struct {
+	mu    sync.Mutex
+	steps []liftStep // steps[head:] pending, ascending, contiguous ones merged
+	head  int
+}
+
+// ack records peer's acknowledgement of pos, lifted.
+func (l *ackLift) ack(tr *wal.OffsetTracker, peer string, pos wal.Position) {
+	l.mu.Lock()
+	tr.Ack(peer, l.lift(pos))
+	l.mu.Unlock()
+}
+
+// pass records that the stream moved from from to to with nothing to
+// acknowledge, and lifts peer's standing acknowledgement if it sits there.
+func (l *ackLift) pass(tr *wal.OffsetTracker, peer string, from, to wal.Position) {
+	l.mu.Lock()
+	if n := len(l.steps); n > l.head && l.steps[n-1].to == from {
+		l.steps[n-1].to = to
+	} else {
+		l.steps = append(l.steps, liftStep{from, to})
+	}
+	tr.Ack(peer, l.lift(tr.Acked(peer)))
+	l.mu.Unlock()
+}
+
+// lift carries pos across every pending step it has reached, dropping the
+// steps it leaves behind. Caller holds mu.
+func (l *ackLift) lift(pos wal.Position) wal.Position {
+	for l.head < len(l.steps) && !pos.Before(l.steps[l.head].from) {
+		if to := l.steps[l.head].to; pos.Before(to) {
+			pos = to
+		}
+		l.head++
+	}
+	if l.head == len(l.steps) {
+		l.steps, l.head = l.steps[:0], 0
+	} else if l.head >= 64 && l.head*2 >= len(l.steps) {
+		// A follower that lags keeps steps pending; reclaim the consumed half.
+		l.steps = l.steps[:copy(l.steps, l.steps[l.head:])]
+		l.head = 0
+	}
+	return pos
+}
+
+// replStream is the writing half of one replication connection, either
+// direction. Frames go head-then-payload into its buffered writer and are
+// flushed one by one; the write deadline that bounds a blocked flush is
+// re-armed only once a quarter of the timeout has passed since it was set,
+// so a frame costs no timer update and a stuck write still fails within
+// the timeout.
+type replStream struct {
+	conn    net.Conn
+	w       *bufio.Writer
+	timeout time.Duration
+	armed   time.Time // when the write deadline was last set; zero = none stands
+}
+
+func (g *Group) newReplStream(conn net.Conn) *replStream {
+	return &replStream{conn: conn, w: bufio.NewWriter(conn), timeout: g.cfg.CommitTimeout}
+}
+
+func (s *replStream) send(f hrt.ReplFrame) error {
+	if now := time.Now(); now.Sub(s.armed) >= s.timeout/4 {
+		s.conn.SetWriteDeadline(now.Add(s.timeout))
+		s.armed = now
+	}
+	if err := hrt.WriteReplFrame(s.w, f); err != nil {
+		return err
+	}
+	return s.w.Flush()
+}
+
+// disarm clears the connection's deadlines, read and write.
+func (s *replStream) disarm() {
+	s.conn.SetDeadline(time.Time{})
+	s.armed = time.Time{}
 }
 
 func (g *Group) pumpLoop(peer string, stopCh <-chan struct{}) {
@@ -216,12 +336,12 @@ func (g *Group) untrackPumpConn(peer string) {
 // lockstep.
 func (g *Group) streamTo(peer string, conn net.Conn, stopCh <-chan struct{}) error {
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	st := g.newReplStream(conn)
 	conn.SetDeadline(time.Now().Add(g.cfg.CommitTimeout))
-	if err := hrt.WriteRequest(w, hrt.Request{Op: hrt.OpRepl, Fn: g.cfg.Self}); err != nil {
+	if err := hrt.WriteRequest(st.w, hrt.Request{Op: hrt.OpRepl, Fn: g.cfg.Self, Session: g.boot}); err != nil {
 		return err
 	}
-	if err := w.Flush(); err != nil {
+	if err := st.w.Flush(); err != nil {
 		return err
 	}
 	resp, err := hrt.ReadResponse(r)
@@ -231,8 +351,10 @@ func (g *Group) streamTo(peer string, conn net.Conn, stopCh <-chan struct{}) err
 	if resp.Err != "" {
 		return fmt.Errorf("cluster: peer %s refused replication: %s", peer, resp.Err)
 	}
-	conn.SetDeadline(time.Time{})
+	st.disarm()
 	resume := wal.Position{Gen: resp.Seq, Records: int64(resp.Ack)}
+	// Zero from a peer that states no boot id: nothing is ever skipped for it.
+	peerBoot := uint64(resp.Inst)
 
 	p := g.ts.Persist
 	gens, err := p.Generations()
@@ -258,7 +380,7 @@ func (g *Group) streamTo(peer string, conn net.Conn, stopCh <-chan struct{}) err
 		// alone would leave a silent gap. Ship the newest snapshot; fall
 		// back to oldest-retained streaming only on an explicit "proceed"
 		// (the peer already holds a state base).
-		newResume, sent, release, serr := g.sendSnapshot(peer, conn, r, w)
+		newResume, sent, release, serr := g.sendSnapshot(peer, st, r)
 		if release != nil {
 			// Hold the snapshot generation pinned against pruning until this
 			// stream ends — its journal is the next thing we tail.
@@ -276,31 +398,30 @@ func (g *Group) streamTo(peer string, conn net.Conn, stopCh <-chan struct{}) err
 
 	// Announce the stream's catch-up target: our position as of now. The
 	// peer holds its /readyz until it has applied up to this point, so a
-	// joiner is never marked ready while it still owes history.
+	// joiner is never marked ready while it still owes history. Its applied
+	// position only advances on frames it receives, so no record at or
+	// before the target is ever passed over.
 	tailGen, tailRecords := p.CurrentPosition()
-	conn.SetWriteDeadline(time.Now().Add(g.cfg.CommitTimeout))
-	if err := hrt.WriteReplFrame(w, hrt.ReplFrame{
-		Type: hrt.ReplFrameTarget, Gen: tailGen, Index: tailRecords,
-	}); err != nil {
+	target := wal.Position{Gen: tailGen, Records: tailRecords}
+	if err := st.send(hrt.ReplFrame{Type: hrt.ReplFrameTarget, Gen: target.Gen, Index: target.Records}); err != nil {
 		return err
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	conn.SetWriteDeadline(time.Time{})
+	st.disarm()
 
 	g.cfg.Tracer.Emit(obs.LevelInfo, "cluster_pump_connected",
-		obs.Str("peer", peer), obs.Uint("resume_gen", resume.Gen), obs.Int("resume_records", resume.Records))
+		obs.Str("peer", peer), obs.Uint("peer_boot", peerBoot),
+		obs.Uint("resume_gen", resume.Gen), obs.Int("resume_records", resume.Records))
 	// Register at the true resume position: the commit gate must not stall
 	// on history the follower already holds, and must not count a joiner
 	// as covering positions it has not reached.
 	g.tracker.RegisterAt(peer, resume)
 
-	// Ack reader: every ack lifts the peer's tracked position (normalized
-	// across sealed generation boundaries), releasing commit waiters. On
-	// any read error it closes the connection so the writer side unblocks
-	// too.
-	seals := newSealTable()
+	// Ack reader: every ack raises the peer's tracked position (lifted
+	// across whatever needed no ack), releasing commit waiters. On any read
+	// error it closes the connection so the writer side unblocks too, and
+	// its exit is the pump's only notice of a dead link while it has nothing
+	// to write — which, passing over a peer's own records, can be always.
+	lift := new(ackLift)
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
@@ -311,11 +432,13 @@ func (g *Group) streamTo(peer string, conn net.Conn, stopCh <-chan struct{}) err
 				return
 			}
 			if f.Type == hrt.ReplFrameAck {
-				g.tracker.Ack(peer, seals.normalize(wal.Position{Gen: f.Gen, Records: f.Index}))
+				lift.ack(g.tracker, peer, wal.Position{Gen: f.Gen, Records: f.Index})
 			}
 		}
 	}()
-	err = g.streamRecords(conn, w, stopCh, resume, peer, seals)
+	err = g.streamRecords(&pump{
+		peer: peer, boot: peerBoot, st: st, stopCh: stopCh, dead: readerDone, target: target, lift: lift,
+	}, resume)
 	conn.Close()
 	<-readerDone
 	return err
@@ -332,7 +455,8 @@ func (g *Group) streamTo(peer string, conn net.Conn, stopCh <-chan struct{}) err
 // whether the transfer happened (false + nil error means the peer said
 // "proceed": it already holds a base, stream from oldest retained), and a
 // release that unpins the snapshot's generation.
-func (g *Group) sendSnapshot(peer string, conn net.Conn, r *bufio.Reader, w *bufio.Writer) (wal.Position, bool, func(), error) {
+func (g *Group) sendSnapshot(peer string, st *replStream, r *bufio.Reader) (wal.Position, bool, func(), error) {
+	conn := st.conn
 	p := g.ts.Persist
 	snapGen, payload, release, err := p.NewestSnapshot()
 	if err != nil {
@@ -356,15 +480,12 @@ func (g *Group) sendSnapshot(peer string, conn net.Conn, r *bufio.Reader, w *buf
 	// on an idle fleet the pump then reconnects (and is declined) forever,
 	// so the peer never keeps an announced inbound stream and never goes
 	// ready.
-	conn.SetDeadline(time.Now().Add(g.cfg.CommitTimeout))
-	defer conn.SetDeadline(time.Time{})
-	if err := hrt.WriteReplFrame(w, hrt.ReplFrame{
+	conn.SetReadDeadline(time.Now().Add(g.cfg.CommitTimeout))
+	defer st.disarm()
+	if err := st.send(hrt.ReplFrame{
 		Type: hrt.ReplFrameSnapBegin, Gen: snapGen,
 		Payload: encodeSnapMeta(total, sum, chunk, wal.Position{Gen: tailGen, Records: tailRecords}),
 	}); err != nil {
-		return wal.Position{}, false, release, err
-	}
-	if err := w.Flush(); err != nil {
 		return wal.Position{}, false, release, err
 	}
 	f, err := hrt.ReadReplFrame(r)
@@ -405,16 +526,12 @@ func (g *Group) sendSnapshot(peer string, conn net.Conn, r *bufio.Reader, w *buf
 		framed := make([]byte, 4+len(body))
 		binary.LittleEndian.PutUint32(framed[0:4], crc32.ChecksumIEEE(body))
 		copy(framed[4:], body)
-		conn.SetWriteDeadline(time.Now().Add(g.cfg.CommitTimeout))
-		if err := hrt.WriteReplFrame(w, hrt.ReplFrame{
+		if err := st.send(hrt.ReplFrame{
 			Type: hrt.ReplFrameSnapChunk, Gen: snapGen, Index: i, Payload: framed,
 		}); err != nil {
 			return wal.Position{}, false, release, err
 		}
-		if err := w.Flush(); err != nil {
-			return wal.Position{}, false, release, err
-		}
-		g.snapXferBytes.Add(int64(21 + len(framed)))
+		g.snapXferBytes.Add(int64(hrt.ReplHeadSize + len(framed)))
 	}
 
 	// Drain progress acks until the peer confirms the import (final ack
@@ -453,29 +570,44 @@ func (g *Group) sendSnapshot(peer string, conn net.Conn, r *bufio.Reader, w *buf
 	}
 }
 
+var errLinkLost = errors.New("cluster: replication link lost")
+
+// pump is one outbound stream's state once the handshake is done.
+type pump struct {
+	peer   string
+	boot   uint64 // the peer's boot id; 0 = it stated none
+	st     *replStream
+	stopCh <-chan struct{}
+	dead   <-chan struct{} // closed when the ack reader lost the connection
+	target wal.Position    // the announced catch-up target
+	lift   *ackLift
+}
+
 // streamRecords follows the local journal from resume and ships every
-// record beyond it over conn.
-func (g *Group) streamRecords(conn net.Conn, w *bufio.Writer, stopCh <-chan struct{}, resume wal.Position, peer string, seals *sealTable) error {
+// record beyond it that the peer has not itself shown us.
+func (g *Group) streamRecords(pm *pump, resume wal.Position) error {
 	p := g.ts.Persist
-	gen := resume.Gen
-	skip := resume.Records
+	// at is the stream's position: everything up to it was sent, passed
+	// over, or is history the peer holds already.
+	at := resume
 	for {
-		opened, count, err := g.streamGeneration(conn, w, stopCh, gen, skip)
-		skip = 0
+		opened, count, err := g.streamGeneration(pm, at)
+		if opened {
+			at.Records = count
+		}
 		if err == nil {
-			// The generation sealed at count records. Lift an ack that
-			// already sits exactly on the boundary (it arrived before the
-			// seal count was known) into the next generation's coordinates,
-			// and tell the receiver, so it can make the same lift on its
-			// applied position — without it, a catch-up target announced as
-			// (G, 0) right after a rotation is unreachable for a receiver
-			// sitting on (G-1, count) when no further records flow.
-			seals.seal(gen, count)
-			g.tracker.Ack(peer, seals.normalize(g.tracker.Acked(peer)))
-			if !g.ackFrame(conn, w, hrt.ReplFrame{Type: hrt.ReplFrameSeal, Gen: gen, Index: count}) {
+			// The generation sealed at count records: an ack sitting exactly
+			// on the boundary stands for the next generation's start. Tell
+			// the receiver, so it can make the same lift on its applied
+			// position — without it, a catch-up target announced as (G, 0)
+			// right after a rotation is unreachable for a receiver sitting
+			// on (G-1, count) when no further records flow.
+			next := wal.Position{Gen: at.Gen + 1}
+			pm.lift.pass(g.tracker, pm.peer, at, next)
+			if pm.st.send(hrt.ReplFrame{Type: hrt.ReplFrameSeal, Gen: at.Gen, Index: count}) != nil {
 				return errors.New("cluster: seal announcement failed")
 			}
-			gen++
+			at = next
 			continue
 		}
 		if opened {
@@ -487,39 +619,40 @@ func (g *Group) streamRecords(conn net.Conn, w *bufio.Writer, stopCh <-chan stru
 		// the receiver's replay high-water marks absorb any overlap, and
 		// the receiver necessarily holds a base at or beyond the pruning
 		// snapshot's cut (it reached this generation through streaming or
-		// import), so no gap opens.
+		// import), so no gap opens — and nothing in between is left to
+		// acknowledge.
 		gens, lerr := p.Generations()
 		if lerr != nil {
 			return lerr
 		}
-		next, found := uint64(0), false
+		next := wal.Position{}
 		for _, gn := range gens {
-			if gn > gen {
-				next, found = gn, true
+			if gn > at.Gen {
+				next.Gen = gn
 				break
 			}
 		}
-		if !found {
-			if curGen, _ := p.CurrentPosition(); curGen > gen {
-				gen = curGen
-				continue
+		if next.Gen == 0 {
+			if next.Gen, _ = p.CurrentPosition(); next.Gen <= at.Gen {
+				return err
 			}
-			return err
 		}
-		gen = next
+		pm.lift.pass(g.tracker, pm.peer, at, next)
+		at = next
 	}
 }
 
-// streamGeneration streams generation gen until it is sealed by a journal
-// rotation, then returns nil (plus the generation's final record count)
-// so the caller advances to gen+1. The first `skip` records are read but
-// not sent (the peer already applied them — its resume position within
-// this generation). The generation is pinned against pruning for the
-// duration: a snapshot landing mid-stream must not delete the file under
-// our tail scanner. The first result reports whether the generation's
-// journal file could be opened.
-func (g *Group) streamGeneration(conn net.Conn, w *bufio.Writer, stopCh <-chan struct{}, gen uint64, skip int64) (bool, int64, error) {
+// streamGeneration streams generation from.Gen until it is sealed by a
+// journal rotation, then returns nil (plus the generation's final record
+// count) so the caller advances to the next one. The first from.Records
+// records are read but not sent (the peer already applied them — its
+// resume position within this generation). The generation is pinned
+// against pruning for the duration: a snapshot landing mid-stream must not
+// delete the file under our tail scanner. The first result reports whether
+// the generation's journal file could be opened.
+func (g *Group) streamGeneration(pm *pump, from wal.Position) (bool, int64, error) {
 	p := g.ts.Persist
+	gen := from.Gen
 	unpin := p.PinGeneration(gen)
 	defer unpin()
 	tail, err := wal.OpenTail(p.JournalFile(gen), 0)
@@ -533,20 +666,34 @@ func (g *Group) streamGeneration(conn net.Conn, w *bufio.Writer, stopCh <-chan s
 	defer poll.Stop()
 	var idx int64
 	sealed := false
+	// The notification channel is acquired before the read it guards — an
+	// append that lands between the read and the wait closes this channel,
+	// so the wakeup cannot be lost — and the scanner reports caught-up from
+	// the read that saw the log end, without another to confirm it.
+	notify := p.AppendNotify()
 	for {
-		// Acquire the notification channel before reading: an append that
-		// lands between the read and the wait closes this channel, so the
-		// wakeup cannot be lost.
-		notify := p.AppendNotify()
 		payload, err := tail.Next()
 		if err == nil {
 			idx++
-			if idx <= skip {
+			if idx <= from.Records {
 				continue
 			}
-			if serr := g.sendRecord(conn, w, gen, idx, payload); serr != nil {
+			pos := wal.Position{Gen: gen, Records: idx}
+			if pm.target.Before(pos) && g.shownBy(payload, pm.boot) {
+				pm.lift.pass(g.tracker, pm.peer, wal.Position{Gen: gen, Records: idx - 1}, pos)
+				g.replSkipped.Add(1)
+				select {
+				case <-pm.dead: // no write will report it
+					return true, idx, errLinkLost
+				default:
+				}
+				continue
+			}
+			f := hrt.ReplFrame{Type: hrt.ReplFrameRecord, Gen: gen, Index: idx, Payload: payload}
+			if serr := pm.st.send(f); serr != nil {
 				return true, idx, serr
 			}
+			g.replBytes.Add(int64(hrt.ReplHeadSize + len(payload)))
 			continue
 		}
 		if err != wal.ErrTailCaughtUp {
@@ -575,27 +722,33 @@ func (g *Group) streamGeneration(conn net.Conn, w *bufio.Writer, stopCh <-chan s
 		case <-notify:
 		case <-g.stop:
 			return true, idx, errors.New("cluster: group closed")
-		case <-stopCh:
+		case <-pm.stopCh:
 			return true, idx, errors.New("cluster: pump stopped")
+		case <-pm.dead:
+			return true, idx, errLinkLost
 		case <-poll.C:
 			// Paranoia poll: nothing should be lost given the
 			// acquire-before-read protocol, but a cheap re-check beats a
 			// wedged fleet if that invariant ever breaks.
 		}
+		notify = p.AppendNotify()
 	}
 }
 
-func (g *Group) sendRecord(conn net.Conn, w *bufio.Writer, gen uint64, idx int64, payload []byte) error {
-	conn.SetWriteDeadline(time.Now().Add(g.cfg.CommitTimeout))
-	f := hrt.ReplFrame{Type: hrt.ReplFrameRecord, Gen: gen, Index: idx, Payload: payload}
-	if err := hrt.WriteReplFrame(w, f); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	g.replBytes.Add(int64(21 + len(payload)))
-	return nil
+// shownKeyOf builds the table key for the journal record in payload as
+// shown by the process incarnation boot. There is none for boot 0 — a peer
+// that states no boot id is never noted and never skipped for — nor for a
+// payload too short to carry a stamp.
+func shownKeyOf(payload []byte, boot uint64) (shownKey, bool) {
+	session, seq, ok := hrt.RecordStamp(payload)
+	return shownKey{session, seq, boot}, ok && boot != 0
+}
+
+// shownBy reports whether the journal record in payload was shown to us by
+// the process incarnation boot.
+func (g *Group) shownBy(payload []byte, boot uint64) bool {
+	k, ok := shownKeyOf(payload, boot)
+	return ok && g.shown.has(k)
 }
 
 // ---------------------------------------------------------------------------
@@ -619,11 +772,12 @@ func (g *Group) replResume(sender string) (uint64, int64) {
 // and drops the stream — the primary will reconnect and re-stream, and if
 // the error is persistent this replica's lag (and its /readyz) make the
 // damage visible instead of silently diverging.
-func (g *Group) handleRepl(conn net.Conn, r *bufio.Reader, sender string) {
+func (g *Group) handleRepl(conn net.Conn, r *bufio.Reader, sender string, boot uint64) {
 	if sender == "" {
 		sender = conn.RemoteAddr().String()
 	}
-	g.cfg.Tracer.Emit(obs.LevelInfo, "cluster_repl_stream_open", obs.Str("peer", sender))
+	g.cfg.Tracer.Emit(obs.LevelInfo, "cluster_repl_stream_open",
+		obs.Str("peer", sender), obs.Uint("peer_boot", boot))
 	g.recvMu.Lock()
 	g.recvActive[sender]++
 	g.recvMu.Unlock()
@@ -640,11 +794,7 @@ func (g *Group) handleRepl(conn net.Conn, r *bufio.Reader, sender string) {
 		}
 		g.recvMu.Unlock()
 	}()
-	w := bufio.NewWriter(conn)
-	// Seal announcements from this sender; applied positions are lifted
-	// through sealed boundaries so they stay comparable with targets the
-	// sender states in new-generation coordinates.
-	seals := newSealTable()
+	st := g.newReplStream(conn)
 	for {
 		f, err := hrt.ReadReplFrame(r)
 		if err != nil {
@@ -657,28 +807,36 @@ func (g *Group) handleRepl(conn net.Conn, r *bufio.Reader, sender string) {
 		switch f.Type {
 		case hrt.ReplFrameRecord:
 			g.replReceived.Add(1)
+			// Noted before the apply journals it: by the time a pump reads
+			// the record back out of our journal, the mark is there.
+			// Duplicates count too — the sender holds the record either way.
+			if k, ok := shownKeyOf(f.Payload, boot); ok {
+				g.shown.note(k)
+			}
 			if err := g.ts.ApplyReplicated(f.Payload); err != nil {
 				g.cfg.Tracer.Emit(obs.LevelError, "cluster_repl_apply_error",
 					obs.Str("peer", sender), obs.Err(err))
 				return
 			}
 			g.replApplied.Add(1)
-			g.replBytes.Add(int64(21 + len(f.Payload)))
+			g.replBytes.Add(int64(hrt.ReplHeadSize + len(f.Payload)))
 			g.recvMu.Lock()
-			g.recvPos[sender] = seals.normalize(wal.Position{Gen: f.Gen, Records: f.Index})
+			g.recvPos[sender] = wal.Position{Gen: f.Gen, Records: f.Index}
 			g.recvMu.Unlock()
-			if !g.ackFrame(conn, w, hrt.ReplFrame{Type: hrt.ReplFrameAck, Gen: f.Gen, Index: f.Index}) {
+			if st.send(hrt.ReplFrame{Type: hrt.ReplFrameAck, Gen: f.Gen, Index: f.Index}) != nil {
 				return
 			}
 		case hrt.ReplFrameSeal:
-			// The sender's generation f.Gen ended at f.Index records. Lift
-			// our applied position across the boundary; catchingUp compares
+			// The sender's generation f.Gen ended at f.Index records, and the
+			// seal follows the generation's last frame. Lift an applied
+			// position sitting on the boundary across it; catchingUp compares
 			// it against the announced target, and without the lift a target
 			// of (G, 0) wedges readiness when the corpus stops right at the
 			// rotation.
-			seals.seal(f.Gen, f.Index)
 			g.recvMu.Lock()
-			g.recvPos[sender] = seals.normalize(g.recvPos[sender])
+			if g.recvPos[sender] == (wal.Position{Gen: f.Gen, Records: f.Index}) {
+				g.recvPos[sender] = wal.Position{Gen: f.Gen + 1}
+			}
 			g.recvMu.Unlock()
 		case hrt.ReplFrameTarget:
 			pos := wal.Position{Gen: f.Gen, Records: f.Index}
@@ -696,11 +854,11 @@ func (g *Group) handleRepl(conn net.Conn, r *bufio.Reader, sender string) {
 			}
 			g.recvMu.Unlock()
 		case hrt.ReplFrameSnapBegin:
-			if !g.recvSnapBegin(conn, w, sender, f) {
+			if !g.recvSnapBegin(st, sender, f) {
 				return
 			}
 		case hrt.ReplFrameSnapChunk:
-			if !g.recvSnapChunk(conn, w, sender, f) {
+			if !g.recvSnapChunk(st, sender, f) {
 				return
 			}
 		default:
@@ -710,23 +868,13 @@ func (g *Group) handleRepl(conn net.Conn, r *bufio.Reader, sender string) {
 	}
 }
 
-// ackFrame writes one frame back to the sender; false means the stream
-// should be dropped.
-func (g *Group) ackFrame(conn net.Conn, w *bufio.Writer, f hrt.ReplFrame) bool {
-	conn.SetWriteDeadline(time.Now().Add(g.cfg.CommitTimeout))
-	if err := hrt.WriteReplFrame(w, f); err != nil {
-		return false
-	}
-	return w.Flush() == nil
-}
-
 // recvSnapBegin answers a snapshot offer: refuse with "proceed" when this
 // replica already holds state (the sender then streams records instead),
 // refuse with "retry" when a different sender's transfer is mid-flight on
 // a live stream, resume a matching interrupted transfer at its staged
 // chunk count, or accept a fresh one at chunk zero. False drops the
 // stream (protocol error).
-func (g *Group) recvSnapBegin(conn net.Conn, w *bufio.Writer, sender string, f hrt.ReplFrame) bool {
+func (g *Group) recvSnapBegin(out *replStream, sender string, f hrt.ReplFrame) bool {
 	total, sum, chunk, tail, err := decodeSnapMeta(f.Payload)
 	if err != nil {
 		g.cfg.Tracer.Emit(obs.LevelWarn, "cluster_snap_xfer_bad_offer",
@@ -734,19 +882,19 @@ func (g *Group) recvSnapBegin(conn net.Conn, w *bufio.Writer, sender string, f h
 		return false
 	}
 	if !g.ts.StateEmpty() {
-		return g.ackFrame(conn, w, hrt.ReplFrame{
+		return out.send(hrt.ReplFrame{
 			Type: hrt.ReplFrameSnapNack, Gen: f.Gen,
 			Payload: []byte(hrt.SnapNackProceed + ": state not empty"),
-		})
+		}) == nil
 	}
 	g.recvMu.Lock()
 	if st := g.stage; st != nil && st.sender != sender {
 		if g.recvActive[st.sender] > 0 {
 			g.recvMu.Unlock()
-			return g.ackFrame(conn, w, hrt.ReplFrame{
+			return out.send(hrt.ReplFrame{
 				Type: hrt.ReplFrameSnapNack, Gen: f.Gen,
 				Payload: []byte(hrt.SnapNackRetry + ": transfer from " + st.sender + " in progress"),
-			})
+			}) == nil
 		}
 		// The staging sender's stream died; its partial transfer is stale.
 		g.stage = nil
@@ -774,13 +922,13 @@ func (g *Group) recvSnapBegin(conn net.Conn, w *bufio.Writer, sender string, f h
 	g.cfg.Tracer.Emit(obs.LevelInfo, "cluster_snap_xfer_begin",
 		obs.Str("peer", sender), obs.Uint("gen", f.Gen),
 		obs.Int("bytes", total), obs.Int("resume_chunk", startChunk))
-	return g.ackFrame(conn, w, hrt.ReplFrame{Type: hrt.ReplFrameSnapAck, Gen: f.Gen, Index: startChunk})
+	return out.send(hrt.ReplFrame{Type: hrt.ReplFrameSnapAck, Gen: f.Gen, Index: startChunk}) == nil
 }
 
 // recvSnapChunk stages one transfer chunk; on the final chunk it verifies
 // the whole payload, imports it as this replica's state base, re-journals
 // it, and confirms with the final ack. False drops the stream.
-func (g *Group) recvSnapChunk(conn net.Conn, w *bufio.Writer, sender string, f hrt.ReplFrame) bool {
+func (g *Group) recvSnapChunk(out *replStream, sender string, f hrt.ReplFrame) bool {
 	g.recvMu.Lock()
 	st := g.stage
 	if st == nil || st.sender != sender || st.gen != f.Gen || st.chunks != f.Index {
@@ -806,7 +954,7 @@ func (g *Group) recvSnapChunk(conn net.Conn, w *bufio.Writer, sender string, f h
 	}
 	st.buf = append(st.buf, body...)
 	st.chunks++
-	g.snapXferBytes.Add(int64(21 + len(f.Payload)))
+	g.snapXferBytes.Add(int64(hrt.ReplHeadSize + len(f.Payload)))
 	// Capture everything needed past this point while the lock is held —
 	// a racing re-offer from the same sender may swap the stage out.
 	snap := *st
@@ -814,7 +962,7 @@ func (g *Group) recvSnapChunk(conn net.Conn, w *bufio.Writer, sender string, f h
 	g.recvMu.Unlock()
 
 	if !complete {
-		return g.ackFrame(conn, w, hrt.ReplFrame{Type: hrt.ReplFrameSnapAck, Gen: f.Gen, Index: snap.chunks})
+		return out.send(hrt.ReplFrame{Type: hrt.ReplFrameSnapAck, Gen: f.Gen, Index: snap.chunks}) == nil
 	}
 
 	// All chunks staged: verify and import. The stage stays set during the
@@ -832,10 +980,10 @@ func (g *Group) recvSnapChunk(conn net.Conn, w *bufio.Writer, sender string, f h
 		// import. That base covers this transfer's history too; tell the
 		// sender to stream instead.
 		g.clearStage()
-		return g.ackFrame(conn, w, hrt.ReplFrame{
+		return out.send(hrt.ReplFrame{
 			Type: hrt.ReplFrameSnapNack, Gen: snap.gen,
 			Payload: []byte(hrt.SnapNackProceed + ": state no longer empty"),
-		})
+		}) == nil
 	}
 	if err != nil {
 		g.clearStage()
@@ -854,7 +1002,7 @@ func (g *Group) recvSnapChunk(conn net.Conn, w *bufio.Writer, sender string, f h
 	g.cfg.Tracer.Emit(obs.LevelInfo, "cluster_snap_imported",
 		obs.Str("peer", sender), obs.Uint("gen", snap.gen),
 		obs.Int("bytes", snap.total), obs.Dur("took", time.Since(snap.start)))
-	return g.ackFrame(conn, w, hrt.ReplFrame{Type: hrt.ReplFrameSnapAck, Gen: snap.gen, Index: snap.nchunks()})
+	return out.send(hrt.ReplFrame{Type: hrt.ReplFrameSnapAck, Gen: snap.gen, Index: snap.nchunks()}) == nil
 }
 
 func (g *Group) clearStage() {

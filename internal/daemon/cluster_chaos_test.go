@@ -184,6 +184,16 @@ func TestClusterFailoverChaos(t *testing.T) {
 		if gauges["failover_ns"] > 0 {
 			sawFailover = true
 		}
+		// The skip counter and the boot ids on the stream events are counts
+		// and identifiers of process incarnations: nothing here carries a
+		// hidden value or a record payload, so the obs.Secret rule has
+		// nothing to redact.
+		if _, ok := gauges["repl_skipped_records"]; !ok {
+			t.Errorf("survivor %d: /metrics has no repl_skipped_records gauge beside repl_bytes", i)
+		}
+		if trace := dumpClusterTrace(t, children[i].adminAddr()); !strings.Contains(trace, "peer_boot") {
+			t.Errorf("survivor %d: no stream event names the peer's boot id:\n%s", i, trace)
+		}
 		// A replica that served no client this run appends its replicated
 		// records asynchronously (nothing commit-gates them), so its lag is
 		// legitimately nonzero for the instant after the last response.

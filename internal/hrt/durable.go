@@ -1257,6 +1257,19 @@ type journalRecord struct {
 	resp           Response // Val/Inst/Err/Flags; Seq and Ack are rebuilt from seq
 }
 
+// recordStampEnd is where a record's fixed prefix ends:
+// [op][flags][session u64][seq u64].
+const recordStampEnd = 18
+
+// RecordStamp reads the (session, seq) stamp of an encoded journal record
+// at its fixed offset; ok is false for a payload too short to hold one.
+func RecordStamp(payload []byte) (session, seq uint64, ok bool) {
+	if len(payload) < recordStampEnd {
+		return 0, 0, false
+	}
+	return binary.LittleEndian.Uint64(payload[2:10]), binary.LittleEndian.Uint64(payload[10:18]), true
+}
+
 func appendRecord(b []byte, rec *journalRecord) ([]byte, error) {
 	if len(rec.deltas) > maxRecordDeltas {
 		return nil, fmt.Errorf("hrt: record has %d deltas, limit %d", len(rec.deltas), maxRecordDeltas)

@@ -111,25 +111,45 @@ const maxReplPayload = 1 << 26
 // field drives at most one wasted chunk of allocation, not 64 MiB.
 const replReadChunk = 1 << 16
 
+// ReplHeadSize is the fixed part of a frame: type, gen, index, length.
+const ReplHeadSize = 21
+
 // AppendReplFrame encodes f: [type][gen u64][index u64][len u32][payload].
 func AppendReplFrame(b []byte, f ReplFrame) ([]byte, error) {
+	b, err := appendReplHead(b, f)
+	if err != nil {
+		return b, err
+	}
+	return append(b, f.Payload...), nil
+}
+
+func appendReplHead(b []byte, f ReplFrame) ([]byte, error) {
 	if len(f.Payload) > maxReplPayload {
 		return b, fmt.Errorf("hrt: replication payload of %d bytes exceeds limit %d", len(f.Payload), maxReplPayload)
 	}
 	b = append(b, f.Type)
 	b = binary.LittleEndian.AppendUint64(b, f.Gen)
 	b = binary.LittleEndian.AppendUint64(b, uint64(f.Index))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Payload)))
-	return append(b, f.Payload...), nil
+	return binary.LittleEndian.AppendUint32(b, uint32(len(f.Payload))), nil
 }
 
-// WriteReplFrame encodes and writes one frame.
-func WriteReplFrame(w io.Writer, f ReplFrame) error {
-	b, err := AppendReplFrame(make([]byte, 0, 21+len(f.Payload)), f)
+// WriteReplFrame encodes one frame into w: the head is built in w's own
+// free space and the payload copied behind it, so a frame costs no
+// allocation. The caller flushes.
+func WriteReplFrame(w *bufio.Writer, f ReplFrame) error {
+	if w.Available() < ReplHeadSize {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	head, err := appendReplHead(w.AvailableBuffer(), f)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(b)
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	_, err = w.Write(f.Payload)
 	return err
 }
 
@@ -137,7 +157,7 @@ func WriteReplFrame(w io.Writer, f ReplFrame) error {
 // fuzzed (FuzzReplFrame): it must never panic, and a lying length field
 // must not drive allocation past the bytes actually present.
 func ReadReplFrame(r io.Reader) (ReplFrame, error) {
-	var head [21]byte
+	var head [ReplHeadSize]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return ReplFrame{}, err
 	}
@@ -300,13 +320,20 @@ func (ts *TCPServer) routeRedirect(req Request) (Response, bool) {
 // session's in-flight slot (the same serialization live requests use), so
 // an echo of a record this replica is concurrently executing after a
 // promotion can never double-apply.
+//
+// In a full mesh most deliveries are duplicates (every record reaches a
+// replica once per peer that holds it), so a duplicate is recognized from
+// the record's stamp alone, before the decode and before replMu.
 func (ts *TCPServer) ApplyReplicated(payload []byte) error {
+	if ts.dedup == nil {
+		return errors.New("hrt: server is not serving")
+	}
+	if session, seq, ok := RecordStamp(payload); ok && ts.dedup.replSeen(session, seq) {
+		return nil
+	}
 	rec, err := decodeRecord(payload)
 	if err != nil {
 		return fmt.Errorf("hrt: replicated record: %w", err)
-	}
-	if ts.dedup == nil {
-		return errors.New("hrt: server is not serving")
 	}
 	ts.replMu.Lock()
 	defer ts.replMu.Unlock()
@@ -414,7 +441,9 @@ func (ts *TCPServer) applyReplicatedGlobals(deltas []globalDelta) error {
 // is lifted (streams legitimately sit quiet), and the connection is handed
 // to the ReplHandler for the stream's lifetime. req.Fn carries the
 // sender's self-declared fleet address; resume positions are tracked per
-// sender, so a reconnecting pump streams only the delta.
+// sender, so a reconnecting pump streams only the delta. The two sides also
+// trade boot ids — the sender's in req.Session, ours (ReplBoot) in the
+// response's Inst; a peer from before the exchange reads as boot 0.
 func (ts *TCPServer) serveRepl(conn net.Conn, r *bufio.Reader, w *bufio.Writer, req Request) {
 	if ts.ReplHandler == nil {
 		resp := Response{Err: "hrt: this server does not accept replication streams"}
@@ -423,7 +452,7 @@ func (ts *TCPServer) serveRepl(conn net.Conn, r *bufio.Reader, w *bufio.Writer, 
 		}
 		return
 	}
-	resp := Response{}
+	resp := Response{Inst: int64(ts.ReplBoot)}
 	if ts.ReplResume != nil {
 		gen, index := ts.ReplResume(req.Fn)
 		resp.Seq = gen
@@ -436,7 +465,7 @@ func (ts *TCPServer) serveRepl(conn net.Conn, r *bufio.Reader, w *bufio.Writer, 
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	ts.ReplHandler(conn, r, req.Fn)
+	ts.ReplHandler(conn, r, req.Fn, req.Session)
 }
 
 // ---------------------------------------------------------------------------
@@ -452,6 +481,27 @@ func (d *Dedup) Has(session uint64) bool {
 	_, ok := sh.sessions[session]
 	sh.mu.Unlock()
 	return ok
+}
+
+// replSeen reports whether a replicated record stamped (session, seq) is a
+// duplicate, without claiming the session's in-flight slot: the answer
+// replBegin would give, with the same LRU touch. A session with a request
+// in flight answers false — only replBegin may wait that request out.
+func (d *Dedup) replSeen(session, seq uint64) bool {
+	d.lazyInit()
+	sh := d.shard(session)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e := sh.sessions[session]
+	if e == nil || e.done != nil || seq > e.lastSeq {
+		return false
+	}
+	sh.clock++
+	e.used = sh.clock
+	if d.EvictGrace > 0 {
+		e.lastSeen = d.timeNow()
+	}
+	return true
 }
 
 // replBegin claims session's in-flight slot for a replicated apply of

@@ -1,6 +1,7 @@
 package hrt
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -16,10 +17,14 @@ func TestReplFrameRoundTrip(t *testing.T) {
 		{Type: ReplFrameRecord, Gen: 1, Index: 2, Payload: bytes.Repeat([]byte{0xAB}, replReadChunk+17)},
 	}
 	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
 	for _, f := range frames {
-		if err := WriteReplFrame(&buf, f); err != nil {
+		if err := WriteReplFrame(w, f); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	for i, want := range frames {
 		got, err := ReadReplFrame(&buf)
@@ -40,18 +45,17 @@ func TestReplFrameRoundTrip(t *testing.T) {
 
 func TestReplFrameRejectsBadInput(t *testing.T) {
 	// Unknown type byte.
-	var buf bytes.Buffer
-	if err := WriteReplFrame(&buf, ReplFrame{Type: ReplFrameRecord, Index: 1}); err != nil {
+	b, err := AppendReplFrame(nil, ReplFrame{Type: ReplFrameRecord, Index: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
 	b[0] = 99
 	if _, err := ReadReplFrame(bytes.NewReader(b)); err == nil {
 		t.Fatal("unknown frame type accepted")
 	}
 
 	// Oversized payload refuses to encode.
-	if err := WriteReplFrame(io.Discard, ReplFrame{Type: ReplFrameRecord, Payload: make([]byte, maxReplPayload+1)}); err == nil {
+	if err := WriteReplFrame(bufio.NewWriter(io.Discard), ReplFrame{Type: ReplFrameRecord, Payload: make([]byte, maxReplPayload+1)}); err == nil {
 		t.Fatal("oversized payload encoded")
 	}
 
@@ -64,6 +68,43 @@ func TestReplFrameRejectsBadInput(t *testing.T) {
 	head[19] = 0xFF // length ~16M, no payload follows
 	if _, err := ReadReplFrame(bytes.NewReader(head)); err == nil {
 		t.Fatal("truncated payload accepted")
+	}
+}
+
+// TestWriteReplFrameAllocatesNothing pins the streaming path's frame
+// writer: head and payload go straight into the bufio.Writer, whatever is
+// left in it, and the bytes are the ones AppendReplFrame produces.
+func TestWriteReplFrameAllocatesNothing(t *testing.T) {
+	var sink bytes.Buffer
+	sink.Grow(1 << 20)
+	w := bufio.NewWriter(&sink)
+	record := ReplFrame{Type: ReplFrameRecord, Gen: 3, Index: 9, Payload: bytes.Repeat([]byte{7}, 87)}
+	ack := ReplFrame{Type: ReplFrameAck, Gen: 3, Index: 9}
+	allocs := testing.AllocsPerRun(200, func() {
+		sink.Reset()
+		if WriteReplFrame(w, record) != nil || w.Flush() != nil || WriteReplFrame(w, ack) != nil || w.Flush() != nil {
+			t.Fatal("write failed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a record frame plus an ack frame cost %.1f allocations, want 0", allocs)
+	}
+
+	// Less room than a head left in the buffer: the frame must still come
+	// out whole and in order.
+	sink.Reset()
+	var want []byte
+	for i := 0; i < 3; i++ {
+		if err := WriteReplFrame(w, ReplFrame{Type: ReplFrameRecord, Index: int64(i), Payload: make([]byte, w.Size()-ReplHeadSize-5)}); err != nil {
+			t.Fatal(err)
+		}
+		want, _ = AppendReplFrame(want, ReplFrame{Type: ReplFrameRecord, Index: int64(i), Payload: make([]byte, w.Size()-ReplHeadSize-5)})
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sink.Bytes(), want) {
+		t.Error("frames written through a nearly full buffer differ from AppendReplFrame's encoding")
 	}
 }
 

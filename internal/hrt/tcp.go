@@ -57,8 +57,12 @@ type TCPServer struct {
 	// ReplHandler, when set, accepts incoming replication streams: a
 	// connection whose first request is OpRepl is handed to it after the
 	// handshake response, along with the sender's self-declared fleet
-	// address (see internal/cluster).
-	ReplHandler func(conn net.Conn, r *bufio.Reader, sender string)
+	// address and boot id (see internal/cluster; 0 from a sender that
+	// states none).
+	ReplHandler func(conn net.Conn, r *bufio.Reader, sender string, boot uint64)
+	// ReplBoot identifies this process incarnation to replication peers: it
+	// is the boot id the OpRepl handshake answers with.
+	ReplBoot uint64
 	// ReplResume, when set, supplies the resume position encoded into the
 	// OpRepl handshake response: the highest (generation, index) in the
 	// sender's stream coordinates this replica has already applied. Zero

@@ -24,17 +24,41 @@ import (
 // current log end, is not an error, it is "not yet" — the appender's
 // single write(2) per record will complete it, and the scanner re-reads
 // from the same offset on the next call.
+//
+// The scanner reads ahead: one pread fills a small window and records are
+// parsed out of it with no further system call. When the window runs out
+// of complete records and the read that filled it already reached the log
+// end (end of file, zero fill, a torn frame), Next reports caught-up
+// straight from the window. A caller that acquired its append notification
+// before that read can therefore wait on it without a confirming read: an
+// append the window missed landed after the read, hence after the
+// notification was acquired.
 
 // ErrTailCaughtUp is returned by TailScanner.Next when no complete record
 // lies beyond the current offset. The caller waits for an append
 // notification (or polls) and calls Next again.
 var ErrTailCaughtUp = fmt.Errorf("wal: tail caught up")
 
+// tailWindow is the read-ahead window. A caught-up follower reads one or
+// two records per wake-up, and on a sync journal the rest of the window is
+// zero fill copied for nothing, so it is kept small; a frame that does not
+// fit gets a buffer of its own for as long as it is the next record.
+const tailWindow = 8 << 10
+
 // TailScanner incrementally reads records appended to a journal file.
 type TailScanner struct {
-	f   *os.File
-	off int64
-	buf []byte
+	f interface {
+		io.ReaderAt
+		io.Closer
+	}
+	off int64 // file offset of the next unread record
+	// win[pos:] holds the file's bytes from off onward as of the last fill.
+	// short reports that fill ended at the end of the file, so a frame the
+	// window holds only part of is the log end rather than a frame
+	// straddling the window's end.
+	win   []byte
+	pos   int
+	short bool
 }
 
 // OpenTail opens the journal at path for tail reading, starting at off.
@@ -64,45 +88,73 @@ func OpenTail(path string, off int64) (*TailScanner, error) {
 // Next returns the next complete record's payload, or ErrTailCaughtUp when
 // the log ends (end of file, zero fill, or a not-yet-complete frame) at
 // the current offset. The returned slice is reused by the following Next
-// call. A CRC mismatch on a frame that is fully present is a real error:
-// unlike recovery, a live tail never legitimately crosses corrupt history.
+// call. A CRC mismatch on a frame that is fully present is a real error
+// only once the appender has moved past it: unlike recovery, a live tail
+// never legitimately crosses corrupt history, so it stays put.
+//
+// Next reads the file only when the window holds no complete record and
+// has not seen the log end: once per window, plus once more for a frame
+// larger than the window. After reporting caught-up it forgets the window,
+// so the following call reads the file again from the same offset.
 func (t *TailScanner) Next() ([]byte, error) {
-	var frame [frameSize]byte
-	n, err := t.f.ReadAt(frame[:], t.off)
-	if n < frameSize {
-		if err == io.EOF || err == nil {
-			return nil, ErrTailCaughtUp
+	for {
+		need := frameSize
+		if rest := t.win[t.pos:]; len(rest) >= frameSize {
+			length := binary.LittleEndian.Uint32(rest[0:4])
+			sum := binary.LittleEndian.Uint32(rest[4:8])
+			if length == 0 {
+				return nil, t.caughtUp() // zero fill: nothing written here yet
+			}
+			if length > MaxRecord {
+				return nil, fmt.Errorf("wal: tail frame length %d exceeds limit", length)
+			}
+			need = frameSize + int(length)
+			if len(rest) >= need {
+				payload := rest[frameSize:need]
+				if crc32.ChecksumIEEE(payload) != sum {
+					// The full frame is present but broken. It may still be a
+					// torn write racing us (length landed, payload partially
+					// visible), so report caught-up; a persistent mismatch
+					// surfaces when the appender moves past it and we do not.
+					return nil, t.caughtUp()
+				}
+				t.pos += need
+				t.off += int64(need)
+				return payload, nil
+			}
 		}
-		return nil, fmt.Errorf("wal: tail read frame: %w", err)
-	}
-	length := binary.LittleEndian.Uint32(frame[0:4])
-	sum := binary.LittleEndian.Uint32(frame[4:8])
-	if length == 0 {
-		return nil, ErrTailCaughtUp // zero fill: nothing written here yet
-	}
-	if length > MaxRecord {
-		return nil, fmt.Errorf("wal: tail frame length %d exceeds limit", length)
-	}
-	if cap(t.buf) < int(length) {
-		t.buf = make([]byte, length)
-	}
-	buf := t.buf[:length]
-	n, err = t.f.ReadAt(buf, t.off+frameSize)
-	if n < int(length) {
-		if err == io.EOF || err == nil {
-			return nil, ErrTailCaughtUp // payload still being written
+		// The window holds less than the next frame. If the read that filled
+		// it stopped at the end of the file, that is the log end (nothing
+		// there yet, or a frame still being written).
+		if t.short {
+			return nil, t.caughtUp()
 		}
-		return nil, fmt.Errorf("wal: tail read payload: %w", err)
+		if err := t.fill(need); err != nil {
+			return nil, err
+		}
 	}
-	if crc32.ChecksumIEEE(buf) != sum {
-		// The full frame is present but broken. It may still be a torn
-		// write racing us (length landed, payload partially visible), so
-		// report caught-up once; a persistent mismatch surfaces when the
-		// appender moves past it and we do not.
-		return nil, ErrTailCaughtUp
+}
+
+// fill replaces the window with one read at the current offset, sized for
+// a frame of need bytes when that exceeds the standing window.
+func (t *TailScanner) fill(need int) error {
+	size := max(need, tailWindow)
+	if cap(t.win) != size {
+		t.win = make([]byte, size)
 	}
-	t.off += frameSize + int64(length)
-	return buf, nil
+	n, err := t.f.ReadAt(t.win[:size], t.off)
+	if err != nil && err != io.EOF {
+		return fmt.Errorf("wal: tail read: %w", err)
+	}
+	t.win, t.pos, t.short = t.win[:n], 0, n < size
+	return nil
+}
+
+// caughtUp drops the window — what follows the log end must be read again,
+// not remembered — and returns ErrTailCaughtUp.
+func (t *TailScanner) caughtUp() error {
+	t.win, t.pos, t.short = t.win[:0], 0, false
+	return ErrTailCaughtUp
 }
 
 // Offset is the byte offset of the next unread record (a valid restart
@@ -177,11 +229,15 @@ func (t *OffsetTracker) Drop(peer string) {
 // Ack records that peer has applied everything up to pos.
 func (t *OffsetTracker) Ack(peer string, pos Position) {
 	t.mu.Lock()
-	if cur, ok := t.acked[peer]; ok && cur.Before(pos) {
+	cur, ok := t.acked[peer]
+	advanced := ok && cur.Before(pos)
+	if advanced {
 		t.acked[peer] = pos
 	}
 	t.mu.Unlock()
-	t.cond.Broadcast()
+	if advanced {
+		t.cond.Broadcast()
+	}
 }
 
 // Acked returns peer's acknowledged position (zero if unregistered).

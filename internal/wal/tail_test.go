@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -248,6 +250,144 @@ func TestTailScannerCRCTornThenCompleted(t *testing.T) {
 		}
 		if _, err := tail.Next(); err != ErrTailCaughtUp {
 			t.Fatalf("after settled record: got %v, want ErrTailCaughtUp", err)
+		}
+	})
+}
+
+// countReads makes tail count the reads it issues against its file.
+func countReads(tail *TailScanner) *int {
+	c := &countingFile{ReaderAt: tail.f, Closer: tail.f}
+	tail.f = c
+	return &c.reads
+}
+
+type countingFile struct {
+	io.ReaderAt
+	io.Closer
+	reads int
+}
+
+func (c *countingFile) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.ReaderAt.ReadAt(p, off)
+}
+
+// checkRestartPoint takes a scanner that has read everything appended so
+// far and checks that its offset is the log end and a valid place to open
+// another scanner: that one sees nothing, then exactly the next append —
+// and so does the scanner that kept running.
+func checkRestartPoint(t *testing.T, j *Journal, path string, tail *TailScanner) {
+	t.Helper()
+	if _, err := tail.Next(); err != ErrTailCaughtUp {
+		t.Fatalf("drained scanner: got %v, want ErrTailCaughtUp", err)
+	}
+	if got, want := tail.Offset(), j.Size(); got != want {
+		t.Fatalf("offset after drain = %d, log end = %d", got, want)
+	}
+	restarted, err := OpenTail(path, tail.Offset())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if _, err := restarted.Next(); err != ErrTailCaughtUp {
+		t.Fatalf("restart at the drained offset: got %v, want ErrTailCaughtUp", err)
+	}
+	if err := j.Append([]byte("after-restart")); err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []*TailScanner{restarted, tail} {
+		if got, err := sc.Next(); err != nil || string(got) != "after-restart" {
+			t.Fatalf("record appended after the drain: got %q, %v", got, err)
+		}
+	}
+}
+
+// sized returns n records of size bytes each, every one distinct.
+func sized(n, size int) [][]byte {
+	recs := make([][]byte, n)
+	for i := range recs {
+		recs[i] = bytes.Repeat([]byte{byte('a' + i%26)}, size)
+		binary.LittleEndian.PutUint32(recs[i], uint32(i))
+	}
+	return recs
+}
+
+// The read-ahead window against the record shapes that do not fit it
+// neatly: a record larger than the window, records laid so that one
+// straddles the window's end, many records inside one window, and (on the
+// zero-filled layout) a window that is nothing but fill.
+func TestTailScannerWindow(t *testing.T) {
+	cases := []struct {
+		name string
+		recs [][]byte
+		// reads is how many reads draining recs takes; 0 = not pinned.
+		reads int
+	}{
+		{"larger than the window", append(sized(1, 3*tailWindow+5), sized(2, 40)...), 0},
+		{"straddling the window's end", sized(12, tailWindow/8-3), 0},
+		{"exactly filling the window", sized(8, tailWindow/8-frameSize), 0},
+		{"many records in one fill", sized(100, 20), 1},
+		{"nothing but fill", nil, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bothLayouts(t, func(t *testing.T, j *Journal, path string) {
+				for _, r := range tc.recs {
+					if err := j.Append(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tail, err := OpenTail(path, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tail.Close()
+				reads := countReads(tail)
+				for i, w := range tc.recs {
+					if got, err := tail.Next(); err != nil || !bytes.Equal(got, w) {
+						t.Fatalf("record %d: got %d bytes, %v; want %d bytes", i, len(got), err, len(w))
+					}
+				}
+				if _, err := tail.Next(); err != ErrTailCaughtUp {
+					t.Fatalf("after %d records: got %v, want ErrTailCaughtUp", len(tc.recs), err)
+				}
+				if tc.reads != 0 && *reads != tc.reads {
+					t.Errorf("%d records and the caught-up answer took %d reads, want %d", len(tc.recs), *reads, tc.reads)
+				}
+				checkRestartPoint(t, j, path, tail)
+			})
+		})
+	}
+}
+
+// TestTailScannerOneReadPerWakeup pins what the replication pump pays in
+// the caught-up steady state: woken by an append, it reads the record and
+// learns that nothing follows it from one and the same read.
+func TestTailScannerOneReadPerWakeup(t *testing.T) {
+	bothLayouts(t, func(t *testing.T, j *Journal, path string) {
+		tail, err := OpenTail(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tail.Close()
+		if _, err := tail.Next(); err != ErrTailCaughtUp {
+			t.Fatalf("empty journal: got %v, want ErrTailCaughtUp", err)
+		}
+		reads := countReads(tail)
+		const wakeups = 50
+		for i, rec := range sized(wakeups, 87) {
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := tail.Next(); err != nil || !bytes.Equal(got, rec) {
+				t.Fatalf("wake-up %d: got %d bytes, %v", i, len(got), err)
+			}
+			if _, err := tail.Next(); err != ErrTailCaughtUp {
+				t.Fatalf("wake-up %d: got %v after the record, want ErrTailCaughtUp", i, err)
+			}
+		}
+		if *reads != wakeups {
+			t.Errorf("%d wake-ups took %d reads, want one each", wakeups, *reads)
 		}
 	})
 }
