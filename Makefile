@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check vet build cross test race bench bench-quick bench-load bench-load-quick bench-cluster bench-cluster-quick fuzz
+.PHONY: check vet build cross cfg-once test race bench bench-quick bench-load bench-load-quick bench-cluster bench-cluster-quick fuzz
 
-check: vet build cross race bench-quick bench-load-quick bench-cluster-quick
+check: vet build cross cfg-once race bench-quick bench-load-quick bench-cluster-quick
 
 vet:
 	$(GO) vet ./...
@@ -21,6 +21,14 @@ build:
 cross:
 	GOOS=darwin $(GO) build ./internal/wal ./internal/hrt
 	GOOS=windows $(GO) build ./internal/wal
+
+# One CFG per function: outside bench/ (which times the passes alone) the
+# only production cfg.Build is the one slicer.Facts builds on first use.
+cfg-once:
+	@if grep -rn 'cfg\.Build(' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./bench/' | grep -v '^\./internal/slicer/facts\.go:'; then \
+		echo 'a non-test file outside bench/ and internal/slicer/facts.go calls cfg.Build; reach the CFG through slicer.FactsOf(f).Flow()' >&2; \
+		exit 1; \
+	fi
 
 test:
 	$(GO) test ./...

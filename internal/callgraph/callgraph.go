@@ -9,19 +9,8 @@ import (
 	"sort"
 	"strings"
 
-	"slicehide/internal/cfg"
 	"slicehide/internal/ir"
 )
-
-// CallSite records one call edge occurrence.
-type CallSite struct {
-	Caller string
-	Callee string
-	// StmtID is the statement containing the call in the caller.
-	StmtID int
-	// InLoop reports whether the call site sits inside a loop of the caller.
-	InLoop bool
-}
 
 // Graph is a program call graph.
 type Graph struct {
@@ -30,21 +19,21 @@ type Graph struct {
 	Callees map[string]map[string]bool
 	// Callers is the reverse relation.
 	Callers map[string]map[string]bool
-	// Sites lists every call site.
-	Sites []CallSite
 	// Recursive marks functions involved in direct or indirect recursion.
 	Recursive map[string]bool
-	// LoopCalled marks functions that have at least one call site inside a
-	// loop of some caller.
+	// LoopCalled marks functions with at least one call site that a while
+	// statement of some caller encloses (its condition, body or Post).
 	LoopCalled map[string]bool
 }
 
-// Build constructs the call graph of prog.
+// Build constructs the call graph of prog. It reads the structured IR
+// directly: a call is loop-called when a while statement encloses it, so
+// no control-flow graph is needed.
 func Build(prog *ir.Program) *Graph {
 	g := &Graph{
 		Prog:       prog,
-		Callees:    make(map[string]map[string]bool),
-		Callers:    make(map[string]map[string]bool),
+		Callees:    make(map[string]map[string]bool, len(prog.Order)),
+		Callers:    make(map[string]map[string]bool, len(prog.Order)),
 		Recursive:  make(map[string]bool),
 		LoopCalled: make(map[string]bool),
 	}
@@ -52,95 +41,98 @@ func Build(prog *ir.Program) *Graph {
 		g.Callees[qn] = map[string]bool{}
 	}
 	for _, qn := range prog.Order {
-		f := prog.Funcs[qn]
-		flow := cfg.Build(f)
-		depths := cfg.LoopDepths(flow)
-		for _, n := range flow.Nodes {
-			if n.Stmt == nil {
-				continue
-			}
-			inLoop := depths[n] > 0
-			ir.StmtExprs(n.Stmt, func(e ir.Expr) {
-				ir.WalkExpr(e, func(x ir.Expr) {
-					call, ok := x.(*ir.CallExpr)
-					if !ok {
-						return
-					}
-					g.addEdge(qn, call.Callee, n.Stmt.ID(), inLoop)
-				})
-			})
-		}
+		eachCall(prog.Funcs[qn].Body, false, func(_ ir.Stmt, callee string, inLoop bool) {
+			g.addEdge(qn, callee, inLoop)
+		})
 	}
 	g.findRecursion()
 	return g
 }
 
-func (g *Graph) addEdge(caller, callee string, stmtID int, inLoop bool) {
-	if g.Callees[caller] == nil {
-		g.Callees[caller] = map[string]bool{}
+// eachCall calls fn for every call expression in stmts with the statement
+// holding it and whether a while statement encloses it; inLoop says whether
+// one encloses stmts. A while statement's own condition counts as inside.
+func eachCall(stmts []ir.Stmt, inLoop bool, fn func(s ir.Stmt, callee string, inLoop bool)) {
+	for _, s := range stmts {
+		w, isWhile := s.(*ir.WhileStmt)
+		loop := inLoop || isWhile
+		ir.StmtExprs(s, func(e ir.Expr) {
+			ir.WalkExpr(e, func(x ir.Expr) {
+				if call, ok := x.(*ir.CallExpr); ok {
+					fn(s, call.Callee, loop)
+				}
+			})
+		})
+		if isWhile {
+			eachCall(w.Body, true, fn)
+			eachCall(w.Post, true, fn)
+		} else if is, ok := s.(*ir.IfStmt); ok {
+			eachCall(is.Then, inLoop, fn)
+			eachCall(is.Else, inLoop, fn)
+		}
 	}
+}
+
+func (g *Graph) addEdge(caller, callee string, inLoop bool) {
 	g.Callees[caller][callee] = true
 	if g.Callers[callee] == nil {
 		g.Callers[callee] = map[string]bool{}
 	}
 	g.Callers[callee][caller] = true
-	g.Sites = append(g.Sites, CallSite{Caller: caller, Callee: callee, StmtID: stmtID, InLoop: inLoop})
 	if inLoop {
 		g.LoopCalled[callee] = true
 	}
 }
 
 // findRecursion marks functions in non-trivial SCCs or with self-loops
-// using Tarjan's algorithm (iterative to bound stack depth).
+// using Tarjan's algorithm over dense integer ids (iterative to bound stack
+// depth).
 func (g *Graph) findRecursion() {
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	next := 0
-
-	var names []string
+	names := make([]string, 0, len(g.Callees))
 	for qn := range g.Callees {
 		names = append(names, qn)
 	}
 	sort.Strings(names)
-
-	type frame struct {
-		node  string
-		succs []string
-		i     int
+	id := make(map[string]int, len(names))
+	for i, qn := range names {
+		id[qn] = i
 	}
-	succsOf := func(n string) []string {
-		var out []string
-		for c := range g.Callees[n] {
-			if _, known := g.Callees[c]; known {
-				out = append(out, c)
+	succs := make([][]int, len(names))
+	for i, qn := range names {
+		for c := range g.Callees[qn] {
+			if j, known := id[c]; known {
+				succs[i] = append(succs[i], j)
 			}
 		}
-		sort.Strings(out)
-		return out
 	}
-	for _, start := range names {
-		if _, seen := index[start]; seen {
+
+	n := len(names)
+	index := make([]int, n) // visit order + 1; 0 = unvisited
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	var stack []int
+	next := 1
+	type frame struct{ node, i int }
+	var frames []frame
+	visit := func(v int) {
+		index[v], low[v] = next, next
+		next++
+		stack = append(stack, v)
+		onStack[v] = true
+		frames = append(frames, frame{node: v})
+	}
+	for start := range names {
+		if index[start] != 0 {
 			continue
 		}
-		var frames []frame
-		index[start], low[start] = next, next
-		next++
-		stack = append(stack, start)
-		onStack[start] = true
-		frames = append(frames, frame{node: start, succs: succsOf(start)})
+		visit(start)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.i < len(f.succs) {
-				w := f.succs[f.i]
+			if f.i < len(succs[f.node]) {
+				w := succs[f.node][f.i]
 				f.i++
-				if _, seen := index[w]; !seen {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{node: w, succs: succsOf(w)})
+				if index[w] == 0 {
+					visit(w)
 				} else if onStack[w] && index[w] < low[f.node] {
 					low[f.node] = index[w]
 				}
@@ -150,30 +142,28 @@ func (g *Graph) findRecursion() {
 			v := f.node
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[v] < low[parent.node] {
-					low[parent.node] = low[v]
+				if p := frames[len(frames)-1].node; low[v] < low[p] {
+					low[p] = low[v]
 				}
 			}
-			if low[v] == index[v] {
-				// Root of an SCC: pop members.
-				var scc []string
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					scc = append(scc, w)
-					if w == v {
-						break
-					}
-				}
+			if low[v] != index[v] {
+				continue
+			}
+			// Root of an SCC: pop members.
+			top := len(stack) - 1
+			for stack[top] != v {
+				top--
+			}
+			scc := stack[top:]
+			stack = stack[:top]
+			for _, w := range scc {
+				onStack[w] = false
 				if len(scc) > 1 {
-					for _, m := range scc {
-						g.Recursive[m] = true
-					}
-				} else if g.Callees[scc[0]][scc[0]] {
-					g.Recursive[scc[0]] = true // self-recursion
+					g.Recursive[names[w]] = true
 				}
+			}
+			if len(scc) == 1 && g.Callees[names[v]][names[v]] {
+				g.Recursive[names[v]] = true // self-recursion
 			}
 		}
 	}

@@ -1,7 +1,6 @@
-// Package cfg builds control-flow graphs over MiniJ IR statements and
-// provides the classic analyses the splitting transformation and its
-// security analysis rely on: dominators, post-dominators, control
-// dependence, and natural-loop detection.
+// Package cfg builds control-flow graphs over MiniJ IR statements, the
+// graph the reaching-definitions analysis behind §3's security analysis
+// runs on, and computes their dominators.
 package cfg
 
 import (
@@ -24,9 +23,6 @@ type Node struct {
 	Succs []*Node
 	Preds []*Node
 }
-
-// IsEntry reports whether n is the synthetic entry node.
-func (n *Node) IsEntry() bool { return n.Stmt == nil && len(n.Preds) == 0 }
 
 // String renders the node for diagnostics.
 func (n *Node) String() string {

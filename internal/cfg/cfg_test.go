@@ -194,90 +194,6 @@ func f(x: int): int {
 	}
 }
 
-func TestPostDominators(t *testing.T) {
-	g := buildFunc(t, `
-func f(x: int): int {
-    var r: int = 0;
-    if (x > 0) { r = 1; }
-    return r;
-}`, "f")
-	pd := PostDominators(g)
-	cond := node(t, g, 1)
-	thn := node(t, g, 2)
-	ret := node(t, g, 3)
-	if !pd.Dominates(ret, cond) {
-		t.Error("return must post-dominate cond")
-	}
-	if pd.Dominates(thn, cond) {
-		t.Error("then arm must not post-dominate cond")
-	}
-}
-
-func TestControlDeps(t *testing.T) {
-	g := buildFunc(t, `
-func f(x: int): int {
-    var r: int = 0;
-    if (x > 0) { r = 1; } else { r = 2; }
-    while (r < 10) { r = r * 2; }
-    return r;
-}`, "f")
-	deps := ControlDeps(g)
-	ifn := node(t, g, 1)
-	thn := node(t, g, 2)
-	els := node(t, g, 3)
-	wcond := node(t, g, 4)
-	wbody := node(t, g, 5)
-	ret := node(t, g, 6)
-
-	hasDep := func(n, on *Node) bool {
-		for _, d := range deps[n] {
-			if d == on {
-				return true
-			}
-		}
-		return false
-	}
-	if !hasDep(thn, ifn) || !hasDep(els, ifn) {
-		t.Errorf("branch arms must depend on if: %v", deps)
-	}
-	if !hasDep(wbody, wcond) {
-		t.Errorf("loop body must depend on loop cond")
-	}
-	if !hasDep(wcond, wcond) {
-		t.Errorf("loop cond must depend on itself")
-	}
-	if hasDep(ret, ifn) || hasDep(ret, wcond) {
-		t.Errorf("return must not be control dependent: %v", deps[ret])
-	}
-}
-
-func TestNaturalLoops(t *testing.T) {
-	g := buildFunc(t, `
-func f(n: int): int {
-    var s: int = 0;
-    for (var i: int = 0; i < n; i++) {
-        for (var j: int = 0; j < i; j++) {
-            s = s + j;
-        }
-    }
-    return s;
-}`, "f")
-	loops := NaturalLoops(g)
-	if len(loops) != 2 {
-		t.Fatalf("found %d loops, want 2", len(loops))
-	}
-	depths := LoopDepths(g)
-	maxDepth := 0
-	for _, d := range depths {
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	if maxDepth != 2 {
-		t.Errorf("max nesting depth %d, want 2", maxDepth)
-	}
-}
-
 func TestUnreachableCodeDoesNotBreakBuild(t *testing.T) {
 	g := buildFunc(t, `
 func f(): int {
@@ -290,7 +206,6 @@ func f(): int {
 	}
 	// Dominators should still terminate.
 	_ = Dominators(g)
-	_ = PostDominators(g)
 }
 
 func TestInfiniteLoop(t *testing.T) {
@@ -303,9 +218,11 @@ func f(): int {
     }
     return i;
 }`, "f")
-	loops := NaturalLoops(g)
-	if len(loops) != 1 {
-		t.Fatalf("found %d loops, want 1", len(loops))
+	// The condition is entered from the init and, as the back edge, from
+	// the body's last statement (the if holding the break).
+	cond := node(t, g, 1)
+	if len(cond.Preds) != 2 || cond.Preds[0] != node(t, g, 0) || cond.Preds[1] != node(t, g, 3) {
+		t.Errorf("loop condition preds=%v, want init and the body's if", cond.Preds)
 	}
 	// break must be the only loop exit.
 	ret := func() *Node {

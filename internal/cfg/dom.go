@@ -1,17 +1,14 @@
 package cfg
 
-// Dominator and post-dominator computation using the classic iterative
-// bit-set algorithm, plus control-dependence derived from post-dominators
-// (Ferrante/Ottenstein/Warren).
+// Dominator computation using the classic iterative bit-set algorithm.
 
-// DomInfo holds (post-)dominator sets for a graph.
+// DomInfo holds dominator sets for a graph.
 type DomInfo struct {
 	g *Graph
-	// dom[i] is the set of node indices that (post-)dominate node i.
+	// dom[i] is the set of node indices that dominate node i.
 	dom []bitset
-	// idom[i] is the immediate (post-)dominator index, or -1.
+	// idom[i] is the immediate dominator index, or -1.
 	idom []int
-	post bool
 }
 
 type bitset []uint64
@@ -19,7 +16,6 @@ type bitset []uint64
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) clear(i int)    { b[i/64] &^= 1 << (uint(i) % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 
 func (b bitset) copyFrom(o bitset) { copy(b, o) }
@@ -52,18 +48,10 @@ func (b bitset) fill() {
 }
 
 // Dominators computes the dominator sets of g (from Entry).
-func Dominators(g *Graph) *DomInfo { return computeDom(g, false) }
-
-// PostDominators computes the post-dominator sets of g (from Exit).
-func PostDominators(g *Graph) *DomInfo { return computeDom(g, true) }
-
-func computeDom(g *Graph, post bool) *DomInfo {
+func Dominators(g *Graph) *DomInfo {
 	n := len(g.Nodes)
-	d := &DomInfo{g: g, dom: make([]bitset, n), idom: make([]int, n), post: post}
+	d := &DomInfo{g: g, dom: make([]bitset, n), idom: make([]int, n)}
 	root := g.Entry
-	if post {
-		root = g.Exit
-	}
 	for i := range d.dom {
 		d.dom[i] = newBitset(n)
 		if i == root.Index {
@@ -71,12 +59,6 @@ func computeDom(g *Graph, post bool) *DomInfo {
 		} else {
 			d.dom[i].fill()
 		}
-	}
-	preds := func(node *Node) []*Node {
-		if post {
-			return node.Succs
-		}
-		return node.Preds
 	}
 	changed := true
 	tmp := newBitset(n)
@@ -88,13 +70,13 @@ func computeDom(g *Graph, post bool) *DomInfo {
 			}
 			tmp.fill()
 			any := false
-			for _, p := range preds(node) {
+			for _, p := range node.Preds {
 				tmp.intersect(d.dom[p.Index])
 				any = true
 			}
 			if !any {
-				// Unreachable from root in this direction: leave as full set
-				// (vacuously dominated by everything).
+				// Unreachable from root: leave as full set (vacuously
+				// dominated by everything).
 				continue
 			}
 			tmp.set(node.Index)
@@ -139,116 +121,14 @@ func (d *DomInfo) computeIdom(root *Node) {
 	}
 }
 
-// Dominates reports whether a (post-)dominates b.
+// Dominates reports whether a dominates b.
 func (d *DomInfo) Dominates(a, b *Node) bool { return d.dom[b.Index].has(a.Index) }
 
-// Idom returns the immediate (post-)dominator of n, or nil.
+// Idom returns the immediate dominator of n, or nil.
 func (d *DomInfo) Idom(n *Node) *Node {
 	i := d.idom[n.Index]
 	if i < 0 {
 		return nil
 	}
 	return d.g.Nodes[i]
-}
-
-// ControlDeps computes control dependence: result[b] contains the branch
-// nodes that b is control dependent on. Derived from the post-dominator
-// relation: for an edge (a→b) where b does not post-dominate a, every node
-// on the post-dominator-tree path from b up to but excluding ipdom(a) is
-// control dependent on a.
-func ControlDeps(g *Graph) map[*Node][]*Node {
-	pd := PostDominators(g)
-	deps := make(map[*Node]map[*Node]bool)
-	for _, a := range g.Nodes {
-		if len(a.Succs) < 2 {
-			continue
-		}
-		stop := pd.Idom(a)
-		for _, b := range a.Succs {
-			runner := b
-			for runner != nil && runner != stop && runner != a {
-				if deps[runner] == nil {
-					deps[runner] = make(map[*Node]bool)
-				}
-				deps[runner][a] = true
-				runner = pd.Idom(runner)
-			}
-			// Self-dependence (loop header on itself) is recorded when the
-			// walk re-reaches a.
-			if runner == a {
-				if deps[a] == nil {
-					deps[a] = make(map[*Node]bool)
-				}
-				deps[a][a] = true
-			}
-		}
-	}
-	out := make(map[*Node][]*Node, len(deps))
-	for n, m := range deps {
-		for d := range m {
-			out[n] = append(out[n], d)
-		}
-	}
-	return out
-}
-
-// Loop describes a natural loop.
-type Loop struct {
-	// Head is the loop header (the condition node of a while statement).
-	Head *Node
-	// Body is the set of nodes in the loop, including the header.
-	Body map[*Node]bool
-}
-
-// NaturalLoops finds the natural loops of g using back edges (tail→head
-// where head dominates tail).
-func NaturalLoops(g *Graph) []*Loop {
-	dom := Dominators(g)
-	byHead := make(map[*Node]*Loop)
-	var order []*Node
-	for _, tail := range g.Nodes {
-		for _, head := range tail.Succs {
-			if !dom.Dominates(head, tail) {
-				continue
-			}
-			l, ok := byHead[head]
-			if !ok {
-				l = &Loop{Head: head, Body: map[*Node]bool{head: true}}
-				byHead[head] = l
-				order = append(order, head)
-			}
-			// Collect nodes reaching tail without passing through head.
-			var stack []*Node
-			if !l.Body[tail] {
-				l.Body[tail] = true
-				stack = append(stack, tail)
-			}
-			for len(stack) > 0 {
-				n := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				for _, p := range n.Preds {
-					if !l.Body[p] {
-						l.Body[p] = true
-						stack = append(stack, p)
-					}
-				}
-			}
-		}
-	}
-	loops := make([]*Loop, 0, len(order))
-	for _, h := range order {
-		loops = append(loops, byHead[h])
-	}
-	return loops
-}
-
-// LoopDepths returns the nesting depth of each node (0 = not in any loop).
-func LoopDepths(g *Graph) map[*Node]int {
-	depth := make(map[*Node]int, len(g.Nodes))
-	for _, l := range NaturalLoops(g) {
-		for n := range l.Body {
-			depth[n]++
-		}
-	}
-	return depth
 }

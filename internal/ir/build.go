@@ -316,8 +316,8 @@ func (b *builder) target(e ast.Expr) Target {
 }
 
 func (b *builder) classOf(obj ast.Expr) string {
-	if t, ok := b.info.TypeOf(obj).(*types.Class); ok {
-		return t.Name
+	if cl := b.info.Receivers[obj]; cl != nil {
+		return cl.Name
 	}
 	return ""
 }

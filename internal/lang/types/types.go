@@ -1,6 +1,6 @@
 // Package types implements semantic analysis for MiniJ: symbol resolution
-// and type checking. The checker produces an Info structure that later
-// phases (IR lowering, slicing, splitting) consult.
+// and type checking. The checker produces an Info structure that IR
+// lowering consults; it records only what lowering reads.
 package types
 
 import (
@@ -145,10 +145,10 @@ func (s *FuncSig) QName() string {
 
 // Info carries the results of type checking.
 type Info struct {
-	// ExprTypes maps each expression node to its type.
-	ExprTypes map[ast.Expr]Type
-	// Uses maps each identifier expression to its resolved symbol.
-	Uses map[*ast.Ident]*Symbol
+	// Receivers maps the object of every field access and the receiver of
+	// every method call (FieldAccess.Obj, MethodCall.Recv) to its class;
+	// an operand that is not of class type has no entry.
+	Receivers map[ast.Expr]*Class
 	// Funcs maps qualified names ("f", "Class.m") to signatures.
 	Funcs map[string]*FuncSig
 	// Classes maps class names to their semantic types.
@@ -156,9 +156,6 @@ type Info struct {
 	// Globals maps global names to symbols.
 	Globals map[string]*Symbol
 }
-
-// TypeOf returns the checked type of e, or nil.
-func (in *Info) TypeOf(e ast.Expr) Type { return in.ExprTypes[e] }
 
 // Error is a semantic error with position.
 type Error struct {
@@ -186,8 +183,7 @@ func (l ErrorList) Error() string {
 func Check(prog *ast.Program) (*Info, error) {
 	c := &checker{
 		info: &Info{
-			ExprTypes: make(map[ast.Expr]Type),
-			Uses:      make(map[*ast.Ident]*Symbol),
+			Receivers: make(map[ast.Expr]*Class),
 			Funcs:     make(map[string]*FuncSig),
 			Classes:   make(map[string]*Class),
 			Globals:   make(map[string]*Symbol),
@@ -488,14 +484,6 @@ func (c *checker) lvalue(e ast.Expr) Type {
 }
 
 func (c *checker) expr(e ast.Expr) Type {
-	t := c.exprInner(e)
-	if t != nil {
-		c.info.ExprTypes[e] = t
-	}
-	return t
-}
-
-func (c *checker) exprInner(e ast.Expr) Type {
 	switch e := e.(type) {
 	case *ast.IntLit:
 		return IntType
@@ -513,7 +501,6 @@ func (c *checker) exprInner(e ast.Expr) Type {
 			c.errorf(e.Pos(), "undefined variable %s", e.Name)
 			return IntType
 		}
-		c.info.Uses[e] = sym
 		return sym.Type
 	case *ast.Unary:
 		xt := c.expr(e.X)
@@ -550,6 +537,7 @@ func (c *checker) exprInner(e ast.Expr) Type {
 			c.errorf(e.Pos(), "field access on non-class type %s", ot)
 			return IntType
 		}
+		c.info.Receivers[e.Obj] = cl
 		for _, fd := range cl.Decl.Fields {
 			if fd.Name == e.Name {
 				return c.resolveType(fd.Type)
@@ -585,6 +573,7 @@ func (c *checker) exprInner(e ast.Expr) Type {
 			}
 			return IntType
 		}
+		c.info.Receivers[e.Recv] = cl
 		sig, ok := c.info.Funcs[cl.Name+"."+e.Name]
 		if !ok {
 			c.errorf(e.NPos, "class %s has no method %s", cl.Name, e.Name)

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -149,29 +150,35 @@ func f() {
 }`)
 }
 
-func TestUsesResolved(t *testing.T) {
-	info := mustOK(t, `
-var g: int = 1;
-class C {
-    field fld: int;
-    method m(p: int): int { var l: int = p + fld + g; return l; }
-}
-func main() { var c: C = new C(); print(c.m(2)); }`)
-	kinds := map[SymbolKind]int{}
-	for _, sym := range info.Uses {
-		kinds[sym.Kind]++
-	}
-	if kinds[SymParam] == 0 || kinds[SymField] == 0 || kinds[SymGlobal] == 0 || kinds[SymLocal] == 0 {
-		t.Errorf("resolved use kinds: %v", kinds)
-	}
-}
-
+// TestExprTypes pins what the checker records: the class of every
+// field-access object and method-call receiver, whatever shape the operand
+// has, and nothing for a field or method of the implicit this.
 func TestExprTypes(t *testing.T) {
-	prog := parser.MustParse(`func f(x: int, y: float): float { return y * 2.0; }`)
-	info := MustCheck(prog)
-	ret := prog.Funcs[0].Body.Stmts[0].(*ast.Return)
-	if got := info.TypeOf(ret.Value); got == nil || !got.Equal(FloatType) {
-		t.Errorf("type of return expr: %v", got)
+	info := mustOK(t, `
+class A { field v: int; method get(): int { return v; } }
+class B { field a: A; field w: int; method peek(): int { return a.v + w; } }
+func mk(): A { return new A(); }
+func main() {
+    var as: A[] = new A[2];
+    var b: B = new B();
+    var c: bool = true;
+    print(mk().v, as[0].v, b.a.v, new A().get(), (c ? new A() : mk()).get());
+}`)
+	got := map[string]string{}
+	for e, cl := range info.Receivers {
+		got[ast.ExprString(e)] = cl.Name
+	}
+	want := map[string]string{
+		"mk()":               "A", // field access on a call result
+		"as[0]":              "A", // on an array element
+		"a":                  "A", // on a field of this (inside B.peek)
+		"b":                  "B",
+		"b.a":                "A",
+		"new A()":            "A", // method call on a new
+		"c ? new A() : mk()": "A", // on a conditional
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("receiver classes:\n got %v\nwant %v", got, want)
 	}
 }
 
