@@ -1,13 +1,15 @@
 # Developer/CI entry points. `make check` is the gate: vet, build, the
-# full test suite (including the hrt chaos tests) under the race detector,
-# and the quick pipelining smoke run (which also replays the committed
-# wire-codec fuzz seeds, since seed corpora run as ordinary tests).
+# cross-builds, the one-CFG grep, and the full test suite (including the
+# hrt chaos tests and the load/fleet smoke tests) under the race
+# detector. The committed fuzz seed corpora replay as ordinary tests
+# under `go test ./...`, so `race` covers them too. Performance is
+# measured by `go run ./bench` (see bench/README.md), not by a make target.
 
 GO ?= go
 
-.PHONY: check vet build cross cfg-once test race bench bench-quick bench-load bench-load-quick bench-cluster bench-cluster-quick fuzz
+.PHONY: check vet build cross cfg-once test race fuzz
 
-check: vet build cross cfg-once race bench-quick bench-load-quick bench-cluster-quick
+check: vet build cross cfg-once race
 
 vet:
 	$(GO) vet ./...
@@ -51,47 +53,6 @@ race:
 	$(GO) test -race -count=10 -run 'SharedFactsConcurrent' ./internal/slicer
 	$(GO) test -race -count=3 -run 'Crash|TailScanner|EmptyRecord|JournalChain|ParentWritten' ./internal/wal ./internal/hrt
 	$(GO) test -race -count=10 -run 'OriginSkip|Lift|ReplStream' ./internal/cluster
-
-# Full benchmark run; also regenerates the committed machine-readable
-# report (kernel, session mode, RTT, wall time, interactions, blocking
-# round trips, wire bytes) so perf regressions show up in review diffs.
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
-	$(GO) test -run='^TestWriteBenchJSON$$' -bench-json BENCH_hrt.json .
-
-# Short-mode smoke: byte-identical output in sync and pipelined modes and
-# pipelined blocking <= sync blocking at test scale, plus the wire fuzz
-# seed corpus (F.../seed entries replay under plain `go test`).
-bench-quick:
-	$(GO) test -short -run='^TestPipelineSmoke$$' -v .
-	$(GO) test -short ./internal/hrt ./internal/wal -run='^Fuzz'
-
-# Concurrent-load benchmarks: regenerate the committed throughput report
-# (M sessions x K hidden calls over real sockets at 1/4 GOMAXPROCS and
-# 1/8 session shards), then the b.RunParallel direct-dispatch pair and
-# the wire-codec -benchmem microbenchmarks.
-bench-load:
-	$(GO) test -run='^TestWriteLoadBenchJSON$$' -bench-load-json BENCH_load.json -timeout 20m .
-	$(GO) test -bench='^BenchmarkLoadDirect' -benchmem -run=^$$ .
-	$(GO) test -bench='^BenchmarkWire' -benchmem -run=^$$ ./internal/hrt
-
-# Short-mode smoke for the load harness: a small concurrent run through
-# the real socket path with synchronous and pipelined sessions, in both
-# stripe configurations.
-bench-load-quick:
-	$(GO) test -short -run='^TestLoadSmoke$$' -v .
-
-# Fleet benchmarks: regenerate the committed cluster scaling report
-# (1 -> 2 -> 4 replicating backends, plus the kill-primary failover rows
-# with promoted-follower latency) over real sockets and real WAL streams.
-bench-cluster:
-	$(GO) test -run='^TestWriteClusterBenchJSON$$' -bench-cluster-json BENCH_cluster.json -timeout 20m .
-
-# Short-mode smoke for the fleet: a single backend, a 3-replica fleet, and
-# a 3-replica fleet with the busiest primary killed mid-run — all sessions
-# must finish with every blocking op accounted for.
-bench-cluster-quick:
-	$(GO) test -run='^TestClusterSmoke$$' -bench-cluster-quick -v .
 
 # Run the wire-codec and durability-layer fuzzers for a short budget
 # each (the journal frame scanner and the journal record decoder face

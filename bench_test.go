@@ -11,7 +11,6 @@ package slicehide
 // visible in benchstat diffs.
 
 import (
-	"flag"
 	"fmt"
 	"testing"
 	"time"
@@ -351,60 +350,52 @@ func BenchmarkMicroInterp(b *testing.B) {
 	}
 }
 
-func BenchmarkMicroFragmentCall(b *testing.B) {
-	prog, err := Compile(figureSrc)
+// fragmentCallSrc is a function whose fragments are a few arithmetic
+// statements, so BenchmarkFragmentCall times dispatch, not fragment work.
+const fragmentCallSrc = `
+func work(x: int, y: int): int {
+    var k: int = x * 3 + y;
+    var t: int = k + x;
+    return t - y;
+}
+func main() { print(work(2, 1)); }
+`
+
+// BenchmarkFragmentCall is the single-session direct-dispatch loop: no
+// contention, no sockets — just the cost of one hidden fragment call end
+// to end through CallSession.
+func BenchmarkFragmentCall(b *testing.B) {
+	prog, err := Compile(fragmentCallSrc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := Split(prog, []Spec{{Func: "f", Seed: "a"}})
+	res, err := Split(prog, []Spec{{Func: "work", Seed: "k"}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	server := hrt.NewServer(hrt.NewRegistry(res))
-	inst, err := server.Enter("f", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer server.Exit("f", inst)
-	// Fragment 0 initializes a from (x, y).
-	args := []interp.Value{interp.IntV(1), interp.IntV(2)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := server.Call("f", inst, 0, args); err != nil {
-			b.Fatal(err)
+	frags := res.Splits["work"].Hidden.Frags
+	fragID := -1
+	for id := range frags {
+		if fragID < 0 || id < fragID {
+			fragID = id
 		}
 	}
-}
-
-func BenchmarkMicroTCPRoundTrip(b *testing.B) {
-	prog, err := Compile(figureSrc)
+	if fragID < 0 {
+		b.Fatal("split produced no fragments")
+	}
+	args := make([]interp.Value, len(frags[fragID].ArgVars))
+	for i := range args {
+		args[i] = interp.IntV(int64(i%5 + 1))
+	}
+	server := hrt.NewServer(hrt.NewRegistry(res))
+	inst, err := server.EnterSession(1, "work", 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := Split(prog, []Spec{{Func: "f", Seed: "a"}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := &hrt.TCPServer{Server: hrt.NewServer(hrt.NewRegistry(res))}
-	addr, err := ts.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ts.Close()
-	mt, err := hrt.DialMux(hrt.MuxConfig{Addr: addr.String()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer mt.Close()
-	sess := &hrt.Session{T: mt.Stream(0, nil)}
-	inst, err := sess.Enter("f", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	args := []interp.Value{interp.IntV(1), interp.IntV(2)}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sess.Call("f", inst, 0, args); err != nil {
+		if _, err := server.CallSession(1, "work", inst, fragID, args); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -464,29 +455,10 @@ func BenchmarkAblationPipelining(b *testing.B) {
 	b.ReportMetric(row.PipelinedPct, "overhead-pipelined-%")
 }
 
-// benchJSONPath makes `make bench` emit the machine-readable report:
-//
-//	go test -run TestWriteBenchJSON -bench-json BENCH_hrt.json .
-var benchJSONPath = flag.String("bench-json", "", "write BENCH_hrt.json-style report to this path")
-
-// TestWriteBenchJSON regenerates the committed BENCH_hrt.json when invoked
-// with -bench-json (it is skipped otherwise, so plain `go test` stays fast
-// and deterministic).
-func TestWriteBenchJSON(t *testing.T) {
-	if *benchJSONPath == "" {
-		t.Skip("pass -bench-json <path> to write the benchmark report")
-	}
-	cfg := benchCfg()
-	if err := experiments.WriteBenchJSONFile(*benchJSONPath, cfg); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", *benchJSONPath)
-}
-
-// TestPipelineSmoke is the `make bench-quick` gate: at test scale it checks
-// every kernel row still produces byte-identical output in both transport
-// modes and that pipelining never blocks more often than the synchronous
-// transport.
+// TestPipelineSmoke checks at test scale that every kernel row still
+// produces byte-identical output in both transport modes (Table5 fails on
+// any mismatch) and that pipelining never blocks more often than the
+// synchronous transport.
 func TestPipelineSmoke(t *testing.T) {
 	cfg := experiments.Fast()
 	rows, err := experiments.Table5(cfg)

@@ -12,7 +12,7 @@
 //	slicehide split   -func f [-seed v] [-no-cfh] <file.mj>
 //	slicehide ilp     -func f [-seed v] [-min-at-uses] <file.mj>
 //	slicehide run     [-split f[:v],g[:v],...] [-rtt d] [-server addr | -cluster a1,a2,...] [-timeout d] [-retries n] [-window n] [-stats text|json] [-trace file] <file.mj>
-//	slicehide loadtest [-server addr | -cluster a1,a2,... | -backends n [-kill-primary] [-join-mid-run]] [-sessions m] [-ops k] [-mux-conns n] [-window n] [-barrier-every n] [-shards n] [-split f:v] [-data-dir dir [-fsync] [-commit-bytes n] [-commit-interval d]] [-json] [program.mj]
+//	slicehide loadtest [-server addr | -cluster a1,a2,... | -backends n [-kill-primary] [-join-mid-run]] [-sessions m] [-ops k] [-mux-conns n] [-window n] [-barrier-every n] [-split f:v] [-data-dir dir [-fsync]] [-json] [program.mj]
 //	slicehide attack  -func f [-seed v] [-calls n] [-window k] [-rng n] <file.mj>
 package main
 
@@ -431,15 +431,15 @@ func cmdLoadtest(args []string) error {
 	muxConns := fs.Int("mux-conns", 0, "shared connection count (0 = one per 256 sessions, capped at 64)")
 	window := fs.Int("window", 64, "per-session in-flight window: 0 drives blocking round trips, N>0 drives one-way calls with flush barriers and up to N in flight (fleet mode is always blocking)")
 	barrier := fs.Int("barrier-every", 16, "one-way ops between flush barriers")
-	shards := fs.Int("shards", 0, "self-hosted server session shards (0 = GOMAXPROCS, 1 = serial baseline; ignored with -server)")
 	split := fs.String("split", "", `workload split spec "f:seed" (default: built-in workload; with a program file it must name one of its functions)`)
 	dataDir := fs.String("data-dir", "", "make the self-hosted server durable: journal session state in this directory (measures WAL overhead; ignored with -server)")
-	fsync := fs.Bool("fsync", false, "fsync every journal append on the self-hosted durable server (requires -data-dir)")
-	commitBytes := fs.Int("commit-bytes", 1<<20, "group-commit batch bound in bytes on the self-hosted durable server; 0 writes and fsyncs each append individually (requires -data-dir)")
-	commitInterval := fs.Duration("commit-interval", 0, "let a group-commit batch linger this long for stragglers before fsync (0 = commit as soon as the queue drains; requires -data-dir)")
+	fsync := fs.Bool("fsync", false, "fsync every group-commit batch on the self-hosted durable server (requires -data-dir)")
 	asJSON := fs.Bool("json", false, "emit the schema-versioned LoadResult JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *fsync && *dataDir == "" {
+		return fmt.Errorf("loadtest: -fsync requires -data-dir (without it the server keeps no journal)")
 	}
 	// The workload program is compiled and split locally to discover the
 	// fragment to drive, so targeting a remote server means passing the
@@ -475,19 +475,16 @@ func cmdLoadtest(args []string) error {
 		})
 	}
 	res, err := experiments.RunLoad(experiments.LoadConfig{
-		Addr:           *server,
-		Sessions:       *sessions,
-		Ops:            *ops,
-		MuxConns:       *muxConns,
-		Window:         *window,
-		BarrierEvery:   *barrier,
-		Shards:         *shards,
-		Source:         source,
-		Split:          *split,
-		DataDir:        *dataDir,
-		Fsync:          *fsync,
-		CommitBytes:    *commitBytes,
-		CommitInterval: *commitInterval,
+		Addr:         *server,
+		Sessions:     *sessions,
+		Ops:          *ops,
+		MuxConns:     *muxConns,
+		Window:       *window,
+		BarrierEvery: *barrier,
+		Source:       source,
+		Split:        *split,
+		DataDir:      *dataDir,
+		Fsync:        *fsync,
 	})
 	if err != nil {
 		return err
@@ -500,12 +497,9 @@ func cmdLoadtest(args []string) error {
 	durable := ""
 	if res.Durability != "" {
 		durable = ", durability=" + res.Durability
-		if res.CommitBytes > 0 {
-			durable += fmt.Sprintf(", group commit ≤%d bytes", res.CommitBytes)
-		}
 	}
-	fmt.Printf("loadtest: %d sessions × %d ops (%s over %d conns, shards=%s, GOMAXPROCS=%d%s)\n",
-		res.Sessions, res.OpsPerSession, res.Mode, res.MuxConns, shardsLabel(res.Shards), res.GOMAXPROCS, durable)
+	fmt.Printf("loadtest: %d sessions × %d ops (%s over %d conns, GOMAXPROCS=%d%s)\n",
+		res.Sessions, res.OpsPerSession, res.Mode, res.MuxConns, res.GOMAXPROCS, durable)
 	fmt.Printf("  throughput: %.0f ops/sec (%d ops in %s)\n",
 		res.OpsPerSec, res.TotalOps, time.Duration(res.ElapsedNs))
 	fmt.Printf("  blocking ops: %d, p50 %s, p99 %s, p99.9 %s, max %s\n",
@@ -578,13 +572,6 @@ func clusterLoadtest(a clusterLoadtestArgs) error {
 			res.SnapXferBytes, time.Duration(res.SnapXferNs), res.MembershipEpoch)
 	}
 	return nil
-}
-
-func shardsLabel(n int) string {
-	if n == 0 {
-		return "remote"
-	}
-	return fmt.Sprintf("%d", n)
 }
 
 // parseStatsMode normalizes the -stats flag. The flag used to be a

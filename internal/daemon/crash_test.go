@@ -21,6 +21,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -36,9 +37,10 @@ import (
 
 const childEnv = "SLICEHIDE_HIDDEND_CHILD"
 
-// fsyncEnv turns on -fsync for every hiddend child, so the CI chaos leg
-// exercises the group-commit path (batched writes, one flush per batch)
-// under the byte-identical-output referee.
+// fsyncEnv turns on -fsync for every durable (-data-dir) hiddend child,
+// so the CI chaos leg exercises the group-commit path (batched writes,
+// one flush per batch) under the byte-identical-output referee. hiddend
+// refuses -fsync without -data-dir, so in-memory children run without it.
 const fsyncEnv = "SLICEHIDE_CHAOS_FSYNC"
 
 func chaosFsync() bool {
@@ -132,7 +134,7 @@ type child struct {
 // reports the listener is up.
 func startChild(t *testing.T, args ...string) *child {
 	t.Helper()
-	if chaosFsync() {
+	if chaosFsync() && slices.Contains(args, "-data-dir") {
 		args = append([]string{"-fsync"}, args...)
 	}
 	c := &child{stderr: &bytes.Buffer{}, ready: make(chan struct{})}

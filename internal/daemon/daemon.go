@@ -42,7 +42,6 @@ type Config struct {
 	MaxConns    int
 	MaxSessions int
 	EvictGrace  time.Duration
-	Shards      int
 	Admin       string
 	TraceFile   string
 
@@ -57,14 +56,6 @@ type Config struct {
 	// after this many records (0 = default, negative disables periodic
 	// snapshots).
 	SnapshotEvery int
-	// CommitBytes bounds one group-commit batch: appends coalesce into a
-	// single write + fsync up to this many bytes. 0 disables group commit
-	// (every append is its own write and, with -fsync, its own flush).
-	CommitBytes int
-	// CommitInterval lets the committer linger for stragglers after the
-	// queue runs dry before flushing a partial batch (0 = flush as soon
-	// as the queue is empty).
-	CommitInterval time.Duration
 	// DrainTimeout bounds the graceful drain on SIGTERM/SIGINT: how long
 	// to wait for in-flight connections to finish before severing them.
 	DrainTimeout time.Duration
@@ -106,14 +97,11 @@ func ParseFlags(args []string) (Config, error) {
 	fs.IntVar(&cfg.MaxConns, "max-conns", 0, "maximum concurrently served connections (0 = unlimited)")
 	fs.IntVar(&cfg.MaxSessions, "max-sessions", 0, "maximum cached replay sessions (0 = default 1024)")
 	fs.DurationVar(&cfg.EvictGrace, "evict-grace", 0, "protect sessions seen within this window from replay-cache eviction (0 disables)")
-	fs.IntVar(&cfg.Shards, "shards", 0, "session-state lock stripes for hidden state and the replay cache (0 = GOMAXPROCS, rounded up to a power of two; 1 = the serial single-lock server)")
 	fs.StringVar(&cfg.Admin, "admin", "", "serve the admin endpoint (/healthz, /metrics, /trace, /debug/pprof/) on this address (empty disables)")
 	fs.StringVar(&cfg.TraceFile, "trace", "", "write redacted runtime trace events (JSON lines) to this file")
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "journal and snapshot hidden session state in this directory, and recover from it on startup (empty = in-memory only)")
 	fs.BoolVar(&cfg.Fsync, "fsync", false, "fsync every journal append: durable against power loss, not just process death (requires -data-dir)")
 	fs.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "rotate to a fresh snapshot after this many journal records (0 = default 4096, negative = only at shutdown; requires -data-dir)")
-	fs.IntVar(&cfg.CommitBytes, "commit-bytes", 1<<20, "group-commit batch bound: coalesce queued journal appends into one write + one fsync up to this many bytes (0 = per-append commit; requires -data-dir)")
-	fs.DurationVar(&cfg.CommitInterval, "commit-interval", 0, "linger this long for more records once the commit queue runs dry before flushing a partial batch (0 = flush immediately; requires -commit-bytes > 0)")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 5*time.Second, "on SIGTERM/SIGINT, wait this long for in-flight connections to finish before severing them")
 	fs.StringVar(&cfg.Peers, "peers", "", "comma-separated fleet membership, including this replica's own -listen address; sessions are rendezvous-placed across the members")
 	fs.BoolVar(&cfg.Replicate, "replicate", false, "stream the WAL to every peer and gate responses on follower acknowledgement, so sessions survive this replica's death (requires -data-dir, and -peers or -join)")
@@ -133,6 +121,18 @@ func ParseFlags(args []string) (Config, error) {
 	}
 	if cfg.Join != "" && !cfg.Replicate {
 		return Config{}, fmt.Errorf("hiddend: -join requires -replicate (a joiner catches up via snapshot transfer and WAL streaming)")
+	}
+	// Without -data-dir there is no journal to flush or rotate: refuse the
+	// journal's flags rather than start an in-memory server silently.
+	if cfg.DataDir == "" {
+		snapshotSet := false
+		fs.Visit(func(f *flag.Flag) { snapshotSet = snapshotSet || f.Name == "snapshot-every" })
+		if cfg.Fsync {
+			return Config{}, fmt.Errorf("hiddend: -fsync requires -data-dir")
+		}
+		if snapshotSet {
+			return Config{}, fmt.Errorf("hiddend: -snapshot-every requires -data-dir")
+		}
 	}
 	cfg.Program = fs.Arg(0)
 	return cfg, nil
@@ -213,28 +213,23 @@ func Start(cfg Config) (*Daemon, error) {
 		d.tracer = obs.NewTracer(obs.TracerConfig{Level: obs.LevelInfo})
 	}
 
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
 	if cfg.DataDir != "" {
 		d.persist = hrt.NewDurability(hrt.DurabilityOptions{
-			Dir:            cfg.DataDir,
-			Fsync:          cfg.Fsync,
-			SnapshotEvery:  cfg.SnapshotEvery,
-			CommitBytes:    cfg.CommitBytes,
-			CommitInterval: cfg.CommitInterval,
-			Tracer:         d.tracer,
+			Dir:           cfg.DataDir,
+			Fsync:         cfg.Fsync,
+			SnapshotEvery: cfg.SnapshotEvery,
+			CommitBytes:   hrt.DefaultCommitBytes,
+			Tracer:        d.tracer,
 		})
 	}
 	d.server = &hrt.TCPServer{
-		Server:       hrt.NewServerShards(hrt.NewRegistry(res), shards),
+		Server:       hrt.NewServer(hrt.NewRegistry(res)),
 		ReadTimeout:  cfg.Timeout,
 		WriteTimeout: cfg.Timeout,
 		MaxConns:     cfg.MaxConns,
 		MaxSessions:  cfg.MaxSessions,
 		EvictGrace:   cfg.EvictGrace,
-		Shards:       shards,
+		Shards:       runtime.GOMAXPROCS(0),
 		Tracer:       d.tracer,
 		Persist:      d.persist,
 	}

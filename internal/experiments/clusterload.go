@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -25,7 +23,7 @@ import (
 // drops the busiest backend mid-run and measures how long the displaced
 // sessions stall before the promoted follower serves them — the failover
 // latency the fleet design exists to bound. `slicehide loadtest -cluster`
-// and `make bench-cluster` both drive it.
+// drives it.
 
 // ClusterLoadConfig configures one fleet load run.
 type ClusterLoadConfig struct {
@@ -60,8 +58,7 @@ type ClusterLoadConfig struct {
 }
 
 // ClusterLoadResult is one fleet run's measurement, the document
-// `slicehide loadtest -cluster -json` prints and BENCH_cluster.json
-// collects.
+// `slicehide loadtest -cluster -json` prints.
 type ClusterLoadResult struct {
 	Schema        int     `json:"schema"`
 	Backends      int     `json:"backends"`
@@ -195,7 +192,7 @@ func RunClusterLoad(c ClusterLoadConfig) (ClusterLoadResult, error) {
 		}
 		startReplica := func(i int, addr string, peers []string, seed string) (*clusterBackend, error) {
 			srv := &hrt.TCPServer{
-				Server: hrt.NewServerShards(hrt.NewRegistry(res), runtime.GOMAXPROCS(0)),
+				Server: hrt.NewServer(hrt.NewRegistry(res)),
 				Shards: runtime.GOMAXPROCS(0),
 				Persist: hrt.NewDurability(hrt.DurabilityOptions{
 					Dir:           filepath.Join(base, fmt.Sprintf("replica-%d", i)),
@@ -469,75 +466,4 @@ func clusterWorker(t hrt.Transport, session uint64, comp string, fragID int, arg
 		done.Add(1)
 	}
 	return sess.Exit(comp, inst)
-}
-
-// ClusterBenchReport is the top-level BENCH_cluster.json document: the
-// same workload against 1, 2, and 4 replicating backends, so fleet
-// scaling (and the cost of semi-synchronous commits) is tracked release
-// over release. Multi-backend rows run with KillPrimary, so every row
-// past the first also carries a measured failover; a final join-under-load
-// row grows a two-founder fleet mid-run and records the snapshot
-// catch-up transfer (joined, cluster_membership_epoch, snap_xfer_*).
-type ClusterBenchReport struct {
-	Schema int `json:"schema"`
-	NumCPU int `json:"num_cpu"`
-	Config struct {
-		Sessions   int `json:"sessions"`
-		OpsPerSess int `json:"ops_per_session"`
-	} `json:"config"`
-	Rows []ClusterLoadResult `json:"rows"`
-}
-
-// WriteClusterBenchJSON runs the backend-scaling matrix and writes the
-// report: 1, 2, and 4 backends (kill-free single, kill-included multi),
-// plus a join-under-load row (two founders grown to three mid-run).
-func WriteClusterBenchJSON(w io.Writer, cfg ClusterLoadConfig) error {
-	base := cfg.withDefaults()
-	var rep ClusterBenchReport
-	rep.Schema = ClusterSchemaVersion
-	rep.NumCPU = runtime.NumCPU()
-	rep.Config.Sessions = base.Sessions
-	rep.Config.OpsPerSess = base.Ops
-	for _, backends := range []int{1, 2, 4} {
-		run := base
-		run.Addrs = nil
-		run.Backends = backends
-		run.KillPrimary = backends > 1
-		r, err := RunClusterLoad(run)
-		if err != nil {
-			return err
-		}
-		rep.Rows = append(rep.Rows, r)
-	}
-	// Join-under-load row: two founders serve the first half of the load,
-	// then a cold third replica joins mid-run and catches up via snapshot
-	// transfer while the hammering continues (joined=true, epoch 2, and
-	// nonzero snap_xfer_* distinguish it from the scaling rows).
-	join := base
-	join.Addrs = nil
-	join.Backends = 2
-	join.KillPrimary = false
-	join.JoinMidRun = true
-	r, err := RunClusterLoad(join)
-	if err != nil {
-		return err
-	}
-	rep.Rows = append(rep.Rows, r)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// WriteClusterBenchJSONFile is WriteClusterBenchJSON to a file path (used
-// by `make bench-cluster`).
-func WriteClusterBenchJSONFile(path string, cfg ClusterLoadConfig) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("experiments: create %s: %w", path, err)
-	}
-	if err := WriteClusterBenchJSON(f, cfg); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

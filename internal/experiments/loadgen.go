@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -23,7 +20,7 @@ import (
 // latency. This is the multi-core counterpart of the Table 5 experiments —
 // Table 5 measures one client's latency over a slow link, the load harness
 // measures how many independent clients one server sustains. `slicehide
-// loadtest` and the root loadbench benchmarks both drive it.
+// loadtest` drives it.
 
 // loadSource is the default workload: a small split function whose
 // fragments are a few arithmetic statements — cheap enough that server-side
@@ -40,7 +37,7 @@ func main() { print(work(2, 1)); }
 // LoadConfig configures one concurrent load run.
 type LoadConfig struct {
 	// Addr is the hidden server to target. Empty self-hosts an in-process
-	// loopback TCPServer (still real sockets, real codec) with Shards
+	// loopback TCPServer (still real sockets, real codec) with GOMAXPROCS
 	// session stripes.
 	Addr string
 	// Sessions is the number of concurrent client sessions. Default 8.
@@ -58,10 +55,6 @@ type LoadConfig struct {
 	// BarrierEvery is how many one-way ops ride between flush barriers.
 	// Default 16.
 	BarrierEvery int
-	// Shards is the self-hosted server's session stripe count
-	// (0 = GOMAXPROCS, 1 = the serial single-lock baseline). Ignored when
-	// Addr is set.
-	Shards int
 	// Source and Split override the workload program and split spec
 	// (defaults: loadSource, "work:k"). The program is always compiled
 	// and split locally to discover the fragment to drive; with Addr set
@@ -72,23 +65,16 @@ type LoadConfig struct {
 	// DataDir, when set, makes the self-hosted loopback server durable:
 	// every mutating request is journaled there before its reply is
 	// released, so the run measures the write-ahead-log overhead against
-	// the in-memory baseline. Ignored when Addr is set.
+	// the in-memory baseline. Appends group-commit up to
+	// hrt.DefaultCommitBytes per batch. Ignored when Addr is set.
 	DataDir string
-	// Fsync fsyncs each journal append (power-loss durability; requires
+	// Fsync flushes each commit batch (power-loss durability; requires
 	// DataDir). This is the expensive tier of the durability table.
 	Fsync bool
-	// CommitBytes enables group commit on the self-hosted durable server:
-	// concurrent appends coalesce into one journal write and one fsync per
-	// batch, bounded by this many bytes. 0 keeps the per-append baseline.
-	CommitBytes int
-	// CommitInterval lets a group-commit batch linger for this long to
-	// admit stragglers before it fsyncs (0 = fsync as soon as the queue
-	// drains).
-	CommitInterval time.Duration
 }
 
 // LoadResult is one load run's measurement, the schema-versioned document
-// `slicehide loadtest -json` prints and BENCH_load.json collects.
+// `slicehide loadtest -json` prints.
 type LoadResult struct {
 	Schema   int    `json:"schema"`
 	Mode     string `json:"mode"` // "sync" (Window 0) or "pipelined"
@@ -97,7 +83,6 @@ type LoadResult struct {
 	MuxConns      int     `json:"mux_conns"`
 	OpsPerSession int     `json:"ops_per_session"`
 	TotalOps      int64   `json:"total_ops"`
-	Shards        int     `json:"shards"` // 0 = remote server, stripe count unknown
 	GOMAXPROCS    int     `json:"gomaxprocs"`
 	ElapsedNs     int64   `json:"elapsed_ns"`
 	OpsPerSec     float64 `json:"ops_per_sec"`
@@ -109,16 +94,10 @@ type LoadResult struct {
 	// "" (in-memory), "wal" (journaled), or "wal+fsync" (journaled with
 	// fsync before reply release).
 	Durability string `json:"durability,omitempty"`
-	// CommitBytes echoes the group-commit batch bound the durable server
-	// ran with (0 = per-append writes, the pre-group-commit behavior).
-	CommitBytes int `json:"commit_bytes,omitempty"`
 	// CommitBatchMean is the mean records-per-batch the group-commit
-	// pipeline achieved (0 when group commit was off); >1 means appends
-	// actually coalesced under this load.
+	// pipeline achieved (0 on an in-memory or remote server); >1 means
+	// appends actually coalesced under this load.
 	CommitBatchMean float64 `json:"commit_batch_mean,omitempty"`
-	// ExecMode is always "vm": the bytecode VM is the only fragment
-	// execution engine. The field stays so the document keeps its shape.
-	ExecMode string `json:"exec_mode"`
 }
 
 // LoadSchemaVersion is bumped when LoadResult's shape changes. Version 2
@@ -127,8 +106,10 @@ type LoadResult struct {
 // p99.9 to latency snapshots and the group-commit fields (commit_bytes,
 // commit_batch_mean) alongside dedicated durability rows in the report;
 // version 5 dropped the per-connection transports: mode is "sync" or
-// "pipelined", every row rides mux connections and mux_conns is always set.
-const LoadSchemaVersion = 5
+// "pipelined", every row rides mux connections and mux_conns is always set;
+// version 6 dropped shards, commit_bytes and exec_mode, which every run
+// now fixes (GOMAXPROCS stripes, hrt.DefaultCommitBytes, the VM).
+const LoadSchemaVersion = 6
 
 func (c *LoadConfig) withDefaults() LoadConfig {
 	cfg := *c
@@ -140,9 +121,6 @@ func (c *LoadConfig) withDefaults() LoadConfig {
 	}
 	if cfg.BarrierEvery <= 0 {
 		cfg.BarrierEvery = 16
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Source == "" {
 		cfg.Source = loadSource
@@ -191,16 +169,14 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 	}
 
 	addr := cfg.Addr
-	shards := cfg.Shards
 	durability := ""
 	var persist *hrt.Durability
 	if addr == "" {
 		if cfg.DataDir != "" {
 			persist = hrt.NewDurability(hrt.DurabilityOptions{
-				Dir:            cfg.DataDir,
-				Fsync:          cfg.Fsync,
-				CommitBytes:    cfg.CommitBytes,
-				CommitInterval: cfg.CommitInterval,
+				Dir:         cfg.DataDir,
+				Fsync:       cfg.Fsync,
+				CommitBytes: hrt.DefaultCommitBytes,
 			})
 			durability = "wal"
 			if cfg.Fsync {
@@ -208,8 +184,8 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 			}
 		}
 		srv := &hrt.TCPServer{
-			Server:  hrt.NewServerShards(hrt.NewRegistry(res), shards),
-			Shards:  shards,
+			Server:  hrt.NewServer(hrt.NewRegistry(res)),
+			Shards:  runtime.GOMAXPROCS(0),
 			Persist: persist,
 		}
 		if cfg.Sessions > 512 {
@@ -226,8 +202,6 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 		}
 		defer srv.Close()
 		addr = a.String()
-	} else {
-		shards = 0 // remote server; stripe count unknown
 	}
 
 	hist := &obs.Histogram{}
@@ -282,9 +256,7 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 		mode = "pipelined"
 	}
 	batchMean := 0.0
-	commitBytes := 0
 	if persist != nil {
-		commitBytes = cfg.CommitBytes
 		if batches, records := persist.CommitBatchStats(); batches > 0 {
 			batchMean = float64(records) / float64(batches)
 		}
@@ -297,15 +269,12 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 		MuxConns:        connCount,
 		OpsPerSession:   cfg.Ops,
 		TotalOps:        total,
-		Shards:          shards,
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		ElapsedNs:       elapsed.Nanoseconds(),
 		OpsPerSec:       float64(total) / elapsed.Seconds(),
 		Blocking:        hist.Snapshot(),
 		Durability:      durability,
-		CommitBytes:     commitBytes,
 		CommitBatchMean: batchMean,
-		ExecMode:        "vm",
 	}, nil
 }
 
@@ -358,130 +327,4 @@ func loadWorker(mt *hrt.MuxTransport, comp string, fragID int, args []interp.Val
 	}
 	hist.Observe(time.Since(start))
 	return nil
-}
-
-// LoadBenchReport is the top-level BENCH_load.json document: the same
-// workload at 1 vs GOMAXPROCS cores and 1 vs N session shards, so the
-// throughput trajectory of the sharded server is tracked release over
-// release like BENCH_hrt.json tracks latency.
-type LoadBenchReport struct {
-	Schema int `json:"schema"`
-	// NumCPU records the host's physical parallelism: GOMAXPROCS rows
-	// above it oversubscribe the hardware, so sharded-vs-serial ratios
-	// are only meaningful up to this count.
-	NumCPU int `json:"num_cpu"`
-	Config struct {
-		Sessions     int `json:"sessions"`
-		OpsPerSess   int `json:"ops_per_session"`
-		Window       int `json:"window"`
-		ShardedCount int `json:"sharded_count"`
-	} `json:"config"`
-	Rows []LoadResult `json:"rows"`
-}
-
-// WriteLoadBenchJSON runs the serial-vs-sharded throughput matrix and
-// writes the report: {GOMAXPROCS 1, 4} × {1 shard, shardedCount shards}.
-func WriteLoadBenchJSON(w io.Writer, cfg LoadConfig, shardedCount int) error {
-	base := cfg.withDefaults()
-	if shardedCount <= 1 {
-		shardedCount = 8
-	}
-	var rep LoadBenchReport
-	rep.Schema = LoadSchemaVersion
-	rep.NumCPU = runtime.NumCPU()
-	rep.Config.Sessions = base.Sessions
-	rep.Config.OpsPerSess = base.Ops
-	rep.Config.Window = base.Window
-	rep.Config.ShardedCount = shardedCount
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, shards := range []int{1, shardedCount} {
-			run := base
-			run.Shards = shards
-			r, err := RunLoad(run)
-			if err != nil {
-				return err
-			}
-			r.GOMAXPROCS = procs
-			rep.Rows = append(rep.Rows, r)
-		}
-	}
-
-	// Scale row: the point the shared-connection design exists for — 10k
-	// concurrent sessions over at most 64 TCP connections.
-	runtime.GOMAXPROCS(4)
-	scale := base
-	scale.Sessions = 10_000
-	scale.Ops = 50
-	scale.Shards = shardedCount
-	r, err := RunLoad(scale)
-	if err != nil {
-		return err
-	}
-	r.GOMAXPROCS = 4
-	rep.Rows = append(rep.Rows, r)
-
-	// Durability rows: the workload against a journaled server in three
-	// tiers — wal (no fsync), wal+fsync with per-append fsync
-	// (CommitBytes 0, the pre-group-commit behavior), and wal+fsync with
-	// group commit — driven both synchronously (Window 0) and one-way.
-	// The fsync pair is the headline: group commit coalesces concurrent
-	// sessions' appends into one fsync per batch, so its ops/sec should
-	// sit a multiple above the per-append baseline and its
-	// commit_batch_mean above 1. 64 sessions with a stripe per session,
-	// so the fsync queue — not the replay cache's stripe locks (which
-	// hold the journal call) — is what the pair measures.
-	const durSessions = 64
-	for _, window := range []int{0, base.Window} {
-		for _, tier := range []struct {
-			fsync       bool
-			commitBytes int
-		}{
-			{false, 1 << 20},
-			{true, 0},
-			{true, 1 << 20},
-		} {
-			dir, err := os.MkdirTemp("", "loadbench-wal-*")
-			if err != nil {
-				return err
-			}
-			run := base
-			run.Window = window
-			run.Sessions = durSessions
-			run.Ops = 200
-			run.Shards = durSessions
-			run.DataDir = dir
-			run.Fsync = tier.fsync
-			run.CommitBytes = tier.commitBytes
-			r, err := RunLoad(run)
-			os.RemoveAll(dir)
-			if err != nil {
-				return err
-			}
-			r.GOMAXPROCS = 4
-			rep.Rows = append(rep.Rows, r)
-		}
-	}
-	runtime.GOMAXPROCS(prev)
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// WriteLoadBenchJSONFile is WriteLoadBenchJSON to a file path (used by
-// `make bench-load`).
-func WriteLoadBenchJSONFile(path string, cfg LoadConfig, shardedCount int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("experiments: create %s: %w", path, err)
-	}
-	if err := WriteLoadBenchJSON(f, cfg, shardedCount); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

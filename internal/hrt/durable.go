@@ -161,17 +161,16 @@ type DurabilityOptions struct {
 	// and with Fsync its own flush) — the right choice for a single
 	// session, which a batch cannot help.
 	CommitBytes int
-	// CommitInterval, with group commit enabled, lets the committer
-	// linger this long for stragglers after the queue runs dry before
-	// flushing a partial batch. 0 flushes as soon as the queue is empty
-	// (natural batching from fsync backpressure only).
-	CommitInterval time.Duration
 	// Tracer, when set, receives recovery, snapshot, and append-failure
 	// events.
 	Tracer *obs.Tracer
 }
 
 const defaultSnapshotEvery = 4096
+
+// DefaultCommitBytes is the group-commit batch bound every durable
+// server hiddend and the load harness start runs with.
+const DefaultCommitBytes = 1 << 20
 
 // RecoveryStats describes what startup recovery found.
 type RecoveryStats struct {
@@ -833,7 +832,7 @@ func (p *Durability) commitLoop(q chan *walCommit, stop, done chan struct{}) {
 		case <-stop:
 			return
 		case w := <-q:
-			batch = p.fillBatch(append(batch[:0], w), q, stop)
+			batch = p.fillBatch(append(batch[:0], w), q)
 			if failed == nil {
 				payloads, failed = p.commitBatch(batch, payloads[:0])
 			}
@@ -847,10 +846,8 @@ func (p *Durability) commitLoop(q chan *walCommit, stop, done chan struct{}) {
 }
 
 // fillBatch drains the queue behind batch's first record, up to
-// CommitBytes of payload; with CommitInterval > 0 it lingers that long
-// for stragglers once the queue runs dry, trading a bounded latency hit
-// for fuller batches.
-func (p *Durability) fillBatch(batch []*walCommit, q chan *walCommit, stop chan struct{}) []*walCommit {
+// CommitBytes of payload.
+func (p *Durability) fillBatch(batch []*walCommit, q chan *walCommit) []*walCommit {
 	size := len(batch[0].payload)
 	// With the queue dry, give the goroutines blocked on this batch a
 	// few scheduler turns to publish their records before the fsync is
@@ -858,9 +855,7 @@ func (p *Durability) fillBatch(batch []*walCommit, q chan *walCommit, stop chan 
 	// instant the first record lands and degenerate into one-record
 	// batches. Bounded and timer-free, so a lone append on an idle
 	// server still commits promptly.
-	yields := 4
-	var deadline <-chan time.Time
-	for size < p.opts.CommitBytes {
+	for yields := 4; size < p.opts.CommitBytes; {
 		select {
 		case w := <-q:
 			batch = append(batch, w)
@@ -868,30 +863,11 @@ func (p *Durability) fillBatch(batch []*walCommit, q chan *walCommit, stop chan 
 			continue
 		default:
 		}
-		if yields > 0 {
-			yields--
-			runtime.Gosched()
-			continue
-		}
-		if p.opts.CommitInterval <= 0 {
+		if yields == 0 {
 			break
 		}
-		if deadline == nil {
-			t := time.NewTimer(p.opts.CommitInterval)
-			defer t.Stop()
-			deadline = t.C
-		}
-		select {
-		case w := <-q:
-			batch = append(batch, w)
-			size += len(w.payload)
-		case <-deadline:
-			return batch
-		case <-stop:
-			// Commit what is queued before the loop exits; waiters hold
-			// the quiesce read lock, so shutdown is still behind them.
-			return batch
-		}
+		yields--
+		runtime.Gosched()
 	}
 	return batch
 }

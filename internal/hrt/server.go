@@ -186,18 +186,12 @@ type actMemo struct {
 	cc      *vm.Comp
 }
 
-// NewServer creates a hidden-component server over reg with one session
-// shard per CPU (see NewServerShards).
+// NewServer creates a hidden-component server over reg whose session
+// state is striped across one lock per CPU (GOMAXPROCS, rounded up to a
+// power of two).
 func NewServer(reg *Registry) *Server {
-	return NewServerShards(reg, runtime.GOMAXPROCS(0))
-}
-
-// NewServerShards creates a hidden-component server whose session state is
-// striped across shards locks (rounded up to a power of two; values < 1
-// mean one shard, the serial pre-sharding behavior).
-func NewServerShards(reg *Registry, shards int) *Server {
 	s := &Server{reg: reg}
-	n := shardCount(shards)
+	n := shardCount(runtime.GOMAXPROCS(0))
 	s.shards = make([]*serverShard, n)
 	s.shardMask = uint64(n - 1)
 	for i := range s.shards {

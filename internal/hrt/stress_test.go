@@ -65,7 +65,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 	initFrag, fetchFrag := stressFrags(t, res)
 
 	ts := &TCPServer{
-		Server: NewServerShards(NewRegistry(res), runtime.GOMAXPROCS(0)),
+		Server: NewServer(NewRegistry(res)),
 		Shards: runtime.GOMAXPROCS(0),
 	}
 	addr, err := ts.ListenAndServe("127.0.0.1:0")

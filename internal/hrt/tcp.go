@@ -38,7 +38,7 @@ type TCPServer struct {
 	EvictGrace time.Duration
 	// Shards stripes the replay cache's session map (see Dedup.Shards);
 	// the hidden-state Server carries its own shard count from
-	// NewServerShards. Values < 2 mean a single stripe.
+	// NewServer. Values < 2 mean a single stripe.
 	Shards int
 	// Tracer, when set, receives dedup replay/resend/evict/bounce events.
 	Tracer *obs.Tracer
