@@ -39,7 +39,8 @@ test:
 # state from several goroutines at once: one clean -race pass says little
 # about an interleaving it did not happen to run.
 # The third line does the same for the split side's only shared state, the
-# per-function facts built lazily on first use.
+# per-function facts built lazily on first use, as the slicer and the §3
+# analysis each meet them.
 # The fourth line repeats the crash matrix of the zero-filled journal
 # layout (seeded, no wall-clock waits) and its tail readers, the read-ahead
 # window cases (TailScannerWindow, TailScannerOneReadPerWakeup) included.
@@ -50,7 +51,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'GroupCommit|Dedup' ./internal/hrt
-	$(GO) test -race -count=10 -run 'SharedFactsConcurrent' ./internal/slicer
+	$(GO) test -race -count=10 -run 'SharedFactsConcurrent|AnalyzeConcurrent' ./internal/slicer ./internal/complexity
 	$(GO) test -race -count=3 -run 'Crash|TailScanner|EmptyRecord|JournalChain|ParentWritten' ./internal/wal ./internal/hrt
 	$(GO) test -race -count=10 -run 'OriginSkip|Lift|ReplStream' ./internal/cluster
 

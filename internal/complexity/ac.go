@@ -10,6 +10,7 @@ package complexity
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -45,61 +46,153 @@ func (t Type) String() string {
 // maxDegree caps polynomial degrees so the fixpoint iteration terminates.
 const maxDegree = 64
 
-// AC is an arithmetic complexity triple <Type, Inputs, Degree>. Inputs
-// holds the names of observable values the leaked function depends on;
-// Varying marks input sets whose size depends on loop iteration counts
-// (the paper's javac case, reported as "varying").
+// AC is an arithmetic complexity triple <Type, Inputs, Degree>. Its input
+// set holds the observable values the leaked function depends on; Varying
+// marks input sets whose size depends on loop iteration counts (the
+// paper's javac case, reported as "varying").
 type AC struct {
 	Type    Type
 	Degree  int
-	Inputs  map[string]bool
 	Varying bool
+	inputs  inputSet
 }
 
 // ConstantAC is the bottom element.
 func ConstantAC() AC { return AC{Type: Constant} }
 
-// LinearIn returns a linear complexity over the named input.
-func LinearIn(name string) AC {
-	return AC{Type: Linear, Degree: 1, Inputs: map[string]bool{name: true}}
-}
-
 // NumInputs returns the input count.
-func (a AC) NumInputs() int { return len(a.Inputs) }
+func (a AC) NumInputs() int { return a.inputs.count() }
 
 // String renders the triple the way the paper writes it.
 func (a AC) String() string {
 	in := "0"
 	if a.Varying {
 		in = "varying"
-	} else if len(a.Inputs) > 0 {
-		in = fmt.Sprintf("%d", len(a.Inputs))
+	} else if n := a.NumInputs(); n > 0 {
+		in = fmt.Sprintf("%d", n)
 	}
 	return fmt.Sprintf("<%s, %s, %d>", a.Type, in, a.Degree)
 }
 
 // InputNames returns the sorted input names (for tests).
 func (a AC) InputNames() []string {
-	names := make([]string, 0, len(a.Inputs))
-	for n := range a.Inputs {
-		names = append(names, n)
-	}
+	names := make([]string, 0, a.NumInputs())
+	a.inputs.each(func(i int) { names = append(names, a.inputs.table.list[i]) })
 	sort.Strings(names)
 	return names
 }
 
-func unionInputs(a, b AC) map[string]bool {
-	if len(a.Inputs) == 0 && len(b.Inputs) == 0 {
-		return nil
+// nameTable gives every input name one analysis meets a dense index: a
+// variable's String() or, for a[i], o.f, len(a) and f(x) leaves, the
+// expression's ir.ExprString. Inputs are names, not variables (half are
+// expression strings), so no per-variable id can index them.
+type nameTable struct {
+	index map[string]int
+	list  []string
+}
+
+// id returns name's index, adding the name on first sight.
+func (t *nameTable) id(name string) int {
+	i, ok := t.index[name]
+	if !ok {
+		if t.index == nil {
+			t.index = make(map[string]int)
+		}
+		i = len(t.list)
+		t.index[name] = i
+		t.list = append(t.list, name)
 	}
-	m := make(map[string]bool, len(a.Inputs)+len(b.Inputs))
-	for k := range a.Inputs {
-		m[k] = true
+	return i
+}
+
+// leaf returns the linear complexity over input i. Only an input past the
+// first 64 needs an overflow word allocated.
+func (t *nameTable) leaf(i int) AC {
+	s := inputSet{table: t}
+	if i < 64 {
+		s.lo = 1 << i
+	} else {
+		s.hi = make([]uint64, i/64)
+		s.hi[i/64-1] = 1 << (i % 64)
 	}
-	for k := range b.Inputs {
-		m[k] = true
+	return AC{Type: Linear, Degree: 1, inputs: s}
+}
+
+// inputSet is an immutable bitset over one analysis's name table: bit i
+// stands for table.list[i]. The first 64 bits live inline in lo; the rest
+// in the overflow words hi, where a missing word counts as zero. Nothing
+// writes into hi once a set holds it, so sets share overflow words freely.
+type inputSet struct {
+	lo    uint64
+	hi    []uint64
+	table *nameTable
+}
+
+func (s inputSet) count() int {
+	n := bits.OnesCount64(s.lo)
+	for _, w := range s.hi {
+		n += bits.OnesCount64(w)
 	}
-	return m
+	return n
+}
+
+// each calls fn with the index of every member, in increasing order.
+func (s inputSet) each(fn func(int)) {
+	for w, base := s.lo, 0; ; base += 64 {
+		for ; w != 0; w &= w - 1 {
+			fn(base + bits.TrailingZeros64(w))
+		}
+		if base/64 == len(s.hi) {
+			return
+		}
+		w = s.hi[base/64]
+	}
+}
+
+// union joins two sets of one analysis. It never writes into either
+// operand, and it returns an operand's overflow words unchanged when the
+// other's are a subset of them.
+func (s inputSet) union(t inputSet) inputSet {
+	switch {
+	case s.table == nil:
+		s.table = t.table
+	case t.table != nil && t.table != s.table:
+		panic("complexity: joined the input sets of two analyses")
+	}
+	s.lo |= t.lo
+	switch {
+	case subsetWords(t.hi, s.hi):
+	case subsetWords(s.hi, t.hi):
+		s.hi = t.hi
+	default:
+		if len(s.hi) < len(t.hi) {
+			s.hi, t.hi = t.hi, s.hi
+		}
+		hi := append([]uint64(nil), s.hi...)
+		for i, w := range t.hi {
+			hi[i] |= w
+		}
+		s.hi = hi
+	}
+	return s
+}
+
+// subsetWords reports whether every bit set in a is set in b.
+func subsetWords(a, b []uint64) bool {
+	for i, w := range a {
+		if i >= len(b) {
+			if w != 0 {
+				return false
+			}
+		} else if w&^b[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (s inputSet) equal(t inputSet) bool {
+	return s.lo == t.lo && subsetWords(s.hi, t.hi) && subsetWords(t.hi, s.hi)
 }
 
 func capDeg(d int) int {
@@ -124,7 +217,7 @@ func Less(a, b AC) bool {
 	if a.Varying != b.Varying {
 		return !a.Varying
 	}
-	return len(a.Inputs) < len(b.Inputs)
+	return a.NumInputs() < b.NumInputs()
 }
 
 // Max returns the greater of a and b with merged inputs.
@@ -133,7 +226,7 @@ func Max(a, b AC) AC {
 	if Less(b, a) {
 		out = a
 	}
-	out.Inputs = unionInputs(a, b)
+	out.inputs = a.inputs.union(b.inputs)
 	out.Varying = a.Varying || b.Varying
 	return out
 }
@@ -152,7 +245,7 @@ func Add(a, b AC) AC {
 	out := AC{
 		Type:    maxType(a.Type, b.Type),
 		Degree:  capDeg(maxInt(a.Degree, b.Degree)),
-		Inputs:  unionInputs(a, b),
+		inputs:  a.inputs.union(b.inputs),
 		Varying: a.Varying || b.Varying,
 	}
 	return out
@@ -172,17 +265,17 @@ func Mul(a, b AC) AC {
 	if b.Type == Constant {
 		t, deg = maxType(a.Type, Constant), a.Degree
 	}
-	return AC{Type: t, Degree: deg, Inputs: unionInputs(a, b), Varying: a.Varying || b.Varying}
+	return AC{Type: t, Degree: deg, inputs: a.inputs.union(b.inputs), Varying: a.Varying || b.Varying}
 }
 
 // Div combines operands of /: a non-constant divisor makes the result a
 // rational function.
 func Div(a, b AC) AC {
 	if b.Type == Constant {
-		return AC{Type: a.Type, Degree: a.Degree, Inputs: unionInputs(a, b), Varying: a.Varying || b.Varying}
+		return AC{Type: a.Type, Degree: a.Degree, inputs: a.inputs.union(b.inputs), Varying: a.Varying || b.Varying}
 	}
 	t := maxType(maxType(a.Type, b.Type), Rational)
-	return AC{Type: t, Degree: capDeg(maxInt(a.Degree, b.Degree)), Inputs: unionInputs(a, b), Varying: a.Varying || b.Varying}
+	return AC{Type: t, Degree: capDeg(maxInt(a.Degree, b.Degree)), inputs: a.inputs.union(b.inputs), Varying: a.Varying || b.Varying}
 }
 
 // Arb marks the combination as arbitrary (mod, boolean, relational,
@@ -190,7 +283,7 @@ func Div(a, b AC) AC {
 func Arb(parts ...AC) AC {
 	out := AC{Type: Arbitrary}
 	for _, p := range parts {
-		out.Inputs = unionInputs(out, p)
+		out.inputs = out.inputs.union(p.inputs)
 		out.Varying = out.Varying || p.Varying
 		if p.Degree > out.Degree {
 			out.Degree = p.Degree
@@ -214,7 +307,7 @@ func Raise(pc, iter AC) AC {
 	if deg >= 1 && t < Linear {
 		t = Linear
 	}
-	return AC{Type: t, Degree: deg, Inputs: unionInputs(pc, iter), Varying: pc.Varying || iter.Varying}
+	return AC{Type: t, Degree: deg, inputs: pc.inputs.union(iter.inputs), Varying: pc.Varying || iter.Varying}
 }
 
 func maxType(a, b Type) Type {
@@ -233,15 +326,7 @@ func maxInt(a, b int) int {
 
 // Equal reports structural equality (used by the fixpoint loop).
 func (a AC) Equal(b AC) bool {
-	if a.Type != b.Type || a.Degree != b.Degree || a.Varying != b.Varying || len(a.Inputs) != len(b.Inputs) {
-		return false
-	}
-	for k := range a.Inputs {
-		if !b.Inputs[k] {
-			return false
-		}
-	}
-	return true
+	return a.Type == b.Type && a.Degree == b.Degree && a.Varying == b.Varying && a.inputs.equal(b.inputs)
 }
 
 // ParseType converts a class name back to its Type (used by table tooling).

@@ -1,6 +1,8 @@
 package complexity
 
 import (
+	"fmt"
+
 	"slicehide/internal/cfg"
 	"slicehide/internal/core"
 	"slicehide/internal/dataflow"
@@ -64,11 +66,16 @@ type Options struct {
 // Analyze characterizes every ILP of a split function with default options.
 func Analyze(sf *core.SplitFunc) []Report { return AnalyzeOpts(sf, Options{}) }
 
+// maxRounds bounds the fixpoint; the corpora and kernels need at most 3.
+const maxRounds = 100
+
 // AnalyzeOpts characterizes every ILP of a split function.
 func AnalyzeOpts(sf *core.SplitFunc, opts Options) []Report {
 	a := newAnalyzer(sf)
 	a.opts = opts
-	a.fixpoint()
+	if !a.fixpoint(maxRounds) {
+		panic(fmt.Sprintf("complexity: the propagation over %s did not converge in %d rounds", sf.Orig.QName(), maxRounds))
+	}
 	out := make([]Report, 0, len(sf.ILPs))
 	for _, ilp := range sf.ILPs {
 		out = append(out, Report{ILP: ilp, AC: a.ilpAC(ilp), CC: a.ilpCC(ilp)})
@@ -84,12 +91,20 @@ type analyzer struct {
 	roles  map[int]slicer.Role
 	hidden map[*ir.Var]bool
 
+	// observable, constDef and acDef are indexed by dataflow.Def.Index.
 	// observable marks defs whose values the adversary can read directly
 	// (computed in the open component, or definitely leaked).
-	observable map[*dataflow.Def]bool
+	observable []bool
 	// constDef marks observable defs of compile-time constants.
-	constDef map[*dataflow.Def]bool
-	acDef    map[*dataflow.Def]AC
+	constDef []bool
+	acDef    []AC
+
+	// names indexes this analysis's inputs; varLeaf and exprLeaf memoise
+	// the input index of each variable and of each aggregate read, length
+	// or call expression, so the fixpoint builds no name twice.
+	names    *nameTable
+	varLeaf  map[*ir.Var]int
+	exprLeaf map[ir.Expr]int
 
 	// enclosing and loopsOf are the function's shared enclosure tables
 	// (slicer.Facts): statement ID to the if/while statements, and to the
@@ -104,16 +119,18 @@ type analyzer struct {
 func newAnalyzer(sf *core.SplitFunc) *analyzer {
 	facts := slicer.FactsOf(sf.Orig)
 	a := &analyzer{
-		sf:         sf,
-		roles:      sf.Slice.Roles,
-		hidden:     sf.Slice.Hidden,
-		observable: make(map[*dataflow.Def]bool),
-		constDef:   make(map[*dataflow.Def]bool),
-		acDef:      make(map[*dataflow.Def]AC),
-		enclosing:  facts.Enclosing,
-		loopsOf:    facts.LoopsOf,
+		sf:        sf,
+		roles:     sf.Slice.Roles,
+		hidden:    sf.Slice.Hidden,
+		names:     &nameTable{},
+		varLeaf:   make(map[*ir.Var]int),
+		exprLeaf:  make(map[ir.Expr]int),
+		enclosing: facts.Enclosing,
+		loopsOf:   facts.LoopsOf,
 	}
 	a.g, a.reach = facts.Flow()
+	n := len(a.reach.Defs)
+	a.observable, a.constDef, a.acDef = make([]bool, n), make([]bool, n), make([]AC, n)
 	a.classifyDefs()
 	return a
 }
@@ -127,15 +144,15 @@ func (a *analyzer) classifyDefs() {
 	for _, d := range a.reach.Defs {
 		if d.Node.Stmt == nil {
 			// Entry defs: caller-visible state.
-			a.observable[d] = true
+			a.observable[d.Index] = true
 			continue
 		}
 		role := a.roles[d.Node.Stmt.ID()]
 		if !a.hidden[d.Var] || role == slicer.RoleSend {
-			a.observable[d] = true
+			a.observable[d.Index] = true
 			if as, ok := d.Node.Stmt.(*ir.AssignStmt); ok {
 				if _, isConst := as.Rhs.(*ir.Const); isConst {
-					a.constDef[d] = true
+					a.constDef[d.Index] = true
 				}
 			}
 		}
@@ -152,14 +169,15 @@ func (a *analyzer) classifyDefs() {
 		}
 		defs := a.reach.DefsReachingUse(node, vr.Var)
 		if len(defs) == 1 {
-			a.observable[defs[0]] = true
+			a.observable[defs[0].Index] = true
 		}
 	}
 }
 
-// fixpoint iterates EVAL over all defs until the AC assignment stabilizes.
-func (a *analyzer) fixpoint() {
-	for iter := 0; iter < 100; iter++ {
+// fixpoint iterates EVAL over all defs until the AC assignment stabilizes,
+// for at most limit rounds, and reports whether it did.
+func (a *analyzer) fixpoint(limit int) bool {
+	for round := 0; round < limit; round++ {
 		changed := false
 		for _, d := range a.reach.Defs {
 			if d.Node.Stmt == nil || d.Implicit {
@@ -170,28 +188,30 @@ func (a *analyzer) fixpoint() {
 				continue
 			}
 			ac := a.evalExpr(as.Rhs, d.Node.Stmt)
-			if !ac.Equal(a.acDef[d]) {
-				a.acDef[d] = ac
+			if !ac.Equal(a.acDef[d.Index]) {
+				a.acDef[d.Index] = ac
 				changed = true
 			}
 		}
 		if !changed {
-			return
+			return true
 		}
 	}
+	return false
 }
 
-// useAC is the paper's AC(u_v@n): the MIN over reaching definitions of the
-// propagated complexity PC.
+// useAC is the paper's AC(u_v@n): the propagated complexity PC joined over
+// the reaching definitions, with MAX by default and with the MIN of the
+// paper's Figure 3 rule under Options.MinAtUses.
 func (a *analyzer) useAC(v *ir.Var, at ir.Stmt) AC {
 	node := a.g.ByStmt[at.ID()]
 	if node == nil {
-		return LinearIn(v.String())
+		return a.varLeafAC(v)
 	}
 	defs := a.reach.DefsReachingUse(node, v)
 	if len(defs) == 0 {
 		// Conservatively treat unknown flows as observable inputs.
-		return LinearIn(v.String())
+		return a.varLeafAC(v)
 	}
 	var out AC
 	first := true
@@ -215,12 +235,12 @@ func (a *analyzer) useAC(v *ir.Var, at ir.Stmt) AC {
 func (a *analyzer) pc(d *dataflow.Def, use ir.Stmt) AC {
 	var out AC
 	switch {
-	case a.observable[d] && a.constDef[d]:
+	case a.observable[d.Index] && a.constDef[d.Index]:
 		out = ConstantAC()
-	case a.observable[d]:
-		out = LinearIn(d.Var.String())
+	case a.observable[d.Index]:
+		out = a.varLeafAC(d.Var)
 	default:
-		out = a.acDef[d]
+		out = a.acDef[d.Index]
 	}
 	// RAISE for every loop containing the def but not the use.
 	if d.Node.Stmt != nil {
@@ -299,7 +319,7 @@ func (a *analyzer) evalExpr(e ir.Expr, at ir.Stmt) AC {
 	case *ir.IndexExpr, *ir.FieldExpr:
 		// Aggregate reads are observable inputs; inside a loop a different
 		// element may flow in each iteration, so the input count varies.
-		ac := LinearIn(ir.ExprString(e))
+		ac := a.exprLeafAC(e)
 		if len(a.loopsOf[at.ID()]) > 0 {
 			ac.Varying = true
 		}
@@ -307,12 +327,33 @@ func (a *analyzer) evalExpr(e ir.Expr, at ir.Stmt) AC {
 	case *ir.LenExpr:
 		// An array length is a single observable input even inside a loop
 		// (the array object cannot change while the hidden call runs).
-		return LinearIn(ir.ExprString(e))
+		return a.exprLeafAC(e)
 	case *ir.CallExpr:
 		// Call results are computed openly; they are observable inputs.
-		return LinearIn(ir.ExprString(e))
+		return a.exprLeafAC(e)
 	}
 	return Arb()
+}
+
+// varLeafAC is the linear complexity over v as an observable input.
+func (a *analyzer) varLeafAC(v *ir.Var) AC {
+	i, ok := a.varLeaf[v]
+	if !ok {
+		i = a.names.id(v.String())
+		a.varLeaf[v] = i
+	}
+	return a.names.leaf(i)
+}
+
+// exprLeafAC is the linear complexity over the value of e, an aggregate
+// read, array length or call, as an observable input.
+func (a *analyzer) exprLeafAC(e ir.Expr) AC {
+	i, ok := a.exprLeaf[e]
+	if !ok {
+		i = a.names.id(ir.ExprString(e))
+		a.exprLeaf[e] = i
+	}
+	return a.names.leaf(i)
 }
 
 // ilpAC computes AC(f_ILP) per the paper's output rule: for a
@@ -330,7 +371,7 @@ func (a *analyzer) ilpAC(ilp *core.ILP) AC {
 			defs := a.reach.DefsReachingUse(node, vr.Var)
 			if len(defs) == 1 && defs[0].Node.Stmt != nil && a.roles[defs[0].Node.Stmt.ID()] == slicer.RoleFull {
 				d := defs[0]
-				out := a.acDef[d]
+				out := a.acDef[d.Index]
 				for _, l := range a.loopsOf[d.Node.Stmt.ID()] {
 					if !a.inside(ilp.StmtID, l) {
 						out = Raise(out, a.iterAC(l))
@@ -355,41 +396,43 @@ func (a *analyzer) stmtOf(id int) ir.Stmt {
 
 // contributingDefs returns the hidden definitions feeding the ILP's leaked
 // expression, transitively through hidden def-use chains.
-func (a *analyzer) contributingDefs(ilp *core.ILP) map[*dataflow.Def]bool {
-	seen := make(map[*dataflow.Def]bool)
-	var visit func(v *ir.Var, at ir.Stmt)
-	visit = func(v *ir.Var, at ir.Stmt) {
-		node := a.g.ByStmt[at.ID()]
+func (a *analyzer) contributingDefs(ilp *core.ILP) []*dataflow.Def {
+	at := a.stmtOf(ilp.StmtID)
+	if at == nil {
+		return nil
+	}
+	seen := make([]bool, len(a.reach.Defs))
+	var out []*dataflow.Def
+	// add appends the hidden defs that reach e's hidden variables at st.
+	add := func(e ir.Expr, st ir.Stmt) {
+		node := a.g.ByStmt[st.ID()]
 		if node == nil {
 			return
 		}
-		for _, d := range a.reach.DefsReachingUse(node, v) {
-			if seen[d] || d.Node.Stmt == nil {
+		for _, v := range ir.ExprVars(e) {
+			if !a.hidden[v] {
 				continue
 			}
-			role := a.roles[d.Node.Stmt.ID()]
-			if role != slicer.RoleFull && role != slicer.RoleSend {
-				continue // open def: the adversary sees it
-			}
-			seen[d] = true
-			if as, ok := d.Node.Stmt.(*ir.AssignStmt); ok {
-				for _, u := range ir.ExprVars(as.Rhs) {
-					if a.hidden[u] {
-						visit(u, d.Node.Stmt)
-					}
+			for _, d := range a.reach.DefsReachingUse(node, v) {
+				if seen[d.Index] || d.Node.Stmt == nil {
+					continue
 				}
+				role := a.roles[d.Node.Stmt.ID()]
+				if role != slicer.RoleFull && role != slicer.RoleSend {
+					continue // open def: the adversary sees it
+				}
+				seen[d.Index] = true
+				out = append(out, d)
 			}
 		}
 	}
-	at := a.stmtOf(ilp.StmtID)
-	if at != nil {
-		for _, v := range ir.ExprVars(ilp.HiddenExpr) {
-			if a.hidden[v] {
-				visit(v, at)
-			}
+	add(ilp.HiddenExpr, at)
+	for i := 0; i < len(out); i++ {
+		if as, ok := out[i].Node.Stmt.(*ir.AssignStmt); ok {
+			add(as.Rhs, as)
 		}
 	}
-	return seen
+	return out
 }
 
 // predicateHidden reports whether construct st's predicate was moved to the
@@ -422,7 +465,7 @@ func (a *analyzer) ilpCC(ilp *core.ILP) CC {
 		cc.PathsVariable = true
 	}
 	branches := 0
-	for d := range a.contributingDefs(ilp) {
+	for _, d := range a.contributingDefs(ilp) {
 		id := d.Node.Stmt.ID()
 		for _, en := range a.enclosing[id] {
 			switch en := en.(type) {

@@ -21,6 +21,9 @@ func analyzeSplit(t *testing.T, src, fn, seed string) []Report {
 	return Analyze(res.Splits[fn])
 }
 
+// linear returns a linear complexity over the named input of t.
+func (t *nameTable) linear(name string) AC { return t.leaf(t.id(name)) }
+
 func reportByKind(reports []Report, kind core.ILPKind) []Report {
 	var out []Report
 	for _, r := range reports {
@@ -32,11 +35,12 @@ func reportByKind(reports []Report, kind core.ILPKind) []Report {
 }
 
 func TestLatticeOps(t *testing.T) {
-	lin := LinearIn("x")
-	if got := Add(lin, LinearIn("y")); got.Type != Linear || got.NumInputs() != 2 || got.Degree != 1 {
+	tab := &nameTable{}
+	lin := tab.linear("x")
+	if got := Add(lin, tab.linear("y")); got.Type != Linear || got.NumInputs() != 2 || got.Degree != 1 {
 		t.Errorf("linear+linear: %v", got)
 	}
-	if got := Mul(lin, LinearIn("y")); got.Type != Polynomial || got.Degree != 2 {
+	if got := Mul(lin, tab.linear("y")); got.Type != Polynomial || got.Degree != 2 {
 		t.Errorf("linear*linear: %v", got)
 	}
 	if got := Mul(ConstantAC(), lin); got.Type != Linear || got.Degree != 1 {
@@ -45,16 +49,16 @@ func TestLatticeOps(t *testing.T) {
 	if got := Div(lin, ConstantAC()); got.Type != Linear {
 		t.Errorf("linear/const: %v", got)
 	}
-	if got := Div(lin, LinearIn("y")); got.Type != Rational {
+	if got := Div(lin, tab.linear("y")); got.Type != Rational {
 		t.Errorf("linear/linear: %v", got)
 	}
 	if got := Arb(lin); got.Type != Arbitrary {
 		t.Errorf("arb: %v", got)
 	}
-	if got := Raise(lin, LinearIn("n")); got.Type != Polynomial || got.Degree != 2 {
+	if got := Raise(lin, tab.linear("n")); got.Type != Polynomial || got.Degree != 2 {
 		t.Errorf("raise(linear, linear): %v", got)
 	}
-	if got := Raise(ConstantAC(), LinearIn("n")); got.Type != Linear || got.Degree != 1 {
+	if got := Raise(ConstantAC(), tab.linear("n")); got.Type != Linear || got.Degree != 1 {
 		t.Errorf("raise(const, linear): %v", got)
 	}
 	if got := Raise(lin, Arb()); got.Type != Arbitrary {
@@ -63,9 +67,10 @@ func TestLatticeOps(t *testing.T) {
 }
 
 func TestLatticeOrder(t *testing.T) {
+	tab := &nameTable{}
 	order := []AC{
 		ConstantAC(),
-		LinearIn("x"),
+		tab.linear("x"),
 		{Type: Polynomial, Degree: 2},
 		{Type: Rational, Degree: 2},
 		{Type: Arbitrary},
@@ -79,7 +84,7 @@ func TestLatticeOrder(t *testing.T) {
 		}
 	}
 	// Max/Min agree with Less.
-	a, b := LinearIn("x"), AC{Type: Rational, Degree: 3}
+	a, b := tab.linear("x"), AC{Type: Rational, Degree: 3}
 	if Max(a, b).Type != Rational || Min(a, b).Type != Linear {
 		t.Error("max/min inconsistent with order")
 	}
@@ -286,7 +291,8 @@ func TestMaxAC(t *testing.T) {
 }
 
 func TestACStringFormat(t *testing.T) {
-	ac := AC{Type: Polynomial, Degree: 2, Inputs: map[string]bool{"x": true, "y": true}}
+	tab := &nameTable{}
+	ac := Mul(tab.linear("x"), tab.linear("y"))
 	if got := ac.String(); got != "<polynomial, 2, 2>" {
 		t.Errorf("ac string: %s", got)
 	}
