@@ -40,7 +40,8 @@ test:
 # about an interleaving it did not happen to run.
 # The third line does the same for the split side's only shared state, the
 # per-function facts built lazily on first use, as the slicer and the §3
-# analysis each meet them.
+# analysis each meet them, and for the front end, whose scratch stacks must
+# stay per-pass state when programs compile concurrently.
 # The fourth line repeats the crash matrix of the zero-filled journal
 # layout (seeded, no wall-clock waits) and its tail readers, the read-ahead
 # window cases (TailScannerWindow, TailScannerOneReadPerWakeup) included.
@@ -51,7 +52,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'GroupCommit|Dedup' ./internal/hrt
-	$(GO) test -race -count=10 -run 'SharedFactsConcurrent|AnalyzeConcurrent' ./internal/slicer ./internal/complexity
+	$(GO) test -race -count=10 -run 'SharedFactsConcurrent|AnalyzeConcurrent|CompileConcurrent' ./internal/slicer ./internal/complexity ./internal/ir
 	$(GO) test -race -count=3 -run 'Crash|TailScanner|EmptyRecord|JournalChain|ParentWritten' ./internal/wal ./internal/hrt
 	$(GO) test -race -count=10 -run 'OriginSkip|Lift|ReplStream' ./internal/cluster
 

@@ -17,7 +17,8 @@ func Build(prog *ast.Program, info *types.Info) *Program {
 			Funcs:   make(map[string]*Func),
 			Heap:    &Var{Name: "$heap", Kind: VarHeap, Type: types.IntType},
 		},
-		elems: make(map[*Var]*Var),
+		elems:  make(map[*Var]*Var),
+		arrays: make(map[types.Type]*types.Array),
 	}
 	for _, cl := range prog.Classes {
 		ic := &Class{Name: cl.Name}
@@ -40,9 +41,7 @@ func Build(prog *ast.Program, info *types.Info) *Program {
 	for i, g := range prog.Globals {
 		if g.Init != nil {
 			b.fn = &Func{Name: "$init"}
-			b.pushScope()
 			b.prog.Globals[i].Init = b.expr(g.Init)
-			b.popScope()
 			b.fn = nil
 		}
 	}
@@ -83,11 +82,20 @@ type builder struct {
 	info    *types.Info
 	prog    *Program
 	globals []*Var
-	elems   map[*Var]*Var // base var -> elems pseudo-var
+	elems   map[*Var]*Var               // base var -> elems pseudo-var
+	arrays  map[types.Type]*types.Array // the one Array of each element type
 
 	fn       *Func
 	curClass string
-	scopes   []map[string]*Var
+	// scope holds the parameters, then the locals of every open block in
+	// declaration order; a block truncates it back on close.
+	scope []scoped
+}
+
+// scoped binds a source name to the variable it denotes.
+type scoped struct {
+	name string
+	v    *Var
 }
 
 func (b *builder) resolveType(t ast.Type) types.Type {
@@ -106,7 +114,13 @@ func (b *builder) resolveType(t ast.Type) types.Type {
 			return types.VoidType
 		}
 	case *ast.ArrayType:
-		return &types.Array{Elem: b.resolveType(t.Elem)}
+		elem := b.resolveType(t.Elem)
+		a := b.arrays[elem]
+		if a == nil {
+			a = &types.Array{Elem: elem}
+			b.arrays[elem] = a
+		}
+		return a
 	case *ast.ClassType:
 		if cl, ok := b.info.Classes[t.Name]; ok {
 			return cl
@@ -115,19 +129,16 @@ func (b *builder) resolveType(t ast.Type) types.Type {
 	return types.IntType
 }
 
-func (b *builder) pushScope() { b.scopes = append(b.scopes, map[string]*Var{}) }
-func (b *builder) popScope()  { b.scopes = b.scopes[:len(b.scopes)-1] }
-
 func (b *builder) declare(name string, v *Var) {
-	b.scopes[len(b.scopes)-1][name] = v
+	b.scope = append(b.scope, scoped{name, v})
 }
 
 // lookup resolves a source name following the checker's rules: innermost
 // scope first, then enclosing-class fields, then globals.
 func (b *builder) lookup(name string) (*Var, bool) {
-	for i := len(b.scopes) - 1; i >= 0; i-- {
-		if v, ok := b.scopes[i][name]; ok {
-			return v, true
+	for i := len(b.scope) - 1; i >= 0; i-- {
+		if b.scope[i].name == name {
+			return b.scope[i].v, true
 		}
 	}
 	if b.curClass != "" {
@@ -171,24 +182,34 @@ func (b *builder) buildFunc(decl *ast.FuncDecl, class string) {
 	b.curClass = class
 	sig := b.info.Funcs[f.QName()]
 	f.Result = sig.Result
-	b.pushScope()
+	b.scope = b.scope[:0]
 	for i, p := range decl.Params {
-		pv := f.AddParam(p.Name, sig.Params[i])
-		b.declare(p.Name, pv)
+		b.declare(p.Name, f.AddParam(p.Name, sig.Params[i]))
 	}
-	f.Body = b.stmts(decl.Body.Stmts)
-	b.popScope()
+	f.Body = b.block(decl.Body.Stmts)
 	b.prog.Funcs[f.QName()] = f
 	b.prog.Order = append(b.prog.Order, f.QName())
 	b.fn = nil
 	b.curClass = ""
 }
 
-func (b *builder) stmts(list []ast.Stmt) []Stmt {
-	var out []Stmt
-	for _, s := range list {
-		out = append(out, b.stmt(s)...)
+// block lowers the statements of one block, in a scope of their own.
+func (b *builder) block(list []ast.Stmt) []Stmt {
+	out := b.blockInto(make([]Stmt, 0, len(list)), list)
+	if len(out) == 0 {
+		return nil
 	}
+	return out
+}
+
+// blockInto appends the lowered statements of one block to out, in a scope
+// of their own.
+func (b *builder) blockInto(out []Stmt, list []ast.Stmt) []Stmt {
+	mark := len(b.scope)
+	for _, s := range list {
+		out = b.stmt(out, s)
+	}
+	b.scope = b.scope[:mark]
 	return out
 }
 
@@ -210,7 +231,8 @@ func zeroValue(t types.Type) Expr {
 	return Null()
 }
 
-func (b *builder) stmt(s ast.Stmt) []Stmt {
+// stmt appends the lowering of s to out.
+func (b *builder) stmt(out []Stmt, s ast.Stmt) []Stmt {
 	switch s := s.(type) {
 	case *ast.VarDecl:
 		t := b.resolveType(s.Type)
@@ -219,76 +241,63 @@ func (b *builder) stmt(s ast.Stmt) []Stmt {
 		if s.Init != nil {
 			init = b.expr(s.Init)
 		}
-		st := &AssignStmt{stmtBase: b.fn.NewStmt(s.Pos()), Lhs: &VarTarget{Var: v}, Rhs: init}
 		b.declare(s.Name, v)
-		return []Stmt{st}
+		return append(out, &AssignStmt{stmtBase: b.fn.NewStmt(s.Pos()), Lhs: &VarTarget{Var: v}, Rhs: init})
 	case *ast.Assign:
 		lhs := b.target(s.Lhs)
 		rhs := b.expr(s.Rhs)
-		return []Stmt{&AssignStmt{stmtBase: b.fn.NewStmt(s.Pos()), Lhs: lhs, Rhs: rhs}}
+		return append(out, &AssignStmt{stmtBase: b.fn.NewStmt(s.Pos()), Lhs: lhs, Rhs: rhs})
 	case *ast.If:
 		st := &IfStmt{stmtBase: b.fn.NewStmt(s.Pos()), Cond: b.expr(s.Cond)}
-		b.pushScope()
-		st.Then = b.stmts(s.Then.Stmts)
-		b.popScope()
+		st.Then = b.block(s.Then.Stmts)
 		if s.Else != nil {
-			b.pushScope()
-			st.Else = b.stmts(s.Else.Stmts)
-			b.popScope()
+			st.Else = b.block(s.Else.Stmts)
 		}
-		return []Stmt{st}
+		return append(out, st)
 	case *ast.While:
 		st := &WhileStmt{stmtBase: b.fn.NewStmt(s.Pos()), Cond: b.expr(s.Cond)}
-		b.pushScope()
-		st.Body = b.stmts(s.Body.Stmts)
-		b.popScope()
-		return []Stmt{st}
+		st.Body = b.block(s.Body.Stmts)
+		return append(out, st)
 	case *ast.For:
-		b.pushScope()
-		var out []Stmt
+		mark := len(b.scope)
 		if s.Init != nil {
-			out = append(out, b.stmt(s.Init)...)
+			out = b.stmt(out, s.Init)
 		}
 		var cond Expr = Bool(true)
 		if s.Cond != nil {
 			cond = b.expr(s.Cond)
 		}
 		loop := &WhileStmt{stmtBase: b.fn.NewStmt(s.Pos()), Cond: cond}
-		b.pushScope()
-		loop.Body = b.stmts(s.Body.Stmts)
-		b.popScope()
+		loop.Body = b.block(s.Body.Stmts)
 		if s.Post != nil {
-			loop.Post = b.stmt(s.Post)
+			loop.Post = b.stmt(nil, s.Post)
 		}
-		b.popScope()
+		b.scope = b.scope[:mark]
 		return append(out, loop)
 	case *ast.Return:
 		st := &ReturnStmt{stmtBase: b.fn.NewStmt(s.Pos())}
 		if s.Value != nil {
 			st.Value = b.expr(s.Value)
 		}
-		return []Stmt{st}
+		return append(out, st)
 	case *ast.Break:
-		return []Stmt{&BreakStmt{stmtBase: b.fn.NewStmt(s.Pos())}}
+		return append(out, &BreakStmt{stmtBase: b.fn.NewStmt(s.Pos())})
 	case *ast.Continue:
-		return []Stmt{&ContinueStmt{stmtBase: b.fn.NewStmt(s.Pos())}}
+		return append(out, &ContinueStmt{stmtBase: b.fn.NewStmt(s.Pos())})
 	case *ast.Print:
 		st := &PrintStmt{stmtBase: b.fn.NewStmt(s.Pos())}
 		for _, a := range s.Args {
 			st.Args = append(st.Args, b.expr(a))
 		}
-		return []Stmt{st}
+		return append(out, st)
 	case *ast.ExprStmt:
 		call, ok := b.expr(s.X).(*CallExpr)
 		if !ok {
 			panic(fmt.Sprintf("ir: expression statement is not a call at %s", s.Pos()))
 		}
-		return []Stmt{&CallStmt{stmtBase: b.fn.NewStmt(s.Pos()), Call: call}}
+		return append(out, &CallStmt{stmtBase: b.fn.NewStmt(s.Pos()), Call: call})
 	case *ast.Block:
-		b.pushScope()
-		out := b.stmts(s.Stmts)
-		b.popScope()
-		return out
+		return b.blockInto(out, s.Stmts)
 	}
 	panic(fmt.Sprintf("ir: unknown statement %T", s))
 }

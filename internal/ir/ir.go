@@ -7,6 +7,8 @@ package ir
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 
 	"slicehide/internal/lang/token"
@@ -348,7 +350,6 @@ type Func struct {
 	Body   []Stmt
 
 	nextStmtID int
-	varsByName map[string]*Var // uniquified name -> var (locals+params)
 
 	factsOnce sync.Once
 	facts     any
@@ -387,37 +388,36 @@ func (f *Func) NewStmt(pos token.Pos) stmtBase {
 	return stmtBase{id: f.NewStmtID(), pos: pos}
 }
 
-// AddLocal registers a fresh local variable, uniquifying the name.
+// AddLocal registers a fresh local variable. A name a parameter or an
+// earlier local already has gets the first free suffix: x, x$1, x$2, ...
 func (f *Func) AddLocal(name string, t types.Type) *Var {
-	if f.varsByName == nil {
-		f.varsByName = make(map[string]*Var)
-	}
 	unique := name
-	for i := 1; ; i++ {
-		if _, taken := f.varsByName[unique]; !taken {
-			break
-		}
-		unique = fmt.Sprintf("%s$%d", name, i)
+	for i := 1; f.LookupVar(unique) != nil; i++ {
+		unique = name + "$" + strconv.Itoa(i)
 	}
 	v := &Var{Name: unique, Kind: VarLocal, Type: t}
-	f.varsByName[unique] = v
 	f.Locals = append(f.Locals, v)
 	return v
 }
 
 // AddParam registers a parameter variable.
 func (f *Func) AddParam(name string, t types.Type) *Var {
-	if f.varsByName == nil {
-		f.varsByName = make(map[string]*Var)
-	}
 	v := &Var{Name: name, Kind: VarParam, Type: t}
-	f.varsByName[name] = v
 	f.Params = append(f.Params, v)
 	return v
 }
 
-// LookupVar finds a local or parameter by (uniquified) name.
-func (f *Func) LookupVar(name string) *Var { return f.varsByName[name] }
+// LookupVar finds a parameter or local by (uniquified) name, or nil.
+func (f *Func) LookupVar(name string) *Var {
+	for _, vs := range [2][]*Var{f.Params, f.Locals} {
+		for _, v := range vs {
+			if v.Name == name {
+				return v
+			}
+		}
+	}
+	return nil
+}
 
 // Class describes a class's fields in IR form.
 type Class struct {
@@ -554,25 +554,7 @@ func StmtExprs(s Stmt, fn func(Expr)) {
 // only; for structured statements this is the condition).
 func UsedVars(s Stmt) []*Var {
 	var out []*Var
-	seen := map[*Var]bool{}
-	add := func(v *Var) {
-		if v != nil && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	StmtExprs(s, func(e Expr) {
-		WalkExpr(e, func(x Expr) {
-			switch x := x.(type) {
-			case *VarRef:
-				add(x.Var)
-			case *IndexExpr:
-				add(x.ElemsVar)
-			case *FieldExpr:
-				add(x.FieldVar)
-			}
-		})
-	})
+	StmtExprs(s, func(e Expr) { out = appendExprVars(out, e) })
 	return out
 }
 
@@ -596,9 +578,12 @@ func DefinedVar(s Stmt) *Var {
 }
 
 // ExprVars returns all variables read anywhere inside e.
-func ExprVars(e Expr) []*Var {
-	var out []*Var
-	seen := map[*Var]bool{}
+func ExprVars(e Expr) []*Var { return appendExprVars(nil, e) }
+
+// appendExprVars appends to out, in first-read order, each variable read
+// inside e that out does not hold yet. The lists are short, so a scan beats
+// a set.
+func appendExprVars(out []*Var, e Expr) []*Var {
 	WalkExpr(e, func(x Expr) {
 		var v *Var
 		switch x := x.(type) {
@@ -609,8 +594,7 @@ func ExprVars(e Expr) []*Var {
 		case *FieldExpr:
 			v = x.FieldVar
 		}
-		if v != nil && !seen[v] {
-			seen[v] = true
+		if v != nil && !slices.Contains(out, v) {
 			out = append(out, v)
 		}
 	})

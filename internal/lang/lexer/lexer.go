@@ -24,8 +24,8 @@ type Lexer struct {
 	off    int // byte offset of next rune
 	ch     rune
 	chLen  int
-	line   int
-	col    int
+	line   int32
+	col    int32
 	errors []*Error
 }
 

@@ -1,9 +1,16 @@
 // Package parser implements a recursive-descent parser for MiniJ.
+//
+// An op-assignment (x += y, and -=, *=, /=, %=) or an increment (x++, x--)
+// is read as x = x op y over one shared target, so its target is evaluated
+// twice. A target that contains a call or an allocation is therefore a
+// syntax error: a[idx()] += 5 would run idx() twice. Write the index to a
+// local first.
 package parser
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -68,10 +75,14 @@ func MustParse(src string) *ast.Program {
 }
 
 type parser struct {
-	lex    *lexer.Lexer
-	tok    token.Token
-	peeked *token.Token
-	errors ErrorList
+	lex     *lexer.Lexer
+	tok     token.Token
+	peeked  token.Token
+	hasPeek bool
+	errors  ErrorList
+	// stmts holds the statements of every block being parsed, innermost
+	// last; a block copies its own off the top once, at its closing brace.
+	stmts []ast.Stmt
 }
 
 const maxErrors = 20
@@ -85,20 +96,18 @@ func newParser(src string) *parser {
 var errTooMany = errors.New("too many errors")
 
 func (p *parser) next() {
-	if p.peeked != nil {
-		p.tok = *p.peeked
-		p.peeked = nil
+	if p.hasPeek {
+		p.tok, p.hasPeek = p.peeked, false
 		return
 	}
 	p.tok = p.lex.Next()
 }
 
 func (p *parser) peek() token.Token {
-	if p.peeked == nil {
-		t := p.lex.Next()
-		p.peeked = &t
+	if !p.hasPeek {
+		p.peeked, p.hasPeek = p.lex.Next(), true
 	}
-	return *p.peeked
+	return p.peeked
 }
 
 func (p *parser) errorf(pos token.Pos, format string, args ...any) {
@@ -129,11 +138,7 @@ func (p *parser) accept(k token.Kind) bool {
 
 // sync skips tokens until a likely statement/declaration boundary.
 func (p *parser) sync(stop ...token.Kind) {
-	stopSet := map[token.Kind]bool{token.EOF: true}
-	for _, k := range stop {
-		stopSet[k] = true
-	}
-	for !stopSet[p.tok.Kind] {
+	for p.tok.Kind != token.EOF && !slices.Contains(stop, p.tok.Kind) {
 		p.next()
 	}
 }
@@ -262,13 +267,18 @@ func (p *parser) parseType() ast.Type {
 func (p *parser) parseBlock() *ast.Block {
 	lb := p.expect(token.LBRACE)
 	b := &ast.Block{BPos: lb.Pos}
+	base := len(p.stmts)
 	for p.tok.Kind != token.RBRACE && p.tok.Kind != token.EOF {
 		before := p.tok
-		b.Stmts = append(b.Stmts, p.parseStmt())
+		p.stmts = append(p.stmts, p.parseStmt())
 		if p.tok == before && len(p.errors) > 0 {
 			// No progress; skip a token to avoid looping.
 			p.next()
 		}
+	}
+	if len(p.stmts) > base {
+		b.Stmts = slices.Clone(p.stmts[base:])
+		p.stmts = p.stmts[:base]
 	}
 	p.expect(token.RBRACE)
 	return b
@@ -339,36 +349,36 @@ func (p *parser) parseVarDecl() *ast.VarDecl {
 }
 
 // parseSimpleStmt parses an assignment, op-assignment, increment, or
-// expression statement (without the trailing semicolon).
+// expression statement (without the trailing semicolon). An op-assignment
+// or increment becomes lhs = lhs op rhs over the one lhs node.
 func (p *parser) parseSimpleStmt() ast.Stmt {
 	lhs := p.parseExpr()
-	switch p.tok.Kind {
+	kind := p.tok.Kind
+	var rhs ast.Expr
+	switch kind {
 	case token.ASSIGN:
 		p.next()
-		rhs := p.parseExpr()
-		return &ast.Assign{Lhs: lhs, Rhs: rhs}
+		return &ast.Assign{Lhs: lhs, Rhs: p.parseExpr()}
 	case token.PLUSEQ, token.MINUSEQ, token.STAREQ, token.SLASHEQ, token.PERCENTEQ:
-		op := opOfAssign(p.tok.Kind)
 		p.next()
-		rhs := p.parseExpr()
-		return &ast.Assign{Lhs: lhs, Rhs: &ast.Binary{Op: op, X: lhs, Y: rhs}}
-	case token.PLUSPLUS:
+		rhs = p.parseExpr()
+	case token.PLUSPLUS, token.MINUSMINUS:
 		p.next()
-		one := &ast.IntLit{LPos: lhs.Pos(), Value: 1}
-		return &ast.Assign{Lhs: lhs, Rhs: &ast.Binary{Op: token.PLUS, X: lhs, Y: one}}
-	case token.MINUSMINUS:
-		p.next()
-		one := &ast.IntLit{LPos: lhs.Pos(), Value: 1}
-		return &ast.Assign{Lhs: lhs, Rhs: &ast.Binary{Op: token.MINUS, X: lhs, Y: one}}
+		rhs = &ast.IntLit{LPos: lhs.Pos(), Value: 1}
+	default:
+		return &ast.ExprStmt{X: lhs}
 	}
-	return &ast.ExprStmt{X: lhs}
+	if ast.HasCall(lhs) {
+		p.errorf(lhs.Pos(), "%s target contains a call or allocation, which it would evaluate twice", kind)
+	}
+	return &ast.Assign{Lhs: lhs, Rhs: &ast.Binary{Op: opOfAssign(kind), X: lhs, Y: rhs}}
 }
 
 func opOfAssign(k token.Kind) token.Kind {
 	switch k {
-	case token.PLUSEQ:
+	case token.PLUSEQ, token.PLUSPLUS:
 		return token.PLUS
-	case token.MINUSEQ:
+	case token.MINUSEQ, token.MINUSMINUS:
 		return token.MINUS
 	case token.STAREQ:
 		return token.STAR

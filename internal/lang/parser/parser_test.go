@@ -143,6 +143,47 @@ func TestOpAssignDesugar(t *testing.T) {
 	}
 }
 
+// TestOpAssignTargetWithCallRejected: x op= y and x++ are read as
+// x = x op y over one target node, so a call in the target would run twice
+// (print(n) below would read 2). The parser refuses such a target and says
+// where and why; a call-free target is unaffected.
+func TestOpAssignTargetWithCallRejected(t *testing.T) {
+	const prog = `var n: int = 0;
+func idx(): int { n = n + 1; return 0; }
+func main() {
+    var a: int[] = new int[1];
+    a[idx()] %s;
+    print(n);
+}`
+	for _, c := range []struct{ stmt, want string }{
+		{"+= 5", "5:5: += target contains a call or allocation, which it would evaluate twice"},
+		{"++", "5:5: ++ target contains a call or allocation, which it would evaluate twice"},
+		{"-= 1", "5:5: -= target contains a call or allocation, which it would evaluate twice"},
+	} {
+		_, err := Parse(strings.Replace(prog, "%s", c.stmt, 1))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("a[idx()] %s: got error %v, want %q", c.stmt, err, c.want)
+		}
+	}
+	for _, src := range []string{
+		`func f(a: int[], i: int) { a[i] += 5; a[i + 1]++; }`,
+		`class C { field v: int; } func f(c: C) { c.v *= 2; c.v--; }`,
+		`func f(i: int) { var b: int[] = new int[4]; b[i] += 1; }`,
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("%q: %v", src, err)
+		}
+	}
+	for _, src := range []string{
+		`class C { field v: int; } func g(): C { return new C(); } func f() { g().v += 1; }`,
+		`func f() { new int[4][0]++; }`,
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "which it would evaluate twice") {
+			t.Errorf("%q: got error %v, want the evaluated-twice rejection", src, err)
+		}
+	}
+}
+
 func TestForLoop(t *testing.T) {
 	prog, err := Parse(`func f() { for (var i: int = 0; i < 10; i++) { print(i); } }`)
 	if err != nil {

@@ -93,39 +93,6 @@ func IsReference(t Type) bool {
 	return false
 }
 
-// SymbolKind classifies a resolved name.
-type SymbolKind int
-
-// Symbol kinds.
-const (
-	SymLocal SymbolKind = iota
-	SymParam
-	SymGlobal
-	SymField // instance field of the enclosing class (implicit this)
-)
-
-func (k SymbolKind) String() string {
-	switch k {
-	case SymLocal:
-		return "local"
-	case SymParam:
-		return "param"
-	case SymGlobal:
-		return "global"
-	case SymField:
-		return "field"
-	}
-	return "?"
-}
-
-// Symbol is a resolved variable-like entity.
-type Symbol struct {
-	Name  string
-	Kind  SymbolKind
-	Type  Type
-	Class string // for SymField: the owning class
-}
-
 // FuncSig is the signature of a function or method.
 type FuncSig struct {
 	Name   string
@@ -153,8 +120,6 @@ type Info struct {
 	Funcs map[string]*FuncSig
 	// Classes maps class names to their semantic types.
 	Classes map[string]*Class
-	// Globals maps global names to symbols.
-	Globals map[string]*Symbol
 }
 
 // Error is a semantic error with position.
@@ -186,8 +151,9 @@ func Check(prog *ast.Program) (*Info, error) {
 			Receivers: make(map[ast.Expr]*Class),
 			Funcs:     make(map[string]*FuncSig),
 			Classes:   make(map[string]*Class),
-			Globals:   make(map[string]*Symbol),
 		},
+		globals: make(map[string]Type),
+		arrays:  make(map[Type]*Array),
 	}
 	c.collect(prog)
 	c.checkBodies(prog)
@@ -207,14 +173,26 @@ func MustCheck(prog *ast.Program) *Info {
 }
 
 type checker struct {
-	info   *Info
-	errors ErrorList
+	info    *Info
+	errors  ErrorList
+	globals map[string]Type
+	arrays  map[Type]*Array // the one Array of each element type
 
 	// Current function context.
-	curClass  *Class
-	curSig    *FuncSig
-	scopes    []map[string]*Symbol
+	curClass *Class
+	curSig   *FuncSig
+	// scope holds the parameters, then the locals of every open block in
+	// declaration order; block is the index of the innermost block's first
+	// local. Closing a block truncates scope back to it.
+	scope     []local
+	block     int
 	loopDepth int
+}
+
+// local is a parameter or local variable in scope.
+type local struct {
+	name string
+	typ  Type
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) {
@@ -238,7 +216,7 @@ func (c *checker) resolveType(t ast.Type) Type {
 			return VoidType
 		}
 	case *ast.ArrayType:
-		return &Array{Elem: c.resolveType(t.Elem)}
+		return c.arrayOf(c.resolveType(t.Elem))
 	case *ast.ClassType:
 		if cl, ok := c.info.Classes[t.Name]; ok {
 			return cl
@@ -247,6 +225,16 @@ func (c *checker) resolveType(t ast.Type) Type {
 		return IntType
 	}
 	return IntType
+}
+
+// arrayOf returns the array type of elem, made on first use.
+func (c *checker) arrayOf(elem Type) *Array {
+	a := c.arrays[elem]
+	if a == nil {
+		a = &Array{Elem: elem}
+		c.arrays[elem] = a
+	}
+	return a
 }
 
 func (c *checker) collect(prog *ast.Program) {
@@ -258,11 +246,11 @@ func (c *checker) collect(prog *ast.Program) {
 		c.info.Classes[cl.Name] = &Class{Name: cl.Name, Decl: cl}
 	}
 	for _, g := range prog.Globals {
-		if _, dup := c.info.Globals[g.Name]; dup {
+		if _, dup := c.globals[g.Name]; dup {
 			c.errorf(g.Pos(), "global %s redeclared", g.Name)
 			continue
 		}
-		c.info.Globals[g.Name] = &Symbol{Name: g.Name, Kind: SymGlobal, Type: c.resolveType(g.Type)}
+		c.globals[g.Name] = c.resolveType(g.Type)
 	}
 	for _, f := range prog.Funcs {
 		c.collectFunc(f, "")
@@ -290,8 +278,8 @@ func (c *checker) collectFunc(f *ast.FuncDecl, class string) {
 func (c *checker) checkBodies(prog *ast.Program) {
 	for _, g := range prog.Globals {
 		if g.Init != nil {
-			t := c.exprNoScope(g.Init)
-			gt := c.info.Globals[g.Name].Type
+			t := c.expr(g.Init)
+			gt := c.globals[g.Name]
 			if !assignable(gt, t) {
 				c.errorf(g.Pos(), "cannot initialize global %s (%s) with %s", g.Name, gt, t)
 			}
@@ -315,14 +303,6 @@ func (c *checker) checkBodies(prog *ast.Program) {
 	}
 }
 
-// exprNoScope checks an expression outside any function (global initializer).
-func (c *checker) exprNoScope(e ast.Expr) Type {
-	c.scopes = []map[string]*Symbol{{}}
-	t := c.expr(e)
-	c.scopes = nil
-	return t
-}
-
 func (c *checker) checkFunc(f *ast.FuncDecl, class *Class) {
 	c.curClass = class
 	key := f.Name
@@ -333,56 +313,70 @@ func (c *checker) checkFunc(f *ast.FuncDecl, class *Class) {
 	if c.curSig == nil {
 		return // duplicate; already reported
 	}
-	c.scopes = []map[string]*Symbol{{}}
+	c.scope, c.block = c.scope[:0], 0
 	for i, p := range f.Params {
-		sym := &Symbol{Name: p.Name, Kind: SymParam, Type: c.curSig.Params[i]}
-		if _, dup := c.scopes[0][p.Name]; dup {
+		if c.declared(p.Name) {
 			c.errorf(p.NPos, "parameter %s redeclared", p.Name)
 		}
-		c.scopes[0][p.Name] = sym
+		c.scope = append(c.scope, local{p.Name, c.curSig.Params[i]})
 	}
-	c.block(f.Body)
-	c.scopes = nil
+	c.blockStmts(f.Body)
 	c.curSig = nil
 	c.curClass = nil
 }
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, map[string]*Symbol{}) }
-func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
-
-func (c *checker) declare(pos token.Pos, sym *Symbol) {
-	top := c.scopes[len(c.scopes)-1]
-	if _, dup := top[sym.Name]; dup {
-		c.errorf(pos, "%s %s redeclared in this scope", sym.Kind, sym.Name)
-	}
-	top[sym.Name] = sym
+// openBlock starts a block; closeBlock(openBlock()) ends it, dropping its
+// locals.
+func (c *checker) openBlock() (outer int) {
+	outer, c.block = c.block, len(c.scope)
+	return outer
 }
 
-func (c *checker) lookup(name string) *Symbol {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if s, ok := c.scopes[i][name]; ok {
-			return s
+func (c *checker) closeBlock(outer int) {
+	c.scope, c.block = c.scope[:c.block], outer
+}
+
+// declared reports whether the innermost block already declares name.
+func (c *checker) declared(name string) bool {
+	for _, l := range c.scope[c.block:] {
+		if l.name == name {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *checker) declare(pos token.Pos, name string, t Type) {
+	if c.declared(name) {
+		c.errorf(pos, "local %s redeclared in this scope", name)
+	}
+	c.scope = append(c.scope, local{name, t})
+}
+
+// lookup resolves a variable name: innermost local or parameter first, then
+// a field of the implicit this, then a global. It returns nil if none.
+func (c *checker) lookup(name string) Type {
+	for i := len(c.scope) - 1; i >= 0; i-- {
+		if c.scope[i].name == name {
+			return c.scope[i].typ
 		}
 	}
 	if c.curClass != nil {
 		for _, fd := range c.curClass.Decl.Fields {
 			if fd.Name == name {
-				return &Symbol{Name: name, Kind: SymField, Type: c.resolveType(fd.Type), Class: c.curClass.Name}
+				return c.resolveType(fd.Type)
 			}
 		}
 	}
-	if g, ok := c.info.Globals[name]; ok {
-		return g
-	}
-	return nil
+	return c.globals[name]
 }
 
-func (c *checker) block(b *ast.Block) {
-	c.pushScope()
+func (c *checker) blockStmts(b *ast.Block) {
+	outer := c.openBlock()
 	for _, s := range b.Stmts {
 		c.stmt(s)
 	}
-	c.popScope()
+	c.closeBlock(outer)
 }
 
 func (c *checker) stmt(s ast.Stmt) {
@@ -395,7 +389,7 @@ func (c *checker) stmt(s ast.Stmt) {
 				c.errorf(s.Pos(), "cannot initialize %s (%s) with %s", s.Name, t, it)
 			}
 		}
-		c.declare(s.NPos, &Symbol{Name: s.Name, Kind: SymLocal, Type: t})
+		c.declare(s.NPos, s.Name, t)
 	case *ast.Assign:
 		lt := c.lvalue(s.Lhs)
 		rt := c.expr(s.Rhs)
@@ -407,9 +401,9 @@ func (c *checker) stmt(s ast.Stmt) {
 		if ct != nil && !ct.Equal(BoolType) {
 			c.errorf(s.Cond.Pos(), "if condition must be bool, got %s", ct)
 		}
-		c.block(s.Then)
+		c.blockStmts(s.Then)
 		if s.Else != nil {
-			c.block(s.Else)
+			c.blockStmts(s.Else)
 		}
 	case *ast.While:
 		ct := c.expr(s.Cond)
@@ -417,10 +411,10 @@ func (c *checker) stmt(s ast.Stmt) {
 			c.errorf(s.Cond.Pos(), "while condition must be bool, got %s", ct)
 		}
 		c.loopDepth++
-		c.block(s.Body)
+		c.blockStmts(s.Body)
 		c.loopDepth--
 	case *ast.For:
-		c.pushScope()
+		outer := c.openBlock()
 		if s.Init != nil {
 			c.stmt(s.Init)
 		}
@@ -434,9 +428,9 @@ func (c *checker) stmt(s ast.Stmt) {
 			c.stmt(s.Post)
 		}
 		c.loopDepth++
-		c.block(s.Body)
+		c.blockStmts(s.Body)
 		c.loopDepth--
-		c.popScope()
+		c.closeBlock(outer)
 	case *ast.Return:
 		var got Type = VoidType
 		if s.Value != nil {
@@ -468,7 +462,7 @@ func (c *checker) stmt(s ast.Stmt) {
 			c.expr(s.X)
 		}
 	case *ast.Block:
-		c.block(s)
+		c.blockStmts(s)
 	}
 }
 
@@ -496,12 +490,12 @@ func (c *checker) expr(e ast.Expr) Type {
 	case *ast.NullLit:
 		return NullType
 	case *ast.Ident:
-		sym := c.lookup(e.Name)
-		if sym == nil {
+		t := c.lookup(e.Name)
+		if t == nil {
 			c.errorf(e.Pos(), "undefined variable %s", e.Name)
 			return IntType
 		}
-		return sym.Type
+		return t
 	case *ast.Unary:
 		xt := c.expr(e.X)
 		switch e.Op {
@@ -595,7 +589,7 @@ func (c *checker) expr(e ast.Expr) Type {
 		if st != nil && !st.Equal(IntType) {
 			c.errorf(e.Size.Pos(), "array size must be int, got %s", st)
 		}
-		return &Array{Elem: c.resolveType(e.Elem)}
+		return c.arrayOf(c.resolveType(e.Elem))
 	case *ast.LenExpr:
 		at := c.expr(e.Arr)
 		if _, ok := at.(*Array); !ok {
