@@ -1,5 +1,6 @@
 # Developer/CI entry points. `make check` is the gate: vet, build, the
-# cross-builds, the one-CFG grep, and the full test suite (including the
+# cross-builds, the one-CFG grep, the test-only-oracle check, and the full
+# test suite (including the
 # hrt chaos tests and the load/fleet smoke tests) under the race
 # detector. The committed fuzz seed corpora replay as ordinary tests
 # under `go test ./...`, so `race` covers them too. Performance is
@@ -7,9 +8,9 @@
 
 GO ?= go
 
-.PHONY: check vet build cross cfg-once test race fuzz
+.PHONY: check vet build cross cfg-once oracle-tests-only test race fuzz
 
-check: vet build cross cfg-once race
+check: vet build cross cfg-once oracle-tests-only race
 
 vet:
 	$(GO) vet ./...
@@ -29,6 +30,24 @@ cross:
 cfg-once:
 	@if grep -rn 'cfg\.Build(' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./bench/' | grep -v '^\./internal/slicer/facts\.go:'; then \
 		echo 'a non-test file outside bench/ and internal/slicer/facts.go calls cfg.Build; reach the CFG through slicer.FactsOf(f).Flow()' >&2; \
+		exit 1; \
+	fi
+
+# The tree-walkers are test oracles: only _test.go files import
+# internal/oracle, so no shipped binary, example or the benchmark links it,
+# and it reaches nothing on the execution side, so the internal tests of
+# packages vm and hrt can import it without a cycle.
+oracle-tests-only:
+	@if grep -rln '"slicehide/internal/oracle"' --include='*.go' . | grep -v '_test\.go$$'; then \
+		echo 'a non-test file imports internal/oracle; production runs on internal/vm, the walkers are test oracles' >&2; \
+		exit 1; \
+	fi
+	@if $(GO) list -deps ./cmd/... ./examples/... ./bench | grep -x 'slicehide/internal/oracle'; then \
+		echo 'a binary, example or the benchmark links internal/oracle' >&2; \
+		exit 1; \
+	fi
+	@if $(GO) list -deps ./internal/oracle | grep -E '^slicehide/internal/(vm|hrt|core)$$'; then \
+		echo 'internal/oracle depends on vm, hrt or core; it may import only interp, ir and lang/*' >&2; \
 		exit 1; \
 	fi
 
@@ -60,8 +79,9 @@ race:
 # each (the journal frame scanner and the journal record decoder face
 # crash-mangled files the same way the wire codec faces a hostile peer),
 # plus the two execution-engine differential fuzzers (hidden fragments and
-# whole open programs, bytecode VM vs the tree-walking oracles: any output,
-# error, step-count, or hidden-call-sequence divergence crashes).
+# whole open programs, bytecode VM vs the tree-walkers of internal/oracle:
+# any output, error, step-count, or hidden-call-sequence divergence
+# crashes).
 fuzz:
 	$(GO) test ./internal/hrt -run=^$$ -fuzz=FuzzReadRequest -fuzztime=10s
 	$(GO) test ./internal/hrt -run=^$$ -fuzz=FuzzReadResponse -fuzztime=10s

@@ -13,6 +13,7 @@ import (
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/slicer"
+	"slicehide/internal/vm"
 )
 
 func genSamples(n, nvars int, f func([]float64) float64, seed int64) []Sample {
@@ -191,7 +192,7 @@ func TestQuickModelGeneralizes(t *testing.T) {
 // ---------------------------------------------------------------------------
 // End-to-end: observe a split program and attack its fragments.
 
-func observeProgram(t *testing.T, src, fn, seed string, window int, drive func(in *interp.Interp)) *Observer {
+func observeProgram(t *testing.T, src, fn, seed string, window int, drive func(in *vm.Machine)) *Observer {
 	t.Helper()
 	prog, err := ir.Compile(src)
 	if err != nil {
@@ -203,7 +204,7 @@ func observeProgram(t *testing.T, src, fn, seed string, window int, drive func(i
 	}
 	server := hrt.NewServer(hrt.NewRegistry(res))
 	obs := NewObserver(&hrt.Local{Server: server}, window)
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		MaxSteps:   50_000_000,
 		Hidden:     &hrt.Session{T: obs},
 		SplitFuncs: res.SplitSet(),
@@ -226,7 +227,7 @@ func main() { }
 `
 	// The leaked fetch carries no arguments of its own; the adversary pairs
 	// it with the values previously sent in the activation (window=2).
-	obs := observeProgram(t, src, "f", "a", 2, func(in *interp.Interp) {
+	obs := observeProgram(t, src, "f", "a", 2, func(in *vm.Machine) {
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 60; i++ {
 			_, err := in.Call("f", []interp.Value{
@@ -267,7 +268,7 @@ func f(x: int, n: int): int {
 }
 func main() { }
 `
-	obs := observeProgram(t, src, "f", "s", 4, func(in *interp.Interp) {
+	obs := observeProgram(t, src, "f", "s", 4, func(in *vm.Machine) {
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 200; i++ {
 			_, err := in.Call("f", []interp.Value{
@@ -316,7 +317,7 @@ func f(x: int): int {
 }
 func main() { }
 `
-	obs := observeProgram(t, src, "f", "a", 3, func(in *interp.Interp) {
+	obs := observeProgram(t, src, "f", "a", 3, func(in *vm.Machine) {
 		for i := 0; i < 10; i++ {
 			if _, err := in.Call("f", []interp.Value{interp.IntV(int64(i))}); err != nil {
 				t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/slicer"
+	"slicehide/internal/vm"
 )
 
 // The §2.2 object-oriented extension: class fields are hidden like globals,
@@ -185,15 +186,15 @@ func main() {
 func runOpenWith(t *testing.T, res *core.Result, tr hrt.Transport) string {
 	t.Helper()
 	var sb strings.Builder
-	in := newInterp(res, &sb, tr)
+	in := newMachine(res, &sb, tr)
 	if err := in.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()
 }
 
-func newInterp(res *core.Result, out *strings.Builder, tr hrt.Transport) *interp.Interp {
-	return interp.New(res.Open, interp.Options{
+func newMachine(res *core.Result, out *strings.Builder, tr hrt.Transport) *vm.Machine {
+	return vm.NewMachine(res.Open, interp.Options{
 		Out:        out,
 		MaxSteps:   10_000_000,
 		Hidden:     &hrt.Session{T: tr},

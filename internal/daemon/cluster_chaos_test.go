@@ -21,6 +21,7 @@ import (
 	"slicehide/internal/core"
 	"slicehide/internal/hrt"
 	"slicehide/internal/interp"
+	"slicehide/internal/vm"
 )
 
 // clusterChaosClient is chaosClient against the fleet: the session rides
@@ -42,7 +43,7 @@ func clusterChaosClient(t *testing.T, res *core.Result, peers []string, session 
 	defer pool.Close()
 	killer := &killerTransport{inner: pool.SessionTransport(session), kills: kills, fire: fire}
 	var b strings.Builder
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		Out:        &b,
 		Hidden:     &hrt.Session{T: killer},
 		SplitFuncs: res.SplitSet(),

@@ -33,6 +33,7 @@ import (
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/slicer"
+	"slicehide/internal/vm"
 )
 
 const childEnv = "SLICEHIDE_HIDDEND_CHILD"
@@ -246,7 +247,7 @@ func chaosClient(t *testing.T, res *core.Result, addr string, session uint64, ki
 	defer mt.Close()
 	killer := &killerTransport{inner: mt.Stream(session, nil), kills: kills, fire: fire}
 	var b strings.Builder
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		Out:        &b,
 		Hidden:     &hrt.Session{T: killer, Addr: addr},
 		SplitFuncs: res.SplitSet(),

@@ -12,6 +12,7 @@ import (
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/slicer"
+	"slicehide/internal/vm"
 )
 
 const chaosMaxSteps = 100_000_000
@@ -127,7 +128,7 @@ func TestChaosCorpusOverFaultyTCP(t *testing.T) {
 			}, 0, counters)
 
 			var b strings.Builder
-			in := interp.New(cp.res.Open, interp.Options{
+			in := vm.NewMachine(cp.res.Open, interp.Options{
 				Out:        &b,
 				MaxSteps:   chaosMaxSteps,
 				Hidden:     &Session{T: &Counting{Inner: tr, Counters: counters}},
@@ -222,7 +223,7 @@ func TestChaosCorpusPipelinedOverFaultyTCP(t *testing.T) {
 				t.Fatal("stream not async-capable")
 			}
 			var b strings.Builder
-			in := interp.New(cp.res.Open, interp.Options{
+			in := vm.NewMachine(cp.res.Open, interp.Options{
 				Out:        &b,
 				MaxSteps:   chaosMaxSteps,
 				Hidden:     as,
@@ -342,7 +343,7 @@ func TestChaosCorpusMuxedOverFaultyTCP(t *testing.T) {
 						return
 					}
 					var b strings.Builder
-					in := interp.New(cp.res.Open, interp.Options{
+					in := vm.NewMachine(cp.res.Open, interp.Options{
 						Out:        &b,
 						MaxSteps:   chaosMaxSteps,
 						Hidden:     as,
@@ -423,7 +424,7 @@ func TestExactlyOnceInProcess(t *testing.T) {
 		Counters: counters,
 	}
 	var b strings.Builder
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		Out:        &b,
 		MaxSteps:   chaosMaxSteps,
 		Hidden:     &Session{T: &Counting{Inner: retry, Counters: counters}},

@@ -2,6 +2,7 @@ package hrt_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"slicehide/internal/core"
@@ -12,10 +13,12 @@ import (
 )
 
 // Differential oracle for the hidden side: the bytecode VM and the
-// tree-walking fragment executor must be observably identical — same
-// program output byte for byte, and same interaction counters (the Table 5
-// measurements depend on them). The tree-walker is the semantic reference,
-// reachable only from here; the VM is the only production engine.
+// tree-walking fragment executor (oracle.RunFragment, which the server runs
+// through the test-only seam Server.UseTreeWalker installs) must be
+// observably identical — same program output byte for byte, same
+// interaction counters (the Table 5 measurements depend on them), and the
+// same journaled effects. The tree-walker is the semantic reference and is
+// linked only into tests; the VM is the only production engine.
 
 // runSplitRef is hrt.RunSplitOpts with the server on the reference
 // executor.
@@ -151,6 +154,109 @@ func TestDifferentialVMvsInterpKernels(t *testing.T) {
 		if ivp.Interactions != vmp.Interactions || ivp.ValuesSent != vmp.ValuesSent {
 			t.Fatalf("%s pipelined: engines disagree on counters:\ninterp: %+v\nvm:     %+v", k.Name, ivp, vmp)
 		}
+	}
+}
+
+// durableRun is what one engine leaves behind on a journaling server.
+type durableRun struct {
+	out             string
+	records         []string
+	live, recovered string
+	deltas          int
+}
+
+// runDurable executes res on a fresh journaling server on one engine, reads
+// its journal back, then abandons the server and recovers the data
+// directory into a fresh one.
+func runDurable(t *testing.T, res *core.Result, treeWalk bool) durableRun {
+	t.Helper()
+	dir := t.TempDir()
+	d := hrt.OpenDurable(t, res, dir, treeWalk)
+	outcome := d.Run(res, 100_000_000)
+	if outcome.Err != nil {
+		t.Fatalf("run (tree-walker %v): %v", treeWalk, outcome.Err)
+	}
+	r := durableRun{out: outcome.Output, live: d.State()}
+	var err error
+	if r.records, err = d.JournalRecords(); err != nil {
+		t.Fatal(err)
+	}
+	d.Crash(t)
+	re := hrt.OpenDurable(t, res, dir, false)
+	r.recovered = re.State()
+	re.Crash(t)
+	for _, rec := range r.records {
+		_, deltas, _ := strings.Cut(rec, " deltas=")
+		r.deltas += strings.Count(deltas, "(")
+	}
+	return r
+}
+
+// TestDifferentialDurableEffects runs the four measured kernels, one corpus
+// profile and a program with hidden globals and fields, at 1/20 scale, on a
+// journaling server under each engine, then recovers each data directory
+// into a fresh server. Both engines feed the server's one effect builder
+// with the slots they wrote, so the records read back, each record's set of
+// (scope, name, value) deltas and the recovered stores must be identical —
+// and recovery must reproduce the state the server had when it died.
+func TestDifferentialDurableEffects(t *testing.T) {
+	type workload struct {
+		name string
+		res  *core.Result
+	}
+	var loads []workload
+	for _, k := range corpus.Kernels() {
+		if k.Excluded {
+			continue
+		}
+		prog, err := ir.Compile(k.Source(max(k.Inputs[0].Size/20, 10)))
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		res, err := core.SplitProgram(prog, k.Split, slicer.Policy{})
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		loads = append(loads, workload{k.Name, res})
+	}
+	p := corpus.Profiles[0].Scale(0.05)
+	var specs []core.Spec
+	for i := 0; i < p.SplitWorkers; i++ {
+		specs = append(specs, core.Spec{Func: fmt.Sprintf("worker%d", i)})
+	}
+	res, err := core.SplitProgram(corpus.MustCompile(p), specs, slicer.Policy{})
+	if err != nil {
+		t.Fatalf("%s: %v", p.Name, err)
+	}
+	loads = append(loads, workload{"profile " + p.Name, res})
+	loads = append(loads, workload{"hidden globals and fields", hrt.DurableSplit(t)})
+
+	for _, w := range loads {
+		t.Run(w.name, func(t *testing.T) {
+			ref := runDurable(t, w.res, true)
+			vm := runDurable(t, w.res, false)
+			if ref.out != vm.out {
+				t.Fatalf("engines disagree on output:\ninterp: %q\nvm:     %q", ref.out, vm.out)
+			}
+			if len(ref.records) != len(vm.records) {
+				t.Fatalf("engines journaled %d and %d records", len(ref.records), len(vm.records))
+			}
+			for i := range ref.records {
+				if ref.records[i] != vm.records[i] {
+					t.Fatalf("journal record %d differs:\ninterp: %s\nvm:     %s", i, ref.records[i], vm.records[i])
+				}
+			}
+			if ref.recovered != vm.recovered {
+				t.Fatalf("recovered state differs:\ninterp:\n%s\nvm:\n%s", ref.recovered, vm.recovered)
+			}
+			if vm.recovered != vm.live {
+				t.Fatalf("recovery did not reproduce the state at the crash:\nlive:\n%s\nrecovered:\n%s", vm.live, vm.recovered)
+			}
+			if vm.deltas == 0 {
+				t.Fatalf("%d records carried no deltas; the effect builder is not exercised", len(vm.records))
+			}
+			t.Logf("%d records, %d deltas", len(vm.records), vm.deltas)
+		})
 	}
 }
 

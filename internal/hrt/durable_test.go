@@ -11,6 +11,7 @@ import (
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/slicer"
+	"slicehide/internal/vm"
 )
 
 // durableSrc engages both hiding extensions — a hidden global and hidden
@@ -339,7 +340,7 @@ func TestDurableTCPRestartEndToEnd(t *testing.T) {
 		t.Helper()
 		tr := dialStream(t, MuxConfig{Addr: addr}, session, nil)
 		var b strings.Builder
-		in := interp.New(res.Open, interp.Options{
+		in := vm.NewMachine(res.Open, interp.Options{
 			Out:        &b,
 			Hidden:     &Session{T: tr, Addr: addr},
 			SplitFuncs: res.SplitSet(),

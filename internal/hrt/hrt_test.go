@@ -11,6 +11,7 @@ import (
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/slicer"
+	"slicehide/internal/vm"
 )
 
 const testSrc = `
@@ -89,7 +90,7 @@ func TestActivationsLeftAfterRunAreZero(t *testing.T) {
 	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
 	server := NewServer(NewRegistry(res))
 	var b strings.Builder
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		Out:        &b,
 		Hidden:     &Session{T: &Local{Server: server}},
 		SplitFuncs: res.SplitSet(),
@@ -179,7 +180,7 @@ func TestLatencyTransportDelays(t *testing.T) {
 	}
 	counters := &Counters{}
 	var b strings.Builder
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		Out:        &b,
 		Hidden:     &Session{T: &Counting{Inner: lt, Counters: counters}},
 		SplitFuncs: res.SplitSet(),

@@ -11,12 +11,13 @@ import (
 	"slicehide/internal/hrt"
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 	"slicehide/internal/slicer"
 	"slicehide/internal/vm"
 )
 
 // Differential oracle for the open side: vm.Machine, the production
-// engine, against interp.Interp, the tree-walking reference. Everything a
+// engine, against oracle.Interp, the tree-walking reference. Everything a
 // run exposes must be identical — output bytes, error text, Steps(), and
 // the exact sequence of hidden-session operations and tracer hooks with
 // their arguments and results.
@@ -29,7 +30,7 @@ type engine interface {
 	Steps() int64
 }
 
-func newInterp(p *ir.Program, o interp.Options) engine  { return interp.New(p, o) }
+func newInterp(p *ir.Program, o interp.Options) engine  { return oracle.New(p, o) }
 func newMachine(p *ir.Program, o interp.Options) engine { return vm.NewMachine(p, o) }
 
 // recorder logs every hidden-session operation and tracer hook in front of

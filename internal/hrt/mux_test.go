@@ -11,6 +11,7 @@ import (
 	"slicehide/internal/core"
 	"slicehide/internal/interp"
 	"slicehide/internal/obs"
+	"slicehide/internal/vm"
 )
 
 func TestMuxFrameRoundTrip(t *testing.T) {
@@ -71,7 +72,7 @@ func TestMuxManyStreamsOneConn(t *testing.T) {
 				return
 			}
 			var b strings.Builder
-			in := interp.New(res.Open, interp.Options{
+			in := vm.NewMachine(res.Open, interp.Options{
 				Out:        &b,
 				MaxSteps:   chaosMaxSteps,
 				Hidden:     as,

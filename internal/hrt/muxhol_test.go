@@ -9,6 +9,7 @@ import (
 	"slicehide/internal/core"
 	"slicehide/internal/interp"
 	"slicehide/internal/obs"
+	"slicehide/internal/vm"
 )
 
 // Head-of-line isolation referee (ROADMAP item 4 follow-on): one
@@ -83,7 +84,7 @@ func TestMuxHeadOfLineIsolation(t *testing.T) {
 		as := NewAsyncSession(&Counting{Inner: slowStream, Counters: &Counters{}})
 		var b strings.Builder
 		start := time.Now()
-		in := interp.New(res.Open, interp.Options{
+		in := vm.NewMachine(res.Open, interp.Options{
 			Out:        &b,
 			MaxSteps:   chaosMaxSteps,
 			Hidden:     as,

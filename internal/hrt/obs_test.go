@@ -14,6 +14,7 @@ import (
 	"slicehide/internal/core"
 	"slicehide/internal/interp"
 	"slicehide/internal/obs"
+	"slicehide/internal/vm"
 )
 
 // TestMetricsUnderConcurrentLoad hammers a TCP server with concurrent
@@ -92,7 +93,7 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 			defer mt.Close()
 			as := NewAsyncSession(mt.Stream(0, nil))
 			var b strings.Builder
-			in := interp.New(res.Open, interp.Options{
+			in := vm.NewMachine(res.Open, interp.Options{
 				Out:        &b,
 				Hidden:     as,
 				SplitFuncs: res.SplitSet(),
@@ -149,7 +150,7 @@ func TestInstrumentRedactsHiddenValues(t *testing.T) {
 	metrics := NewRuntimeMetrics(reg)
 	var tr Transport = &Local{Server: NewServer(NewRegistry(res))}
 	tr = &Instrument{Inner: tr, Metrics: metrics, Tracer: tracer}
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		Hidden:     &Session{T: tr},
 		SplitFuncs: res.SplitSet(),
 		MaxSteps:   1_000_000_000,

@@ -9,6 +9,7 @@ import (
 
 	"slicehide/internal/core"
 	"slicehide/internal/interp"
+	"slicehide/internal/vm"
 )
 
 // pipeSrc makes many consecutive hidden updates per activation so a
@@ -98,7 +99,7 @@ func pipeRun(t *testing.T, res *core.Result, tr Transport, counters *Counters) s
 		t.Fatal("transport chain is not async-capable")
 	}
 	var b strings.Builder
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		Out:        &b,
 		MaxSteps:   chaosMaxSteps,
 		Hidden:     as,

@@ -1,6 +1,6 @@
 // Package hrt is the hidden-runtime: it executes the hidden components
 // produced by the splitting transformation (package core) on behalf of open
-// components running in the interpreter (package interp).
+// components running on the bytecode machine (package vm).
 //
 // The open machine talks to the secure device through a Transport. Three
 // transports are provided: Local (direct calls, for tests), Latency
@@ -20,7 +20,6 @@ import (
 	"slicehide/internal/core"
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
-	"slicehide/internal/lang/token"
 	"slicehide/internal/vm"
 )
 
@@ -112,10 +111,11 @@ type Server struct {
 	// was taken in.
 	globalsVersion uint64
 
-	// treeWalk runs fragments on the tree-walking executor below instead
-	// of the bytecode VM. It is the VM's differential oracle: only tests
-	// set it (export_test.go), no production path or flag does.
-	treeWalk bool
+	// execRef, when set, runs fragments in place of the bytecode VM, against
+	// the same stores and write set. Only tests set it (export_test.go puts
+	// the tree-walking reference executor here); no production path or flag
+	// does.
+	execRef func(cc *vm.Comp, frag int, args []interp.Value, env vm.Env, ws *vm.WriteSet) (interp.Value, error)
 	// frames pools VM temp frames, sized to the program's largest
 	// fragment.
 	frames *vm.FramePool
@@ -376,7 +376,7 @@ func (s *Server) Call(fn string, inst int64, frag int, args []interp.Value) (int
 // CallSession executes a fragment against an activation in the given
 // session's namespace.
 func (s *Server) CallSession(session uint64, fn string, inst int64, frag int, args []interp.Value) (interp.Value, error) {
-	v, _, err := s.callSession(session, fn, inst, frag, args, false)
+	v, _, err := s.exec(session, fn, inst, frag, args, false)
 	return v, err
 }
 
@@ -384,10 +384,12 @@ func (s *Server) CallSession(session uint64, fn string, inst int64, frag int, ar
 // returned recEffects lists the post-execution value of every hidden
 // variable the fragment wrote, for the journaling apply path.
 func (s *Server) callSessionEffects(session uint64, fn string, inst int64, frag int, args []interp.Value) (interp.Value, *recEffects, error) {
-	return s.callSession(session, fn, inst, frag, args, true)
+	return s.exec(session, fn, inst, frag, args, true)
 }
 
-func (s *Server) callSession(session uint64, fn string, inst int64, frag int, args []interp.Value, wantEffects bool) (interp.Value, *recEffects, error) {
+// exec resolves the activation a call addresses and runs the fragment
+// against it, capturing the writes when wantEffects is set.
+func (s *Server) exec(session uint64, fn string, inst int64, frag int, args []interp.Value, wantEffects bool) (interp.Value, *recEffects, error) {
 	var eff *recEffects
 	if wantEffects {
 		eff = &recEffects{}
@@ -450,27 +452,6 @@ func (s *Server) callSession(session uint64, fn string, inst int64, frag int, ar
 		defer s.globalsMu.Unlock()
 	}
 
-	if s.treeWalk {
-		// Tree-walking oracle path.
-		fr := s.reg.Components[fn].Frags[frag]
-		ex := &fragExec{
-			store: st, globals: s.globals, instance: instStore,
-			actL: cc.Act, globalsL: s.reg.Prog.Globals, fieldsL: s.reg.Prog.Fields[cc.Class],
-		}
-		if eff != nil {
-			ex.track = &writeTracker{}
-		}
-		for i, av := range fr.ArgVars {
-			ex.args = append(ex.args, argBinding{v: av, val: args[i]})
-		}
-		v, err := ex.run(fr.Body)
-		if eff != nil {
-			s.captureEffects(eff, cc, ex.track, st, instStore)
-		}
-		return v, eff, err
-	}
-
-	// Bytecode path.
 	frame := st.frame
 	if frame == nil {
 		frame = s.frames.Get()
@@ -484,55 +465,30 @@ func (s *Server) callSession(session uint64, fn string, inst int64, frag int, ar
 	if eff != nil {
 		ws = &vm.WriteSet{}
 	}
-	if m := s.vmMetrics; m != nil {
+	var v interp.Value
+	var err error
+	switch {
+	case s.execRef != nil:
+		v, err = s.execRef(cc, frag, args, env, ws)
+	case s.vmMetrics != nil:
 		t0 := time.Now()
-		v, err := f.Exec(frame, args, env, ws)
-		m.execCall.Observe(time.Since(t0))
-		if eff != nil {
-			s.captureVMEffects(eff, cc, ws, st, instStore)
-		}
-		return v, eff, err
+		v, err = f.Exec(frame, args, env, ws)
+		s.vmMetrics.execCall.Observe(time.Since(t0))
+	default:
+		v, err = f.Exec(frame, args, env, ws)
 	}
-	v, err := f.Exec(frame, args, env, ws)
 	if eff != nil {
-		s.captureVMEffects(eff, cc, ws, st, instStore)
+		s.captureEffects(eff, cc, ws, st, instStore)
 	}
 	return v, eff, err
 }
 
 // captureEffects snapshots the post-execution value of every hidden
-// variable the fragment wrote, under the same locks the execution held:
-// the caller still holds globalsMu iff the component touches globals, and
-// st/instStore are only reachable through this session, whose requests the
-// dedup layer serializes.
-func (s *Server) captureEffects(eff *recEffects, cc *vm.Comp, track *writeTracker, st, instStore *store) {
-	if cc.TouchesGlobals {
-		s.globalsVersion++
-		eff.globalsVersion = s.globalsVersion
-	}
-	prog := s.reg.Prog
-	for _, v := range track.act {
-		if slot, ok := cc.Act.Slot(v); ok {
-			eff.deltas = append(eff.deltas, stateDelta{scope: scopeAct, name: v.Name, val: st.vals[slot]})
-		}
-	}
-	for _, v := range track.globals {
-		if slot, ok := prog.Globals.Slot(v); ok {
-			eff.deltas = append(eff.deltas, stateDelta{scope: scopeGlobal, name: v.Name, val: s.globals.vals[slot]})
-		}
-	}
-	for _, v := range track.fields {
-		if slot, ok := prog.Fields[cc.Class].Slot(v); ok {
-			eff.deltas = append(eff.deltas, stateDelta{
-				scope: scopeField, name: v.Name, class: v.Class, obj: instStore.obj, val: instStore.vals[slot],
-			})
-		}
-	}
-}
-
-// captureVMEffects is captureEffects for the bytecode path, whose write
-// tracker records slots instead of variables.
-func (s *Server) captureVMEffects(eff *recEffects, cc *vm.Comp, ws *vm.WriteSet, st, instStore *store) {
+// variable the fragment wrote (ws lists their slots), under the same locks
+// the execution held: the caller still holds globalsMu iff the component
+// touches globals, and st/instStore are only reachable through this
+// session, whose requests the dedup layer serializes.
+func (s *Server) captureEffects(eff *recEffects, cc *vm.Comp, ws *vm.WriteSet, st, instStore *store) {
 	if cc.TouchesGlobals {
 		s.globalsVersion++
 		eff.globalsVersion = s.globalsVersion
@@ -557,297 +513,4 @@ func (s *Server) captureVMEffects(eff *recEffects, cc *vm.Comp, ws *vm.WriteSet,
 // isClassComponent reports whether fn names a per-class hidden component.
 func isClassComponent(fn string) bool {
 	return strings.HasPrefix(fn, core.ClassComponentPrefix)
-}
-
-// zeroValue returns the typed zero of a hidden variable (hidden variables
-// are scalars by construction).
-func zeroValue(v *ir.Var) interp.Value {
-	return vm.ZeroValue(v)
-}
-
-// ---------------------------------------------------------------------------
-// Reference fragment execution: the tree-walking oracle the differential
-// tests compare the bytecode VM against (Server.treeWalk).
-
-type argBinding struct {
-	v   *ir.Var
-	val interp.Value
-}
-
-// fragExec evaluates fragment bodies: straight-line code, conditionals, and
-// loops over hidden variables and argument placeholders. Fragments never
-// touch aggregates, make calls, or perform I/O — guaranteed by construction
-// in package core.
-type fragExec struct {
-	store    *store
-	globals  *store
-	instance *store
-	// actL/globalsL/fieldsL are the layouts the three stores are indexed
-	// by; the tree-walker resolves variables to slots through them, so it
-	// reads and writes the exact state the bytecode VM does.
-	actL     *vm.Layout
-	globalsL *vm.Layout
-	fieldsL  *vm.Layout
-	args     []argBinding
-	steps    int64
-	// track, when non-nil, records which variables the fragment wrote,
-	// bucketed by the store each write was routed to (the durable apply
-	// path reads the final values back out afterwards). The default path
-	// passes nil and pays nothing.
-	track *writeTracker
-}
-
-// writeTracker accumulates the written-variable sets of one execution.
-// Fragments write a handful of variables, so membership is a linear scan.
-type writeTracker struct {
-	act, globals, fields []*ir.Var
-}
-
-func addWritten(list []*ir.Var, v *ir.Var) []*ir.Var {
-	for _, w := range list {
-		if w == v {
-			return list
-		}
-	}
-	return append(list, v)
-}
-
-const maxFragSteps = 100_000_000
-
-type fragSignal int
-
-const (
-	fragNone fragSignal = iota
-	fragBreak
-	fragContinue
-	fragReturn
-)
-
-func (ex *fragExec) run(body []ir.Stmt) (interp.Value, error) {
-	sig, v, err := ex.exec(body)
-	if err != nil {
-		return interp.NullV(), err
-	}
-	if sig == fragReturn {
-		return v, nil
-	}
-	// "any": the open side discards this value.
-	return interp.NullV(), nil
-}
-
-func (ex *fragExec) exec(stmts []ir.Stmt) (fragSignal, interp.Value, error) {
-	for _, st := range stmts {
-		ex.steps++
-		if ex.steps > maxFragSteps {
-			return fragNone, interp.Value{}, fmt.Errorf("hrt: fragment step limit exceeded")
-		}
-		switch st := st.(type) {
-		case *ir.AssignStmt:
-			v, err := ex.eval(st.Rhs)
-			if err != nil {
-				return fragNone, interp.Value{}, err
-			}
-			vt, ok := st.Lhs.(*ir.VarTarget)
-			if !ok {
-				return fragNone, interp.Value{}, fmt.Errorf("hrt: fragment assigns to non-variable target")
-			}
-			switch {
-			case vt.Var.Kind == ir.VarGlobal && ex.globals != nil:
-				slot, ok := ex.globalsL.Slot(vt.Var)
-				if !ok {
-					return fragNone, interp.Value{}, fmt.Errorf("hrt: fragment writes unlaid-out global %s", vt.Var)
-				}
-				ex.globals.vals[slot] = v
-				if ex.track != nil {
-					ex.track.globals = addWritten(ex.track.globals, vt.Var)
-				}
-			case vt.Var.Kind == ir.VarField && ex.instance != nil:
-				slot, ok := ex.fieldsL.Slot(vt.Var)
-				if !ok {
-					return fragNone, interp.Value{}, fmt.Errorf("hrt: fragment writes unlaid-out field %s", vt.Var)
-				}
-				ex.instance.vals[slot] = v
-				if ex.track != nil {
-					ex.track.fields = addWritten(ex.track.fields, vt.Var)
-				}
-			default:
-				slot, ok := ex.actL.Slot(vt.Var)
-				if !ok {
-					return fragNone, interp.Value{}, fmt.Errorf("hrt: fragment writes unlaid-out variable %s", vt.Var)
-				}
-				ex.store.vals[slot] = v
-				if ex.track != nil {
-					ex.track.act = addWritten(ex.track.act, vt.Var)
-				}
-			}
-		case *ir.IfStmt:
-			c, err := ex.eval(st.Cond)
-			if err != nil {
-				return fragNone, interp.Value{}, err
-			}
-			var sig fragSignal
-			var v interp.Value
-			if c.IsTrue() {
-				sig, v, err = ex.exec(st.Then)
-			} else {
-				sig, v, err = ex.exec(st.Else)
-			}
-			if err != nil || sig != fragNone {
-				return sig, v, err
-			}
-		case *ir.WhileStmt:
-			for {
-				c, err := ex.eval(st.Cond)
-				if err != nil {
-					return fragNone, interp.Value{}, err
-				}
-				if !c.IsTrue() {
-					break
-				}
-				sig, v, err := ex.exec(st.Body)
-				if err != nil {
-					return fragNone, interp.Value{}, err
-				}
-				if sig == fragBreak {
-					break
-				}
-				if sig == fragReturn {
-					return sig, v, nil
-				}
-				sig, v, err = ex.exec(st.Post)
-				if err != nil {
-					return fragNone, interp.Value{}, err
-				}
-				if sig == fragBreak {
-					break
-				}
-				if sig == fragReturn {
-					return sig, v, nil
-				}
-				ex.steps++
-				if ex.steps > maxFragSteps {
-					return fragNone, interp.Value{}, fmt.Errorf("hrt: fragment step limit exceeded")
-				}
-			}
-		case *ir.ReturnStmt:
-			if st.Value == nil {
-				return fragReturn, interp.NullV(), nil
-			}
-			v, err := ex.eval(st.Value)
-			return fragReturn, v, err
-		case *ir.BreakStmt:
-			return fragBreak, interp.Value{}, nil
-		case *ir.ContinueStmt:
-			return fragContinue, interp.Value{}, nil
-		default:
-			return fragNone, interp.Value{}, fmt.Errorf("hrt: fragment contains unsupported statement %T", st)
-		}
-	}
-	return fragNone, interp.Value{}, nil
-}
-
-func (ex *fragExec) eval(e ir.Expr) (interp.Value, error) {
-	switch e := e.(type) {
-	case *ir.Const:
-		switch e.Kind {
-		case ir.ConstInt:
-			return interp.IntV(e.I), nil
-		case ir.ConstFloat:
-			return interp.FloatV(e.F), nil
-		case ir.ConstBool:
-			return interp.BoolV(e.B), nil
-		case ir.ConstString:
-			return interp.StrV(e.S), nil
-		case ir.ConstNull:
-			return interp.NullV(), nil
-		}
-	case *ir.VarRef:
-		for _, b := range ex.args {
-			if b.v == e.Var {
-				return b.val, nil
-			}
-		}
-		if e.Var.Kind == ir.VarGlobal && ex.globals != nil {
-			if slot, ok := ex.globalsL.Slot(e.Var); ok {
-				return ex.globals.vals[slot], nil
-			}
-		}
-		if e.Var.Kind == ir.VarField && ex.instance != nil {
-			if slot, ok := ex.fieldsL.Slot(e.Var); ok {
-				return ex.instance.vals[slot], nil
-			}
-			// Fields are zero-initialized at object creation.
-			return zeroValue(e.Var), nil
-		}
-		if slot, ok := ex.actL.Slot(e.Var); ok {
-			return ex.store.vals[slot], nil
-		}
-		return interp.NullV(), fmt.Errorf("hrt: fragment reads unknown variable %s", e.Var)
-	case *ir.Unary:
-		x, err := ex.eval(e.X)
-		if err != nil {
-			return interp.NullV(), err
-		}
-		switch e.Op {
-		case token.MINUS:
-			if x.Kind == interp.KindFloat {
-				return interp.FloatV(-x.F), nil
-			}
-			return interp.IntV(-x.I), nil
-		case token.NOT:
-			return interp.BoolV(!x.B), nil
-		}
-	case *ir.Binary:
-		if e.Op == token.AND || e.Op == token.OR {
-			x, err := ex.eval(e.X)
-			if err != nil {
-				return interp.NullV(), err
-			}
-			if e.Op == token.AND && !x.B {
-				return interp.BoolV(false), nil
-			}
-			if e.Op == token.OR && x.B {
-				return interp.BoolV(true), nil
-			}
-			y, err := ex.eval(e.Y)
-			if err != nil {
-				return interp.NullV(), err
-			}
-			return interp.BoolV(y.B), nil
-		}
-		x, err := ex.eval(e.X)
-		if err != nil {
-			return interp.NullV(), err
-		}
-		y, err := ex.eval(e.Y)
-		if err != nil {
-			return interp.NullV(), err
-		}
-		return interp.EvalBinary(e.Op, x, y)
-	case *ir.CondExpr:
-		c, err := ex.eval(e.C)
-		if err != nil {
-			return interp.NullV(), err
-		}
-		if c.IsTrue() {
-			return ex.eval(e.T)
-		}
-		return ex.eval(e.F)
-	case *ir.ConvertExpr:
-		x, err := ex.eval(e.X)
-		if err != nil {
-			return interp.NullV(), err
-		}
-		if e.ToFloat {
-			if x.Kind == interp.KindInt {
-				return interp.FloatV(float64(x.I)), nil
-			}
-			return x, nil
-		}
-		if x.Kind == interp.KindFloat {
-			return interp.IntV(int64(x.F)), nil
-		}
-		return x, nil
-	}
-	return interp.NullV(), fmt.Errorf("hrt: fragment contains unsupported expression %T", e)
 }

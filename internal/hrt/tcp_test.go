@@ -11,6 +11,7 @@ import (
 
 	"slicehide/internal/core"
 	"slicehide/internal/interp"
+	"slicehide/internal/vm"
 )
 
 func TestWireValueRoundTrip(t *testing.T) {
@@ -90,7 +91,7 @@ func TestTCPEndToEnd(t *testing.T) {
 
 	counters := &Counters{}
 	var b strings.Builder
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		Out:        &b,
 		Hidden:     &Session{T: &Counting{Inner: tr, Counters: counters}},
 		SplitFuncs: res.SplitSet(),
@@ -278,7 +279,7 @@ func TestTCPExactlyOnceSessionStamping(t *testing.T) {
 	tr := dialStream(t, MuxConfig{Addr: addr.String()}, 0, nil)
 	counters := &Counters{}
 	var b strings.Builder
-	in := interp.New(res.Open, interp.Options{
+	in := vm.NewMachine(res.Open, interp.Options{
 		Out:        &b,
 		Hidden:     &Session{T: &Counting{Inner: tr, Counters: counters}},
 		SplitFuncs: res.SplitSet(),

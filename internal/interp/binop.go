@@ -9,9 +9,9 @@ import (
 
 // EvalBinOp applies a (non-short-circuit) binary operator to two values,
 // dispatching on the language-neutral operator enum. This is the single
-// definition of MiniJ binary-operator semantics: EvalBinary converts and
-// delegates, and the bytecode VM's inlined fast paths mirror it exactly
-// (the differential fuzzer holds them together).
+// definition of MiniJ binary-operator semantics: the bytecode VM's inlined
+// fast paths mirror it exactly, and the test oracles call it (the
+// differential fuzzers hold them together).
 func EvalBinOp(op ir.BinOp, x, y Value) (Value, error) {
 	switch op {
 	case ir.BinAdd:
@@ -74,4 +74,24 @@ func EvalBinOp(op ir.BinOp, x, y Value) (Value, error) {
 		}
 	}
 	return NullV(), &RuntimeError{Msg: fmt.Sprintf("invalid binary op %s on %s", op, x.Kind)}
+}
+
+func compareInt(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+func compareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }

@@ -1,4 +1,4 @@
-package interp
+package interp_test
 
 import (
 	"strings"

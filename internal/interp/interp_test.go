@@ -1,11 +1,16 @@
-package interp
+package interp_test
 
 import (
 	"strings"
 	"testing"
 
+	"slicehide/internal/interp"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 )
+
+// These tests pin the reference semantics on the tree-walking oracle,
+// which lives in package oracle so that no shipped binary links it.
 
 // run compiles and executes src, returning the program output.
 func run(t *testing.T, src string) string {
@@ -23,7 +28,7 @@ func runErr(src string) (string, error) {
 		return "", err
 	}
 	var b strings.Builder
-	in := New(p, Options{Out: &b, MaxSteps: 2_000_000})
+	in := oracle.New(p, interp.Options{Out: &b, MaxSteps: 2_000_000})
 	err = in.Run()
 	return b.String(), err
 }
@@ -235,7 +240,7 @@ func TestRuntimeErrors(t *testing.T) {
 
 func TestStepLimit(t *testing.T) {
 	p := ir.MustCompile(`func main() { for (;;) { } }`)
-	in := New(p, Options{MaxSteps: 1000})
+	in := oracle.New(p, interp.Options{MaxSteps: 1000})
 	err := in.Run()
 	if err == nil || !strings.Contains(err.Error(), "step limit") {
 		t.Fatalf("expected step-limit error, got %v", err)
@@ -253,7 +258,7 @@ func main() { print(f(0)); }`)
 
 func TestStepsCounted(t *testing.T) {
 	p := ir.MustCompile(`func main() { var x: int = 1; x = x + 1; print(x); }`)
-	in := New(p, Options{})
+	in := oracle.New(p, interp.Options{})
 	if err := in.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +269,8 @@ func TestStepsCounted(t *testing.T) {
 
 func TestCallByQName(t *testing.T) {
 	p := ir.MustCompile(`func add(a: int, b: int): int { return a + b; } func main() { }`)
-	in := New(p, Options{})
-	v, err := in.Call("add", []Value{IntV(2), IntV(40)})
+	in := oracle.New(p, interp.Options{})
+	v, err := in.Call("add", []interp.Value{interp.IntV(2), interp.IntV(40)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,11 @@
 // Package interp is the bottom of the execution stack: MiniJ's runtime
 // values, the one definition of its operator semantics (EvalBinOp), the
-// contracts between a running open program and the hidden runtime
-// (HiddenSession, AsyncHiddenSession, Tracer), and the tree-walking
-// interpreter that defines the language's reference semantics.
+// runtime error type, and the contracts between a running open program and
+// the hidden runtime (HiddenSession, AsyncHiddenSession, Tracer, Options).
 //
-// Programs run on the bytecode machine of package vm. The interpreter here
-// is what the differential tests compare that machine against; no
-// production path constructs one (CI checks it).
+// Programs run on the bytecode machine of package vm. The tree-walking
+// reference executors the differential tests compare it against live in
+// package oracle, which only tests import.
 package interp
 
 import (

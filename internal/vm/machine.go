@@ -14,7 +14,7 @@ import (
 // Machine executes a whole MiniJ program — an unsplit original or the open
 // component of a split one — as bytecode on the same dispatch loop the
 // hidden fragments run on. It is the production open-side engine; the
-// tree-walking interp.Interp is its reference, and the differential tests
+// tree-walking oracle.Interp is its reference, and the differential tests
 // hold the two to identical output, errors, step counts and hidden-session
 // call sequences.
 //

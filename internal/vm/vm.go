@@ -4,9 +4,10 @@
 // Program, addressing preresolved integer slots in activation/globals/field
 // stores on a pooled temp frame; and whole programs — an open component or
 // an unsplit original — as a Machine, with calls over register windows,
-// aggregates, output and the hidden-call operations. The tree-walkers in
-// packages interp and hrt resolve every name through maps on every step;
-// they remain as the references the differential tests compare against.
+// aggregates, output and the hidden-call operations. The tree-walkers of
+// package oracle resolve every name through maps on every step; they
+// remain, in test binaries only, as the references the differential tests
+// compare against.
 //
 // The package consumes IR only: operator kinds cross the boundary through
 // the language-neutral ir.BinOp/ir.UnOp enums, never lang/token (enforced

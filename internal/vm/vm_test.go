@@ -8,6 +8,7 @@ import (
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/lang/token"
+	"slicehide/internal/oracle"
 )
 
 func intVar(name string) *ir.Var { return &ir.Var{Name: name, Kind: ir.VarLocal} }
@@ -175,7 +176,7 @@ func main() {
 func TestMachineMatchesWalker(t *testing.T) {
 	prog := ir.MustCompile(machineSrc)
 	var want, got strings.Builder
-	ref := interp.New(prog, interp.Options{Out: &want})
+	ref := oracle.New(prog, interp.Options{Out: &want})
 	if err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}
