@@ -68,12 +68,17 @@ test:
 # lift that the ack reader and the pump both drive, the shown table every
 # inbound stream and every pump meet in, and the in-process fleets that
 # exercise the origin skip end to end.
+# The sixth line repeats the one record applier recovery and replication
+# share: both orders of landing a journal must agree, a restarted replica
+# must keep the newest global write, and both engines' effects must
+# recover alike.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'GroupCommit|Dedup' ./internal/hrt
 	$(GO) test -race -count=10 -run 'SharedFactsConcurrent|AnalyzeConcurrent|CompileConcurrent' ./internal/slicer ./internal/complexity ./internal/ir
 	$(GO) test -race -count=3 -run 'Crash|TailScanner|EmptyRecord|JournalChain|ParentWritten' ./internal/wal ./internal/hrt
 	$(GO) test -race -count=10 -run 'OriginSkip|Lift|ReplStream' ./internal/cluster
+	$(GO) test -race -count=10 -run 'RecoveryMatchesReplication|OlderGlobalAfterRestart|LiveGlobalWriteRecovers|DifferentialDurableEffects' ./internal/hrt
 
 # Run the wire-codec and durability-layer fuzzers for a short budget
 # each (the journal frame scanner and the journal record decoder face

@@ -28,14 +28,15 @@ func (ts *TCPServer) StateEmpty() bool {
 }
 
 // ImportCatchupSnapshot installs a snapshot streamed by a fleet peer: the
-// payload is imported into the live server through the same
-// importSnapshot/program-hash refusal path recovery uses, the dedup
-// replay cache is seeded with the snapshot's sessions, and the payload is
-// re-journaled as this replica's own durable base (Durability.
+// payload is imported into the live server and the dedup replay cache
+// through the same importSnapshot/program-hash refusal path recovery uses,
+// and re-journaled as this replica's own durable base (Durability.
 // AdoptSnapshot), so the adopted state survives this replica's restarts.
-// The whole import runs under the quiesce write hold, with the emptiness
-// precondition re-checked inside it — a record another sender applied
-// between the caller's check and the hold would otherwise be clobbered.
+// The whole import runs under the quiesce write hold, which also excludes
+// every record apply (ApplyReplicated holds the read side while it
+// applies), with the emptiness precondition re-checked inside it — a
+// record another sender applied between the caller's check and the hold
+// would otherwise be clobbered.
 func (ts *TCPServer) ImportCatchupSnapshot(payload []byte) error {
 	if ts.dedup == nil {
 		return errors.New("hrt: server is not serving")
@@ -44,30 +45,13 @@ func (ts *TCPServer) ImportCatchupSnapshot(payload []byte) error {
 		return errors.New("hrt: snapshot import requires a durable server")
 	}
 	p := ts.Persist
-	// Lock order matches ApplyReplicated (replMu, then quiesce) so a
-	// concurrent record apply from another stream can never deadlock the
-	// import. Holding replMu also serializes the import against every
-	// other stream's applies.
-	ts.replMu.Lock()
-	defer ts.replMu.Unlock()
 	p.quiesce.Lock()
 	defer p.quiesce.Unlock()
 	if !ts.StateEmpty() {
 		return ErrNotEmpty
 	}
-	sessions, err := importSnapshot(ts.Server, payload)
-	if err != nil {
+	if err := importSnapshot(ts.Server, ts.dedup, payload); err != nil {
 		return fmt.Errorf("hrt: catch-up snapshot: %w", err)
 	}
-	list := make([]dedupSessionState, 0, len(sessions))
-	for _, ss := range sessions {
-		list = append(list, *ss)
-	}
-	ts.dedup.restoreSessions(list)
-	// Reset the replicated-apply resolver state: the import replaced the
-	// globals wholesale, so stale per-variable version guards from any
-	// pre-import applies must not suppress post-import writes.
-	ts.replRes = nil
-	ts.replGlobalSeen = nil
 	return p.AdoptSnapshot(payload)
 }

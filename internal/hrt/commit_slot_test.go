@@ -317,7 +317,7 @@ func crashSameStripeGlobals(t *testing.T, keep int) {
 		t.Fatalf("recovered %d records, want %d", got, durableRecords+keep)
 	}
 	counter := func(s *Server) interp.Value {
-		slot, ok := newVarResolver(s.reg).globalSlot("counter")
+		slot, ok := s.reg.Prog.Globals.SlotByName("counter")
 		if !ok {
 			t.Fatal("no hidden global counter")
 		}

@@ -380,31 +380,18 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 				resp = Response{Err: err.Error()}
 			}
 		}
+	} else if !req.NoReply() {
+		// The failure happened earlier in program order; it outranks
+		// whatever this request produced.
+		resp = Response{Err: deferred}
 	}
-	if req.NoReply() {
-		if deferred == "" {
-			deferred = resp.Err
-		}
-	} else {
-		if deferred != "" {
-			// The failure happened earlier in program order; it outranks
-			// whatever this request produced.
-			resp = Response{Err: deferred}
-		}
-		resp.Seq = req.Seq
-		resp.Ack = req.Seq
-	}
+	resp.Seq, resp.Ack = req.Seq, req.Seq
 	if d.Persist != nil {
-		if perr := d.Persist.journal(req, resp, eff); perr != nil {
-			if req.NoReply() {
-				if deferred == "" {
-					deferred = perr.Error()
-				}
-			} else {
-				// The record is not durable, so the answer must not be either:
-				// acknowledge nothing a restart would take back.
-				resp = Response{Seq: req.Seq, Ack: req.Seq, Err: perr.Error()}
-			}
+		if perr := d.Persist.journal(req, resp, eff); perr != nil && (resp.Err == "" || !req.NoReply()) {
+			// The record is not durable, so the answer must not be either:
+			// acknowledge nothing a restart would take back (a one-way
+			// request's own error outranks it as the deferred error).
+			resp = Response{Seq: req.Seq, Ack: req.Seq, Err: perr.Error()}
 		}
 	}
 
@@ -413,12 +400,7 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 	// the session's next request may not start before this one's record
 	// is on disk.
 	sh.mu.Lock()
-	e.lastSeq = req.Seq
-	e.deferred = deferred
-	if !req.NoReply() {
-		e.respSeq = req.Seq
-		e.resp = resp
-	}
+	e.settle(req.Seq, req.NoReply(), resp)
 	close(e.done)
 	e.done = nil
 	sh.mu.Unlock()
@@ -426,6 +408,26 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 		return Response{}, nil
 	}
 	return resp, nil
+}
+
+// settle publishes request seq of the session as processed: the one rule
+// by which a live execution, a replicated record and a recovered record
+// all update the replay state. The high-water mark moves to seq; a
+// reply-bearing request's response (with the error that answered it, if
+// any) becomes the cached reply; a one-way request's error poisons the
+// session unless an earlier one already did. A poisoned session stays
+// poisoned after a reply surfaced its error. Caller holds the stripe lock.
+func (e *dedupEntry) settle(seq uint64, noReply bool, resp Response) {
+	e.lastSeq = seq
+	if noReply {
+		if e.deferred == "" {
+			e.deferred = resp.Err
+		}
+		return
+	}
+	e.respSeq = seq
+	e.resp = resp
+	e.resp.Seq, e.resp.Ack = seq, seq
 }
 
 // evictLocked drops the stripe's least recently used idle sessions while

@@ -192,19 +192,17 @@ func runDurable(t *testing.T, res *core.Result, treeWalk bool) durableRun {
 	return r
 }
 
-// TestDifferentialDurableEffects runs the four measured kernels, one corpus
-// profile and a program with hidden globals and fields, at 1/20 scale, on a
-// journaling server under each engine, then recovers each data directory
-// into a fresh server. Both engines feed the server's one effect builder
-// with the slots they wrote, so the records read back, each record's set of
-// (scope, name, value) deltas and the recovered stores must be identical —
-// and recovery must reproduce the state the server had when it died.
-func TestDifferentialDurableEffects(t *testing.T) {
-	type workload struct {
-		name string
-		res  *core.Result
-	}
-	var loads []workload
+// durableWorkload is one split program the durable-state tests journal.
+type durableWorkload struct {
+	name string
+	res  *core.Result
+}
+
+// durableWorkloads returns the four measured kernels and one corpus
+// profile at 1/20 scale, and a program with hidden globals and fields.
+func durableWorkloads(t *testing.T) []durableWorkload {
+	t.Helper()
+	var loads []durableWorkload
 	for _, k := range corpus.Kernels() {
 		if k.Excluded {
 			continue
@@ -217,7 +215,7 @@ func TestDifferentialDurableEffects(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
-		loads = append(loads, workload{k.Name, res})
+		loads = append(loads, durableWorkload{k.Name, res})
 	}
 	p := corpus.Profiles[0].Scale(0.05)
 	var specs []core.Spec
@@ -228,10 +226,19 @@ func TestDifferentialDurableEffects(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%s: %v", p.Name, err)
 	}
-	loads = append(loads, workload{"profile " + p.Name, res})
-	loads = append(loads, workload{"hidden globals and fields", hrt.DurableSplit(t)})
+	loads = append(loads, durableWorkload{"profile " + p.Name, res})
+	return append(loads, durableWorkload{"hidden globals and fields", hrt.DurableSplit(t)})
+}
 
-	for _, w := range loads {
+// TestDifferentialDurableEffects runs the four measured kernels, one corpus
+// profile and a program with hidden globals and fields, at 1/20 scale, on a
+// journaling server under each engine, then recovers each data directory
+// into a fresh server. Both engines feed the server's one effect builder
+// with the slots they wrote, so the records read back, each record's set of
+// (scope, name, value) deltas and the recovered stores must be identical —
+// and recovery must reproduce the state the server had when it died.
+func TestDifferentialDurableEffects(t *testing.T) {
+	for _, w := range durableWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
 			ref := runDurable(t, w.res, true)
 			vm := runDurable(t, w.res, false)
@@ -258,6 +265,96 @@ func TestDifferentialDurableEffects(t *testing.T) {
 			t.Logf("%d records, %d deltas", len(vm.records), vm.deltas)
 		})
 	}
+}
+
+// TestRecoveryMatchesReplication journals each durable workload — and the
+// hidden-globals program run as two sessions, both writing one hidden
+// global — on a durable server, then lands the same records three ways:
+// recovery of the data directory into a fresh server, and the replicated
+// apply into a fresh durable server, once in file order and once with the
+// sessions interleaved differently (each session's records still in
+// order). Recovery and replication share one record applier and one
+// replay-cache rule, so the three servers must agree on every store, the
+// replay cache, the globals and the globals version.
+func TestRecoveryMatchesReplication(t *testing.T) {
+	for _, w := range durableWorkloads(t) {
+		t.Run(w.name, func(t *testing.T) { recoveryMatchesReplication(t, w.res, 1) })
+	}
+	t.Run("two sessions, one hidden global", func(t *testing.T) {
+		recoveryMatchesReplication(t, hrt.DurableSplit(t), 2)
+	})
+}
+
+// recoveryMatchesReplication runs res as the given number of sessions, one
+// after another, on a journaling server and lands its journal the three
+// ways TestRecoveryMatchesReplication describes.
+func recoveryMatchesReplication(t *testing.T, res *core.Result, sessions uint64) {
+	dir := t.TempDir()
+	origin := hrt.OpenDurable(t, res, dir, false)
+	for s := uint64(1); s <= sessions; s++ {
+		if out := origin.RunSession(res, s, 100_000_000); out.Err != nil {
+			t.Fatalf("session %d: %v", s, out.Err)
+		}
+	}
+	payloads, err := origin.JournalPayloads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin.Crash(t)
+
+	recovered := hrt.OpenDurable(t, res, dir, false)
+	want := stateWithVersion(recovered)
+	recovered.Crash(t)
+	for _, order := range []struct {
+		name     string
+		payloads [][]byte
+	}{
+		{"file order", payloads},
+		{"sessions interleaved", interleaveSessions(payloads)},
+	} {
+		replica := hrt.OpenDurable(t, res, t.TempDir(), false)
+		for _, p := range order.payloads {
+			if err := replica.ApplyReplicated(p); err != nil {
+				t.Fatalf("%s: %v", order.name, err)
+			}
+		}
+		got := stateWithVersion(replica)
+		replica.Crash(t)
+		if got != want {
+			t.Fatalf("replicated in %s, state differs from recovery:\nrecovered:\n%s\nreplicated:\n%s", order.name, want, got)
+		}
+	}
+	t.Logf("%d records agree", len(payloads))
+}
+
+// stateWithVersion is State plus the globals version.
+func stateWithVersion(d *hrt.DurableServer) string {
+	return fmt.Sprintf("%s\nglobals-version %d", d.State(), d.GlobalsVersion())
+}
+
+// interleaveSessions reorders journal payloads round-robin across
+// sessions, newest-started session first, keeping each session's own
+// records in order.
+func interleaveSessions(payloads [][]byte) [][]byte {
+	var order []uint64
+	bySession := map[uint64][][]byte{}
+	for _, p := range payloads {
+		s, _, _ := hrt.RecordStamp(p)
+		if bySession[s] == nil {
+			order = append([]uint64{s}, order...)
+		}
+		bySession[s] = append(bySession[s], p)
+	}
+	var out [][]byte
+	for len(out) < len(payloads) {
+		for _, s := range order {
+			if q := bySession[s]; len(q) > 0 {
+				out = append(out, q[0])
+				bySession[s] = q[1:]
+			}
+		}
+	}
+	return out
 }
 
 // FuzzVMvsInterp feeds random (program seed, function, variable) triples

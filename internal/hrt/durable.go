@@ -49,8 +49,9 @@ import (
 // keyed by stable names and resolved against the recompiled Registry, so
 // replay is cheap, deterministic, and independent of fragment control
 // flow. Global-store writes additionally carry a version stamped under the
-// globals lock and are re-applied in version order, because journal append
-// order across sessions can invert lock order.
+// globals lock, and a replayed write older than the newest one its slot
+// took is skipped (Server.globalSeen), because journal append order across
+// sessions can invert lock order.
 type Durability struct {
 	opts   DurabilityOptions
 	server *Server
@@ -287,11 +288,10 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 	if err := os.MkdirAll(p.opts.Dir, 0o755); err != nil {
 		return fmt.Errorf("hrt: create data dir: %w", err)
 	}
-	gen, snapUsed, sessions, err := p.loadBase()
+	gen, snapUsed, err := p.loadBase()
 	if err != nil {
 		return err
 	}
-	res := newVarResolver(server.reg)
 	// Background snapshot writing means a crash can leave a journal chain:
 	// journal-(g+1) rotated into service before snap-(g+1) landed (or with
 	// the snapshot write failed outright). Replay therefore continues
@@ -310,7 +310,7 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 		onDisk[g] = true
 	}
 	tip := gen
-	validLen, tipRecords, err := p.replayJournal(p.journalPath(tip), res, sessions)
+	validLen, tipRecords, err := p.replayJournal(p.journalPath(tip))
 	if err != nil {
 		return err
 	}
@@ -323,16 +323,11 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 			break
 		}
 		tip++
-		if validLen, tipRecords, err = p.replayJournal(p.journalPath(tip), res, sessions); err != nil {
+		if validLen, tipRecords, err = p.replayJournal(p.journalPath(tip)); err != nil {
 			return err
 		}
 		records += tipRecords
 	}
-	list := make([]dedupSessionState, 0, len(sessions))
-	for _, ss := range sessions {
-		list = append(list, *ss)
-	}
-	dedup.restoreSessions(list)
 	j, err := p.openJournal(tip, validLen)
 	if err != nil {
 		return err
@@ -357,13 +352,13 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 		Generation:   tip,
 		SnapshotUsed: snapUsed,
 		Records:      records,
-		Sessions:     len(sessions),
+		Sessions:     dedup.Sessions(),
 		Took:         time.Since(begin),
 	}
 	p.opts.Tracer.Emit(obs.LevelInfo, "wal_recover",
 		obs.Uint("generation", tip),
 		obs.Int("records", records),
-		obs.Int("sessions", int64(len(sessions))),
+		obs.Int("sessions", int64(p.recovered.Sessions)),
 		obs.Dur("took", p.recovered.Took))
 	return nil
 }
@@ -383,13 +378,12 @@ func scanStoppedShort(path string, validLen int64) (bool, error) {
 
 // loadBase picks the newest generation with a readable snapshot (falling
 // back generation by generation past corrupt ones), imports it into the
-// server, and returns the chosen generation plus the snapshot's dedup
-// sessions for journal replay to update. A directory with no usable
-// snapshot starts empty at the lowest journal generation present (or 0).
-func (p *Durability) loadBase() (uint64, bool, map[uint64]*dedupSessionState, error) {
+// server and the replay cache, and returns the chosen generation. A
+// directory with no usable snapshot starts empty at generation 0.
+func (p *Durability) loadBase() (uint64, bool, error) {
 	snaps, journals, err := p.listGenerations()
 	if err != nil {
-		return 0, false, nil, err
+		return 0, false, err
 	}
 	gens := make(map[uint64]bool, len(snaps)+len(journals))
 	for _, g := range snaps {
@@ -417,17 +411,16 @@ func (p *Durability) loadBase() (uint64, bool, map[uint64]*dedupSessionState, er
 			// No snapshot at this generation: only generation 0 legitimately
 			// starts from empty state.
 			if g == 0 {
-				return 0, false, map[uint64]*dedupSessionState{}, nil
+				return 0, false, nil
 			}
 			continue
 		}
-		sessions, err := importSnapshot(p.server, payload)
-		if err != nil {
-			return 0, false, nil, fmt.Errorf("hrt: snapshot %s: %w", filepath.Base(p.snapPath(g)), err)
+		if err := importSnapshot(p.server, p.dedup, payload); err != nil {
+			return 0, false, fmt.Errorf("hrt: snapshot %s: %w", filepath.Base(p.snapPath(g)), err)
 		}
-		return g, true, sessions, nil
+		return g, true, nil
 	}
-	return 0, false, map[uint64]*dedupSessionState{}, nil
+	return 0, false, nil
 }
 
 // listGenerations scans the data directory for snapshot and journal files.
@@ -529,14 +522,14 @@ func (p *Durability) pinnedGen(gen uint64) bool {
 }
 
 // replayJournal applies the journal's valid prefix to the server and the
-// in-progress dedup session map, returning the prefix length for Open to
-// truncate to. A record that fails to decode ends replay at that point
-// (the same stop-at-first-corruption contract the CRC layer has); a record
-// that references program structure the Registry no longer has aborts
-// startup, because resuming sessions against a different program would
-// corrupt hidden state.
-func (p *Durability) replayJournal(path string, res *varResolver, sessions map[uint64]*dedupSessionState) (int64, int64, error) {
-	var globals []globalDelta
+// replay cache, record by record through the code a replica applies
+// streamed records with (Server.applyRecord, dedupEntry.settle), and
+// returns the prefix length for Open to truncate to. A record that fails
+// to decode ends replay at that point (the same stop-at-first-corruption
+// contract the CRC layer has); a record that references program structure
+// the Registry no longer has aborts startup, because resuming sessions
+// against a different program would corrupt hidden state.
+func (p *Durability) replayJournal(path string) (int64, int64, error) {
 	var decodeStop int64 = -1
 	var records int64
 	validLen, _, err := wal.ScanFile(path, func(payload []byte) error {
@@ -552,9 +545,10 @@ func (p *Durability) replayJournal(path string, res *varResolver, sessions map[u
 		if decodeStop >= 0 {
 			return nil
 		}
-		if err := p.applyRecord(rec, res, sessions, &globals); err != nil {
+		if err := p.server.applyRecord(rec); err != nil {
 			return err
 		}
+		p.dedup.recoverRecord(rec)
 		records++
 		return nil
 	})
@@ -570,9 +564,6 @@ func (p *Durability) replayJournal(path string, res *varResolver, sessions map[u
 		}
 		p.opts.Tracer.Emit(obs.LevelWarn, "wal_record_undecodable",
 			obs.Str("journal", filepath.Base(path)), obs.Int("kept_records", records))
-	}
-	if err := p.server.applyGlobalDeltas(res, globals); err != nil {
-		return 0, 0, err
 	}
 	return validLen, records, nil
 }
@@ -596,54 +587,6 @@ func truncatedPrefix(path string, n int64) (int64, error) {
 
 var errStopScan = fmt.Errorf("hrt: stop scan")
 
-// applyRecord replays one journal record: the server-side state mutation
-// (deltas, stats) and the dedup session bookkeeping (high-water mark,
-// cached reply, deferred error). Global-store deltas are collected for the
-// caller's version-ordered pass instead of applied in file order.
-func (p *Durability) applyRecord(rec *journalRecord, res *varResolver, sessions map[uint64]*dedupSessionState, globals *[]globalDelta) error {
-	if rec.counted {
-		switch rec.op {
-		case OpEnter:
-			if err := p.server.replayEnter(rec.session, rec.fn, rec.obj, rec.inst); err != nil {
-				return err
-			}
-		case OpExit:
-			p.server.replayExit(rec.session, rec.fn, rec.inst)
-		case OpCall:
-			local := rec.deltas[:0:0]
-			for _, d := range rec.deltas {
-				if d.scope == scopeGlobal {
-					*globals = append(*globals, globalDelta{version: rec.globalsVersion, name: d.name, val: d.val})
-				} else {
-					local = append(local, d)
-				}
-			}
-			if err := p.server.replayCall(res, rec.session, rec.fn, rec.inst, local); err != nil {
-				return err
-			}
-		}
-	}
-	ss := sessions[rec.session]
-	if ss == nil {
-		ss = &dedupSessionState{Session: rec.session}
-		sessions[rec.session] = ss
-	}
-	ss.LastSeq = rec.seq
-	if rec.noReply {
-		if rec.resp.Err != "" && ss.Deferred == "" {
-			ss.Deferred = rec.resp.Err
-		}
-		return nil
-	}
-	// A poisoned session stays poisoned after the reply surfaces the
-	// deferred error (matching live dedup behavior), so Deferred persists.
-	ss.RespSeq = rec.seq
-	ss.Resp = rec.resp
-	ss.Resp.Seq = rec.seq
-	ss.Resp.Ack = rec.seq
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Request execution + journaling (called from the dedup execute branch)
 
@@ -662,8 +605,8 @@ const (
 	// scopeAct: a variable of the activation store (or of the globals
 	// component's implicit activation), resolved by (component, name).
 	scopeAct deltaScope = iota + 1
-	// scopeGlobal: a shared hidden global, resolved by name, re-applied in
-	// globalsVersion order.
+	// scopeGlobal: a shared hidden global, resolved by name, re-applied
+	// through the globals version guard.
 	scopeGlobal
 	// scopeField: a hidden object field, resolved by (class, name) and
 	// addressed to (session, class, obj).
@@ -678,12 +621,6 @@ type stateDelta struct {
 	class string
 	obj   int64
 	val   interp.Value
-}
-
-type globalDelta struct {
-	version uint64
-	name    string
-	val     interp.Value
 }
 
 // execute runs req against the server, capturing effects for the journal.

@@ -122,8 +122,37 @@ func OpenDurable(t *testing.T, res *core.Result, dir string, treeWalk bool) *Dur
 // Run executes res's open program as one synchronous session through the
 // journaling layer (in place of the direct transport RunSplitOn builds).
 func (d *DurableServer) Run(res *core.Result, maxSteps int64) RunOutcome {
-	t := &stampTransport{inner: d.dd, session: 1}
+	return d.RunSession(res, 1, maxSteps)
+}
+
+// RunSession is Run as the given session.
+func (d *DurableServer) RunSession(res *core.Result, session uint64, maxSteps int64) RunOutcome {
+	t := &stampTransport{inner: d.dd, session: session}
 	return runSplitOn(d.Server, res, func(Transport) Transport { return t }, maxSteps, RunOptions{})
+}
+
+// ApplyReplicated applies one journal record payload the way a fleet
+// replica applies a streamed one (TCPServer.ApplyReplicated).
+func (d *DurableServer) ApplyReplicated(payload []byte) error {
+	return (&TCPServer{Server: d.Server, Persist: d.p, dedup: d.dd}).ApplyReplicated(payload)
+}
+
+// GlobalsVersion reports the server's globals version.
+func (d *DurableServer) GlobalsVersion() uint64 {
+	d.globalsMu.Lock()
+	defer d.globalsMu.Unlock()
+	return d.globalsVersion
+}
+
+// JournalPayloads returns the raw payload of every record the server
+// journaled, in file order.
+func (d *DurableServer) JournalPayloads() ([][]byte, error) {
+	var out [][]byte
+	_, _, err := wal.ScanFile(d.p.journalPath(d.p.gen), func(payload []byte) error {
+		out = append(out, append([]byte(nil), payload...))
+		return nil
+	})
+	return out, err
 }
 
 // Crash abandons the layer the way SIGKILL would: no final snapshot, so

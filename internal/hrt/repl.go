@@ -20,10 +20,10 @@ import (
 // TCP port it serves clients on: a connection that opens with an OpRepl
 // request switches into a framed replication stream (record frames one
 // way, ack frames back). The receiving replica applies each record into
-// its live stores through the same replay methods crash recovery uses —
-// so its hidden state, dedup replay cache, and hrt_executed_* tallies
-// track the primary's — and appends the record to its own journal, making
-// the replicated state survive its own restarts too.
+// its live stores through the code crash recovery replays its journal
+// with — so its hidden state, dedup replay cache, and hrt_executed_*
+// tallies track the primary's — and appends the record to its own
+// journal, making the replicated state survive its own restarts too.
 //
 // Requests for sessions this replica does not know (no dedup entry) can
 // be redirected to their rendezvous owner through the Router hook; the
@@ -309,21 +309,24 @@ func (ts *TCPServer) routeRedirect(req Request) (Response, bool) {
 	}, true
 }
 
-// ApplyReplicated applies one streamed journal record to the live server:
-// hidden-store state and execution tallies through the recovery replay
-// methods, the dedup replay cache, and — when a durability layer is
-// attached — the raw record into this replica's own journal, so
-// replicated sessions survive this replica's restarts the same way its
-// own do. Records at or below the session's replay high-water mark are
-// acknowledged without effect, which makes genesis re-streams after a
-// pump reconnect and full-mesh echoes idempotent. The apply claims the
-// session's in-flight slot (the same serialization live requests use), so
-// an echo of a record this replica is concurrently executing after a
-// promotion can never double-apply.
+// ApplyReplicated applies one streamed journal record to the live server
+// through the code recovery replays the journal with — Server.applyRecord
+// for hidden-store state and execution tallies, dedupEntry.settle for the
+// replay cache — and, when a durability layer is attached, appends the
+// raw record to this replica's own journal, so replicated sessions
+// survive this replica's restarts the same way its own do. Records at or
+// below the session's replay high-water mark are acknowledged without
+// effect, which makes genesis re-streams after a pump reconnect and
+// full-mesh echoes idempotent. The apply claims the session's in-flight
+// slot (the same serialization live requests use), so an echo of a record
+// this replica is concurrently executing after a promotion can never
+// double-apply. Applies of different sessions run concurrently: their
+// stores are disjoint, and writes to the shared globals store meet in its
+// version guard, which makes their order irrelevant.
 //
 // In a full mesh most deliveries are duplicates (every record reaches a
 // replica once per peer that holds it), so a duplicate is recognized from
-// the record's stamp alone, before the decode and before replMu.
+// the record's stamp alone, before the decode.
 func (ts *TCPServer) ApplyReplicated(payload []byte) error {
 	if ts.dedup == nil {
 		return errors.New("hrt: server is not serving")
@@ -335,101 +338,48 @@ func (ts *TCPServer) ApplyReplicated(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("hrt: replicated record: %w", err)
 	}
-	ts.replMu.Lock()
-	defer ts.replMu.Unlock()
-	if ts.replRes == nil {
-		ts.replRes = newVarResolver(ts.Server.reg)
-		ts.replGlobalSeen = make(map[string]uint64)
+	p := ts.Persist
+	if p == nil {
+		return ts.landReplicated(rec, payload)
 	}
+	// Atomic with respect to snapshots and catch-up imports, like every
+	// live request: the slot claim, server state, journal append, and dedup
+	// bookkeeping all land under one quiesce read hold, so a snapshot never
+	// captures applied state without its replay high-water mark, and an
+	// import (which takes the write hold) never lands between the claim and
+	// the apply.
+	p.quiesce.RLock()
+	err = ts.landReplicated(rec, payload)
+	p.quiesce.RUnlock()
+	if err != nil {
+		return err
+	}
+	if p.snapshotDue() {
+		if serr := p.Snapshot(); serr != nil {
+			p.snapErrors.Add(1)
+			p.opts.Tracer.Emit(obs.LevelError, "wal_snapshot_error", obs.Err(serr))
+		}
+	}
+	return nil
+}
+
+// landReplicated claims the record's session slot and, unless the record
+// is a duplicate, applies it, journals it (durable servers) and settles it
+// into the replay state; a failed apply or append releases the slot with
+// nothing settled.
+func (ts *TCPServer) landReplicated(rec *journalRecord, payload []byte) error {
 	if !ts.dedup.replBegin(rec.session, rec.seq) {
 		return nil // duplicate: re-stream or mesh echo of an observed record
 	}
-	if ts.Persist != nil {
-		// Atomic with respect to snapshots, like every live request: server
-		// state, journal append, and dedup bookkeeping all land under one
-		// quiesce read hold, so a snapshot never captures applied state
-		// without its replay high-water mark.
-		ts.Persist.quiesce.RLock()
-	}
-	err = ts.applyReplicatedState(rec)
+	err := ts.Server.applyRecord(rec)
 	if err == nil && ts.Persist != nil {
 		err = ts.Persist.appendReplicated(payload)
 	}
 	if err != nil {
 		ts.dedup.replAbort(rec.session)
-	} else {
-		ts.dedup.replFinish(rec)
-	}
-	if ts.Persist != nil {
-		ts.Persist.quiesce.RUnlock()
-	}
-	if err != nil {
 		return err
 	}
-	if ts.Persist != nil && ts.Persist.snapshotDue() {
-		if serr := ts.Persist.Snapshot(); serr != nil {
-			ts.Persist.snapErrors.Add(1)
-			ts.Persist.opts.Tracer.Emit(obs.LevelError, "wal_snapshot_error", obs.Err(serr))
-		}
-	}
-	return nil
-}
-
-// applyReplicatedState re-applies the record's server-side effects.
-// Caller holds ts.replMu and the session's in-flight slot.
-func (ts *TCPServer) applyReplicatedState(rec *journalRecord) error {
-	if !rec.counted {
-		return nil
-	}
-	switch rec.op {
-	case OpEnter:
-		return ts.Server.replayEnter(rec.session, rec.fn, rec.obj, rec.inst)
-	case OpExit:
-		ts.Server.replayExit(rec.session, rec.fn, rec.inst)
-	case OpCall:
-		local := rec.deltas[:0:0]
-		var globals []globalDelta
-		for _, d := range rec.deltas {
-			if d.scope == scopeGlobal {
-				globals = append(globals, globalDelta{version: rec.globalsVersion, name: d.name, val: d.val})
-			} else {
-				local = append(local, d)
-			}
-		}
-		if err := ts.Server.replayCall(ts.replRes, rec.session, rec.fn, rec.inst, local); err != nil {
-			return err
-		}
-		return ts.applyReplicatedGlobals(globals)
-	}
-	return nil
-}
-
-// applyReplicatedGlobals applies streamed global-store writes with a
-// per-variable version guard: journal append order across sessions can
-// invert the globals-lock order, and unlike recovery (which sorts the
-// whole batch) a stream applies record by record — so each variable keeps
-// only its newest-versioned value.
-func (ts *TCPServer) applyReplicatedGlobals(deltas []globalDelta) error {
-	if len(deltas) == 0 {
-		return nil
-	}
-	s := ts.Server
-	s.globalsMu.Lock()
-	defer s.globalsMu.Unlock()
-	for _, d := range deltas {
-		if d.version < ts.replGlobalSeen[d.name] {
-			continue // an out-of-order older write; the newer value already landed
-		}
-		slot, ok := ts.replRes.globalSlot(d.name)
-		if !ok {
-			return fmt.Errorf("hrt: replicated record writes unknown global %s (program differs across replicas?)", d.name)
-		}
-		s.globals.vals[slot] = d.val
-		ts.replGlobalSeen[d.name] = d.version
-		if d.version > s.globalsVersion {
-			s.globalsVersion = d.version
-		}
-	}
+	ts.dedup.replFinish(rec)
 	return nil
 }
 
@@ -545,10 +495,8 @@ func (d *Dedup) replBegin(session, seq uint64) bool {
 	return true
 }
 
-// replFinish installs the applied record's replay bookkeeping — the
-// high-water mark, the cached reply-bearing response, and any deferred
-// one-way error; the same fields journal recovery restores — and releases
-// the session's in-flight slot.
+// replFinish settles the applied record into the session's replay state
+// (see settle) and releases the session's in-flight slot.
 func (d *Dedup) replFinish(rec *journalRecord) {
 	sh := d.shard(rec.session)
 	sh.mu.Lock()
@@ -557,19 +505,7 @@ func (d *Dedup) replFinish(rec *journalRecord) {
 	if e == nil {
 		return // unreachable: the slot is held
 	}
-	if rec.seq > e.lastSeq {
-		e.lastSeq = rec.seq
-	}
-	if rec.noReply {
-		if rec.resp.Err != "" && e.deferred == "" {
-			e.deferred = rec.resp.Err
-		}
-	} else {
-		e.respSeq = rec.seq
-		e.resp = rec.resp
-		e.resp.Seq = rec.seq
-		e.resp.Ack = rec.seq
-	}
+	e.settle(rec.seq, rec.noReply, rec.resp)
 	if e.done != nil {
 		close(e.done)
 		e.done = nil

@@ -7,6 +7,9 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"slicehide/internal/interp"
+	"slicehide/internal/wal"
 )
 
 func TestReplFrameRoundTrip(t *testing.T) {
@@ -171,5 +174,131 @@ func TestOwnerRedirectParse(t *testing.T) {
 	}
 	if !strings.Contains(oe.Hint(), "10.1.2.3:7070") {
 		t.Fatalf("Hint does not name the owner: %q", oe.Hint())
+	}
+}
+
+// Sessions A and B of durableSplit's program, each writing the hidden
+// global counter through C.bump: A's add (seq 3) sets counter to 5, then
+// B's add (seq 3) sets it to 15 under a newer globals version.
+const (
+	bumpFn                = "C.bump"
+	bumpSetT, bumpCounter = 0, 2 // fragments of C.bump: t = x + 1; counter = counter + t
+	sessA, sessB          = 41, 42
+)
+
+func bumpCall(session, seq uint64, inst int64, frag int, args ...interp.Value) Request {
+	return Request{Op: OpCall, Session: session, Seq: seq, Fn: bumpFn, Inst: inst, Frag: frag, Args: args}
+}
+
+// twoWriterJournal runs sessions A and B on a durable primary and returns
+// its journal: every record in file order except the add of session
+// `held`, which is returned on its own.
+func twoWriterJournal(t *testing.T, held uint64) (rest [][]byte, heldAdd []byte) {
+	t.Helper()
+	_, dd, p := startDurable(t, durableSplit(t), t.TempDir(), DurabilityOptions{SnapshotEvery: -1})
+	defer crash(t, p)
+	instA := mustRoundTrip(t, dd, Request{Op: OpEnter, Session: sessA, Seq: 1, Fn: bumpFn, Obj: 1}).Inst
+	mustRoundTrip(t, dd, bumpCall(sessA, 2, instA, bumpSetT, interp.IntV(4)))
+	instB := mustRoundTrip(t, dd, Request{Op: OpEnter, Session: sessB, Seq: 1, Fn: bumpFn, Obj: 2}).Inst
+	mustRoundTrip(t, dd, bumpCall(sessB, 2, instB, bumpSetT, interp.IntV(9)))
+	mustRoundTrip(t, dd, bumpCall(sessA, 3, instA, bumpCounter)) // counter = 5
+	mustRoundTrip(t, dd, bumpCall(sessB, 3, instB, bumpCounter)) // counter = 15, a newer version
+	if _, _, err := wal.ScanFile(p.journalPath(p.gen), func(payload []byte) error {
+		payload = append([]byte(nil), payload...)
+		if session, seq, _ := RecordStamp(payload); session == held && seq == 3 {
+			heldAdd = payload
+		} else {
+			rest = append(rest, payload)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if heldAdd == nil || len(rest) != 5 {
+		t.Fatalf("journal holds %d other records and the held add %v, want 5 and one", len(rest), heldAdd != nil)
+	}
+	return rest, heldAdd
+}
+
+// durableReplica recovers a replica from dir, wired as ListenAndServe
+// wires one, without a listener.
+func durableReplica(t *testing.T, dir string) (*TCPServer, *Durability) {
+	t.Helper()
+	s, dd, p := startDurable(t, durableSplit(t), dir, DurabilityOptions{SnapshotEvery: -1})
+	return &TCPServer{Server: s, Persist: p, dedup: dd}, p
+}
+
+func globalCounter(t *testing.T, s *Server) interp.Value {
+	t.Helper()
+	slot, ok := s.reg.Prog.Globals.SlotByName("counter")
+	if !ok {
+		t.Fatal("no hidden global counter")
+	}
+	s.globalsMu.Lock()
+	defer s.globalsMu.Unlock()
+	return s.globals.vals[slot]
+}
+
+// TestReplicatedOlderGlobalAfterRestart: in an origin's journal one
+// session's write to a hidden global can land ahead of another session's
+// older write, because appends run outside the globals lock. A replica
+// that applied the newer write, restarted, and is then streamed the older
+// one must keep the newer value — its recovery refills the globals
+// version guard from its journal.
+func TestReplicatedOlderGlobalAfterRestart(t *testing.T) {
+	rest, addA := twoWriterJournal(t, sessA)
+	dir := t.TempDir()
+	ts, p := durableReplica(t, dir)
+	for _, payload := range rest {
+		if err := ts.ApplyReplicated(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash(t, p)
+	ts, p = durableReplica(t, dir)
+	defer crash(t, p)
+	if err := ts.ApplyReplicated(addA); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := globalCounter(t, ts.Server), interp.IntV(15); !got.Equal(want) {
+		t.Errorf("counter = %v after the older write arrived, want B's %v", got, want)
+	}
+	if got := ts.Server.Stats().Calls; got != 4 {
+		t.Errorf("calls = %d, want 4: the older record still counts", got)
+	}
+	if hw := ts.dedup.HighWater(sessA); hw != 3 {
+		t.Errorf("HighWater(A) = %d, want 3", hw)
+	}
+}
+
+// TestReplicaLiveGlobalWriteRecovers: a replica that executes a write to a
+// hidden global itself stamps the version guard, so a streamed write the
+// guard then skips is skipped again when the replica recovers its journal
+// — live state and recovered state agree.
+func TestReplicaLiveGlobalWriteRecovers(t *testing.T) {
+	const sessC = 43
+	rest, addB := twoWriterJournal(t, sessB)
+	dir := t.TempDir()
+	ts, p := durableReplica(t, dir)
+	for _, payload := range rest {
+		if err := ts.ApplyReplicated(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	instC := mustRoundTrip(t, ts.dedup, Request{Op: OpEnter, Session: sessC, Seq: 1, Fn: bumpFn, Obj: 3}).Inst
+	mustRoundTrip(t, ts.dedup, bumpCall(sessC, 2, instC, bumpSetT, interp.IntV(99)))
+	mustRoundTrip(t, ts.dedup, bumpCall(sessC, 3, instC, bumpCounter)) // counter = 5 + 100
+	if err := ts.ApplyReplicated(addB); err != nil {
+		t.Fatal(err)
+	}
+	live := globalCounter(t, ts.Server)
+	crash(t, p)
+	ts, p = durableReplica(t, dir)
+	defer crash(t, p)
+	if got := globalCounter(t, ts.Server); !got.Equal(live) {
+		t.Errorf("recovered counter = %v, live replica had %v", got, live)
+	}
+	if want := interp.IntV(105); !live.Equal(want) {
+		t.Errorf("live counter = %v, want the replica's own newer write %v", live, want)
 	}
 }

@@ -2,10 +2,12 @@
 // produced by the splitting transformation (package core) on behalf of open
 // components running on the bytecode machine (package vm).
 //
-// The open machine talks to the secure device through a Transport. Three
-// transports are provided: Local (direct calls, for tests), Latency
-// (simulated network round-trip delay, used by the Table 5 experiments),
-// and TCP (a real client/server pair; see cmd/hiddend).
+// The open machine talks to the secure device through a Transport. Two
+// reach a Server: Local (direct calls) and MuxStream (one session's stream
+// on a multiplexed TCP connection to a TCPServer; see cmd/hiddend). The
+// rest wrap another transport: Latency (simulated round-trip delay, used
+// by the Table 5 experiments), Counting, Instrument, Retry, Dedup and
+// FaultTransport.
 package hrt
 
 import (
@@ -110,6 +112,13 @@ type Server struct {
 	// append order across sessions can invert the order the globals lock
 	// was taken in.
 	globalsVersion uint64
+	// globalSeen is the version guard on the globals store (guarded by
+	// globalsMu): per slot, the globalsVersion of the newest write the
+	// slot took, executed here or applied from a journal record. A record
+	// older than its slot's entry is not applied (see applyRecord), so the
+	// store ends on each slot's newest write whatever order records
+	// arrive in.
+	globalSeen []uint64
 
 	// execRef, when set, runs fragments in place of the bytecode VM, against
 	// the same stores and write set. Only tests set it (export_test.go puts
@@ -201,6 +210,7 @@ func NewServer(reg *Registry) *Server {
 		}
 	}
 	s.globals = &store{vals: reg.Prog.NewGlobalVals()}
+	s.globalSeen = make([]uint64, len(s.globals.vals))
 	s.frames = vm.NewFramePool(reg.Prog.MaxTemps)
 	return s
 }
@@ -494,13 +504,19 @@ func (s *Server) captureEffects(eff *recEffects, cc *vm.Comp, ws *vm.WriteSet, s
 		eff.globalsVersion = s.globalsVersion
 	}
 	prog := s.reg.Prog
+	// The globals component's activation is the globals store itself.
+	actIsGlobals := cc.Name == core.GlobalsComponent
 	for _, slot := range ws.Act {
 		v := cc.Act.Vars[slot]
 		eff.deltas = append(eff.deltas, stateDelta{scope: scopeAct, name: v.Name, val: st.vals[slot]})
+		if actIsGlobals {
+			s.globalSeen[slot] = eff.globalsVersion
+		}
 	}
 	for _, slot := range ws.Globals {
 		v := prog.Globals.Vars[slot]
 		eff.deltas = append(eff.deltas, stateDelta{scope: scopeGlobal, name: v.Name, val: s.globals.vals[slot]})
+		s.globalSeen[slot] = eff.globalsVersion
 	}
 	for _, slot := range ws.Fields {
 		v := prog.Fields[cc.Class].Vars[slot]

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"time"
 
 	"slicehide/internal/core"
@@ -47,40 +46,31 @@ type dedupSessionState struct {
 	Lost     bool
 }
 
-// varResolver maps the stable names used on disk back to slots in the
-// recompiled program's layouts.
-type varResolver struct {
-	prog *vm.Program
-}
-
-func newVarResolver(reg *Registry) *varResolver {
-	return &varResolver{prog: reg.Prog}
-}
-
-// actSlot resolves a name in component fn's activation store. The globals
-// component's activation layout aliases the globals layout and a class
-// component's aliases its field layout, mirroring the stores themselves.
-func (r *varResolver) actSlot(fn, name string) (int32, bool) {
-	cc := r.prog.Comps[fn]
-	if cc == nil {
-		return 0, false
-	}
-	return cc.Act.SlotByName(name)
-}
-
-func (r *varResolver) fieldSlot(class, name string) (int32, bool) {
-	return r.prog.Fields[class].SlotByName(name)
-}
-
-// globalSlot resolves a name found in the shared globals store: the
-// unified globals layout holds both true hidden globals and the globals
-// component's temporaries (which execute against the same store).
-func (r *varResolver) globalSlot(name string) (int32, bool) {
-	return r.prog.Globals.SlotByName(name)
-}
-
 // ---------------------------------------------------------------------------
-// Replay application (journal recovery)
+// Record application (journal recovery and replication)
+
+// applyRecord lands one decoded journal record's server-side effects: the
+// activation an Enter opens or an Exit closes, or the call a Call counts
+// with the post-write values it left in activation, field and global
+// stores. Recovery replays every journal record through it, and a replica
+// every record it is streamed. Names resolve against the recompiled
+// program's layouts; a name it lacks aborts the apply, because resuming
+// against a different program would corrupt hidden state. An uncounted
+// record changes nothing here.
+func (s *Server) applyRecord(rec *journalRecord) error {
+	if !rec.counted {
+		return nil
+	}
+	switch rec.op {
+	case OpEnter:
+		return s.replayEnter(rec.session, rec.fn, rec.obj, rec.inst)
+	case OpExit:
+		s.replayExit(rec.session, rec.fn, rec.inst)
+	case OpCall:
+		return s.replayCall(rec)
+	}
+	return nil
+}
 
 // replayEnter recreates an activation under the instance id the original
 // execution assigned, bumping the shard's id counter past it so fresh
@@ -88,7 +78,7 @@ func (r *varResolver) globalSlot(name string) (int32, bool) {
 func (s *Server) replayEnter(session uint64, fn string, obj, inst int64) error {
 	cc := s.reg.Prog.Comps[fn]
 	if cc == nil {
-		return fmt.Errorf("hrt: journal enters unknown component %s (program changed since the journal was written?)", fn)
+		return fmt.Errorf("hrt: record enters unknown component %s (program changed?)", fn)
 	}
 	sh := s.shard(session)
 	sh.mu.Lock()
@@ -120,70 +110,65 @@ func (s *Server) replayExit(session uint64, fn string, inst int64) {
 	s.statExits.Add(1)
 }
 
-// replayCall re-applies a counted call's activation and field deltas
-// (global deltas go through applyGlobalDeltas in version order). The store
-// routing mirrors CallSession.
-func (s *Server) replayCall(res *varResolver, session uint64, fn string, inst int64, deltas []stateDelta) error {
+// replayCall re-applies a counted call's deltas, routing each to the store
+// CallSession would have written. A write to the globals store — a hidden
+// global, or a variable of the globals component, whose activation is
+// that store — goes through the version guard: it lands only if the
+// record is at least as new as the slot's newest write (globalSeen).
+func (s *Server) replayCall(rec *journalRecord) error {
 	s.statCalls.Add(1)
-	class := classOf(fn)
-	sh := s.shard(session)
+	prog := s.reg.Prog
+	class := classOf(rec.fn)
+	sh := s.shard(rec.session)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.memo.Store(nil)
-	for _, d := range deltas {
-		switch d.scope {
-		case scopeAct:
-			slot, ok := res.actSlot(fn, d.name)
+	var act *vm.Layout
+	if cc := prog.Comps[rec.fn]; cc != nil {
+		act = cc.Act
+	}
+	globalsLocked := false
+	for _, d := range rec.deltas {
+		switch {
+		case d.scope == scopeGlobal || d.scope == scopeAct && rec.fn == core.GlobalsComponent:
+			slot, ok := prog.Globals.SlotByName(d.name)
 			if !ok {
-				return fmt.Errorf("hrt: journal writes unknown variable %s of %s (program changed?)", d.name, fn)
+				return fmt.Errorf("hrt: record writes unknown global %s (program changed?)", d.name)
+			}
+			if !globalsLocked {
+				s.globalsMu.Lock()
+				defer s.globalsMu.Unlock()
+				globalsLocked = true
+			}
+			if rec.globalsVersion < s.globalSeen[slot] {
+				continue // an older write than the slot's; the newer value stays
+			}
+			s.globals.vals[slot] = d.val
+			s.globalSeen[slot] = rec.globalsVersion
+			s.globalsVersion = max(s.globalsVersion, rec.globalsVersion)
+		case d.scope == scopeAct:
+			slot, ok := act.SlotByName(d.name)
+			if !ok {
+				return fmt.Errorf("hrt: record writes unknown variable %s of %s (program changed?)", d.name, rec.fn)
 			}
 			var st *store
-			switch {
-			case fn == core.GlobalsComponent:
-				s.globalsMu.Lock()
-				s.globals.vals[slot] = d.val
-				s.globalsMu.Unlock()
-				continue
-			case class != "" && isClassComponent(fn):
-				st = sh.instanceStore(s.reg.Prog, session, class, inst)
-			default:
-				st = sh.stores[fn][actKey{session: session, inst: inst}]
+			if class != "" && isClassComponent(rec.fn) {
+				st = sh.instanceStore(prog, rec.session, class, rec.inst)
+			} else {
+				st = sh.stores[rec.fn][actKey{session: rec.session, inst: rec.inst}]
 			}
 			if st == nil {
-				return fmt.Errorf("hrt: journal call against missing activation %s/%d", fn, inst)
+				return fmt.Errorf("hrt: record calls missing activation %s/%d", rec.fn, rec.inst)
 			}
 			st.vals[slot] = d.val
-		case scopeField:
-			slot, ok := res.fieldSlot(d.class, d.name)
+		case d.scope == scopeField:
+			slot, ok := prog.Fields[d.class].SlotByName(d.name)
 			if !ok {
-				return fmt.Errorf("hrt: journal writes unknown field %s.%s (program changed?)", d.class, d.name)
+				return fmt.Errorf("hrt: record writes unknown field %s.%s (program changed?)", d.class, d.name)
 			}
-			sh.instanceStore(s.reg.Prog, session, d.class, d.obj).vals[slot] = d.val
+			sh.instanceStore(prog, rec.session, d.class, d.obj).vals[slot] = d.val
 		default:
-			return fmt.Errorf("hrt: journal delta has unexpected scope %d", d.scope)
-		}
-	}
-	return nil
-}
-
-// applyGlobalDeltas re-applies recovered global-store writes in the order
-// the globals lock serialized them (journal append order across sessions
-// can differ), leaving only each variable's newest value.
-func (s *Server) applyGlobalDeltas(res *varResolver, deltas []globalDelta) error {
-	if len(deltas) == 0 {
-		return nil
-	}
-	sort.SliceStable(deltas, func(i, j int) bool { return deltas[i].version < deltas[j].version })
-	s.globalsMu.Lock()
-	defer s.globalsMu.Unlock()
-	for _, d := range deltas {
-		slot, ok := res.globalSlot(d.name)
-		if !ok {
-			return fmt.Errorf("hrt: journal writes unknown global %s (program changed?)", d.name)
-		}
-		s.globals.vals[slot] = d.val
-		if d.version > s.globalsVersion {
-			s.globalsVersion = d.version
+			return fmt.Errorf("hrt: record delta has unexpected scope %d", d.scope)
 		}
 	}
 	return nil
@@ -358,64 +343,63 @@ func appendVals(b []byte, l *vm.Layout, vals []interp.Value) ([]byte, error) {
 // ---------------------------------------------------------------------------
 // Snapshot decode
 
-// importSnapshot loads a snapshot payload into s (which must be freshly
-// constructed) and returns the dedup session states it carried, for
-// journal replay to update before installation.
-func importSnapshot(s *Server, payload []byte) (map[uint64]*dedupSessionState, error) {
+// importSnapshot loads a snapshot payload into s (which must hold no
+// state) and installs the replay-cache sessions it carried into dd.
+func importSnapshot(s *Server, dd *Dedup, payload []byte) error {
 	d := newWireReader(bytes.NewReader(payload))
-	res := newVarResolver(s.reg)
-	if err := s.importState(&d, res); err != nil {
-		return nil, err
+	if err := s.importState(&d); err != nil {
+		return err
 	}
 	n, err := d.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n > maxSnapshotItems {
-		return nil, fmt.Errorf("hrt: snapshot session count %d exceeds limit", n)
+		return fmt.Errorf("hrt: snapshot session count %d exceeds limit", n)
 	}
-	sessions := make(map[uint64]*dedupSessionState, n)
+	var sessions []dedupSessionState
 	for i := uint32(0); i < n; i++ {
-		ss := &dedupSessionState{}
+		var ss dedupSessionState
 		if ss.Session, err = d.u64(); err != nil {
-			return nil, err
+			return err
 		}
 		if ss.LastSeq, err = d.u64(); err != nil {
-			return nil, err
+			return err
 		}
 		if ss.RespSeq, err = d.u64(); err != nil {
-			return nil, err
+			return err
 		}
 		flags, err := d.byte()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ss.Lost = flags&1 != 0
 		if ss.Deferred, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 		if ss.Resp.Flags, err = d.byte(); err != nil {
-			return nil, err
+			return err
 		}
 		if ss.Resp.Val, err = d.value(); err != nil {
-			return nil, err
+			return err
 		}
 		var u uint64
 		if u, err = d.u64(); err != nil {
-			return nil, err
+			return err
 		}
 		ss.Resp.Inst = int64(u)
 		if ss.Resp.Err, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 		ss.Resp.Seq = ss.RespSeq
 		ss.Resp.Ack = ss.RespSeq
-		sessions[ss.Session] = ss
+		sessions = append(sessions, ss)
 	}
-	return sessions, nil
+	dd.restoreSessions(sessions)
+	return nil
 }
 
-func (s *Server) importState(d *wireReader, res *varResolver) error {
+func (s *Server) importState(d *wireReader) error {
 	format, err := d.u32()
 	if err != nil {
 		return err
@@ -457,6 +441,10 @@ func (s *Server) importState(d *wireReader, res *varResolver) error {
 	}
 	s.globalsMu.Lock()
 	s.globalsVersion = gver
+	// The snapshot replaces the globals wholesale; its one globalsVersion
+	// says nothing about which write each slot holds, so the guard starts
+	// over.
+	clear(s.globalSeen)
 	for i := uint32(0); i < n; i++ {
 		name, err := d.str()
 		if err != nil {
@@ -468,7 +456,7 @@ func (s *Server) importState(d *wireReader, res *varResolver) error {
 			s.globalsMu.Unlock()
 			return err
 		}
-		slot, ok := res.globalSlot(name)
+		slot, ok := s.reg.Prog.Globals.SlotByName(name)
 		if !ok {
 			s.globalsMu.Unlock()
 			return fmt.Errorf("hrt: snapshot has unknown global %s (program changed?)", name)
@@ -538,8 +526,9 @@ func (s *Server) importState(d *wireReader, res *varResolver) error {
 		if err != nil {
 			return err
 		}
-		st := &store{vals: s.reg.Prog.Fields[class].NewVals(), obj: int64(objU)}
-		if err := readVals(d, func(name string) (int32, bool) { return res.fieldSlot(class, name) }, "fields of "+class, st); err != nil {
+		fields := s.reg.Prog.Fields[class]
+		st := &store{vals: fields.NewVals(), obj: int64(objU)}
+		if err := readVals(d, fields.SlotByName, "fields of "+class, st); err != nil {
 			return err
 		}
 		sh := s.shard(session)
@@ -610,26 +599,42 @@ func (d *Dedup) exportSessions() []dedupSessionState {
 	return out
 }
 
-// restoreSessions installs recovered replay state. Restored sessions are
-// stamped as just-seen so the eviction grace window protects them while
-// their clients reconnect; the cache may transiently exceed its cap (the
-// next insertion evicts normally).
+// restoreSessions installs recovered replay state (see restored).
 func (d *Dedup) restoreSessions(list []dedupSessionState) {
 	d.lazyInit()
 	now := d.timeNow()
 	for _, ss := range list {
 		sh := d.shard(ss.Session)
 		sh.mu.Lock()
-		sh.clock++
-		sh.sessions[ss.Session] = &dedupEntry{
-			lastSeq:  ss.LastSeq,
-			respSeq:  ss.RespSeq,
-			resp:     ss.Resp,
-			deferred: ss.Deferred,
-			lost:     ss.Lost,
-			used:     sh.clock,
-			lastSeen: now,
-		}
+		e := sh.restored(ss.Session, now)
+		e.lastSeq, e.respSeq, e.resp = ss.LastSeq, ss.RespSeq, ss.Resp
+		e.deferred, e.lost = ss.Deferred, ss.Lost
 		sh.mu.Unlock()
 	}
+}
+
+// recoverRecord settles one replayed journal record into its session's
+// replay state, by the rule live execution publishes with (see settle).
+func (d *Dedup) recoverRecord(rec *journalRecord) {
+	d.lazyInit()
+	sh := d.shard(rec.session)
+	sh.mu.Lock()
+	sh.restored(rec.session, d.timeNow()).settle(rec.seq, rec.noReply, rec.resp)
+	sh.mu.Unlock()
+}
+
+// restored returns session's entry (created if absent) the way recovery
+// installs state: stamped as just seen, so the eviction grace window
+// protects it while its client reconnects, and with no eviction pass —
+// recovery never evicts, and the stripe may transiently exceed its cap
+// (the next insertion evicts normally). Caller holds sh.mu.
+func (sh *dedupShard) restored(session uint64, now time.Time) *dedupEntry {
+	sh.clock++
+	e := sh.sessions[session]
+	if e == nil {
+		e = &dedupEntry{}
+		sh.sessions[session] = e
+	}
+	e.used, e.lastSeen = sh.clock, now
+	return e
 }

@@ -73,13 +73,6 @@ type TCPServer struct {
 	// against a non-fleet server succeeds.
 	Gossip GossipHandler
 
-	// replMu serializes ApplyReplicated across incoming streams; replRes
-	// and replGlobalSeen are its lazily built resolver and per-global
-	// version guard.
-	replMu         sync.Mutex
-	replRes        *varResolver
-	replGlobalSeen map[string]uint64
-
 	ln       net.Listener
 	lnOnce   sync.Once
 	wg       sync.WaitGroup

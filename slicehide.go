@@ -10,13 +10,20 @@
 //
 //	internal/lang/*     MiniJ front end (lexer, parser, type checker)
 //	internal/ir         statement-level IR and lowering
-//	internal/cfg        control-flow graphs, dominators, loops
-//	internal/dataflow   reaching definitions, def-use chains, liveness
+//	internal/cfg        control-flow graphs and dominators
+//	internal/dataflow   reaching definitions, def-use and use-def chains
 //	internal/callgraph  call graph, recursion/loop-call detection, cuts
 //	internal/slicer     forward data slices (§2.2 Step 1 + Step 3 roles)
 //	internal/core       the splitting transformation and ILP inventory
 //	internal/complexity the §3 security analysis (AC lattice, Fig. 3, CC)
+//	internal/interp     runtime values, operator semantics, session contracts
+//	internal/vm         the bytecode engine on both sides of the split
 //	internal/hrt        the split runtime: hidden server and transports
+//	internal/wal        the hidden server's journal and snapshot files
+//	internal/obs        tracer, metrics registry, admin HTTP surface
+//	internal/cluster    replicating fleets of hidden servers
+//	internal/daemon     the hidden-server process behind cmd/hiddend
+//	internal/oracle     tree-walking reference executors (tests only)
 //	internal/attack     the automated-recovery toolkit (§3, measured)
 //	internal/corpus     synthetic benchmark corpora and workload kernels
 //	internal/experiments the §4 evaluation drivers (Tables 1–5)
@@ -66,7 +73,7 @@ type Options = core.Options
 type ComplexityReport = complexity.Report
 
 // Transport carries open→hidden requests; see hrt for Local, Latency,
-// Counting, and TCP implementations.
+// Counting, and MuxStream, the multiplexed TCP stream.
 type Transport = hrt.Transport
 
 // RunOutcome summarizes a split execution.
