@@ -1,6 +1,6 @@
 # Developer/CI entry points. `make check` is the gate: vet, build, the
-# cross-builds, the one-CFG grep, the test-only-oracle check, and the full
-# test suite (including the
+# cross-builds, the one-CFG grep, the test-only-oracle check, the
+# linked-lines ceiling, and the full test suite (including the
 # hrt chaos tests and the load/fleet smoke tests) under the race
 # detector. The committed fuzz seed corpora replay as ordinary tests
 # under `go test ./...`, so `race` covers them too. Performance is
@@ -8,9 +8,9 @@
 
 GO ?= go
 
-.PHONY: check vet build cross cfg-once oracle-tests-only test race fuzz
+.PHONY: check vet build cross cfg-once oracle-tests-only linked-lines test race fuzz
 
-check: vet build cross cfg-once oracle-tests-only race
+check: vet build cross cfg-once oracle-tests-only linked-lines race
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +48,26 @@ oracle-tests-only:
 	fi
 	@if $(GO) list -deps ./internal/oracle | grep -E '^slicehide/internal/(vm|hrt|core)$$'; then \
 		echo 'internal/oracle depends on vm, hrt or core; it may import only interp, ir and lang/*' >&2; \
+		exit 1; \
+	fi
+
+# The shipped binaries carry only what they run. linked-lines prints the
+# sum of GoFiles line counts (non-test files that survive build
+# constraints) over `go list -deps ./cmd/...`, counting only this module's
+# slicehide/... packages, and fails above LINKED_LINES_MAX. This is the
+# measure ROADMAP.md and EXPERIMENTS.md quote: 26,847 before fault
+# injection and the random-program generator became test-only and loadtest
+# stopped self-hosting fleets. The ceiling only goes down: a change that
+# lands below it lowers it to the new count.
+LINKED_LINES_MAX = 25501
+
+linked-lines:
+	@n=$$($(GO) list -deps -f '{{range .GoFiles}}{{$$.ImportPath}} {{$$.Dir}}/{{.}}{{"\n"}}{{end}}' ./cmd/... | \
+		awk '$$1 == "slicehide" || index($$1, "slicehide/") == 1 { print $$2 }' | xargs cat | wc -l | tr -d ' '); \
+	if [ "$$n" -eq 0 ]; then echo 'linked-lines: go list found no files' >&2; exit 1; fi; \
+	echo "linked non-test lines: $$n (ceiling $(LINKED_LINES_MAX))"; \
+	if [ "$$n" -gt $(LINKED_LINES_MAX) ]; then \
+		echo 'the binaries link more lines than LINKED_LINES_MAX; keep test-only code in _test.go files or internal/oracle' >&2; \
 		exit 1; \
 	fi
 

@@ -12,7 +12,7 @@
 //	slicehide split   -func f [-seed v] [-no-cfh] <file.mj>
 //	slicehide ilp     -func f [-seed v] [-min-at-uses] <file.mj>
 //	slicehide run     [-split f[:v],g[:v],...] [-rtt d] [-server addr | -cluster a1,a2,...] [-timeout d] [-retries n] [-window n] [-stats text|json] [-trace file] <file.mj>
-//	slicehide loadtest [-server addr | -cluster a1,a2,... | -backends n [-kill-primary] [-join-mid-run]] [-sessions m] [-ops k] [-mux-conns n] [-window n] [-barrier-every n] [-split f:v] [-data-dir dir [-fsync]] [-json] [program.mj]
+//	slicehide loadtest [-server addr | -cluster a1,a2,...] [-sessions m] [-ops k] [-mux-conns n] [-window n] [-barrier-every n] [-split f:v] [-data-dir dir [-fsync]] [-json] [program.mj]
 //	slicehide attack  -func f [-seed v] [-calls n] [-window k] [-rng n] <file.mj>
 package main
 
@@ -342,10 +342,9 @@ func cmdRun(args []string) error {
 	if *rtt > 0 {
 		t = &hrt.Latency{Inner: t, RTT: *rtt}
 	}
-	t = &hrt.Counting{Inner: t, Counters: counters}
 	// Outermost wrapper: the measured latency covers the whole chain —
 	// simulated RTT, retries, backoff — which is what the user waits for.
-	t = &hrt.Instrument{Inner: t, Metrics: metrics, Tracer: tracer}
+	t = &hrt.Counting{Inner: t, Counters: counters, Metrics: metrics, Tracer: tracer}
 	// Addr and Counters make server-side refusals actionable: a session
 	// bounce surfaces as a typed error naming the server and session, and
 	// is tallied into the -stats document.
@@ -415,24 +414,22 @@ func splitPeerList(s string) []string {
 }
 
 // cmdLoadtest drives the concurrent load harness: M sessions × K hidden
-// fragment calls against one hidden server, reporting aggregate ops/sec
-// and blocking-op latency quantiles. Without -server it self-hosts an
-// in-process loopback hiddend (real sockets, real codec) so the sharded
-// server can be measured without a separate process.
+// fragment calls against one hidden server or a running replicating fleet,
+// reporting aggregate ops/sec and blocking-op latency quantiles. Without
+// -server or -cluster it self-hosts an in-process loopback hiddend (real
+// sockets, real codec) so the sharded server can be measured without a
+// separate process.
 func cmdLoadtest(args []string) error {
 	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
 	server := fs.String("server", "", "address of a remote hiddend (default: in-process loopback server)")
 	clusterList := fs.String("cluster", "", "comma-separated membership of a running replicating fleet to target (every member's address)")
-	backends := fs.Int("backends", 0, "self-host a replicating fleet of N loopback backends and drive it (0 = plain single-server loadtest)")
-	killPrimary := fs.Bool("kill-primary", false, "fleet mode: kill the busiest self-hosted backend at half-run and measure failover (requires -backends)")
-	joinMidRun := fs.Bool("join-mid-run", false, "fleet mode: boot one extra cold backend at half-run; it joins via snapshot catch-up transfer while the load keeps running (requires -backends)")
 	sessions := fs.Int("sessions", 8, "concurrent client sessions")
 	ops := fs.Int("ops", 1000, "hidden fragment calls per session")
-	muxConns := fs.Int("mux-conns", 0, "shared connection count (0 = one per 256 sessions, capped at 64)")
-	window := fs.Int("window", 64, "per-session in-flight window: 0 drives blocking round trips, N>0 drives one-way calls with flush barriers and up to N in flight (fleet mode is always blocking)")
+	muxConns := fs.Int("mux-conns", 0, "shared connection count (0 = one per 256 sessions, capped at 64; -cluster uses one per replica)")
+	window := fs.Int("window", 64, "per-session in-flight window: 0 drives blocking round trips, N>0 drives one-way calls with flush barriers and up to N in flight (-cluster is always blocking)")
 	barrier := fs.Int("barrier-every", 16, "one-way ops between flush barriers")
 	split := fs.String("split", "", `workload split spec "f:seed" (default: built-in workload; with a program file it must name one of its functions)`)
-	dataDir := fs.String("data-dir", "", "make the self-hosted server durable: journal session state in this directory (measures WAL overhead; ignored with -server)")
+	dataDir := fs.String("data-dir", "", "make the self-hosted server durable: journal session state in this directory (measures WAL overhead; ignored with -server or -cluster)")
 	fsync := fs.Bool("fsync", false, "fsync every group-commit batch on the self-hosted durable server (requires -data-dir)")
 	asJSON := fs.Bool("json", false, "emit the schema-versioned LoadResult JSON instead of text")
 	if err := fs.Parse(args); err != nil {
@@ -441,14 +438,17 @@ func cmdLoadtest(args []string) error {
 	if *fsync && *dataDir == "" {
 		return fmt.Errorf("loadtest: -fsync requires -data-dir (without it the server keeps no journal)")
 	}
+	if *server != "" && *clusterList != "" {
+		return fmt.Errorf("loadtest: -server and -cluster are mutually exclusive")
+	}
 	// The workload program is compiled and split locally to discover the
-	// fragment to drive, so targeting a remote server means passing the
-	// same program (and -split) it was started with.
+	// fragment to drive, so targeting a remote server or fleet means passing
+	// the same program (and -split) it was started with.
 	var source string
 	switch fs.NArg() {
 	case 0:
-		if *server != "" && *split != "" {
-			return fmt.Errorf("loadtest: -server with -split needs the server's program file as an argument")
+		if (*server != "" || *clusterList != "") && *split != "" {
+			return fmt.Errorf("loadtest: -server or -cluster with -split needs the server's program file as an argument")
 		}
 	case 1:
 		src, err := os.ReadFile(fs.Arg(0))
@@ -459,23 +459,9 @@ func cmdLoadtest(args []string) error {
 	default:
 		return fmt.Errorf("loadtest: unexpected arguments %v", fs.Args()[1:])
 	}
-	if *clusterList != "" || *backends > 0 || *killPrimary || *joinMidRun {
-		return clusterLoadtest(clusterLoadtestArgs{
-			addrs:       splitPeerList(*clusterList),
-			backends:    *backends,
-			killPrimary: *killPrimary,
-			joinMidRun:  *joinMidRun,
-			sessions:    *sessions,
-			ops:         *ops,
-			source:      source,
-			split:       *split,
-			dataDir:     *dataDir,
-			server:      *server,
-			asJSON:      *asJSON,
-		})
-	}
 	res, err := experiments.RunLoad(experiments.LoadConfig{
 		Addr:         *server,
+		Cluster:      splitPeerList(*clusterList),
 		Sessions:     *sessions,
 		Ops:          *ops,
 		MuxConns:     *muxConns,
@@ -508,68 +494,6 @@ func cmdLoadtest(args []string) error {
 		time.Duration(res.Blocking.MaxNs))
 	if res.CommitBatchMean > 0 {
 		fmt.Printf("  group commit: %.1f records per fsync batch\n", res.CommitBatchMean)
-	}
-	return nil
-}
-
-type clusterLoadtestArgs struct {
-	addrs       []string
-	backends    int
-	killPrimary bool
-	joinMidRun  bool
-	sessions    int
-	ops         int
-	source      string
-	split       string
-	dataDir     string
-	server      string
-	asJSON      bool
-}
-
-// clusterLoadtest is loadtest's fleet mode: either target a running
-// replicating fleet (-cluster a1,a2,...) or self-host one (-backends n),
-// spreading the sessions across the members by rendezvous placement.
-func clusterLoadtest(a clusterLoadtestArgs) error {
-	if a.server != "" {
-		return fmt.Errorf("loadtest: -server and fleet mode (-cluster/-backends) are mutually exclusive")
-	}
-	if (a.killPrimary || a.joinMidRun) && len(a.addrs) > 0 {
-		return fmt.Errorf("loadtest: -kill-primary and -join-mid-run only work on self-hosted backends (-backends), not a running fleet")
-	}
-	res, err := experiments.RunClusterLoad(experiments.ClusterLoadConfig{
-		Addrs:       a.addrs,
-		Backends:    a.backends,
-		Sessions:    a.sessions,
-		Ops:         a.ops,
-		KillPrimary: a.killPrimary,
-		JoinMidRun:  a.joinMidRun,
-		Source:      a.source,
-		Split:       a.split,
-		DataDir:     a.dataDir,
-	})
-	if err != nil {
-		return err
-	}
-	if a.asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
-	}
-	fmt.Printf("loadtest: fleet of %d backends, %d sessions × %d ops (GOMAXPROCS=%d)\n",
-		res.Backends, res.Sessions, res.OpsPerSession, res.GOMAXPROCS)
-	fmt.Printf("  throughput: %.0f ops/sec (%d ops in %s)\n",
-		res.OpsPerSec, res.TotalOps, time.Duration(res.ElapsedNs))
-	fmt.Printf("  blocking ops: %d, p50 %s, p99 %s, p99.9 %s, max %s\n",
-		res.Blocking.Count, time.Duration(res.Blocking.P50Ns),
-		time.Duration(res.Blocking.P99Ns), time.Duration(res.Blocking.P999Ns),
-		time.Duration(res.Blocking.MaxNs))
-	if res.Killed {
-		fmt.Printf("  failover: primary killed mid-run, promoted in %s (%d owner redirects)\n",
-			time.Duration(res.FailoverNs), res.Redirects)
-	}
-	if res.Joined {
-		fmt.Printf("  join: cold replica added mid-run, caught up via %d snapshot-transfer bytes in %s (membership epoch %d)\n",
-			res.SnapXferBytes, time.Duration(res.SnapXferNs), res.MembershipEpoch)
 	}
 	return nil
 }

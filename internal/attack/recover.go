@@ -3,7 +3,6 @@ package attack
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // RecoveryOptions tunes the attack harness.
@@ -243,17 +242,4 @@ func Dedup(samples []Sample) []Sample {
 		out = append(out, s)
 	}
 	return out
-}
-
-// SortByInputs orders samples deterministically (tests).
-func SortByInputs(samples []Sample) {
-	sort.Slice(samples, func(i, j int) bool {
-		a, b := samples[i].Inputs, samples[j].Inputs
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
 }

@@ -5,8 +5,9 @@ package cluster
 // keeps ONE multiplexed upstream per replica and routes every session's
 // exchanges over the pooled connection of its rendezvous owner — M
 // sessions across N replicas cost N sockets, not M. It is also the fleet
-// client's resolver: each attempt re-ranks the live membership, falls
-// down the rank past dead replicas, and follows owner redirects.
+// client's resolver: each attempt tries the session's current home, falls
+// down its rendezvous rank past dead replicas, and follows owner
+// redirects.
 
 import (
 	"fmt"
@@ -44,37 +45,16 @@ type MuxPool struct {
 	cfg MuxPoolConfig
 
 	mu     sync.Mutex
-	peers  []string
 	conns  map[string]*hrt.MuxTransport
 	closed bool
 }
 
-// NewMuxPool returns an empty pool over cfg.Peers; no connection is
-// opened until a session's first exchange needs one.
+// NewMuxPool returns an empty pool over cfg.Peers, a membership fixed for
+// the pool's life; no connection is opened until a session's first exchange
+// needs one.
 func NewMuxPool(cfg MuxPoolConfig) *MuxPool {
-	return &MuxPool{
-		cfg:   cfg,
-		peers: append([]string(nil), cfg.Peers...),
-		conns: make(map[string]*hrt.MuxTransport),
-	}
-}
-
-// Peers returns the pool's current fleet membership.
-func (p *MuxPool) Peers() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.peers...)
-}
-
-// UpdatePeers replaces the pool's view of the fleet membership. Existing
-// session transports re-rank on their next round trip — a session whose
-// rendezvous owner is a newly joined replica migrates there (via the
-// fleet's owner redirect if it lands elsewhere first), while upstreams to
-// removed replicas linger until closed and are simply no longer routed to.
-func (p *MuxPool) UpdatePeers(peers []string) {
-	p.mu.Lock()
-	p.peers = append([]string(nil), peers...)
-	p.mu.Unlock()
+	cfg.Peers = append([]string(nil), cfg.Peers...)
+	return &MuxPool{cfg: cfg, conns: make(map[string]*hrt.MuxTransport)}
 }
 
 // transport returns the pooled upstream to addr, dialing it on first use.
@@ -165,11 +145,10 @@ func (p *MuxPool) SessionTransport(session uint64) hrt.Transport {
 
 // poolConn is one session's view of the pool: a single attempt picks the
 // session's current home (sticky once a replica answers), exchanges over
-// the pooled upstream, and re-homes on owner redirects. The rendezvous
-// rank is recomputed from the pool's live membership on every attempt, so
-// an UpdatePeers call re-routes existing sessions without re-attaching
-// them. All errors it returns are retryable except pool shutdown — the
-// hrt.Retry layer above decides whether the next attempt happens.
+// the pooled upstream, and re-homes on owner redirects; past the home it
+// falls down the session's rendezvous rank over the pool's membership. All
+// errors it returns are retryable except pool shutdown — the hrt.Retry
+// layer above decides whether the next attempt happens.
 type poolConn struct {
 	p       *MuxPool
 	session uint64
@@ -184,7 +163,7 @@ func (c *poolConn) RoundTrip(req hrt.Request) (hrt.Response, error) {
 	c.mu.Lock()
 	home := c.home
 	c.mu.Unlock()
-	rank := Rank(c.session, c.p.Peers())
+	rank := Rank(c.session, c.p.cfg.Peers)
 	candidates := rank
 	if home != "" {
 		candidates = make([]string, 0, len(rank)+1)

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"slicehide/internal/core"
-	"slicehide/internal/corpus"
 	"slicehide/internal/hrt"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 	"slicehide/internal/slicer"
 )
 
@@ -30,7 +30,7 @@ func TestPropertyBatchingPreservesBehavior(t *testing.T) {
 	}
 	splitsChecked, batchedFrags := 0, 0
 	for seed := int64(200); seed < 200+int64(programs); seed++ {
-		src := corpus.RandProgram(seed)
+		src := oracle.RandProgram(seed)
 		prog, err := ir.Compile(src)
 		if err != nil {
 			t.Fatalf("seed %d: generated program does not compile: %v\n%s", seed, err, src)

@@ -118,15 +118,6 @@ type HiddenComponent struct {
 	shell *ir.Func
 }
 
-// VarSet returns the hidden variables as a set.
-func (h *HiddenComponent) VarSet() map[*ir.Var]bool {
-	m := make(map[*ir.Var]bool, len(h.Vars))
-	for _, v := range h.Vars {
-		m[v] = true
-	}
-	return m
-}
-
 // FragIDs returns fragment IDs in ascending order.
 func (h *HiddenComponent) FragIDs() []int {
 	ids := make([]int, 0, len(h.Frags))

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"slicehide/internal/core"
-	"slicehide/internal/corpus"
 	"slicehide/internal/hrt"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 	"slicehide/internal/slicer"
 )
 
@@ -23,7 +23,7 @@ func TestPropertySplitPreservesBehavior(t *testing.T) {
 	}
 	splitsChecked := 0
 	for seed := int64(0); seed < int64(programs); seed++ {
-		src := corpus.RandProgram(seed)
+		src := oracle.RandProgram(seed)
 		prog, err := ir.Compile(src)
 		if err != nil {
 			t.Fatalf("seed %d: generated program does not compile: %v\n%s", seed, err, src)
@@ -75,7 +75,7 @@ func TestPropertySplitPreservesBehavior(t *testing.T) {
 func TestPropertyOpenComponentOmitsHiddenVars(t *testing.T) {
 	policy := slicer.Policy{}
 	for seed := int64(100); seed < 120; seed++ {
-		prog, err := ir.Compile(corpus.RandProgram(seed))
+		prog, err := ir.Compile(oracle.RandProgram(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"slicehide/internal/core"
-	"slicehide/internal/corpus"
 	"slicehide/internal/hrt"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 	"slicehide/internal/slicer"
 )
 
@@ -513,7 +513,7 @@ func TestBatchingPreservesBehaviorAndReducesInteractions(t *testing.T) {
 func TestBatchingOnRandomPrograms(t *testing.T) {
 	// Batching must preserve behavior across the random-program corpus.
 	for seed := int64(200); seed < 230; seed++ {
-		prog, err := ir.Compile(corpus.RandProgram(seed))
+		prog, err := ir.Compile(oracle.RandProgram(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

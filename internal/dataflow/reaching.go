@@ -56,10 +56,6 @@ type Result struct {
 	defsOf map[*cfg.Node][]*Def
 }
 
-// DefsAt returns the definitions performed at node n (explicit and
-// call-side-effect defs).
-func (r *Result) DefsAt(n *cfg.Node) []*Def { return r.defsOf[n] }
-
 // mutatedByCall lists the variable classes a call may define: all globals,
 // all class fields, all elems pseudo-vars, and the heap. Locals and params
 // of the analyzed function are unaffected (MiniJ has no pointers to locals).

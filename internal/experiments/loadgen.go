@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"slicehide/internal/cluster"
 	"slicehide/internal/core"
 	"slicehide/internal/hrt"
 	"slicehide/internal/interp"
@@ -20,7 +21,7 @@ import (
 // latency. This is the multi-core counterpart of the Table 5 experiments —
 // Table 5 measures one client's latency over a slow link, the load harness
 // measures how many independent clients one server sustains. `slicehide
-// loadtest` drives it.
+// loadtest` drives it, against one server or a running replicating fleet.
 
 // loadSource is the default workload: a small split function whose
 // fragments are a few arithmetic statements — cheap enough that server-side
@@ -36,16 +37,23 @@ func main() { print(work(2, 1)); }
 
 // LoadConfig configures one concurrent load run.
 type LoadConfig struct {
-	// Addr is the hidden server to target. Empty self-hosts an in-process
-	// loopback TCPServer (still real sockets, real codec) with GOMAXPROCS
-	// session stripes.
+	// Addr is the hidden server to target. Empty (with no Cluster)
+	// self-hosts an in-process loopback TCPServer (still real sockets, real
+	// codec) with GOMAXPROCS session stripes.
 	Addr string
+	// Cluster targets a running replicating fleet instead (every member's
+	// address). Sessions ride a cluster.MuxPool, one multiplexed connection
+	// per replica, each homed on its rendezvous owner; the pool's transport
+	// is reply-bearing only, so a fleet run is always synchronous. Cluster
+	// takes precedence over Addr.
+	Cluster []string
 	// Sessions is the number of concurrent client sessions. Default 8.
 	Sessions int
 	// Ops is the number of hidden fragment calls per session. Default 1000.
 	Ops int
 	// MuxConns is how many multiplexed connections the sessions share,
-	// round-robin (0 = ceil(Sessions/256), capped at 64).
+	// round-robin (0 = ceil(Sessions/256), capped at 64). A Cluster run
+	// uses one per replica instead.
 	MuxConns int
 	// Window selects how each session drives its stream: 0 makes every
 	// call a blocking round trip (the synchronous model); N>0 sends calls
@@ -66,7 +74,7 @@ type LoadConfig struct {
 	// every mutating request is journaled there before its reply is
 	// released, so the run measures the write-ahead-log overhead against
 	// the in-memory baseline. Appends group-commit up to
-	// hrt.DefaultCommitBytes per batch. Ignored when Addr is set.
+	// hrt.DefaultCommitBytes per batch. Ignored when Addr or Cluster is set.
 	DataDir string
 	// Fsync flushes each commit batch (power-loss durability; requires
 	// DataDir). This is the expensive tier of the durability table.
@@ -128,6 +136,9 @@ func (c *LoadConfig) withDefaults() LoadConfig {
 	if cfg.Split == "" {
 		cfg.Split = "work:k"
 	}
+	if len(cfg.Cluster) > 0 {
+		cfg.Window = 0
+	}
 	return cfg
 }
 
@@ -171,7 +182,7 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 	addr := cfg.Addr
 	durability := ""
 	var persist *hrt.Durability
-	if addr == "" {
+	if addr == "" && len(cfg.Cluster) == 0 {
 		if cfg.DataDir != "" {
 			persist = hrt.NewDurability(hrt.DurabilityOptions{
 				Dir:         cfg.DataDir,
@@ -210,27 +221,40 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 		args[i] = interp.IntV(int64(i%5 + 1))
 	}
 
-	// All sessions share a small pool of multiplexed connections, dialed up
-	// front so a dial failure surfaces before any load is generated.
-	// Sessions map onto connections round-robin.
-	connCount := cfg.MuxConns
-	if connCount <= 0 {
-		connCount = (cfg.Sessions + 255) / 256
-		if connCount > 64 {
-			connCount = 64
+	// All sessions share a small pool of multiplexed connections: on one
+	// server they are dialed up front, so a dial failure surfaces before any
+	// load is generated, and sessions map onto them round-robin; on a fleet
+	// the pool dials each replica on first use and retries long enough to
+	// ride out a member's death (probe detection plus promotion).
+	var conns []*hrt.MuxTransport
+	var pool *cluster.MuxPool
+	connCount := len(cfg.Cluster)
+	if connCount > 0 {
+		pool = cluster.NewMuxPool(cluster.MuxPoolConfig{
+			Peers:  cfg.Cluster,
+			Policy: hrt.RetryPolicy{Retries: 60, BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond},
+		})
+		defer pool.Close()
+	} else {
+		connCount = cfg.MuxConns
+		if connCount <= 0 {
+			connCount = (cfg.Sessions + 255) / 256
+			if connCount > 64 {
+				connCount = 64
+			}
 		}
-	}
-	if connCount > cfg.Sessions {
-		connCount = cfg.Sessions
-	}
-	conns := make([]*hrt.MuxTransport, connCount)
-	for i := range conns {
-		mt, err := hrt.DialMux(hrt.MuxConfig{Addr: addr, Window: cfg.Window})
-		if err != nil {
-			return LoadResult{}, fmt.Errorf("loadgen: dial mux connection %d: %w", i, err)
+		if connCount > cfg.Sessions {
+			connCount = cfg.Sessions
 		}
-		defer mt.Close()
-		conns[i] = mt
+		conns = make([]*hrt.MuxTransport, connCount)
+		for i := range conns {
+			mt, err := hrt.DialMux(hrt.MuxConfig{Addr: addr, Window: cfg.Window})
+			if err != nil {
+				return LoadResult{}, fmt.Errorf("loadgen: dial mux connection %d: %w", i, err)
+			}
+			defer mt.Close()
+			conns[i] = mt
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -240,7 +264,15 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = loadWorker(conns[w%len(conns)], comp, fragID, args, cfg, hist)
+			var t hrt.Transport
+			if pool != nil {
+				t = pool.SessionTransport(0)
+			} else {
+				stream := conns[w%len(conns)].Stream(0, nil)
+				defer stream.Close()
+				t = stream
+			}
+			errs[w] = loadWorker(t, comp, fragID, args, cfg, hist)
 		}(w)
 	}
 	wg.Wait()
@@ -278,16 +310,14 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 	}, nil
 }
 
-// loadWorker is one session attached to a shared multiplexed connection.
-// With Window 0 every call blocks for its reply. Otherwise calls go
-// one-way down the session's stream and only the periodic flush barrier
+// loadWorker is one session over t, its stream on a shared multiplexed
+// connection. With Window 0 every call blocks for its reply. Otherwise
+// calls go one-way down the stream and only the periodic flush barrier
 // blocks, while the connection's writer coalesces this session's frames
 // with every other session riding the same socket.
-func loadWorker(mt *hrt.MuxTransport, comp string, fragID int, args []interp.Value, cfg LoadConfig, hist *obs.Histogram) error {
-	stream := mt.Stream(0, nil)
-	defer stream.Close()
+func loadWorker(t hrt.Transport, comp string, fragID int, args []interp.Value, cfg LoadConfig, hist *obs.Histogram) error {
 	if cfg.Window <= 0 {
-		sess := &hrt.Session{T: stream}
+		sess := &hrt.Session{T: t}
 		inst, err := sess.Enter(comp, 0)
 		if err != nil {
 			return err
@@ -301,7 +331,7 @@ func loadWorker(mt *hrt.MuxTransport, comp string, fragID int, args []interp.Val
 		}
 		return sess.Exit(comp, inst)
 	}
-	as := hrt.NewAsyncSession(stream)
+	as := hrt.NewAsyncSession(t)
 	inst, err := as.EnterAsync(comp, 0)
 	if err != nil {
 		return err

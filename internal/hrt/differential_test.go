@@ -9,6 +9,7 @@ import (
 	"slicehide/internal/corpus"
 	"slicehide/internal/hrt"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 	"slicehide/internal/slicer"
 )
 
@@ -86,7 +87,7 @@ func TestDifferentialVMvsInterpCorpus(t *testing.T) {
 	}
 	splitsChecked := 0
 	for seed := int64(0); seed < int64(programs); seed++ {
-		src := corpus.RandProgram(seed)
+		src := oracle.RandProgram(seed)
 		prog, err := ir.Compile(src)
 		if err != nil {
 			t.Fatalf("seed %d: generated program does not compile: %v", seed, err)
@@ -367,7 +368,7 @@ func FuzzVMvsInterp(f *testing.F) {
 	f.Add(int64(42), uint8(3), uint8(1))
 	policy := slicer.Policy{}
 	f.Fuzz(func(t *testing.T, seed int64, fnPick, varPick uint8) {
-		prog, err := ir.Compile(corpus.RandProgram(seed))
+		prog, err := ir.Compile(oracle.RandProgram(seed))
 		if err != nil {
 			t.Skip()
 		}

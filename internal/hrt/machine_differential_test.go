@@ -265,7 +265,7 @@ func TestDifferentialMachineVsInterpCorpus(t *testing.T) {
 // compareRandProgram drives one generated program through both engines,
 // unsplit and with one function split, at an unlimited and a tight budget.
 func compareRandProgram(t testing.TB, seed int64, fnPick, varPick uint8) {
-	prog, err := ir.Compile(corpus.RandProgram(seed))
+	prog, err := ir.Compile(oracle.RandProgram(seed))
 	if err != nil {
 		t.Skip()
 	}

@@ -149,7 +149,7 @@ func TestInstrumentRedactsHiddenValues(t *testing.T) {
 	reg := obs.NewRegistry()
 	metrics := NewRuntimeMetrics(reg)
 	var tr Transport = &Local{Server: NewServer(NewRegistry(res))}
-	tr = &Instrument{Inner: tr, Metrics: metrics, Tracer: tracer}
+	tr = &Counting{Inner: tr, Counters: &Counters{}, Metrics: metrics, Tracer: tracer}
 	in := vm.NewMachine(res.Open, interp.Options{
 		Hidden:     &Session{T: tr},
 		SplitFuncs: res.SplitSet(),

@@ -6,8 +6,9 @@
 // reach a Server: Local (direct calls) and MuxStream (one session's stream
 // on a multiplexed TCP connection to a TCPServer; see cmd/hiddend). The
 // rest wrap another transport: Latency (simulated round-trip delay, used
-// by the Table 5 experiments), Counting, Instrument, Retry, Dedup and
-// FaultTransport.
+// by the Table 5 experiments), Counting (counters, and optionally latency
+// metrics and trace events), Retry and Dedup. The tests add a fault
+// injector, FaultTransport, in fault_test.go.
 package hrt
 
 import (

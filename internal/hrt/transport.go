@@ -350,10 +350,19 @@ func (c *Counters) Interactions() int64 { return c.Calls.Load() }
 // latency-bound link, wall-clock communication cost is Blocking × RTT.
 func (c *Counters) Blocking() int64 { return c.RoundTrips.Load() + c.Flushes.Load() }
 
-// Counting wraps a Transport with counters.
+// Counting wraps a Transport with counters and, optionally, observability:
+// with Metrics set every operation is timed into the per-request-kind
+// latency histograms, and with Tracer set it is emitted as a structured
+// trace event. An observed Counting sits outermost in the wrapper chain so
+// the measured latency covers the whole link (retries, backoff, simulated
+// RTT included). Request payloads are traced as secrets and redacted by
+// default — see the package obs redaction rule. With both nil it only
+// counts: no clock reading, no trace attributes.
 type Counting struct {
 	Inner    Transport
 	Counters *Counters
+	Metrics  *RuntimeMetrics
+	Tracer   *obs.Tracer
 }
 
 func (c *Counting) count(req Request) {
@@ -369,18 +378,49 @@ func (c *Counting) count(req Request) {
 	c.Counters.BytesSent.Add(RequestWireSize(req))
 }
 
-// RoundTrip counts, then forwards.
+// RoundTrip counts, then forwards; an observed Counting also times and
+// traces the exchange.
 func (c *Counting) RoundTrip(req Request) (Response, error) {
 	c.count(req)
 	c.Counters.RoundTrips.Add(1)
-	resp, err := c.Inner.RoundTrip(req)
+	if c.Metrics == nil && c.Tracer == nil {
+		return c.recv(c.Inner.RoundTrip(req))
+	}
+	// Build the trace attributes only when the events are kept.
+	traced := c.Tracer.Enabled(obs.LevelDebug)
+	if traced {
+		c.Tracer.Emit(obs.LevelDebug, "send",
+			obs.Str("op", req.Op.String()), obs.Uint("seq", req.Seq), obs.Str("fn", req.Fn),
+			obs.Int("frag", int64(req.Frag)), valuesAttr("args", req.Args))
+	}
+	start := time.Now()
+	resp, err := c.recv(c.Inner.RoundTrip(req))
+	d := time.Since(start)
+	c.Metrics.Observe(req.Op, false, d)
+	if traced {
+		attrs := []obs.Attr{
+			obs.Str("op", req.Op.String()), obs.Uint("seq", req.Seq), obs.Dur("took", d), obs.Err(err),
+		}
+		if err == nil {
+			attrs = append(attrs, valuesAttr("val", []interp.Value{resp.Val}), obs.Str("resp_err", resp.Err))
+		}
+		c.Tracer.Emit(obs.LevelDebug, "recv", attrs...)
+	}
+	return resp, err
+}
+
+// recv counts a reply's bytes.
+func (c *Counting) recv(resp Response, err error) (Response, error) {
 	if err == nil {
 		c.Counters.BytesRecv.Add(ResponseWireSize(resp))
 	}
 	return resp, err
 }
 
-// Send counts a one-way request, then forwards it without blocking.
+// Send counts a one-way request, then forwards it without blocking. An
+// observed Counting times the local enqueue — near zero normally, a full
+// barrier wait when the in-flight window is saturated — so window
+// backpressure shows up in the one-way histograms' tail.
 func (c *Counting) Send(req Request) error {
 	at, ok := AsAsync(c.Inner)
 	if !ok {
@@ -388,88 +428,41 @@ func (c *Counting) Send(req Request) error {
 	}
 	c.count(req)
 	c.Counters.OneWay.Add(1)
-	return at.Send(req)
+	if c.Metrics == nil && c.Tracer == nil {
+		return at.Send(req)
+	}
+	if c.Tracer.Enabled(obs.LevelDebug) {
+		c.Tracer.Emit(obs.LevelDebug, "send_oneway",
+			obs.Str("op", req.Op.String()), obs.Str("fn", req.Fn),
+			obs.Int("frag", int64(req.Frag)), valuesAttr("args", req.Args))
+	}
+	start := time.Now()
+	err := at.Send(req)
+	c.Metrics.Observe(req.Op, true, time.Since(start))
+	if err != nil {
+		c.Tracer.Emit(obs.LevelWarn, "send_oneway_error", obs.Str("op", req.Op.String()), obs.Err(err))
+	}
+	return err
 }
 
 func (c *Counting) asyncCapable() bool { return transportAsyncCapable(c.Inner) }
 
-// Flush counts the barrier, then forwards.
+// Flush counts the barrier, then forwards; an observed Counting also times
+// and traces the wait.
 func (c *Counting) Flush() error {
 	at, ok := AsAsync(c.Inner)
 	if !ok {
 		return fmt.Errorf("hrt: counting inner transport %T is not async-capable", c.Inner)
 	}
 	c.Counters.Flushes.Add(1)
-	return at.Flush()
-}
-
-// ---------------------------------------------------------------------------
-
-// Instrument wraps a Transport with observability: every operation is
-// timed into the per-request-kind latency histograms and emitted as a
-// structured trace event. It sits outermost in the wrapper chain so the
-// measured latency covers the whole link (retries, backoff, simulated
-// RTT included). Request payloads are traced as secrets and redacted by
-// default — see the package obs redaction rule.
-type Instrument struct {
-	Inner   Transport
-	Metrics *RuntimeMetrics
-	Tracer  *obs.Tracer
-}
-
-// RoundTrip times and traces one reply-bearing exchange.
-func (i *Instrument) RoundTrip(req Request) (Response, error) {
-	i.Tracer.Emit(obs.LevelDebug, "send",
-		obs.Str("op", req.Op.String()), obs.Uint("seq", req.Seq), obs.Str("fn", req.Fn),
-		obs.Int("frag", int64(req.Frag)), valuesAttr("args", req.Args))
-	start := time.Now()
-	resp, err := i.Inner.RoundTrip(req)
-	d := time.Since(start)
-	i.Metrics.Observe(req.Op, false, d)
-	attrs := []obs.Attr{
-		obs.Str("op", req.Op.String()), obs.Uint("seq", req.Seq), obs.Dur("took", d), obs.Err(err),
-	}
-	if err == nil {
-		attrs = append(attrs, valuesAttr("val", []interp.Value{resp.Val}), obs.Str("resp_err", resp.Err))
-	}
-	i.Tracer.Emit(obs.LevelDebug, "recv", attrs...)
-	return resp, err
-}
-
-// Send times and traces one one-way send. The measured duration is the
-// local enqueue cost — near zero normally, a full barrier wait when the
-// in-flight window is saturated — so window backpressure shows up in the
-// one-way histograms' tail.
-func (i *Instrument) Send(req Request) error {
-	at, ok := AsAsync(i.Inner)
-	if !ok {
-		return fmt.Errorf("hrt: instrumented inner transport %T is not async-capable", i.Inner)
-	}
-	i.Tracer.Emit(obs.LevelDebug, "send_oneway",
-		obs.Str("op", req.Op.String()), obs.Str("fn", req.Fn),
-		obs.Int("frag", int64(req.Frag)), valuesAttr("args", req.Args))
-	start := time.Now()
-	err := at.Send(req)
-	i.Metrics.Observe(req.Op, true, time.Since(start))
-	if err != nil {
-		i.Tracer.Emit(obs.LevelWarn, "send_oneway_error", obs.Str("op", req.Op.String()), obs.Err(err))
-	}
-	return err
-}
-
-func (i *Instrument) asyncCapable() bool { return transportAsyncCapable(i.Inner) }
-
-// Flush times and traces one barrier wait.
-func (i *Instrument) Flush() error {
-	at, ok := AsAsync(i.Inner)
-	if !ok {
-		return fmt.Errorf("hrt: instrumented inner transport %T is not async-capable", i.Inner)
+	if c.Metrics == nil && c.Tracer == nil {
+		return at.Flush()
 	}
 	start := time.Now()
 	err := at.Flush()
 	d := time.Since(start)
-	i.Metrics.Observe(OpFlush, false, d)
-	i.Tracer.Emit(obs.LevelDebug, "flush", obs.Dur("took", d), obs.Err(err))
+	c.Metrics.Observe(OpFlush, false, d)
+	c.Tracer.Emit(obs.LevelDebug, "flush", obs.Dur("took", d), obs.Err(err))
 	return err
 }
 

@@ -262,77 +262,6 @@ func (p *printer) args(args []Expr) {
 	p.w.WriteByte(')')
 }
 
-// Walk traverses the statement tree rooted at s in pre-order, calling fn for
-// every statement. If fn returns false the children of s are skipped.
-func Walk(s Stmt, fn func(Stmt) bool) {
-	if s == nil || !fn(s) {
-		return
-	}
-	switch s := s.(type) {
-	case *If:
-		for _, t := range s.Then.Stmts {
-			Walk(t, fn)
-		}
-		if s.Else != nil {
-			for _, t := range s.Else.Stmts {
-				Walk(t, fn)
-			}
-		}
-	case *While:
-		for _, t := range s.Body.Stmts {
-			Walk(t, fn)
-		}
-	case *For:
-		if s.Init != nil {
-			Walk(s.Init, fn)
-		}
-		if s.Post != nil {
-			Walk(s.Post, fn)
-		}
-		for _, t := range s.Body.Stmts {
-			Walk(t, fn)
-		}
-	case *Block:
-		for _, t := range s.Stmts {
-			Walk(t, fn)
-		}
-	}
-}
-
-// WalkExprs visits every expression in the statement tree rooted at s.
-func WalkExprs(s Stmt, fn func(Expr)) {
-	Walk(s, func(st Stmt) bool {
-		switch st := st.(type) {
-		case *VarDecl:
-			if st.Init != nil {
-				WalkExpr(st.Init, fn)
-			}
-		case *Assign:
-			WalkExpr(st.Lhs, fn)
-			WalkExpr(st.Rhs, fn)
-		case *If:
-			WalkExpr(st.Cond, fn)
-		case *While:
-			WalkExpr(st.Cond, fn)
-		case *For:
-			if st.Cond != nil {
-				WalkExpr(st.Cond, fn)
-			}
-		case *Return:
-			if st.Value != nil {
-				WalkExpr(st.Value, fn)
-			}
-		case *Print:
-			for _, a := range st.Args {
-				WalkExpr(a, fn)
-			}
-		case *ExprStmt:
-			WalkExpr(st.X, fn)
-		}
-		return true
-	})
-}
-
 // WalkExpr visits e and all its subexpressions in pre-order.
 func WalkExpr(e Expr, fn func(Expr)) {
 	if e == nil {

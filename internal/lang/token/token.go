@@ -131,9 +131,6 @@ func Lookup(ident string) Kind {
 	return IDENT
 }
 
-// IsKeyword reports whether k is a reserved word.
-func (k Kind) IsKeyword() bool { return k > kwBegin && k < kwEnd }
-
 // IsLiteral reports whether k is an identifier or basic literal.
 func (k Kind) IsLiteral() bool {
 	switch k {

@@ -2,6 +2,8 @@
 // the bytecode VM (package vm) to: Interp, the tree-walking interpreter of
 // whole MiniJ programs, and RunFragment, the tree-walking executor of hidden
 // fragments. Both define the language's semantics by walking IR directly.
+// RandProgram generates the random programs the property and differential
+// tests feed them.
 //
 // Nothing that ships links this package: only _test.go files import it
 // (`make oracle-tests-only` checks that, and that the package imports no

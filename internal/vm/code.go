@@ -110,28 +110,3 @@ const (
 )
 
 func opd(space uint32, idx int32) uint32 { return space<<opdShift | uint32(idx)&opdIdxMask }
-
-var spcNames = [...]string{"t", "c", "a", "s", "g", "f"}
-
-func opdString(o uint32) string {
-	space := o >> opdShift
-	name := "?"
-	if int(space) < len(spcNames) {
-		name = spcNames[space]
-	}
-	return name + itoa(int(o&opdIdxMask))
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
