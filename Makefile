@@ -57,9 +57,10 @@ oracle-tests-only:
 # slicehide/... packages, and fails above LINKED_LINES_MAX. This is the
 # measure ROADMAP.md and EXPERIMENTS.md quote: 26,847 before fault
 # injection and the random-program generator became test-only and loadtest
-# stopped self-hosting fleets. The ceiling only goes down: a change that
-# lands below it lowers it to the new count.
-LINKED_LINES_MAX = 25501
+# stopped self-hosting fleets, 25,501 before hidden globals and hidden
+# fields shared one fallback implementation. The ceiling only goes down: a
+# change that lands below it lowers it to the new count.
+LINKED_LINES_MAX = 25242
 
 linked-lines:
 	@n=$$($(GO) list -deps -f '{{range .GoFiles}}{{$$.ImportPath}} {{$$.Dir}}/{{.}}{{"\n"}}{{end}}' ./cmd/... | \

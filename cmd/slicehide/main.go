@@ -256,7 +256,7 @@ func cmdRun(args []string) error {
 	trace := fs.String("trace", "", "write redacted runtime trace events (JSON lines) to this file")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-attempt I/O deadline on the hiddend link")
 	retries := fs.Int("retries", 8, "max retries per round trip on the hiddend link (-1 disables)")
-	window := fs.Int("window", 64, "max unacknowledged in-flight hidden calls: 0 makes every hidden call a blocking round trip (the paper's synchronous model), N>0 sends reply-free calls one-way with up to N in flight")
+	window := fs.Int("window", 64, "max unacknowledged in-flight hidden calls, for -server and in-process runs (a -cluster session is always blocking): 0 makes every hidden call a blocking round trip (the paper's synchronous model), N>0 sends reply-free calls one-way with up to N in flight")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -303,7 +303,7 @@ func cmdRun(args []string) error {
 		// per replica; each attempt re-ranks the membership, so a redirect
 		// or a dead primary both converge on the replica that actually
 		// serves the session. The pool's transport is reply-bearing only,
-		// so a fleet session is synchronous whatever -window says.
+		// so a fleet session is synchronous and takes no -window.
 		peers := splitPeerList(*clusterPeers)
 		if len(peers) == 0 {
 			return fmt.Errorf("run: -cluster needs at least one replica address")
@@ -313,7 +313,6 @@ func cmdRun(args []string) error {
 			Peers:    peers,
 			Timeout:  *timeout,
 			Policy:   hrt.RetryPolicy{Retries: *retries},
-			Window:   *window,
 			Counters: counters,
 			Tracer:   tracer,
 		})

@@ -26,9 +26,6 @@ type MuxPoolConfig struct {
 	Timeout time.Duration
 	// Policy bounds retries and backoff for every session's round trips.
 	Policy hrt.RetryPolicy
-	// Window is the requested per-session in-flight window on each
-	// upstream; the server may grant less.
-	Window int
 	// Counters, when set, tallies connection-level traffic across the
 	// pool (reconnects, writer coalescing).
 	Counters *hrt.Counters
@@ -79,7 +76,6 @@ func (p *MuxPool) transport(addr string) (*hrt.MuxTransport, error) {
 		Addr:     addr,
 		Timeout:  p.cfg.Timeout,
 		Policy:   p.cfg.Policy,
-		Window:   p.cfg.Window,
 		Counters: p.cfg.Counters,
 		Tracer:   p.cfg.Tracer,
 	})

@@ -90,7 +90,7 @@ func bodyReturns(stmts []ir.Stmt) bool {
 // Argument placeholders are per-fragment *ir.Var identities, so bodies can
 // be concatenated without renaming.
 func (s *splitter) mergeRun(run []*ir.HCallStmt) ir.Stmt {
-	fr := s.newFragment(FragExec, fmt.Sprintf("batch of %d calls", len(run)))
+	fr := s.comp.newFragment(FragExec, fmt.Sprintf("batch of %d calls", len(run)))
 	var args []ir.Expr
 	for _, st := range run {
 		sub := s.comp.Frags[st.Call.FragID]

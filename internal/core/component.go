@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"slicehide/internal/ir"
+	"slicehide/internal/lang/token"
 	"slicehide/internal/lang/types"
 	"slicehide/internal/slicer"
 )
@@ -100,9 +101,10 @@ func (fr *Fragment) String() string {
 }
 
 // HiddenComponent is Hf: the hidden variables and fragments of one split
-// function.
+// function, or of a SharedComponent.
 type HiddenComponent struct {
-	// Func is the qualified name of the original function.
+	// Func names the component: the original function's qualified name, or
+	// GlobalsComponent, or ClassComponentPrefix + class.
 	Func string
 	// Vars lists the hidden variables (their storage lives on the secure
 	// device, one store per activation).
@@ -116,6 +118,52 @@ type HiddenComponent struct {
 
 	// shell allocates statement IDs for fragment bodies.
 	shell *ir.Func
+	// fetch and update hold each variable's fetch and update fragment.
+	fetch, update map[*ir.Var]*Fragment
+}
+
+// newComponent returns an empty component named name whose fragment
+// statements are numbered by a shell function named shell.
+func newComponent(name, shell string) *HiddenComponent {
+	return &HiddenComponent{
+		Func:       name,
+		Frags:      make(map[int]*Fragment),
+		Constructs: make(map[int]*Fragment),
+		shell:      &ir.Func{Name: shell},
+		fetch:      make(map[*ir.Var]*Fragment),
+		update:     make(map[*ir.Var]*Fragment),
+	}
+}
+
+// newFragment adds a fragment numbered after the existing ones.
+func (h *HiddenComponent) newFragment(kind FragKind, note string) *Fragment {
+	fr := &Fragment{ID: len(h.Frags), Kind: kind, Note: note}
+	h.Frags[fr.ID] = fr
+	return fr
+}
+
+// fetchFrag returns (creating on first use) the fragment that returns the
+// current value of v; its note reads "fetch " + qual + v.
+func (h *HiddenComponent) fetchFrag(v *ir.Var, qual string) *Fragment {
+	if fr, ok := h.fetch[v]; ok {
+		return fr
+	}
+	fr := h.newFragment(FragFetch, "fetch "+qual+v.String())
+	fr.Body = []ir.Stmt{h.shell.NewReturn(token.Pos{}, &ir.VarRef{Var: v})}
+	h.fetch[v] = fr
+	return fr
+}
+
+// updateFrag returns (creating on first use) the fragment that stores its
+// single argument into v; its note reads "update " + qual + v.
+func (h *HiddenComponent) updateFrag(v *ir.Var, qual string) *Fragment {
+	if fr, ok := h.update[v]; ok {
+		return fr
+	}
+	fr := h.newFragment(FragUpdate, "update "+qual+v.String())
+	fr.Body = []ir.Stmt{h.shell.NewAssign(token.Pos{}, &ir.VarTarget{Var: v}, &ir.VarRef{Var: h.argVar(fr, 0)})}
+	h.update[v] = fr
+	return fr
 }
 
 // FragIDs returns fragment IDs in ascending order.
@@ -177,7 +225,9 @@ func (k ILPKind) String() string {
 type ILP struct {
 	ID   int
 	Kind ILPKind
-	// Func is the split function's qualified name.
+	// Func is the qualified name of the function whose open form holds the
+	// site: the split function, or an unsplit one the §2.2 fallback
+	// rewrote.
 	Func string
 	// Frag is the hidden fragment whose return value leaks here.
 	Frag *Fragment

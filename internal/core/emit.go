@@ -71,7 +71,7 @@ func (s *splitter) emitAssign(st *ir.AssignStmt) []ir.Stmt {
 		if !ok {
 			return s.emitOpenAssign(st)
 		}
-		fr := s.newFragment(FragExec, fmt.Sprintf("s%d: %s = %s", st.ID(), hv, ir.ExprString(st.Rhs)))
+		fr := s.comp.newFragment(FragExec, fmt.Sprintf("s%d: %s = %s", st.ID(), hv, ir.ExprString(st.Rhs)))
 		fb := s.builder(fr)
 		fr.Body = []ir.Stmt{s.comp.shell.NewAssign(st.Pos(), &ir.VarTarget{Var: hv}, fb.rewriteHidden(st.Rhs))}
 		call := &ir.HCallExpr{FragID: fr.ID, Args: fb.openArgs, NoReply: true}
@@ -89,7 +89,7 @@ func (s *splitter) emitAssign(st *ir.AssignStmt) []ir.Stmt {
 		// Case (iii): rhs moves to Hf; the returned value is stored into the
 		// open (aggregate) target — an ILP.
 		site := s.evalFrag(st.Rhs, ILPLeakAssign, fmt.Sprintf("s%d leak", st.ID()))
-		return []ir.Stmt{s.open.NewAssign(st.Pos(), s.rewriteTarget(st.Lhs), site)}
+		return []ir.Stmt{s.open.NewAssign(st.Pos(), ir.MapTarget(st.Lhs, s.openHook), site)}
 	default:
 		return s.emitOpenAssign(st)
 	}
@@ -120,7 +120,7 @@ func (s *splitter) hiddenTargetVar(t ir.Target) (*ir.Var, bool) {
 // emitOpenAssign is case (iv): the statement stays open; hidden reads
 // become fetch/eval calls.
 func (s *splitter) emitOpenAssign(st *ir.AssignStmt) []ir.Stmt {
-	return []ir.Stmt{s.open.NewAssign(st.Pos(), s.rewriteTarget(st.Lhs), s.rewriteOpen(st.Rhs))}
+	return []ir.Stmt{s.open.NewAssign(st.Pos(), ir.MapTarget(st.Lhs, s.openHook), s.rewriteOpen(st.Rhs))}
 }
 
 func (s *splitter) emitIf(st *ir.IfStmt) []ir.Stmt {
@@ -137,7 +137,7 @@ func (s *splitter) emitIf(st *ir.IfStmt) []ir.Stmt {
 	// trip per execution without hiding anything the adversary cannot
 	// already evaluate.
 	if !s.opts.NoControlFlowHiding && condHidden && s.hasHiddenWork(st) && pure(st.Cond) && thenM && elseM && len(st.Then)+len(st.Else) > 0 {
-		fr := s.newFragment(FragCond, fmt.Sprintf("s%d: hidden if", st.ID()))
+		fr := s.comp.newFragment(FragCond, fmt.Sprintf("s%d: hidden if", st.ID()))
 		s.comp.Constructs[st.ID()] = fr
 		fr.HidesFlow = true
 		fr.HidesPredicate = true
@@ -158,7 +158,7 @@ func (s *splitter) emitIf(st *ir.IfStmt) []ir.Stmt {
 	if condHidden && evalHideable(st.Cond) && safeToHide(st.Cond) && pure(st.Cond) {
 		switch {
 		case thenM && len(st.Then) > 0:
-			fr := s.newFragment(FragCond, fmt.Sprintf("s%d: hidden then-branch", st.ID()))
+			fr := s.comp.newFragment(FragCond, fmt.Sprintf("s%d: hidden then-branch", st.ID()))
 			s.comp.Constructs[st.ID()] = fr
 			fr.HidesFlow = true
 			fr.HidesPredicate = true
@@ -182,7 +182,7 @@ func (s *splitter) emitIf(st *ir.IfStmt) []ir.Stmt {
 			neg := &ir.Unary{Op: notOp, X: site}
 			return []ir.Stmt{s.open.NewIf(st.Pos(), neg, s.emitStmts(st.Else), nil)}
 		case elseM && len(st.Else) > 0:
-			fr := s.newFragment(FragCond, fmt.Sprintf("s%d: hidden else-branch", st.ID()))
+			fr := s.comp.newFragment(FragCond, fmt.Sprintf("s%d: hidden else-branch", st.ID()))
 			s.comp.Constructs[st.ID()] = fr
 			fr.HidesFlow = true
 			fr.HidesPredicate = true
@@ -204,7 +204,7 @@ func (s *splitter) emitIf(st *ir.IfStmt) []ir.Stmt {
 	// Predicate-only hiding (or open predicate): structure stays in Of.
 	var cond ir.Expr
 	if condHidden && evalHideable(st.Cond) && safeToHide(st.Cond) {
-		fr := s.newFragment(FragCond, fmt.Sprintf("s%d: hidden if-predicate", st.ID()))
+		fr := s.comp.newFragment(FragCond, fmt.Sprintf("s%d: hidden if-predicate", st.ID()))
 		s.comp.Constructs[st.ID()] = fr
 		fr.HidesPredicate = true
 		fb := s.builder(fr)
@@ -224,7 +224,7 @@ func (s *splitter) emitWhile(st *ir.WhileStmt) []ir.Stmt {
 	// Whole-loop hiding: condition, body, and post all move to Hf (only
 	// when the predicate itself is part of the slice; see emitIf).
 	if !s.opts.NoControlFlowHiding && condHidden && s.hasHiddenWork(st) && s.movableStmt(st, 0) {
-		fr := s.newFragment(FragExec, fmt.Sprintf("s%d: hidden loop", st.ID()))
+		fr := s.comp.newFragment(FragExec, fmt.Sprintf("s%d: hidden loop", st.ID()))
 		s.comp.Constructs[st.ID()] = fr
 		fr.HidesFlow = true
 		fr.HidesPredicate = true
@@ -243,7 +243,7 @@ func (s *splitter) emitWhile(st *ir.WhileStmt) []ir.Stmt {
 	defer func() { s.loopDepth-- }()
 	var cond ir.Expr
 	if condHidden && evalHideable(st.Cond) && safeToHide(st.Cond) {
-		fr := s.newFragment(FragCond, fmt.Sprintf("s%d: hidden loop-predicate", st.ID()))
+		fr := s.comp.newFragment(FragCond, fmt.Sprintf("s%d: hidden loop-predicate", st.ID()))
 		s.comp.Constructs[st.ID()] = fr
 		fr.HidesPredicate = true
 		fb := s.builder(fr)

@@ -24,12 +24,12 @@ type Result struct {
 	Open *ir.Program
 	// Splits maps split function names to their split records.
 	Splits map[string]*SplitFunc
-	// Globals is the program-level hidden-globals state (nil unless the
-	// §2.2 global-variable extension was used).
-	Globals *GlobalsInfo
-	// Fields maps class names to their hidden-fields state (nil values
-	// unless the §2.2 object-oriented extension was used).
-	Fields map[string]*FieldsInfo
+	// Globals is the shared component of hidden globals, "$globals" (nil
+	// unless a split hides a global).
+	Globals *SharedComponent
+	// Fields maps class names to the shared components of their hidden
+	// fields, "$class:C" (nil unless a split hides a field).
+	Fields map[string]*SharedComponent
 }
 
 // SplitNames returns the split function names in sorted order.
@@ -51,12 +51,24 @@ func (r *Result) SplitSet() map[string]bool {
 	return m
 }
 
-// AllILPs returns every ILP across all split functions, ordered by function
-// name then ILP id.
+// AllILPs returns every ILP: those of the split functions, ordered by
+// function name then ILP id, then the fetches that rewritten functions make
+// on shared components, "$globals" first and then the classes by name.
 func (r *Result) AllILPs() []*ILP {
 	var out []*ILP
 	for _, name := range r.SplitNames() {
 		out = append(out, r.Splits[name].ILPs...)
+	}
+	if r.Globals != nil {
+		out = append(out, r.Globals.ILPs...)
+	}
+	classes := make([]string, 0, len(r.Fields))
+	for class := range r.Fields {
+		classes = append(classes, class)
+	}
+	sort.Strings(classes)
+	for _, class := range classes {
+		out = append(out, r.Fields[class].ILPs...)
 	}
 	return out
 }
@@ -71,9 +83,9 @@ func (r *Result) TotalSliceStatements() int {
 }
 
 // SplitProgram splits every function named in specs and assembles the open
-// program. Hiding globals or class fields referenced outside the split
-// function is rejected (the §2.2 global-variable extension requires
-// transforming every referencing function; see package docs).
+// program. Hidden globals and class fields move to shared components, and
+// every other function that references them is rewritten to fetch/update
+// calls; hiding one that another split function touches is rejected.
 func SplitProgram(prog *ir.Program, specs []Spec, policy slicer.Policy) (*Result, error) {
 	return SplitProgramOpts(prog, specs, policy, Options{})
 }
@@ -120,14 +132,10 @@ func SplitProgramOpts(prog *ir.Program, specs []Spec, policy slicer.Policy, opts
 		}
 		res.Splits[spec.Func] = sf
 		res.Open.Funcs[spec.Func] = sf.Open
-		// The §2.2 extensions: hidden globals get a shared program-level
-		// component, hidden class fields get per-class components with
-		// per-object stores; other referencing functions are rewritten to
-		// fetch/update calls.
-		if err := applyGlobalsExtension(res, prog, sf, specs); err != nil {
-			return nil, err
-		}
-		if err := applyFieldsExtension(res, prog, sf, specs); err != nil {
+		// The §2.2 fallback: hidden globals go to "$globals", hidden fields
+		// to per-class components with per-object stores, and the other
+		// functions that reference them are rewritten to fetch/update calls.
+		if err := applyFallback(res, prog, sf, specs); err != nil {
 			return nil, err
 		}
 	}

@@ -81,13 +81,6 @@ func safeH(e ir.Expr, underLazy bool) bool {
 // ---------------------------------------------------------------------------
 // Fragment construction
 
-func (s *splitter) newFragment(kind FragKind, note string) *Fragment {
-	fr := &Fragment{ID: s.nextFrag, Kind: kind, Note: note}
-	s.nextFrag++
-	s.comp.Frags[fr.ID] = fr
-	return fr
-}
-
 // fragBuilder accumulates the open-side argument expressions of one
 // fragment while the hidden-side body is being rewritten.
 type fragBuilder struct {
@@ -175,7 +168,7 @@ func (s *splitter) evalFrag(e ir.Expr, kind ILPKind, note string) *ir.HCallExpr 
 	// other kinds (e.g. a case-iii leak of a single variable) keep their
 	// classification for the §3 ILP inventory.
 	if vr, ok := e.(*ir.VarRef); ok && s.hidden[vr.Var] {
-		fr := s.fetchFrag(vr.Var)
+		fr := s.comp.fetchFrag(vr.Var, "")
 		site := &ir.HCallExpr{FragID: fr.ID, Leaks: true}
 		if kind == ILPExpr {
 			kind = ILPFetch
@@ -183,7 +176,7 @@ func (s *splitter) evalFrag(e ir.Expr, kind ILPKind, note string) *ir.HCallExpr 
 		s.addILP(kind, fr, site, e)
 		return site
 	}
-	fr := s.newFragment(FragEval, note)
+	fr := s.comp.newFragment(FragEval, note)
 	fb := s.builder(fr)
 	hiddenExpr := fb.rewriteHidden(e)
 	fr.Body = []ir.Stmt{s.comp.shell.NewReturn(token.Pos{}, hiddenExpr)}
@@ -192,34 +185,15 @@ func (s *splitter) evalFrag(e ir.Expr, kind ILPKind, note string) *ir.HCallExpr 
 	return site
 }
 
-// fetchFrag returns (creating on first use) the fragment that returns the
-// current value of hidden variable v.
-func (s *splitter) fetchFrag(v *ir.Var) *Fragment {
-	if fr, ok := s.fetchFrags[v]; ok {
-		return fr
-	}
-	fr := s.newFragment(FragFetch, "fetch "+v.String())
-	fr.Body = []ir.Stmt{s.comp.shell.NewReturn(token.Pos{}, &ir.VarRef{Var: v})}
-	s.fetchFrags[v] = fr
-	return fr
-}
-
-// updateFrag returns (creating on first use) the fragment that stores its
-// single argument into hidden variable v. Any variable with an update
-// fragment is only partially hidden: its value is sometimes computed openly.
+// updateFrag returns the fragment that stores its single argument into
+// hidden variable v. Any variable with an update fragment is only partially
+// hidden: its value is sometimes computed openly.
 func (s *splitter) updateFrag(v *ir.Var) *Fragment {
-	if fr, ok := s.updateFrags[v]; ok {
-		return fr
-	}
-	fr := s.newFragment(FragUpdate, "update "+v.String())
-	av := s.comp.argVar(fr, 0)
-	fr.Body = []ir.Stmt{s.comp.shell.NewAssign(token.Pos{}, &ir.VarTarget{Var: v}, &ir.VarRef{Var: av})}
-	s.updateFrags[v] = fr
 	if s.partial == nil {
 		s.partial = make(map[*ir.Var]bool)
 	}
 	s.partial[v] = true
-	return fr
+	return s.comp.updateFrag(v, "")
 }
 
 func (s *splitter) addILP(kind ILPKind, fr *Fragment, site *ir.HCallExpr, hiddenExpr ir.Expr) {
@@ -242,17 +216,18 @@ func (s *splitter) addILP(kind ILPKind, fr *Fragment, site *ir.HCallExpr, hidden
 // rewriteOpen produces the open-side form of e: maximal hideable
 // subexpressions that read hidden variables are replaced by H(...) calls
 // whose fragments evaluate them on the secure device; everything else is
-// cloned with children rewritten.
-func (s *splitter) rewriteOpen(e ir.Expr) ir.Expr {
-	if e == nil {
-		return nil
-	}
+// copied with children rewritten.
+func (s *splitter) rewriteOpen(e ir.Expr) ir.Expr { return ir.MapExpr(e, s.openHook) }
+
+// openHook is rewriteOpen's replacement rule for one subtree, or nil to
+// copy it and go on into its children.
+func (s *splitter) openHook(e ir.Expr) ir.Expr {
 	if evalHideable(e) && s.containsHidden(e) && safeToHide(e) {
 		return s.evalFrag(e, ILPExpr, "eval "+ir.ExprString(e))
 	}
 	if fv := s.thisField(e); fv != nil {
 		// Open read of a hidden receiver field: fetch it.
-		fr := s.fetchFrag(fv)
+		fr := s.comp.fetchFrag(fv, "")
 		site := &ir.HCallExpr{FragID: fr.ID, Leaks: true}
 		s.addILP(ILPFetch, fr, site, e)
 		return site
@@ -262,46 +237,7 @@ func (s *splitter) rewriteOpen(e ir.Expr) ir.Expr {
 			s.orig.QName(), fe.FieldVar)
 		return ir.CloneExpr(e)
 	}
-	switch e := e.(type) {
-	case *ir.Const, *ir.VarRef, *ir.ThisExpr, *ir.NewObjectExpr:
-		return ir.CloneExpr(e)
-	case *ir.Unary:
-		return &ir.Unary{Op: e.Op, X: s.rewriteOpen(e.X)}
-	case *ir.Binary:
-		return &ir.Binary{Op: e.Op, X: s.rewriteOpen(e.X), Y: s.rewriteOpen(e.Y)}
-	case *ir.CondExpr:
-		return &ir.CondExpr{C: s.rewriteOpen(e.C), T: s.rewriteOpen(e.T), F: s.rewriteOpen(e.F)}
-	case *ir.ConvertExpr:
-		return &ir.ConvertExpr{ToFloat: e.ToFloat, X: s.rewriteOpen(e.X)}
-	case *ir.IndexExpr:
-		return &ir.IndexExpr{Arr: s.rewriteOpen(e.Arr), I: s.rewriteOpen(e.I), ElemsVar: e.ElemsVar}
-	case *ir.FieldExpr:
-		return &ir.FieldExpr{Obj: s.rewriteOpen(e.Obj), Field: e.Field, Class: e.Class, FieldVar: e.FieldVar}
-	case *ir.CallExpr:
-		args := make([]ir.Expr, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = s.rewriteOpen(a)
-		}
-		return &ir.CallExpr{Callee: e.Callee, Recv: s.rewriteOpen(e.Recv), Args: args, Result: e.Result}
-	case *ir.NewArrayExpr:
-		return &ir.NewArrayExpr{Elem: e.Elem, Size: s.rewriteOpen(e.Size)}
-	case *ir.LenExpr:
-		return &ir.LenExpr{Arr: s.rewriteOpen(e.Arr)}
-	}
-	panic(fmt.Sprintf("core: rewriteOpen: unexpected expr %T", e))
-}
-
-// rewriteTarget produces the open-side form of an assignment target.
-func (s *splitter) rewriteTarget(t ir.Target) ir.Target {
-	switch t := t.(type) {
-	case *ir.VarTarget:
-		return &ir.VarTarget{Var: t.Var}
-	case *ir.IndexTarget:
-		return &ir.IndexTarget{Arr: s.rewriteOpen(t.Arr), I: s.rewriteOpen(t.I), ElemsVar: t.ElemsVar}
-	case *ir.FieldTarget:
-		return &ir.FieldTarget{Obj: s.rewriteOpen(t.Obj), Field: t.Field, Class: t.Class, FieldVar: t.FieldVar}
-	}
-	panic(fmt.Sprintf("core: rewriteTarget: unexpected target %T", t))
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -61,14 +61,7 @@ func SplitOpts(f *ir.Func, seed *ir.Var, policy slicer.Policy, opts Options) (*S
 			Params: f.Params,
 			Result: f.Result,
 		},
-		comp: &HiddenComponent{
-			Func:       f.QName(),
-			Frags:      make(map[int]*Fragment),
-			Constructs: make(map[int]*Fragment),
-			shell:      &ir.Func{Name: f.QName() + "$hidden"},
-		},
-		updateFrags: make(map[*ir.Var]*Fragment),
-		fetchFrags:  make(map[*ir.Var]*Fragment),
+		comp: newComponent(f.QName(), f.QName()+"$hidden"),
 	}
 	for _, v := range f.Locals {
 		if !s.hidden[v] {
@@ -125,12 +118,10 @@ type splitter struct {
 	sl     *slicer.Slice
 	hidden map[*ir.Var]bool
 
-	updateFrags map[*ir.Var]*Fragment
-	fetchFrags  map[*ir.Var]*Fragment
-	partial     map[*ir.Var]bool
+	// partial holds the hidden variables Of still updates (Step 2).
+	partial map[*ir.Var]bool
 
 	ilps      []*ILP
-	nextFrag  int
 	nextTemp  int
 	loopDepth int
 	// curStmt is the original statement currently being rewritten; ILPs

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -377,6 +378,25 @@ func main() {
 		if strings.Contains(text, " g ") || strings.Contains(text, " g;") || strings.Contains(text, "= g") {
 			t.Errorf("%s still references hidden global:\n%s", qn, text)
 		}
+	}
+}
+
+// TestAllILPsCountsFallbackFetches: a hidden global read by an unsplit
+// function is fetched there, and that fetch is an ILP that AllILPs lists
+// after the split's own.
+func TestAllILPsCountsFallbackFetches(t *testing.T) {
+	res := splitProg(t, `
+var g: int = 7;
+func f(x: int): int { var a: int = x * 2; g = a + g; return a; }
+func reader(): int { return g * 3; }
+func main() { print(f(4)); print(reader()); }
+`, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{HideGlobals: true})
+	if res.Globals == nil || len(res.Globals.ILPs) != 1 || res.Globals.ILPs[0].Func != "reader" {
+		t.Fatalf("want one fetch ILP in reader, got %+v", res.Globals)
+	}
+	want := append(append([]*core.ILP{}, res.Splits["f"].ILPs...), res.Globals.ILPs...)
+	if got := res.AllILPs(); !slices.Equal(got, want) {
+		t.Errorf("AllILPs = %v, want %v", got, want)
 	}
 }
 

@@ -181,37 +181,3 @@ func f(): int {
 		t.Errorf("local must have exactly its explicit def: %v", defs)
 	}
 }
-
-func TestDUChainsInverse(t *testing.T) {
-	g, r := analyze(t, `
-func f(x: int): int {
-    var a: int = x;
-    var b: int = a + a;
-    return b;
-}`, "f")
-	// Every UD entry must appear in DU and vice versa.
-	for n, m := range r.UD {
-		for _, defs := range m {
-			for _, d := range defs {
-				found := false
-				for _, u := range r.DU[d] {
-					if u == n {
-						found = true
-					}
-				}
-				if !found {
-					t.Errorf("DU missing %v -> s%d", d, n.Stmt.ID())
-				}
-			}
-		}
-	}
-	_ = g
-}
-
-func TestResultStringStable(t *testing.T) {
-	_, r := analyze(t, `func f(x: int): int { var a: int = x; return a; }`, "f")
-	s1, s2 := r.String(), r.String()
-	if s1 != s2 || s1 == "" {
-		t.Errorf("unstable or empty chain dump:\n%s", s1)
-	}
-}

@@ -1,6 +1,6 @@
 // Package dataflow implements the intraprocedural dataflow analyses used by
-// the slicer and the splitting transformation: reaching definitions, def-use
-// and use-def chains.
+// the slicer and the splitting transformation: reaching definitions and
+// use-def chains.
 //
 // Aggregates are handled conservatively through pseudo-variables (see
 // ir.VarElems / ir.VarHeap): stores into array elements or object fields are
@@ -10,8 +10,6 @@ package dataflow
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"slicehide/internal/cfg"
 	"slicehide/internal/ir"
@@ -46,12 +44,8 @@ func (d *Def) String() string {
 type Result struct {
 	Graph *cfg.Graph
 	Defs  []*Def
-	// In maps each node to the set of defs reaching its entry.
-	In map[*cfg.Node][]*Def
 	// UD maps each node and used variable to the defs that reach the use.
 	UD map[*cfg.Node]map[*ir.Var][]*Def
-	// DU maps each def to the nodes whose uses it reaches.
-	DU map[*Def][]*cfg.Node
 
 	defsOf map[*cfg.Node][]*Def
 }
@@ -110,13 +104,11 @@ func collectVars(g *cfg.Graph) []*ir.Var {
 	return vars
 }
 
-// Reaching computes reaching definitions and def-use chains for g.
+// Reaching computes reaching definitions and use-def chains for g.
 func Reaching(g *cfg.Graph) *Result {
 	r := &Result{
 		Graph:  g,
-		In:     make(map[*cfg.Node][]*Def),
 		UD:     make(map[*cfg.Node]map[*ir.Var][]*Def),
-		DU:     make(map[*Def][]*cfg.Node),
 		defsOf: make(map[*cfg.Node][]*Def),
 	}
 	vars := collectVars(g)
@@ -213,15 +205,8 @@ func Reaching(g *cfg.Graph) *Result {
 		}
 	}
 
-	// Materialize In sets and UD/DU chains.
+	// Materialize the UD chains: each use's defs in index order.
 	for _, n := range g.Nodes {
-		var reach []*Def
-		for i := 0; i < nd; i++ {
-			if in[n].has(i) {
-				reach = append(reach, r.Defs[i])
-			}
-		}
-		r.In[n] = reach
 		if n.Stmt == nil {
 			continue
 		}
@@ -231,10 +216,9 @@ func Reaching(g *cfg.Graph) *Result {
 		}
 		m := make(map[*ir.Var][]*Def)
 		for _, v := range used {
-			for _, d := range reach {
-				if d.Var == v {
-					m[v] = append(m[v], d)
-					r.DU[d] = append(r.DU[d], n)
+			for _, i := range byVar[v] {
+				if in[n].has(i) {
+					m[v] = append(m[v], r.Defs[i])
 				}
 			}
 		}
@@ -249,21 +233,6 @@ func (r *Result) DefsReachingUse(n *cfg.Node, v *ir.Var) []*Def {
 		return m[v]
 	}
 	return nil
-}
-
-// String renders the def-use chains for debugging and golden tests.
-func (r *Result) String() string {
-	var lines []string
-	for d, uses := range r.DU {
-		ids := make([]string, len(uses))
-		for i, u := range uses {
-			ids[i] = fmt.Sprintf("s%d", u.Stmt.ID())
-		}
-		sort.Strings(ids)
-		lines = append(lines, fmt.Sprintf("%s -> {%s}", d, strings.Join(ids, ",")))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }
 
 // ---------------------------------------------------------------------------

@@ -615,47 +615,77 @@ func HasCall(e Expr) bool {
 
 // CloneExpr returns a deep copy of e. Var identities are shared (they are
 // resolution results, not storage).
-func CloneExpr(e Expr) Expr {
-	switch e := e.(type) {
-	case nil:
+func CloneExpr(e Expr) Expr { return MapExpr(e, nil) }
+
+// MapExpr returns a copy of e in which hook may replace any subtree. hook
+// sees each node before its children; a non-nil result stands in for that
+// node's copy, and MapExpr does not descend into it. A nil hook copies all
+// of e. Var identities are shared. Children are mapped left to right,
+// except that a call's arguments come before its receiver or object: hooks
+// that number what they emit rely on that order.
+func MapExpr(e Expr, hook func(Expr) Expr) Expr {
+	if e == nil {
 		return nil
+	}
+	if hook != nil {
+		if r := hook(e); r != nil {
+			return r
+		}
+	}
+	switch e := e.(type) {
 	case *Const:
 		c := *e
 		return &c
 	case *VarRef:
 		return &VarRef{Var: e.Var}
 	case *Unary:
-		return &Unary{Op: e.Op, X: CloneExpr(e.X)}
+		return &Unary{Op: e.Op, X: MapExpr(e.X, hook)}
 	case *Binary:
-		return &Binary{Op: e.Op, X: CloneExpr(e.X), Y: CloneExpr(e.Y)}
+		return &Binary{Op: e.Op, X: MapExpr(e.X, hook), Y: MapExpr(e.Y, hook)}
 	case *IndexExpr:
-		return &IndexExpr{Arr: CloneExpr(e.Arr), I: CloneExpr(e.I), ElemsVar: e.ElemsVar}
+		return &IndexExpr{Arr: MapExpr(e.Arr, hook), I: MapExpr(e.I, hook), ElemsVar: e.ElemsVar}
 	case *FieldExpr:
-		return &FieldExpr{Obj: CloneExpr(e.Obj), Field: e.Field, Class: e.Class, FieldVar: e.FieldVar}
+		return &FieldExpr{Obj: MapExpr(e.Obj, hook), Field: e.Field, Class: e.Class, FieldVar: e.FieldVar}
 	case *CallExpr:
-		args := make([]Expr, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = CloneExpr(a)
-		}
-		return &CallExpr{Callee: e.Callee, Recv: CloneExpr(e.Recv), Args: args, Result: e.Result}
+		args := mapExprs(e.Args, hook)
+		return &CallExpr{Callee: e.Callee, Recv: MapExpr(e.Recv, hook), Args: args, Result: e.Result}
 	case *NewObjectExpr:
 		return &NewObjectExpr{Class: e.Class}
 	case *ThisExpr:
 		return &ThisExpr{Class: e.Class}
 	case *NewArrayExpr:
-		return &NewArrayExpr{Elem: e.Elem, Size: CloneExpr(e.Size)}
+		return &NewArrayExpr{Elem: e.Elem, Size: MapExpr(e.Size, hook)}
 	case *LenExpr:
-		return &LenExpr{Arr: CloneExpr(e.Arr)}
+		return &LenExpr{Arr: MapExpr(e.Arr, hook)}
 	case *CondExpr:
-		return &CondExpr{C: CloneExpr(e.C), T: CloneExpr(e.T), F: CloneExpr(e.F)}
+		return &CondExpr{C: MapExpr(e.C, hook), T: MapExpr(e.T, hook), F: MapExpr(e.F, hook)}
 	case *ConvertExpr:
-		return &ConvertExpr{ToFloat: e.ToFloat, X: CloneExpr(e.X)}
+		return &ConvertExpr{ToFloat: e.ToFloat, X: MapExpr(e.X, hook)}
 	case *HCallExpr:
-		args := make([]Expr, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = CloneExpr(a)
-		}
-		return &HCallExpr{FragID: e.FragID, Args: args, Leaks: e.Leaks, Component: e.Component, Obj: CloneExpr(e.Obj), NoReply: e.NoReply}
+		args := mapExprs(e.Args, hook)
+		return &HCallExpr{FragID: e.FragID, Args: args, Leaks: e.Leaks, Component: e.Component, Obj: MapExpr(e.Obj, hook), NoReply: e.NoReply}
 	}
-	panic(fmt.Sprintf("ir.CloneExpr: unknown expr %T", e))
+	panic(fmt.Sprintf("ir.MapExpr: unknown expr %T", e))
+}
+
+func mapExprs(es []Expr, hook func(Expr) Expr) []Expr {
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		out[i] = MapExpr(e, hook)
+	}
+	return out
+}
+
+// MapTarget returns a copy of t whose expressions are copied by MapExpr
+// under hook.
+func MapTarget(t Target, hook func(Expr) Expr) Target {
+	switch t := t.(type) {
+	case *VarTarget:
+		return &VarTarget{Var: t.Var}
+	case *IndexTarget:
+		return &IndexTarget{Arr: MapExpr(t.Arr, hook), I: MapExpr(t.I, hook), ElemsVar: t.ElemsVar}
+	case *FieldTarget:
+		return &FieldTarget{Obj: MapExpr(t.Obj, hook), Field: t.Field, Class: t.Class, FieldVar: t.FieldVar}
+	}
+	panic(fmt.Sprintf("ir.MapTarget: unknown target %T", t))
 }

@@ -287,6 +287,44 @@ func TestCloneExprDeep(t *testing.T) {
 	}
 }
 
+// TestMapExprHook: a hook's result replaces the subtree it is handed,
+// everything else is copied, and a call's arguments are mapped before its
+// receiver.
+func TestMapExprHook(t *testing.T) {
+	p := MustCompile(`
+class C { method m(a: int): int { return a; } }
+func f(c: C, x: int, y: int): int { return c.m(x + y) * x; }`)
+	orig := p.Func("f").Body[0].(*ReturnStmt).Value
+	var order []string
+	got := MapExpr(orig, func(e Expr) Expr {
+		if v, ok := e.(*VarRef); ok {
+			order = append(order, v.Var.Name)
+			if v.Var.Name == "x" {
+				return Int(7)
+			}
+		}
+		return nil
+	})
+	if s := ExprString(got); s != "c.m(7 + y) * 7" {
+		t.Errorf("mapped %s", s)
+	}
+	if s := ExprString(orig); s != "c.m(x + y) * x" {
+		t.Errorf("original changed: %s", s)
+	}
+	if s := strings.Join(order, " "); s != "x y c x" {
+		t.Errorf("hook order %s, want x y c x", s)
+	}
+	tg := MapTarget(&IndexTarget{Arr: &VarRef{Var: &Var{Name: "a"}}, I: orig}, func(e Expr) Expr {
+		if _, ok := e.(*CallExpr); ok {
+			return Int(0)
+		}
+		return nil
+	})
+	if s := TargetString(tg); s != "a[0 * x]" {
+		t.Errorf("mapped target %s", s)
+	}
+}
+
 func TestFormatFunc(t *testing.T) {
 	p := MustCompile(sampleSrc)
 	text := FormatFunc(p.Func("f"))
