@@ -6,9 +6,11 @@ package callgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"slicehide/internal/cfg"
 	"slicehide/internal/ir"
 )
 
@@ -24,20 +26,35 @@ type Graph struct {
 	// LoopCalled marks functions with at least one call site that a while
 	// statement of some caller encloses (its condition, body or Post).
 	LoopCalled map[string]bool
+
+	// names lists the program's functions in name order; a function's
+	// dense ID, which Tarjan's algorithm and the dominators share, is its
+	// index there. succs and preds are the call edges between functions of
+	// the program, by ID.
+	names        []string
+	id           map[string]int
+	succs, preds [][]int
 }
 
 // Build constructs the call graph of prog. It reads the structured IR
 // directly: a call is loop-called when a while statement encloses it, so
 // no control-flow graph is needed.
 func Build(prog *ir.Program) *Graph {
+	n := len(prog.Order)
 	g := &Graph{
 		Prog:       prog,
-		Callees:    make(map[string]map[string]bool, len(prog.Order)),
-		Callers:    make(map[string]map[string]bool, len(prog.Order)),
+		Callees:    make(map[string]map[string]bool, n),
+		Callers:    make(map[string]map[string]bool, n),
 		Recursive:  make(map[string]bool),
 		LoopCalled: make(map[string]bool),
+		names:      slices.Clone(prog.Order),
+		id:         make(map[string]int, n),
+		succs:      make([][]int, n),
+		preds:      make([][]int, n),
 	}
-	for _, qn := range prog.Order {
+	sort.Strings(g.names)
+	for i, qn := range g.names {
+		g.id[qn] = i
 		g.Callees[qn] = map[string]bool{}
 	}
 	for _, qn := range prog.Order {
@@ -74,7 +91,14 @@ func eachCall(stmts []ir.Stmt, inLoop bool, fn func(s ir.Stmt, callee string, in
 }
 
 func (g *Graph) addEdge(caller, callee string, inLoop bool) {
-	g.Callees[caller][callee] = true
+	if !g.Callees[caller][callee] {
+		g.Callees[caller][callee] = true
+		if j, known := g.id[callee]; known {
+			i := g.id[caller]
+			g.succs[i] = append(g.succs[i], j)
+			g.preds[j] = append(g.preds[j], i)
+		}
+	}
 	if g.Callers[callee] == nil {
 		g.Callers[callee] = map[string]bool{}
 	}
@@ -85,28 +109,10 @@ func (g *Graph) addEdge(caller, callee string, inLoop bool) {
 }
 
 // findRecursion marks functions in non-trivial SCCs or with self-loops
-// using Tarjan's algorithm over dense integer ids (iterative to bound stack
+// using Tarjan's algorithm over the dense IDs (iterative to bound stack
 // depth).
 func (g *Graph) findRecursion() {
-	names := make([]string, 0, len(g.Callees))
-	for qn := range g.Callees {
-		names = append(names, qn)
-	}
-	sort.Strings(names)
-	id := make(map[string]int, len(names))
-	for i, qn := range names {
-		id[qn] = i
-	}
-	succs := make([][]int, len(names))
-	for i, qn := range names {
-		for c := range g.Callees[qn] {
-			if j, known := id[c]; known {
-				succs[i] = append(succs[i], j)
-			}
-		}
-	}
-
-	n := len(names)
+	n := len(g.names)
 	index := make([]int, n) // visit order + 1; 0 = unvisited
 	low := make([]int, n)
 	onStack := make([]bool, n)
@@ -121,15 +127,15 @@ func (g *Graph) findRecursion() {
 		onStack[v] = true
 		frames = append(frames, frame{node: v})
 	}
-	for start := range names {
+	for start := range n {
 		if index[start] != 0 {
 			continue
 		}
 		visit(start)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.i < len(succs[f.node]) {
-				w := succs[f.node][f.i]
+			if f.i < len(g.succs[f.node]) {
+				w := g.succs[f.node][f.i]
 				f.i++
 				if index[w] == 0 {
 					visit(w)
@@ -159,104 +165,14 @@ func (g *Graph) findRecursion() {
 			for _, w := range scc {
 				onStack[w] = false
 				if len(scc) > 1 {
-					g.Recursive[names[w]] = true
+					g.Recursive[g.names[w]] = true
 				}
 			}
-			if len(scc) == 1 && g.Callees[names[v]][names[v]] {
-				g.Recursive[names[v]] = true // self-recursion
+			if len(scc) == 1 && g.Callees[g.names[v]][g.names[v]] {
+				g.Recursive[g.names[v]] = true // self-recursion
 			}
 		}
 	}
-}
-
-// Reachable returns the set of functions reachable from root (inclusive).
-func (g *Graph) Reachable(root string) map[string]bool {
-	seen := map[string]bool{}
-	var walk func(string)
-	walk = func(n string) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for c := range g.Callees[n] {
-			if _, known := g.Callees[c]; known {
-				walk(c)
-			}
-		}
-	}
-	walk(root)
-	return seen
-}
-
-// Dominators computes call-graph dominators from root: dom[f] is the set of
-// functions present on every call path from root to f.
-func (g *Graph) Dominators(root string) map[string]map[string]bool {
-	reach := g.Reachable(root)
-	var nodes []string
-	for n := range reach {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	dom := make(map[string]map[string]bool, len(nodes))
-	all := map[string]bool{}
-	for _, n := range nodes {
-		all[n] = true
-	}
-	for _, n := range nodes {
-		if n == root {
-			dom[n] = map[string]bool{root: true}
-		} else {
-			full := make(map[string]bool, len(all))
-			for k := range all {
-				full[k] = true
-			}
-			dom[n] = full
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, n := range nodes {
-			if n == root {
-				continue
-			}
-			var inter map[string]bool
-			for p := range g.Callers[n] {
-				if !reach[p] {
-					continue
-				}
-				if inter == nil {
-					inter = make(map[string]bool, len(dom[p]))
-					for k := range dom[p] {
-						inter[k] = true
-					}
-				} else {
-					for k := range inter {
-						if !dom[p][k] {
-							delete(inter, k)
-						}
-					}
-				}
-			}
-			if inter == nil {
-				inter = map[string]bool{}
-			}
-			inter[n] = true
-			if len(inter) != len(dom[n]) {
-				dom[n] = inter
-				changed = true
-				continue
-			}
-			for k := range inter {
-				if !dom[n][k] {
-					dom[n] = inter
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return dom
 }
 
 // CutOptions controls candidate eligibility for Cut.
@@ -276,67 +192,54 @@ type CutOptions struct {
 // Cut selects a set of functions such that every call path from root to a
 // leaf of the call graph passes through a selected function wherever an
 // eligible dominator exists. It returns the chosen set and the leaves for
-// which no eligible dominator exists (uncovered).
+// which no eligible dominator exists (uncovered). A root that is not a
+// function of the program is its own uncovered leaf.
 func (g *Graph) Cut(root string, opts CutOptions) (chosen []string, uncovered []string) {
-	reach := g.Reachable(root)
-	dom := g.Dominators(root)
-	eligible := func(f string) bool {
-		if opts.AvoidRecursive && g.Recursive[f] {
-			return false
-		}
-		if opts.AvoidLoopCalled && g.LoopCalled[f] {
-			return false
-		}
-		if opts.Eligible != nil && !opts.Eligible(f) {
-			return false
-		}
-		return true
+	r, known := g.id[root]
+	if !known {
+		return nil, []string{root}
 	}
-	// Leaves: reachable functions that call nothing (within the program).
-	var leaves []string
-	for f := range reach {
-		hasCallee := false
-		for c := range g.Callees[f] {
-			if reach[c] {
-				hasCallee = true
+	idom := g.idoms(r)
+	// Leaves: reachable functions that call no function of the program.
+	var leaves []int
+	eligible := make([]bool, len(g.names))
+	for i, f := range g.names {
+		if idom[i] < 0 {
+			continue
+		}
+		if len(g.succs[i]) == 0 {
+			leaves = append(leaves, i)
+		}
+		eligible[i] = !(opts.AvoidRecursive && g.Recursive[f]) &&
+			!(opts.AvoidLoopCalled && g.LoopCalled[f]) &&
+			(opts.Eligible == nil || opts.Eligible(f))
+	}
+	if len(leaves) == 0 {
+		leaves = []int{r}
+	}
+	// Candidate -> leaves it covers: the eligible functions on each leaf's
+	// dominator-tree path to root.
+	covers := make([][]int, len(g.names))
+	for _, l := range leaves {
+		for f := l; ; f = idom[f] {
+			if eligible[f] {
+				covers[f] = append(covers[f], l)
+			}
+			if f == r {
 				break
 			}
 		}
-		if !hasCallee {
-			leaves = append(leaves, f)
-		}
 	}
-	if len(leaves) == 0 {
-		leaves = []string{root}
-	}
-	sort.Strings(leaves)
-	// Candidate -> leaves it covers (candidate dominates leaf).
-	covers := map[string][]string{}
-	for f := range reach {
-		if !eligible(f) {
-			continue
-		}
-		for _, l := range leaves {
-			if dom[l][f] {
-				covers[f] = append(covers[f], l)
-			}
-		}
-	}
-	// Greedy set cover, deterministic tie-break by name.
-	need := map[string]bool{}
+	// Greedy set cover, ties to the first name.
+	need := make([]bool, len(g.names))
 	for _, l := range leaves {
 		need[l] = true
 	}
-	for len(need) > 0 {
-		best, bestCount := "", 0
-		var cands []string
-		for c := range covers {
-			cands = append(cands, c)
-		}
-		sort.Strings(cands)
-		for _, c := range cands {
+	for left := len(leaves); left > 0; {
+		best, bestCount := -1, 0
+		for c, ls := range covers {
 			count := 0
-			for _, l := range covers[c] {
+			for _, l := range ls {
 				if need[l] {
 					count++
 				}
@@ -345,21 +248,30 @@ func (g *Graph) Cut(root string, opts CutOptions) (chosen []string, uncovered []
 				best, bestCount = c, count
 			}
 		}
-		if best == "" {
+		if best < 0 {
 			break
 		}
-		chosen = append(chosen, best)
+		chosen = append(chosen, g.names[best])
 		for _, l := range covers[best] {
-			delete(need, l)
+			if need[l] {
+				need[l] = false
+				left--
+			}
 		}
-		delete(covers, best)
 	}
-	for l := range need {
-		uncovered = append(uncovered, l)
+	for _, l := range leaves {
+		if need[l] {
+			uncovered = append(uncovered, g.names[l])
+		}
 	}
 	sort.Strings(chosen)
-	sort.Strings(uncovered)
 	return chosen, uncovered
+}
+
+// idoms returns each function's immediate dominator from root, by ID.
+func (g *Graph) idoms(root int) []int {
+	return cfg.Idoms(len(g.names), root,
+		func(i int) []int { return g.succs[i] }, func(i int) []int { return g.preds[i] })
 }
 
 // String renders the call graph edges, sorted, for tests and debugging.

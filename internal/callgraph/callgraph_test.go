@@ -102,13 +102,28 @@ func b() { }
 func dead() { }
 func main() { a(); }
 `)
-	r := g.Reachable("main")
-	if !r["a"] || !r["b"] || !r["main"] {
-		t.Errorf("reachable: %v", r)
+	// The dominator tree from main spans exactly what main reaches.
+	idom := g.idoms(g.id["main"])
+	for _, f := range []string{"a", "b", "main"} {
+		if idom[g.id[f]] < 0 {
+			t.Errorf("%s must be reachable", f)
+		}
 	}
-	if r["dead"] {
+	if idom[g.id["dead"]] >= 0 {
 		t.Error("dead must not be reachable")
 	}
+}
+
+// dominates reports whether a dominates b in g's call graph from root.
+func dominates(g *Graph, root, a, b string) bool {
+	r := g.id[root]
+	idom := g.idoms(r)
+	for f := g.id[b]; f != g.id[a]; f = idom[f] {
+		if f == r {
+			return false
+		}
+	}
+	return true
 }
 
 func TestDominators(t *testing.T) {
@@ -119,15 +134,14 @@ func c() { d(); }
 func d() { }
 func main() { a(); b(); }
 `)
-	dom := g.Dominators("main")
 	// c dominates d; a does not dominate c (b also reaches c).
-	if !dom["d"]["c"] {
+	if !dominates(g, "main", "c", "d") {
 		t.Error("c must dominate d")
 	}
-	if dom["c"]["a"] {
+	if dominates(g, "main", "a", "c") {
 		t.Error("a must not dominate c")
 	}
-	if !dom["d"]["main"] {
+	if !dominates(g, "main", "main", "d") {
 		t.Error("main dominates everything")
 	}
 }
@@ -146,6 +160,22 @@ func main() { a(); b(); }
 	// c dominates the only leaf (c itself); greedy should pick one function.
 	if len(chosen) != 1 {
 		t.Fatalf("chosen: %v", chosen)
+	}
+}
+
+// TestCutPicksDominatorOfLeaves: with the leaves themselves ineligible, the
+// cut must find the function that dominates both of them; main dominates
+// them too and loses the tie by name.
+func TestCutPicksDominatorOfLeaves(t *testing.T) {
+	g := build(t, `
+func c() { }
+func d() { }
+func b() { c(); d(); }
+func main() { b(); }
+`)
+	chosen, uncovered := g.Cut("main", CutOptions{Eligible: func(q string) bool { return q != "c" && q != "d" }})
+	if len(chosen) != 1 || chosen[0] != "b" || len(uncovered) != 0 {
+		t.Errorf("chosen %v, uncovered %v; want [b] and none", chosen, uncovered)
 	}
 }
 

@@ -38,16 +38,11 @@ type Graph struct {
 	Nodes []*Node
 	Entry *Node
 	Exit  *Node
-	// ByStmt maps statement IDs to their nodes.
-	ByStmt map[int]*Node
 }
 
 func (g *Graph) newNode(s ir.Stmt) *Node {
 	n := &Node{Index: len(g.Nodes), Stmt: s}
 	g.Nodes = append(g.Nodes, n)
-	if s != nil {
-		g.ByStmt[s.ID()] = n
-	}
 	return n
 }
 
@@ -65,7 +60,7 @@ type loopCtx struct {
 
 // Build constructs the CFG for f.
 func Build(f *ir.Func) *Graph {
-	g := &Graph{Func: f, ByStmt: make(map[int]*Node)}
+	g := &Graph{Func: f}
 	g.Entry = g.newNode(nil)
 	g.Exit = g.newNode(nil)
 	ends := g.buildStmts(f.Body, []*Node{g.Entry}, nil)

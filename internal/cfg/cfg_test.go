@@ -21,11 +21,13 @@ func buildFunc(t *testing.T, src, name string) *Graph {
 
 func node(t *testing.T, g *Graph, stmtID int) *Node {
 	t.Helper()
-	n := g.ByStmt[stmtID]
-	if n == nil {
-		t.Fatalf("no node for stmt %d\n%s", stmtID, g)
+	for _, n := range g.Nodes {
+		if n.Stmt != nil && n.Stmt.ID() == stmtID {
+			return n
+		}
 	}
-	return n
+	t.Fatalf("no node for stmt %d\n%s", stmtID, g)
+	return nil
 }
 
 func TestStraightLine(t *testing.T) {
@@ -137,7 +139,7 @@ func f(n: int): int {
 	if loop == nil || len(loop.Post) != 1 {
 		t.Fatalf("loop/post missing")
 	}
-	post := g.ByStmt[loop.Post[0].ID()]
+	post := node(t, g, loop.Post[0].ID())
 	// Find break and continue nodes.
 	var brk, cont *Node
 	for _, n := range g.Nodes {
@@ -206,6 +208,28 @@ func f(): int {
 	}
 	// Dominators should still terminate.
 	_ = Dominators(g)
+}
+
+// TestIdomOfUnreachableIsNil: a statement after a return has no immediate
+// dominator, and every node dominates it vacuously.
+func TestIdomOfUnreachableIsNil(t *testing.T) {
+	g := buildFunc(t, `func f(): int { return 1; var x: int = 2; return x; }`, "f")
+	dom := Dominators(g)
+	if d := dom.Idom(g.Entry); d != nil {
+		t.Errorf("idom(entry) = %v, want nil", d)
+	}
+	for _, id := range []int{1, 2} {
+		dead := node(t, g, id)
+		if d := dom.Idom(dead); d != nil {
+			t.Errorf("idom(s%d) = %v, want nil", id, d)
+		}
+		if !dom.Dominates(g.Exit, dead) || !dom.Dominates(node(t, g, 0), dead) {
+			t.Errorf("s%d is unreachable, so every node dominates it", id)
+		}
+	}
+	if d := dom.Idom(g.Exit); d != node(t, g, 0) {
+		t.Errorf("idom(exit) = %v, want the reachable return", d)
+	}
 }
 
 func TestInfiniteLoop(t *testing.T) {

@@ -1,133 +1,124 @@
 package cfg
 
-// Dominator computation using the classic iterative bit-set algorithm.
-
-// DomInfo holds dominator sets for a graph.
-type DomInfo struct {
-	g *Graph
-	// dom[i] is the set of node indices that dominate node i.
-	dom []bitset
-	// idom[i] is the immediate dominator index, or -1.
-	idom []int
-}
-
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-
-func (b bitset) copyFrom(o bitset) { copy(b, o) }
-
-func (b bitset) intersect(o bitset) bool {
-	changed := false
-	for i := range b {
-		nv := b[i] & o[i]
-		if nv != b[i] {
-			b[i] = nv
-			changed = true
+// Idoms computes the immediate dominators of a graph of n nodes numbered
+// 0..n-1, rooted at root, with the algorithm of Cooper, Harvey and Kennedy,
+// "A Simple, Fast Dominance Algorithm" (2001): iterate over reverse
+// postorder, intersecting the dominator-tree paths of each node's processed
+// predecessors, until nothing changes. idom[root] is root; a node root
+// cannot reach gets -1.
+func Idoms(n, root int, succ, pred func(int) []int) []int {
+	// Reverse postorder by an iterative depth-first search.
+	rpo := make([]int, n) // position in reverse postorder; -1 = unreached
+	for i := range rpo {
+		rpo[i] = -1
+	}
+	order := make([]int, 0, n) // postorder
+	type frame struct{ node, i int }
+	rpo[root] = 0
+	frames := []frame{{node: root}}
+	for len(frames) > 0 {
+		f := &frames[len(frames)-1]
+		if ss := succ(f.node); f.i < len(ss) {
+			w := ss[f.i]
+			f.i++
+			if rpo[w] < 0 {
+				rpo[w] = 0
+				frames = append(frames, frame{node: w})
+			}
+			continue
 		}
+		order = append(order, f.node)
+		frames = frames[:len(frames)-1]
 	}
-	return changed
-}
+	for i, v := range order {
+		rpo[v] = len(order) - 1 - i
+	}
 
-func (b bitset) equal(o bitset) bool {
-	for i := range b {
-		if b[i] != o[i] {
-			return false
+	idom := make([]int, n)
+	for i := range idom {
+		idom[i] = -1
+	}
+	idom[root] = root
+	intersect := func(a, b int) int {
+		for a != b {
+			for rpo[a] > rpo[b] {
+				a = idom[a]
+			}
+			for rpo[b] > rpo[a] {
+				b = idom[b]
+			}
 		}
+		return a
 	}
-	return true
-}
-
-func (b bitset) fill() {
-	for i := range b {
-		b[i] = ^uint64(0)
-	}
-}
-
-// Dominators computes the dominator sets of g (from Entry).
-func Dominators(g *Graph) *DomInfo {
-	n := len(g.Nodes)
-	d := &DomInfo{g: g, dom: make([]bitset, n), idom: make([]int, n)}
-	root := g.Entry
-	for i := range d.dom {
-		d.dom[i] = newBitset(n)
-		if i == root.Index {
-			d.dom[i].set(i)
-		} else {
-			d.dom[i].fill()
-		}
-	}
-	changed := true
-	tmp := newBitset(n)
-	for changed {
+	for changed := true; changed; {
 		changed = false
-		for _, node := range g.Nodes {
-			if node == root {
-				continue
+		for i := len(order) - 2; i >= 0; i-- { // reverse postorder, root skipped
+			v := order[i]
+			nd := -1
+			for _, p := range pred(v) {
+				switch {
+				case idom[p] < 0: // unreached, or not processed yet
+				case nd < 0:
+					nd = p
+				default:
+					nd = intersect(p, nd)
+				}
 			}
-			tmp.fill()
-			any := false
-			for _, p := range node.Preds {
-				tmp.intersect(d.dom[p.Index])
-				any = true
-			}
-			if !any {
-				// Unreachable from root: leave as full set (vacuously
-				// dominated by everything).
-				continue
-			}
-			tmp.set(node.Index)
-			if !tmp.equal(d.dom[node.Index]) {
-				d.dom[node.Index].copyFrom(tmp)
+			if idom[v] != nd {
+				idom[v] = nd
 				changed = true
 			}
 		}
 	}
-	d.computeIdom(root)
-	return d
+	return idom
 }
 
-func (d *DomInfo) computeIdom(root *Node) {
-	n := len(d.g.Nodes)
-	for i := range d.idom {
-		d.idom[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		if i == root.Index {
-			continue
-		}
-		// idom(i) = the strict dominator of i dominated by all other strict
-		// dominators of i, i.e. the one whose dominator set is largest
-		// while still being a strict dominator.
-		best, bestCount := -1, -1
-		for j := 0; j < n; j++ {
-			if j == i || !d.dom[i].has(j) {
-				continue
-			}
-			count := 0
-			for k := 0; k < n; k++ {
-				if d.dom[j].has(k) {
-					count++
-				}
-			}
-			if count > bestCount && count < n { // skip "full set" unreachable markers
-				best, bestCount = j, count
-			}
-		}
-		d.idom[i] = best
-	}
+// DomInfo holds the dominator tree of a graph, rooted at Entry.
+type DomInfo struct {
+	g *Graph
+	// idom[i] is node i's immediate dominator index: Entry's own index for
+	// Entry, -1 for a node Entry cannot reach.
+	idom []int
 }
 
-// Dominates reports whether a dominates b.
-func (d *DomInfo) Dominates(a, b *Node) bool { return d.dom[b.Index].has(a.Index) }
+// Dominators computes the dominator tree of g from Entry.
+func Dominators(g *Graph) *DomInfo {
+	succs := make([][]int, len(g.Nodes))
+	preds := make([][]int, len(g.Nodes))
+	for _, n := range g.Nodes {
+		for _, s := range n.Succs {
+			succs[n.Index] = append(succs[n.Index], s.Index)
+		}
+		for _, p := range n.Preds {
+			preds[n.Index] = append(preds[n.Index], p.Index)
+		}
+	}
+	idom := Idoms(len(g.Nodes), g.Entry.Index,
+		func(i int) []int { return succs[i] }, func(i int) []int { return preds[i] })
+	return &DomInfo{g: g, idom: idom}
+}
 
-// Idom returns the immediate dominator of n, or nil.
+// Dominates reports whether a dominates b. A node Entry cannot reach is
+// vacuously dominated by every node.
+func (d *DomInfo) Dominates(a, b *Node) bool {
+	i := b.Index
+	if d.idom[i] < 0 {
+		return true
+	}
+	for i != a.Index {
+		if i == d.g.Entry.Index {
+			return false
+		}
+		i = d.idom[i]
+	}
+	return true
+}
+
+// Idom returns the immediate dominator of n, or nil for Entry and for a
+// node Entry cannot reach.
 func (d *DomInfo) Idom(n *Node) *Node {
 	i := d.idom[n.Index]
-	if i < 0 {
+	if i < 0 || n == d.g.Entry {
 		return nil
 	}
 	return d.g.Nodes[i]

@@ -812,20 +812,12 @@ func (g *Group) catchingUp() string {
 	return ""
 }
 
-// FailoverNS reports the last observed failover latency (death of a peer
-// to first promoted serve of one of its sessions), 0 if none happened.
-func (g *Group) FailoverNS() int64 { return g.failoverNS.Load() }
-
 // Redirects reports how many requests were redirected to their owner.
 func (g *Group) Redirects() int64 { return g.redirects.Load() }
 
 // SnapXferBytes reports the snapshot-transfer bytes moved (both
 // directions), 0 when no transfer ran.
 func (g *Group) SnapXferBytes() int64 { return g.snapXferBytes.Load() }
-
-// SnapXferNS reports the cumulative wall-clock time spent in snapshot
-// transfers.
-func (g *Group) SnapXferNS() int64 { return g.snapXferNS.Load() }
 
 // RegisterMetrics exports the fleet gauges.
 func (g *Group) RegisterMetrics(reg *obs.Registry) {
@@ -842,19 +834,4 @@ func (g *Group) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("snap_xfer_bytes", g.snapXferBytes.Load)
 	reg.Gauge("snap_xfer_ns", g.snapXferNS.Load)
 	reg.Gauge("snap_xfer_resumes", g.snapResumes.Load)
-}
-
-// Info describes the fleet for the daemon banner and /healthz.
-func (g *Group) Info() map[string]string {
-	m := g.Membership()
-	mode := "route-only"
-	if g.cfg.Replicate {
-		mode = "replicate"
-	}
-	return map[string]string{
-		"cluster_self":  g.cfg.Self,
-		"cluster_peers": fmt.Sprintf("%v", m.Members),
-		"cluster_epoch": fmt.Sprintf("%d", m.Epoch),
-		"cluster_mode":  mode,
-	}
 }

@@ -3,7 +3,6 @@ package complexity
 import (
 	"fmt"
 
-	"slicehide/internal/cfg"
 	"slicehide/internal/core"
 	"slicehide/internal/dataflow"
 	"slicehide/internal/ir"
@@ -86,7 +85,6 @@ func AnalyzeOpts(sf *core.SplitFunc, opts Options) []Report {
 type analyzer struct {
 	opts   Options
 	sf     *core.SplitFunc
-	g      *cfg.Graph
 	reach  *dataflow.Result
 	roles  map[int]slicer.Role
 	hidden map[*ir.Var]bool
@@ -108,14 +106,14 @@ type analyzer struct {
 
 	// enclosing and loopsOf are the function's shared enclosure tables
 	// (slicer.Facts): statement ID to the if/while statements, and to the
-	// whiles, around it.
+	// whiles, around it. Every statement of the function has an entry.
 	enclosing map[int][]ir.Stmt
 	loopsOf   map[int][]*ir.WhileStmt
 }
 
 // newAnalyzer sets up the per-seed state over the function's shared facts;
-// this is where a function's CFG and reaching definitions are first asked
-// for, once however many of its seeds are analyzed.
+// this is where a function's reaching definitions are first asked for, once
+// however many of its seeds are analyzed.
 func newAnalyzer(sf *core.SplitFunc) *analyzer {
 	facts := slicer.FactsOf(sf.Orig)
 	a := &analyzer{
@@ -127,8 +125,8 @@ func newAnalyzer(sf *core.SplitFunc) *analyzer {
 		exprLeaf:  make(map[ir.Expr]int),
 		enclosing: facts.Enclosing,
 		loopsOf:   facts.LoopsOf,
+		reach:     facts.Reaching(),
 	}
-	a.g, a.reach = facts.Flow()
 	n := len(a.reach.Defs)
 	a.observable, a.constDef, a.acDef = make([]bool, n), make([]bool, n), make([]AC, n)
 	a.classifyDefs()
@@ -142,15 +140,15 @@ func newAnalyzer(sf *core.SplitFunc) *analyzer {
 // bare-variable leak site).
 func (a *analyzer) classifyDefs() {
 	for _, d := range a.reach.Defs {
-		if d.Node.Stmt == nil {
+		if d.Stmt == nil {
 			// Entry defs: caller-visible state.
 			a.observable[d.Index] = true
 			continue
 		}
-		role := a.roles[d.Node.Stmt.ID()]
+		role := a.roles[d.Stmt.ID()]
 		if !a.hidden[d.Var] || role == slicer.RoleSend {
 			a.observable[d.Index] = true
-			if as, ok := d.Node.Stmt.(*ir.AssignStmt); ok {
+			if as, ok := d.Stmt.(*ir.AssignStmt); ok {
 				if _, isConst := as.Rhs.(*ir.Const); isConst {
 					a.constDef[d.Index] = true
 				}
@@ -163,12 +161,7 @@ func (a *analyzer) classifyDefs() {
 		if !ok {
 			continue
 		}
-		node := a.g.ByStmt[ilp.StmtID]
-		if node == nil {
-			continue
-		}
-		defs := a.reach.DefsReachingUse(node, vr.Var)
-		if len(defs) == 1 {
+		if defs := a.reach.DefsReaching(ilp.StmtID, vr.Var); len(defs) == 1 {
 			a.observable[defs[0].Index] = true
 		}
 	}
@@ -180,14 +173,14 @@ func (a *analyzer) fixpoint(limit int) bool {
 	for round := 0; round < limit; round++ {
 		changed := false
 		for _, d := range a.reach.Defs {
-			if d.Node.Stmt == nil || d.Implicit {
+			if d.Stmt == nil || d.Implicit {
 				continue
 			}
-			as, ok := d.Node.Stmt.(*ir.AssignStmt)
+			as, ok := d.Stmt.(*ir.AssignStmt)
 			if !ok || ir.DefinedVar(as) != d.Var {
 				continue
 			}
-			ac := a.evalExpr(as.Rhs, d.Node.Stmt)
+			ac := a.evalExpr(as.Rhs, as.ID())
 			if !ac.Equal(a.acDef[d.Index]) {
 				a.acDef[d.Index] = ac
 				changed = true
@@ -202,13 +195,10 @@ func (a *analyzer) fixpoint(limit int) bool {
 
 // useAC is the paper's AC(u_v@n): the propagated complexity PC joined over
 // the reaching definitions, with MAX by default and with the MIN of the
-// paper's Figure 3 rule under Options.MinAtUses.
-func (a *analyzer) useAC(v *ir.Var, at ir.Stmt) AC {
-	node := a.g.ByStmt[at.ID()]
-	if node == nil {
-		return a.varLeafAC(v)
-	}
-	defs := a.reach.DefsReachingUse(node, v)
+// paper's Figure 3 rule under Options.MinAtUses. at is the reading
+// statement's ID.
+func (a *analyzer) useAC(v *ir.Var, at int) AC {
+	defs := a.reach.DefsReaching(at, v)
 	if len(defs) == 0 {
 		// Conservatively treat unknown flows as observable inputs.
 		return a.varLeafAC(v)
@@ -231,8 +221,9 @@ func (a *analyzer) useAC(v *ir.Var, at ir.Stmt) AC {
 
 // pc is the paper's PC(d_v@n', u_v@n): Constant for observable constants,
 // Linear for other observable values, the def's own AC otherwise — raised
-// when the def-use edge exits a loop nest.
-func (a *analyzer) pc(d *dataflow.Def, use ir.Stmt) AC {
+// when the def-use edge exits a loop nest. use is the reading statement's
+// ID.
+func (a *analyzer) pc(d *dataflow.Def, use int) AC {
 	var out AC
 	switch {
 	case a.observable[d.Index] && a.constDef[d.Index]:
@@ -243,9 +234,9 @@ func (a *analyzer) pc(d *dataflow.Def, use ir.Stmt) AC {
 		out = a.acDef[d.Index]
 	}
 	// RAISE for every loop containing the def but not the use.
-	if d.Node.Stmt != nil {
-		for _, l := range a.loopsOf[d.Node.Stmt.ID()] {
-			if !a.inside(use.ID(), l) {
+	if d.Stmt != nil {
+		for _, l := range a.loopsOf[d.Stmt.ID()] {
+			if !a.inside(use, l) {
 				out = Raise(out, a.iterAC(l))
 			}
 		}
@@ -271,7 +262,7 @@ func (a *analyzer) inside(stmtID int, l *ir.WhileStmt) bool {
 func (a *analyzer) iterAC(l *ir.WhileStmt) AC {
 	out := AC{Type: Linear, Degree: 1}
 	for _, v := range ir.ExprVars(l.Cond) {
-		out = Max(out, a.useAC(v, l))
+		out = Max(out, a.useAC(v, l.ID()))
 	}
 	if out.Type == Arbitrary {
 		return out
@@ -286,8 +277,8 @@ func (a *analyzer) iterAC(l *ir.WhileStmt) AC {
 }
 
 // evalExpr is the paper's EVAL: combines operand complexities according to
-// the operator.
-func (a *analyzer) evalExpr(e ir.Expr, at ir.Stmt) AC {
+// the operator. at is the ID of the statement holding e.
+func (a *analyzer) evalExpr(e ir.Expr, at int) AC {
 	switch e := e.(type) {
 	case *ir.Const:
 		return ConstantAC()
@@ -320,7 +311,7 @@ func (a *analyzer) evalExpr(e ir.Expr, at ir.Stmt) AC {
 		// Aggregate reads are observable inputs; inside a loop a different
 		// element may flow in each iteration, so the input count varies.
 		ac := a.exprLeafAC(e)
-		if len(a.loopsOf[at.ID()]) > 0 {
+		if len(a.loopsOf[at]) > 0 {
 			ac.Varying = true
 		}
 		return ac
@@ -361,34 +352,23 @@ func (a *analyzer) exprLeafAC(e ir.Expr) AC {
 // function is that definition's expression (AC of the def); otherwise the
 // leaked expression is evaluated directly.
 func (a *analyzer) ilpAC(ilp *core.ILP) AC {
-	at := a.stmtOf(ilp.StmtID)
-	if at == nil {
+	if _, ok := a.enclosing[ilp.StmtID]; !ok {
 		return Arb()
 	}
 	if vr, ok := ilp.HiddenExpr.(*ir.VarRef); ok {
-		node := a.g.ByStmt[ilp.StmtID]
-		if node != nil {
-			defs := a.reach.DefsReachingUse(node, vr.Var)
-			if len(defs) == 1 && defs[0].Node.Stmt != nil && a.roles[defs[0].Node.Stmt.ID()] == slicer.RoleFull {
-				d := defs[0]
-				out := a.acDef[d.Index]
-				for _, l := range a.loopsOf[d.Node.Stmt.ID()] {
-					if !a.inside(ilp.StmtID, l) {
-						out = Raise(out, a.iterAC(l))
-					}
+		defs := a.reach.DefsReaching(ilp.StmtID, vr.Var)
+		if len(defs) == 1 && defs[0].Stmt != nil && a.roles[defs[0].Stmt.ID()] == slicer.RoleFull {
+			d := defs[0]
+			out := a.acDef[d.Index]
+			for _, l := range a.loopsOf[d.Stmt.ID()] {
+				if !a.inside(ilp.StmtID, l) {
+					out = Raise(out, a.iterAC(l))
 				}
-				return out
 			}
+			return out
 		}
 	}
-	return a.evalExpr(ilp.HiddenExpr, at)
-}
-
-func (a *analyzer) stmtOf(id int) ir.Stmt {
-	if n := a.g.ByStmt[id]; n != nil {
-		return n.Stmt
-	}
-	return nil
+	return a.evalExpr(ilp.HiddenExpr, ilp.StmtID)
 }
 
 // ---------------------------------------------------------------------------
@@ -397,27 +377,23 @@ func (a *analyzer) stmtOf(id int) ir.Stmt {
 // contributingDefs returns the hidden definitions feeding the ILP's leaked
 // expression, transitively through hidden def-use chains.
 func (a *analyzer) contributingDefs(ilp *core.ILP) []*dataflow.Def {
-	at := a.stmtOf(ilp.StmtID)
-	if at == nil {
+	if _, ok := a.enclosing[ilp.StmtID]; !ok {
 		return nil
 	}
 	seen := make([]bool, len(a.reach.Defs))
 	var out []*dataflow.Def
-	// add appends the hidden defs that reach e's hidden variables at st.
-	add := func(e ir.Expr, st ir.Stmt) {
-		node := a.g.ByStmt[st.ID()]
-		if node == nil {
-			return
-		}
+	// add appends the hidden defs that reach e's hidden variables at the
+	// statement with ID at.
+	add := func(e ir.Expr, at int) {
 		for _, v := range ir.ExprVars(e) {
 			if !a.hidden[v] {
 				continue
 			}
-			for _, d := range a.reach.DefsReachingUse(node, v) {
-				if seen[d.Index] || d.Node.Stmt == nil {
+			for _, d := range a.reach.DefsReaching(at, v) {
+				if seen[d.Index] || d.Stmt == nil {
 					continue
 				}
-				role := a.roles[d.Node.Stmt.ID()]
+				role := a.roles[d.Stmt.ID()]
 				if role != slicer.RoleFull && role != slicer.RoleSend {
 					continue // open def: the adversary sees it
 				}
@@ -426,10 +402,10 @@ func (a *analyzer) contributingDefs(ilp *core.ILP) []*dataflow.Def {
 			}
 		}
 	}
-	add(ilp.HiddenExpr, at)
+	add(ilp.HiddenExpr, ilp.StmtID)
 	for i := 0; i < len(out); i++ {
-		if as, ok := out[i].Node.Stmt.(*ir.AssignStmt); ok {
-			add(as.Rhs, as)
+		if as, ok := out[i].Stmt.(*ir.AssignStmt); ok {
+			add(as.Rhs, as.ID())
 		}
 	}
 	return out
@@ -466,8 +442,7 @@ func (a *analyzer) ilpCC(ilp *core.ILP) CC {
 	}
 	branches := 0
 	for _, d := range a.contributingDefs(ilp) {
-		id := d.Node.Stmt.ID()
-		for _, en := range a.enclosing[id] {
+		for _, en := range a.enclosing[d.Stmt.ID()] {
 			switch en := en.(type) {
 			case *ir.WhileStmt:
 				if a.predicateHidden(en) {

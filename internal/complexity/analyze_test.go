@@ -27,7 +27,7 @@ func BenchmarkAnalyzeCorpus(b *testing.B) {
 			if err != nil {
 				b.Fatalf("%s seed %s: %v", qn, v, err)
 			}
-			slicer.FactsOf(f).Flow()
+			slicer.FactsOf(f).Reaching()
 			splits = append(splits, sf)
 		}
 	}

@@ -220,6 +220,37 @@ func TestSplitMatchesGolden(t *testing.T) {
 	t.Fatalf("got %d lines, golden has %d", len(gl), len(wl))
 }
 
+// TestRegistryHashPinned pins the compiled registry's Program.Hash for every
+// golden program. Recovery refuses a data dir whose recorded hash differs
+// from the recompiled registry's, so a change to layouts, slot order or
+// bytecode that moves these values strands every existing data dir.
+func TestRegistryHashPinned(t *testing.T) {
+	want := map[string]uint64{
+		"global-two-unsplit":         0x9f420e1347e9fdc7,
+		"field-read-and-write":       0xb7afb11d0279fe90,
+		"fields-and-globals-compose": 0xf1e2b6445b4e299c,
+		"global-inside-field-access": 0xaf34330faab69689,
+		"figure2":                    0xae88ae058ec6d409,
+		"kernel/javac":               0xc83a8dbded174263,
+		"kernel/jess":                0x5712569739a32567,
+		"kernel/jasmin":              0x7f556b2be73f98ba,
+		"kernel/bloat":               0xf03615d256609f01,
+	}
+	cases := goldenCases()
+	if len(cases) != len(want) {
+		t.Fatalf("%d golden programs, %d pinned hashes", len(cases), len(want))
+	}
+	for _, c := range cases {
+		res, err := core.SplitProgram(ir.MustCompile(c.src), c.specs, c.policy)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := hrt.NewRegistry(res).Prog.Hash; got != want[c.name] {
+			t.Errorf("%s: Program.Hash = %#016x, want %#016x", c.name, got, want[c.name])
+		}
+	}
+}
+
 // TestFallbackCasesEquivalent runs each fallback program split and unsplit:
 // the golden pins text, this pins behaviour.
 func TestFallbackCasesEquivalent(t *testing.T) {

@@ -111,30 +111,6 @@ func (g *gen) intExpr(vars []string, depth int) string {
 	}
 }
 
-// floatExpr builds a random float expression (jfig flavor: polynomials and
-// rationals).
-func (g *gen) floatExpr(vars []string, depth int) string {
-	if depth <= 0 || g.rng.Float64() < 0.3 {
-		if g.rng.Float64() < 0.3 {
-			return fmt.Sprintf("%d.%d", g.rng.Intn(9)+1, g.rng.Intn(10))
-		}
-		return vars[g.rng.Intn(len(vars))]
-	}
-	x := g.floatExpr(vars, depth-1)
-	y := g.floatExpr(vars, depth-1)
-	r := g.rng.Float64()
-	switch {
-	case r < g.p.DivFrac:
-		return fmt.Sprintf("(%s / (%s * %s + 1.5))", x, y, y)
-	case r < 0.45:
-		return fmt.Sprintf("(%s + %s)", x, y)
-	case r < 0.6:
-		return fmt.Sprintf("(%s - %s)", x, y)
-	default:
-		return fmt.Sprintf("(%s * %s)", x, y)
-	}
-}
-
 // classes emits the class declarations, their initializer methods (the
 // SelfContainedBigInit category), and a share of filler methods.
 func (g *gen) classes(classFillers int) {

@@ -15,14 +15,14 @@ import (
 	"slicehide/internal/ir"
 )
 
-// Def is a definition site: a variable defined at a CFG node. Implicit defs
-// model values that exist on function entry (parameters, globals, fields,
-// array contents) and definitions performed by calls.
+// Def is a definition site: a variable defined at a statement. Implicit
+// defs model values that exist on function entry (parameters, globals,
+// fields, array contents) and definitions performed by calls.
 type Def struct {
 	// Index is the def's position in Result.Defs.
 	Index int
-	// Node is the defining node; the graph's entry node for implicit defs.
-	Node *cfg.Node
+	// Stmt is the defining statement, or nil for entry defs.
+	Stmt ir.Stmt
 	// Var is the variable defined.
 	Var *ir.Var
 	// Implicit is true for entry defs and call-side-effect defs.
@@ -34,21 +34,29 @@ func (d *Def) String() string {
 	if d.Implicit {
 		tag = "~"
 	}
-	if d.Node.Stmt == nil {
+	if d.Stmt == nil {
 		return fmt.Sprintf("%s%s@entry", tag, d.Var)
 	}
-	return fmt.Sprintf("%s%s@s%d", tag, d.Var, d.Node.Stmt.ID())
+	return fmt.Sprintf("%s%s@s%d", tag, d.Var, d.Stmt.ID())
 }
 
 // Result holds reaching-definition facts for one function.
 type Result struct {
-	Graph *cfg.Graph
-	Defs  []*Def
-	// UD maps each node and used variable to the defs that reach the use.
-	UD map[*cfg.Node]map[*ir.Var][]*Def
-
-	defsOf map[*cfg.Node][]*Def
+	Defs []*Def
+	// ud holds, for each variable a statement reads, the defs that reach
+	// the read, in index order.
+	ud map[use][]*Def
 }
+
+// use is a read of a variable at a statement, by statement ID.
+type use struct {
+	stmt int
+	v    *ir.Var
+}
+
+// DefsReaching returns the defs of v that reach the read of v at the
+// statement with ID id.
+func (r *Result) DefsReaching(id int, v *ir.Var) []*Def { return r.ud[use{id, v}] }
 
 // mutatedByCall lists the variable classes a call may define: all globals,
 // all class fields, all elems pseudo-vars, and the heap. Locals and params
@@ -64,13 +72,10 @@ func mutatedByCall(vars []*ir.Var) []*ir.Var {
 	return out
 }
 
-// stmtHasCall reports whether node n's statement contains a call.
-func stmtHasCall(n *cfg.Node) bool {
-	if n.Stmt == nil {
-		return false
-	}
+// stmtHasCall reports whether s contains a call.
+func stmtHasCall(s ir.Stmt) bool {
 	found := false
-	ir.StmtExprs(n.Stmt, func(e ir.Expr) {
+	ir.StmtExprs(s, func(e ir.Expr) {
 		if ir.HasCall(e) {
 			found = true
 		}
@@ -106,18 +111,13 @@ func collectVars(g *cfg.Graph) []*ir.Var {
 
 // Reaching computes reaching definitions and use-def chains for g.
 func Reaching(g *cfg.Graph) *Result {
-	r := &Result{
-		Graph:  g,
-		UD:     make(map[*cfg.Node]map[*ir.Var][]*Def),
-		defsOf: make(map[*cfg.Node][]*Def),
-	}
+	r := &Result{ud: make(map[use][]*Def)}
 	vars := collectVars(g)
-
-	addDef := func(n *cfg.Node, v *ir.Var, implicit bool) *Def {
-		d := &Def{Index: len(r.Defs), Node: n, Var: v, Implicit: implicit}
+	defsOf := make([][]*Def, len(g.Nodes))
+	addDef := func(n *cfg.Node, v *ir.Var, implicit bool) {
+		d := &Def{Index: len(r.Defs), Stmt: n.Stmt, Var: v, Implicit: implicit}
 		r.Defs = append(r.Defs, d)
-		r.defsOf[n] = append(r.defsOf[n], d)
-		return d
+		defsOf[n.Index] = append(defsOf[n.Index], d)
 	}
 
 	// Implicit entry defs: parameters, globals, fields, aggregates. These
@@ -133,11 +133,11 @@ func Reaching(g *cfg.Graph) *Result {
 		if n.Stmt == nil {
 			continue
 		}
-		if v := ir.DefinedVar(n.Stmt); v != nil {
-			addDef(n, v, false)
+		dv := ir.DefinedVar(n.Stmt)
+		if dv != nil {
+			addDef(n, dv, false)
 		}
-		if stmtHasCall(n) {
-			dv := ir.DefinedVar(n.Stmt)
+		if stmtHasCall(n.Stmt) {
 			for _, v := range mutatedByCall(vars) {
 				if v != dv {
 					addDef(n, v, true)
@@ -147,8 +147,8 @@ func Reaching(g *cfg.Graph) *Result {
 	}
 
 	nd := len(r.Defs)
-	gen := make(map[*cfg.Node]bitset)
-	kill := make(map[*cfg.Node]bitset)
+	gen := make([]bitset, len(g.Nodes))
+	kill := make([]bitset, len(g.Nodes))
 	// Group def indices by variable for kill computation.
 	byVar := make(map[*ir.Var][]int)
 	for _, d := range r.Defs {
@@ -161,17 +161,17 @@ func Reaching(g *cfg.Graph) *Result {
 		}
 		return false // elems/field/heap stores are weak updates
 	}
-	for _, n := range g.Nodes {
-		gen[n] = newBitset(nd)
-		kill[n] = newBitset(nd)
-		for _, d := range r.defsOf[n] {
-			gen[n].set(d.Index)
+	for i := range g.Nodes {
+		gen[i] = newBitset(nd)
+		kill[i] = newBitset(nd)
+		for _, d := range defsOf[i] {
+			gen[i].set(d.Index)
 			// Only an explicit assignment to a scalar-like variable kills;
 			// implicit call-defs and aggregate stores are weak.
 			if !d.Implicit && strong(d.Var) {
 				for _, j := range byVar[d.Var] {
 					if j != d.Index {
-						kill[n].set(j)
+						kill[i].set(j)
 					}
 				}
 			}
@@ -179,60 +179,50 @@ func Reaching(g *cfg.Graph) *Result {
 	}
 
 	// Iterate to fixpoint: In[n] = union of Out[p]; Out[n] = gen ∪ (In−kill).
-	in := make(map[*cfg.Node]bitset)
-	out := make(map[*cfg.Node]bitset)
-	for _, n := range g.Nodes {
-		in[n] = newBitset(nd)
-		out[n] = newBitset(nd)
+	in := make([]bitset, len(g.Nodes))
+	out := make([]bitset, len(g.Nodes))
+	for i := range g.Nodes {
+		in[i] = newBitset(nd)
+		out[i] = newBitset(nd)
 	}
 	changed := true
 	tmp := newBitset(nd)
 	for changed {
 		changed = false
-		for _, n := range g.Nodes {
+		for i, n := range g.Nodes {
 			tmp.zero()
 			for _, p := range n.Preds {
-				tmp.union(out[p])
+				tmp.union(out[p.Index])
 			}
-			in[n].copyFrom(tmp)
+			in[i].copyFrom(tmp)
 			// out = gen ∪ (in − kill)
-			tmp.subtract(kill[n])
-			tmp.union(gen[n])
-			if !tmp.equal(out[n]) {
-				out[n].copyFrom(tmp)
+			tmp.subtract(kill[i])
+			tmp.union(gen[i])
+			if !tmp.equal(out[i]) {
+				out[i].copyFrom(tmp)
 				changed = true
 			}
 		}
 	}
 
 	// Materialize the UD chains: each use's defs in index order.
-	for _, n := range g.Nodes {
+	for i, n := range g.Nodes {
 		if n.Stmt == nil {
 			continue
 		}
-		used := ir.UsedVars(n.Stmt)
-		if len(used) == 0 {
-			continue
-		}
-		m := make(map[*ir.Var][]*Def)
-		for _, v := range used {
-			for _, i := range byVar[v] {
-				if in[n].has(i) {
-					m[v] = append(m[v], r.Defs[i])
+		for _, v := range ir.UsedVars(n.Stmt) {
+			var defs []*Def
+			for _, j := range byVar[v] {
+				if in[i].has(j) {
+					defs = append(defs, r.Defs[j])
 				}
 			}
+			if defs != nil {
+				r.ud[use{n.Stmt.ID(), v}] = defs
+			}
 		}
-		r.UD[n] = m
 	}
 	return r
-}
-
-// DefsReachingUse returns the defs of v that reach the use at node n.
-func (r *Result) DefsReachingUse(n *cfg.Node, v *ir.Var) []*Def {
-	if m, ok := r.UD[n]; ok {
-		return m[v]
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

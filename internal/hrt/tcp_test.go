@@ -27,17 +27,20 @@ func TestWireValueRoundTrip(t *testing.T) {
 		interp.StrV(""),
 		interp.StrV("hello\nworld"),
 	}
-	for _, v := range values {
-		var buf bytes.Buffer
-		if err := writeValue(&buf, v); err != nil {
-			t.Fatalf("write %v: %v", v, err)
-		}
-		got, err := readValue(&buf)
-		if err != nil {
-			t.Fatalf("read %v: %v", v, err)
-		}
-		if !got.Equal(v) || got.Kind != v.Kind {
-			t.Errorf("round trip %v -> %v", v, got)
+	var buf bytes.Buffer
+	if err := WriteRequest(&buf, Request{Op: OpCall, Args: values}); err != nil {
+		t.Fatalf("write %v: %v", values, err)
+	}
+	got, err := ReadRequest(&buf)
+	if err != nil {
+		t.Fatalf("read %v: %v", values, err)
+	}
+	if len(got.Args) != len(values) {
+		t.Fatalf("round trip %v -> %v", values, got.Args)
+	}
+	for i, v := range values {
+		if a := got.Args[i]; !a.Equal(v) || a.Kind != v.Kind {
+			t.Errorf("round trip %v -> %v", v, a)
 		}
 	}
 }
@@ -45,7 +48,7 @@ func TestWireValueRoundTrip(t *testing.T) {
 func TestWireRejectsAggregates(t *testing.T) {
 	var buf bytes.Buffer
 	bad := interp.Value{Kind: interp.KindArray, Arr: &interp.ArrayVal{}}
-	if err := writeValue(&buf, bad); err == nil {
+	if err := WriteRequest(&buf, Request{Op: OpCall, Args: []interp.Value{bad}}); err == nil {
 		t.Fatal("aggregate values must not cross the wire")
 	}
 }

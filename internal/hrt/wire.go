@@ -80,21 +80,6 @@ func appendValue(b []byte, v interp.Value) ([]byte, error) {
 	return b, fmt.Errorf("hrt: cannot send %s value over the wire", v.Kind)
 }
 
-// writeValue encodes v. (The frame writers inline appendValue into their
-// own scratch buffer; this standalone form is kept for the codec tests.)
-func writeValue(w io.Writer, v interp.Value) error {
-	bp := getWireBuf()
-	b, err := appendValue((*bp)[:0], v)
-	*bp = b
-	if err != nil {
-		putWireBuf(bp)
-		return err
-	}
-	_, err = w.Write(b)
-	putWireBuf(bp)
-	return err
-}
-
 // wireReader decodes fixed-width little-endian fields from a stream
 // through a small stack buffer, avoiding the per-field allocations of
 // reflection-based binary.Read.
@@ -199,13 +184,6 @@ func (d *wireReader) value() (interp.Value, error) {
 		return interp.StrV(s), nil
 	}
 	return interp.Value{}, fmt.Errorf("hrt: unknown wire value kind %d", k)
-}
-
-// readValue decodes one value. (Kept for the codec tests; the frame
-// readers carry a wireReader across the whole frame.)
-func readValue(r io.Reader) (interp.Value, error) {
-	d := newWireReader(r)
-	return d.value()
 }
 
 // WriteRequest encodes req onto w as a single Write.

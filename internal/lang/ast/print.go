@@ -22,14 +22,6 @@ func Format(p *Program) string {
 	return b.String()
 }
 
-// FormatStmt renders a single statement at the given indent level.
-func FormatStmt(s Stmt, indent int) string {
-	var b strings.Builder
-	pr := printer{w: &b, ind: indent}
-	pr.stmt(s)
-	return b.String()
-}
-
 // ExprString renders an expression as source text.
 func ExprString(e Expr) string {
 	var b strings.Builder
@@ -124,13 +116,13 @@ func (p *printer) stmt(s Stmt) {
 	case *For:
 		init, cond, post := "", "", ""
 		if s.Init != nil {
-			init = strings.TrimSuffix(strings.TrimSpace(FormatStmt(s.Init, 0)), ";")
+			init = clause(s.Init)
 		}
 		if s.Cond != nil {
 			cond = ExprString(s.Cond)
 		}
 		if s.Post != nil {
-			post = strings.TrimSuffix(strings.TrimSpace(FormatStmt(s.Post, 0)), ";")
+			post = clause(s.Post)
 		}
 		p.line("for (%s; %s; %s) {", init, cond, post)
 		p.ind++
@@ -312,4 +304,12 @@ func HasCall(e Expr) bool {
 		}
 	})
 	return found
+}
+
+// clause renders a for-loop init or post statement on one line, without its
+// semicolon.
+func clause(s Stmt) string {
+	var b strings.Builder
+	(&printer{w: &b}).stmt(s)
+	return strings.TrimSuffix(strings.TrimSpace(b.String()), ";")
 }

@@ -26,10 +26,9 @@ type Facts struct {
 	// outside mentions[v] for every hidden v has RoleNone.
 	mentions map[*ir.Var][]ir.Stmt
 
-	fn       *ir.Func
-	flowOnce sync.Once
-	graph    *cfg.Graph
-	reach    *dataflow.Result
+	fn        *ir.Func
+	reachOnce sync.Once
+	reach     *dataflow.Result
 }
 
 // FactsOf returns f's facts, building them the first time f is asked.
@@ -84,14 +83,12 @@ func (fa *Facts) walk(stmts []ir.Stmt, encl []ir.Stmt, loops []*ir.WhileStmt) {
 	}
 }
 
-// Flow returns f's control-flow graph and reaching definitions, computed
-// the first time an analysis asks: slicing itself reads neither.
-func (fa *Facts) Flow() (*cfg.Graph, *dataflow.Result) {
-	fa.flowOnce.Do(func() {
-		fa.graph = cfg.Build(fa.fn)
-		fa.reach = dataflow.Reaching(fa.graph)
-	})
-	return fa.graph, fa.reach
+// Reaching returns f's reaching definitions, computed over its one
+// control-flow graph the first time an analysis asks: slicing itself reads
+// none.
+func (fa *Facts) Reaching() *dataflow.Result {
+	fa.reachOnce.Do(func() { fa.reach = dataflow.Reaching(cfg.Build(fa.fn)) })
+	return fa.reach
 }
 
 // closure returns the hidden-variable set of a slice seeded at seed: the

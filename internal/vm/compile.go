@@ -2,6 +2,7 @@ package vm
 
 import (
 	"sort"
+	"strings"
 	"time"
 
 	"slicehide/internal/core"
@@ -110,18 +111,18 @@ func Compile(comps map[string]*core.HiddenComponent, globalInit map[*ir.Var]inte
 			}
 		}
 		for _, id := range fragIDs(src) {
-			walkBody(src.Frags[id].Body,
-				func(v *ir.Var) { // assignment target
-					p.writeLayout(cc, v).Add(v)
-					if v.Kind == ir.VarGlobal {
-						cc.TouchesGlobals = true
+			ir.WalkStmts(src.Frags[id].Body, func(st ir.Stmt) bool {
+				for _, v := range ir.UsedVars(st) {
+					cc.TouchesGlobals = cc.TouchesGlobals || v.Kind == ir.VarGlobal
+				}
+				if as, ok := st.(*ir.AssignStmt); ok {
+					if vt, ok := as.Lhs.(*ir.VarTarget); ok {
+						p.writeLayout(cc, vt.Var).Add(vt.Var)
+						cc.TouchesGlobals = cc.TouchesGlobals || vt.Var.Kind == ir.VarGlobal
 					}
-				},
-				func(v *ir.Var) { // reference
-					if v.Kind == ir.VarGlobal {
-						cc.TouchesGlobals = true
-					}
-				})
+				}
+				return true
+			})
 		}
 	}
 
@@ -187,72 +188,16 @@ func fragIDs(c *core.HiddenComponent) []int {
 }
 
 func compClass(name string) string {
-	if rest, ok := cutPrefix(name, core.ClassComponentPrefix); ok {
+	if rest, ok := strings.CutPrefix(name, core.ClassComponentPrefix); ok {
 		return rest
 	}
-	for i := 0; i < len(name); i++ {
-		if name[i] == '.' {
-			return name[:i]
-		}
+	if class, _, ok := strings.Cut(name, "."); ok {
+		return class
 	}
 	return ""
 }
 
-func isClassComp(name string) bool {
-	_, ok := cutPrefix(name, core.ClassComponentPrefix)
-	return ok
-}
-
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
-	}
-	return s, false
-}
-
-// walkBody visits assignment targets and variable references in a body,
-// recursing into nested blocks.
-func walkBody(stmts []ir.Stmt, onAssign, onRef func(*ir.Var)) {
-	for _, st := range stmts {
-		switch st := st.(type) {
-		case *ir.AssignStmt:
-			walkExpr(st.Rhs, onRef)
-			if vt, ok := st.Lhs.(*ir.VarTarget); ok {
-				onAssign(vt.Var)
-			}
-		case *ir.IfStmt:
-			walkExpr(st.Cond, onRef)
-			walkBody(st.Then, onAssign, onRef)
-			walkBody(st.Else, onAssign, onRef)
-		case *ir.WhileStmt:
-			walkExpr(st.Cond, onRef)
-			walkBody(st.Body, onAssign, onRef)
-			walkBody(st.Post, onAssign, onRef)
-		case *ir.ReturnStmt:
-			if st.Value != nil {
-				walkExpr(st.Value, onRef)
-			}
-		}
-	}
-}
-
-func walkExpr(e ir.Expr, onRef func(*ir.Var)) {
-	switch e := e.(type) {
-	case *ir.VarRef:
-		onRef(e.Var)
-	case *ir.Unary:
-		walkExpr(e.X, onRef)
-	case *ir.Binary:
-		walkExpr(e.X, onRef)
-		walkExpr(e.Y, onRef)
-	case *ir.CondExpr:
-		walkExpr(e.C, onRef)
-		walkExpr(e.T, onRef)
-		walkExpr(e.F, onRef)
-	case *ir.ConvertExpr:
-		walkExpr(e.X, onRef)
-	}
-}
+func isClassComp(name string) bool { return strings.HasPrefix(name, core.ClassComponentPrefix) }
 
 func compileFrag(p *Program, cc *Comp, fr *core.Fragment) *Frag {
 	c := &compiler{pool: newPool(), prog: p, comp: cc, args: fr.ArgVars}
