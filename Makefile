@@ -60,9 +60,11 @@ oracle-tests-only:
 # stopped self-hosting fleets, 25,501 before hidden globals and hidden
 # fields shared one fallback implementation, 25,242 before the call-graph
 # cut reused the CFG's dominator algorithm and reaching definitions were
-# looked up by statement. The ceiling only goes down: a change that lands
-# below it lowers it to the new count.
-LINKED_LINES_MAX = 24978
+# looked up by statement, 24,978 before group commit followed -fsync,
+# loadtest stopped hosting its own server and Table 5 counted the link on
+# a virtual clock. The ceiling only goes down: a change that lands below
+# it lowers it to the new count.
+LINKED_LINES_MAX = 24894
 
 linked-lines:
 	@n=$$($(GO) list -deps -f '{{range .GoFiles}}{{$$.ImportPath}} {{$$.Dir}}/{{.}}{{"\n"}}{{end}}' ./cmd/... | \

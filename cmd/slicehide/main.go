@@ -12,7 +12,7 @@
 //	slicehide split   -func f [-seed v] [-no-cfh] <file.mj>
 //	slicehide ilp     -func f [-seed v] [-min-at-uses] <file.mj>
 //	slicehide run     [-split f[:v],g[:v],...] [-rtt d] [-server addr | -cluster a1,a2,...] [-timeout d] [-retries n] [-window n] [-stats text|json] [-trace file] <file.mj>
-//	slicehide loadtest [-server addr | -cluster a1,a2,...] [-sessions m] [-ops k] [-mux-conns n] [-window n] [-barrier-every n] [-split f:v] [-data-dir dir [-fsync]] [-json] [program.mj]
+//	slicehide loadtest [-server addr | -cluster a1,a2,...] [-sessions m] [-ops k] [-mux-conns n] [-window n] [-barrier-every n] [-split f:v] [-json] [program.mj]
 //	slicehide attack  -func f [-seed v] [-calls n] [-window k] [-rng n] <file.mj>
 package main
 
@@ -413,14 +413,12 @@ func splitPeerList(s string) []string {
 }
 
 // cmdLoadtest drives the concurrent load harness: M sessions × K hidden
-// fragment calls against one hidden server or a running replicating fleet,
-// reporting aggregate ops/sec and blocking-op latency quantiles. Without
-// -server or -cluster it self-hosts an in-process loopback hiddend (real
-// sockets, real codec) so the sharded server can be measured without a
-// separate process.
+// fragment calls against a running hiddend (-server) or a running
+// replicating fleet (-cluster), reporting aggregate ops/sec and
+// blocking-op latency quantiles.
 func cmdLoadtest(args []string) error {
 	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
-	server := fs.String("server", "", "address of a remote hiddend (default: in-process loopback server)")
+	server := fs.String("server", "", "address of a running hiddend to target")
 	clusterList := fs.String("cluster", "", "comma-separated membership of a running replicating fleet to target (every member's address)")
 	sessions := fs.Int("sessions", 8, "concurrent client sessions")
 	ops := fs.Int("ops", 1000, "hidden fragment calls per session")
@@ -428,17 +426,12 @@ func cmdLoadtest(args []string) error {
 	window := fs.Int("window", 64, "per-session in-flight window: 0 drives blocking round trips, N>0 drives one-way calls with flush barriers and up to N in flight (-cluster is always blocking)")
 	barrier := fs.Int("barrier-every", 16, "one-way ops between flush barriers")
 	split := fs.String("split", "", `workload split spec "f:seed" (default: built-in workload; with a program file it must name one of its functions)`)
-	dataDir := fs.String("data-dir", "", "make the self-hosted server durable: journal session state in this directory (measures WAL overhead; ignored with -server or -cluster)")
-	fsync := fs.Bool("fsync", false, "fsync every group-commit batch on the self-hosted durable server (requires -data-dir)")
 	asJSON := fs.Bool("json", false, "emit the schema-versioned LoadResult JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *fsync && *dataDir == "" {
-		return fmt.Errorf("loadtest: -fsync requires -data-dir (without it the server keeps no journal)")
-	}
-	if *server != "" && *clusterList != "" {
-		return fmt.Errorf("loadtest: -server and -cluster are mutually exclusive")
+	if (*server == "") == (*clusterList == "") {
+		return fmt.Errorf("loadtest: give exactly one of -server and -cluster")
 	}
 	// The workload program is compiled and split locally to discover the
 	// fragment to drive, so targeting a remote server or fleet means passing
@@ -446,8 +439,8 @@ func cmdLoadtest(args []string) error {
 	var source string
 	switch fs.NArg() {
 	case 0:
-		if (*server != "" || *clusterList != "") && *split != "" {
-			return fmt.Errorf("loadtest: -server or -cluster with -split needs the server's program file as an argument")
+		if *split != "" {
+			return fmt.Errorf("loadtest: -split needs the server's program file as an argument")
 		}
 	case 1:
 		src, err := os.ReadFile(fs.Arg(0))
@@ -468,8 +461,6 @@ func cmdLoadtest(args []string) error {
 		BarrierEvery: *barrier,
 		Source:       source,
 		Split:        *split,
-		DataDir:      *dataDir,
-		Fsync:        *fsync,
 	})
 	if err != nil {
 		return err
@@ -479,21 +470,14 @@ func cmdLoadtest(args []string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(res)
 	}
-	durable := ""
-	if res.Durability != "" {
-		durable = ", durability=" + res.Durability
-	}
-	fmt.Printf("loadtest: %d sessions × %d ops (%s over %d conns, GOMAXPROCS=%d%s)\n",
-		res.Sessions, res.OpsPerSession, res.Mode, res.MuxConns, res.GOMAXPROCS, durable)
+	fmt.Printf("loadtest: %d sessions × %d ops (%s over %d conns, GOMAXPROCS=%d)\n",
+		res.Sessions, res.OpsPerSession, res.Mode, res.MuxConns, res.GOMAXPROCS)
 	fmt.Printf("  throughput: %.0f ops/sec (%d ops in %s)\n",
 		res.OpsPerSec, res.TotalOps, time.Duration(res.ElapsedNs))
 	fmt.Printf("  blocking ops: %d, p50 %s, p99 %s, p99.9 %s, max %s\n",
 		res.Blocking.Count, time.Duration(res.Blocking.P50Ns),
 		time.Duration(res.Blocking.P99Ns), time.Duration(res.Blocking.P999Ns),
 		time.Duration(res.Blocking.MaxNs))
-	if res.CommitBatchMean > 0 {
-		fmt.Printf("  group commit: %.1f records per fsync batch\n", res.CommitBatchMean)
-	}
 	return nil
 }
 

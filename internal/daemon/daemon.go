@@ -49,8 +49,10 @@ type Config struct {
 	// session state is journaled to and snapshotted in this directory,
 	// and recovered from it on startup.
 	DataDir string
-	// Fsync fsyncs every journal append (durability against power loss;
-	// without it appends still survive process death).
+	// Fsync fsyncs every journal append for durability against power
+	// loss, group-committing concurrent sessions' appends under one
+	// fsync. Without it each append is its own write, which still
+	// survives process death.
 	Fsync bool
 	// SnapshotEvery rotates the journal into a fresh snapshot generation
 	// after this many records (0 = default, negative disables periodic
@@ -100,7 +102,7 @@ func ParseFlags(args []string) (Config, error) {
 	fs.StringVar(&cfg.Admin, "admin", "", "serve the admin endpoint (/healthz, /metrics, /trace, /debug/pprof/) on this address (empty disables)")
 	fs.StringVar(&cfg.TraceFile, "trace", "", "write redacted runtime trace events (JSON lines) to this file")
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "journal and snapshot hidden session state in this directory, and recover from it on startup (empty = in-memory only)")
-	fs.BoolVar(&cfg.Fsync, "fsync", false, "fsync every journal append: durable against power loss, not just process death (requires -data-dir)")
+	fs.BoolVar(&cfg.Fsync, "fsync", false, "fsync every journal append, group-committing concurrent sessions' appends under one flush: durable against power loss, not just process death (requires -data-dir)")
 	fs.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "rotate to a fresh snapshot after this many journal records (0 = default 4096, negative = only at shutdown; requires -data-dir)")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 5*time.Second, "on SIGTERM/SIGINT, wait this long for in-flight connections to finish before severing them")
 	fs.StringVar(&cfg.Peers, "peers", "", "comma-separated fleet membership, including this replica's own -listen address; sessions are rendezvous-placed across the members")
@@ -218,7 +220,6 @@ func Start(cfg Config) (*Daemon, error) {
 			Dir:           cfg.DataDir,
 			Fsync:         cfg.Fsync,
 			SnapshotEvery: cfg.SnapshotEvery,
-			CommitBytes:   hrt.DefaultCommitBytes,
 			Tracer:        d.tracer,
 		})
 	}

@@ -1,8 +1,15 @@
 package daemon
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"time"
+
+	"slicehide/internal/hrt"
+	"slicehide/internal/interp"
+	"slicehide/internal/vm"
 )
 
 // TestParseFlags pins hiddend's command-line contract: the retired tuning
@@ -44,6 +51,67 @@ func TestParseFlags(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("ParseFlags(%q) = %v, want an error containing %q", tc.args, err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestGroupCommitFollowsFsync pins hiddend's commit policy: group commit
+// shares one flush among concurrent sessions, so it runs exactly when
+// -fsync is set. Without -fsync there is no flush to share and every
+// append is its own write; the committer never makes a batch.
+func TestGroupCommitFollowsFsync(t *testing.T) {
+	res := chaosResult(t)
+	program := writeProgram(t)
+	for _, fsync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fsync=%v", fsync), func(t *testing.T) {
+			d, err := Start(Config{
+				Listen:  "127.0.0.1:0",
+				Split:   chaosSplit,
+				Program: program,
+				DataDir: t.TempDir(),
+				Fsync:   fsync,
+				Admin:   "127.0.0.1:0",
+				Stdout:  io.Discard,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			mt, err := hrt.DialMux(hrt.MuxConfig{Addr: d.Addr().String(), Timeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mt.Close()
+			// Several sessions run the split program at once, every hidden
+			// call a reply-bearing round trip, so their appends overlap.
+			const sessions = 8
+			errs := make(chan error, sessions)
+			for s := 0; s < sessions; s++ {
+				go func() {
+					in := vm.NewMachine(res.Open, interp.Options{
+						Out:        io.Discard,
+						Hidden:     &hrt.Session{T: mt.Stream(0, nil)},
+						SplitFuncs: res.SplitSet(),
+					})
+					errs <- in.Run()
+				}()
+			}
+			for s := 0; s < sessions; s++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			g := scrapeGauges(t, d.admin.Addr().String())
+			if g["hrt_executed_calls"] == 0 {
+				t.Fatal("no hidden calls executed")
+			}
+			batches := g["wal_commit_batches_total"]
+			if fsync && batches == 0 {
+				t.Error("-fsync: wal_commit_batches_total = 0, want group commit engaged")
+			}
+			if !fsync && batches != 0 {
+				t.Errorf("no -fsync: wal_commit_batches_total = %d, want 0 (each append its own write)", batches)
 			}
 		})
 	}

@@ -242,7 +242,8 @@ type Table5Row struct {
 }
 
 // Table5 runs every kernel unsplit and split (over the latency transport)
-// and measures wall-clock overhead.
+// and measures the overhead. A split run's time is its measured wall plus
+// the link time the latency model charged on a virtual clock.
 func Table5(cfg Config) ([]Table5Row, error) {
 	var rows []Table5Row
 	for _, k := range corpus.Kernels() {
@@ -277,22 +278,28 @@ func runKernelOnce(k corpus.Kernel, label string, size int, cfg Config) (Table5R
 	}
 
 	var wantOut string
-	before, err := medianWall(func() (err error) {
+	before, err := medianWall(func() (time.Duration, error) {
+		var err error
 		wantOut, _, err = hrt.RunOriginal(res.Orig, cfg.MaxSteps)
-		return err
+		return 0, err
 	})
 	if err != nil {
 		return Table5Row{}, err
 	}
 
+	// The link runs on a virtual clock, as in the benchmark's kernel_run:
+	// instead of sleeping, Latency adds one RTT to link for each blocking
+	// operation, and a run costs its measured wall plus that modelled time.
+	var link time.Duration
 	wrap := func(t hrt.Transport) hrt.Transport {
-		return &hrt.Latency{Inner: t, RTT: cfg.RTT}
+		return &hrt.Latency{Inner: t, RTT: cfg.RTT, Sleep: func(d time.Duration) { link += d }}
 	}
 
 	var out hrt.RunOutcome
-	after, err := medianWall(func() error {
+	after, err := medianWall(func() (time.Duration, error) {
+		link = 0
 		out = hrt.RunSplit(res, wrap, cfg.MaxSteps)
-		return out.Err
+		return link, out.Err
 	})
 	if err != nil {
 		return Table5Row{}, err
@@ -302,9 +309,10 @@ func runKernelOnce(k corpus.Kernel, label string, size int, cfg Config) (Table5R
 	}
 
 	var pout hrt.RunOutcome
-	pipelined, err := medianWall(func() error {
+	pipelined, err := medianWall(func() (time.Duration, error) {
+		link = 0
 		pout = hrt.RunSplitOpts(res, wrap, cfg.MaxSteps, hrt.RunOptions{Pipeline: true})
-		return pout.Err
+		return link, pout.Err
 	})
 	if err != nil {
 		return Table5Row{}, fmt.Errorf("pipelined run: %w", err)
@@ -334,17 +342,19 @@ func runKernelOnce(k corpus.Kernel, label string, size int, cfg Config) (Table5R
 	}, nil
 }
 
-// medianWall times run five times and returns the median. A kernel run is
-// tens of milliseconds on the bytecode machine — short enough for one GC
-// cycle or a burst of page faults to move a single measurement by half.
-func medianWall(run func() error) (time.Duration, error) {
+// medianWall times run five times and returns the median of its measured
+// wall plus the modelled link time run reports. A kernel run is tens of
+// milliseconds on the bytecode machine — short enough for one GC cycle or
+// a burst of page faults to move a single measurement by half.
+func medianWall(run func() (time.Duration, error)) (time.Duration, error) {
 	var walls [5]time.Duration
 	for i := range walls {
 		start := time.Now()
-		if err := run(); err != nil {
+		modelled, err := run()
+		if err != nil {
 			return 0, err
 		}
-		walls[i] = time.Since(start)
+		walls[i] = time.Since(start) + modelled
 	}
 	sort.Slice(walls[:], func(i, j int) bool { return walls[i] < walls[j] })
 	return walls[len(walls)/2], nil

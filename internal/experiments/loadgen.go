@@ -21,7 +21,8 @@ import (
 // latency. This is the multi-core counterpart of the Table 5 experiments —
 // Table 5 measures one client's latency over a slow link, the load harness
 // measures how many independent clients one server sustains. `slicehide
-// loadtest` drives it, against one server or a running replicating fleet.
+// loadtest` drives it, against one running server or a running replicating
+// fleet; in-process load is measured by the benchmark's serve_* workloads.
 
 // loadSource is the default workload: a small split function whose
 // fragments are a few arithmetic statements — cheap enough that server-side
@@ -37,9 +38,8 @@ func main() { print(work(2, 1)); }
 
 // LoadConfig configures one concurrent load run.
 type LoadConfig struct {
-	// Addr is the hidden server to target. Empty (with no Cluster)
-	// self-hosts an in-process loopback TCPServer (still real sockets, real
-	// codec) with GOMAXPROCS session stripes.
+	// Addr is the running hidden server to target. RunLoad needs it or
+	// Cluster.
 	Addr string
 	// Cluster targets a running replicating fleet instead (every member's
 	// address). Sessions ride a cluster.MuxPool, one multiplexed connection
@@ -65,20 +65,10 @@ type LoadConfig struct {
 	BarrierEvery int
 	// Source and Split override the workload program and split spec
 	// (defaults: loadSource, "work:k"). The program is always compiled
-	// and split locally to discover the fragment to drive; with Addr set
-	// it must therefore be the same program the remote server hosts, and
-	// Split a component it serves.
+	// and split locally to discover the fragment to drive, so it must be
+	// the same program the target hosts, and Split a component it serves.
 	Source string
 	Split  string
-	// DataDir, when set, makes the self-hosted loopback server durable:
-	// every mutating request is journaled there before its reply is
-	// released, so the run measures the write-ahead-log overhead against
-	// the in-memory baseline. Appends group-commit up to
-	// hrt.DefaultCommitBytes per batch. Ignored when Addr or Cluster is set.
-	DataDir string
-	// Fsync flushes each commit batch (power-loss durability; requires
-	// DataDir). This is the expensive tier of the durability table.
-	Fsync bool
 }
 
 // LoadResult is one load run's measurement, the schema-versioned document
@@ -98,14 +88,6 @@ type LoadResult struct {
 	// for the server: every call in sync mode, flush barriers in
 	// pipelined mode.
 	Blocking obs.HistSnapshot `json:"blocking_latency"`
-	// Durability records the self-hosted server's persistence tier:
-	// "" (in-memory), "wal" (journaled), or "wal+fsync" (journaled with
-	// fsync before reply release).
-	Durability string `json:"durability,omitempty"`
-	// CommitBatchMean is the mean records-per-batch the group-commit
-	// pipeline achieved (0 on an in-memory or remote server); >1 means
-	// appends actually coalesced under this load.
-	CommitBatchMean float64 `json:"commit_batch_mean,omitempty"`
 }
 
 // LoadSchemaVersion is bumped when LoadResult's shape changes. Version 2
@@ -116,8 +98,10 @@ type LoadResult struct {
 // version 5 dropped the per-connection transports: mode is "sync" or
 // "pipelined", every row rides mux connections and mux_conns is always set;
 // version 6 dropped shards, commit_bytes and exec_mode, which every run
-// now fixes (GOMAXPROCS stripes, hrt.DefaultCommitBytes, the VM).
-const LoadSchemaVersion = 6
+// now fixes (GOMAXPROCS stripes, the default commit batch, the VM);
+// version 7 dropped durability and commit_batch_mean with the self-hosted
+// server they described.
+const LoadSchemaVersion = 7
 
 func (c *LoadConfig) withDefaults() LoadConfig {
 	cfg := *c
@@ -174,45 +158,12 @@ func splitLoadProgram(cfg LoadConfig) (*core.Result, string, int, int, error) {
 // RunLoad executes one concurrent load run and reports its measurement.
 func RunLoad(c LoadConfig) (LoadResult, error) {
 	cfg := c.withDefaults()
-	res, comp, fragID, argc, err := splitLoadProgram(cfg)
+	if cfg.Addr == "" && len(cfg.Cluster) == 0 {
+		return LoadResult{}, fmt.Errorf("loadgen: no target: set Addr or Cluster")
+	}
+	_, comp, fragID, argc, err := splitLoadProgram(cfg)
 	if err != nil {
 		return LoadResult{}, err
-	}
-
-	addr := cfg.Addr
-	durability := ""
-	var persist *hrt.Durability
-	if addr == "" && len(cfg.Cluster) == 0 {
-		if cfg.DataDir != "" {
-			persist = hrt.NewDurability(hrt.DurabilityOptions{
-				Dir:         cfg.DataDir,
-				Fsync:       cfg.Fsync,
-				CommitBytes: hrt.DefaultCommitBytes,
-			})
-			durability = "wal"
-			if cfg.Fsync {
-				durability = "wal+fsync"
-			}
-		}
-		srv := &hrt.TCPServer{
-			Server:  hrt.NewServer(hrt.NewRegistry(res)),
-			Shards:  runtime.GOMAXPROCS(0),
-			Persist: persist,
-		}
-		if cfg.Sessions > 512 {
-			// The replay cache must hold every live session at once: a 10k
-			// session run over the default cap (1024) LRU-evicts sessions
-			// that are merely descheduled, and their next request bounces
-			// with the session-evicted error. Doubling leaves room for the
-			// striped LRU's per-stripe skew.
-			srv.MaxSessions = cfg.Sessions * 2
-		}
-		a, err := srv.ListenAndServe("127.0.0.1:0")
-		if err != nil {
-			return LoadResult{}, fmt.Errorf("loadgen: start loopback server: %w", err)
-		}
-		defer srv.Close()
-		addr = a.String()
 	}
 
 	hist := &obs.Histogram{}
@@ -248,7 +199,7 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 		}
 		conns = make([]*hrt.MuxTransport, connCount)
 		for i := range conns {
-			mt, err := hrt.DialMux(hrt.MuxConfig{Addr: addr, Window: cfg.Window})
+			mt, err := hrt.DialMux(hrt.MuxConfig{Addr: cfg.Addr, Window: cfg.Window})
 			if err != nil {
 				return LoadResult{}, fmt.Errorf("loadgen: dial mux connection %d: %w", i, err)
 			}
@@ -287,26 +238,18 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 	if cfg.Window > 0 {
 		mode = "pipelined"
 	}
-	batchMean := 0.0
-	if persist != nil {
-		if batches, records := persist.CommitBatchStats(); batches > 0 {
-			batchMean = float64(records) / float64(batches)
-		}
-	}
 	total := int64(cfg.Sessions) * int64(cfg.Ops)
 	return LoadResult{
-		Schema:          LoadSchemaVersion,
-		Mode:            mode,
-		Sessions:        cfg.Sessions,
-		MuxConns:        connCount,
-		OpsPerSession:   cfg.Ops,
-		TotalOps:        total,
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		ElapsedNs:       elapsed.Nanoseconds(),
-		OpsPerSec:       float64(total) / elapsed.Seconds(),
-		Blocking:        hist.Snapshot(),
-		Durability:      durability,
-		CommitBatchMean: batchMean,
+		Schema:        LoadSchemaVersion,
+		Mode:          mode,
+		Sessions:      cfg.Sessions,
+		MuxConns:      connCount,
+		OpsPerSession: cfg.Ops,
+		TotalOps:      total,
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		ElapsedNs:     elapsed.Nanoseconds(),
+		OpsPerSec:     float64(total) / elapsed.Seconds(),
+		Blocking:      hist.Snapshot(),
 	}, nil
 }
 

@@ -59,13 +59,13 @@ type Dedup struct {
 	Shards int
 	// Tracer, when set, receives replay/resend/evict/bounce events.
 	Tracer *obs.Tracer
-	// Persist, when set, makes execution durable: requests are executed
-	// through it (capturing hidden-store deltas) and journaled while the
-	// request holds its session's in-flight slot — no stripe lock — before
-	// the response is released and before lastSeq moves. The slot keeps the
-	// journal in per-session seq order, and a crash never acknowledges
-	// state it cannot recover. Replays, gaps, and bounces touch no state
-	// and are not journaled.
+	// Persist, when set, makes execution durable: requests execute on its
+	// server with their hidden-store deltas captured, and are journaled
+	// while the request holds its session's in-flight slot — no stripe
+	// lock — before the response is released and before lastSeq moves. The
+	// slot keeps the journal in per-session seq order, and a crash never
+	// acknowledges state it cannot recover. Replays, gaps, and bounces
+	// touch no state and are not journaled.
 	Persist *Durability
 	// Replays counts requests answered from the cache or skipped as
 	// already-executed duplicates.
@@ -247,13 +247,10 @@ func (d *Dedup) shard(session uint64) *dedupShard {
 }
 
 // RoundTrip executes req exactly once per (session, seq), in sequence
-// order, answering replays from the cache. Unstamped requests (session 0)
-// pass through. For reply-free requests the returned Response is
-// meaningless and must not be written back to the client.
+// order, answering replays from the cache. For reply-free requests the
+// returned Response is meaningless and must not be written back to the
+// client.
 func (d *Dedup) RoundTrip(req Request) (Response, error) {
-	if req.Session == 0 {
-		return d.Inner.RoundTrip(req)
-	}
 	d.lazyInit()
 	sh := d.shard(req.Session)
 	sh.mu.Lock()
@@ -369,7 +366,7 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 	var eff *recEffects
 	if deferred == "" {
 		if d.Persist != nil {
-			resp, eff = d.Persist.execute(req)
+			resp, eff = d.Persist.server.dispatch(req, true)
 		} else {
 			var err error
 			resp, err = d.Inner.RoundTrip(req)

@@ -74,7 +74,7 @@ type Durability struct {
 	committer ReplCommitter
 	notify    chan struct{}
 
-	// Group commit (CommitBytes > 0): workers enqueue encoded records on
+	// Group commit (Fsync set): workers enqueue encoded records on
 	// commitq and block on their walCommit.done; the committer goroutine
 	// drains the queue, writes the batch in one coalesced write, fsyncs
 	// once, and releases every waiter. While a waiter blocks it holds the
@@ -148,30 +148,28 @@ type DurabilityOptions struct {
 	Dir string
 	// Fsync flushes every journal append (fdatasync into a zero-filled
 	// region, see package wal), making acknowledged state durable against
-	// machine death (power loss). Off, appends are still one write(2)
-	// each, durable against process death.
+	// machine death (power loss), and turns on group commit: appends queue
+	// to a dedicated committer goroutine that coalesces concurrent
+	// sessions' records into one write + one flush. Off, there is no flush
+	// for a batch to share, so each append is its own write(2), durable
+	// against process death.
 	Fsync bool
 	// SnapshotEvery rotates to a fresh snapshot + journal generation after
 	// this many journaled records. 0 means the default (4096); negative
 	// disables periodic snapshots (one is still taken at Close).
 	SnapshotEvery int
-	// CommitBytes enables group commit: appends queue to a dedicated
-	// committer goroutine that coalesces up to this many bytes into one
-	// write + one fsync, so N concurrent sessions share one disk flush.
-	// 0 keeps the legacy per-append path (each append is its own write,
-	// and with Fsync its own flush) — the right choice for a single
-	// session, which a batch cannot help.
+	// CommitBytes bounds the payload of one group-commit batch (Fsync
+	// only). 0 means defaultCommitBytes.
 	CommitBytes int
 	// Tracer, when set, receives recovery, snapshot, and append-failure
 	// events.
 	Tracer *obs.Tracer
 }
 
-const defaultSnapshotEvery = 4096
-
-// DefaultCommitBytes is the group-commit batch bound every durable
-// server hiddend and the load harness start runs with.
-const DefaultCommitBytes = 1 << 20
+const (
+	defaultSnapshotEvery = 4096
+	defaultCommitBytes   = 1 << 20
+)
 
 // RecoveryStats describes what startup recovery found.
 type RecoveryStats struct {
@@ -194,6 +192,9 @@ type RecoveryStats struct {
 func NewDurability(opts DurabilityOptions) *Durability {
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery
+	}
+	if opts.CommitBytes <= 0 {
+		opts.CommitBytes = defaultCommitBytes
 	}
 	return &Durability{opts: opts}
 }
@@ -338,7 +339,7 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 	p.sinceSnap = int(tipRecords)
 	p.mu.Unlock()
 	p.pruneAbove(tip)
-	if p.opts.CommitBytes > 0 {
+	if p.opts.Fsync {
 		p.commitq = make(chan *walCommit, 1024)
 		p.commitStop = make(chan struct{})
 		p.commitDone = make(chan struct{})
@@ -588,7 +589,7 @@ func truncatedPrefix(path string, n int64) (int64, error) {
 var errStopScan = fmt.Errorf("hrt: stop scan")
 
 // ---------------------------------------------------------------------------
-// Request execution + journaling (called from the dedup execute branch)
+// Request journaling (called from the dedup execute branch)
 
 // recEffects captures the durable side effects of one executed request:
 // whether it counted in the execution tallies, and the post-write values
@@ -621,26 +622,6 @@ type stateDelta struct {
 	class string
 	obj   int64
 	val   interp.Value
-}
-
-// execute runs req against the server, capturing effects for the journal.
-// It mirrors Local.dispatch; protocol errors become response errors, which
-// are journaled answers like any other.
-func (p *Durability) execute(req Request) (Response, *recEffects) {
-	switch req.Op {
-	case OpEnter:
-		inst, err := p.server.EnterSession(req.Session, req.Fn, req.Obj, req.Inst)
-		return Response{Inst: inst, Err: errString(err)}, &recEffects{counted: err == nil}
-	case OpExit:
-		err := p.server.ExitSession(req.Session, req.Fn, req.Inst)
-		return Response{Err: errString(err)}, &recEffects{counted: err == nil}
-	case OpCall:
-		v, eff, err := p.server.callSessionEffects(req.Session, req.Fn, req.Inst, req.Frag, req.Args)
-		return Response{Val: v, Err: errString(err)}, eff
-	case OpFlush:
-		return Response{}, &recEffects{}
-	}
-	return Response{Err: fmt.Sprintf("hrt: unknown op %d", req.Op)}, &recEffects{}
 }
 
 // journal encodes the executed request's record and appends it, returning
@@ -855,7 +836,7 @@ func (p *Durability) roundTrip(d *Dedup, req Request) (Response, error) {
 	p.quiesce.RLock()
 	resp, err := d.RoundTrip(req)
 	p.quiesce.RUnlock()
-	if req.Session != 0 && !req.NoReply() {
+	if !req.NoReply() {
 		// Semi-synchronous replication: hold the reply until every
 		// currently connected follower has acknowledged the journal's
 		// current position (which covers this request's record and, for a

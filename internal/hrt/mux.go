@@ -851,8 +851,11 @@ func (ts *TCPServer) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer, h
 		if err != nil {
 			return // EOF, deadline, severed, or broken connection
 		}
-		if req.Op == OpRepl || req.Op == OpMuxHello {
-			return // protocol violation on an established mux connection
+		if req.Op == OpRepl || req.Op == OpMuxHello || req.Session == 0 {
+			// Protocol violation on an established mux connection. An
+			// unstamped request has no (session, seq) for the replay cache,
+			// the journal, the router or the replication stream to key it by.
+			return
 		}
 		ts.requests.Add(1)
 		st.mu.Lock()

@@ -292,10 +292,11 @@ type Router interface {
 // ---------------------------------------------------------------------------
 // TCPServer: redirect check + follower-side record application
 
-// routeRedirect consults the Router for a stamped request, returning a
-// redirect response when another live replica owns the session.
+// routeRedirect consults the Router for a session request (serveMux
+// admits only stamped ones), returning a redirect response when another
+// live replica owns the session.
 func (ts *TCPServer) routeRedirect(req Request) (Response, bool) {
-	if ts.Router == nil || req.Session == 0 || req.Op == OpRepl {
+	if ts.Router == nil {
 		return Response{}, false
 	}
 	owner, redirect := ts.Router.Route(req.Session, ts.dedup.Has(req.Session))

@@ -391,11 +391,36 @@ func (s *Server) CallSession(session uint64, fn string, inst int64, frag int, ar
 	return v, err
 }
 
-// callSessionEffects is CallSession with durable-effect capture: the
-// returned recEffects lists the post-execution value of every hidden
-// variable the fragment wrote, for the journaling apply path.
-func (s *Server) callSessionEffects(session uint64, fn string, inst int64, frag int, args []interp.Value) (interp.Value, *recEffects, error) {
-	return s.exec(session, fn, inst, frag, args, true)
+// dispatch executes one request: the one switch the in-process transport
+// and the durable path share. With effects set it also captures what the
+// journal records (whether the request counted in the execution tallies,
+// and the post-write value of every hidden variable a call wrote);
+// without, it captures nothing and returns nil effects. A protocol error
+// is an answer like any other, carried in Response.Err.
+func (s *Server) dispatch(req Request, effects bool) (Response, *recEffects) {
+	switch req.Op {
+	case OpEnter:
+		inst, err := s.EnterSession(req.Session, req.Fn, req.Obj, req.Inst)
+		return Response{Inst: inst, Err: errString(err)}, countedEffects(effects, err)
+	case OpExit:
+		err := s.ExitSession(req.Session, req.Fn, req.Inst)
+		return Response{Err: errString(err)}, countedEffects(effects, err)
+	case OpCall:
+		v, eff, err := s.exec(req.Session, req.Fn, req.Inst, req.Frag, req.Args, effects)
+		return Response{Val: v, Err: errString(err)}, eff
+	case OpFlush:
+		return Response{}, nil
+	}
+	return Response{Err: fmt.Sprintf("hrt: unknown op %d", req.Op)}, nil
+}
+
+// countedEffects is the effect record of an Enter or Exit: it counts in
+// the tallies exactly when it succeeded.
+func countedEffects(effects bool, err error) *recEffects {
+	if !effects {
+		return nil
+	}
+	return &recEffects{counted: err == nil}
 }
 
 // exec resolves the activation a call addresses and runs the fragment

@@ -3,6 +3,7 @@ package hrt
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"strings"
@@ -368,6 +369,70 @@ func TestMuxConnectionRejectsHandshakeFrames(t *testing.T) {
 			t.Errorf("%v inside a mux connection: read err = %v, want the connection closed", op, err)
 		}
 		conn.Close()
+	}
+}
+
+// TestMuxConnectionRejectsUnstampedRequests: a session request without a
+// session stamp has no (session, seq) to be deduplicated, journaled,
+// routed or replicated by, so on a mux connection it is a protocol
+// violation that closes the connection — it must never execute, least of
+// all on a durable server whose journal would not hold it.
+func TestMuxConnectionRejectsUnstampedRequests(t *testing.T) {
+	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
+	server := NewServer(NewRegistry(res))
+	p := NewDurability(DurabilityOptions{Dir: t.TempDir()})
+	ts := &TCPServer{Server: server, Persist: p}
+	addr, err := ts.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	frags := res.Splits["f"].Hidden.Frags
+	frag := -1
+	for id := range frags {
+		if frag < 0 || id < frag {
+			frag = id
+		}
+	}
+	args := make([]interp.Value, len(frags[frag].ArgVars))
+	for i := range args {
+		args[i] = interp.IntV(1)
+	}
+
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	r := bufio.NewReader(conn)
+	if err := WriteRequest(conn, Request{Op: OpMuxHello, Inst: 8, Frag: muxProtoVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := ReadResponse(r); err != nil || ack.Err != "" {
+		t.Fatalf("hello: ack %+v, err %v", ack, err)
+	}
+	for _, req := range []Request{
+		{Op: OpEnter, Fn: "f"},
+		{Op: OpCall, Fn: "f", Inst: 1, Frag: frag, Args: args},
+	} {
+		if err := WriteRequest(conn, req); err != nil {
+			break // the server may already have closed the connection
+		}
+	}
+	// The server may close with the call still unread, which the kernel
+	// reports as a reset rather than EOF; either way nothing was answered.
+	var ne net.Error
+	if session, resp, err := ReadMuxFrame(r); err == nil {
+		t.Errorf("unstamped request answered (session %d, %+v), want the connection closed", session, resp)
+	} else if errors.As(err, &ne) && ne.Timeout() {
+		t.Errorf("connection left open: %v", err)
+	}
+	if got := server.Stats(); got != (ServerStats{}) {
+		t.Errorf("unstamped requests executed: %+v", got)
+	}
+	if _, records := p.CurrentPosition(); records != 0 {
+		t.Errorf("journal holds %d records, want 0", records)
 	}
 }
 

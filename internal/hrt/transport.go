@@ -149,25 +149,9 @@ func (l *Local) RoundTrip(req Request) (Response, error) {
 		// after it may appear to succeed.
 		return Response{Seq: req.Seq, Err: deferred.Error()}, nil
 	}
-	resp, err := l.dispatch(req)
+	resp, _ := l.Server.dispatch(req, false)
 	resp.Seq, resp.Ack = req.Seq, req.Seq
-	return resp, err
-}
-
-func (l *Local) dispatch(req Request) (Response, error) {
-	switch req.Op {
-	case OpEnter:
-		inst, err := l.Server.EnterSession(req.Session, req.Fn, req.Obj, req.Inst)
-		return Response{Inst: inst, Err: errString(err)}, nil
-	case OpExit:
-		return Response{Err: errString(l.Server.ExitSession(req.Session, req.Fn, req.Inst))}, nil
-	case OpCall:
-		v, err := l.Server.CallSession(req.Session, req.Fn, req.Inst, req.Frag, req.Args)
-		return Response{Val: v, Err: errString(err)}, nil
-	case OpFlush:
-		return Response{}, nil
-	}
-	return Response{}, fmt.Errorf("hrt: unknown op %d", req.Op)
+	return resp, nil
 }
 
 // Send executes the request immediately, deferring any failure to the next
@@ -179,11 +163,8 @@ func (l *Local) Send(req Request) error {
 	if poisoned {
 		return nil
 	}
-	resp, err := l.dispatch(req)
-	if err == nil && resp.Err != "" {
-		err = fmt.Errorf("hrt: %s", resp.Err)
-	}
-	if err != nil {
+	if resp, _ := l.Server.dispatch(req, false); resp.Err != "" {
+		err := fmt.Errorf("hrt: %s", resp.Err)
 		l.mu.Lock()
 		if l.deferred == nil {
 			l.deferred = err
@@ -226,7 +207,10 @@ type Latency struct {
 	Inner Transport
 	// RTT is added to every round trip.
 	RTT time.Duration
-	// Sleep replaces time.Sleep when set (tests use a virtual clock).
+	// Sleep, when set, receives each RTT the link charges in place of a
+	// real delay: a virtual clock, which is how Table 5, the benchmark's
+	// kernel_run and the tests count the link. Unset, the link calls
+	// time.Sleep, which overshoots short RTTs by the OS timer resolution.
 	Sleep func(time.Duration)
 
 	mu        sync.Mutex
@@ -278,21 +262,8 @@ func (l *Latency) sleep() {
 		if l.Sleep != nil {
 			l.Sleep(l.RTT)
 		} else {
-			preciseSleep(l.RTT)
+			time.Sleep(l.RTT)
 		}
-	}
-}
-
-// preciseSleep delays for d with sub-millisecond accuracy. time.Sleep
-// overshoots short durations by the OS timer resolution, which would
-// inflate the Table 5 measurements; short delays spin instead.
-func preciseSleep(d time.Duration) {
-	if d >= time.Millisecond {
-		time.Sleep(d)
-		return
-	}
-	end := time.Now().Add(d)
-	for time.Now().Before(end) {
 	}
 }
 

@@ -110,7 +110,9 @@ func RunSplit(res *SplitResult, wrap func(Transport) Transport, maxSteps int64) 
 }
 
 // WithLatency returns a transport wrapper adding a fixed round-trip delay,
-// reproducing the paper's LAN deployment (Table 5).
+// reproducing the paper's LAN deployment. The delay is a real time.Sleep,
+// which overshoots sub-millisecond RTTs by the OS timer resolution; Table
+// 5 counts the link on a virtual clock instead (hrt.Latency.Sleep).
 func WithLatency(rtt time.Duration) func(Transport) Transport {
 	return func(t Transport) Transport { return &hrt.Latency{Inner: t, RTT: rtt} }
 }
