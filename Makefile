@@ -62,9 +62,10 @@ oracle-tests-only:
 # cut reused the CFG's dominator algorithm and reaching definitions were
 # looked up by statement, 24,978 before group commit followed -fsync,
 # loadtest stopped hosting its own server and Table 5 counted the link on
-# a virtual clock. The ceiling only goes down: a change that lands below
-# it lowers it to the new count.
-LINKED_LINES_MAX = 24894
+# a virtual clock, 24,894 before the runtime value became three words and
+# the machine's ordered comparisons became interp.Compare. The ceiling
+# only goes down: a change that lands below it lowers it to the new count.
+LINKED_LINES_MAX = 24873
 
 linked-lines:
 	@n=$$($(GO) list -deps -f '{{range .GoFiles}}{{$$.ImportPath}} {{$$.Dir}}/{{.}}{{"\n"}}{{end}}' ./cmd/... | \

@@ -107,9 +107,9 @@ func toFloat(v interp.Value) (float64, bool) {
 	case interp.KindInt:
 		return float64(v.I), true
 	case interp.KindFloat:
-		return v.F, true
+		return v.F(), true
 	case interp.KindBool:
-		if v.B {
+		if v.B() {
 			return 1, true
 		}
 		return 0, true

@@ -51,7 +51,7 @@ type GossipHandler interface {
 func (ts *TCPServer) serveGossip(conn net.Conn, w *bufio.Writer, req Request) bool {
 	arg := ""
 	if len(req.Args) > 0 && req.Args[0].Kind == interp.KindString {
-		arg = req.Args[0].S
+		arg = req.Args[0].S()
 	}
 	var resp Response
 	if ts.Gossip == nil {
@@ -115,7 +115,7 @@ func GossipExchange(addr, from string, verb int, arg string, timeout time.Durati
 		return "", fmt.Errorf("gossip %s: %s", addr, resp.Err)
 	}
 	if resp.Val.Kind == interp.KindString {
-		return resp.Val.S, nil
+		return resp.Val.S(), nil
 	}
 	return "", nil
 }

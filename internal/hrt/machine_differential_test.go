@@ -617,7 +617,7 @@ func main() { }`)
 			return err
 		}
 		for i := int64(1); i <= 3; i++ {
-			v, err := e.CallMethod("Counter.inc", obj.Obj, []interp.Value{interp.IntV(i)})
+			v, err := e.CallMethod("Counter.inc", obj.Obj(), []interp.Value{interp.IntV(i)})
 			if err != nil {
 				return err
 			}

@@ -52,7 +52,7 @@ func NewRegistry(res *core.Result) *Registry {
 	if res.Globals != nil {
 		r.Components[core.GlobalsComponent] = res.Globals.Component
 		for v, c := range res.Globals.Init {
-			r.GlobalInit[v] = constValue(c)
+			r.GlobalInit[v] = vm.ConstValue(c)
 		}
 	}
 	for class, fi := range res.Fields {
@@ -60,21 +60,6 @@ func NewRegistry(res *core.Result) *Registry {
 	}
 	r.Prog = vm.Compile(r.Components, r.GlobalInit)
 	return r
-}
-
-// constValue converts an IR constant to a runtime value.
-func constValue(c *ir.Const) interp.Value {
-	switch c.Kind {
-	case ir.ConstInt:
-		return interp.IntV(c.I)
-	case ir.ConstFloat:
-		return interp.FloatV(c.F)
-	case ir.ConstBool:
-		return interp.BoolV(c.B)
-	case ir.ConstString:
-		return interp.StrV(c.S)
-	}
-	return interp.NullV()
 }
 
 // Server executes hidden fragments. It is safe for concurrent use.

@@ -48,7 +48,7 @@ func TestWireValueRoundTrip(t *testing.T) {
 
 func TestWireRejectsAggregates(t *testing.T) {
 	var buf bytes.Buffer
-	bad := interp.Value{Kind: interp.KindArray, Arr: &interp.ArrayVal{}}
+	bad := interp.ArrV(&interp.ArrayVal{})
 	if err := WriteRequest(&buf, Request{Op: OpCall, Args: []interp.Value{bad}}); err == nil {
 		t.Fatal("aggregate values must not cross the wire")
 	}

@@ -67,15 +67,15 @@ func appendValue(b []byte, v interp.Value) ([]byte, error) {
 		return binary.LittleEndian.AppendUint64(b, uint64(v.I)), nil
 	case interp.KindFloat:
 		b = append(b, wireFloat)
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F)), nil
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F())), nil
 	case interp.KindBool:
 		x := byte(0)
-		if v.B {
+		if v.B() {
 			x = 1
 		}
 		return append(b, wireBool, x), nil
 	case interp.KindString:
-		return appendString(append(b, wireString), v.S)
+		return appendString(append(b, wireString), v.S())
 	}
 	return b, fmt.Errorf("hrt: cannot send %s value over the wire", v.Kind)
 }
@@ -353,7 +353,7 @@ func valueWireSize(v interp.Value) int64 {
 	case interp.KindBool:
 		return 2
 	case interp.KindString:
-		return int64(5 + len(v.S))
+		return int64(5 + len(v.S()))
 	}
 	return 1
 }

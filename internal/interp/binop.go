@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"strings"
 
 	"slicehide/internal/ir"
 )
@@ -19,23 +18,23 @@ func EvalBinOp(op ir.BinOp, x, y Value) (Value, error) {
 		case KindInt:
 			return IntV(x.I + y.I), nil
 		case KindFloat:
-			return FloatV(x.F + y.F), nil
+			return FloatV(x.F() + y.F()), nil
 		case KindString:
-			return StrV(x.S + y.S), nil
+			return StrV(x.S() + y.S()), nil
 		}
 	case ir.BinSub:
 		if x.Kind == KindFloat {
-			return FloatV(x.F - y.F), nil
+			return FloatV(x.F() - y.F()), nil
 		}
 		return IntV(x.I - y.I), nil
 	case ir.BinMul:
 		if x.Kind == KindFloat {
-			return FloatV(x.F * y.F), nil
+			return FloatV(x.F() * y.F()), nil
 		}
 		return IntV(x.I * y.I), nil
 	case ir.BinDiv:
 		if x.Kind == KindFloat {
-			return FloatV(x.F / y.F), nil
+			return FloatV(x.F() / y.F()), nil
 		}
 		if y.I == 0 {
 			return NullV(), &RuntimeError{Msg: "division by zero"}
@@ -51,47 +50,41 @@ func EvalBinOp(op ir.BinOp, x, y Value) (Value, error) {
 	case ir.BinNeq:
 		return BoolV(!x.Equal(y)), nil
 	case ir.BinLt, ir.BinLeq, ir.BinGt, ir.BinGeq:
-		var cmp int
-		switch x.Kind {
-		case KindInt:
-			cmp = compareInt(x.I, y.I)
-		case KindFloat:
-			cmp = compareFloat(x.F, y.F)
-		case KindString:
-			cmp = strings.Compare(x.S, y.S)
-		default:
-			return NullV(), &RuntimeError{Msg: "ordered comparison of " + x.Kind.String()}
+		ok, err := Compare(op, &x, &y)
+		if err != nil {
+			return NullV(), err
 		}
-		switch op {
-		case ir.BinLt:
-			return BoolV(cmp < 0), nil
-		case ir.BinLeq:
-			return BoolV(cmp <= 0), nil
-		case ir.BinGt:
-			return BoolV(cmp > 0), nil
-		case ir.BinGeq:
-			return BoolV(cmp >= 0), nil
-		}
+		return BoolV(ok), nil
 	}
 	return NullV(), &RuntimeError{Msg: fmt.Sprintf("invalid binary op %s on %s", op, x.Kind)}
 }
 
-func compareInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+// Compare applies an ordered comparison (ir.BinLt, BinLeq, BinGt or
+// BinGeq) to two ints, floats or strings; any other left operand is a
+// runtime error. It takes pointers so the bytecode machine compares its
+// registers in place.
+func Compare(op ir.BinOp, x, y *Value) (bool, error) {
+	switch x.Kind {
+	case KindInt:
+		return ordered(op, x.I, y.I), nil
+	case KindFloat:
+		return ordered(op, x.F(), y.F()), nil
+	case KindString:
+		return ordered(op, x.S(), y.S()), nil
 	}
-	return 0
+	return false, &RuntimeError{Msg: "ordered comparison of " + x.Kind.String()}
 }
 
-func compareFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+// ordered is comparator-style: <= and >= are the negations of > and <, so
+// a NaN ranks equal to every float and x <= NaN holds.
+func ordered[T int64 | float64 | string](op ir.BinOp, a, b T) bool {
+	switch op {
+	case ir.BinLt:
+		return a < b
+	case ir.BinLeq:
+		return !(a > b)
+	case ir.BinGt:
+		return a > b
 	}
-	return 0
+	return !(a < b)
 }

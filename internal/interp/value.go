@@ -10,8 +10,10 @@ package interp
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // ValueKind tags runtime values.
@@ -48,15 +50,18 @@ func (k ValueKind) String() string {
 	return "?"
 }
 
-// Value is a MiniJ runtime value.
+// Value is a MiniJ runtime value: three words, so a register move or an
+// array element copies 24 bytes. Kind and I are the only exported fields.
+// I is defined only for KindInt; under the other kinds it holds the
+// payload's encoding (a bool as 0/1, a float's bits, a string's length),
+// which code outside this file reads through F, B and S, never directly.
+// ref is a string's data pointer, an *ArrayVal or an *ObjectVal; only the
+// constructors set it, and each accessor converts it back only under the
+// kind it was built with.
 type Value struct {
 	Kind ValueKind
 	I    int64
-	F    float64
-	B    bool
-	S    string
-	Arr  *ArrayVal
-	Obj  *ObjectVal
+	ref  unsafe.Pointer
 }
 
 // ArrayVal is array storage (shared by reference).
@@ -79,19 +84,64 @@ type ObjectVal struct {
 func IntV(v int64) Value { return Value{Kind: KindInt, I: v} }
 
 // FloatV returns a float value.
-func FloatV(v float64) Value { return Value{Kind: KindFloat, F: v} }
+func FloatV(v float64) Value { return Value{Kind: KindFloat, I: int64(math.Float64bits(v))} }
 
 // BoolV returns a bool value.
-func BoolV(v bool) Value { return Value{Kind: KindBool, B: v} }
+func BoolV(v bool) Value {
+	if v {
+		return Value{Kind: KindBool, I: 1}
+	}
+	return Value{Kind: KindBool}
+}
 
 // StrV returns a string value.
-func StrV(v string) Value { return Value{Kind: KindString, S: v} }
+func StrV(v string) Value {
+	return Value{Kind: KindString, I: int64(len(v)), ref: unsafe.Pointer(unsafe.StringData(v))}
+}
+
+// ArrV returns an array value; ArrV(nil) is the null array.
+func ArrV(a *ArrayVal) Value { return Value{Kind: KindArray, ref: unsafe.Pointer(a)} }
+
+// ObjV returns an object value; ObjV(nil) is the null object.
+func ObjV(o *ObjectVal) Value { return Value{Kind: KindObject, ref: unsafe.Pointer(o)} }
 
 // NullV returns the null value.
 func NullV() Value { return Value{Kind: KindNull} }
 
-// IsTrue reports whether v is the boolean true.
-func (v Value) IsTrue() bool { return v.Kind == KindBool && v.B }
+// F returns a float value's number, 0 for every other kind.
+func (v Value) F() float64 {
+	if v.Kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(uint64(v.I))
+}
+
+// B returns a bool value's truth, false for every other kind.
+func (v Value) B() bool { return v.Kind == KindBool && v.I != 0 }
+
+// S returns a string value's text, "" for every other kind.
+func (v Value) S() string {
+	if v.Kind != KindString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.ref), int(v.I))
+}
+
+// Arr returns an array value's storage, nil for every other kind.
+func (v Value) Arr() *ArrayVal {
+	if v.Kind != KindArray {
+		return nil
+	}
+	return (*ArrayVal)(v.ref)
+}
+
+// Obj returns an object value's storage, nil for every other kind.
+func (v Value) Obj() *ObjectVal {
+	if v.Kind != KindObject {
+		return nil
+	}
+	return (*ObjectVal)(v.ref)
+}
 
 // String renders the value the way print does.
 func (v Value) String() string {
@@ -101,44 +151,48 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		s := strconv.FormatFloat(v.F, 'g', -1, 64)
+		s := strconv.FormatFloat(v.F(), 'g', -1, 64)
 		if !strings.ContainsAny(s, ".eEInfNa") {
 			s += ".0"
 		}
 		return s
 	case KindBool:
-		return strconv.FormatBool(v.B)
+		return strconv.FormatBool(v.B())
 	case KindString:
-		return v.S
+		return v.S()
 	case KindArray:
-		if v.Arr == nil {
+		arr := v.Arr()
+		if arr == nil {
 			return "null"
 		}
-		parts := make([]string, len(v.Arr.Elems))
-		for i, e := range v.Arr.Elems {
+		parts := make([]string, len(arr.Elems))
+		for i, e := range arr.Elems {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, " ") + "]"
 	case KindObject:
-		if v.Obj == nil {
+		obj := v.Obj()
+		if obj == nil {
 			return "null"
 		}
-		return fmt.Sprintf("%s#%d", v.Obj.Class, v.Obj.ID)
+		return fmt.Sprintf("%s#%d", obj.Class, obj.ID)
 	}
 	return "?"
 }
 
-// Equal reports value equality (reference equality for aggregates).
+// Equal reports value equality (reference equality for aggregates). The
+// all-int case, which dominates, is decided where Equal inlines.
 func (v Value) Equal(o Value) bool {
+	if v.Kind == KindInt && o.Kind == KindInt {
+		return v.I == o.I
+	}
+	return v.equal(o)
+}
+
+func (v Value) equal(o Value) bool {
 	if v.Kind != o.Kind {
 		// null compares equal to null-valued references only.
-		if v.Kind == KindNull && (o.Kind == KindArray && o.Arr == nil || o.Kind == KindObject && o.Obj == nil) {
-			return true
-		}
-		if o.Kind == KindNull && (v.Kind == KindArray && v.Arr == nil || v.Kind == KindObject && v.Obj == nil) {
-			return true
-		}
-		return false
+		return (v.Kind == KindNull || o.Kind == KindNull) && v.isNullRef() && o.isNullRef()
 	}
 	switch v.Kind {
 	case KindNull:
@@ -146,15 +200,18 @@ func (v Value) Equal(o Value) bool {
 	case KindInt:
 		return v.I == o.I
 	case KindFloat:
-		return v.F == o.F
+		return v.F() == o.F()
 	case KindBool:
-		return v.B == o.B
+		return v.B() == o.B()
 	case KindString:
-		return v.S == o.S
-	case KindArray:
-		return v.Arr == o.Arr
-	case KindObject:
-		return v.Obj == o.Obj
+		return v.S() == o.S()
+	case KindArray, KindObject:
+		return v.ref == o.ref
 	}
 	return false
+}
+
+// isNullRef reports whether v is null or a null array or object reference.
+func (v Value) isNullRef() bool {
+	return v.Kind == KindNull || (v.Kind == KindArray || v.Kind == KindObject) && v.ref == nil
 }

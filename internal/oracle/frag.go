@@ -74,7 +74,7 @@ func (ex *fragExec) exec(stmts []ir.Stmt) (signal, interp.Value, error) {
 			}
 			var sig signal
 			var v interp.Value
-			if c.IsTrue() {
+			if c.B() {
 				sig, v, err = ex.exec(st.Then)
 			} else {
 				sig, v, err = ex.exec(st.Else)
@@ -88,7 +88,7 @@ func (ex *fragExec) exec(stmts []ir.Stmt) (signal, interp.Value, error) {
 				if err != nil {
 					return sigNone, interp.Value{}, err
 				}
-				if !c.IsTrue() {
+				if !c.B() {
 					break
 				}
 				sig, v, err := ex.exec(st.Body)
@@ -163,11 +163,11 @@ func (ex *fragExec) eval(e ir.Expr) (interp.Value, error) {
 		switch e.Op {
 		case token.MINUS:
 			if x.Kind == interp.KindFloat {
-				return interp.FloatV(-x.F), nil
+				return interp.FloatV(-x.F()), nil
 			}
 			return interp.IntV(-x.I), nil
 		case token.NOT:
-			return interp.BoolV(!x.B), nil
+			return interp.BoolV(!x.B()), nil
 		}
 	case *ir.Binary:
 		if e.Op == token.AND || e.Op == token.OR {
@@ -175,17 +175,17 @@ func (ex *fragExec) eval(e ir.Expr) (interp.Value, error) {
 			if err != nil {
 				return interp.NullV(), err
 			}
-			if e.Op == token.AND && !x.B {
+			if e.Op == token.AND && !x.B() {
 				return interp.BoolV(false), nil
 			}
-			if e.Op == token.OR && x.B {
+			if e.Op == token.OR && x.B() {
 				return interp.BoolV(true), nil
 			}
 			y, err := ex.eval(e.Y)
 			if err != nil {
 				return interp.NullV(), err
 			}
-			return interp.BoolV(y.B), nil
+			return interp.BoolV(y.B()), nil
 		}
 		x, err := ex.eval(e.X)
 		if err != nil {
@@ -201,7 +201,7 @@ func (ex *fragExec) eval(e ir.Expr) (interp.Value, error) {
 		if err != nil {
 			return interp.NullV(), err
 		}
-		if c.IsTrue() {
+		if c.B() {
 			return ex.eval(e.T)
 		}
 		return ex.eval(e.F)

@@ -230,7 +230,7 @@ func (in *Interp) exec(fr *frame, s ir.Stmt) (signal, interp.Value, error) {
 		if err != nil {
 			return sigNone, interp.Value{}, err
 		}
-		if c.IsTrue() {
+		if c.B() {
 			return in.execStmts(fr, s.Then)
 		}
 		return in.execStmts(fr, s.Else)
@@ -240,7 +240,7 @@ func (in *Interp) exec(fr *frame, s ir.Stmt) (signal, interp.Value, error) {
 			if err != nil {
 				return sigNone, interp.Value{}, err
 			}
-			if !c.IsTrue() {
+			if !c.B() {
 				return sigNone, interp.Value{}, nil
 			}
 			sig, v, err := in.execStmts(fr, s.Body)
@@ -330,10 +330,10 @@ func (in *Interp) hcallOneWay(fr *frame, e *ir.HCallExpr) error {
 			if err != nil {
 				return err
 			}
-			if ov.Kind != interp.KindObject || ov.Obj == nil {
+			if ov.Obj() == nil {
 				return &interp.RuntimeError{Msg: "hidden-field access on null object"}
 			}
-			inst = ov.Obj.ID
+			inst = ov.Obj().ID
 		}
 		if in.opts.Trace != nil {
 			in.opts.Trace.HiddenCall(e.Component, inst, e.FragID, true)
@@ -364,23 +364,23 @@ func (in *Interp) store(fr *frame, s ir.Stmt, t ir.Target, v interp.Value) error
 		if err != nil {
 			return err
 		}
-		if av.Kind != interp.KindArray || av.Arr == nil {
+		if av.Arr() == nil {
 			return &interp.RuntimeError{Pos: s.Pos(), Msg: "store into null array"}
 		}
-		if iv.I < 0 || iv.I >= int64(len(av.Arr.Elems)) {
-			return &interp.RuntimeError{Pos: s.Pos(), Msg: fmt.Sprintf("index %d out of range [0,%d)", iv.I, len(av.Arr.Elems))}
+		if iv.I < 0 || iv.I >= int64(len(av.Arr().Elems)) {
+			return &interp.RuntimeError{Pos: s.Pos(), Msg: fmt.Sprintf("index %d out of range [0,%d)", iv.I, len(av.Arr().Elems))}
 		}
-		av.Arr.Elems[iv.I] = v
+		av.Arr().Elems[iv.I] = v
 		return nil
 	case *ir.FieldTarget:
 		ov, err := in.eval(fr, t.Obj)
 		if err != nil {
 			return err
 		}
-		if ov.Kind != interp.KindObject || ov.Obj == nil {
+		if ov.Obj() == nil {
 			return &interp.RuntimeError{Pos: s.Pos(), Msg: "store into null object"}
 		}
-		ov.Obj.Fields[t.Field] = v
+		ov.Obj().Fields[t.Field] = v
 		return nil
 	}
 	return &interp.RuntimeError{Pos: s.Pos(), Msg: fmt.Sprintf("unknown target %T", t)}
@@ -395,7 +395,7 @@ func convertValue(toFloat bool, x interp.Value) interp.Value {
 		return x
 	}
 	if x.Kind == interp.KindFloat {
-		return interp.IntV(int64(x.F))
+		return interp.IntV(int64(x.F()))
 	}
 	return x
 }
@@ -451,7 +451,7 @@ func (in *Interp) eval(fr *frame, e ir.Expr) (interp.Value, error) {
 		if fr.this == nil {
 			return interp.NullV(), &interp.RuntimeError{Msg: "this outside method"}
 		}
-		return interp.Value{Kind: interp.KindObject, Obj: fr.this}, nil
+		return interp.ObjV(fr.this), nil
 	case *ir.Unary:
 		x, err := in.eval(fr, e.X)
 		if err != nil {
@@ -460,11 +460,11 @@ func (in *Interp) eval(fr *frame, e ir.Expr) (interp.Value, error) {
 		switch e.Op {
 		case token.MINUS:
 			if x.Kind == interp.KindFloat {
-				return interp.FloatV(-x.F), nil
+				return interp.FloatV(-x.F()), nil
 			}
 			return interp.IntV(-x.I), nil
 		case token.NOT:
-			return interp.BoolV(!x.B), nil
+			return interp.BoolV(!x.B()), nil
 		}
 	case *ir.Binary:
 		// Short-circuit logical operators.
@@ -473,17 +473,17 @@ func (in *Interp) eval(fr *frame, e ir.Expr) (interp.Value, error) {
 			if err != nil {
 				return interp.NullV(), err
 			}
-			if e.Op == token.AND && !x.B {
+			if e.Op == token.AND && !x.B() {
 				return interp.BoolV(false), nil
 			}
-			if e.Op == token.OR && x.B {
+			if e.Op == token.OR && x.B() {
 				return interp.BoolV(true), nil
 			}
 			y, err := in.eval(fr, e.Y)
 			if err != nil {
 				return interp.NullV(), err
 			}
-			return interp.BoolV(y.B), nil
+			return interp.BoolV(y.B()), nil
 		}
 		x, err := in.eval(fr, e.X)
 		if err != nil {
@@ -503,22 +503,22 @@ func (in *Interp) eval(fr *frame, e ir.Expr) (interp.Value, error) {
 		if err != nil {
 			return interp.NullV(), err
 		}
-		if av.Kind != interp.KindArray || av.Arr == nil {
+		if av.Arr() == nil {
 			return interp.NullV(), &interp.RuntimeError{Msg: "read from null array"}
 		}
-		if iv.I < 0 || iv.I >= int64(len(av.Arr.Elems)) {
-			return interp.NullV(), &interp.RuntimeError{Msg: fmt.Sprintf("index %d out of range [0,%d)", iv.I, len(av.Arr.Elems))}
+		if iv.I < 0 || iv.I >= int64(len(av.Arr().Elems)) {
+			return interp.NullV(), &interp.RuntimeError{Msg: fmt.Sprintf("index %d out of range [0,%d)", iv.I, len(av.Arr().Elems))}
 		}
-		return av.Arr.Elems[iv.I], nil
+		return av.Arr().Elems[iv.I], nil
 	case *ir.FieldExpr:
 		ov, err := in.eval(fr, e.Obj)
 		if err != nil {
 			return interp.NullV(), err
 		}
-		if ov.Kind != interp.KindObject || ov.Obj == nil {
+		if ov.Obj() == nil {
 			return interp.NullV(), &interp.RuntimeError{Msg: "read field of null object"}
 		}
-		return ov.Obj.Fields[e.Field], nil
+		return ov.Obj().Fields[e.Field], nil
 	case *ir.CallExpr:
 		args := make([]interp.Value, len(e.Args))
 		for i, a := range e.Args {
@@ -534,10 +534,10 @@ func (in *Interp) eval(fr *frame, e ir.Expr) (interp.Value, error) {
 			if err != nil {
 				return interp.NullV(), err
 			}
-			if rv.Kind != interp.KindObject || rv.Obj == nil {
+			if rv.Obj() == nil {
 				return interp.NullV(), &interp.RuntimeError{Msg: "method call on null object"}
 			}
-			recv = rv.Obj
+			recv = rv.Obj()
 		}
 		f := in.prog.Func(e.Callee)
 		if f == nil {
@@ -552,7 +552,7 @@ func (in *Interp) eval(fr *frame, e ir.Expr) (interp.Value, error) {
 				obj.Fields[fv.Name] = zeroOf(fv)
 			}
 		}
-		return interp.Value{Kind: interp.KindObject, Obj: obj}, nil
+		return interp.ObjV(obj), nil
 	case *ir.NewArrayExpr:
 		sz, err := in.eval(fr, e.Size)
 		if err != nil {
@@ -570,7 +570,7 @@ func (in *Interp) eval(fr *frame, e ir.Expr) (interp.Value, error) {
 		for i := range elems {
 			elems[i] = z
 		}
-		return interp.Value{Kind: interp.KindArray, Arr: &interp.ArrayVal{Elems: elems}}, nil
+		return interp.ArrV(&interp.ArrayVal{Elems: elems}), nil
 	case *ir.LenExpr:
 		av, err := in.eval(fr, e.Arr)
 		if err != nil {
@@ -578,12 +578,12 @@ func (in *Interp) eval(fr *frame, e ir.Expr) (interp.Value, error) {
 		}
 		switch av.Kind {
 		case interp.KindArray:
-			if av.Arr == nil {
+			if av.Arr() == nil {
 				return interp.NullV(), &interp.RuntimeError{Msg: "len of null array"}
 			}
-			return interp.IntV(int64(len(av.Arr.Elems))), nil
+			return interp.IntV(int64(len(av.Arr().Elems))), nil
 		case interp.KindString:
-			return interp.IntV(int64(len(av.S))), nil
+			return interp.IntV(int64(len(av.S()))), nil
 		}
 		return interp.NullV(), &interp.RuntimeError{Msg: "len of non-array"}
 	case *ir.CondExpr:
@@ -591,7 +591,7 @@ func (in *Interp) eval(fr *frame, e ir.Expr) (interp.Value, error) {
 		if err != nil {
 			return interp.NullV(), err
 		}
-		if c.IsTrue() {
+		if c.B() {
 			return in.eval(fr, e.T)
 		}
 		return in.eval(fr, e.F)
@@ -623,10 +623,10 @@ func (in *Interp) eval(fr *frame, e ir.Expr) (interp.Value, error) {
 				if err != nil {
 					return interp.NullV(), err
 				}
-				if ov.Kind != interp.KindObject || ov.Obj == nil {
+				if ov.Obj() == nil {
 					return interp.NullV(), &interp.RuntimeError{Msg: "hidden-field access on null object"}
 				}
-				inst = ov.Obj.ID
+				inst = ov.Obj().ID
 			}
 			if in.opts.Trace != nil {
 				in.opts.Trace.HiddenCall(e.Component, inst, e.FragID, false)

@@ -41,9 +41,9 @@ const (
 	OpGeq    // Dst <- A >= B
 	// Control flow: Dst is a pc-relative offset from the jump itself.
 	OpJump     // pc += Dst
-	OpJumpF    // if !A.IsTrue(): pc += Dst
-	OpJumpRawF // if !A.B: pc += Dst (AND short-circuit, raw bool read)
-	OpJumpRawT // if A.B: pc += Dst (OR short-circuit)
+	OpJumpF    // if !A.B(): pc += Dst
+	OpJumpRawF // as OpJumpF, for && (kept apart: fragment code is hashed)
+	OpJumpRawT // if A.B(): pc += Dst (OR short-circuit)
 	OpRet      // return A
 	OpRetNil   // return null (explicit empty return)
 	OpFail     // raise fails[Dst]

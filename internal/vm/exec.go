@@ -145,9 +145,9 @@ func (f *Frag) Exec(fr *Frame, args []interp.Value, env Env, ws *WriteSet) (v in
 // file, whose temp space is the running function's register window, and
 // switches windows on call and return. steps/limit carry the step
 // accounting: one per statement reached, one per completed loop iteration.
-// The returned value goes to *out, which starts null: handing a 64-byte
-// Value back through two levels of return costs more than the dispatch of
-// a short fragment.
+// The returned value goes to *out, which starts null, so the 24-byte Value
+// is copied once, into the caller's variable, instead of back through two
+// levels of return.
 //
 // The loop carries as little as it can — code, pc, steps — because every
 // variable assigned inside it costs a spill per dispatch; the call stack
@@ -192,14 +192,14 @@ stretch:
 			case OpNeg:
 				x := ld(in.A)
 				if x.Kind == interp.KindFloat {
-					*dst(in.Dst) = interp.FloatV(-x.F)
+					*dst(in.Dst) = interp.FloatV(-x.F())
 				} else {
 					*dst(in.Dst) = interp.IntV(-x.I)
 				}
 			case OpNot:
-				*dst(in.Dst) = interp.BoolV(!ld(in.A).B)
+				*dst(in.Dst) = interp.BoolV(!ld(in.A).B())
 			case OpToBool:
-				*dst(in.Dst) = interp.BoolV(ld(in.A).B)
+				*dst(in.Dst) = interp.BoolV(ld(in.A).B())
 			case OpConvF:
 				x := ld(in.A)
 				if x.Kind == interp.KindInt {
@@ -210,7 +210,7 @@ stretch:
 			case OpConvI:
 				x := ld(in.A)
 				if x.Kind == interp.KindFloat {
-					*dst(in.Dst) = interp.IntV(int64(x.F))
+					*dst(in.Dst) = interp.IntV(int64(x.F()))
 				} else {
 					*dst(in.Dst) = *x
 				}
@@ -220,9 +220,9 @@ stretch:
 				case interp.KindInt:
 					*dst(in.Dst) = interp.IntV(a.I + b.I)
 				case interp.KindFloat:
-					*dst(in.Dst) = interp.FloatV(a.F + b.F)
+					*dst(in.Dst) = interp.FloatV(a.F() + b.F())
 				case interp.KindString:
-					*dst(in.Dst) = interp.StrV(a.S + b.S)
+					*dst(in.Dst) = interp.StrV(a.S() + b.S())
 				default:
 					if _, err = interp.EvalBinOp(ir.BinAdd, *a, *b); err != nil {
 						goto fail
@@ -231,21 +231,21 @@ stretch:
 			case OpSub:
 				a, b := ld(in.A), ld(in.B)
 				if a.Kind == interp.KindFloat {
-					*dst(in.Dst) = interp.FloatV(a.F - b.F)
+					*dst(in.Dst) = interp.FloatV(a.F() - b.F())
 				} else {
 					*dst(in.Dst) = interp.IntV(a.I - b.I)
 				}
 			case OpMul:
 				a, b := ld(in.A), ld(in.B)
 				if a.Kind == interp.KindFloat {
-					*dst(in.Dst) = interp.FloatV(a.F * b.F)
+					*dst(in.Dst) = interp.FloatV(a.F() * b.F())
 				} else {
 					*dst(in.Dst) = interp.IntV(a.I * b.I)
 				}
 			case OpDiv:
 				a, b := ld(in.A), ld(in.B)
 				if a.Kind == interp.KindFloat {
-					*dst(in.Dst) = interp.FloatV(a.F / b.F)
+					*dst(in.Dst) = interp.FloatV(a.F() / b.F())
 				} else if b.I == 0 {
 					err = errDivZero
 					goto fail
@@ -260,28 +260,29 @@ stretch:
 				}
 				*dst(in.Dst) = interp.IntV(a.I % b.I)
 			case OpEq:
-				*dst(in.Dst) = interp.BoolV(equal(ld(in.A), ld(in.B)))
+				*dst(in.Dst) = interp.BoolV(ld(in.A).Equal(*ld(in.B)))
 			case OpNeq:
-				*dst(in.Dst) = interp.BoolV(!equal(ld(in.A), ld(in.B)))
+				*dst(in.Dst) = interp.BoolV(!ld(in.A).Equal(*ld(in.B)))
 			case OpLt, OpLeq, OpGt, OpGeq:
+				// Both comparison families follow ir.BinLt..BinGeq's order.
 				var ok bool
-				if ok, err = compare(in.Op, ld(in.A), ld(in.B)); err != nil {
+				if ok, err = interp.Compare(ir.BinLt+ir.BinOp(in.Op-OpLt), ld(in.A), ld(in.B)); err != nil {
 					goto fail
 				}
 				*dst(in.Dst) = interp.BoolV(ok)
 			case OpJumpNEq:
-				if !equal(ld(in.A), ld(in.B)) {
+				if !ld(in.A).Equal(*ld(in.B)) {
 					pc += int(int32(in.Dst))
 					continue
 				}
 			case OpJumpNNeq:
-				if equal(ld(in.A), ld(in.B)) {
+				if ld(in.A).Equal(*ld(in.B)) {
 					pc += int(int32(in.Dst))
 					continue
 				}
 			case OpJumpNLt, OpJumpNLeq, OpJumpNGt, OpJumpNGeq:
 				var ok bool
-				if ok, err = compare(in.Op-OpJumpNLt+OpLt, ld(in.A), ld(in.B)); err != nil {
+				if ok, err = interp.Compare(ir.BinLt+ir.BinOp(in.Op-OpJumpNLt), ld(in.A), ld(in.B)); err != nil {
 					goto fail
 				}
 				if !ok {
@@ -291,18 +292,13 @@ stretch:
 			case OpJump:
 				pc += int(int32(in.Dst))
 				continue
-			case OpJumpF:
-				if !ld(in.A).IsTrue() {
-					pc += int(int32(in.Dst))
-					continue
-				}
-			case OpJumpRawF:
-				if !ld(in.A).B {
+			case OpJumpF, OpJumpRawF:
+				if !ld(in.A).B() {
 					pc += int(int32(in.Dst))
 					continue
 				}
 			case OpJumpRawT:
-				if ld(in.A).B {
+				if ld(in.A).B() {
 					pc += int(int32(in.Dst))
 					continue
 				}
@@ -326,41 +322,41 @@ stretch:
 				goto fail
 
 			case OpIndex:
-				arr, i := ld(in.A), ld(in.B).I
-				if arr.Kind != interp.KindArray || arr.Arr == nil {
+				arr, i := ld(in.A).Arr(), ld(in.B).I
+				if arr == nil {
 					err = errReadNullArr
 					goto fail
 				}
-				if i < 0 || i >= int64(len(arr.Arr.Elems)) {
-					err = indexErr(i, len(arr.Arr.Elems))
+				if i < 0 || i >= int64(len(arr.Elems)) {
+					err = indexErr(i, len(arr.Elems))
 					goto fail
 				}
-				*dst(in.Dst) = arr.Arr.Elems[i]
+				*dst(in.Dst) = arr.Elems[i]
 			case OpSetIndex:
-				arr, i := ld(in.A), ld(in.B).I
-				if arr.Kind != interp.KindArray || arr.Arr == nil {
+				arr, i := ld(in.A).Arr(), ld(in.B).I
+				if arr == nil {
 					err = errStoreNull
 					goto fail
 				}
-				if i < 0 || i >= int64(len(arr.Arr.Elems)) {
-					err = indexErr(i, len(arr.Arr.Elems))
+				if i < 0 || i >= int64(len(arr.Elems)) {
+					err = indexErr(i, len(arr.Elems))
 					goto fail
 				}
-				arr.Arr.Elems[i] = *ld(in.Dst)
+				arr.Elems[i] = *ld(in.Dst)
 			case OpGetField:
-				obj := ld(in.A)
-				if obj.Kind != interp.KindObject || obj.Obj == nil {
+				obj := ld(in.A).Obj()
+				if obj == nil {
 					err = errReadNullObj
 					goto fail
 				}
-				*dst(in.Dst) = obj.Obj.Fields[m.names[in.B]]
+				*dst(in.Dst) = obj.Fields[m.names[in.B]]
 			case OpSetField:
-				obj := ld(in.A)
-				if obj.Kind != interp.KindObject || obj.Obj == nil {
+				obj := ld(in.A).Obj()
+				if obj == nil {
 					err = errStoreObj
 					goto fail
 				}
-				obj.Obj.Fields[m.names[in.B]] = *ld(in.Dst)
+				obj.Fields[m.names[in.B]] = *ld(in.Dst)
 			case OpNewObj:
 				*dst(in.Dst) = m.newObject(&m.classes[in.A])
 			case OpNewArr:
@@ -373,19 +369,19 @@ stretch:
 				x := ld(in.A)
 				switch {
 				case x.Kind == interp.KindString:
-					*dst(in.Dst) = interp.IntV(int64(len(x.S)))
+					*dst(in.Dst) = interp.IntV(int64(len(x.S())))
 				case x.Kind != interp.KindArray:
 					err = errLenNonArray
 					goto fail
-				case x.Arr == nil:
+				case x.Arr() == nil:
 					err = errLenNull
 					goto fail
 				default:
-					*dst(in.Dst) = interp.IntV(int64(len(x.Arr.Elems)))
+					*dst(in.Dst) = interp.IntV(int64(len(x.Arr().Elems)))
 				}
 			case OpThis:
 				x := ld(in.A)
-				if x.Obj == nil {
+				if x.Obj() == nil {
 					err = errNoThis
 					goto fail
 				}
@@ -422,69 +418,4 @@ fail:
 		return err
 	}
 	return m.abort(err, pc, steps)
-}
-
-// equal is Value.Equal with the all-int case, which dominates, decided
-// without copying either value.
-func equal(a, b *interp.Value) bool {
-	if a.Kind == interp.KindInt && b.Kind == interp.KindInt {
-		return a.I == b.I
-	}
-	return a.Equal(*b)
-}
-
-// compare mirrors interp.EvalBinOp's ordered comparisons, including the
-// comparator-style float semantics (NaN compares equal-rank, so <= and >=
-// are the negations of > and <).
-func compare(op Opcode, a, b *interp.Value) (bool, error) {
-	switch a.Kind {
-	case interp.KindInt:
-		switch op {
-		case OpLt:
-			return a.I < b.I, nil
-		case OpLeq:
-			return a.I <= b.I, nil
-		case OpGt:
-			return a.I > b.I, nil
-		default:
-			return a.I >= b.I, nil
-		}
-	case interp.KindFloat:
-		switch op {
-		case OpLt:
-			return a.F < b.F, nil
-		case OpLeq:
-			return !(a.F > b.F), nil
-		case OpGt:
-			return a.F > b.F, nil
-		default:
-			return !(a.F < b.F), nil
-		}
-	case interp.KindString:
-		switch op {
-		case OpLt:
-			return a.S < b.S, nil
-		case OpLeq:
-			return a.S <= b.S, nil
-		case OpGt:
-			return a.S > b.S, nil
-		default:
-			return a.S >= b.S, nil
-		}
-	}
-	v, err := interp.EvalBinOp(binOpOfCmp(op), *a, *b)
-	return v.B, err
-}
-
-func binOpOfCmp(op Opcode) ir.BinOp {
-	switch op {
-	case OpLt:
-		return ir.BinLt
-	case OpLeq:
-		return ir.BinLeq
-	case OpGt:
-		return ir.BinGt
-	default:
-		return ir.BinGeq
-	}
 }

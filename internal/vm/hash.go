@@ -105,10 +105,23 @@ func (h *fnv) layout(l *Layout) {
 	}
 }
 
+// value hashes a constant's kind, int, float bits, bool and string, each
+// the zero of its type unless the kind defines it, so a program's hash —
+// and every journal and snapshot recorded under it — does not depend on
+// how Value lays its payload out.
 func (h *fnv) value(v interp.Value) {
 	h.u64(uint64(v.Kind))
-	h.u64(uint64(v.I))
-	h.u64(math.Float64bits(v.F))
-	h.u64(boolBit(v.B))
-	h.str(v.S)
+	h.u64(uint64(intPart(v)))
+	h.u64(math.Float64bits(v.F()))
+	h.u64(boolBit(v.B()))
+	h.str(v.S())
+}
+
+// intPart is v.I for an int and 0 for every other kind: I is defined only
+// under KindInt.
+func intPart(v interp.Value) int64 {
+	if v.Kind != interp.KindInt {
+		return 0
+	}
+	return v.I
 }

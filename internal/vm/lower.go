@@ -118,7 +118,7 @@ func (c *compiler) allocTemps(n int) int32 {
 func (c *compiler) allocTemp() uint32 { return opd(spcTemp, c.allocTemps(1)) }
 
 func (c *compiler) constOpd(v interp.Value) uint32 {
-	key := constKey{kind: v.Kind, i: v.I, f: v.F, b: v.B, s: v.S}
+	key := constKey{kind: v.Kind, i: intPart(v), f: v.F(), b: v.B(), s: v.S()}
 	if o, ok := c.constIdx[key]; ok {
 		return o
 	}
@@ -573,9 +573,9 @@ func (c *compiler) hcall(dst uint32, e *ir.HCallExpr, stmt bool) {
 	c.emit(Instr{Op: OpHCall, Dst: dst, A: uint32(len(m.hcalls) - 1), B: obj})
 }
 
-// shortCircuit compiles && and ||, preserving the tree-walker's raw-bool
-// reads: the left operand short-circuits on its raw B field, and the
-// result is the normalized bool of whichever operand decided it.
+// shortCircuit compiles && and ||, preserving the tree-walker's reads: the
+// left operand short-circuits on its B(), and the result is the
+// normalized bool of whichever operand decided it.
 func (c *compiler) shortCircuit(dst uint32, op ir.BinOp, e *ir.Binary) {
 	x := c.expr(e.X)
 	jop := OpJumpRawF

@@ -191,7 +191,7 @@ func (m *Machine) invoke(f *funcCode, recv *interp.ObjectVal, args []interp.Valu
 	copy(m.stack, args)
 	m.stack[f.nparams] = interp.Value{}
 	if recv != nil {
-		m.stack[f.nparams] = interp.Value{Kind: interp.KindObject, Obj: recv}
+		m.stack[f.nparams] = interp.ObjV(recv)
 	}
 	if err := m.enter(f, 0, f.nparams+1, frame{}); err != nil {
 		return interp.NullV(), err
@@ -248,7 +248,7 @@ func (m *Machine) grow(n int) {
 func (m *Machine) push(site *callSite, base int, ret frame) error {
 	live := site.nargs
 	if site.recv {
-		if this := &m.stack[base+site.nargs]; this.Kind != interp.KindObject || this.Obj == nil {
+		if this := &m.stack[base+site.nargs]; this.Obj() == nil {
 			return errNullRecv
 		}
 		live++
@@ -274,8 +274,8 @@ func (m *Machine) enter(f *funcCode, base, live int, ret frame) error {
 			return &interp.RuntimeError{Msg: "split function " + f.name + " without hidden session"}
 		}
 		var obj int64
-		if this := &m.stack[base+f.nparams]; this.Obj != nil {
-			obj = this.Obj.ID
+		if this := &m.stack[base+f.nparams]; this.Obj() != nil {
+			obj = this.Obj().ID
 		}
 		var err error
 		if m.async != nil {
@@ -386,10 +386,10 @@ func (m *Machine) hcall(site *hcallSite, obj *interp.Value) (interp.Value, error
 		// object the call names.
 		comp, inst = site.comp, 0
 		if site.obj {
-			if obj.Kind != interp.KindObject || obj.Obj == nil {
+			if obj.Obj() == nil {
 				return interp.NullV(), errHiddenNullObj
 			}
-			inst = obj.Obj.ID
+			inst = obj.Obj().ID
 		}
 	}
 	if m.opts.Trace != nil {
@@ -416,7 +416,7 @@ func (m *Machine) print(parts []interp.Value) error {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(parts[i].S)
+		b.WriteString(parts[i].S())
 	}
 	b.WriteByte('\n')
 	_, _ = io.WriteString(m.opts.Out, b.String()) // like the walker's Fprintln, output errors are not the program's
@@ -429,7 +429,7 @@ func (m *Machine) newObject(cl *classInfo) interp.Value {
 	for _, f := range cl.fields {
 		obj.Fields[f.name] = f.zero
 	}
-	return interp.Value{Kind: interp.KindObject, Obj: obj}
+	return interp.ObjV(obj)
 }
 
 func newArray(size int64, zero *interp.Value) (interp.Value, error) {
@@ -444,7 +444,7 @@ func newArray(size int64, zero *interp.Value) (interp.Value, error) {
 	for i := range elems {
 		elems[i] = *zero
 	}
-	return interp.Value{Kind: interp.KindArray, Arr: &interp.ArrayVal{Elems: elems}}, nil
+	return interp.ArrV(&interp.ArrayVal{Elems: elems}), nil
 }
 
 func indexErr(i int64, n int) error {

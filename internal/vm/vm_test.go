@@ -133,6 +133,15 @@ func TestDeterministicHash(t *testing.T) {
 	}
 }
 
+func TestComparisonOpcodesFollowBinOpOrder(t *testing.T) {
+	for op := ir.BinLt; op <= ir.BinGeq; op++ {
+		k := Opcode(op - ir.BinLt)
+		if oc := binOpcode(op); oc != OpLt+k || oc-OpEq+OpJumpNEq != OpJumpNLt+k {
+			t.Errorf("%s compiles to %s, not the opcode at offset %d from lt and jumpnlt", op, oc, k)
+		}
+	}
+}
+
 func BenchmarkFragExec(b *testing.B) {
 	_, f, cc := compileBench(b)
 	fr := &Frame{temps: make([]interp.Value, f.NTemps)}
