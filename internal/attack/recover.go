@@ -210,24 +210,6 @@ func MinSamples(nvars, degree int) int {
 	return len(monomials(nvars, degree)) + 3
 }
 
-// SweepSamples runs TryRecover on growing prefixes of samples and returns
-// the smallest prefix that recovers the function (0 if none does).
-func SweepSamples(samples []Sample, opts RecoveryOptions) int {
-	sizes := []int{4, 8, 16, 32, 64, 128, 256, 512, 1024}
-	for _, n := range sizes {
-		if n > len(samples) {
-			break
-		}
-		if TryRecover(samples[:n], opts).Recovered {
-			return n
-		}
-	}
-	if TryRecover(samples, opts).Recovered {
-		return len(samples)
-	}
-	return 0
-}
-
 // Dedup removes duplicate input vectors, keeping first occurrences; fitting
 // benefits from independent rows.
 func Dedup(samples []Sample) []Sample {

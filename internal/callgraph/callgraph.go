@@ -5,10 +5,8 @@
 package callgraph
 
 import (
-	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"slicehide/internal/cfg"
 	"slicehide/internal/ir"
@@ -272,19 +270,4 @@ func (g *Graph) Cut(root string, opts CutOptions) (chosen []string, uncovered []
 func (g *Graph) idoms(root int) []int {
 	return cfg.Idoms(len(g.names), root,
 		func(i int) []int { return g.succs[i] }, func(i int) []int { return g.preds[i] })
-}
-
-// String renders the call graph edges, sorted, for tests and debugging.
-func (g *Graph) String() string {
-	var lines []string
-	for caller, callees := range g.Callees {
-		var cs []string
-		for c := range callees {
-			cs = append(cs, c)
-		}
-		sort.Strings(cs)
-		lines = append(lines, fmt.Sprintf("%s -> [%s]", caller, strings.Join(cs, " ")))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

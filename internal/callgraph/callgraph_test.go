@@ -1,7 +1,9 @@
 package callgraph
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"slicehide/internal/ir"
@@ -255,4 +257,19 @@ func main() { a(); }
 			t.Error("cut order not deterministic")
 		}
 	}
+}
+
+// String renders the call graph edges, sorted, for tests and debugging.
+func (g *Graph) String() string {
+	var lines []string
+	for caller, callees := range g.Callees {
+		var cs []string
+		for c := range callees {
+			cs = append(cs, c)
+		}
+		sort.Strings(cs)
+		lines = append(lines, fmt.Sprintf("%s -> [%s]", caller, strings.Join(cs, " ")))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }

@@ -4,10 +4,6 @@
 package cfg
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"slicehide/internal/ir"
 )
 
@@ -22,14 +18,6 @@ type Node struct {
 	// Succs and Preds are the flow edges.
 	Succs []*Node
 	Preds []*Node
-}
-
-// String renders the node for diagnostics.
-func (n *Node) String() string {
-	if n.Stmt == nil {
-		return fmt.Sprintf("#%d", n.Index)
-	}
-	return fmt.Sprintf("#%d[s%d]", n.Index, n.Stmt.ID())
 }
 
 // Graph is the control-flow graph of one function.
@@ -186,18 +174,4 @@ func (g *Graph) buildDetached(stmts []ir.Stmt, loop *loopCtx) (*Node, []*Node) {
 		}
 	}
 	return first, ends
-}
-
-// String renders the graph edges for debugging.
-func (g *Graph) String() string {
-	var b strings.Builder
-	for _, n := range g.Nodes {
-		succ := make([]string, len(n.Succs))
-		for i, s := range n.Succs {
-			succ[i] = s.String()
-		}
-		sort.Strings(succ)
-		fmt.Fprintf(&b, "%s -> %s\n", n, strings.Join(succ, " "))
-	}
-	return b.String()
 }

@@ -1,6 +1,9 @@
 package cfg
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"slicehide/internal/ir"
@@ -260,4 +263,26 @@ func f(): int {
 	if len(ret.Preds) != 1 {
 		t.Errorf("return should be reached only via break, preds=%v", ret.Preds)
 	}
+}
+
+// String renders the node for diagnostics.
+func (n *Node) String() string {
+	if n.Stmt == nil {
+		return fmt.Sprintf("#%d", n.Index)
+	}
+	return fmt.Sprintf("#%d[s%d]", n.Index, n.Stmt.ID())
+}
+
+// String renders the graph edges for debugging.
+func (g *Graph) String() string {
+	var b strings.Builder
+	for _, n := range g.Nodes {
+		succ := make([]string, len(n.Succs))
+		for i, s := range n.Succs {
+			succ[i] = s.String()
+		}
+		sort.Strings(succ)
+		fmt.Fprintf(&b, "%s -> %s\n", n, strings.Join(succ, " "))
+	}
+	return b.String()
 }

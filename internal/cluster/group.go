@@ -48,6 +48,9 @@ type Config struct {
 	ProbeInterval time.Duration
 	// DialTimeout bounds liveness probes and pump dials (default 500ms).
 	DialTimeout time.Duration
+	// Dial opens the pumps' and the prober's connections (default
+	// net.DialTimeout); tests inject stalls and partitions through it.
+	Dial func(network, addr string, timeout time.Duration) (net.Conn, error)
 	// CommitTimeout bounds how long a response may wait for follower
 	// acknowledgement before degrading to asynchronous replication
 	// (default 5s). A wedged follower slows the fleet; it must not stop it.
@@ -90,6 +93,9 @@ func (c *Config) fill() error {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 500 * time.Millisecond
 	}
+	if c.Dial == nil {
+		c.Dial = net.DialTimeout
+	}
 	if c.CommitTimeout <= 0 {
 		c.CommitTimeout = 5 * time.Second
 	}
@@ -110,10 +116,18 @@ type Group struct {
 	ts      *hrt.TCPServer
 	tracker *wal.OffsetTracker
 	// boot identifies this process incarnation in replication handshakes,
-	// both the ones we dial and the ones we answer; shown remembers which
-	// records each peer incarnation has shown us (see replicate.go).
-	boot  uint64
-	shown *shownTable
+	// both the ones we dial and the ones we answer; stamps remembers which
+	// peer incarnation showed us each record (see cover.go).
+	boot   uint64
+	stamps *stampTable
+
+	// Origin cover state (cover.go): each sender's live covers, each
+	// outbound peer's pending lists, and tracker-change wakeups.
+	coverMu      sync.Mutex
+	origins      map[string]*originStream
+	pumpCovers   map[string]*pumpCover
+	coverWake    chan struct{}
+	trackerEpoch atomic.Uint64
 
 	mu        sync.Mutex
 	members   Membership
@@ -158,8 +172,10 @@ type Group struct {
 	redirects atomic.Int64
 	replBytes atomic.Int64
 	// replSkipped counts records the pumps passed over because the peer had
-	// itself shown them to us.
+	// itself shown them to us or their origin covered the peer; rewinds
+	// counts pumps sent back over records an origin stopped covering.
 	replSkipped atomic.Int64
+	rewinds     atomic.Int64
 	failoverNS  atomic.Int64
 	syncWaits   atomic.Int64
 	syncStalls  atomic.Int64
@@ -205,7 +221,9 @@ func New(cfg Config, ts *hrt.TCPServer) (*Group, error) {
 		ts:            ts,
 		tracker:       wal.NewOffsetTracker(),
 		boot:          boot,
-		shown:         newShownTable(shownSize),
+		stamps:        newStampTable(stampTableSize),
+		origins:       make(map[string]*originStream),
+		pumpCovers:    make(map[string]*pumpCover),
 		members:       members,
 		alive:         make(map[string]bool, len(members.Members)),
 		fails:         make(map[string]int, len(members.Members)),
@@ -252,6 +270,9 @@ func newBootID() (uint64, error) {
 // Start launches the prober, the join loop (with JoinSeed), and — with
 // replication on — one pump per current member.
 func (g *Group) Start() {
+	// Our journal's records so far came from an earlier life or before the
+	// group ran: who showed them to us is unknown, so none is ours to flag.
+	g.stamps.forgetThrough(g.journalPos())
 	g.wg.Add(1)
 	go g.probeLoop()
 	g.syncPumps()
@@ -280,6 +301,15 @@ func (g *Group) Close() {
 	if g.cfg.Replicate {
 		g.ts.Persist.SetCommitter(nil)
 	}
+}
+
+// journalPos reports this replica's journal position (zero without one).
+func (g *Group) journalPos() wal.Position {
+	if g.ts.Persist == nil {
+		return wal.Position{}
+	}
+	gen, n := g.ts.Persist.CurrentPosition()
+	return wal.Position{Gen: gen, Records: n}
 }
 
 // ---------------------------------------------------------------------------
@@ -478,7 +508,7 @@ func (g *Group) joinLoop() {
 		if joined {
 			return
 		}
-		reply, err := hrt.GossipExchange(g.cfg.JoinSeed, g.cfg.Self, hrt.PingJoin, g.cfg.Self, g.cfg.DialTimeout)
+		reply, err := hrt.GossipExchange(g.cfg.Dial, g.cfg.JoinSeed, g.cfg.Self, hrt.PingJoin, g.cfg.Self, g.cfg.DialTimeout)
 		if err == nil {
 			if m, perr := ParseMembership(reply); perr == nil {
 				g.adopt(m, "join-seed")
@@ -523,7 +553,7 @@ func (g *Group) probeOnce() {
 	members := g.Membership()
 	enc := members.Encode()
 	for _, peer := range members.Others(g.cfg.Self) {
-		reply, err := hrt.GossipExchange(peer, g.cfg.Self, hrt.PingSync, enc, g.cfg.DialTimeout)
+		reply, err := hrt.GossipExchange(g.cfg.Dial, peer, g.cfg.Self, hrt.PingSync, enc, g.cfg.DialTimeout)
 		up := err == nil
 		if up && reply != "" {
 			if m, perr := ParseMembership(reply); perr == nil {
@@ -589,7 +619,7 @@ func (g *Group) rejoinIfEvicted() {
 	if !excluded || via == "" {
 		return
 	}
-	if reply, err := hrt.GossipExchange(via, g.cfg.Self, hrt.PingJoin, g.cfg.Self, g.cfg.DialTimeout); err == nil {
+	if reply, err := hrt.GossipExchange(g.cfg.Dial, via, g.cfg.Self, hrt.PingJoin, g.cfg.Self, g.cfg.DialTimeout); err == nil {
 		if m, perr := ParseMembership(reply); perr == nil {
 			g.adopt(m, "rejoin")
 		}
@@ -605,9 +635,11 @@ func (g *Group) rejoinIfEvicted() {
 // (with the last connected follower dead, the gate releases instead of
 // timing out), and closing the pump connection moves the pump into its
 // reconnect backoff, whose normal disconnect path would otherwise be the
-// only place the tracker entry dies.
+// only place the tracker entry dies. Nothing the peer originated is left
+// to its covers any more: pumps rewind over what was pending on it.
 func (g *Group) releaseDeadPeer(peer string) {
-	g.tracker.Drop(peer)
+	g.drop(peer)
+	g.originLost(peer, nil)
 	g.pumpMu.Lock()
 	if c, ok := g.pumpConns[peer]; ok {
 		c.Close()
@@ -825,6 +857,7 @@ func (g *Group) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("repl_apply_lag_records", func() int64 { return g.replReceived.Load() - g.replApplied.Load() })
 	reg.Gauge("repl_bytes", g.replBytes.Load)
 	reg.Gauge("repl_skipped_records", g.replSkipped.Load)
+	reg.Gauge("repl_rewinds", g.rewinds.Load)
 	reg.Gauge("owner_redirects", g.redirects.Load)
 	reg.Gauge("failover_ns", g.failoverNS.Load)
 	reg.Gauge("repl_sync_waits", g.syncWaits.Load)

@@ -96,14 +96,6 @@ func (p *MuxPool) transport(addr string) (*hrt.MuxTransport, error) {
 	return mt, nil
 }
 
-// Conns reports how many upstream connections the pool holds (for tests
-// and gauges).
-func (p *MuxPool) Conns() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.conns)
-}
-
 // Close tears every pooled upstream down; subsequent exchanges fail
 // terminally.
 func (p *MuxPool) Close() error {

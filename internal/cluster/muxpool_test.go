@@ -174,3 +174,11 @@ func TestMuxPoolFailsOverDeadReplica(t *testing.T) {
 		t.Errorf("pool holds %d connections, want 1 (dead dial not cached)", got)
 	}
 }
+
+// Conns reports how many upstream connections the pool holds (for tests
+// and gauges).
+func (p *MuxPool) Conns() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.conns)
+}

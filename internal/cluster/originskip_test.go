@@ -8,9 +8,9 @@ package cluster
 // peer counts a frame received) or passed over (the sender counts a skip).
 
 import (
-	"encoding/binary"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -27,14 +27,27 @@ import (
 // catch-up target before any record exists. No snapshot ever triggers:
 // generation 0 holds a replica's whole history.
 func startFleet(t *testing.T, res func() *core.Result, n int) ([]string, []*catchupReplica) {
+	return startFleetWith(t, res, n, nil)
+}
+
+// startFleetWith is startFleet with a hook that adjusts each member's
+// configuration before it starts.
+func startFleetWith(t *testing.T, res func() *core.Result, n int, adjust func(i int, cfg *Config)) ([]string, []*catchupReplica) {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
-		addrs[i] = deadAddr(t)
+		// A port freed by deadAddr can come straight back from the next call.
+		for addrs[i] == "" || slices.Contains(addrs[:i], addrs[i]) {
+			addrs[i] = deadAddr(t)
+		}
 	}
 	fleet := make([]*catchupReplica, n)
 	for i, addr := range addrs {
-		fleet[i] = startReplica(t, res(), t.TempDir(), addr, Config{Self: addr, Peers: addrs}, 1<<20)
+		cfg := Config{Self: addr, Peers: addrs}
+		if adjust != nil {
+			adjust(i, &cfg)
+		}
+		fleet[i] = startReplica(t, res(), t.TempDir(), addr, cfg, 1<<20)
 	}
 	t.Cleanup(func() {
 		for _, r := range fleet {
@@ -391,57 +404,50 @@ func TestOriginSkipTargetEndsInSkippableRun(t *testing.T) {
 	}
 }
 
-// The table forgets its oldest entries first, and a forgotten entry reads
-// exactly like one never noted: the record is relayed. Nothing the table
-// was not told can make it answer yes.
+// The stamp table forgets its oldest entries first, and a forgotten entry
+// reads exactly like one never noted: the record is relayed. Nothing the
+// table was not told can make it answer, and a peer with no boot id or a
+// payload too short to carry a stamp is never noted.
 func TestOriginSkipTableForgets(t *testing.T) {
 	const size, extra = 64, 10
-	tbl := newShownTable(size)
-	key := func(i int) shownKey { return shownKey{session: uint64(i) + 1, seq: uint64(i) * 3, boot: 7} }
+	tbl := newStampTable(size)
+	key := func(i int) []byte { return stamped(uint64(i)+1, uint64(i)*3) }
+	shown := stampEntry{sender: "peer", boot: 7}
+	journal := wal.Position{Gen: 2, Records: 40}
+	now := func() wal.Position { return journal }
 	for i := 0; i < size+extra; i++ {
-		tbl.note(key(i))
-		tbl.note(key(i)) // a duplicate frame takes no second slot
+		tbl.note(key(i), shown, now)
+		tbl.note(key(i), shown, now) // a duplicate frame takes no second slot
 	}
 	for i := 0; i < size+extra; i++ {
-		if got, want := tbl.has(key(i)), i >= extra; got != want {
-			t.Errorf("entry %d of %d in a table of %d: has = %v, want %v", i, size+extra, size, got, want)
+		if _, got := tbl.lookup(key(i)); got != (i >= extra) {
+			t.Errorf("entry %d of %d in a table of %d: noted = %v, want %v", i, size+extra, size, got, i >= extra)
 		}
 	}
-	if len(tbl.set) != size || len(tbl.ring) != size {
-		t.Errorf("table holds %d keys in %d slots, want %d", len(tbl.set), len(tbl.ring), size)
+	if len(tbl.m) != size || len(tbl.ring) != size {
+		t.Errorf("table holds %d keys in %d slots, want %d", len(tbl.m), len(tbl.ring), size)
 	}
-	k := key(size)
-	for _, other := range []shownKey{
-		{k.session, k.seq, k.boot + 1}, // same record, another incarnation
-		{k.session, k.seq + 1, k.boot},
-		{k.session + 1<<32, k.seq, k.boot},
-	} {
-		if tbl.has(other) {
-			t.Errorf("table answers yes for %+v, which it was never told", other)
+	if e, ok := tbl.lookup(key(size)); !ok || e != shown {
+		t.Errorf("a noted record reads back as %+v (%v), want %+v", e, ok, shown)
+	}
+	for _, other := range [][]byte{stamped(uint64(size)+1, uint64(size)*3+1), stamped(uint64(size)+1+1<<32, uint64(size)*3)} {
+		if _, ok := tbl.lookup(other); ok {
+			t.Errorf("table answers for %x, which it was never told", other)
 		}
+	}
+	// Forgetting moved the watermark: our records up to the journal position
+	// at the time may have lost their entries, so none of them reads as ours.
+	if tbl.ownRecord(journal) || !tbl.ownRecord(wal.Position{Gen: 2, Records: 41}) {
+		t.Error("records at or before the position where the table forgot must not read as our own, later ones must")
 	}
 
-	// Through the pump's own question: a forgotten record, a peer with no
-	// boot id and a payload too short to carry a stamp are all relayed.
-	g := &Group{shown: tbl}
-	rec := func(k shownKey) []byte {
-		b := make([]byte, 32)
-		binary.LittleEndian.PutUint64(b[2:], k.session)
-		binary.LittleEndian.PutUint64(b[10:], k.seq)
-		return b
+	tbl.note(stamped(5, 5), stampEntry{sender: "old", boot: 0}, now)
+	if _, ok := tbl.lookup(stamped(5, 5)); ok {
+		t.Error("a record shown by a peer that stated no boot id was noted")
 	}
-	if !g.shownBy(rec(key(size)), 7) {
-		t.Error("a noted record is not recognised from its journal payload")
-	}
-	if g.shownBy(rec(key(0)), 7) {
-		t.Error("a forgotten record would be skipped")
-	}
-	tbl.note(shownKey{session: 5, seq: 5, boot: 0})
-	if g.shownBy(rec(shownKey{session: 5, seq: 5}), 0) {
-		t.Error("a record would be skipped for a peer that stated no boot id")
-	}
-	if g.shownBy(rec(key(size))[:17], 7) {
-		t.Error("a payload too short for a stamp would be skipped")
+	tbl.note(key(size)[:17], shown, now)
+	if _, ok := tbl.lookup(key(size)[:17]); ok {
+		t.Error("a payload too short for a stamp was noted")
 	}
 }
 

@@ -40,10 +40,11 @@ import (
 // generation zero — either way, gap-free.
 //
 // A pump does not ship a record back to a peer that already showed it to
-// us. The handshake trades boot ids (one random id per Group, i.e. per
-// process incarnation); the inbound side notes, for every record frame it
-// reads, "this (session, seq) was shown to us by boot β", and a pump whose
-// peer answered the handshake with β passes over a record so marked — that
+// us, nor to a peer the record's origin still delivers it to (cover.go).
+// The handshake trades boot ids (one random id per Group, i.e. per process
+// incarnation); the inbound side notes, for every record frame it reads,
+// "this (session, seq) was shown to us by boot β", and a pump whose peer
+// answered the handshake with β passes over a record so marked — that
 // incarnation read it out of its own journal before it reached us. A
 // restarted peer answers with a new boot id, so nothing its previous life
 // showed us is withheld from it: a replica that lost its data directory
@@ -113,53 +114,6 @@ type snapStage struct {
 
 func (st *snapStage) nchunks() int64 {
 	return (st.total + int64(st.chunk) - 1) / int64(st.chunk)
-}
-
-// shownSize bounds the shown table. An entry only has to outlive the gap
-// between a record's arrival and the pumps reading it back out of the
-// journal; anything older matters to a reconnecting pump re-reading
-// history, where forgetting costs a duplicate frame and nothing else.
-const shownSize = 8192
-
-// shownKey says: the record stamped (session, seq) was shown to us by the
-// process incarnation boot.
-type shownKey struct{ session, seq, boot uint64 }
-
-// shownTable is the bounded set of shownKeys, oldest forgotten first. A
-// forgotten (or never noted) record is relayed like any other; only a
-// present entry ever suppresses a frame.
-type shownTable struct {
-	mu   sync.Mutex
-	ring []shownKey // insertion order, ring[next] the oldest once full
-	next int
-	set  map[shownKey]struct{}
-}
-
-func newShownTable(size int) *shownTable {
-	return &shownTable{ring: make([]shownKey, 0, size), set: make(map[shownKey]struct{}, size)}
-}
-
-func (t *shownTable) note(k shownKey) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.set[k]; ok {
-		return
-	}
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, k)
-	} else {
-		delete(t.set, t.ring[t.next])
-		t.ring[t.next] = k
-		t.next = (t.next + 1) % len(t.ring)
-	}
-	t.set[k] = struct{}{}
-}
-
-func (t *shownTable) has(k shownKey) bool {
-	t.mu.Lock()
-	_, ok := t.set[k]
-	t.mu.Unlock()
-	return ok
 }
 
 // liftStep says an acknowledgement of from stands for one of to: every
@@ -245,14 +199,19 @@ func (g *Group) newReplStream(conn net.Conn) *replStream {
 }
 
 func (s *replStream) send(f hrt.ReplFrame) error {
+	if err := s.write(f); err != nil {
+		return err
+	}
+	return s.w.Flush()
+}
+
+// write buffers f for the next flush.
+func (s *replStream) write(f hrt.ReplFrame) error {
 	if now := time.Now(); now.Sub(s.armed) >= s.timeout/4 {
 		s.conn.SetWriteDeadline(now.Add(s.timeout))
 		s.armed = now
 	}
-	if err := hrt.WriteReplFrame(s.w, f); err != nil {
-		return err
-	}
-	return s.w.Flush()
+	return hrt.WriteReplFrame(s.w, f)
 }
 
 // disarm clears the connection's deadlines, read and write.
@@ -272,7 +231,7 @@ func (g *Group) pumpLoop(peer string, stopCh <-chan struct{}) {
 			return
 		default:
 		}
-		conn, err := net.DialTimeout("tcp", peer, g.cfg.DialTimeout)
+		conn, err := g.cfg.Dial("tcp", peer, g.cfg.DialTimeout)
 		if err != nil {
 			if !g.sleepCh(backoff, stopCh) {
 				return
@@ -281,10 +240,15 @@ func (g *Group) pumpLoop(peer string, stopCh <-chan struct{}) {
 			continue
 		}
 		g.trackPumpConn(peer, conn)
-		err = g.streamTo(peer, conn, stopCh)
+		registered, err := g.streamTo(peer, conn, stopCh)
 		g.untrackPumpConn(peer)
-		g.tracker.Drop(peer)
+		g.drop(peer)
 		conn.Close()
+		if registered {
+			// The link worked: what follows is a new outage, not more of
+			// the old one.
+			backoff = pumpBackoffMin
+		}
 		select {
 		case <-g.stop:
 			return
@@ -333,33 +297,36 @@ func (g *Group) untrackPumpConn(peer string) {
 // position was pruned, register, then stream generations in order forever
 // (until the link or the group dies). The ack reader runs concurrently so
 // a slow follower back-pressures through the socket, not through
-// lockstep.
-func (g *Group) streamTo(peer string, conn net.Conn, stopCh <-chan struct{}) error {
+// lockstep. registered reports whether the peer got as far as the tracker.
+func (g *Group) streamTo(peer string, conn net.Conn, stopCh <-chan struct{}) (registered bool, err error) {
 	r := bufio.NewReader(conn)
 	st := g.newReplStream(conn)
 	conn.SetDeadline(time.Now().Add(g.cfg.CommitTimeout))
-	if err := hrt.WriteRequest(st.w, hrt.Request{Op: hrt.OpRepl, Fn: g.cfg.Self, Session: g.boot}); err != nil {
-		return err
+	hello := hrt.Request{Op: hrt.OpRepl, Fn: g.cfg.Self, Session: g.boot, Frag: hrt.ReplProtoVersion}
+	if err := hrt.WriteRequest(st.w, hello); err != nil {
+		return false, err
 	}
 	if err := st.w.Flush(); err != nil {
-		return err
+		return false, err
 	}
 	resp, err := hrt.ReadResponse(r)
 	if err != nil {
-		return err
+		return false, err
 	}
-	if resp.Err != "" {
-		return fmt.Errorf("cluster: peer %s refused replication: %s", peer, resp.Err)
+	if err := hrt.CheckReplHello(resp); err != nil {
+		return false, fmt.Errorf("cluster: peer %s refused replication: %w", peer, err)
 	}
 	st.disarm()
-	resume := wal.Position{Gen: resp.Seq, Records: int64(resp.Ack)}
+	// A pending rewind lowers the peer's resume position: records we passed
+	// over for an origin that stopped covering the peer come again.
+	resume, rewindSeq := g.takeRewind(peer, wal.Position{Gen: resp.Seq, Records: int64(resp.Ack)})
 	// Zero from a peer that states no boot id: nothing is ever skipped for it.
 	peerBoot := uint64(resp.Inst)
 
 	p := g.ts.Persist
 	gens, err := p.Generations()
 	if err != nil {
-		return err
+		return false, err
 	}
 	oldest := uint64(0)
 	if len(gens) > 0 {
@@ -387,7 +354,7 @@ func (g *Group) streamTo(peer string, conn net.Conn, stopCh <-chan struct{}) err
 			defer release()
 		}
 		if serr != nil {
-			return serr
+			return false, serr
 		}
 		if sent {
 			resume = newResume
@@ -404,7 +371,7 @@ func (g *Group) streamTo(peer string, conn net.Conn, stopCh <-chan struct{}) err
 	tailGen, tailRecords := p.CurrentPosition()
 	target := wal.Position{Gen: tailGen, Records: tailRecords}
 	if err := st.send(hrt.ReplFrame{Type: hrt.ReplFrameTarget, Gen: target.Gen, Index: target.Records}); err != nil {
-		return err
+		return false, err
 	}
 	st.disarm()
 
@@ -414,7 +381,7 @@ func (g *Group) streamTo(peer string, conn net.Conn, stopCh <-chan struct{}) err
 	// Register at the true resume position: the commit gate must not stall
 	// on history the follower already holds, and must not count a joiner
 	// as covering positions it has not reached.
-	g.tracker.RegisterAt(peer, resume)
+	g.register(peer, resume)
 
 	// Ack reader: every ack raises the peer's tracked position (lifted
 	// across whatever needed no ack), releasing commit waiters. On any read
@@ -426,6 +393,7 @@ func (g *Group) streamTo(peer string, conn net.Conn, stopCh <-chan struct{}) err
 	go func() {
 		defer close(readerDone)
 		defer conn.Close()
+		acked := false
 		for {
 			f, err := hrt.ReadReplFrame(r)
 			if err != nil {
@@ -433,15 +401,20 @@ func (g *Group) streamTo(peer string, conn net.Conn, stopCh <-chan struct{}) err
 			}
 			if f.Type == hrt.ReplFrameAck {
 				lift.ack(g.tracker, peer, wal.Position{Gen: f.Gen, Records: f.Index})
+				if !acked {
+					acked = true
+					g.rewindDone(peer, rewindSeq)
+				}
 			}
 		}
 	}()
 	err = g.streamRecords(&pump{
 		peer: peer, boot: peerBoot, st: st, stopCh: stopCh, dead: readerDone, target: target, lift: lift,
+		sent: make(map[string]wal.Position),
 	}, resume)
 	conn.Close()
 	<-readerDone
-	return err
+	return true, err
 }
 
 // sendSnapshot ships this replica's newest snapshot to a peer whose
@@ -581,10 +554,24 @@ type pump struct {
 	dead   <-chan struct{} // closed when the ack reader lost the connection
 	target wal.Position    // the announced catch-up target
 	lift   *ackLift
+
+	// Covers: what the stream last told the peer of each other follower,
+	// the tracker epoch that was read at, and the origin frames sent since.
+	sent      map[string]wal.Position
+	epoch     uint64
+	uncovered int
+	now       []coverPos // scratch for writeCovers
+	name      []byte     // scratch for a cover's payload
 }
 
+// coverEvery is how many origin frames go out before the covers settling
+// them ride ahead of the next record frame: a record pending at a relayer
+// costs nothing while it waits.
+const coverEvery = 4
+
 // streamRecords follows the local journal from resume and ships every
-// record beyond it that the peer has not itself shown us.
+// record beyond it that neither the peer itself showed us nor its origin
+// still delivers to it.
 func (g *Group) streamRecords(pm *pump, resume wal.Position) error {
 	p := g.ts.Persist
 	// at is the stream's position: everything up to it was sent, passed
@@ -665,7 +652,7 @@ func (g *Group) streamGeneration(pm *pump, from wal.Position) (bool, int64, erro
 	poll := time.NewTimer(tailPollInterval)
 	defer poll.Stop()
 	var idx int64
-	sealed := false
+	sealed, polled := false, false
 	// The notification channel is acquired before the read it guards — an
 	// append that lands between the read and the wait closes this channel,
 	// so the wakeup cannot be lost — and the scanner reports caught-up from
@@ -679,7 +666,8 @@ func (g *Group) streamGeneration(pm *pump, from wal.Position) (bool, int64, erro
 				continue
 			}
 			pos := wal.Position{Gen: gen, Records: idx}
-			if pm.target.Before(pos) && g.shownBy(payload, pm.boot) {
+			pass, own := g.passOver(pm, payload, pos)
+			if pass {
 				pm.lift.pass(g.tracker, pm.peer, wal.Position{Gen: gen, Records: idx - 1}, pos)
 				g.replSkipped.Add(1)
 				select {
@@ -689,7 +677,16 @@ func (g *Group) streamGeneration(pm *pump, from wal.Position) (bool, int64, erro
 				}
 				continue
 			}
+			if epoch := g.trackerEpoch.Load(); pm.uncovered >= coverEvery || epoch != pm.epoch {
+				if err := g.writeCovers(pm, epoch); err != nil {
+					return true, idx, err
+				}
+			}
 			f := hrt.ReplFrame{Type: hrt.ReplFrameRecord, Gen: gen, Index: idx, Payload: payload}
+			if own {
+				f.Type = hrt.ReplFrameOrigin
+				pm.uncovered++
+			}
 			if serr := pm.st.send(f); serr != nil {
 				return true, idx, serr
 			}
@@ -711,6 +708,18 @@ func (g *Group) streamGeneration(pm *pump, from wal.Position) (bool, int64, erro
 			sealed = true
 			continue
 		}
+		// Caught up: a follower registered or dropped since the stream last
+		// said so goes out now, and the poll tick sends whatever else moved.
+		wake, epoch := g.coverWakeCh()
+		if epoch != pm.epoch || polled {
+			if err := g.writeCovers(pm, epoch); err != nil {
+				return true, idx, err
+			}
+			if err := pm.st.w.Flush(); err != nil {
+				return true, idx, err
+			}
+		}
+		polled = false
 		if !poll.Stop() {
 			select { // fired during an earlier wait that notify won
 			case <-poll.C:
@@ -720,6 +729,7 @@ func (g *Group) streamGeneration(pm *pump, from wal.Position) (bool, int64, erro
 		poll.Reset(tailPollInterval)
 		select {
 		case <-notify:
+		case <-wake:
 		case <-g.stop:
 			return true, idx, errors.New("cluster: group closed")
 		case <-pm.stopCh:
@@ -730,25 +740,22 @@ func (g *Group) streamGeneration(pm *pump, from wal.Position) (bool, int64, erro
 			// Paranoia poll: nothing should be lost given the
 			// acquire-before-read protocol, but a cheap re-check beats a
 			// wedged fleet if that invariant ever breaks.
+			polled = true
 		}
 		notify = p.AppendNotify()
 	}
 }
 
-// shownKeyOf builds the table key for the journal record in payload as
-// shown by the process incarnation boot. There is none for boot 0 — a peer
-// that states no boot id is never noted and never skipped for — nor for a
-// payload too short to carry a stamp.
-func shownKeyOf(payload []byte, boot uint64) (shownKey, bool) {
-	session, seq, ok := hrt.RecordStamp(payload)
-	return shownKey{session, seq, boot}, ok && boot != 0
-}
-
-// shownBy reports whether the journal record in payload was shown to us by
-// the process incarnation boot.
-func (g *Group) shownBy(payload []byte, boot uint64) bool {
-	k, ok := shownKeyOf(payload, boot)
-	return ok && g.shown.has(k)
+// passOver decides the record at pos for the pump's peer: passed over, when
+// the peer showed it to us or its origin covers the peer — never at or
+// before the announced target — or sent, flagged as our own when nobody
+// showed it to us.
+func (g *Group) passOver(pm *pump, payload []byte, pos wal.Position) (pass, own bool) {
+	e, noted := g.stamps.lookup(payload)
+	if !noted {
+		return false, g.stamps.ownRecord(pos)
+	}
+	return pm.target.Before(pos) && (e.boot == pm.boot || g.coverSkip(pm.peer, e, pos)), false
 }
 
 // ---------------------------------------------------------------------------
@@ -795,6 +802,13 @@ func (g *Group) handleRepl(conn net.Conn, r *bufio.Reader, sender string, boot u
 		g.recvMu.Unlock()
 	}()
 	st := g.newReplStream(conn)
+	// A sender that states no boot id is never noted in the stamp table, so
+	// nothing it covers is ever passed over.
+	var covers *originStream
+	if boot != 0 {
+		covers = g.openOrigin(sender, boot)
+		defer g.originLost(sender, covers)
+	}
 	for {
 		f, err := hrt.ReadReplFrame(r)
 		if err != nil {
@@ -805,14 +819,15 @@ func (g *Group) handleRepl(conn net.Conn, r *bufio.Reader, sender string, boot u
 			return
 		}
 		switch f.Type {
-		case hrt.ReplFrameRecord:
+		case hrt.ReplFrameRecord, hrt.ReplFrameOrigin:
 			g.replReceived.Add(1)
 			// Noted before the apply journals it: by the time a pump reads
 			// the record back out of our journal, the mark is there.
 			// Duplicates count too — the sender holds the record either way.
-			if k, ok := shownKeyOf(f.Payload, boot); ok {
-				g.shown.note(k)
-			}
+			g.stamps.note(f.Payload, stampEntry{
+				sender: sender, boot: boot, pos: wal.Position{Gen: f.Gen, Records: f.Index},
+				origin: f.Type == hrt.ReplFrameOrigin,
+			}, g.journalPos)
 			if err := g.ts.ApplyReplicated(f.Payload); err != nil {
 				g.cfg.Tracer.Emit(obs.LevelError, "cluster_repl_apply_error",
 					obs.Str("peer", sender), obs.Err(err))
@@ -825,6 +840,11 @@ func (g *Group) handleRepl(conn net.Conn, r *bufio.Reader, sender string, boot u
 			g.recvMu.Unlock()
 			if st.send(hrt.ReplFrame{Type: hrt.ReplFrameAck, Gen: f.Gen, Index: f.Index}) != nil {
 				return
+			}
+		case hrt.ReplFrameCover:
+			g.replBytes.Add(int64(hrt.ReplHeadSize + len(f.Payload)))
+			if covers != nil {
+				g.noteCover(covers, sender, string(f.Payload), wal.Position{Gen: f.Gen, Records: f.Index})
 			}
 		case hrt.ReplFrameSeal:
 			// The sender's generation f.Gen ended at f.Index records, and the

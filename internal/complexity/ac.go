@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
 )
 
 // Type is the arithmetic complexity class of a leaked function.
@@ -327,21 +326,4 @@ func maxInt(a, b int) int {
 // Equal reports structural equality (used by the fixpoint loop).
 func (a AC) Equal(b AC) bool {
 	return a.Type == b.Type && a.Degree == b.Degree && a.Varying == b.Varying && a.inputs.equal(b.inputs)
-}
-
-// ParseType converts a class name back to its Type (used by table tooling).
-func ParseType(s string) (Type, error) {
-	switch strings.ToLower(s) {
-	case "constant":
-		return Constant, nil
-	case "linear":
-		return Linear, nil
-	case "polynomial":
-		return Polynomial, nil
-	case "rational":
-		return Rational, nil
-	case "arbitrary":
-		return Arbitrary, nil
-	}
-	return Constant, fmt.Errorf("complexity: unknown type %q", s)
 }

@@ -1,6 +1,8 @@
 package complexity
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"slicehide/internal/core"
@@ -316,4 +318,21 @@ func TestParseType(t *testing.T) {
 	if _, err := ParseType("nope"); err == nil {
 		t.Error("expected error")
 	}
+}
+
+// ParseType converts a class name back to its Type (used by table tooling).
+func ParseType(s string) (Type, error) {
+	switch strings.ToLower(s) {
+	case "constant":
+		return Constant, nil
+	case "linear":
+		return Linear, nil
+	case "polynomial":
+		return Polynomial, nil
+	case "rational":
+		return Rational, nil
+	case "arbitrary":
+		return Arbitrary, nil
+	}
+	return Constant, fmt.Errorf("complexity: unknown type %q", s)
 }

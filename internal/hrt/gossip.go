@@ -91,9 +91,10 @@ func (ts *TCPServer) serveGossip(conn net.Conn, w *bufio.Writer, req Request) bo
 // GossipExchange dials addr and performs one OpPing exchange, returning
 // the responder's encoded membership table ("" from a non-fleet server).
 // from names the caller (its fleet address); verb is one of the Ping
-// verbs; arg the verb's argument. The timeout bounds the whole exchange.
-func GossipExchange(addr, from string, verb int, arg string, timeout time.Duration) (string, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// verbs; arg the verb's argument. dial opens the connection (net.DialTimeout
+// outside tests); the timeout bounds the whole exchange.
+func GossipExchange(dial func(network, addr string, timeout time.Duration) (net.Conn, error), addr, from string, verb int, arg string, timeout time.Duration) (string, error) {
+	conn, err := dial("tcp", addr, timeout)
 	if err != nil {
 		return "", err
 	}

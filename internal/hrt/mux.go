@@ -209,13 +209,6 @@ func DialMux(cfg MuxConfig) (*MuxTransport, error) {
 	return t, nil
 }
 
-// Window reports the granted per-session window (for tests).
-func (t *MuxTransport) Window() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.window
-}
-
 // Stream attaches a session to the connection, creating it on first use.
 // A zero session id picks a fresh random one. counters, when set, tallies
 // the stream's own retries, stalls, and one-way/round-trip splits.

@@ -480,3 +480,10 @@ func TestMuxServingPanicIsObservable(t *testing.T) {
 	}
 	mt.Close()
 }
+
+// Window reports the granted per-session window (for tests).
+func (t *MuxTransport) Window() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.window
+}

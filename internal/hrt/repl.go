@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"slicehide/internal/interp"
 	"slicehide/internal/obs"
 )
 
@@ -79,7 +80,42 @@ const (
 	// when no further record ever arrives to advance the applied position
 	// past it.
 	ReplFrameSeal byte = 8
+	// ReplFrameOrigin is a record frame of a record the sender executed
+	// itself (no peer showed it to the sender).
+	ReplFrameOrigin byte = 9
+	// ReplFrameCover says the follower named in Payload has acknowledged
+	// the sender's stream up to (Gen, Index); Gen = math.MaxUint64 says the
+	// sender no longer follows it (see internal/cluster).
+	ReplFrameCover byte = 10
 )
+
+// ReplProtoVersion is the replication protocol version the OpRepl
+// handshake carries, in the request's Frag and in the response's Val. Both
+// sides refuse a peer that speaks another one.
+const ReplProtoVersion = 2
+
+// ReplVersionError refuses a replication peer that speaks another protocol
+// version: Local is ours, Remote the peer's (0 when it stated none).
+type ReplVersionError struct{ Local, Remote int }
+
+func (e *ReplVersionError) Error() string {
+	return fmt.Sprintf("hrt: replication protocol version mismatch: this replica speaks %d, the peer %d", e.Local, e.Remote)
+}
+
+// CheckReplHello checks the version an OpRepl handshake response states.
+func CheckReplHello(resp Response) error {
+	v := 0
+	if resp.Val.Kind == interp.KindInt {
+		v = int(resp.Val.I)
+	}
+	if v != ReplProtoVersion {
+		return &ReplVersionError{Local: ReplProtoVersion, Remote: v}
+	}
+	if resp.Err != "" {
+		return errors.New(resp.Err)
+	}
+	return nil
+}
 
 // SnapNack reason prefixes. Proceed means the receiver already holds a
 // state base (an earlier import or a complete record stream), so the
@@ -113,15 +149,6 @@ const replReadChunk = 1 << 16
 
 // ReplHeadSize is the fixed part of a frame: type, gen, index, length.
 const ReplHeadSize = 21
-
-// AppendReplFrame encodes f: [type][gen u64][index u64][len u32][payload].
-func AppendReplFrame(b []byte, f ReplFrame) ([]byte, error) {
-	b, err := appendReplHead(b, f)
-	if err != nil {
-		return b, err
-	}
-	return append(b, f.Payload...), nil
-}
 
 func appendReplHead(b []byte, f ReplFrame) ([]byte, error) {
 	if len(f.Payload) > maxReplPayload {
@@ -166,7 +193,7 @@ func ReadReplFrame(r io.Reader) (ReplFrame, error) {
 		Gen:   binary.LittleEndian.Uint64(head[1:9]),
 		Index: int64(binary.LittleEndian.Uint64(head[9:17])),
 	}
-	if f.Type < ReplFrameRecord || f.Type > ReplFrameSeal {
+	if f.Type < ReplFrameRecord || f.Type > ReplFrameCover {
 		return ReplFrame{}, fmt.Errorf("hrt: unknown replication frame type %d", f.Type)
 	}
 	if f.Index < 0 {
@@ -242,18 +269,6 @@ func (e *OwnerRedirectError) Hint() string {
 		"point the client at that replica, or pass the full fleet address "+
 		"list (slicehide run -cluster, or a cluster.MuxPool) so "+
 		"the transport can re-resolve the owner itself", owner)
-}
-
-// IsOwnerRedirect reports whether err marks a fleet owner redirect.
-func IsOwnerRedirect(err error) bool {
-	if err == nil {
-		return false
-	}
-	var oe *OwnerRedirectError
-	if errors.As(err, &oe) {
-		return true
-	}
-	return strings.Contains(err.Error(), ownerRedirectMsg)
 }
 
 // ParseOwnerRedirect upgrades a wire message carrying the redirect marker
@@ -394,16 +409,25 @@ func (ts *TCPServer) landReplicated(rec *journalRecord, payload []byte) error {
 // sender's self-declared fleet address; resume positions are tracked per
 // sender, so a reconnecting pump streams only the delta. The two sides also
 // trade boot ids — the sender's in req.Session, ours (ReplBoot) in the
-// response's Inst; a peer from before the exchange reads as boot 0.
+// response's Inst — and protocol versions: the sender's in req.Frag, ours in
+// the response's Val. A sender of another version is refused.
 func (ts *TCPServer) serveRepl(conn net.Conn, r *bufio.Reader, w *bufio.Writer, req Request) {
+	refuse := ""
 	if ts.ReplHandler == nil {
-		resp := Response{Err: "hrt: this server does not accept replication streams"}
-		if WriteResponse(w, resp) == nil {
+		refuse = "hrt: this server does not accept replication streams"
+	} else if req.Frag != ReplProtoVersion {
+		err := &ReplVersionError{Local: ReplProtoVersion, Remote: req.Frag}
+		ts.Tracer.Emit(obs.LevelWarn, "repl_version_refused", obs.Str("peer", req.Fn), obs.Err(err))
+		refuse = err.Error()
+	}
+	version := interp.IntV(ReplProtoVersion)
+	if refuse != "" {
+		if WriteResponse(w, Response{Val: version, Err: refuse}) == nil {
 			w.Flush()
 		}
 		return
 	}
-	resp := Response{Inst: int64(ts.ReplBoot)}
+	resp := Response{Val: version, Inst: int64(ts.ReplBoot)}
 	if ts.ReplResume != nil {
 		gen, index := ts.ReplResume(req.Fn)
 		resp.Seq = gen

@@ -124,6 +124,8 @@ func FuzzReplFrame(f *testing.F) {
 	}
 	f.Add(seed(ReplFrame{Type: ReplFrameRecord, Gen: 1, Index: 2, Payload: []byte("abc")}))
 	f.Add(seed(ReplFrame{Type: ReplFrameAck, Gen: 9, Index: 1 << 33}))
+	f.Add(seed(ReplFrame{Type: ReplFrameOrigin, Gen: 4, Index: 17, Payload: []byte("record")}))
+	f.Add(seed(ReplFrame{Type: ReplFrameCover, Gen: 1<<64 - 1, Index: 0, Payload: []byte("127.0.0.1:7171")}))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -301,4 +303,25 @@ func TestReplicaLiveGlobalWriteRecovers(t *testing.T) {
 	if want := interp.IntV(105); !live.Equal(want) {
 		t.Errorf("live counter = %v, want the replica's own newer write %v", live, want)
 	}
+}
+
+// IsOwnerRedirect reports whether err marks a fleet owner redirect.
+func IsOwnerRedirect(err error) bool {
+	if err == nil {
+		return false
+	}
+	var oe *OwnerRedirectError
+	if errors.As(err, &oe) {
+		return true
+	}
+	return strings.Contains(err.Error(), ownerRedirectMsg)
+}
+
+// AppendReplFrame encodes f: [type][gen u64][index u64][len u32][payload].
+func AppendReplFrame(b []byte, f ReplFrame) ([]byte, error) {
+	b, err := appendReplHead(b, f)
+	if err != nil {
+		return b, err
+	}
+	return append(b, f.Payload...), nil
 }

@@ -462,7 +462,7 @@ func TestPingOnlyConnection(t *testing.T) {
 			t.Fatalf("ping %d: resp %+v, err %v", i, resp, err)
 		}
 	}
-	if table, err := GossipExchange(addr.String(), "probe", PingSync, "", time.Second); err != nil || table != "" {
+	if table, err := GossipExchange(net.DialTimeout, addr.String(), "probe", PingSync, "", time.Second); err != nil || table != "" {
 		t.Errorf("GossipExchange against a non-fleet server: table %q, err %v", table, err)
 	}
 }

@@ -132,19 +132,6 @@ func (l *Lexer) Next() token.Token {
 	return l.scanOperator(pos)
 }
 
-// All scans the remaining input and returns every token up to and including
-// EOF.
-func (l *Lexer) All() []token.Token {
-	var toks []token.Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
-	}
-}
-
 func (l *Lexer) scanIdent(pos token.Pos) token.Token {
 	start := l.off
 	for isLetter(l.ch) || isDigit(l.ch) {

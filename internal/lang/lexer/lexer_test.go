@@ -190,3 +190,16 @@ func TestLongInput(t *testing.T) {
 		t.Fatalf("errors: %v", l.Errors())
 	}
 }
+
+// All scans the remaining input and returns every token up to and including
+// EOF.
+func (l *Lexer) All() []token.Token {
+	var toks []token.Token
+	for {
+		t := l.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks
+		}
+	}
+}

@@ -54,17 +54,6 @@ func Parse(src string) (*ast.Program, error) {
 	return prog, nil
 }
 
-// ParseExpr parses a single expression (used by tests and tools).
-func ParseExpr(src string) (ast.Expr, error) {
-	p := newParser(src)
-	e := p.parseExpr()
-	p.expect(token.EOF)
-	if len(p.errors) > 0 {
-		return e, p.errors
-	}
-	return e, nil
-}
-
 // MustParse parses src and panics on error; for tests and embedded corpora.
 func MustParse(src string) *ast.Program {
 	prog, err := Parse(src)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"slicehide/internal/lang/ast"
+	"slicehide/internal/lang/ast/astprint"
 	"slicehide/internal/lang/token"
 )
 
@@ -78,12 +79,12 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	text := ast.Format(prog)
+	text := astprint.Format(prog)
 	prog2, err := Parse(text)
 	if err != nil {
 		t.Fatalf("reparse printed output: %v\n%s", err, text)
 	}
-	text2 := ast.Format(prog2)
+	text2 := astprint.Format(prog2)
 	if text != text2 {
 		t.Errorf("round-trip not stable:\n--- first ---\n%s\n--- second ---\n%s", text, text2)
 	}
@@ -110,7 +111,7 @@ func TestPrecedence(t *testing.T) {
 			t.Errorf("%q: %v", tt.src, err)
 			continue
 		}
-		if got := ast.ExprString(e); got != tt.want {
+		if got := astprint.ExprString(e); got != tt.want {
 			t.Errorf("%q: printed as %q", tt.src, got)
 		}
 	}
@@ -131,14 +132,14 @@ func TestOpAssignDesugar(t *testing.T) {
 	}
 	bin, ok := as.Rhs.(*ast.Binary)
 	if !ok || bin.Op != token.PLUS {
-		t.Fatalf("rhs not x + 2: %s", ast.ExprString(as.Rhs))
+		t.Fatalf("rhs not x + 2: %s", astprint.ExprString(as.Rhs))
 	}
 	inc := body[2].(*ast.Assign)
-	if got := ast.ExprString(inc.Rhs); got != "x + 1" {
+	if got := astprint.ExprString(inc.Rhs); got != "x + 1" {
 		t.Errorf("x++ rhs: %s", got)
 	}
 	dec := body[3].(*ast.Assign)
-	if got := ast.ExprString(dec.Rhs); got != "x - 1" {
+	if got := astprint.ExprString(dec.Rhs); got != "x - 1" {
 		t.Errorf("x-- rhs: %s", got)
 	}
 }
@@ -305,7 +306,7 @@ func TestMethodCallChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if got := ast.ExprString(e); got != "a.b.c(1).d" {
+	if got := astprint.ExprString(e); got != "a.b.c(1).d" {
 		t.Errorf("printed as %q", got)
 	}
 }
@@ -317,7 +318,7 @@ func TestTernaryNesting(t *testing.T) {
 	}
 	c := e.(*ast.Cond)
 	if _, ok := c.F.(*ast.Cond); !ok {
-		t.Errorf("ternary should nest right: %s", ast.ExprString(e))
+		t.Errorf("ternary should nest right: %s", astprint.ExprString(e))
 	}
 }
 
@@ -339,7 +340,7 @@ func TestConvertSyntax(t *testing.T) {
 				t.Errorf("%q parsed as %T", tt.src, e)
 			}
 		}
-		if got := ast.ExprString(e); got != tt.want {
+		if got := astprint.ExprString(e); got != tt.want {
 			t.Errorf("%q printed as %q", tt.src, got)
 		}
 	}
@@ -350,4 +351,15 @@ func TestConvertStillParsesTypes(t *testing.T) {
 	if _, err := Parse(`func f(a: int, b: float): int { var x: int = int(b); return x + a; }`); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ParseExpr parses a single expression (used by tests and tools).
+func ParseExpr(src string) (ast.Expr, error) {
+	p := newParser(src)
+	e := p.parseExpr()
+	p.expect(token.EOF)
+	if len(p.errors) > 0 {
+		return e, p.errors
+	}
+	return e, nil
 }

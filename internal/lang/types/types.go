@@ -163,15 +163,6 @@ func Check(prog *ast.Program) (*Info, error) {
 	return c.info, nil
 }
 
-// MustCheck panics on a check failure; for tests and embedded corpora.
-func MustCheck(prog *ast.Program) *Info {
-	info, err := Check(prog)
-	if err != nil {
-		panic(err)
-	}
-	return info
-}
-
 type checker struct {
 	info    *Info
 	errors  ErrorList

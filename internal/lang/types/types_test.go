@@ -2,10 +2,11 @@ package types
 
 import (
 	"reflect"
+	"slicehide/internal/lang/ast"
 	"strings"
 	"testing"
 
-	"slicehide/internal/lang/ast"
+	"slicehide/internal/lang/ast/astprint"
 	"slicehide/internal/lang/parser"
 )
 
@@ -166,7 +167,7 @@ func main() {
 }`)
 	got := map[string]string{}
 	for e, cl := range info.Receivers {
-		got[ast.ExprString(e)] = cl.Name
+		got[astprint.ExprString(e)] = cl.Name
 	}
 	want := map[string]string{
 		"mk()":               "A", // field access on a call result
@@ -211,4 +212,13 @@ func TestRecursiveFunction(t *testing.T) {
 
 func TestGlobalInitChecked(t *testing.T) {
 	mustFail(t, `var g: int = true;`, "cannot initialize global")
+}
+
+// MustCheck panics on a check failure; for tests and embedded corpora.
+func MustCheck(prog *ast.Program) *Info {
+	info, err := Check(prog)
+	if err != nil {
+		panic(err)
+	}
+	return info
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -269,5 +270,41 @@ func TestAdminMux(t *testing.T) {
 	}
 	if !strings.Contains(string(get("/debug/pprof/cmdline")), "obs") {
 		t.Log("pprof cmdline served (content varies by harness)")
+	}
+}
+
+// Names lists every registered metric name, sorted (for tests and docs).
+func (r *Registry) Names() []string {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var names []string
+	for k := range r.counters {
+		names = append(names, k)
+	}
+	for k := range r.gauges {
+		names = append(names, k)
+	}
+	for k := range r.hists {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Dropped reports how many events failed to reach the sink.
+func (t *Tracer) Dropped() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.dropped.Load()
+}
+
+// SetLevel changes the minimum recorded level.
+func (t *Tracer) SetLevel(l Level) {
+	if t != nil {
+		t.level.Store(int32(l))
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -131,25 +130,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// Names lists every registered metric name, sorted (for tests and docs).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var names []string
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	for k := range r.gauges {
-		names = append(names, k)
-	}
-	for k := range r.hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

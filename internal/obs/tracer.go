@@ -134,13 +134,6 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	return t
 }
 
-// SetLevel changes the minimum recorded level.
-func (t *Tracer) SetLevel(l Level) {
-	if t != nil {
-		t.level.Store(int32(l))
-	}
-}
-
 // Enabled reports whether events at level l are recorded.
 func (t *Tracer) Enabled(l Level) bool {
 	return t != nil && int32(l) >= t.level.Load()
@@ -206,12 +199,4 @@ func (t *Tracer) Events() []Event {
 		out = append(out, t.ring[(start+i)%len(t.ring)])
 	}
 	return out
-}
-
-// Dropped reports how many events failed to reach the sink.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
 }

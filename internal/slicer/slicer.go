@@ -15,10 +15,6 @@
 package slicer
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"slicehide/internal/ir"
 )
 
@@ -72,24 +68,6 @@ const (
 	// for control-flow hiding, otherwise it degrades to a fetch.
 	RoleCond
 )
-
-func (r Role) String() string {
-	switch r {
-	case RoleNone:
-		return "none"
-	case RoleFull:
-		return "full"
-	case RoleSend:
-		return "send"
-	case RoleLeak:
-		return "leak"
-	case RoleUse:
-		return "use"
-	case RoleCond:
-		return "cond"
-	}
-	return "?"
-}
 
 // Slice is the result of slicing function Func from Seed.
 type Slice struct {
@@ -196,46 +174,6 @@ func classify(st ir.Stmt, hidden map[*ir.Var]bool, policy Policy) Role {
 		}
 	}
 	return RoleNone
-}
-
-// HiddenDefStmts returns the IDs of statements whose definitions live in the
-// hidden component (RoleFull and RoleSend).
-func (s *Slice) HiddenDefStmts() []int {
-	var ids []int
-	for id, r := range s.Roles {
-		if r == RoleFull || r == RoleSend {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// HiddenVarNames returns the hidden variable names, sorted.
-func (s *Slice) HiddenVarNames() []string {
-	var names []string
-	for v := range s.Hidden {
-		names = append(names, v.String())
-	}
-	sort.Strings(names)
-	return names
-}
-
-// String renders the slice for golden tests: hidden vars plus per-statement
-// roles in statement-ID order.
-func (s *Slice) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "slice of %s from %s\n", s.Func.QName(), s.Seed)
-	fmt.Fprintf(&b, "hidden: %s\n", strings.Join(s.HiddenVarNames(), " "))
-	var ids []int
-	for id := range s.Roles {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		fmt.Fprintf(&b, "s%-3d %s\n", id, s.Roles[id])
-	}
-	return b.String()
 }
 
 // BestSeed picks, among f's hideable scalar locals, the seed producing the

@@ -1,6 +1,8 @@
 package slicer
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -317,4 +319,62 @@ func main() { print(f(1)); }`, "f", "a", Policy{})
 	if r := s.Roles[f.Body[2].ID()]; r != RoleNone {
 		t.Errorf("unrelated return role %v", r)
 	}
+}
+
+// HiddenDefStmts returns the IDs of statements whose definitions live in the
+// hidden component (RoleFull and RoleSend).
+func (s *Slice) HiddenDefStmts() []int {
+	var ids []int
+	for id, r := range s.Roles {
+		if r == RoleFull || r == RoleSend {
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+func (r Role) String() string {
+	switch r {
+	case RoleNone:
+		return "none"
+	case RoleFull:
+		return "full"
+	case RoleSend:
+		return "send"
+	case RoleLeak:
+		return "leak"
+	case RoleUse:
+		return "use"
+	case RoleCond:
+		return "cond"
+	}
+	return "?"
+}
+
+// HiddenVarNames returns the hidden variable names, sorted.
+func (s *Slice) HiddenVarNames() []string {
+	var names []string
+	for v := range s.Hidden {
+		names = append(names, v.String())
+	}
+	sort.Strings(names)
+	return names
+}
+
+// String renders the slice for golden tests: hidden vars plus per-statement
+// roles in statement-ID order.
+func (s *Slice) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "slice of %s from %s\n", s.Func.QName(), s.Seed)
+	fmt.Fprintf(&b, "hidden: %s\n", strings.Join(s.HiddenVarNames(), " "))
+	var ids []int
+	for id := range s.Roles {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		fmt.Fprintf(&b, "s%-3d %s\n", id, s.Roles[id])
+	}
+	return b.String()
 }

@@ -247,6 +247,16 @@ func (t *OffsetTracker) Acked(peer string) Position {
 	return t.acked[peer]
 }
 
+// Each calls fn with every registered follower and its acknowledged
+// position, under the tracker's lock: fn must not call back into t.
+func (t *OffsetTracker) Each(fn func(peer string, pos Position)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for peer, pos := range t.acked {
+		fn(peer, pos)
+	}
+}
+
 // Min returns the slowest registered follower's position and the follower
 // count. With no followers it returns (zero, 0).
 func (t *OffsetTracker) Min() (Position, int) {

@@ -281,17 +281,6 @@ func (j *Journal) appendFrames(payloads ...[]byte) error {
 	return nil
 }
 
-// Sync flushes the journal to stable storage regardless of the per-append
-// policy (used at graceful shutdown).
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	return j.syncLocked(j.size)
-}
-
 // Close truncates the file back to the log end, flushes and closes it.
 func (j *Journal) Close() error {
 	j.mu.Lock()
@@ -333,13 +322,6 @@ func (j *Journal) Size() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.size
-}
-
-// Records reports how many records this handle has appended.
-func (j *Journal) Records() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.records
 }
 
 // Scan reads a journal byte stream, invoking fn for each intact record in

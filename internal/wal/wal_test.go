@@ -387,3 +387,21 @@ func TestDirSyncRefusalSurfaced(t *testing.T) {
 		t.Errorf("handler saw dir %q, want /data/x", gotDir)
 	}
 }
+
+// Sync flushes the journal to stable storage regardless of the per-append
+// policy (used at graceful shutdown).
+func (j *Journal) Sync() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return nil
+	}
+	return j.syncLocked(j.size)
+}
+
+// Records reports how many records this handle has appended.
+func (j *Journal) Records() int64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.records
+}
