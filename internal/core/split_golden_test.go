@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"slicehide/internal/callgraph"
 	"slicehide/internal/core"
 	"slicehide/internal/corpus"
 	"slicehide/internal/hrt"
@@ -220,10 +221,41 @@ func TestSplitMatchesGolden(t *testing.T) {
 	t.Fatalf("got %d lines, golden has %d", len(gl), len(wl))
 }
 
+// corpusSplit splits one Table-1 corpus program the way the split_corpus
+// benchmark does, in one SplitProgram call: every function the call-graph
+// cut chooses, at slicer.BestSeed.
+func corpusSplit(t *testing.T, p corpus.Profile) *core.Result {
+	t.Helper()
+	prog := corpus.MustCompile(p)
+	chosen, _ := callgraph.Build(prog).Cut("main", callgraph.CutOptions{
+		AvoidRecursive:  true,
+		AvoidLoopCalled: true,
+		Eligible: func(q string) bool {
+			f := prog.Func(q)
+			if f == nil || q == "main" {
+				return false
+			}
+			seed, sl := slicer.BestSeed(f, slicer.Policy{})
+			return seed != nil && sl.Size() >= 3
+		},
+	})
+	var specs []core.Spec
+	for _, fn := range chosen {
+		seed, _ := slicer.BestSeed(prog.Func(fn), slicer.Policy{})
+		specs = append(specs, core.Spec{Func: fn, Seed: seed.Name})
+	}
+	res, err := core.SplitProgram(prog, specs, slicer.Policy{})
+	if err != nil {
+		t.Fatalf("%s: %v", p.Name, err)
+	}
+	return res
+}
+
 // TestRegistryHashPinned pins the compiled registry's Program.Hash for every
-// golden program. Recovery refuses a data dir whose recorded hash differs
-// from the recompiled registry's, so a change to layouts, slot order or
-// bytecode that moves these values strands every existing data dir.
+// golden program and for one small program per Table-1 corpus profile.
+// Recovery refuses a data dir whose recorded hash differs from the
+// recompiled registry's, so a change to layouts, slot order or bytecode
+// that moves these values strands every existing data dir.
 func TestRegistryHashPinned(t *testing.T) {
 	want := map[string]uint64{
 		"global-two-unsplit":         0x9f420e1347e9fdc7,
@@ -235,18 +267,31 @@ func TestRegistryHashPinned(t *testing.T) {
 		"kernel/jess":                0x5712569739a32567,
 		"kernel/jasmin":              0x7f556b2be73f98ba,
 		"kernel/bloat":               0xf03615d256609f01,
+		"corpus/javac":               0xfc30b7c1f82f7cd1,
+		"corpus/jess":                0x41af3de4fa395235,
+		"corpus/jasmin":              0x7cc57e0e5fa49070,
+		"corpus/bloat":               0xc509984e6f405a36,
+		"corpus/jfig":                0x85106cbb65b57384,
 	}
-	cases := goldenCases()
-	if len(cases) != len(want) {
-		t.Fatalf("%d golden programs, %d pinned hashes", len(cases), len(want))
-	}
-	for _, c := range cases {
+	got := map[string]uint64{}
+	for _, c := range goldenCases() {
 		res, err := core.SplitProgram(ir.MustCompile(c.src), c.specs, c.policy)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := hrt.NewRegistry(res).Prog.Hash; got != want[c.name] {
-			t.Errorf("%s: Program.Hash = %#016x, want %#016x", c.name, got, want[c.name])
+		got[c.name] = hrt.NewRegistry(res).Prog.Hash
+	}
+	for _, p := range corpus.Profiles {
+		p = p.Scale(0.05)
+		p.Seed += 42_000
+		got["corpus/"+p.Name] = hrt.NewRegistry(corpusSplit(t, p)).Prog.Hash
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d programs, %d pinned hashes", len(got), len(want))
+	}
+	for name, h := range got {
+		if h != want[name] {
+			t.Errorf("%s: Program.Hash = %#016x, want %#016x", name, h, want[name])
 		}
 	}
 }
