@@ -124,15 +124,19 @@ func ParseFlags(args []string) (Config, error) {
 	if cfg.Join != "" && !cfg.Replicate {
 		return Config{}, fmt.Errorf("hiddend: -join requires -replicate (a joiner catches up via snapshot transfer and WAL streaming)")
 	}
-	// Without -data-dir there is no journal to flush or rotate: refuse the
-	// journal's flags rather than start an in-memory server silently.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	// Without -replicate no response waits for a follower, and without
+	// -data-dir there is no journal to flush or rotate: refuse their flags
+	// rather than ignore them silently.
+	if set["repl-ack-timeout"] && !cfg.Replicate {
+		return Config{}, fmt.Errorf("hiddend: -repl-ack-timeout requires -replicate")
+	}
 	if cfg.DataDir == "" {
-		snapshotSet := false
-		fs.Visit(func(f *flag.Flag) { snapshotSet = snapshotSet || f.Name == "snapshot-every" })
 		if cfg.Fsync {
 			return Config{}, fmt.Errorf("hiddend: -fsync requires -data-dir")
 		}
-		if snapshotSet {
+		if set["snapshot-every"] {
 			return Config{}, fmt.Errorf("hiddend: -snapshot-every requires -data-dir")
 		}
 	}

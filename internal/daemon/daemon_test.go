@@ -35,8 +35,10 @@ func TestParseFlags(t *testing.T) {
 		{"replicate without peers", []string{"-split", "f:a", "-data-dir", "d", "-replicate", "p.mj"}, "-replicate requires -peers or -join"},
 		{"replicate without data-dir", []string{"-split", "f:a", "-peers", "a:1", "-replicate", "p.mj"}, "-replicate requires -data-dir"},
 		{"join without replicate", []string{"-split", "f:a", "-data-dir", "d", "-join", "a:1", "p.mj"}, "-join requires -replicate"},
+		{"repl-ack-timeout without replicate", []string{"-split", "f:a", "-data-dir", "d", "-repl-ack-timeout", "1s", "p.mj"}, "-repl-ack-timeout requires -replicate"},
 		{"replicating member", []string{"-split", "f:a", "-data-dir", "d", "-peers", "a:1", "-replicate", "p.mj"}, ""},
 		{"joiner", []string{"-split", "f:a", "-data-dir", "d", "-join", "a:1", "-replicate", "p.mj"}, ""},
+		{"replicating member with ack timeout", []string{"-split", "f:a", "-data-dir", "d", "-peers", "a:1", "-replicate", "-repl-ack-timeout", "1s", "p.mj"}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := ParseFlags(tc.args)

@@ -25,7 +25,7 @@ import (
 // executor.
 func runSplitRef(res *core.Result, maxSteps int64, opts hrt.RunOptions) hrt.RunOutcome {
 	server := hrt.NewServer(hrt.NewRegistry(res))
-	server.UseTreeWalker()
+	server.UseTreeWalker(res)
 	return hrt.RunSplitOn(server, res, nil, maxSteps, opts)
 }
 

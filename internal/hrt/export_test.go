@@ -14,15 +14,26 @@ import (
 	"slicehide/internal/wal"
 )
 
-// UseTreeWalker makes s execute fragments on the tree-walking reference
-// executor (oracle.RunFragment) instead of the bytecode VM. Call before
-// serving traffic. The walker reads and writes the stores the VM would and
-// records its writes as slots in the same write set, so the server's one
-// effect builder serves both engines.
-func (s *Server) UseTreeWalker() {
+// UseTreeWalker makes s, which serves res, execute fragments on the
+// tree-walking reference executor (oracle.RunFragment) instead of the
+// bytecode VM. Call before serving traffic. The walker runs res's fragment
+// IR, reads and writes the stores the VM would, and records its writes as
+// slots in the same write set, so the server's one effect builder serves
+// both engines.
+func (s *Server) UseTreeWalker(res *core.Result) {
 	prog := s.reg.Prog
+	comps := map[string]*core.HiddenComponent{}
+	for name, sf := range res.Splits {
+		comps[name] = sf.Hidden
+	}
+	if res.Globals != nil {
+		comps[res.Globals.Component.Func] = res.Globals.Component
+	}
+	for _, fi := range res.Fields {
+		comps[fi.Component.Func] = fi.Component
+	}
 	s.execRef = func(cc *vm.Comp, frag int, args []interp.Value, env vm.Env, ws *vm.WriteSet) (interp.Value, error) {
-		fr := s.reg.Components[cc.Name].Frags[frag]
+		fr := comps[cc.Name].Frags[frag]
 		if ws == nil {
 			ws = &vm.WriteSet{} // recorded, then dropped
 		}
@@ -38,7 +49,9 @@ func (s *Server) UseTreeWalker() {
 // for one call, the way the bytecode compiler routes them: globals to the
 // shared globals store; fields of a class-owned component to its object's
 // field store, where a field without a slot reads as its typed zero (field
-// stores start zeroed); everything else to the activation store.
+// stores start zeroed); everything else to the activation store. A
+// variable's slot is the one its layout names it by, as recovery resolves
+// it.
 type slotCells struct {
 	env                  vm.Env
 	ws                   *vm.WriteSet
@@ -48,17 +61,17 @@ type slotCells struct {
 
 func (c *slotCells) Read(v *ir.Var) (interp.Value, error) {
 	if v.Kind == ir.VarGlobal {
-		if slot, ok := c.globals.Slot(v); ok {
+		if slot, ok := slotOf(c.globals, v); ok {
 			return c.env.Globals[slot], nil
 		}
 	}
 	if v.Kind == ir.VarField && c.inObject {
-		if slot, ok := c.fields.Slot(v); ok {
+		if slot, ok := slotOf(c.fields, v); ok {
 			return c.env.Fields[slot], nil
 		}
 		return vm.ZeroValue(v), nil
 	}
-	if slot, ok := c.act.Slot(v); ok {
+	if slot, ok := slotOf(c.act, v); ok {
 		return c.env.Act[slot], nil
 	}
 	return interp.NullV(), fmt.Errorf("hrt: fragment reads unknown variable %s", v)
@@ -72,13 +85,22 @@ func (c *slotCells) Write(v *ir.Var, val interp.Value) error {
 	case v.Kind == ir.VarField && c.inObject:
 		l, vals, written, what = c.fields, c.env.Fields, &c.ws.Fields, "field"
 	}
-	slot, ok := l.Slot(v)
+	slot, ok := slotOf(l, v)
 	if !ok {
 		return fmt.Errorf("hrt: fragment writes unlaid-out %s %s", what, v)
 	}
 	vals[slot] = val
 	*written = addSlot(*written, slot)
 	return nil
+}
+
+// slotOf resolves v in l by its name and kind.
+func slotOf(l *vm.Layout, v *ir.Var) (int32, bool) {
+	slot, ok := l.SlotByName(v.Name)
+	if !ok || l.Slots[slot].Kind != v.Kind {
+		return 0, false
+	}
+	return slot, true
 }
 
 // addSlot records slot once, in first-write order, as the VM's write set
@@ -114,7 +136,7 @@ func OpenDurable(t *testing.T, res *core.Result, dir string, treeWalk bool) *Dur
 	t.Helper()
 	s, dd, p := startDurable(t, res, dir, DurabilityOptions{SnapshotEvery: -1})
 	if treeWalk {
-		s.UseTreeWalker()
+		s.UseTreeWalker(res)
 	}
 	return &DurableServer{Server: s, dd: dd, p: p}
 }
@@ -164,7 +186,7 @@ func valueString(v interp.Value) string { return v.Kind.String() + ":" + v.Strin
 func storeString(l *vm.Layout, vals []interp.Value) string {
 	parts := make([]string, len(vals))
 	for slot, v := range vals {
-		parts[slot] = l.Vars[slot].Name + "=" + valueString(v)
+		parts[slot] = l.Slots[slot].Name + "=" + valueString(v)
 	}
 	return strings.Join(parts, " ")
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"slicehide/internal/core"
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/lang/token"
@@ -43,12 +42,11 @@ func TestIllTypedHiddenCallsStaySafe(t *testing.T) {
 	} {
 		bodies = append(bodies, []ir.Stmt{ret(&ir.Binary{Op: op, X: x, Y: y})})
 	}
-	comp := &core.HiddenComponent{Func: "ops", Vars: []*ir.Var{h}, Frags: map[int]*core.Fragment{}}
+	comp := vm.Source{Name: "ops", Vars: []*ir.Var{h}}
 	for id, body := range bodies {
-		comp.Frags[id] = &core.Fragment{ID: id, ArgVars: []*ir.Var{a0, a1}, Body: body}
+		comp.Frags = append(comp.Frags, vm.FragSource{ID: id, Args: []*ir.Var{a0, a1}, Body: body})
 	}
-	comps := map[string]*core.HiddenComponent{"ops": comp}
-	reg := &Registry{Components: comps, Prog: vm.Compile(comps, nil)}
+	reg := &Registry{Prog: vm.Compile([]vm.Source{comp}, nil)}
 
 	covered := map[vm.Opcode]bool{}
 	for _, id := range reg.Prog.Comps["ops"].FragIDs() {

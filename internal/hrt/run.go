@@ -9,6 +9,33 @@ import (
 	"slicehide/internal/vm"
 )
 
+// NewRegistry compiles the hidden components of a split: each split
+// function's, the shared globals component and each class's hidden-field
+// component, told apart by where the split keeps them, not by name.
+func NewRegistry(res *core.Result) *Registry {
+	comps := make([]vm.Source, 0, len(res.Splits)+len(res.Fields)+1)
+	for name, sf := range res.Splits {
+		comps = append(comps, source(name, vm.CompFunc, sf.Orig.Class, sf.Hidden))
+	}
+	var init map[*ir.Var]*ir.Const
+	if g := res.Globals; g != nil {
+		comps = append(comps, source(g.Component.Func, vm.CompGlobals, "", g.Component))
+		init = g.Init
+	}
+	for class, fi := range res.Fields {
+		comps = append(comps, source(fi.Component.Func, vm.CompClass, class, fi.Component))
+	}
+	return &Registry{Prog: vm.Compile(comps, init)}
+}
+
+func source(name string, kind vm.CompKind, class string, h *core.HiddenComponent) vm.Source {
+	src := vm.Source{Name: name, Kind: kind, Class: class, Vars: h.Vars}
+	for _, fr := range h.Frags {
+		src.Frags = append(src.Frags, vm.FragSource{ID: fr.ID, Args: fr.ArgVars, Body: fr.Body})
+	}
+	return src
+}
+
 // RunOutcome summarizes one end-to-end execution of a split program.
 type RunOutcome struct {
 	Output       string

@@ -15,51 +15,20 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"slicehide/internal/core"
 	"slicehide/internal/interp"
-	"slicehide/internal/ir"
 	"slicehide/internal/vm"
 )
 
-// Registry holds the hidden components of a split program; it is the
-// artifact installed on the secure device.
+// Registry is the artifact installed on the secure device: the compiled
+// hidden components of a split program, with the slot layouts the stores
+// are addressed through and the program hash recovery checks snapshots
+// against. NewRegistry builds one from a split.
 type Registry struct {
-	Components map[string]*core.HiddenComponent
-	// GlobalInit seeds the shared hidden-globals store (the §2.2
-	// global-variable extension); keys are hidden global variables.
-	GlobalInit map[*ir.Var]interp.Value
-	// Prog is the bytecode form of Components, compiled once at build: it
-	// also owns the slot layouts the stores are addressed through, and the
-	// program hash recovery checks snapshots against.
 	Prog *vm.Program
-}
-
-// NewRegistry collects the hidden components from a program split result
-// and compiles them to bytecode.
-func NewRegistry(res *core.Result) *Registry {
-	r := &Registry{
-		Components: make(map[string]*core.HiddenComponent, len(res.Splits)),
-		GlobalInit: make(map[*ir.Var]interp.Value),
-	}
-	for name, sf := range res.Splits {
-		r.Components[name] = sf.Hidden
-	}
-	if res.Globals != nil {
-		r.Components[core.GlobalsComponent] = res.Globals.Component
-		for v, c := range res.Globals.Init {
-			r.GlobalInit[v] = vm.ConstValue(c)
-		}
-	}
-	for class, fi := range res.Fields {
-		r.Components[core.ClassComponentPrefix+class] = fi.Component
-	}
-	r.Prog = vm.Compile(r.Components, r.GlobalInit)
-	return r
 }
 
 // Server executes hidden fragments. It is safe for concurrent use.
@@ -313,18 +282,6 @@ func (sh *serverShard) instanceStore(prog *vm.Program, session uint64, class str
 	return st
 }
 
-// classOf extracts the class a component belongs to: "C.m" -> "C",
-// "$class:C" -> "C", top-level functions -> "".
-func classOf(fn string) string {
-	if rest, ok := strings.CutPrefix(fn, core.ClassComponentPrefix); ok {
-		return rest
-	}
-	if class, _, ok := strings.Cut(fn, "."); ok {
-		return class
-	}
-	return ""
-}
-
 // Exit discards the hidden activation.
 func (s *Server) Exit(fn string, inst int64) error {
 	return s.ExitSession(0, fn, inst)
@@ -431,11 +388,11 @@ func (s *Server) exec(session uint64, fn string, inst int64, frag int, args []in
 		}
 		sh.mu.Lock()
 		st = sh.stores[fn][actKey{session: session, inst: inst}]
-		if st == nil && fn == core.GlobalsComponent {
+		if st == nil && cc.Kind == vm.CompGlobals {
 			// The shared globals component has a single implicit activation.
 			st = s.globals
 		}
-		if st == nil && cc.IsClass {
+		if st == nil && cc.Kind == vm.CompClass {
 			// Class components address per-object stores directly; inst is
 			// the object instance id.
 			st = sh.instanceStore(s.reg.Prog, session, cc.Class, inst)
@@ -516,28 +473,21 @@ func (s *Server) captureEffects(eff *recEffects, cc *vm.Comp, ws *vm.WriteSet, s
 	}
 	prog := s.reg.Prog
 	// The globals component's activation is the globals store itself.
-	actIsGlobals := cc.Name == core.GlobalsComponent
+	actIsGlobals := cc.Kind == vm.CompGlobals
 	for _, slot := range ws.Act {
-		v := cc.Act.Vars[slot]
-		eff.deltas = append(eff.deltas, stateDelta{scope: scopeAct, name: v.Name, val: st.vals[slot]})
+		eff.deltas = append(eff.deltas, stateDelta{scope: scopeAct, name: cc.Act.Slots[slot].Name, val: st.vals[slot]})
 		if actIsGlobals {
 			s.globalSeen[slot] = eff.globalsVersion
 		}
 	}
 	for _, slot := range ws.Globals {
-		v := prog.Globals.Vars[slot]
-		eff.deltas = append(eff.deltas, stateDelta{scope: scopeGlobal, name: v.Name, val: s.globals.vals[slot]})
+		eff.deltas = append(eff.deltas, stateDelta{scope: scopeGlobal, name: prog.Globals.Slots[slot].Name, val: s.globals.vals[slot]})
 		s.globalSeen[slot] = eff.globalsVersion
 	}
 	for _, slot := range ws.Fields {
-		v := prog.Fields[cc.Class].Vars[slot]
+		v := prog.Fields[cc.Class].Slots[slot]
 		eff.deltas = append(eff.deltas, stateDelta{
 			scope: scopeField, name: v.Name, class: v.Class, obj: instStore.obj, val: instStore.vals[slot],
 		})
 	}
-}
-
-// isClassComponent reports whether fn names a per-class hidden component.
-func isClassComponent(fn string) bool {
-	return strings.HasPrefix(fn, core.ClassComponentPrefix)
 }

@@ -456,44 +456,32 @@ var _ interface {
 } = (*Session)(nil)
 
 // respError converts a server-reported error string into the client-side
-// error, upgrading session-evicted bounces to the typed form.
+// error.
 func (s *Session) respError(resp Response) error {
 	if resp.Err == "" {
 		return nil
 	}
-	if strings.Contains(resp.Err, sessionEvictedMsg) {
-		if s.Counters != nil {
-			s.Counters.SessionBounces.Add(1)
-		}
-		return &SessionEvictedError{Addr: s.Addr, Session: parseEvictedSession(resp.Err), Detail: "hrt: " + resp.Err}
-	}
-	if oe := ParseOwnerRedirect(resp.Err, s.Addr); oe != nil {
-		return oe
-	}
-	return fmt.Errorf("hrt: %s", resp.Err)
+	return s.typedError(fmt.Errorf("hrt: %s", resp.Err))
 }
 
-// wrapEvicted upgrades an error carrying the session-evicted marker (a
-// one-way send's deferred barrier error) to the typed form.
-func (s *Session) wrapEvicted(err error) error {
-	if err == nil {
-		return nil
-	}
+// typedError upgrades an error carrying the session-evicted marker, which
+// it counts as a bounce, or the owner-redirect marker to its typed form. It
+// serves both a reply's error and a one-way send's deferred barrier error,
+// which carry the server's message alike.
+func (s *Session) typedError(err error) error {
 	var se *SessionEvictedError
-	if errors.As(err, &se) {
-		return err
-	}
 	var oe *OwnerRedirectError
-	if errors.As(err, &oe) {
+	if err == nil || errors.As(err, &se) || errors.As(err, &oe) {
 		return err
 	}
-	if strings.Contains(err.Error(), sessionEvictedMsg) {
+	msg := err.Error()
+	if strings.Contains(msg, sessionEvictedMsg) {
 		if s.Counters != nil {
 			s.Counters.SessionBounces.Add(1)
 		}
-		return &SessionEvictedError{Addr: s.Addr, Session: parseEvictedSession(err.Error()), Detail: err.Error()}
+		return &SessionEvictedError{Addr: s.Addr, Session: parseEvictedSession(msg), Detail: msg}
 	}
-	if oe := ParseOwnerRedirect(err.Error(), s.Addr); oe != nil {
+	if oe := ParseOwnerRedirect(msg, s.Addr); oe != nil {
 		return oe
 	}
 	return err
@@ -503,7 +491,7 @@ func (s *Session) wrapEvicted(err error) error {
 func (s *Session) Enter(fn string, obj int64) (int64, error) {
 	resp, err := s.T.RoundTrip(Request{Op: OpEnter, Fn: fn, Obj: obj})
 	if err != nil {
-		return 0, s.wrapEvicted(err)
+		return 0, s.typedError(err)
 	}
 	if err := s.respError(resp); err != nil {
 		return 0, err
@@ -515,7 +503,7 @@ func (s *Session) Enter(fn string, obj int64) (int64, error) {
 func (s *Session) Exit(fn string, inst int64) error {
 	resp, err := s.T.RoundTrip(Request{Op: OpExit, Fn: fn, Inst: inst})
 	if err != nil {
-		return s.wrapEvicted(err)
+		return s.typedError(err)
 	}
 	return s.respError(resp)
 }
@@ -524,7 +512,7 @@ func (s *Session) Exit(fn string, inst int64) error {
 func (s *Session) Call(fn string, inst int64, frag int, args []interp.Value) (interp.Value, error) {
 	resp, err := s.T.RoundTrip(Request{Op: OpCall, Fn: fn, Inst: inst, Frag: frag, Args: args})
 	if err != nil {
-		return interp.NullV(), s.wrapEvicted(err)
+		return interp.NullV(), s.typedError(err)
 	}
 	if err := s.respError(resp); err != nil {
 		return interp.NullV(), err
@@ -581,5 +569,5 @@ func (s *AsyncSession) CallOneWay(fn string, inst int64, frag int, args []interp
 // Barrier blocks until every one-way request has executed, surfacing
 // deferred errors (session-evicted bounces in typed form).
 func (s *AsyncSession) Barrier() error {
-	return s.wrapEvicted(s.at.Flush())
+	return s.typedError(s.at.Flush())
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"slicehide/internal/core"
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/lang/types"
@@ -64,10 +63,10 @@ func TestValueBytesGolden(t *testing.T) {
 	set := func(x *ir.Var, c *ir.Const) ir.Stmt {
 		return &ir.AssignStmt{Lhs: &ir.VarTarget{Var: x}, Rhs: c}
 	}
-	comp := &core.HiddenComponent{
-		Func: "pin",
+	comp := vm.Source{
+		Name: "pin",
 		Vars: []*ir.Var{i, f, b, s},
-		Frags: map[int]*core.Fragment{0: {ID: 0, Body: []ir.Stmt{
+		Frags: []vm.FragSource{{ID: 0, Body: []ir.Stmt{
 			set(i, ir.Int(-7)),
 			set(f, ir.Float(math.Copysign(0, -1))),
 			set(b, ir.Bool(true)),
@@ -76,7 +75,7 @@ func TestValueBytesGolden(t *testing.T) {
 		}}},
 	}
 	const wantHash = 0x9462719a12e970d8
-	if h := vm.Compile(map[string]*core.HiddenComponent{"pin": comp}, nil).Hash; h != wantHash {
+	if h := vm.Compile([]vm.Source{comp}, nil).Hash; h != wantHash {
 		t.Errorf("program hash = %#x, want %#x", h, uint64(wantHash))
 	}
 }

@@ -64,7 +64,7 @@ func (p *FramePool) Put(f *Frame) {
 func (p *FramePool) Pooled() int64 { return p.pooled.Load() }
 
 // Env addresses the three stores a fragment can reach. Act and Fields may
-// alias the same slice for "$class:" components, and Act aliases Globals
+// alias the same slice for CompClass components, and Act aliases Globals
 // for the globals component.
 type Env struct {
 	Act, Globals, Fields []interp.Value

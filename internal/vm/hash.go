@@ -39,7 +39,7 @@ func (p *Program) hash() uint64 {
 		h.str("comp")
 		h.str(cc.Name)
 		h.str(cc.Class)
-		h.u64(boolBit(cc.IsClass)<<1 | boolBit(cc.TouchesGlobals))
+		h.u64(boolBit(cc.Kind == CompClass)<<1 | boolBit(cc.TouchesGlobals))
 		h.layout(cc.Act)
 		for id, f := range cc.frags {
 			if f == nil {
@@ -97,11 +97,11 @@ func (h *fnv) layout(l *Layout) {
 		h.u64(0)
 		return
 	}
-	h.u64(uint64(len(l.Vars)))
-	for _, v := range l.Vars {
-		h.str(v.Name)
-		h.u64(uint64(v.Kind))
-		h.str(v.Class)
+	h.u64(uint64(len(l.Slots)))
+	for _, s := range l.Slots {
+		h.str(s.Name)
+		h.u64(uint64(s.Kind))
+		h.str(s.Class)
 	}
 }
 

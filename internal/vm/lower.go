@@ -45,8 +45,9 @@ type compiler struct {
 	*pool
 
 	// Fragment target.
-	prog *Program
+	h    *hidden
 	comp *Comp
+	act  *slots
 	args []*ir.Var
 
 	// Whole-program target; mc is nil when compiling a fragment.
@@ -158,7 +159,7 @@ func (c *compiler) readOpd(v *ir.Var) uint32 {
 		if v.Kind != ir.VarGlobal {
 			return c.reg(v)
 		}
-		g := opd(spcGlobal, c.mc.globals.Add(v))
+		g := opd(spcGlobal, c.mc.globals.add(v))
 		if !c.pinGlobals {
 			return g
 		}
@@ -172,20 +173,18 @@ func (c *compiler) readOpd(v *ir.Var) uint32 {
 		}
 	}
 	if v.Kind == ir.VarGlobal {
-		if s, ok := c.prog.Globals.Slot(v); ok {
+		if s, ok := c.h.globals.slot(v); ok {
 			return opd(spcGlobal, s)
 		}
 		return c.unknownVar(v)
 	}
 	if v.Kind == ir.VarField && c.comp.Class != "" {
-		if fl := c.prog.Fields[c.comp.Class]; fl != nil {
-			if s, ok := fl.Slot(v); ok {
-				return opd(spcField, s)
-			}
+		if s, ok := c.h.fieldSlots(c.comp.Class).slot(v); ok {
+			return opd(spcField, s)
 		}
 		return c.constOpd(ZeroValue(v))
 	}
-	if s, ok := c.comp.Act.Slot(v); ok {
+	if s, ok := c.act.slot(v); ok {
 		return opd(spcAct, s)
 	}
 	return c.unknownVar(v)
@@ -208,19 +207,19 @@ func (c *compiler) unknownVar(v *ir.Var) uint32 {
 }
 
 // writeOpd resolves an assignment target. A fragment's pre-scan already
-// added the slot, so Add is a lookup there.
+// added the slot, so add is a lookup there.
 func (c *compiler) writeOpd(v *ir.Var) uint32 {
 	switch {
 	case c.mc != nil && v.Kind == ir.VarGlobal:
-		return opd(spcGlobal, c.mc.globals.Add(v))
+		return opd(spcGlobal, c.mc.globals.add(v))
 	case c.mc != nil:
 		return c.reg(v)
 	case v.Kind == ir.VarGlobal:
-		return opd(spcGlobal, c.prog.Globals.Add(v))
+		return opd(spcGlobal, c.h.globals.add(v))
 	case v.Kind == ir.VarField && c.comp.Class != "":
-		return opd(spcField, c.prog.fieldLayout(c.comp.Class).Add(v))
+		return opd(spcField, c.h.fieldSlots(c.comp.Class).add(v))
 	default:
-		return opd(spcAct, c.comp.Act.Add(v))
+		return opd(spcAct, c.act.add(v))
 	}
 }
 
@@ -432,7 +431,7 @@ func (c *compiler) expr(e ir.Expr) uint32 {
 	case *ir.Const:
 		switch e.Kind {
 		case ir.ConstInt, ir.ConstFloat, ir.ConstBool, ir.ConstString, ir.ConstNull:
-			return c.constOpd(ConstValue(e))
+			return c.constOpd(constValue(e))
 		}
 		return c.unsupported(e)
 	case *ir.VarRef:

@@ -13,7 +13,7 @@ type machineCompiler struct {
 	m       *Machine
 	prog    *ir.Program
 	pool    *pool
-	globals *Layout
+	globals *slots
 	nameIdx map[string]uint32
 	classes map[string]uint32
 }
@@ -24,11 +24,11 @@ type machineCompiler struct {
 // slots, operators to opcodes.
 func compileMachine(m *Machine, prog *ir.Program) {
 	mc := &machineCompiler{
-		m: m, prog: prog, pool: newPool(), globals: NewLayout(),
+		m: m, prog: prog, pool: newPool(), globals: newSlots(),
 		nameIdx: make(map[string]uint32), classes: make(map[string]uint32),
 	}
 	for _, g := range prog.Globals {
-		mc.globals.Add(g.Var)
+		mc.globals.add(g.Var)
 	}
 
 	// Shells first, so call sites resolve whatever the order of definition.
@@ -52,7 +52,7 @@ func compileMachine(m *Machine, prog *ir.Program) {
 
 	m.fails = mc.pool.fails
 	m.sp[spcConst] = mc.pool.consts
-	m.sp[spcGlobal] = make([]interp.Value, mc.globals.Len())
+	m.sp[spcGlobal] = make([]interp.Value, len(mc.globals.Slots))
 }
 
 // compileFunc lowers one body into f: statements for a function, global
@@ -101,7 +101,7 @@ func (mc *machineCompiler) compileFunc(f *funcCode, params, locals []*ir.Var, bo
 	for _, g := range inits {
 		c.curTemp = 0
 		c.pinGlobals = g.Init != nil && ir.HasCall(g.Init)
-		slot := opd(spcGlobal, mc.globals.Add(g.Var))
+		slot := opd(spcGlobal, mc.globals.add(g.Var))
 		if g.Init == nil {
 			c.emit(Instr{Op: OpMov, Dst: slot, A: c.constOpd(zeroOfKind(ir.ZeroKindOf(g.Var)))})
 		} else {

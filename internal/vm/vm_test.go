@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"slicehide/internal/core"
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
 	"slicehide/internal/lang/token"
@@ -27,29 +26,25 @@ func bin(op token.Kind, x, y ir.Expr) ir.Expr {
 
 // benchComp mirrors the loadtest fragment: k = a0*3 + a1; t = k + a0;
 // return t - a1, with k hidden in the activation store.
-func benchComp() (*core.HiddenComponent, []*ir.Var) {
+func benchComp() (Source, []*ir.Var) {
 	k := intVar("k")
 	a0, a1 := intVar("$a0"), intVar("$a1")
 	t := intVar("t")
-	frag := &core.Fragment{
-		ID:      0,
-		ArgVars: []*ir.Var{a0, a1},
+	frag := FragSource{
+		ID:   0,
+		Args: []*ir.Var{a0, a1},
 		Body: []ir.Stmt{
 			assign(k, bin(token.PLUS, bin(token.STAR, ref(a0), num(3)), ref(a1))),
 			assign(t, bin(token.PLUS, ref(k), ref(a0))),
 			&ir.ReturnStmt{Value: bin(token.MINUS, ref(t), ref(a1))},
 		},
 	}
-	return &core.HiddenComponent{
-		Func:  "work",
-		Vars:  []*ir.Var{k},
-		Frags: map[int]*core.Fragment{0: frag},
-	}, []*ir.Var{k, t}
+	return Source{Name: "work", Vars: []*ir.Var{k}, Frags: []FragSource{frag}}, []*ir.Var{k, t}
 }
 
 func compileBench(t testing.TB) (*Program, *Frag, *Comp) {
 	comp, _ := benchComp()
-	p := Compile(map[string]*core.HiddenComponent{"work": comp}, nil)
+	p := Compile([]Source{comp}, nil)
 	cc := p.Comps["work"]
 	if cc == nil {
 		t.Fatal("component not compiled")
@@ -99,7 +94,7 @@ func TestWriteSetTracksStores(t *testing.T) {
 
 func TestStepLimitInfiniteLoop(t *testing.T) {
 	x := intVar("x")
-	frag := &core.Fragment{
+	frag := FragSource{
 		ID: 0,
 		Body: []ir.Stmt{
 			assign(x, num(0)),
@@ -109,8 +104,7 @@ func TestStepLimitInfiniteLoop(t *testing.T) {
 			},
 		},
 	}
-	comp := &core.HiddenComponent{Func: "spin", Frags: map[int]*core.Fragment{0: frag}}
-	p := Compile(map[string]*core.HiddenComponent{"spin": comp}, nil)
+	p := Compile([]Source{{Name: "spin", Frags: []FragSource{frag}}}, nil)
 	f := p.Comps["spin"].Frag(0)
 	fr := &Frame{temps: make([]interp.Value, f.NTemps)}
 	act := p.Comps["spin"].Act.NewVals()
@@ -123,8 +117,8 @@ func TestStepLimitInfiniteLoop(t *testing.T) {
 func TestDeterministicHash(t *testing.T) {
 	comp1, _ := benchComp()
 	comp2, _ := benchComp()
-	p1 := Compile(map[string]*core.HiddenComponent{"work": comp1}, nil)
-	p2 := Compile(map[string]*core.HiddenComponent{"work": comp2}, nil)
+	p1 := Compile([]Source{comp1}, nil)
+	p2 := Compile([]Source{comp2}, nil)
 	if p1.Hash != p2.Hash {
 		t.Fatalf("hashes differ: %x vs %x", p1.Hash, p2.Hash)
 	}
