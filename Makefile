@@ -81,7 +81,8 @@ vm-layering:
 # The shipped binaries carry only what they run. linked-lines prints the
 # sum of GoFiles line counts (non-test files that survive build
 # constraints) over `go list -deps ./cmd/...`, counting only this module's
-# slicehide/... packages, and fails above LINKED_LINES_MAX. This is the
+# slicehide/... packages, and fails above LINKED_LINES_MAX; it also prints
+# each binary's own count, which overlap and are not gated. This is the
 # measure ROADMAP.md and EXPERIMENTS.md quote: 26,847 before fault
 # injection and the random-program generator became test-only and loadtest
 # stopped self-hosting fleets, 25,501 before hidden globals and hidden
@@ -93,13 +94,21 @@ vm-layering:
 # the machine's ordered comparisons became interp.Compare, 24,873 before
 # origin covers replaced third-party relays while the AST printer and
 # test-only helpers moved into test files, 24,868 before the compiled
-# hidden program described itself and stopped holding IR. The ceiling only
-# goes down: a change that lands below it lowers it to the new count.
-LINKED_LINES_MAX = 24860
+# hidden program described itself and stopped holding IR, 24,860 before
+# hidden state landed by one path (one session-slot claim, one journal
+# append, one commit wait, one generation switch) and the session-0 and
+# tracker wrappers that only tests called went. The ceiling only goes
+# down: a change that lands below it lowers it to the new count.
+LINKED_LINES_MAX = 24714
+
+# linked_lines counts the non-test lines of this module that the packages
+# matching $(1) link.
+linked_lines = $(GO) list -deps -f '{{range .GoFiles}}{{$$.ImportPath}} {{$$.Dir}}/{{.}}{{"\n"}}{{end}}' $(1) | \
+	awk '$$1 == "slicehide" || index($$1, "slicehide/") == 1 { print $$2 }' | xargs cat | wc -l | tr -d ' '
 
 linked-lines:
-	@n=$$($(GO) list -deps -f '{{range .GoFiles}}{{$$.ImportPath}} {{$$.Dir}}/{{.}}{{"\n"}}{{end}}' ./cmd/... | \
-		awk '$$1 == "slicehide" || index($$1, "slicehide/") == 1 { print $$2 }' | xargs cat | wc -l | tr -d ' '); \
+	@for b in hiddend slicehide; do echo "linked non-test lines of cmd/$$b: $$($(call linked_lines,./cmd/$$b))"; done
+	@n=$$($(call linked_lines,./cmd/...)); \
 	if [ "$$n" -eq 0 ]; then echo 'linked-lines: go list found no files' >&2; exit 1; fi; \
 	echo "linked non-test lines: $$n (ceiling $(LINKED_LINES_MAX))"; \
 	if [ "$$n" -gt $(LINKED_LINES_MAX) ]; then \
@@ -127,15 +136,16 @@ test:
 # to end.
 # The sixth line repeats the one record applier recovery and replication
 # share: both orders of landing a journal must agree, a restarted replica
-# must keep the newest global write, and both engines' effects must
-# recover alike.
+# must keep the newest global write, both engines' effects must recover
+# alike, and a replicated record racing a live request of the same stamp
+# must land once.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'GroupCommit|Dedup' ./internal/hrt
 	$(GO) test -race -count=10 -run 'SharedFactsConcurrent|AnalyzeConcurrent|CompileConcurrent' ./internal/slicer ./internal/complexity ./internal/ir
 	$(GO) test -race -count=3 -run 'Crash|TailScanner|EmptyRecord|JournalChain|ParentWritten' ./internal/wal ./internal/hrt
 	$(GO) test -race -count=10 -run 'OriginSkip|Cover|Lift|ReplStream' ./internal/cluster
-	$(GO) test -race -count=10 -run 'RecoveryMatchesReplication|OlderGlobalAfterRestart|LiveGlobalWriteRecovers|DifferentialDurableEffects' ./internal/hrt
+	$(GO) test -race -count=10 -run 'RecoveryMatchesReplication|OlderGlobalAfterRestart|LiveGlobalWriteRecovers|DifferentialDurableEffects|SameStampLandOnce' ./internal/hrt
 
 # Run the wire-codec and durability-layer fuzzers for a short budget
 # each (the journal frame scanner and the journal record decoder face

@@ -65,7 +65,7 @@ func TestCommitGateReleasesOnProberDeath(t *testing.T) {
 
 	// The follower is registered (its pump stream is "up") but will never
 	// acknowledge: the classic wedged-but-connected shape.
-	g.tracker.Register(peer)
+	g.tracker.RegisterAt(peer, wal.Position{})
 	pumpLocal, pumpRemote := net.Pipe()
 	g.trackPumpConn(peer, pumpLocal)
 
@@ -117,7 +117,7 @@ func TestCommitGateReleasesOnProberDeath(t *testing.T) {
 func TestProbeDeathRequiresThreshold(t *testing.T) {
 	peer := deadAddr(t)
 	g := testGroup(t, peer, time.Second)
-	g.tracker.Register(peer)
+	g.tracker.RegisterAt(peer, wal.Position{})
 
 	for i := 0; i < probeFailThreshold-1; i++ {
 		g.probeOnce()

@@ -1,9 +1,6 @@
 package hrt
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Snapshot catch-up import: the receiving half of the cluster's snapshot
 // transfer. A cold joiner whose resume position predates the sender's
@@ -20,23 +17,20 @@ var ErrNotEmpty = errors.New("hrt: replica state is not empty")
 // may import a catch-up snapshot — importSnapshot overwrites rather than
 // merges, so importing over applied records would lose them.
 func (ts *TCPServer) StateEmpty() bool {
-	if ts.dedup == nil {
-		return false
-	}
-	st := ts.Server.Stats()
-	return st.Enters == 0 && st.Exits == 0 && st.Calls == 0 && ts.dedup.Sessions() == 0
+	return ts.dedup != nil && stateEmpty(ts.Server, ts.dedup)
 }
 
-// ImportCatchupSnapshot installs a snapshot streamed by a fleet peer: the
-// payload is imported into the live server and the dedup replay cache
-// through the same importSnapshot/program-hash refusal path recovery uses,
-// and re-journaled as this replica's own durable base (Durability.
-// AdoptSnapshot), so the adopted state survives this replica's restarts.
-// The whole import runs under the quiesce write hold, which also excludes
-// every record apply (ApplyReplicated holds the read side while it
-// applies), with the emptiness precondition re-checked inside it — a
-// record another sender applied between the caller's check and the hold
-// would otherwise be clobbered.
+func stateEmpty(s *Server, d *Dedup) bool {
+	st := s.Stats()
+	return st.Enters == 0 && st.Exits == 0 && st.Calls == 0 && d.Sessions() == 0
+}
+
+// ImportCatchupSnapshot installs a snapshot streamed by a fleet peer as
+// this replica's state base (see Durability.AdoptSnapshot): on disk first,
+// then in the live server and the dedup replay cache, through the
+// importSnapshot/program-hash refusal path recovery uses, so the adopted
+// state survives this replica's restarts and a failed adoption leaves the
+// replica empty.
 func (ts *TCPServer) ImportCatchupSnapshot(payload []byte) error {
 	if ts.dedup == nil {
 		return errors.New("hrt: server is not serving")
@@ -44,14 +38,5 @@ func (ts *TCPServer) ImportCatchupSnapshot(payload []byte) error {
 	if ts.Persist == nil {
 		return errors.New("hrt: snapshot import requires a durable server")
 	}
-	p := ts.Persist
-	p.quiesce.Lock()
-	defer p.quiesce.Unlock()
-	if !ts.StateEmpty() {
-		return ErrNotEmpty
-	}
-	if err := importSnapshot(ts.Server, ts.dedup, payload); err != nil {
-		return fmt.Errorf("hrt: catch-up snapshot: %w", err)
-	}
-	return p.AdoptSnapshot(payload)
+	return ts.Persist.AdoptSnapshot(payload)
 }

@@ -251,14 +251,8 @@ func (d *Dedup) shard(session uint64) *dedupShard {
 // returned Response is meaningless and must not be written back to the
 // client.
 func (d *Dedup) RoundTrip(req Request) (Response, error) {
-	d.lazyInit()
-	sh := d.shard(req.Session)
-	sh.mu.Lock()
-	sh.clock++
-	e := sh.sessions[req.Session]
-	isNew := e == nil
+	sh, e, isNew := d.entry(req.Session)
 	if isNew {
-		e = &dedupEntry{}
 		if req.Seq > 1 {
 			// A session the cache has never seen must start at seq 1. A
 			// higher first seq means its entry was evicted or the server
@@ -266,29 +260,9 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 			// replay an already-applied mutation. Refuse, loudly.
 			e.lost = true
 		}
-		sh.sessions[req.Session] = e
-	}
-	// Freshen before any eviction runs, so the newcomer is never its own
-	// LRU victim and is covered by the grace window from the start.
-	// lastSeen only matters to the grace fence, so skip the clock read on
-	// the hot path when no grace window is configured.
-	e.used = sh.clock
-	if d.EvictGrace > 0 {
-		e.lastSeen = d.timeNow()
-	}
-	if isNew {
 		// Tracer sinks are caller-supplied code: the evictions are reported
 		// once every path below has let go of the stripe lock.
 		defer d.traceEvicted(d.evictLocked(sh))
-	}
-
-	// Serialize the session: wait out any in-flight execution so requests
-	// run strictly in order and duplicates observe the cached result.
-	for e.done != nil {
-		done := e.done
-		sh.mu.Unlock()
-		<-done
-		sh.mu.Lock()
 	}
 
 	if e.lost {
@@ -396,15 +370,60 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 	// window ack) and the replay cache never run ahead of the journal, and
 	// the session's next request may not start before this one's record
 	// is on disk.
-	sh.mu.Lock()
-	e.settle(req.Seq, req.NoReply(), resp)
-	close(e.done)
-	e.done = nil
-	sh.mu.Unlock()
+	sh.release(req.Session, e, req.Seq, req.NoReply(), &resp)
 	if req.NoReply() {
 		return Response{}, nil
 	}
 	return resp, nil
+}
+
+// entry returns session's entry, created if absent (isNew), with its
+// stripe locked: the one way live execution, a replicated apply and
+// recovery find a session's slot. It ticks the entry's LRU clock and grace
+// stamp before any eviction can run, so a newcomer is never its own victim
+// and is covered by the grace window from the start, then waits out any
+// request of the session in flight, so requests run strictly in order and
+// duplicates observe the settled result. The caller unlocks sh.mu; a
+// caller that created the entry decides whether it may evict others.
+func (d *Dedup) entry(session uint64) (sh *dedupShard, e *dedupEntry, isNew bool) {
+	d.lazyInit()
+	sh = d.shard(session)
+	sh.mu.Lock()
+	sh.clock++
+	e = sh.sessions[session]
+	if isNew = e == nil; isNew {
+		e = &dedupEntry{}
+		sh.sessions[session] = e
+	}
+	// lastSeen only matters to the grace fence, so skip the clock read on
+	// the hot path when no grace window is configured.
+	e.used = sh.clock
+	if d.EvictGrace > 0 {
+		e.lastSeen = d.timeNow()
+	}
+	for e.done != nil {
+		done := e.done
+		sh.mu.Unlock()
+		<-done
+		sh.mu.Lock()
+	}
+	return sh, e, isNew
+}
+
+// release ends a landing that holds the session's in-flight slot: it
+// settles seq into the replay state (see settle) when the landing produced
+// resp, then lets go of the slot. A landing that failed (nil resp)
+// settles nothing and drops an entry it left empty.
+func (sh *dedupShard) release(session uint64, e *dedupEntry, seq uint64, noReply bool, resp *Response) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if resp != nil {
+		e.settle(seq, noReply, *resp)
+	} else if e.lastSeq == 0 && e.respSeq == 0 && !e.lost && e.deferred == "" {
+		delete(sh.sessions, session)
+	}
+	close(e.done)
+	e.done = nil
 }
 
 // settle publishes request seq of the session as processed: the one rule

@@ -57,9 +57,10 @@ type Durability struct {
 	server *Server
 	dedup  *Dedup
 
-	// quiesce freezes request traffic for snapshots: every request holds
-	// it for read across its whole dedup round trip, a snapshot takes it
-	// for write, so a snapshot never observes a half-applied request.
+	// quiesce freezes landings for generation switches: every landing
+	// holds it for read (see land), every switch takes it for write (see
+	// switchGeneration), so a snapshot cut or an adoption never observes a
+	// half-landed request or record.
 	quiesce sync.RWMutex
 
 	// mu guards the journal handle and rotation bookkeeping.
@@ -649,18 +650,11 @@ func (p *Durability) journal(req Request, resp Response, eff *recEffects) error 
 	buf := recBufPool.Get().(*[]byte)
 	defer recBufPool.Put(buf)
 	payload, err := appendRecord((*buf)[:0], &rec)
-	if err == nil {
-		*buf = payload[:0]
-		start := time.Now()
-		err = p.append(payload)
-		p.appendNS.Observe(time.Since(start))
-	}
 	if err != nil {
 		return p.appendFailed(err)
 	}
-	p.appends.Add(1)
-	p.appendBytes.Add(int64(len(payload)))
-	return nil
+	*buf = payload[:0]
+	return p.append(payload)
 }
 
 // appendFailed counts a failed append, poisons the layer with the first
@@ -682,37 +676,44 @@ func (p *Durability) appendFailed(err error) error {
 	return failed
 }
 
-// append routes one encoded record into the journal: through the
-// group-commit queue when the committer is running (the calling worker
-// blocks until the batch carrying its record is durable), or as a
-// direct per-record append otherwise. Position bookkeeping (sinceSnap,
-// follower wakeups) advances only after the record is durable, so
-// replication acks and snapshot triggers never run ahead of disk.
+// append lands one encoded record in the journal — a request this server
+// executed or a record a fleet peer streamed, verbatim — and returns once
+// it is durable: through the group-commit queue when the committer is
+// running (the calling worker blocks until the batch carrying its record
+// is durable), or as a direct per-record append otherwise. Position
+// bookkeeping (sinceSnap, follower wakeups) advances only after the record
+// is durable, so replication acks and snapshot triggers never run ahead of
+// disk. A durable append is timed into wal_append_ns and counted; a failed
+// one poisons the layer (see appendFailed), so this server stops
+// acknowledging what it cannot make durable.
 func (p *Durability) append(payload []byte) error {
+	start := time.Now()
 	p.mu.Lock()
 	err, j, q := p.failed, p.wlog, p.commitq
 	p.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if j == nil {
-		return fmt.Errorf("hrt: journal not open")
-	}
-	if q != nil {
+	switch {
+	case err != nil:
+	case j == nil:
+		err = fmt.Errorf("hrt: journal not open")
+	case q != nil:
 		w := walCommitPool.Get().(*walCommit)
 		w.payload, w.j = payload, j
-		start := time.Now()
 		q <- w
-		err := <-w.done
+		err = <-w.done
 		p.commitWaitNS.Observe(time.Since(start))
 		w.payload, w.j = nil, nil
 		walCommitPool.Put(w)
-		return err
+	default:
+		if err = j.Append(payload); err == nil {
+			p.advance(1)
+		}
 	}
-	if err := j.Append(payload); err != nil {
-		return err
+	if err != nil {
+		return p.appendFailed(err)
 	}
-	p.advance(1)
+	p.appendNS.Observe(time.Since(start))
+	p.appends.Add(1)
+	p.appendBytes.Add(int64(len(payload)))
 	return nil
 }
 
@@ -829,32 +830,58 @@ func (p *Durability) CommitBatchStats() (batches, records int64) {
 	return p.commitBatches.Load(), p.commitRecords.Load()
 }
 
-// roundTrip is the durable request path: the whole dedup round trip runs
-// under the quiesce read lock so snapshots never see half-applied
-// requests, and a due snapshot is taken after the response is computed.
-func (p *Durability) roundTrip(d *Dedup, req Request) (Response, error) {
-	p.quiesce.RLock()
-	resp, err := d.RoundTrip(req)
-	p.quiesce.RUnlock()
+// roundTrip is the durable request path: the dedup round trip is a
+// landing (see land), and its reply waits behind the commit gate.
+func (p *Durability) roundTrip(d *Dedup, req Request) (resp Response, err error) {
+	p.land(func() { resp, err = d.RoundTrip(req) })
 	if !req.NoReply() {
-		// Semi-synchronous replication: hold the reply until every
-		// currently connected follower has acknowledged the journal's
-		// current position (which covers this request's record and, for a
-		// flush barrier, every one-way record before it). The wait runs
-		// outside every lock, so follower applies — which take their own
-		// session and store locks — can never deadlock against it.
-		if c := p.getCommitter(); c != nil {
-			gen, records := p.CurrentPosition()
-			c.WaitCommitted(gen, records)
-		}
-	}
-	if p.snapshotDue() {
-		if serr := p.Snapshot(); serr != nil {
-			p.snapErrors.Add(1)
-			p.opts.Tracer.Emit(obs.LevelError, "wal_snapshot_error", obs.Err(serr))
-		}
+		p.awaitReplicated()
 	}
 	return resp, err
+}
+
+// land runs one landing — a live request's dedup round trip or a streamed
+// record's apply, each claiming its session slot, executing or applying,
+// appending its record and releasing the slot — under the quiesce read
+// hold, so a snapshot never captures applied state without its record or
+// its replay high-water mark, and a generation switch (which takes the
+// write hold) never lands inside one. Then it takes a snapshot if one is
+// due.
+func (p *Durability) land(f func()) {
+	p.quiesce.RLock()
+	f()
+	p.quiesce.RUnlock()
+	if !p.snapshotDue() {
+		return
+	}
+	if err := p.Snapshot(); err != nil {
+		p.snapErrors.Add(1)
+		p.opts.Tracer.Emit(obs.LevelError, "wal_snapshot_error", obs.Err(err))
+	}
+}
+
+// awaitReplicated is the semi-synchronous commit gate: it holds an
+// acknowledgement — a reply, or a mux window update acknowledging one-way
+// executions — until every connected follower has acknowledged the
+// journal's current position, which covers every record the
+// acknowledgement stands for. A client therefore never observes an
+// acknowledgement for records a promoted follower could be missing. The
+// wait runs outside every lock, so follower applies — which take their own
+// session and store locks — can never deadlock against it.
+func (p *Durability) awaitReplicated() {
+	p.mu.Lock()
+	c, gen, records := p.committer, p.gen, int64(p.sinceSnap)
+	p.mu.Unlock()
+	if c != nil {
+		c.WaitCommitted(gen, records)
+	}
+}
+
+// poisoned reports the append failure that poisoned the layer, if any.
+func (p *Durability) poisoned() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.failed
 }
 
 func (p *Durability) snapshotDue() bool {
@@ -866,6 +893,62 @@ func (p *Durability) snapshotDue() bool {
 	return p.failed == nil && p.sinceSnap >= p.opts.SnapshotEvery
 }
 
+// switchGeneration makes generation g+1 the open one, g being the open
+// generation. It opens g+1's journal before taking the quiesce write hold,
+// keeping file creation (and its flush) out of the pause; under the hold,
+// with no landing half done and the commit queue drained, it runs install
+// for g+1 and, if that succeeds, swaps the new journal in and returns the
+// old one for the caller to seal. If install fails nothing switches: the
+// new journal is closed and removed. The caller owns p.snapshotting, which
+// keeps switches one at a time.
+func (p *Durability) switchGeneration(install func(gen uint64) error) (sealed *wal.Journal, err error) {
+	p.mu.Lock()
+	next := p.gen + 1
+	p.mu.Unlock()
+	j, err := p.openJournal(next, 0)
+	if err != nil {
+		return nil, err
+	}
+	begin := time.Now()
+	p.quiesce.Lock()
+	p.mu.Lock()
+	sealed = p.wlog
+	p.mu.Unlock()
+	if sealed == nil { // closed while we were opening the next generation
+		err = fmt.Errorf("hrt: journal not open")
+	} else if err = install(next); err == nil {
+		p.mu.Lock()
+		p.wlog, p.gen, p.sinceSnap = j, next, 0
+		p.mu.Unlock()
+	}
+	p.quiesce.Unlock()
+	p.snapPauseNS.Observe(time.Since(begin))
+	if err != nil {
+		j.Close()
+		os.Remove(p.journalPath(next))
+		return nil, err
+	}
+	p.advance(0) // wake replication pumps so they roll to the new generation
+	return sealed, nil
+}
+
+// cutGeneration switches generations (see switchGeneration) and captures,
+// under the same hold, the consistent cut the new generation's snapshot
+// will serialize. The snapshot writer seals the old journal.
+func (p *Durability) cutGeneration() (*stateCut, error) {
+	var cut *stateCut
+	sealed, err := p.switchGeneration(func(gen uint64) error {
+		cut = captureCut(p.server, p.dedup)
+		cut.gen, cut.begin = gen, time.Now()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	cut.sealed = sealed
+	return cut, nil
+}
+
 // Snapshot rotates to a fresh snapshot + journal generation without
 // stopping the world: the quiesce write-hold covers only the journal
 // swap and flat clones of the live stores (O(live state) memcpy — no
@@ -874,7 +957,8 @@ func (p *Durability) snapshotDue() bool {
 // rename, and pruning run on a background goroutine while traffic
 // continues; the journal chain (see start) keeps recovery correct if
 // the process dies before the snapshot file lands. Returns once the cut
-// is captured; at most one snapshot is in flight at a time.
+// is captured; at most one snapshot is in flight at a time. A poisoned
+// journal is refused.
 func (p *Durability) Snapshot() error {
 	if p.server == nil {
 		return fmt.Errorf("hrt: durability not started")
@@ -882,63 +966,21 @@ func (p *Durability) Snapshot() error {
 	if !p.snapshotting.CompareAndSwap(false, true) {
 		return nil // one already in flight; its journal chain covers us
 	}
-	p.mu.Lock()
-	err := p.failed
-	open := p.wlog != nil
-	next := p.gen + 1
-	p.mu.Unlock()
-	if err == nil && !open {
-		err = fmt.Errorf("hrt: journal not open")
-	}
-	var j *wal.Journal
+	var cut *stateCut
+	err := p.poisoned()
 	if err == nil {
-		// Open the next generation's journal before taking the write
-		// hold, keeping file creation (and its fsync) out of the pause.
-		j, err = p.openJournal(next, 0)
+		cut, err = p.cutGeneration()
 	}
 	if err != nil {
 		p.snapshotting.Store(false)
 		return err
 	}
-	begin := time.Now()
-	p.quiesce.Lock()
-	if p.wlog == nil { // closed while we were opening the next generation
-		p.quiesce.Unlock()
-		p.snapshotting.Store(false)
-		j.Close()
-		os.Remove(p.journalPath(next))
-		return fmt.Errorf("hrt: journal not open")
-	}
-	cut := p.rotateAndCut(j)
-	p.quiesce.Unlock()
-	cut.begin = begin
-	cut.pause = time.Since(begin)
-	p.snapPauseNS.Observe(cut.pause)
-	p.advance(0) // wake replication pumps so they roll to the new generation
 	p.snapWG.Add(1)
 	go func() {
 		defer p.snapWG.Done()
 		p.writeSnapshot(cut)
 	}()
 	return nil
-}
-
-// rotateAndCut seals the current journal generation, installs next as
-// its successor, and captures the consistent cut the snapshot will
-// serialize. Caller holds the quiesce write lock (so no request is
-// half-applied and the commit queue is drained) and owns p.snapshotting.
-func (p *Durability) rotateAndCut(next *wal.Journal) *stateCut {
-	p.mu.Lock()
-	gen := p.gen + 1
-	old := p.wlog
-	p.wlog = next
-	p.gen = gen
-	p.sinceSnap = 0
-	p.mu.Unlock()
-	cut := captureCut(p.server, p.dedup)
-	cut.gen = gen
-	cut.sealed = old
-	return cut
 }
 
 // writeSnapshot serializes and installs a captured cut as generation
@@ -972,7 +1014,7 @@ func (p *Durability) writeSnapshot(cut *stateCut) error {
 	p.snapshotNS.Observe(took)
 	p.opts.Tracer.Emit(obs.LevelInfo, "wal_snapshot",
 		obs.Uint("generation", cut.gen), obs.Int("bytes", int64(len(payload))),
-		obs.Dur("took", took), obs.Dur("pause", cut.pause))
+		obs.Dur("took", took))
 	return nil
 }
 
@@ -1012,82 +1054,79 @@ func (p *Durability) NewestSnapshot() (gen uint64, payload []byte, release func(
 }
 
 // AdoptSnapshot installs a snapshot payload received from a fleet peer as
-// this replica's own durable base: the payload is written as the next
-// generation's snapshot file, then the journal rotates to that generation.
-// The ordering is crash-safe — a death between the two steps leaves a
-// readable snapshot that recovery prefers, a death before it leaves the
-// old (empty) state. The caller holds the quiesce write lock and has
-// already imported the payload into the live server, so from here on the
-// in-memory state and the durable base agree. Older generations (the
+// this replica's state base, on disk before in memory: memory keeps only a
+// base its disk adopted. The payload is first imported into a scratch
+// server, so one this program cannot load is refused before anything
+// changes. Then one generation switch, under the quiesce write hold that
+// excludes every landing, re-checks that the replica is still empty
+// (ErrNotEmpty otherwise: a record another sender applied since the
+// caller's check would be clobbered), writes the payload as the next
+// generation's snapshot file and imports it into the live server and
+// replay cache; only then does the next generation's journal take over.
+// A death before the snapshot file lands leaves the old (empty) state,
+// and a failure at any step leaves the replica empty, so the next offer
+// is accepted. A poisoned journal is refused. Older generations (the
 // pre-import empty history) are pruned.
 func (p *Durability) AdoptSnapshot(payload []byte) error {
 	if p.server == nil {
 		return fmt.Errorf("hrt: durability not started")
+	}
+	if err := importSnapshot(NewServer(p.server.reg), &Dedup{}, payload); err != nil {
+		return fmt.Errorf("hrt: catch-up snapshot: %w", err)
 	}
 	p.snapWG.Wait()
 	if !p.snapshotting.CompareAndSwap(false, true) {
 		return fmt.Errorf("hrt: snapshot in flight")
 	}
 	defer p.snapshotting.Store(false)
-	p.mu.Lock()
-	err := p.failed
-	open := p.wlog != nil
-	next := p.gen + 1
-	p.mu.Unlock()
+	if err := p.poisoned(); err != nil {
+		return err
+	}
+	var adopted uint64
+	sealed, err := p.switchGeneration(func(gen uint64) error {
+		if !stateEmpty(p.server, p.dedup) {
+			return ErrNotEmpty
+		}
+		if err := wal.WriteSnapshot(p.snapPath(gen), payload); err != nil {
+			return fmt.Errorf("hrt: adopt snapshot: %w", err)
+		}
+		adopted = gen
+		// Cannot fail: the same payload imported into the scratch server.
+		return importSnapshot(p.server, p.dedup, payload)
+	})
 	if err != nil {
 		return err
 	}
-	if !open {
-		return fmt.Errorf("hrt: journal not open")
-	}
-	if err := wal.WriteSnapshot(p.snapPath(next), payload); err != nil {
-		return fmt.Errorf("hrt: adopt snapshot: %w", err)
-	}
-	j, err := p.openJournal(next, 0)
-	if err != nil {
-		return fmt.Errorf("hrt: adopt snapshot journal: %w", err)
-	}
-	p.mu.Lock()
-	old := p.wlog
-	p.wlog = j
-	p.gen = next
-	p.sinceSnap = 0
-	p.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	p.pruneBelow(next)
+	sealed.Close()
+	p.pruneBelow(adopted)
 	p.snapshots.Add(1)
-	p.advance(0)
 	p.opts.Tracer.Emit(obs.LevelInfo, "wal_snapshot_adopted",
-		obs.Uint("generation", next), obs.Int("bytes", int64(len(payload))))
+		obs.Uint("generation", adopted), obs.Int("bytes", int64(len(payload))))
 	return nil
 }
 
-// Close waits out any in-flight background snapshot, stops the
-// committer, takes a final synchronous snapshot (so the next boot
-// recovers without journal replay), and closes the journal. Called by
-// TCPServer.Close after the serving goroutines drained.
+// Close waits out any in-flight background snapshot, takes a final
+// synchronous snapshot (so the next boot recovers without journal replay)
+// — even over a poisoned journal, since the snapshot captures memory
+// rather than the journal — stops the committer, and closes the journal.
+// Called by TCPServer.Close after the serving goroutines drained.
 func (p *Durability) Close() error {
 	p.snapWG.Wait()
+	p.mu.Lock()
+	open := p.wlog != nil
+	p.mu.Unlock()
+	var err error
+	if open && p.snapshotting.CompareAndSwap(false, true) {
+		var cut *stateCut
+		if cut, err = p.cutGeneration(); err == nil {
+			err = p.writeSnapshot(cut)
+		} else {
+			p.snapshotting.Store(false)
+		}
+	}
 	p.quiesce.Lock()
 	defer p.quiesce.Unlock()
 	p.stopCommitter()
-	var err error
-	if p.wlog != nil && p.snapshotting.CompareAndSwap(false, true) {
-		p.mu.Lock()
-		next := p.gen + 1
-		p.mu.Unlock()
-		j, jerr := p.openJournal(next, 0)
-		if jerr != nil {
-			p.snapshotting.Store(false)
-			err = jerr
-		} else {
-			cut := p.rotateAndCut(j)
-			cut.begin = time.Now()
-			err = p.writeSnapshot(cut)
-		}
-	}
 	p.mu.Lock()
 	j := p.wlog
 	p.wlog = nil

@@ -62,26 +62,26 @@ func TestRunSplitMatchesOriginal(t *testing.T) {
 func TestServerActivationLifecycle(t *testing.T) {
 	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
 	server := NewServer(NewRegistry(res))
-	inst, err := server.Enter("f", 0)
+	inst, err := server.EnterSession(0, "f", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if server.ActiveInstances() != 1 {
 		t.Errorf("active: %d", server.ActiveInstances())
 	}
-	if err := server.Exit("f", inst); err != nil {
+	if err := server.ExitSession(0, "f", inst); err != nil {
 		t.Fatal(err)
 	}
 	if server.ActiveInstances() != 0 {
 		t.Errorf("active after exit: %d", server.ActiveInstances())
 	}
-	if _, err := server.Enter("nope", 0); err == nil {
+	if _, err := server.EnterSession(0, "nope", 0, 0); err == nil {
 		t.Error("expected error entering unknown function")
 	}
-	if err := server.Exit("nope", 1); err == nil {
+	if err := server.ExitSession(0, "nope", 1); err == nil {
 		t.Error("expected error exiting unknown function")
 	}
-	if _, err := server.Call("f", 999, 0, nil); err == nil {
+	if _, err := server.CallSession(0, "f", 999, 0, nil); err == nil {
 		t.Error("expected error calling dead activation")
 	}
 }
@@ -115,8 +115,8 @@ func f(x: int): int {
 func main() { print(f(1)); }
 `, core.Spec{Func: "f", Seed: "a"})
 	server := NewServer(NewRegistry(res))
-	i1, _ := server.Enter("f", 0)
-	i2, _ := server.Enter("f", 0)
+	i1, _ := server.EnterSession(0, "f", 0, 0)
+	i2, _ := server.EnterSession(0, "f", 0, 0)
 	// Fragment 0 is "a = $a0" ... find the exec fragment that sets a from x.
 	comp := res.Splits["f"].Hidden
 	var initFrag, fetchFrag int
@@ -133,17 +133,17 @@ func main() { print(f(1)); }
 	if initFrag < 0 || fetchFrag < 0 {
 		t.Fatalf("fragments not found:\n%s", comp)
 	}
-	if _, err := server.Call("f", i1, initFrag, []interp.Value{interp.IntV(5)}); err != nil {
+	if _, err := server.CallSession(0, "f", i1, initFrag, []interp.Value{interp.IntV(5)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := server.Call("f", i2, initFrag, []interp.Value{interp.IntV(9)}); err != nil {
+	if _, err := server.CallSession(0, "f", i2, initFrag, []interp.Value{interp.IntV(9)}); err != nil {
 		t.Fatal(err)
 	}
-	v1, err := server.Call("f", i1, fetchFrag, nil)
+	v1, err := server.CallSession(0, "f", i1, fetchFrag, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := server.Call("f", i2, fetchFrag, nil)
+	v2, err := server.CallSession(0, "f", i2, fetchFrag, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +155,12 @@ func main() { print(f(1)); }
 func TestArgCountValidated(t *testing.T) {
 	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
 	server := NewServer(NewRegistry(res))
-	inst, _ := server.Enter("f", 0)
+	inst, _ := server.EnterSession(0, "f", 0, 0)
 	comp := res.Splits["f"].Hidden
 	for _, id := range comp.FragIDs() {
 		fr := comp.Frags[id]
 		if len(fr.ArgVars) > 0 {
-			if _, err := server.Call("f", inst, id, nil); err == nil {
+			if _, err := server.CallSession(0, "f", inst, id, nil); err == nil {
 				t.Errorf("fragment %d accepted wrong arg count", id)
 			}
 			return
@@ -208,8 +208,8 @@ func TestCountersCountValues(t *testing.T) {
 func TestUnknownFragment(t *testing.T) {
 	res := split(t, testSrc, core.Spec{Func: "f", Seed: "a"})
 	server := NewServer(NewRegistry(res))
-	inst, _ := server.Enter("f", 0)
-	if _, err := server.Call("f", inst, 9999, nil); err == nil {
+	inst, _ := server.EnterSession(0, "f", 0, 0)
+	if _, err := server.CallSession(0, "f", inst, 9999, nil); err == nil {
 		t.Error("expected unknown-fragment error")
 	}
 }
@@ -295,12 +295,12 @@ func TestConcurrentServerAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				inst, err := server.Enter("f", 0)
+				inst, err := server.EnterSession(0, "f", 0, 0)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if err := server.Exit("f", inst); err != nil {
+				if err := server.ExitSession(0, "f", inst); err != nil {
 					t.Error(err)
 					return
 				}

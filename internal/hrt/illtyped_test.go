@@ -66,7 +66,7 @@ func TestIllTypedHiddenCallsStaySafe(t *testing.T) {
 		interp.FloatV(math.Inf(1)), interp.BoolV(true), interp.BoolV(false), interp.StrV(""), interp.StrV("héllo"),
 	}
 	s := NewServer(reg)
-	inst, err := s.Enter("ops", 0)
+	inst, err := s.EnterSession(0, "ops", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,5 +96,5 @@ func callNoPanic(t *testing.T, s *Server, call string, inst int64, frag int, arg
 			t.Fatalf("%s panicked: %v", call, r)
 		}
 	}()
-	return s.Call("ops", inst, frag, args)
+	return s.CallSession(0, "ops", inst, frag, args)
 }

@@ -1002,7 +1002,9 @@ func (ts *TCPServer) muxServeOne(st *muxConnState, req Request, oneway *int, upd
 			// in-flight window — a hole no resend could refill.
 			ack := ts.dedup.HighWater(req.Session)
 			if ack > 0 {
-				ts.muxCommitGate()
+				if ts.Persist != nil {
+					ts.Persist.awaitReplicated()
+				}
 				ts.muxWindowUpdates.Add(1)
 				st.respCh <- muxWrite{session: req.Session, resp: Response{Flags: RespWindow, Ack: ack}}
 			}
@@ -1016,22 +1018,4 @@ func (ts *TCPServer) muxServeOne(st *muxConnState, req Request, oneway *int, upd
 		resp = Response{Seq: req.Seq, Err: err.Error()}
 	}
 	st.respCh <- muxWrite{session: req.Session, resp: resp}
-}
-
-// muxCommitGate holds a window update until the journal position it will
-// acknowledge is replicated, preserving the fleet invariant that a client
-// never observes an acknowledgement for records a promoted follower could
-// be missing. (Reply-bearing responses are gated inside the durable
-// round-trip path; window updates acknowledge one-way executions, which
-// that path deliberately does not gate.)
-func (ts *TCPServer) muxCommitGate() {
-	if ts.Persist == nil {
-		return
-	}
-	c := ts.Persist.getCommitter()
-	if c == nil {
-		return
-	}
-	gen, records := ts.Persist.CurrentPosition()
-	c.WaitCommitted(gen, records)
 }

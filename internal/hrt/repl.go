@@ -347,55 +347,45 @@ func (ts *TCPServer) ApplyReplicated(payload []byte) error {
 	if ts.dedup == nil {
 		return errors.New("hrt: server is not serving")
 	}
-	if session, seq, ok := RecordStamp(payload); ok && ts.dedup.replSeen(session, seq) {
-		return nil
+	if ts.Persist == nil {
+		return ts.landReplicated(payload)
 	}
-	rec, err := decodeRecord(payload)
-	if err != nil {
-		return fmt.Errorf("hrt: replicated record: %w", err)
-	}
-	p := ts.Persist
-	if p == nil {
-		return ts.landReplicated(rec, payload)
-	}
-	// Atomic with respect to snapshots and catch-up imports, like every
-	// live request: the slot claim, server state, journal append, and dedup
-	// bookkeeping all land under one quiesce read hold, so a snapshot never
-	// captures applied state without its replay high-water mark, and an
-	// import (which takes the write hold) never lands between the claim and
-	// the apply.
-	p.quiesce.RLock()
-	err = ts.landReplicated(rec, payload)
-	p.quiesce.RUnlock()
-	if err != nil {
-		return err
-	}
-	if p.snapshotDue() {
-		if serr := p.Snapshot(); serr != nil {
-			p.snapErrors.Add(1)
-			p.opts.Tracer.Emit(obs.LevelError, "wal_snapshot_error", obs.Err(serr))
-		}
-	}
-	return nil
+	var err error
+	ts.Persist.land(func() { err = ts.landReplicated(payload) })
+	return err
 }
 
 // landReplicated claims the record's session slot and, unless the record
-// is a duplicate, applies it, journals it (durable servers) and settles it
-// into the replay state; a failed apply or append releases the slot with
-// nothing settled.
-func (ts *TCPServer) landReplicated(rec *journalRecord, payload []byte) error {
-	if !ts.dedup.replBegin(rec.session, rec.seq) {
+// is a duplicate, decodes and applies it, journals it (durable servers)
+// and settles it into the replay state; a failed landing releases the slot
+// with nothing settled.
+func (ts *TCPServer) landReplicated(payload []byte) error {
+	session, seq, ok := RecordStamp(payload)
+	if !ok {
+		return errors.New("hrt: replicated record too short to carry a stamp")
+	}
+	d := ts.dedup
+	sh, e, isNew := d.entry(session)
+	if isNew {
+		defer d.traceEvicted(d.evictLocked(sh))
+	}
+	if seq <= e.lastSeq {
+		sh.mu.Unlock()
 		return nil // duplicate: re-stream or mesh echo of an observed record
 	}
-	err := ts.Server.applyRecord(rec)
-	if err == nil && ts.Persist != nil {
-		err = ts.Persist.appendReplicated(payload)
+	e.done = make(chan struct{})
+	sh.mu.Unlock()
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		err = fmt.Errorf("hrt: replicated record: %w", err)
+	} else if err = ts.Server.applyRecord(rec); err == nil && ts.Persist != nil {
+		err = ts.Persist.append(payload)
 	}
 	if err != nil {
-		ts.dedup.replAbort(rec.session)
+		sh.release(session, e, seq, false, nil)
 		return err
 	}
-	ts.dedup.replFinish(rec)
+	sh.release(session, e, seq, rec.noReply, &rec.resp)
 	return nil
 }
 
@@ -458,104 +448,6 @@ func (d *Dedup) Has(session uint64) bool {
 	return ok
 }
 
-// replSeen reports whether a replicated record stamped (session, seq) is a
-// duplicate, without claiming the session's in-flight slot: the answer
-// replBegin would give, with the same LRU touch. A session with a request
-// in flight answers false — only replBegin may wait that request out.
-func (d *Dedup) replSeen(session, seq uint64) bool {
-	d.lazyInit()
-	sh := d.shard(session)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.sessions[session]
-	if e == nil || e.done != nil || seq > e.lastSeq {
-		return false
-	}
-	sh.clock++
-	e.used = sh.clock
-	if d.EvictGrace > 0 {
-		e.lastSeen = d.timeNow()
-	}
-	return true
-}
-
-// replBegin claims session's in-flight slot for a replicated apply of
-// seq. It waits out any concurrently executing request of the session,
-// then reports whether seq is still beyond the replay high-water mark; on
-// true the slot stays held and the caller must release it with replFinish
-// or replAbort. Holding the slot is what makes a replicated apply and a
-// live execution of the same session mutually exclusive — a mesh echo of
-// a record a freshly promoted replica is re-executing would otherwise
-// double-apply state and double-count the execution tallies.
-func (d *Dedup) replBegin(session, seq uint64) bool {
-	d.lazyInit()
-	sh := d.shard(session)
-	sh.mu.Lock()
-	sh.clock++
-	e := sh.sessions[session]
-	isNew := e == nil
-	if isNew {
-		e = &dedupEntry{}
-		sh.sessions[session] = e
-	}
-	e.used = sh.clock
-	if d.EvictGrace > 0 {
-		e.lastSeen = d.timeNow()
-	}
-	if isNew {
-		defer d.traceEvicted(d.evictLocked(sh))
-	}
-	for e.done != nil {
-		done := e.done
-		sh.mu.Unlock()
-		<-done
-		sh.mu.Lock()
-	}
-	if seq <= e.lastSeq {
-		sh.mu.Unlock()
-		return false
-	}
-	e.done = make(chan struct{})
-	sh.mu.Unlock()
-	return true
-}
-
-// replFinish settles the applied record into the session's replay state
-// (see settle) and releases the session's in-flight slot.
-func (d *Dedup) replFinish(rec *journalRecord) {
-	sh := d.shard(rec.session)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.sessions[rec.session]
-	if e == nil {
-		return // unreachable: the slot is held
-	}
-	e.settle(rec.seq, rec.noReply, rec.resp)
-	if e.done != nil {
-		close(e.done)
-		e.done = nil
-	}
-}
-
-// replAbort releases the in-flight slot after a failed apply without
-// advancing any state; an entry the failed apply created is removed.
-func (d *Dedup) replAbort(session uint64) {
-	sh := d.shard(session)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.sessions[session]
-	if e == nil {
-		return
-	}
-	if e.done != nil {
-		close(e.done)
-		e.done = nil
-	}
-	if e.lastSeq == 0 && e.respSeq == 0 && !e.lost && e.deferred == "" {
-		delete(sh.sessions, session)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Durability replication hooks
 
@@ -573,12 +465,6 @@ func (p *Durability) SetCommitter(c ReplCommitter) {
 	p.mu.Lock()
 	p.committer = c
 	p.mu.Unlock()
-}
-
-func (p *Durability) getCommitter() ReplCommitter {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.committer
 }
 
 // CurrentPosition reports the journal's current replication position: the
@@ -613,19 +499,4 @@ func (p *Durability) AppendNotify() <-chan struct{} {
 		p.notify = make(chan struct{})
 	}
 	return p.notify
-}
-
-// appendReplicated journals a record received from a fleet peer verbatim.
-// It shares the primary path's failure semantics: an append failure
-// poisons the layer, so this replica stops acknowledging replication it
-// cannot make durable.
-func (p *Durability) appendReplicated(payload []byte) error {
-	start := time.Now()
-	if err := p.append(payload); err != nil {
-		return p.appendFailed(err)
-	}
-	p.appendNS.Observe(time.Since(start))
-	p.appends.Add(1)
-	p.appendBytes.Add(int64(len(payload)))
-	return nil
 }

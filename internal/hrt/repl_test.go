@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"slicehide/internal/interp"
@@ -324,4 +327,141 @@ func AppendReplFrame(b []byte, f ReplFrame) ([]byte, error) {
 		return b, err
 	}
 	return append(b, f.Payload...), nil
+}
+
+// TestFailedAdoptionLeavesReplicaEmpty: memory keeps only a base its disk
+// adopted. The catch-up import of an origin's state fails because a
+// directory occupies the name of the snapshot file adoption writes; the
+// replica must still be empty, so the cluster accepts the sender's next
+// offer instead of streaming records over a base the disk never received.
+// Once the name is free the same payload adopts, and a restart recovers
+// it.
+func TestFailedAdoptionLeavesReplicaEmpty(t *testing.T) {
+	res := durableSplit(t)
+	origin := OpenDurable(t, res, t.TempDir(), false)
+	if out := origin.Run(res, 100_000_000); out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	payload, err := encodeCut(captureCut(origin.Server, origin.dd))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := origin.State()
+	origin.Crash(t)
+
+	dir := t.TempDir()
+	ts, p := durableReplica(t, dir)
+	blocker := p.snapPath(1)
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.ImportCatchupSnapshot(payload); err == nil {
+		t.Fatal("import succeeded although its snapshot file could not be written")
+	}
+	if !ts.StateEmpty() {
+		st := ts.Server.Stats()
+		t.Fatalf("failed adoption left Enters %d, Calls %d and %d dedup sessions in memory; the replica must stay empty",
+			st.Enters, st.Calls, ts.dedup.Sessions())
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.ImportCatchupSnapshot(payload); err != nil {
+		t.Fatalf("retried adoption: %v", err)
+	}
+	adopted := (&DurableServer{Server: ts.Server, dd: ts.dedup, p: p}).State()
+	if adopted != want {
+		t.Fatalf("adopted state differs from the origin's:\norigin:\n%s\nadopted:\n%s", want, adopted)
+	}
+	crash(t, p)
+	ts, p = durableReplica(t, dir)
+	defer crash(t, p)
+	if got := (&DurableServer{Server: ts.Server, dd: ts.dedup, p: p}).State(); got != want {
+		t.Fatalf("recovered state differs from the adopted base:\nadopted:\n%s\nrecovered:\n%s", want, got)
+	}
+}
+
+// TestReplicatedAndLiveSameStampLandOnce races the two ways one
+// (session, seq) can reach a durable replica: the mesh echo of a record
+// (ApplyReplicated) and a live re-execution of the same request after a
+// promotion (RoundTrip). Whichever arrives first lands; the other must
+// find the session's slot settled. The execution tallies move once, the
+// journal holds one record of the stamp, and the replay cache answers the
+// reply.
+func TestReplicatedAndLiveSameStampLandOnce(t *testing.T) {
+	const session = 51
+	enter := Request{Op: OpEnter, Session: session, Seq: 1, Fn: bumpFn, Obj: 1}
+	_, dd, p := startDurable(t, durableSplit(t), t.TempDir(), DurabilityOptions{SnapshotEvery: -1})
+	inst := mustRoundTrip(t, dd, enter).Inst
+	call := bumpCall(session, 2, inst, bumpSetT, interp.IntV(4))
+	wantResp := mustRoundTrip(t, dd, call)
+	var records [][]byte
+	if _, _, err := wal.ScanFile(p.journalPath(p.gen), func(payload []byte) error {
+		records = append(records, append([]byte(nil), payload...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	crash(t, p)
+	if len(records) != 2 {
+		t.Fatalf("origin journaled %d records, want 2", len(records))
+	}
+
+	for _, order := range []string{"replicated first", "live first", "concurrent"} {
+		ts, p := durableReplica(t, t.TempDir())
+		if err := ts.ApplyReplicated(records[0]); err != nil {
+			t.Fatal(err)
+		}
+		before := ts.Server.Stats()
+		apply := func() error { return ts.ApplyReplicated(records[1]) }
+		live := func() error {
+			resp, err := ts.roundTrip(call)
+			if err == nil && resp != wantResp {
+				err = fmt.Errorf("live answer %+v, want %+v", resp, wantResp)
+			}
+			return err
+		}
+		var errs [2]error
+		switch order {
+		case "replicated first":
+			errs[0], errs[1] = apply(), live()
+		case "live first":
+			errs[1], errs[0] = live(), apply()
+		default:
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			wg.Add(2)
+			go func() { defer wg.Done(); <-start; errs[0] = apply() }()
+			go func() { defer wg.Done(); <-start; errs[1] = live() }()
+			close(start)
+			wg.Wait()
+		}
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", order, err)
+			}
+		}
+		if got := ts.Server.Stats(); got.Calls != before.Calls+1 || got.Enters != before.Enters {
+			t.Errorf("%s: tallies went from %+v to %+v, want one more call", order, before, got)
+		}
+		var stamped int
+		if _, _, err := wal.ScanFile(p.journalPath(p.gen), func(payload []byte) error {
+			if s, seq, _ := RecordStamp(payload); s == session && seq == call.Seq {
+				stamped++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if stamped != 1 {
+			t.Errorf("%s: journal holds %d records of stamp (%d, %d), want 1", order, stamped, session, call.Seq)
+		}
+		if resp, err := ts.roundTrip(call); err != nil || resp != wantResp {
+			t.Errorf("%s: replayed answer %+v (%v), want %+v from the replay cache", order, resp, err, wantResp)
+		}
+		if got := ts.Server.Stats().Calls; got != before.Calls+1 {
+			t.Errorf("%s: the replay executed again (calls %d)", order, got)
+		}
+		crash(t, p)
+	}
 }

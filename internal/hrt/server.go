@@ -220,16 +220,11 @@ func mix64(x uint64) uint64 {
 // startup banner).
 func (s *Server) Shards() int { return len(s.shards) }
 
-// Enter opens a hidden activation for split function fn; obj is the
-// receiver instance id for methods of classes with hidden fields.
-func (s *Server) Enter(fn string, obj int64) (int64, error) {
-	return s.EnterSession(0, fn, obj, 0)
-}
-
-// EnterSession opens an activation in the given session's namespace. When
-// inst is non-zero it is a client-assigned instance id (the pipelined
-// transport picks ids locally so Enter needs no reply); zero asks the
-// server to assign one.
+// EnterSession opens a hidden activation for split function fn in the
+// given session's namespace; obj is the receiver instance id for methods
+// of classes with hidden fields. When inst is non-zero it is a
+// client-assigned instance id (the pipelined transport picks ids locally
+// so Enter needs no reply); zero asks the server to assign one.
 func (s *Server) EnterSession(session uint64, fn string, obj, inst int64) (int64, error) {
 	cc := s.reg.Prog.Comps[fn]
 	if cc == nil {
@@ -282,11 +277,6 @@ func (sh *serverShard) instanceStore(prog *vm.Program, session uint64, class str
 	return st
 }
 
-// Exit discards the hidden activation.
-func (s *Server) Exit(fn string, inst int64) error {
-	return s.ExitSession(0, fn, inst)
-}
-
 // ExitSession discards an activation in the given session's namespace.
 func (s *Server) ExitSession(session uint64, fn string, inst int64) error {
 	sh := s.shard(session)
@@ -319,15 +309,10 @@ func (s *Server) ActiveInstances() int {
 	return n
 }
 
-// Call executes fragment frag of fn's hidden component under activation
-// inst. It returns the fragment's value, or the sentinel "any" (null) for
-// fragments that return nothing.
-func (s *Server) Call(fn string, inst int64, frag int, args []interp.Value) (interp.Value, error) {
-	return s.CallSession(0, fn, inst, frag, args)
-}
-
-// CallSession executes a fragment against an activation in the given
-// session's namespace.
+// CallSession executes fragment frag of fn's hidden component under
+// activation inst of the given session's namespace. It returns the
+// fragment's value, or the sentinel "any" (null) for fragments that return
+// nothing.
 func (s *Server) CallSession(session uint64, fn string, inst int64, frag int, args []interp.Value) (interp.Value, error) {
 	v, _, err := s.exec(session, fn, inst, frag, args, false)
 	return v, err

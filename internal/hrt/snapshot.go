@@ -187,7 +187,6 @@ type stateCut struct {
 	gen    uint64
 	sealed *wal.Journal // the generation the cut sealed; closed by the writer
 	begin  time.Time
-	pause  time.Duration
 
 	prog                 *vm.Program
 	enters, exits, calls int64
@@ -597,14 +596,12 @@ func (d *Dedup) exportSessions() []dedupSessionState {
 	return out
 }
 
-// restoreSessions installs recovered replay state (see restored).
+// restoreSessions installs recovered replay state. Recovery never
+// evicts: the stripe may transiently exceed its cap (the next insertion
+// evicts normally).
 func (d *Dedup) restoreSessions(list []dedupSessionState) {
-	d.lazyInit()
-	now := d.timeNow()
 	for _, ss := range list {
-		sh := d.shard(ss.Session)
-		sh.mu.Lock()
-		e := sh.restored(ss.Session, now)
+		sh, e, _ := d.entry(ss.Session)
 		e.lastSeq, e.respSeq, e.resp = ss.LastSeq, ss.RespSeq, ss.Resp
 		e.deferred, e.lost = ss.Deferred, ss.Lost
 		sh.mu.Unlock()
@@ -614,25 +611,7 @@ func (d *Dedup) restoreSessions(list []dedupSessionState) {
 // recoverRecord settles one replayed journal record into its session's
 // replay state, by the rule live execution publishes with (see settle).
 func (d *Dedup) recoverRecord(rec *journalRecord) {
-	d.lazyInit()
-	sh := d.shard(rec.session)
-	sh.mu.Lock()
-	sh.restored(rec.session, d.timeNow()).settle(rec.seq, rec.noReply, rec.resp)
+	sh, e, _ := d.entry(rec.session)
+	e.settle(rec.seq, rec.noReply, rec.resp)
 	sh.mu.Unlock()
-}
-
-// restored returns session's entry (created if absent) the way recovery
-// installs state: stamped as just seen, so the eviction grace window
-// protects it while its client reconnects, and with no eviction pass —
-// recovery never evicts, and the stripe may transiently exceed its cap
-// (the next insertion evicts normally). Caller holds sh.mu.
-func (sh *dedupShard) restored(session uint64, now time.Time) *dedupEntry {
-	sh.clock++
-	e := sh.sessions[session]
-	if e == nil {
-		e = &dedupEntry{}
-		sh.sessions[session] = e
-	}
-	e.used, e.lastSeen = sh.clock, now
-	return e
 }

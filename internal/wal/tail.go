@@ -200,14 +200,10 @@ func NewOffsetTracker() *OffsetTracker {
 	return t
 }
 
-// Register adds a follower at position zero (nothing acknowledged).
-// Registering an existing follower resets its position.
-func (t *OffsetTracker) Register(peer string) {
-	t.RegisterAt(peer, Position{})
-}
-
 // RegisterAt registers a follower at a known starting position — the
-// resume point of a reconnecting stream, or a catch-up transfer's cut.
+// resume point of a reconnecting stream, or a catch-up transfer's cut;
+// Position{} means nothing acknowledged. Registering an existing follower
+// resets its position.
 // Registering a joiner at its true position (instead of zero) keeps the
 // commit gate from stalling on history the follower already holds.
 func (t *OffsetTracker) RegisterAt(peer string, pos Position) {
@@ -276,18 +272,14 @@ func (t *OffsetTracker) minLocked() (Position, int) {
 	return min, len(t.acked)
 }
 
-// WaitFor blocks until every registered follower has acknowledged at least
-// target, or no followers remain registered (a fleet of one serves alone).
-// It returns the number of followers that covered the target.
-func (t *OffsetTracker) WaitFor(target Position) int {
-	n, _ := t.waitFor(target, nil)
-	return n
-}
-
-// WaitForTimeout is WaitFor with a deadline: it additionally returns false
-// if timeout elapsed before every follower covered the target. A wedged
-// (but still connected) follower must not hold the request path hostage —
-// the caller degrades to asynchronous replication for that response.
+// WaitForTimeout blocks until every registered follower has acknowledged
+// at least target, or no followers remain registered (a fleet of one
+// serves alone), and returns the number of followers that covered the
+// target. With a positive timeout it additionally returns false if timeout
+// elapsed before every follower covered the target: a wedged (but still
+// connected) follower must not hold the request path hostage — the caller
+// degrades to asynchronous replication for that response. A timeout ≤ 0
+// waits without a deadline.
 func (t *OffsetTracker) WaitForTimeout(target Position, timeout time.Duration) (int, bool) {
 	if timeout <= 0 {
 		n, _ := t.waitFor(target, nil)

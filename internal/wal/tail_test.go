@@ -398,12 +398,12 @@ func TestOffsetTrackerMinAndWait(t *testing.T) {
 		t.Fatalf("empty tracker has %d followers", n)
 	}
 	// No followers: waits return immediately.
-	if n := tr.WaitFor(Position{Gen: 5, Records: 5}); n != 0 {
+	if n, _ := tr.WaitForTimeout(Position{Gen: 5, Records: 5}, 0); n != 0 {
 		t.Fatalf("WaitFor on empty tracker returned %d", n)
 	}
 
-	tr.Register("a")
-	tr.Register("b")
+	tr.RegisterAt("a", Position{})
+	tr.RegisterAt("b", Position{})
 	tr.Ack("a", Position{Gen: 0, Records: 10})
 	tr.Ack("b", Position{Gen: 0, Records: 4})
 	min, n := tr.Min()
@@ -428,7 +428,8 @@ func TestOffsetTrackerMinAndWait(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		released <- tr.WaitFor(target)
+		n, _ := tr.WaitForTimeout(target, 0)
+		released <- n
 	}()
 	select {
 	case <-released:
@@ -447,12 +448,12 @@ func TestOffsetTrackerMinAndWait(t *testing.T) {
 // cannot be allowed to wedge the request path.
 func TestOffsetTrackerDropReleasesWaiters(t *testing.T) {
 	tr := NewOffsetTracker()
-	tr.Register("fast")
-	tr.Register("dead")
+	tr.RegisterAt("fast", Position{})
+	tr.RegisterAt("dead", Position{})
 	target := Position{Gen: 0, Records: 1}
 	tr.Ack("fast", target)
 	done := make(chan int, 1)
-	go func() { done <- tr.WaitFor(target) }()
+	go func() { n, _ := tr.WaitForTimeout(target, 0); done <- n }()
 	select {
 	case <-done:
 		t.Fatal("WaitFor returned while the dead follower lagged")
@@ -471,7 +472,7 @@ func TestOffsetTrackerDropReleasesWaiters(t *testing.T) {
 
 func TestOffsetTrackerWaitTimeout(t *testing.T) {
 	tr := NewOffsetTracker()
-	tr.Register("slow")
+	tr.RegisterAt("slow", Position{})
 	start := time.Now()
 	n, ok := tr.WaitForTimeout(Position{Gen: 0, Records: 1}, 30*time.Millisecond)
 	if ok {
