@@ -1255,92 +1255,43 @@ func appendRecord(b []byte, rec *journalRecord) ([]byte, error) {
 func decodeRecord(payload []byte) (*journalRecord, error) {
 	d := newWireReader(bytes.NewReader(payload))
 	rec := &journalRecord{}
-	op, err := d.byte()
-	if err != nil {
-		return nil, err
+	rec.op = Op(d.byte())
+	if d.err == nil && (rec.op < OpEnter || rec.op > OpFlush) {
+		return nil, fmt.Errorf("hrt: record has unknown op %d", rec.op)
 	}
-	rec.op = Op(op)
-	if rec.op < OpEnter || rec.op > OpFlush {
-		return nil, fmt.Errorf("hrt: record has unknown op %d", op)
-	}
-	flags, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
+	flags := d.byte()
 	rec.noReply = flags&recNoReply != 0
 	rec.counted = flags&recCounted != 0
-	if rec.session, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if rec.seq, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if rec.fn, err = d.str(); err != nil {
-		return nil, err
-	}
-	var u uint64
-	if u, err = d.u64(); err != nil {
-		return nil, err
-	}
-	rec.inst = int64(u)
-	if u, err = d.u64(); err != nil {
-		return nil, err
-	}
-	rec.obj = int64(u)
-	var frag uint32
-	if frag, err = d.u32(); err != nil {
-		return nil, err
-	}
-	rec.frag = int(int32(frag))
-	if rec.globalsVersion, err = d.u64(); err != nil {
-		return nil, err
-	}
-	var n uint16
-	if n, err = d.u16(); err != nil {
-		return nil, err
-	}
-	if int(n) > maxRecordDeltas {
+	rec.session = d.u64()
+	rec.seq = d.u64()
+	rec.fn = d.str()
+	rec.inst = int64(d.u64())
+	rec.obj = int64(d.u64())
+	rec.frag = int(int32(d.u32()))
+	rec.globalsVersion = d.u64()
+	n := d.u16()
+	if d.err == nil && int(n) > maxRecordDeltas {
 		return nil, fmt.Errorf("hrt: record delta count %d exceeds limit %d", n, maxRecordDeltas)
 	}
-	for i := 0; i < int(n); i++ {
-		var del stateDelta
-		sc, err := d.byte()
-		if err != nil {
-			return nil, err
+	for i := 0; i < int(n) && d.err == nil; i++ {
+		del := stateDelta{scope: deltaScope(d.byte())}
+		if d.err == nil && (del.scope < scopeAct || del.scope > scopeField) {
+			return nil, fmt.Errorf("hrt: record delta has unknown scope %d", del.scope)
 		}
-		del.scope = deltaScope(sc)
-		if del.scope < scopeAct || del.scope > scopeField {
-			return nil, fmt.Errorf("hrt: record delta has unknown scope %d", sc)
-		}
-		if del.name, err = d.str(); err != nil {
-			return nil, err
-		}
-		if del.val, err = d.value(); err != nil {
-			return nil, err
-		}
+		del.name = d.str()
+		del.val = d.value()
 		if del.scope == scopeField {
-			if del.class, err = d.str(); err != nil {
-				return nil, err
-			}
-			if u, err = d.u64(); err != nil {
-				return nil, err
-			}
-			del.obj = int64(u)
+			del.class = d.str()
+			del.obj = int64(d.u64())
 		}
 		rec.deltas = append(rec.deltas, del)
 	}
-	if rec.resp.Flags, err = d.byte(); err != nil {
-		return nil, err
-	}
-	if rec.resp.Val, err = d.value(); err != nil {
-		return nil, err
-	}
-	if u, err = d.u64(); err != nil {
-		return nil, err
-	}
-	rec.resp.Inst = int64(u)
-	if rec.resp.Err, err = d.str(); err != nil {
-		return nil, err
+	rec.resp.Flags = d.byte()
+	rec.resp.Val = d.value()
+	rec.resp.Inst = int64(d.u64())
+	rec.resp.Err = d.str()
+	if d.err != nil {
+		return nil, d.err
 	}
 	return rec, nil
 }

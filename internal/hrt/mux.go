@@ -88,10 +88,7 @@ func WriteMuxFrame(w io.Writer, session uint64, resp Response) error {
 // ReadMuxFrame decodes one multiplexed frame from r.
 func ReadMuxFrame(r io.Reader) (uint64, Response, error) {
 	d := newWireReader(r)
-	session, err := d.u64()
-	if err != nil {
-		return 0, Response{}, err
-	}
+	session := d.u64()
 	resp, err := readResponse(&d)
 	return session, resp, err
 }
@@ -783,13 +780,13 @@ func (st *muxConnState) fail() {
 
 // serveMux switches a serving connection into multiplexed mode after an
 // OpMuxHello: the hello is acknowledged with a plain response granting
-// the (clamped) per-session window, then every inbound request is
-// dispatched by session stamp to a per-session worker goroutine — so one
-// slow session backpressures only itself — and every response leaves as a
-// mux frame through a single shared writer goroutine that coalesces
-// bursts into one flush. This loop is the only place session requests
-// enter the server.
-func (ts *TCPServer) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer, hello Request) {
+// the (clamped) per-session window, then every inbound request, read
+// through the connection's decoder, is dispatched by session stamp to a
+// per-session worker goroutine — so one slow session backpressures only
+// itself — and every response leaves as a mux frame through a single
+// shared writer goroutine that coalesces bursts into one flush. This loop
+// is the only place session requests enter the server.
+func (ts *TCPServer) serveMux(conn net.Conn, dec *connDecoder, w *bufio.Writer, hello Request) {
 	writeHelloAck := func(resp Response) bool {
 		if ts.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(ts.WriteTimeout))
@@ -840,7 +837,7 @@ func (ts *TCPServer) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer, h
 		if ts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(ts.ReadTimeout))
 		}
-		req, err := ReadRequest(r)
+		req, err := dec.next()
 		if err != nil {
 			return // EOF, deadline, severed, or broken connection
 		}

@@ -347,91 +347,54 @@ func importSnapshot(s *Server, dd *Dedup, payload []byte) error {
 	if err := s.importState(&d); err != nil {
 		return err
 	}
-	n, err := d.u32()
-	if err != nil {
-		return err
-	}
-	if n > maxSnapshotItems {
+	n := d.u32()
+	if d.err == nil && n > maxSnapshotItems {
 		return fmt.Errorf("hrt: snapshot session count %d exceeds limit", n)
 	}
 	var sessions []dedupSessionState
-	for i := uint32(0); i < n; i++ {
+	for i := uint32(0); i < n && d.err == nil; i++ {
 		var ss dedupSessionState
-		if ss.Session, err = d.u64(); err != nil {
-			return err
-		}
-		if ss.LastSeq, err = d.u64(); err != nil {
-			return err
-		}
-		if ss.RespSeq, err = d.u64(); err != nil {
-			return err
-		}
-		flags, err := d.byte()
-		if err != nil {
-			return err
-		}
-		ss.Lost = flags&1 != 0
-		if ss.Deferred, err = d.str(); err != nil {
-			return err
-		}
-		if ss.Resp.Flags, err = d.byte(); err != nil {
-			return err
-		}
-		if ss.Resp.Val, err = d.value(); err != nil {
-			return err
-		}
-		var u uint64
-		if u, err = d.u64(); err != nil {
-			return err
-		}
-		ss.Resp.Inst = int64(u)
-		if ss.Resp.Err, err = d.str(); err != nil {
-			return err
-		}
+		ss.Session = d.u64()
+		ss.LastSeq = d.u64()
+		ss.RespSeq = d.u64()
+		ss.Lost = d.byte()&1 != 0
+		ss.Deferred = d.str()
+		ss.Resp.Flags = d.byte()
+		ss.Resp.Val = d.value()
+		ss.Resp.Inst = int64(d.u64())
+		ss.Resp.Err = d.str()
 		ss.Resp.Seq = ss.RespSeq
 		ss.Resp.Ack = ss.RespSeq
 		sessions = append(sessions, ss)
+	}
+	if d.err != nil {
+		return d.err
 	}
 	dd.restoreSessions(sessions)
 	return nil
 }
 
 func (s *Server) importState(d *wireReader) error {
-	format, err := d.u32()
-	if err != nil {
-		return err
-	}
-	if format != snapshotFormat {
+	if format := d.u32(); d.err == nil && format != snapshotFormat {
 		return fmt.Errorf("hrt: snapshot format %d, this build reads %d", format, snapshotFormat)
 	}
-	hash, err := d.u64()
-	if err != nil {
-		return err
-	}
-	if hash != s.reg.Prog.Hash {
+	if hash := d.u64(); d.err == nil && hash != s.reg.Prog.Hash {
 		return fmt.Errorf("hrt: snapshot was written by program %016x, this registry compiles to %016x (program changed?)", hash, s.reg.Prog.Hash)
 	}
-	var enters, exits, calls uint64
-	if enters, err = d.u64(); err != nil {
-		return err
-	}
-	if exits, err = d.u64(); err != nil {
-		return err
-	}
-	if calls, err = d.u64(); err != nil {
-		return err
+	enters := d.u64()
+	exits := d.u64()
+	calls := d.u64()
+	if d.err != nil {
+		return d.err
 	}
 	s.statEnters.Store(int64(enters))
 	s.statExits.Store(int64(exits))
 	s.statCalls.Store(int64(calls))
 
-	var gver uint64
-	if gver, err = d.u64(); err != nil {
-		return err
-	}
-	var n uint32
-	if n, err = d.u32(); err != nil {
-		return err
+	gver := d.u64()
+	n := d.u32()
+	if d.err != nil {
+		return d.err
 	}
 	if n > maxSnapshotItems {
 		return fmt.Errorf("hrt: snapshot globals count %d exceeds limit", n)
@@ -443,15 +406,11 @@ func (s *Server) importState(d *wireReader) error {
 	// over.
 	clear(s.globalSeen)
 	for i := uint32(0); i < n; i++ {
-		name, err := d.str()
-		if err != nil {
+		name := d.str()
+		val := d.value()
+		if d.err != nil {
 			s.globalsMu.Unlock()
-			return err
-		}
-		val, err := d.value()
-		if err != nil {
-			s.globalsMu.Unlock()
-			return err
+			return d.err
 		}
 		slot, ok := s.reg.Prog.Globals.SlotByName(name)
 		if !ok {
@@ -463,34 +422,22 @@ func (s *Server) importState(d *wireReader) error {
 	s.globalsMu.Unlock()
 
 	// Activation stores.
-	if n, err = d.u32(); err != nil {
-		return err
-	}
-	if n > maxSnapshotItems {
+	if n = d.u32(); d.err == nil && n > maxSnapshotItems {
 		return fmt.Errorf("hrt: snapshot activation count %d exceeds limit", n)
 	}
-	for i := uint32(0); i < n; i++ {
-		fn, err := d.str()
-		if err != nil {
-			return err
-		}
-		session, err := d.u64()
-		if err != nil {
-			return err
-		}
-		instU, err := d.u64()
-		if err != nil {
-			return err
-		}
-		objU, err := d.u64()
-		if err != nil {
-			return err
+	for i := uint32(0); i < n && d.err == nil; i++ {
+		fn := d.str()
+		session := d.u64()
+		inst := int64(d.u64())
+		obj := int64(d.u64())
+		if d.err != nil {
+			break
 		}
 		cc := s.reg.Prog.Comps[fn]
 		if cc == nil {
 			return fmt.Errorf("hrt: snapshot has activation of unknown component %s (program changed?)", fn)
 		}
-		st := &store{vals: cc.Act.NewVals(), obj: int64(objU)}
+		st := &store{vals: cc.Act.NewVals(), obj: obj}
 		if err := readVals(d, cc.Act.SlotByName, fn, st); err != nil {
 			return err
 		}
@@ -499,44 +446,35 @@ func (s *Server) importState(d *wireReader) error {
 		if sh.stores[fn] == nil {
 			sh.stores[fn] = make(map[actKey]*store)
 		}
-		sh.stores[fn][actKey{session: session, inst: int64(instU)}] = st
+		sh.stores[fn][actKey{session: session, inst: inst}] = st
 		sh.mu.Unlock()
 	}
 
 	// Instance stores.
-	if n, err = d.u32(); err != nil {
-		return err
-	}
-	if n > maxSnapshotItems {
+	if n = d.u32(); d.err == nil && n > maxSnapshotItems {
 		return fmt.Errorf("hrt: snapshot instance count %d exceeds limit", n)
 	}
-	for i := uint32(0); i < n; i++ {
-		session, err := d.u64()
-		if err != nil {
-			return err
-		}
-		class, err := d.str()
-		if err != nil {
-			return err
-		}
-		objU, err := d.u64()
-		if err != nil {
-			return err
+	for i := uint32(0); i < n && d.err == nil; i++ {
+		session := d.u64()
+		class := d.str()
+		obj := int64(d.u64())
+		if d.err != nil {
+			break
 		}
 		fields := s.reg.Prog.Fields[class]
-		st := &store{vals: fields.NewVals(), obj: int64(objU)}
+		st := &store{vals: fields.NewVals(), obj: obj}
 		if err := readVals(d, fields.SlotByName, "fields of "+class, st); err != nil {
 			return err
 		}
 		sh := s.shard(session)
 		sh.mu.Lock()
-		sh.instances[instanceKey{session: session, class: class, obj: int64(objU)}] = st
+		sh.instances[instanceKey{session: session, class: class, obj: obj}] = st
 		sh.mu.Unlock()
 	}
 
-	var maxInst uint64
-	if maxInst, err = d.u64(); err != nil {
-		return err
+	maxInst := d.u64()
+	if d.err != nil {
+		return d.err
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -550,21 +488,15 @@ func (s *Server) importState(d *wireReader) error {
 // readVals decodes one store's values, resolving names to slots through
 // the store's layout.
 func readVals(d *wireReader, resolve func(string) (int32, bool), what string, st *store) error {
-	n, err := d.u32()
-	if err != nil {
-		return err
-	}
-	if n > maxSnapshotItems {
+	n := d.u32()
+	if d.err == nil && n > maxSnapshotItems {
 		return fmt.Errorf("hrt: snapshot value count %d exceeds limit", n)
 	}
 	for i := uint32(0); i < n; i++ {
-		name, err := d.str()
-		if err != nil {
-			return err
-		}
-		val, err := d.value()
-		if err != nil {
-			return err
+		name := d.str()
+		val := d.value()
+		if d.err != nil {
+			return d.err
 		}
 		slot, ok := resolve(name)
 		if !ok {
@@ -572,7 +504,7 @@ func readVals(d *wireReader, resolve func(string) (int32, bool), what string, st
 		}
 		st.vals[slot] = val
 	}
-	return nil
+	return d.err
 }
 
 // ---------------------------------------------------------------------------

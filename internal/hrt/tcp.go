@@ -226,7 +226,10 @@ const muxRequiredErr = "hrt: multiplexed connection required: this server execut
 // decides what the connection is for its lifetime: a mux hello makes it
 // the (only) carrier of session requests, OpRepl a replication stream,
 // and OpPing a gossip/liveness exchange that may repeat. Anything else
-// gets one plain error response and a closed socket.
+// gets one plain error response and a closed socket. Every frame, the
+// first included, goes through the connection's one decoder, which
+// consumes exactly the frames it returns, so a replication stream carries
+// on from the same buffered reader.
 func (ts *TCPServer) serveConn(conn net.Conn) {
 	var req Request
 	// A panic while serving one connection (a codec or handler bug hit by an
@@ -239,12 +242,13 @@ func (ts *TCPServer) serveConn(conn net.Conn) {
 	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
+	dec := newConnDecoder(r)
 	for {
 		if ts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(ts.ReadTimeout))
 		}
 		var err error
-		if req, err = ReadRequest(r); err != nil {
+		if req, err = dec.next(); err != nil {
 			return // EOF, deadline, or broken connection
 		}
 		ts.requests.Add(1)
@@ -253,7 +257,7 @@ func (ts *TCPServer) serveConn(conn net.Conn) {
 			ts.serveRepl(conn, r, w, req)
 			return
 		case OpMuxHello:
-			ts.serveMux(conn, r, w, req)
+			ts.serveMux(conn, dec, w, req)
 			return
 		case OpPing:
 			if !ts.serveGossip(conn, w, req) {

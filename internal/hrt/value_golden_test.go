@@ -46,9 +46,9 @@ func TestValueBytesGolden(t *testing.T) {
 			t.Errorf("valueWireSize(%s %v) = %d, want %d", c.v.Kind, c.v, n, len(want))
 		}
 		r := newWireReader(bytes.NewReader(want))
-		back, err := r.value()
-		if err != nil {
-			t.Fatalf("decode %s: %v", c.wire, err)
+		back := r.value()
+		if r.err != nil {
+			t.Fatalf("decode %s: %v", c.wire, r.err)
 		}
 		if again, _ := appendValue(nil, back); !bytes.Equal(again, want) {
 			t.Errorf("%s decodes to a value that encodes as %x", c.wire, again)

@@ -3,6 +3,7 @@ package hrt
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -19,9 +20,22 @@ import (
 // The codec is allocation-lean: each frame is encoded into a pooled scratch
 // buffer and flushed with a single Write (which also means an unbuffered
 // socket sees one syscall per frame instead of one per field), and decoding
-// reads fixed-width fields through a small stack buffer instead of the
+// reads fixed-width fields through a small buffer instead of the
 // reflection-based binary.Read. The byte layout is identical to the
 // original codec; the wire fuzzers round-trip both directions to pin it.
+//
+// A serving connection reads its requests through one connDecoder. When a
+// whole frame is already in the bufio.Reader's buffer it is parsed in
+// place (Peek, then Discard of exactly the frame's length); a frame that
+// spans a refill is reread field by field. Both run connDecoder.parse, as
+// does the one-shot ReadRequest, so there is one reading of the layout.
+// The decoder reuses the previous frame's name string while the bytes
+// match, and hands each request's Args out of a per-connection slab of
+// argSlab values as a region clipped to its length: a region goes to one
+// request only and a spent slab is replaced, not reused, so no two
+// requests alias. Nothing keeps Args after the fragment executes, and the
+// VM writes only inside a fragment's own argument region, so a slab lives
+// about as long as the requests cut from it.
 
 const (
 	wireNull byte = iota
@@ -80,110 +94,132 @@ func appendValue(b []byte, v interp.Value) ([]byte, error) {
 	return b, fmt.Errorf("hrt: cannot send %s value over the wire", v.Kind)
 }
 
-// wireReader decodes fixed-width little-endian fields from a stream
-// through a small stack buffer, avoiding the per-field allocations of
-// reflection-based binary.Read.
+// wireReader decodes little-endian fields in one of two modes. In slice
+// mode (r nil) it reads from b, a frame already in memory, and fails with
+// errShortFrame when the frame runs past it; in stream mode it reads each
+// field from r through buf. The first failure sticks: it is kept in err,
+// and every later read returns a zero value without touching the input,
+// so a decoder reads its fields straight through and checks err once
+// (a limit check reports through fail, so it never overrides an earlier
+// read error).
 type wireReader struct {
-	r   io.Reader
+	b   []byte        // slice mode: the bytes not yet decoded
+	r   io.Reader     // stream mode: the source
 	br  *bufio.Reader // single-byte fast path when the stream is buffered
-	buf [8]byte
+	err error
+	// buf holds a stream-mode field. It is allocated on first use and is
+	// not part of the reader, so a reader never escapes to the heap.
+	buf *[8]byte
 }
+
+// errShortFrame ends a slice-mode decode that ran past the buffered bytes;
+// the connection decoder then rereads the frame in stream mode.
+var errShortFrame = errors.New("hrt: frame runs past the buffered bytes")
 
 func newWireReader(r io.Reader) wireReader {
 	br, _ := r.(*bufio.Reader)
 	return wireReader{r: r, br: br}
 }
 
-func (d *wireReader) byte() (byte, error) {
-	if d.br != nil {
-		return d.br.ReadByte()
+func (d *wireReader) fail(err error) {
+	if d.err == nil {
+		d.err = err
 	}
-	_, err := io.ReadFull(d.r, d.buf[:1])
-	return d.buf[0], err
 }
 
-func (d *wireReader) u16() (uint16, error) {
-	if _, err := io.ReadFull(d.r, d.buf[:2]); err != nil {
-		return 0, err
+// take returns the next n bytes, or nil once decoding has failed. In
+// stream mode they live in buf (or, past its size, a fresh slice) until
+// the next take.
+func (d *wireReader) take(n int) []byte {
+	if d.err != nil {
+		return nil
 	}
-	return binary.LittleEndian.Uint16(d.buf[:2]), nil
-}
-
-func (d *wireReader) u32() (uint32, error) {
-	if _, err := io.ReadFull(d.r, d.buf[:4]); err != nil {
-		return 0, err
+	if d.r == nil {
+		if len(d.b) < n {
+			d.err = errShortFrame
+			return nil
+		}
+		p := d.b[:n]
+		d.b = d.b[n:]
+		return p
 	}
-	return binary.LittleEndian.Uint32(d.buf[:4]), nil
-}
-
-func (d *wireReader) u64() (uint64, error) {
-	if _, err := io.ReadFull(d.r, d.buf[:8]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(d.buf[:8]), nil
-}
-
-// str reads a length-prefixed string. Short strings (component names,
-// most error messages) land in a stack scratch buffer so the only
-// allocation is the string itself.
-func (d *wireReader) str() (string, error) {
-	n, err := d.u32()
-	if err != nil {
-		return "", err
-	}
-	if n > maxWireString {
-		return "", fmt.Errorf("hrt: wire string length %d exceeds limit", n)
-	}
-	if n == 0 {
-		return "", nil
-	}
-	var scratch [64]byte
-	var buf []byte
-	if n <= uint32(len(scratch)) {
-		buf = scratch[:n]
+	var p []byte
+	if n <= 8 {
+		if d.buf == nil {
+			d.buf = new([8]byte)
+		}
+		p = d.buf[:n]
 	} else {
-		buf = make([]byte, n)
+		p = make([]byte, n)
 	}
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		return "", err
+	if _, err := io.ReadFull(d.r, p); err != nil {
+		d.err = err
+		return nil
 	}
-	return string(buf), nil
+	return p
 }
 
-func (d *wireReader) value() (interp.Value, error) {
-	k, err := d.byte()
-	if err != nil {
-		return interp.Value{}, err
+func (d *wireReader) byte() byte {
+	if d.br != nil && d.err == nil {
+		c, err := d.br.ReadByte()
+		d.err = err
+		return c
 	}
-	switch k {
+	if p := d.take(1); p != nil {
+		return p[0]
+	}
+	return 0
+}
+
+func (d *wireReader) u16() uint16 {
+	if p := d.take(2); p != nil {
+		return binary.LittleEndian.Uint16(p)
+	}
+	return 0
+}
+
+func (d *wireReader) u32() uint32 {
+	if p := d.take(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
+	}
+	return 0
+}
+
+func (d *wireReader) u64() uint64 {
+	if p := d.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+// strBytes reads a length-prefixed string's bytes (see take).
+func (d *wireReader) strBytes() []byte {
+	n := d.u32()
+	if n > maxWireString {
+		d.fail(fmt.Errorf("hrt: wire string length %d exceeds limit", n))
+	}
+	return d.take(int(n))
+}
+
+// str reads a length-prefixed string, the one allocation.
+func (d *wireReader) str() string { return string(d.strBytes()) }
+
+func (d *wireReader) value() interp.Value {
+	switch k := d.byte(); k {
 	case wireNull:
-		return interp.NullV(), nil
+		return interp.NullV()
 	case wireInt:
-		i, err := d.u64()
-		if err != nil {
-			return interp.Value{}, err
-		}
-		return interp.IntV(int64(i)), nil
+		return interp.IntV(int64(d.u64()))
 	case wireFloat:
-		bits, err := d.u64()
-		if err != nil {
-			return interp.Value{}, err
-		}
-		return interp.FloatV(math.Float64frombits(bits)), nil
+		return interp.FloatV(math.Float64frombits(d.u64()))
 	case wireBool:
-		b, err := d.byte()
-		if err != nil {
-			return interp.Value{}, err
-		}
-		return interp.BoolV(b != 0), nil
+		return interp.BoolV(d.byte() != 0)
 	case wireString:
-		s, err := d.str()
-		if err != nil {
-			return interp.Value{}, err
-		}
-		return interp.StrV(s), nil
+		return interp.StrV(d.str())
+	default:
+		d.fail(fmt.Errorf("hrt: unknown wire value kind %d", k))
+		return interp.Value{}
 	}
-	return interp.Value{}, fmt.Errorf("hrt: unknown wire value kind %d", k)
 }
 
 // WriteRequest encodes req onto w as a single Write.
@@ -218,55 +254,106 @@ func WriteRequest(w io.Writer, req Request) error {
 	return err
 }
 
-// ReadRequest decodes one request from r.
+// ReadRequest decodes one request from r: the one-shot form of the
+// connection decoder, the same parse with nothing carried between frames.
 func ReadRequest(r io.Reader) (Request, error) {
+	var c connDecoder
 	var req Request
 	d := newWireReader(r)
-	op, err := d.byte()
-	if err != nil {
-		return req, err
-	}
-	req.Op = Op(op)
-	if req.Flags, err = d.byte(); err != nil {
-		return req, err
-	}
-	if req.Session, err = d.u64(); err != nil {
-		return req, err
-	}
-	if req.Seq, err = d.u64(); err != nil {
-		return req, err
-	}
-	if req.Fn, err = d.str(); err != nil {
-		return req, err
-	}
-	var u uint64
-	if u, err = d.u64(); err != nil {
-		return req, err
-	}
-	req.Inst = int64(u)
-	if u, err = d.u64(); err != nil {
-		return req, err
-	}
-	req.Obj = int64(u)
-	var frag uint32
-	if frag, err = d.u32(); err != nil {
-		return req, err
-	}
-	req.Frag = int(int32(frag))
-	var n uint16
-	if n, err = d.u16(); err != nil {
-		return req, err
-	}
-	if int(n) > maxWireArgs {
-		return req, fmt.Errorf("hrt: wire request arg count %d exceeds limit %d", n, maxWireArgs)
-	}
-	req.Args = make([]interp.Value, n)
-	for i := range req.Args {
-		if req.Args[i], err = d.value(); err != nil {
-			return req, err
+	err := c.parse(&d, &req)
+	return req, err
+}
+
+// argSlab is the number of argument values one slab holds.
+const argSlab = 64
+
+// connDecoder reads request frames. Over a connection (br set) it reads a
+// frame in place when the whole frame is already buffered, reuses the
+// previous frame's name while the bytes match, and cuts each request's
+// Args from a slab; the zero value decodes one-shot.
+type connDecoder struct {
+	br   *bufio.Reader
+	fn   string
+	slab []interp.Value // the unclaimed rest of the current slab
+	d    wireReader     // per connection, so a frame allocates no reader
+}
+
+func newConnDecoder(br *bufio.Reader) *connDecoder { return &connDecoder{br: br} }
+
+// next decodes the connection's next request, blocking until it arrives.
+// A frame parsed in place is Discarded to its exact length, so whoever
+// reads the connection next starts at the following frame; one that
+// spans a refill is reread field by field.
+func (c *connDecoder) next() (Request, error) {
+	n := c.br.Buffered()
+	if n == 0 {
+		if _, err := c.br.Peek(1); err != nil {
+			return Request{}, err
 		}
+		n = c.br.Buffered()
 	}
-	return req, nil
+	buf, _ := c.br.Peek(n)
+	c.d.b, c.d.r, c.d.br, c.d.err = buf, nil, nil, nil
+	slab := c.slab
+	var req Request
+	err := c.parse(&c.d, &req)
+	if err != errShortFrame {
+		if err == nil {
+			_, _ = c.br.Discard(n - len(c.d.b)) // cannot fail: the frame is buffered
+		}
+		return req, err
+	}
+	// The short parse handed nothing out: take its slab region back.
+	c.slab = slab
+	c.d.b, c.d.r, c.d.br, c.d.err = nil, c.br, c.br, nil
+	err = c.parse(&c.d, &req)
+	return req, err
+}
+
+// args returns a fresh n-value argument slice: over a connection, a slab
+// region clipped to its length and handed out once, so appending to one
+// request's Args reallocates instead of running into another's.
+func (c *connDecoder) args(n int) []interp.Value {
+	if n == 0 {
+		return []interp.Value{}
+	}
+	if c.br == nil || n > argSlab {
+		return make([]interp.Value, n)
+	}
+	if n > len(c.slab) {
+		c.slab = make([]interp.Value, argSlab)
+	}
+	a := c.slab[:n:n]
+	c.slab = c.slab[n:]
+	return a
+}
+
+// parse decodes one request through d into req, setting every field: the
+// one reading of the layout WriteRequest writes.
+func (c *connDecoder) parse(d *wireReader, req *Request) error {
+	req.Op = Op(d.byte())
+	req.Flags = d.byte()
+	req.Session = d.u64()
+	req.Seq = d.u64()
+	if name := d.strBytes(); string(name) != c.fn {
+		c.fn = string(name)
+	}
+	req.Fn = c.fn
+	req.Inst = int64(d.u64())
+	req.Obj = int64(d.u64())
+	req.Frag = int(int32(d.u32()))
+	n := d.u16()
+	if int(n) > maxWireArgs {
+		d.fail(fmt.Errorf("hrt: wire request arg count %d exceeds limit %d", n, maxWireArgs))
+	}
+	if d.err != nil {
+		return d.err
+	}
+	req.Args = c.args(int(n))
+	for i := range req.Args {
+		req.Args[i] = d.value()
+	}
+	return d.err
 }
 
 // appendResponse appends resp's encoded body; shared by the plain frame
@@ -302,26 +389,13 @@ func WriteResponse(w io.Writer, resp Response) error {
 // and multiplexed frame readers.
 func readResponse(d *wireReader) (Response, error) {
 	var resp Response
-	var err error
-	if resp.Flags, err = d.byte(); err != nil {
-		return resp, err
-	}
-	if resp.Seq, err = d.u64(); err != nil {
-		return resp, err
-	}
-	if resp.Ack, err = d.u64(); err != nil {
-		return resp, err
-	}
-	if resp.Val, err = d.value(); err != nil {
-		return resp, err
-	}
-	var u uint64
-	if u, err = d.u64(); err != nil {
-		return resp, err
-	}
-	resp.Inst = int64(u)
-	resp.Err, err = d.str()
-	return resp, err
+	resp.Flags = d.byte()
+	resp.Seq = d.u64()
+	resp.Ack = d.u64()
+	resp.Val = d.value()
+	resp.Inst = int64(d.u64())
+	resp.Err = d.str()
+	return resp, d.err
 }
 
 // ReadResponse decodes one response from r.

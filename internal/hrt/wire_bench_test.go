@@ -1,6 +1,7 @@
 package hrt
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"testing"
@@ -56,6 +57,40 @@ func BenchmarkWireReadRequest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWireConnDecoder decodes the same frame back to back from a
+// buffered stream, the way a serving connection reads a burst: most
+// frames parse in place, the one straddling each refill field by field.
+func BenchmarkWireConnDecoder(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteRequest(&buf, benchRequest); err != nil {
+		b.Fatal(err)
+	}
+	dec := newConnDecoder(bufio.NewReader(&loopReader{frame: buf.Bytes()}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dec.next(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// loopReader repeats frame forever.
+type loopReader struct {
+	frame []byte
+	off   int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], l.frame[l.off:])
+		n += c
+		l.off = (l.off + c) % len(l.frame)
+	}
+	return n, nil
 }
 
 func BenchmarkWireReadResponse(b *testing.B) {

@@ -1,7 +1,11 @@
 package hrt
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"math"
 	"testing"
 
 	"slicehide/internal/interp"
@@ -26,6 +30,12 @@ func fuzzSeedRequests() []Request {
 	}
 }
 
+// FuzzReadRequest is differential: every input decodes as a stream of
+// frames through ReadRequest, through a connection decoder on a default
+// bufio.Reader (most frames parse in place) and through one on a 16-byte
+// bufio.Reader (every frame straddles refills and takes the field-by-field
+// reread). All three must agree frame for frame, and on where and how
+// decoding fails.
 func FuzzReadRequest(f *testing.F) {
 	for _, req := range fuzzSeedRequests() {
 		var buf bytes.Buffer
@@ -37,27 +47,82 @@ func FuzzReadRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xEE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := ReadRequest(bytes.NewReader(data))
-		if err != nil {
-			return
+		oneShot := bytes.NewReader(data)
+		want, wantErr := decodeAll(func() (Request, error) { return ReadRequest(oneShot) })
+		for _, size := range []int{4096, 16} {
+			dec := newConnDecoder(bufio.NewReaderSize(bytes.NewReader(data), size))
+			got, err := decodeAll(dec.next)
+			if len(got) != len(want) || err.Error() != wantErr.Error() {
+				t.Fatalf("bufio size %d: decoded %d frames then %v; ReadRequest decoded %d then %v",
+					size, len(got), err, len(want), wantErr)
+			}
+			for i := range want {
+				if !sameRequest(got[i], want[i]) {
+					t.Fatalf("bufio size %d, frame %d: %+v, ReadRequest %+v", size, i, got[i], want[i])
+				}
+			}
 		}
 		// Whatever decoded must re-encode and decode to the same frame.
-		var buf bytes.Buffer
-		if err := WriteRequest(&buf, req); err != nil {
-			t.Fatalf("decoded request does not re-encode: %v (%+v)", err, req)
-		}
-		again, err := ReadRequest(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded request does not decode: %v", err)
-		}
-		if again.Op != req.Op || again.Fn != req.Fn || again.Inst != req.Inst ||
-			again.Obj != req.Obj || again.Frag != req.Frag ||
-			again.Session != req.Session || again.Seq != req.Seq ||
-			again.Flags != req.Flags ||
-			len(again.Args) != len(req.Args) {
-			t.Fatalf("request round trip diverged: %+v vs %+v", req, again)
+		for _, req := range want {
+			var buf bytes.Buffer
+			if err := WriteRequest(&buf, req); err != nil {
+				t.Fatalf("decoded request does not re-encode: %v (%+v)", err, req)
+			}
+			again, err := ReadRequest(&buf)
+			if err != nil {
+				t.Fatalf("re-encoded request does not decode: %v", err)
+			}
+			if !sameRequest(again, req) {
+				t.Fatalf("request round trip diverged: %+v vs %+v", req, again)
+			}
 		}
 	})
+}
+
+// decodeAll calls next until it fails, returning the frames it decoded
+// and the error that ended the stream.
+func decodeAll(next func() (Request, error)) ([]Request, error) {
+	var reqs []Request
+	for {
+		req, err := next()
+		if err != nil {
+			return reqs, err
+		}
+		reqs = append(reqs, req)
+	}
+}
+
+// sameRequest compares every field, arguments value by value (floats
+// bitwise, so a NaN payload or a negative zero must survive too).
+func sameRequest(a, b Request) bool {
+	if a.Op != b.Op || a.Fn != b.Fn || a.Inst != b.Inst || a.Obj != b.Obj ||
+		a.Frag != b.Frag || a.Session != b.Session || a.Seq != b.Seq ||
+		a.Flags != b.Flags || len(a.Args) != len(b.Args) {
+		return false
+	}
+	for i := range a.Args {
+		if !sameWireValue(a.Args[i], b.Args[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameWireValue(a, b interp.Value) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	switch a.Kind {
+	case interp.KindInt:
+		return a.I == b.I
+	case interp.KindFloat:
+		return math.Float64bits(a.F()) == math.Float64bits(b.F())
+	case interp.KindBool:
+		return a.B() == b.B()
+	case interp.KindString:
+		return a.S() == b.S()
+	}
+	return true
 }
 
 func FuzzReadResponse(f *testing.F) {
@@ -90,7 +155,7 @@ func FuzzReadResponse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded response does not decode: %v", err)
 		}
-		if !again.Val.Equal(resp.Val) || again.Inst != resp.Inst || again.Err != resp.Err ||
+		if !sameWireValue(again.Val, resp.Val) || again.Inst != resp.Inst || again.Err != resp.Err ||
 			again.Seq != resp.Seq || again.Ack != resp.Ack || again.Flags != resp.Flags {
 			t.Fatalf("response round trip diverged: %+v vs %+v", resp, again)
 		}
@@ -135,7 +200,7 @@ func FuzzReadMuxFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded mux frame does not decode: %v", err)
 		}
-		if againSession != session || !again.Val.Equal(resp.Val) || again.Inst != resp.Inst ||
+		if againSession != session || !sameWireValue(again.Val, resp.Val) || again.Inst != resp.Inst ||
 			again.Err != resp.Err || again.Seq != resp.Seq || again.Ack != resp.Ack ||
 			again.Flags != resp.Flags {
 			t.Fatalf("mux frame round trip diverged: session %d->%d, %+v vs %+v",
@@ -212,6 +277,103 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 		}
 		if got := ResponseWireSize(resp); got != int64(buf.Len()) {
 			t.Errorf("ResponseWireSize=%d, encoded %d bytes (%+v)", got, buf.Len(), resp)
+		}
+	}
+}
+
+// TestConnDecoderArgsDoNotAlias pins the argument slab's rule: each
+// request's Args is its own region, clipped to its length, so appending
+// to or overwriting one request's arguments never reaches another's, however
+// long the requests are kept. 200 frames cross several 64-value slabs,
+// and the 16-byte reader sends every frame through the reread.
+func TestConnDecoderArgsDoNotAlias(t *testing.T) {
+	arg := func(i, k int) interp.Value {
+		switch k % 3 {
+		case 1:
+			return interp.FloatV(float64(i) + float64(k)/8)
+		case 2:
+			return interp.StrV(fmt.Sprintf("a%d.%d", i, k))
+		}
+		return interp.IntV(int64(i*10 + k))
+	}
+	const frames = 200
+	var stream bytes.Buffer
+	for i := 0; i < frames; i++ {
+		req := Request{Op: OpCall, Fn: "f", Session: 1, Seq: uint64(i + 1), Args: make([]interp.Value, 1+i%5)}
+		for k := range req.Args {
+			req.Args[k] = arg(i, k)
+		}
+		if err := WriteRequest(&stream, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, size := range []int{4096, 16} {
+		dec := newConnDecoder(bufio.NewReaderSize(bytes.NewReader(stream.Bytes()), size))
+		reqs := make([]Request, frames)
+		for i := range reqs {
+			var err error
+			if reqs[i], err = dec.next(); err != nil {
+				t.Fatalf("size %d: frame %d: %v", size, i, err)
+			}
+			if cap(reqs[i].Args) != len(reqs[i].Args) {
+				t.Fatalf("size %d: frame %d: Args has len %d but cap %d", size, i, len(reqs[i].Args), cap(reqs[i].Args))
+			}
+		}
+		check := func(what string, want func(i, k int) interp.Value) {
+			t.Helper()
+			for i, req := range reqs {
+				if len(req.Args) != 1+i%5 {
+					t.Fatalf("size %d, %s: frame %d has %d args", size, what, i, len(req.Args))
+				}
+				for k, v := range req.Args {
+					if !sameWireValue(v, want(i, k)) {
+						t.Fatalf("size %d, %s: frame %d arg %d = %v, want %v", size, what, i, k, v, want(i, k))
+					}
+				}
+			}
+		}
+		check("decoded", arg)
+		for i := range reqs {
+			grown := append(reqs[i].Args, interp.IntV(-1), interp.IntV(-2))
+			grown[0] = interp.IntV(-3)
+		}
+		check("after appends", arg)
+		mine := func(i, k int) interp.Value { return interp.IntV(int64(-1000*i - k)) }
+		for i := range reqs {
+			for k := range reqs[i].Args {
+				reqs[i].Args[k] = mine(i, k)
+			}
+		}
+		check("after overwrites", mine)
+	}
+}
+
+// TestConnDecoderMatchesReadRequest reads the seed frames back to back
+// through every bufio size from the minimum to the default, so the frame
+// boundaries fall at every offset of a refill: each must decode exactly
+// as ReadRequest decodes it.
+func TestConnDecoderMatchesReadRequest(t *testing.T) {
+	var stream bytes.Buffer
+	for _, req := range fuzzSeedRequests() {
+		if err := WriteRequest(&stream, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oneShot := bytes.NewReader(stream.Bytes())
+	want, wantErr := decodeAll(func() (Request, error) { return ReadRequest(oneShot) })
+	if wantErr != io.EOF || len(want) != len(fuzzSeedRequests()) {
+		t.Fatalf("ReadRequest decoded %d frames then %v", len(want), wantErr)
+	}
+	for size := 16; size <= 4096; size++ {
+		dec := newConnDecoder(bufio.NewReaderSize(bytes.NewReader(stream.Bytes()), size))
+		got, err := decodeAll(dec.next)
+		if err != io.EOF || len(got) != len(want) {
+			t.Fatalf("bufio size %d: decoded %d frames then %v", size, len(got), err)
+		}
+		for i := range want {
+			if !sameRequest(got[i], want[i]) {
+				t.Fatalf("bufio size %d, frame %d: %+v, ReadRequest %+v", size, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -137,6 +137,8 @@ func (f *Frag) Exec(fr *Frame, args []interp.Value, env Env, ws *WriteSet) (v in
 	sp[spcTemp], sp[spcConst], sp[spcArg] = fr.temps, f.Consts, args
 	sp[spcAct], sp[spcGlobal], sp[spcField] = env.Act, env.Globals, env.Fields
 	err = run(nil, f.Code, sp, f.fails, ws, 0, MaxFragSteps, &v)
+	// The frame outlives the call; the caller's arguments must not.
+	sp[spcArg] = nil
 	return v, err
 }
 
