@@ -112,7 +112,7 @@ wire-layering:
 # connections read requests through one in-place decoder and every wire
 # decoder's first error stuck. The ceiling only goes down: a change that
 # lands below it lowers it to the new count.
-LINKED_LINES_MAX = 24674
+LINKED_LINES_MAX = 24665
 
 # linked_lines counts the non-test lines of this module that the packages
 # matching $(1) link.

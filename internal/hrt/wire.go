@@ -29,8 +29,7 @@ import (
 // place (Peek, then Discard of exactly the frame's length); a frame that
 // spans a refill is reread field by field. Both run connDecoder.parse, as
 // does the one-shot ReadRequest, so there is one reading of the layout.
-// The decoder reuses the previous frame's name string while the bytes
-// match, and hands each request's Args out of a per-connection slab of
+// The decoder hands each request's Args out of a per-connection slab of
 // argSlab values as a region clipped to its length: a region goes to one
 // request only and a spent slab is replaced, not reused, so no two
 // requests alias. Nothing keeps Args after the fragment executes, and the
@@ -192,17 +191,14 @@ func (d *wireReader) u64() uint64 {
 	return 0
 }
 
-// strBytes reads a length-prefixed string's bytes (see take).
-func (d *wireReader) strBytes() []byte {
+// str reads a length-prefixed string, the one allocation.
+func (d *wireReader) str() string {
 	n := d.u32()
 	if n > maxWireString {
 		d.fail(fmt.Errorf("hrt: wire string length %d exceeds limit", n))
 	}
-	return d.take(int(n))
+	return string(d.take(int(n)))
 }
-
-// str reads a length-prefixed string, the one allocation.
-func (d *wireReader) str() string { return string(d.strBytes()) }
 
 func (d *wireReader) value() interp.Value {
 	switch k := d.byte(); k {
@@ -268,12 +264,10 @@ func ReadRequest(r io.Reader) (Request, error) {
 const argSlab = 64
 
 // connDecoder reads request frames. Over a connection (br set) it reads a
-// frame in place when the whole frame is already buffered, reuses the
-// previous frame's name while the bytes match, and cuts each request's
-// Args from a slab; the zero value decodes one-shot.
+// frame in place when the whole frame is already buffered and cuts each
+// request's Args from a slab; the zero value decodes one-shot.
 type connDecoder struct {
 	br   *bufio.Reader
-	fn   string
 	slab []interp.Value // the unclaimed rest of the current slab
 	d    wireReader     // per connection, so a frame allocates no reader
 }
@@ -335,10 +329,7 @@ func (c *connDecoder) parse(d *wireReader, req *Request) error {
 	req.Flags = d.byte()
 	req.Session = d.u64()
 	req.Seq = d.u64()
-	if name := d.strBytes(); string(name) != c.fn {
-		c.fn = string(name)
-	}
-	req.Fn = c.fn
+	req.Fn = d.str()
 	req.Inst = int64(d.u64())
 	req.Obj = int64(d.u64())
 	req.Frag = int(int32(d.u32()))
