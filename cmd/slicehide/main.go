@@ -251,12 +251,12 @@ func cmdRun(args []string) error {
 	split := fs.String("split", "", "comma-separated f[:seed] functions to split")
 	rtt := fs.Duration("rtt", 0, "simulated round-trip latency")
 	server := fs.String("server", "", "address of a remote hiddend (default: in-process)")
-	clusterPeers := fs.String("cluster", "", "comma-separated fleet membership (every replica's address); the session rides one pooled connection per replica, homes on its rendezvous owner and follows failovers (always synchronous)")
+	clusterPeers := fs.String("cluster", "", "comma-separated fleet membership (every replica's address); the session rides one pooled connection per replica, homes on its rendezvous owner and follows failovers")
 	stats := fs.String("stats", "", `emit interaction statistics to stderr: "text" (one line) or "json" (schema-stable document)`)
 	trace := fs.String("trace", "", "write redacted runtime trace events (JSON lines) to this file")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-attempt I/O deadline on the hiddend link")
 	retries := fs.Int("retries", 8, "max retries per round trip on the hiddend link (-1 disables)")
-	window := fs.Int("window", 64, "max unacknowledged in-flight hidden calls, for -server and in-process runs (a -cluster session is always blocking): 0 makes every hidden call a blocking round trip (the paper's synchronous model), N>0 sends reply-free calls one-way with up to N in flight")
+	window := fs.Int("window", 64, "max unacknowledged in-flight hidden calls: 0 makes every hidden call a blocking round trip (the paper's synchronous model), N>0 sends reply-free calls one-way with up to N in flight (a -cluster session's pooled connections ask for 64)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -297,13 +297,12 @@ func cmdRun(args []string) error {
 
 	counters := &hrt.Counters{}
 	var t hrt.Transport
+	var stream *hrt.MuxStream
 	serverLabel := *server
 	if *clusterPeers != "" {
-		// Fleet mode: the session rides the pool's one multiplexed upstream
-		// per replica; each attempt re-ranks the membership, so a redirect
-		// or a dead primary both converge on the replica that actually
-		// serves the session. The pool's transport is reply-bearing only,
-		// so a fleet session is synchronous and takes no -window.
+		// Fleet mode: the session's stream rides the pool's one multiplexed
+		// upstream per replica and moves, window and all, when a redirect or
+		// a dead primary sends it to the replica that actually serves it.
 		peers := splitPeerList(*clusterPeers)
 		if len(peers) == 0 {
 			return fmt.Errorf("run: -cluster needs at least one replica address")
@@ -317,7 +316,7 @@ func cmdRun(args []string) error {
 			Tracer:   tracer,
 		})
 		defer pool.Close()
-		t = pool.SessionTransport(session)
+		stream = pool.SessionTransport(session)
 		serverLabel = cluster.Owner(session, peers)
 	} else if *server != "" {
 		mt, err := hrt.DialMux(hrt.MuxConfig{
@@ -332,7 +331,9 @@ func cmdRun(args []string) error {
 			return err
 		}
 		defer mt.Close()
-		stream := mt.Stream(0, counters)
+		stream = mt.Stream(0, counters)
+	}
+	if stream != nil {
 		reg.Gauge("hrt_inflight_window", func() int64 { return int64(stream.InFlight()) })
 		t = stream
 	} else {
@@ -349,13 +350,10 @@ func cmdRun(args []string) error {
 	// is tallied into the -stats document.
 	var hidden interp.HiddenSession = &hrt.Session{T: t, Addr: serverLabel, Counters: counters}
 	if *window > 0 {
-		// Falls back to the synchronous session when the chain cannot do
-		// one-way sends (the fleet pool's transport).
-		if as := hrt.NewAsyncSession(t); as != nil {
-			as.Addr = serverLabel
-			as.Counters = counters
-			hidden = as
-		}
+		as := hrt.NewAsyncSession(t)
+		as.Addr = serverLabel
+		as.Counters = counters
+		hidden = as
 	}
 	opts := interp.Options{
 		Out:        os.Stdout,
@@ -423,7 +421,7 @@ func cmdLoadtest(args []string) error {
 	sessions := fs.Int("sessions", 8, "concurrent client sessions")
 	ops := fs.Int("ops", 1000, "hidden fragment calls per session")
 	muxConns := fs.Int("mux-conns", 0, "shared connection count (0 = one per 256 sessions, capped at 64; -cluster uses one per replica)")
-	window := fs.Int("window", 64, "per-session in-flight window: 0 drives blocking round trips, N>0 drives one-way calls with flush barriers and up to N in flight (-cluster is always blocking)")
+	window := fs.Int("window", 64, "per-session in-flight window: 0 drives blocking round trips, N>0 drives one-way calls with flush barriers and up to N in flight (a -cluster run's pooled connections ask for 64)")
 	barrier := fs.Int("barrier-every", 16, "one-way ops between flush barriers")
 	split := fs.String("split", "", `workload split spec "f:seed" (default: built-in workload; with a program file it must name one of its functions)`)
 	asJSON := fs.Bool("json", false, "emit the schema-versioned LoadResult JSON instead of text")

@@ -2,12 +2,9 @@ package cluster
 
 // Client-side connection sharing for the fleet. One connection per session
 // would multiply connections by membership at fleet scale, so a MuxPool
-// keeps ONE multiplexed upstream per replica and routes every session's
-// exchanges over the pooled connection of its rendezvous owner — M
-// sessions across N replicas cost N sockets, not M. It is also the fleet
-// client's resolver: each attempt tries the session's current home, falls
-// down its rendezvous rank past dead replicas, and follows owner
-// redirects.
+// keeps ONE multiplexed upstream per replica, shared by every session's
+// stream — M sessions across N replicas cost N sockets, not M. It is the
+// hrt.Fleet those streams follow their owners across.
 
 import (
 	"fmt"
@@ -26,10 +23,10 @@ type MuxPoolConfig struct {
 	Timeout time.Duration
 	// Policy bounds retries and backoff for every session's round trips.
 	Policy hrt.RetryPolicy
-	// Counters, when set, tallies connection-level traffic across the
-	// pool (reconnects, writer coalescing).
+	// Counters, when set, tallies the pool's traffic: reconnects, writer
+	// coalescing, and every session's retries and window stalls.
 	Counters *hrt.Counters
-	// Tracer, when set, receives the pool's reconnect/redirect events.
+	// Tracer, when set, receives the pool's reconnect/retry events.
 	Tracer *obs.Tracer
 }
 
@@ -54,14 +51,27 @@ func NewMuxPool(cfg MuxPoolConfig) *MuxPool {
 	return &MuxPool{cfg: cfg, conns: make(map[string]*hrt.MuxTransport)}
 }
 
-// transport returns the pooled upstream to addr, dialing it on first use.
+// SessionTransport returns the stream of one session (hrt.FollowOwner),
+// homed on its rendezvous owner at first; it follows owner redirects and
+// falls down the rank past dead replicas. Zero session picks a random id.
+func (p *MuxPool) SessionTransport(session uint64) *hrt.MuxStream {
+	if session == 0 {
+		session = hrt.NewSessionID()
+	}
+	return hrt.FollowOwner(p, session, p.cfg.Policy, p.cfg.Counters, p.cfg.Tracer)
+}
+
+// Rank orders the membership for session, its rendezvous owner first.
+func (p *MuxPool) Rank(session uint64) []string { return Rank(session, p.cfg.Peers) }
+
+// Upstream returns the pooled upstream to addr, dialing it on first use.
 // Dial failures are not cached: the next caller re-dials, so a replica
 // that was down at first contact is retried, not blacklisted.
-func (p *MuxPool) transport(addr string) (*hrt.MuxTransport, error) {
+func (p *MuxPool) Upstream(addr string) (*hrt.MuxTransport, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, hrt.Terminal(fmt.Errorf("cluster: mux pool closed"))
+		return nil, errPoolClosed
 	}
 	if mt := p.conns[addr]; mt != nil {
 		p.mu.Unlock()
@@ -86,7 +96,7 @@ func (p *MuxPool) transport(addr string) (*hrt.MuxTransport, error) {
 	defer p.mu.Unlock()
 	if p.closed {
 		mt.Close()
-		return nil, hrt.Terminal(fmt.Errorf("cluster: mux pool closed"))
+		return nil, errPoolClosed
 	}
 	if cur := p.conns[addr]; cur != nil {
 		mt.Close()
@@ -95,6 +105,8 @@ func (p *MuxPool) transport(addr string) (*hrt.MuxTransport, error) {
 	p.conns[addr] = mt
 	return mt, nil
 }
+
+var errPoolClosed = hrt.Terminal(fmt.Errorf("cluster: mux pool closed"))
 
 // Close tears every pooled upstream down; subsequent exchanges fail
 // terminally.
@@ -111,95 +123,4 @@ func (p *MuxPool) Close() error {
 		}
 	}
 	return first
-}
-
-// SessionTransport returns the exactly-once transport for one session:
-// requests are stamped and retried by the hrt.Retry layer, and each
-// attempt lands on the pooled upstream of the session's current home —
-// its rendezvous owner at first, then wherever the fleet's owner
-// redirects point as membership changes. Zero session picks a random id.
-func (p *MuxPool) SessionTransport(session uint64) hrt.Transport {
-	if session == 0 {
-		session = hrt.NewSessionID()
-	}
-	return &hrt.Retry{
-		Inner:    &poolConn{p: p, session: session},
-		Policy:   p.cfg.Policy,
-		Session:  session,
-		Counters: p.cfg.Counters,
-		Tracer:   p.cfg.Tracer,
-	}
-}
-
-// poolConn is one session's view of the pool: a single attempt picks the
-// session's current home (sticky once a replica answers), exchanges over
-// the pooled upstream, and re-homes on owner redirects; past the home it
-// falls down the session's rendezvous rank over the pool's membership. All
-// errors it returns are retryable except pool shutdown — the hrt.Retry
-// layer above decides whether the next attempt happens.
-type poolConn struct {
-	p       *MuxPool
-	session uint64
-
-	mu sync.Mutex
-	// home is the replica that last answered for this session ("" probes
-	// the rendezvous rank in order).
-	home string
-}
-
-func (c *poolConn) RoundTrip(req hrt.Request) (hrt.Response, error) {
-	c.mu.Lock()
-	home := c.home
-	c.mu.Unlock()
-	rank := Rank(c.session, c.p.cfg.Peers)
-	candidates := rank
-	if home != "" {
-		candidates = make([]string, 0, len(rank)+1)
-		candidates = append(candidates, home)
-		for _, a := range rank {
-			if a != home {
-				candidates = append(candidates, a)
-			}
-		}
-	}
-	var lastErr error
-	for _, addr := range candidates {
-		mt, err := c.p.transport(addr)
-		if err != nil {
-			if !hrt.Retryable(err) {
-				return hrt.Response{}, err // pool closed or mux refused
-			}
-			lastErr = err
-			continue
-		}
-		resp, err := mt.Exchange(req)
-		if err != nil {
-			if !hrt.Retryable(err) {
-				return hrt.Response{}, err
-			}
-			lastErr = err
-			continue // dead or unresponsive replica: next in rank
-		}
-		if oe := hrt.ParseOwnerRedirect(resp.Err, addr); oe != nil {
-			// The fleet homes this session elsewhere. Adopt the named
-			// owner and surface the redirect as a retryable error so the
-			// Retry layer re-sends the same (session, seq) there — the
-			// shared connection stays up for every other session.
-			c.setHome(oe.Owner)
-			return hrt.Response{}, oe
-		}
-		c.setHome(addr)
-		return resp, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("cluster: empty fleet membership")
-	}
-	return hrt.Response{}, fmt.Errorf("cluster: session %d found no live replica among %v: %w",
-		req.Session, rank, lastErr)
-}
-
-func (c *poolConn) setHome(addr string) {
-	c.mu.Lock()
-	c.home = addr
-	c.mu.Unlock()
 }

@@ -69,7 +69,8 @@ func startFleet(t *testing.T, n int) []string {
 // TestClusterSmoke drives loadtest's fleet path (RunLoad with Cluster) end
 // to end at small scale against a running 1- and 3-replica fleet: sessions
 // spread by rendezvous placement over one pooled connection per replica,
-// every call a blocking round trip, whatever Window asks for. Failover,
+// pipelined like a -server run: at Window 64 calls go one-way and only
+// the flush barriers block. Failover,
 // cold joins and re-homing are covered where they live: daemon's
 // TestClusterFailoverChaos and TestClusterJoinCatchupChaos, cluster's
 // catch-up tests and TestMuxPool*.
@@ -98,11 +99,12 @@ func TestClusterSmoke(t *testing.T) {
 			if want := int64(sessions * ops); res.TotalOps != want {
 				t.Fatalf("TotalOps = %d, want %d", res.TotalOps, want)
 			}
-			if res.Blocking.Count != res.TotalOps {
-				t.Fatalf("Blocking.Count = %d, want %d", res.Blocking.Count, res.TotalOps)
+			// A barrier every 16 ops and one after the exit, per session.
+			if want := int64(sessions * (ops/16 + 1)); res.Blocking.Count != want {
+				t.Fatalf("Blocking.Count = %d, want %d (the barriers)", res.Blocking.Count, want)
 			}
-			if res.Mode != "sync" {
-				t.Fatalf("Mode = %q, want sync", res.Mode)
+			if res.Mode != "pipelined" {
+				t.Fatalf("Mode = %q, want pipelined", res.Mode)
 			}
 			if res.MuxConns != tc.replicas {
 				t.Fatalf("MuxConns = %d, want %d", res.MuxConns, tc.replicas)

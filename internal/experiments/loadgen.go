@@ -43,9 +43,8 @@ type LoadConfig struct {
 	Addr string
 	// Cluster targets a running replicating fleet instead (every member's
 	// address). Sessions ride a cluster.MuxPool, one multiplexed connection
-	// per replica, each homed on its rendezvous owner; the pool's transport
-	// is reply-bearing only, so a fleet run is always synchronous. Cluster
-	// takes precedence over Addr.
+	// per replica, each homed on its rendezvous owner. Cluster takes
+	// precedence over Addr.
 	Cluster []string
 	// Sessions is the number of concurrent client sessions. Default 8.
 	Sessions int
@@ -58,7 +57,8 @@ type LoadConfig struct {
 	// Window selects how each session drives its stream: 0 makes every
 	// call a blocking round trip (the synchronous model); N>0 sends calls
 	// one-way with a flush barrier every BarrierEvery ops and at most N
-	// in flight.
+	// in flight (a Cluster run's pooled connections ask for the default
+	// window, 64).
 	Window int
 	// BarrierEvery is how many one-way ops ride between flush barriers.
 	// Default 16.
@@ -119,9 +119,6 @@ func (c *LoadConfig) withDefaults() LoadConfig {
 	}
 	if cfg.Split == "" {
 		cfg.Split = "work:k"
-	}
-	if len(cfg.Cluster) > 0 {
-		cfg.Window = 0
 	}
 	return cfg
 }
@@ -215,15 +212,14 @@ func RunLoad(c LoadConfig) (LoadResult, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var t hrt.Transport
+			var stream *hrt.MuxStream
 			if pool != nil {
-				t = pool.SessionTransport(0)
+				stream = pool.SessionTransport(0)
 			} else {
-				stream := conns[w%len(conns)].Stream(0, nil)
-				defer stream.Close()
-				t = stream
+				stream = conns[w%len(conns)].Stream(0, nil)
 			}
-			errs[w] = loadWorker(t, comp, fragID, args, cfg, hist)
+			defer stream.Close()
+			errs[w] = loadWorker(stream, comp, fragID, args, cfg, hist)
 		}(w)
 	}
 	wg.Wait()

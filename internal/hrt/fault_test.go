@@ -123,6 +123,44 @@ func ComposeScripts(scripts ...FaultScript) FaultScript {
 
 // ---------------------------------------------------------------------------
 
+// Retry is the exactly-once client half reduced to one transport, for the
+// in-process chaos tests that run it over FaultTransport: every logical
+// round trip is stamped with the client's session id and a fresh sequence
+// number, and retryable failures are re-sent with the same stamp through
+// the same retryPacer a MuxStream exchange uses. The server-side Dedup
+// layer answers the replays from its cache.
+type Retry struct {
+	Inner  Transport
+	Policy RetryPolicy
+	// Session identifies this client; zero picks a random id on first
+	// use.
+	Session uint64
+	// Counters, when set, tallies retries.
+	Counters *Counters
+
+	once  sync.Once
+	pacer *retryPacer
+	seq   atomic.Uint64
+}
+
+// RoundTrip stamps, sends, and retries until success, a terminal error,
+// or attempt exhaustion.
+func (t *Retry) RoundTrip(req Request) (Response, error) {
+	t.once.Do(func() {
+		t.pacer = newRetryPacer(t.Policy)
+		if t.Session == 0 {
+			t.Session = NewSessionID()
+		}
+	})
+	req.Session = t.Session
+	req.Seq = t.seq.Add(1)
+	return t.pacer.run(t, req, t.Counters, nil)
+}
+
+func (t *Retry) attempt(req Request) (Response, error) { return t.Inner.RoundTrip(req) }
+
+// ---------------------------------------------------------------------------
+
 // FaultTransport injects faults in front of an in-process transport chain
 // (typically a Dedup over a Local server). Faults surface as retryable
 // transport errors, letting tests exercise the Retry/Dedup exactly-once

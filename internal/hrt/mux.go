@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,7 +43,7 @@ import (
 // This is the only wire path for session traffic. A stream driven through
 // RoundTrip alone is the paper's synchronous RPC link; the same stream
 // driven through Send/Flush is the pipelined link; many streams on one
-// connection is the multiplexed one.
+// connection is the multiplexed one; FollowOwner's is the fleet client.
 
 // OpMuxHello opens a multiplexed connection. Like OpRepl it lives outside
 // the journal record op range (OpEnter..OpFlush), so a mux handshake can
@@ -179,6 +180,19 @@ func DialMux(cfg MuxConfig) (*MuxTransport, error) {
 		addr := cfg.Addr
 		cfg.Dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
+	t := newMux(cfg)
+	t.mu.Lock()
+	err := t.connectLocked()
+	t.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("hrt: dial hidden server: %w", err)
+	}
+	go t.writeLoop()
+	return t, nil
+}
+
+// newMux returns a transport with no connection and no writer.
+func newMux(cfg MuxConfig) *MuxTransport {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 5 * time.Second
 	}
@@ -196,14 +210,7 @@ func DialMux(cfg MuxConfig) (*MuxTransport, error) {
 		pending:  make(map[muxKey]chan Response),
 	}
 	t.cond = sync.NewCond(&t.mu)
-	t.mu.Lock()
-	err := t.connectLocked()
-	t.mu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("hrt: dial hidden server: %w", err)
-	}
-	go t.writeLoop()
-	return t, nil
+	return t
 }
 
 // Stream attaches a session to the connection, creating it on first use.
@@ -217,7 +224,8 @@ func (t *MuxTransport) Stream(session uint64, counters *Counters) *MuxStream {
 	defer t.mu.Unlock()
 	s := t.streams[session]
 	if s == nil {
-		s = &MuxStream{t: t, session: session, counters: counters}
+		s = &MuxStream{session: session, counters: counters}
+		s.t.Store(t)
 		t.streams[session] = s
 	}
 	return s
@@ -485,12 +493,10 @@ func (t *MuxTransport) await(key muxKey, ch chan Response, conn net.Conn, dead c
 	return Response{}, err
 }
 
-// Exchange performs one blocking round trip for a pre-stamped request —
-// the request must already carry its (session, seq) — without attaching a
-// stream. The fleet's shared-upstream pool uses it under its own Retry
-// wrapper: retries, backoff, and re-resolution stay with the caller;
-// Exchange just ensures a live connection, queues the frame for the
-// shared writer, and waits for the matching response.
+// Exchange performs one attempt of a request that already carries its
+// (session, seq), without a stream or a retry: it is for replaying a known
+// stamp by hand, as the benchmark's recovery check does. Session traffic
+// goes through MuxStream.
 func (t *MuxTransport) Exchange(req Request) (Response, error) {
 	t.mu.Lock()
 	if err := t.liveConnLocked(false); err != nil {
@@ -531,32 +537,47 @@ func (t *MuxTransport) Close() error {
 // barriers, RespResend rewinds and replays. Its frames share the
 // connection's writer with every other stream, and its window
 // backpressure (a full in-flight window forces a flush barrier) lands on
-// this session alone.
+// this session alone. It is the only client code that stamps, windows,
+// retries and resends requests.
 type MuxStream struct {
-	t        *MuxTransport
+	t        atomic.Pointer[MuxTransport] // the connection it rides
 	session  uint64
 	counters *Counters
+	fleet    Fleet // set for a fleet session (FollowOwner)
 
-	// All remaining state is guarded by t.mu.
+	// All remaining state is guarded by t's mutex (see lock).
 	seq      uint64
 	acked    uint64
 	wroteSeq uint64
 	inflight []Request
 	queued   bool
 	closed   bool
+	home     string // the fleet member that last answered
 }
 
 var _ AsyncTransport = (*MuxStream)(nil)
 
-func (s *MuxStream) asyncCapable() bool { return true }
-
 // Session reports the stream's session id.
 func (s *MuxStream) Session() uint64 { return s.session }
 
+// lock locks and returns the connection the stream rides. A stream moves
+// under the lock of the connection it leaves, so it stays on the returned
+// one until that lock is released.
+func (s *MuxStream) lock() *MuxTransport {
+	for {
+		t := s.t.Load()
+		t.mu.Lock()
+		if s.t.Load() == t {
+			return t
+		}
+		t.mu.Unlock()
+	}
+}
+
 // InFlight reports the number of unacknowledged requests (for tests).
 func (s *MuxStream) InFlight() int {
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
+	t := s.lock()
+	defer t.mu.Unlock()
 	return len(s.inflight)
 }
 
@@ -580,8 +601,7 @@ func (s *MuxStream) pruneLocked(ack uint64) {
 // waiting for any acknowledgement. A full window forces an early barrier
 // first (WindowStalls) — on this stream only.
 func (s *MuxStream) Send(req Request) error {
-	t := s.t
-	t.mu.Lock()
+	t := s.lock()
 	if t.closed || s.closed {
 		t.mu.Unlock()
 		return errTransportClosed
@@ -596,7 +616,7 @@ func (s *MuxStream) Send(req Request) error {
 		if err := s.Flush(); err != nil {
 			return err
 		}
-		t.mu.Lock()
+		t = s.lock()
 	}
 	s.seq++
 	req.Session, req.Seq = s.session, s.seq
@@ -611,8 +631,7 @@ func (s *MuxStream) Send(req Request) error {
 // in-flight request of this stream, surfacing the first deferred one-way
 // error. An empty window returns immediately without touching the link.
 func (s *MuxStream) Flush() error {
-	t := s.t
-	t.mu.Lock()
+	t := s.lock()
 	if t.closed || s.closed {
 		t.mu.Unlock()
 		return errTransportClosed
@@ -630,7 +649,7 @@ func (s *MuxStream) Flush() error {
 		return err
 	}
 	if resp.Err != "" {
-		return fmt.Errorf("hrt: %s", resp.Err)
+		return serverError(resp.Err)
 	}
 	return nil
 }
@@ -639,8 +658,7 @@ func (s *MuxStream) Flush() error {
 // for this stream: the server executes its queued one-way requests before
 // this one, and the response acknowledges them all.
 func (s *MuxStream) RoundTrip(req Request) (Response, error) {
-	t := s.t
-	t.mu.Lock()
+	t := s.lock()
 	if t.closed || s.closed {
 		t.mu.Unlock()
 		return Response{}, errTransportClosed
@@ -654,8 +672,7 @@ func (s *MuxStream) RoundTrip(req Request) (Response, error) {
 
 // Close detaches the stream; the connection stays up for the others.
 func (s *MuxStream) Close() error {
-	t := s.t
-	t.mu.Lock()
+	t := s.lock()
 	s.closed = true
 	delete(t.streams, s.session)
 	t.mu.Unlock()
@@ -666,19 +683,19 @@ func (s *MuxStream) Close() error {
 // resending, and backing off across attempts, bounded by the connection's
 // retry policy.
 func (s *MuxStream) exchange(req Request) (Response, error) {
-	return s.t.pacer.run(s, req, s.counters, s.t.tracer)
+	t := s.t.Load()
+	return t.pacer.run(s, req, s.counters, t.tracer)
 }
 
-// attempt is one try of an exchange: ensure a connection, hand the
-// stream's window to the shared writer, and wait for the response
-// matching (session, seq). A RespResend answer rewinds this stream's
-// write cursor and resends on the same connection without consuming a
-// retry attempt; resend rounds are bounded so a misbehaving peer cannot
-// loop the client forever.
-func (s *MuxStream) attempt(req Request) (Response, error) {
-	t := s.t
+// attemptOn is one try of an exchange on the stream's connection: ensure a
+// connection, hand the stream's window to the shared writer, and wait for
+// the response matching (session, seq). A RespResend answer rewinds this
+// stream's write cursor and resends on the same connection without
+// consuming a retry attempt; resend rounds are bounded so a misbehaving
+// peer cannot loop the client forever.
+func (s *MuxStream) attemptOn(req Request) (Response, error) {
 	for resend := 0; ; resend++ {
-		t.mu.Lock()
+		t := s.lock()
 		if resend > t.window+2 {
 			t.mu.Unlock()
 			return Response{}, errors.New("hrt: server demanded resend repeatedly without progress")
@@ -709,27 +726,130 @@ func (s *MuxStream) attempt(req Request) (Response, error) {
 		if err != nil {
 			return Response{}, err
 		}
-		t.mu.Lock()
-		if resp.Flags&RespResend != 0 && resp.Ack < req.Seq {
-			// The server refused to execute past a sequence gap; rewind to
-			// its high-water mark and resend the tail.
-			s.pruneLocked(resp.Ack)
-			if resp.Ack < s.wroteSeq {
-				s.wroteSeq = resp.Ack
-			}
-			t.mu.Unlock()
-			if s.counters != nil {
-				s.counters.Retries.Add(1)
-			}
-			t.tracer.Emit(obs.LevelInfo, "resend_rewind",
-				obs.Uint("session", s.session), obs.Uint("seq", req.Seq), obs.Uint("ack", resp.Ack))
-			continue
-		}
+		t = s.lock()
 		s.pruneLocked(resp.Ack)
-		s.pruneLocked(req.Seq)
+		resend := resp.Flags&RespResend != 0 && resp.Ack < req.Seq
+		if resend || ParseOwnerRedirect(resp.Err, "") != nil {
+			// The server executed nothing past its ack, refusing a sequence
+			// gap or redirecting the session: rewind the write cursor so the
+			// window goes out again, now (resend) or at the next attempt.
+			s.wroteSeq = min(s.wroteSeq, s.acked)
+		} else {
+			s.pruneLocked(req.Seq)
+		}
 		t.mu.Unlock()
-		return resp, nil
+		if !resend {
+			return resp, nil
+		}
+		if s.counters != nil {
+			s.counters.Retries.Add(1)
+		}
+		t.tracer.Emit(obs.LevelInfo, "resend_rewind",
+			obs.Uint("session", s.session), obs.Uint("seq", req.Seq), obs.Uint("ack", resp.Ack))
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Following the owner across a fleet
+
+// Fleet is what a fleet session's stream follows its owner across
+// (cluster.MuxPool): the members ranked for a session, owner first, and
+// the shared connection to each, dialed on first use.
+type Fleet interface {
+	Rank(session uint64) []string
+	Upstream(addr string) (*MuxTransport, error)
+}
+
+// FollowOwner returns the stream of one fleet session. Each attempt is one
+// pass over f, the member that last answered first, so pol's backoff comes
+// only between passes; an owner redirect ends a pass and names the next
+// one's first member. The stream moves to each member it tries, window
+// and all (see DESIGN.md "Fleet composition and failover"). Until its
+// first exchange it is parked on a connection that never dials.
+func FollowOwner(f Fleet, session uint64, pol RetryPolicy, counters *Counters, tracer *obs.Tracer) *MuxStream {
+	s := newMux(MuxConfig{Policy: pol, Tracer: tracer}).Stream(session, counters)
+	s.fleet = f
+	if rank := f.Rank(s.session); len(rank) > 0 {
+		s.home = rank[0]
+	}
+	return s
+}
+
+// attempt is one try of an exchange: on the stream's connection, or for a
+// fleet session one pass over the fleet.
+func (s *MuxStream) attempt(req Request) (Response, error) {
+	if s.fleet == nil {
+		return s.attemptOn(req)
+	}
+	t := s.lock()
+	home := s.home
+	t.mu.Unlock()
+	resp, err := s.attemptAt(home, req)
+	if !passOn(err) {
+		return resp, err
+	}
+	rank := s.fleet.Rank(s.session)
+	for _, addr := range rank {
+		if addr != home {
+			if resp, err = s.attemptAt(addr, req); !passOn(err) {
+				return resp, err
+			}
+		}
+	}
+	return Response{}, fmt.Errorf("hrt: session %d found no live replica among %v: %w", s.session, rank, err)
+}
+
+// passOn reports whether err sends a pass on to the next member: a
+// retryable failure does, an owner redirect does not.
+func passOn(err error) bool {
+	var oe *OwnerRedirectError
+	return err != nil && Retryable(err) && !errors.As(err, &oe)
+}
+
+// attemptAt moves the stream to addr's connection and tries req there; an
+// owner redirect comes back as a retryable OwnerRedirectError.
+func (s *MuxStream) attemptAt(addr string, req Request) (Response, error) {
+	t, err := s.fleet.Upstream(addr)
+	if err != nil {
+		return Response{}, err
+	}
+	s.moveTo(t)
+	resp, err := s.attemptOn(req)
+	if err != nil {
+		return Response{}, err
+	}
+	oe := ParseOwnerRedirect(resp.Err, addr)
+	if oe != nil && oe.Owner != "" {
+		addr = oe.Owner
+	}
+	t = s.lock()
+	s.home = addr
+	t.mu.Unlock()
+	if oe != nil {
+		return Response{}, oe
+	}
+	return resp, nil
+}
+
+// moveTo leaves the stream's connection and its writer's queue for t,
+// where the next attempt replays the window from acked+1.
+func (s *MuxStream) moveTo(t *MuxTransport) {
+	old := s.lock()
+	if old == t {
+		old.mu.Unlock()
+		return
+	}
+	delete(old.streams, s.session)
+	if s.queued {
+		old.dirty = slices.DeleteFunc(old.dirty, func(d *MuxStream) bool { return d == s })
+		s.queued = false
+	}
+	s.t.Store(t)
+	old.mu.Unlock()
+	t.mu.Lock()
+	t.streams[s.session] = s
+	s.wroteSeq = s.acked
+	t.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------

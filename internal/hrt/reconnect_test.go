@@ -120,26 +120,19 @@ func TestMuxRedialNeverOrphans(t *testing.T) {
 	}
 }
 
+// oneConnFleet is a fleet whose every member is the one connection mt.
+type oneConnFleet struct{ mt *MuxTransport }
+
+func (f oneConnFleet) Rank(uint64) []string                   { return []string{"only"} }
+func (f oneConnFleet) Upstream(string) (*MuxTransport, error) { return f.mt, nil }
+
 // redirectFollower is the client half of the fleet's redirect protocol
-// reduced to one replica: a Retry layer over MuxTransport.Exchange that
-// surfaces an owner redirect as a retryable error, the way
-// cluster.MuxPool's per-session transport does. The shared connection
-// stays up across the redirect.
+// reduced to one replica: a fleet session's stream (FollowOwner) whose
+// every member is mt, so an owner redirect is retried on the same shared
+// connection, which stays up across it.
 func redirectFollower(mt *MuxTransport, session uint64) Transport {
-	return &Retry{
-		Session: session,
-		Policy:  RetryPolicy{BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond},
-		Inner: roundTripFunc(func(req Request) (Response, error) {
-			resp, err := mt.Exchange(req)
-			if err != nil {
-				return Response{}, err
-			}
-			if oe := ParseOwnerRedirect(resp.Err, ""); oe != nil {
-				return Response{}, oe
-			}
-			return resp, nil
-		}),
-	}
+	return FollowOwner(oneConnFleet{mt}, session,
+		RetryPolicy{BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond}, nil, nil)
 }
 
 // redirectIdleHarness starts a redirect-capable server that reaps idle

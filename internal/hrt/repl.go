@@ -234,9 +234,9 @@ func ownerRedirectErr(session uint64, owner string) string {
 
 // OwnerRedirectError is the typed, client-side form of a fleet owner
 // redirect: the replica at Addr refused the session because Owner is its
-// rendezvous owner. Transports with a resolver treat it as retryable
-// (the retry re-resolves and lands on a live owner); static transports
-// surface it terminally.
+// rendezvous owner. A fleet session's stream treats it as retryable (the
+// next pass starts at the owner); a stream on one connection surfaces it to
+// its caller.
 type OwnerRedirectError struct {
 	// Addr is the replica that refused the session ("" when not recorded).
 	Addr string
@@ -273,10 +273,9 @@ func (e *OwnerRedirectError) Hint() string {
 
 // ParseOwnerRedirect upgrades a wire message carrying the redirect marker
 // to the typed error (nil when the marker is absent). addr names the
-// replica that produced the message, for the error text. Fleet-side
-// clients that multiplex sessions over pooled connections (see
-// cluster.MuxPool) parse redirects themselves to re-home a session
-// without tearing the shared connection down.
+// replica that produced the message, for the error text. A fleet
+// session's stream (FollowOwner) parses redirects itself to re-home the
+// session without tearing the shared connection down.
 func ParseOwnerRedirect(msg, addr string) *OwnerRedirectError {
 	i := strings.Index(msg, ownerRedirectMsg)
 	if i < 0 {
@@ -318,9 +317,11 @@ func (ts *TCPServer) routeRedirect(req Request) (Response, bool) {
 	if !redirect {
 		return Response{}, false
 	}
+	// A redirect executes nothing: it acknowledges only what this replica
+	// already holds of the session.
 	return Response{
 		Seq: req.Seq,
-		Ack: req.Seq,
+		Ack: ts.dedup.HighWater(req.Session),
 		Err: ownerRedirectErr(req.Session, owner),
 	}, true
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"slicehide/internal/obs"
@@ -90,45 +89,6 @@ func NewSessionID() uint64 {
 	return uint64(time.Now().UnixNano()) | 1
 }
 
-// Retry wraps a Transport with the client half of the exactly-once
-// scheme: every logical round trip is stamped with this client's session
-// id and a fresh sequence number, and retryable failures are re-sent with
-// the same stamp under bounded exponential backoff with jitter. The
-// server-side Dedup layer recognizes the stamp and answers replays from
-// its cache, so hidden state is mutated exactly once per logical request
-// no matter how many times the link forces a re-send.
-type Retry struct {
-	Inner  Transport
-	Policy RetryPolicy
-	// Session identifies this client; zero picks a random id on first
-	// use.
-	Session uint64
-	// Counters, when set, tallies retries.
-	Counters *Counters
-	// Tracer, when set, receives retry events.
-	Tracer *obs.Tracer
-
-	once  sync.Once
-	pacer *retryPacer
-	seq   atomic.Uint64
-}
-
-// RoundTrip stamps, sends, and retries until success, a terminal error,
-// or attempt exhaustion.
-func (t *Retry) RoundTrip(req Request) (Response, error) {
-	t.once.Do(func() {
-		t.pacer = newRetryPacer(t.Policy)
-		if t.Session == 0 {
-			t.Session = NewSessionID()
-		}
-	})
-	req.Session = t.Session
-	req.Seq = t.seq.Add(1)
-	return t.pacer.run(t, req, t.Counters, t.Tracer)
-}
-
-func (t *Retry) attempt(req Request) (Response, error) { return t.Inner.RoundTrip(req) }
-
 // attempter is one try of a stamped request; retryPacer.run decides
 // whether the next try happens.
 type attempter interface {
@@ -136,8 +96,7 @@ type attempter interface {
 }
 
 // retryPacer is a retry budget plus its jittered backoff source: the one
-// retry loop behind both the Retry transport and every MuxStream exchange,
-// so both pace re-sends identically.
+// retry loop behind every MuxStream exchange, a fleet session's included.
 type retryPacer struct {
 	pol RetryPolicy
 	mu  sync.Mutex

@@ -101,9 +101,7 @@ func runSplitOn(server *Server, res *core.Result, wrap func(Transport) Transport
 	t = &Counting{Inner: t, Counters: counters}
 	var hidden interp.HiddenSession = &Session{T: t}
 	if opts.Pipeline {
-		if as := NewAsyncSession(t); as != nil {
-			hidden = as
-		}
+		hidden = NewAsyncSession(t)
 	}
 	var b strings.Builder
 	in := vm.NewMachine(res.Open, interp.Options{

@@ -4,11 +4,14 @@
 //
 // The open machine talks to the secure device through a Transport. Two
 // reach a Server: Local (direct calls) and MuxStream (one session's stream
-// on a multiplexed TCP connection to a TCPServer; see cmd/hiddend). The
-// rest wrap another transport: Latency (simulated round-trip delay, used
-// by the Table 5 experiments), Counting (counters, and optionally latency
-// metrics and trace events), Retry and Dedup. The tests add a fault
-// injector, FaultTransport, in fault_test.go.
+// on a multiplexed TCP connection to a TCPServer; see cmd/hiddend). A
+// MuxStream is the one client that stamps, windows, retries and resends
+// requests; a fleet session's stream (FollowOwner) also moves between the
+// replicas' connections. The rest wrap another transport: Latency
+// (simulated round-trip delay, used by the Table 5 experiments), Counting
+// (counters, and optionally latency metrics and trace events) and Dedup.
+// The tests add a fault injector, FaultTransport, and the Retry layer the
+// in-process chaos tests run over it, in fault_test.go.
 package hrt
 
 import (

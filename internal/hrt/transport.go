@@ -108,24 +108,6 @@ type AsyncTransport interface {
 	Flush() error
 }
 
-// AsAsync returns t's async capability, if it has one.
-func AsAsync(t Transport) (AsyncTransport, bool) {
-	at, ok := t.(AsyncTransport)
-	return at, ok
-}
-
-// transportAsyncCapable reports whether t can actually deliver one-way
-// sends. Wrapping transports (Latency, Counting) implement AsyncTransport
-// structurally no matter what they wrap, so capability is probed
-// dynamically down the chain.
-func transportAsyncCapable(t Transport) bool {
-	if c, ok := t.(interface{ asyncCapable() bool }); ok {
-		return c.asyncCapable()
-	}
-	_, ok := t.(AsyncTransport)
-	return ok
-}
-
 // ---------------------------------------------------------------------------
 
 // Local is a Transport that invokes a Server directly (no network). It
@@ -164,7 +146,7 @@ func (l *Local) Send(req Request) error {
 		return nil
 	}
 	if resp, _ := l.Server.dispatch(req, false); resp.Err != "" {
-		err := fmt.Errorf("hrt: %s", resp.Err)
+		err := serverError(resp.Err)
 		l.mu.Lock()
 		if l.deferred == nil {
 			l.deferred = err
@@ -174,14 +156,21 @@ func (l *Local) Send(req Request) error {
 	return nil
 }
 
-func (l *Local) asyncCapable() bool { return true }
-
 // Flush surfaces the first deferred one-way error. Everything already
 // executed, so there is nothing to wait for.
 func (l *Local) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.deferred
+}
+
+// serverError is the client-side error for a message the hidden server
+// reported, with the package prefix added only where it is missing.
+func serverError(msg string) error {
+	if strings.HasPrefix(msg, "hrt: ") {
+		return errors.New(msg)
+	}
+	return errors.New("hrt: " + msg)
 }
 
 func errString(err error) string {
@@ -228,7 +217,7 @@ func (l *Latency) RoundTrip(req Request) (Response, error) {
 
 // Send forwards one-way without paying the round trip.
 func (l *Latency) Send(req Request) error {
-	at, ok := AsAsync(l.Inner)
+	at, ok := l.Inner.(AsyncTransport)
 	if !ok {
 		return fmt.Errorf("hrt: latency inner transport %T is not async-capable", l.Inner)
 	}
@@ -241,7 +230,7 @@ func (l *Latency) Send(req Request) error {
 // Flush pays one RTT for the barrier acknowledgement — but only when
 // something was sent since the last reply; an empty window needs no ack.
 func (l *Latency) Flush() error {
-	at, ok := AsAsync(l.Inner)
+	at, ok := l.Inner.(AsyncTransport)
 	if !ok {
 		return fmt.Errorf("hrt: latency inner transport %T is not async-capable", l.Inner)
 	}
@@ -254,8 +243,6 @@ func (l *Latency) Flush() error {
 	}
 	return at.Flush()
 }
-
-func (l *Latency) asyncCapable() bool { return transportAsyncCapable(l.Inner) }
 
 func (l *Latency) sleep() {
 	if l.RTT > 0 {
@@ -393,7 +380,7 @@ func (c *Counting) recv(resp Response, err error) (Response, error) {
 // barrier wait when the in-flight window is saturated — so window
 // backpressure shows up in the one-way histograms' tail.
 func (c *Counting) Send(req Request) error {
-	at, ok := AsAsync(c.Inner)
+	at, ok := c.Inner.(AsyncTransport)
 	if !ok {
 		return fmt.Errorf("hrt: counting inner transport %T is not async-capable", c.Inner)
 	}
@@ -416,12 +403,10 @@ func (c *Counting) Send(req Request) error {
 	return err
 }
 
-func (c *Counting) asyncCapable() bool { return transportAsyncCapable(c.Inner) }
-
 // Flush counts the barrier, then forwards; an observed Counting also times
 // and traces the wait.
 func (c *Counting) Flush() error {
-	at, ok := AsAsync(c.Inner)
+	at, ok := c.Inner.(AsyncTransport)
 	if !ok {
 		return fmt.Errorf("hrt: counting inner transport %T is not async-capable", c.Inner)
 	}
@@ -461,7 +446,7 @@ func (s *Session) respError(resp Response) error {
 	if resp.Err == "" {
 		return nil
 	}
-	return s.typedError(fmt.Errorf("hrt: %s", resp.Err))
+	return s.typedError(serverError(resp.Err))
 }
 
 // typedError upgrades an error carrying the session-evicted marker, which
@@ -536,11 +521,10 @@ type AsyncSession struct {
 	nextInst atomic.Int64
 }
 
-// NewAsyncSession wraps t; it returns nil when t has no async capability,
-// letting callers fall back to the synchronous Session.
+// NewAsyncSession wraps t; it returns nil when t is not an AsyncTransport.
 func NewAsyncSession(t Transport) *AsyncSession {
-	at, ok := AsAsync(t)
-	if !ok || !transportAsyncCapable(t) {
+	at, ok := t.(AsyncTransport)
+	if !ok {
 		return nil
 	}
 	return &AsyncSession{Session: Session{T: t}, at: at}
