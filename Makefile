@@ -128,9 +128,12 @@ one-client:
 # connections read requests through one in-place decoder and every wire
 # decoder's first error stuck, 24,665 before a fleet session became a
 # MuxStream that follows its owner and the Retry transport and the async
-# capability probe left the shipped code. The ceiling only goes down: a
-# change that lands below it lowers it to the new count.
-LINKED_LINES_MAX = 24645
+# capability probe left the shipped code, 24,645 before replicated applies
+# stopped waking the replication pumps and a program with hidden globals
+# got one owner, paid for by moving helpers only tests call into test
+# files. The ceiling only goes down: a change that lands below it lowers
+# it to the new count.
+LINKED_LINES_MAX = 24642
 
 # linked_lines counts the non-test lines of this module that the packages
 # matching $(1) link.
@@ -164,20 +167,23 @@ test:
 # lift that the ack reader and the pump both drive, the stamp table, covers
 # and pending lists every inbound stream and every pump meet in, and the
 # in-process fleets that exercise the origin skip and the origin cover end
-# to end, and the pooled client streams that move, window and all, between
-# the pool's connections while their readers and writers run.
+# to end, the pooled client streams that move, window and all, between
+# the pool's connections while their readers and writers run, the pump
+# wake rule (applied records wake no pump below the bound; a commit gate
+# and a lag reading wake the pumps for them) and the one owner of a
+# program with hidden globals.
 # The sixth line repeats the one record applier recovery and replication
 # share: both orders of landing a journal must agree, a restarted replica
 # must keep the newest global write, both engines' effects must recover
-# alike, and a replicated record racing a live request of the same stamp
-# must land once.
+# alike, a replicated record racing a live request of the same stamp
+# must land once, and a direct append counts in journal order.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'GroupCommit|Dedup' ./internal/hrt
 	$(GO) test -race -count=10 -run 'SharedFactsConcurrent|AnalyzeConcurrent|CompileConcurrent' ./internal/slicer ./internal/complexity ./internal/ir
 	$(GO) test -race -count=3 -run 'Crash|TailScanner|EmptyRecord|JournalChain|ParentWritten' ./internal/wal ./internal/hrt
-	$(GO) test -race -count=10 -run 'OriginSkip|Cover|Lift|ReplStream|MuxPool' ./internal/cluster
-	$(GO) test -race -count=10 -run 'RecoveryMatchesReplication|OlderGlobalAfterRestart|LiveGlobalWriteRecovers|DifferentialDurableEffects|SameStampLandOnce' ./internal/hrt
+	$(GO) test -race -count=10 -run 'OriginSkip|Cover|Lift|ReplStream|MuxPool|PumpWake|GlobalsLinearizable' ./internal/cluster
+	$(GO) test -race -count=10 -run 'RecoveryMatchesReplication|OlderGlobalAfterRestart|LiveGlobalWriteRecovers|DifferentialDurableEffects|SameStampLandOnce|DirectAppendCountsInJournalOrder' ./internal/hrt
 
 # Run the wire-codec and durability-layer fuzzers for a short budget
 # each (the journal frame scanner and the journal record decoder face

@@ -264,7 +264,7 @@ func BenchmarkAblationNoControlFlowHiding(b *testing.B) {
 	var ablated experiments.BenchmarkSplit
 	var err error
 	for i := 0; i < b.N; i++ {
-		ablated, err = experiments.SplitBenchmarkByName("javac", cfg)
+		ablated, err = splitBenchmarkByName("javac", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func BenchmarkAblationMinAtUses(b *testing.B) {
 	var bs experiments.BenchmarkSplit
 	var err error
 	for i := 0; i < b.N; i++ {
-		bs, err = experiments.SplitBenchmarkByName("javac", cfg)
+		bs, err = splitBenchmarkByName("javac", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -460,7 +460,7 @@ func BenchmarkAblationPipelining(b *testing.B) {
 // any mismatch) and that pipelining never blocks more often than the
 // synchronous transport.
 func TestPipelineSmoke(t *testing.T) {
-	cfg := experiments.Fast()
+	cfg := fastConfig()
 	rows, err := experiments.Table5(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -516,4 +516,19 @@ func BenchmarkAblationBatching(b *testing.B) {
 	}
 	b.ReportMetric(float64(plain), "interactions-plain")
 	b.ReportMetric(float64(batched), "interactions-batched")
+}
+
+// fastConfig is a scaled-down configuration: small corpora and kernels, no
+// injected latency (interaction counts are still exact).
+func fastConfig() experiments.Config {
+	return experiments.Config{Scale: 0.05, KernelScale: 400, RTT: 0, MaxSteps: 100_000_000}
+}
+
+// splitBenchmarkByName runs the Tables 2–4 experiment for one benchmark.
+func splitBenchmarkByName(name string, cfg experiments.Config) (experiments.BenchmarkSplit, error) {
+	p, err := corpus.ProfileByName(name)
+	if err != nil {
+		return experiments.BenchmarkSplit{}, err
+	}
+	return experiments.SplitBenchmark(p.Scale(cfg.Scale), cfg)
 }

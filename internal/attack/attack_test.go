@@ -376,3 +376,10 @@ func SweepSamples(samples []Sample, opts RecoveryOptions) int {
 	}
 	return 0
 }
+
+// MinSamples estimates how many observations a technique needs: the number
+// of model coefficients plus holdout. Exposed for the experiment that
+// reproduces §3's "a large number of input output pairs may be needed".
+func MinSamples(nvars, degree int) int {
+	return len(monomials(nvars, degree)) + 3
+}

@@ -203,13 +203,6 @@ func holdoutError(m Model, hold []Sample) float64 {
 	return worst
 }
 
-// MinSamples estimates how many observations a technique needs: the number
-// of model coefficients plus holdout. Exposed for the experiment that
-// reproduces §3's "a large number of input output pairs may be needed".
-func MinSamples(nvars, degree int) int {
-	return len(monomials(nvars, degree)) + 3
-}
-
 // Dedup removes duplicate input vectors, keeping first occurrences; fitting
 // benefits from independent rows.
 func Dedup(samples []Sample) []Sample {

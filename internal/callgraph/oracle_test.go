@@ -85,12 +85,12 @@ func buildSites(prog *ir.Program) (*Graph, []site) {
 // where head dominates tail) and returns each loop's nodes, header
 // included.
 func naturalLoops(g *cfg.Graph) []map[*cfg.Node]bool {
-	dom := cfg.Dominators(g)
+	_, dominates := cfgDominance(g)
 	byHead := make(map[*cfg.Node]map[*cfg.Node]bool)
 	var order []*cfg.Node
 	for _, tail := range g.Nodes {
 		for _, head := range tail.Succs {
-			if !dom.Dominates(head, tail) {
+			if !dominates(head.Index, tail.Index) {
 				continue
 			}
 			body, ok := byHead[head]

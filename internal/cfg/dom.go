@@ -97,29 +97,3 @@ func Dominators(g *Graph) *DomInfo {
 		func(i int) []int { return succs[i] }, func(i int) []int { return preds[i] })
 	return &DomInfo{g: g, idom: idom}
 }
-
-// Dominates reports whether a dominates b. A node Entry cannot reach is
-// vacuously dominated by every node.
-func (d *DomInfo) Dominates(a, b *Node) bool {
-	i := b.Index
-	if d.idom[i] < 0 {
-		return true
-	}
-	for i != a.Index {
-		if i == d.g.Entry.Index {
-			return false
-		}
-		i = d.idom[i]
-	}
-	return true
-}
-
-// Idom returns the immediate dominator of n, or nil for Entry and for a
-// node Entry cannot reach.
-func (d *DomInfo) Idom(n *Node) *Node {
-	i := d.idom[n.Index]
-	if i < 0 || n == d.g.Entry {
-		return nil
-	}
-	return d.g.Nodes[i]
-}

@@ -466,3 +466,7 @@ func TestDeclinedOfferLeavesStreamHealthy(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// SnapXferBytes reports the snapshot-transfer bytes moved (both
+// directions), 0 when no transfer ran.
+func (g *Group) SnapXferBytes() int64 { return g.snapXferBytes.Load() }

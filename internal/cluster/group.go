@@ -120,6 +120,9 @@ type Group struct {
 	// peer incarnation showed us each record (see cover.go).
 	boot   uint64
 	stamps *stampTable
+	// pin, when non-zero, is the key every session is placed by instead
+	// of its own id: the program has hidden globals (see Route).
+	pin uint64
 
 	// Origin cover state (cover.go): each sender's live covers, each
 	// outbound peer's pending lists, and tracker-change wakeups.
@@ -176,9 +179,11 @@ type Group struct {
 	// counts pumps sent back over records an origin stopped covering.
 	replSkipped atomic.Int64
 	rewinds     atomic.Int64
-	failoverNS  atomic.Int64
-	syncWaits   atomic.Int64
-	syncStalls  atomic.Int64
+	// pumpWakes counts caught-up pumps woken by a journal notification.
+	pumpWakes  atomic.Int64
+	failoverNS atomic.Int64
+	syncWaits  atomic.Int64
+	syncStalls atomic.Int64
 	// replReceived/replApplied tally the incoming replication stream:
 	// records read off the wire vs. records applied to local state. Their
 	// difference is this follower's own apply lag, the receiving-side
@@ -236,6 +241,9 @@ func New(cfg Config, ts *hrt.TCPServer) (*Group, error) {
 		targets:       make(map[string]wal.Position),
 		recvActive:    make(map[string]int),
 		recvAnnounced: make(map[string]int),
+	}
+	if ts.Server != nil && len(ts.Server.Program().Globals.Slots) > 0 {
+		g.pin = ts.Server.Program().Hash | 1
 	}
 	// Boot optimistic: a fleet starting together must not redirect-flail
 	// while the first probe round is still in flight.
@@ -677,14 +685,17 @@ func (g *Group) AlivePeers() int { return len(g.livePeers()) }
 // only unknown ones redirect. Membership epochs re-rank placement: a
 // session whose owner moved is handed off by the same typed redirect a
 // failover uses, and HRW hashing guarantees survivor-owned sessions never
-// move when the fleet grows or shrinks by one.
+// move when the fleet grows or shrinks by one. A program with hidden
+// globals places every session by one key derived from its hash, so the
+// whole program lives on one owner and fragment runs that touch the
+// globals stay linearizable fleet-wide; the other replicas are standbys.
 func (g *Group) Route(session uint64, known bool) (string, bool) {
 	select {
 	case <-g.stop:
 		return "", false
 	default:
 	}
-	owner := Owner(session, g.livePeers())
+	owner := Owner(g.place(session), g.livePeers())
 	if owner == "" || owner == g.cfg.Self {
 		g.observePromotion(session)
 		return "", false
@@ -706,7 +717,7 @@ func (g *Group) Route(session uint64, known bool) (string, bool) {
 func (g *Group) observePromotion(session uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	staticOwner := Owner(session, g.members.Members)
+	staticOwner := Owner(g.place(session), g.members.Members)
 	if staticOwner == g.cfg.Self {
 		return
 	}
@@ -720,6 +731,14 @@ func (g *Group) observePromotion(session uint64) {
 	g.cfg.Tracer.Emit(obs.LevelWarn, "cluster_promotion",
 		obs.Uint("session", session), obs.Str("dead_peer", staticOwner),
 		obs.Dur("failover", time.Duration(ns)))
+}
+
+// place returns the key session is placed by.
+func (g *Group) place(session uint64) uint64 {
+	if g.pin != 0 {
+		return g.pin
+	}
+	return session
 }
 
 // ---------------------------------------------------------------------------
@@ -746,11 +765,13 @@ func (g *Group) WaitCommitted(gen uint64, records int64) {
 // Lag reports how many journal records the slowest connected follower is
 // behind this replica (0 with no followers connected). Positions across a
 // generation boundary cannot be subtracted exactly; "current records + 1"
-// is the conservative floor.
+// is the conservative floor. Lag wakes the pumps for records applied from
+// peers, so their pass-over lifts count by the next reading.
 func (g *Group) Lag() int64 {
 	if !g.cfg.Replicate {
 		return 0
 	}
+	g.ts.Persist.WakeFollowers()
 	gen, records := g.ts.Persist.CurrentPosition()
 	min, n := g.tracker.Min()
 	if n == 0 {
@@ -847,10 +868,6 @@ func (g *Group) catchingUp() string {
 // Redirects reports how many requests were redirected to their owner.
 func (g *Group) Redirects() int64 { return g.redirects.Load() }
 
-// SnapXferBytes reports the snapshot-transfer bytes moved (both
-// directions), 0 when no transfer ran.
-func (g *Group) SnapXferBytes() int64 { return g.snapXferBytes.Load() }
-
 // RegisterMetrics exports the fleet gauges.
 func (g *Group) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("repl_lag_records", g.Lag)
@@ -858,6 +875,7 @@ func (g *Group) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("repl_bytes", g.replBytes.Load)
 	reg.Gauge("repl_skipped_records", g.replSkipped.Load)
 	reg.Gauge("repl_rewinds", g.rewinds.Load)
+	reg.Gauge("repl_pump_wakes", g.pumpWakes.Load)
 	reg.Gauge("owner_redirects", g.redirects.Load)
 	reg.Gauge("failover_ns", g.failoverNS.Load)
 	reg.Gauge("repl_sync_waits", g.syncWaits.Load)

@@ -57,8 +57,9 @@ const (
 )
 
 // tailPollInterval is how long a caught-up pump waits for an append
-// notification before re-reading the journal tail anyway.
-const tailPollInterval = 500 * time.Millisecond
+// notification before re-reading the journal tail anyway (a variable only
+// so tests can put the poll out of reach).
+var tailPollInterval = 500 * time.Millisecond
 
 // maxSnapXfer bounds a staged snapshot transfer (defense against a
 // corrupt or hostile SnapBegin length).
@@ -729,6 +730,7 @@ func (g *Group) streamGeneration(pm *pump, from wal.Position) (bool, int64, erro
 		poll.Reset(tailPollInterval)
 		select {
 		case <-notify:
+			g.pumpWakes.Add(1)
 		case <-wake:
 		case <-g.stop:
 			return true, idx, errors.New("cluster: group closed")

@@ -349,12 +349,9 @@ func TestNonDurableRestartBouncesSessions(t *testing.T) {
 	if err == nil {
 		t.Fatal("non-durable restart mid-session did not fail the run")
 	}
-	if !hrt.IsSessionEvicted(err) {
-		t.Fatalf("restart surfaced %v, want a session-evicted bounce", err)
-	}
 	var evicted *hrt.SessionEvictedError
 	if !errors.As(err, &evicted) {
-		t.Fatalf("error %v is not typed *hrt.SessionEvictedError", err)
+		t.Fatalf("restart surfaced %v, want a session-evicted bounce typed *hrt.SessionEvictedError", err)
 	}
 	if evicted.Session != 99 || evicted.Hint() == "" {
 		t.Errorf("evicted error incomplete: %+v hint=%q", evicted, evicted.Hint())

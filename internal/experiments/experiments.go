@@ -47,13 +47,6 @@ func Defaults() Config {
 	return Config{Scale: 1.0, KernelScale: 1, RTT: 200 * time.Microsecond, MaxSteps: 2_000_000_000}
 }
 
-// Fast returns a configuration suitable for unit tests: scaled-down
-// corpora and kernels, and no injected latency (interaction counts are
-// still exact; only wall-clock overhead shrinks).
-func Fast() Config {
-	return Config{Scale: 0.05, KernelScale: 400, RTT: 0, MaxSteps: 100_000_000}
-}
-
 // ---------------------------------------------------------------------------
 // Table 1 — opportunities for constructing hidden components from whole methods
 
@@ -520,15 +513,6 @@ func RenderAttack(cases []AttackCase) string {
 		t.Row(c.Label, c.Class, rec, how, c.Samples)
 	}
 	return t.String()
-}
-
-// SplitBenchmarkByName runs the Tables 2–4 experiment for one benchmark.
-func SplitBenchmarkByName(name string, cfg Config) (BenchmarkSplit, error) {
-	p, err := corpus.ProfileByName(name)
-	if err != nil {
-		return BenchmarkSplit{}, err
-	}
-	return SplitBenchmark(p.Scale(cfg.Scale), cfg)
 }
 
 // Table5ForKernel measures one kernel/input row (used by the benchmark

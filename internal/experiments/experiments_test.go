@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"slicehide/internal/corpus"
 )
 
 func TestTable1Shape(t *testing.T) {
@@ -181,4 +183,20 @@ func TestAblationControlFlowHiding(t *testing.T) {
 	if base.T4.FlowHidden == 0 {
 		t.Errorf("baseline hides no flow: %+v", base.T4)
 	}
+}
+
+// Fast returns a configuration suitable for unit tests: scaled-down
+// corpora and kernels, and no injected latency (interaction counts are
+// still exact; only wall-clock overhead shrinks).
+func Fast() Config {
+	return Config{Scale: 0.05, KernelScale: 400, RTT: 0, MaxSteps: 100_000_000}
+}
+
+// SplitBenchmarkByName runs the Tables 2–4 experiment for one benchmark.
+func SplitBenchmarkByName(name string, cfg Config) (BenchmarkSplit, error) {
+	p, err := corpus.ProfileByName(name)
+	if err != nil {
+		return BenchmarkSplit{}, err
+	}
+	return SplitBenchmark(p.Scale(cfg.Scale), cfg)
 }

@@ -1,7 +1,6 @@
 package hrt
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -133,26 +132,9 @@ const defaultMaxSessions = 1024
 // request is refused because its session's replay state was lost.
 const sessionEvictedMsg = "session replay state evicted"
 
-// IsSessionEvicted reports whether err marks a request the server bounced
-// because its session's exactly-once replay state was evicted. The client
-// must treat this as fatal for the session (re-running the program opens a
-// fresh session); retrying cannot succeed and re-executing would risk
-// double-applying hidden-state mutations.
-func IsSessionEvicted(err error) bool {
-	if err == nil {
-		return false
-	}
-	var se *SessionEvictedError
-	if errors.As(err, &se) {
-		return true
-	}
-	return strings.Contains(err.Error(), sessionEvictedMsg)
-}
-
 // SessionEvictedError is the typed, client-side form of the bounce: it
 // names the server and session so the failure is actionable instead of a
-// bare wire string. IsSessionEvicted recognizes it (and the untyped wire
-// message it wraps).
+// bare wire string.
 type SessionEvictedError struct {
 	// Addr is the hidden server that refused the session ("" when the
 	// transport is in-process or the address was not recorded).

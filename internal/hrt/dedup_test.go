@@ -3,6 +3,7 @@ package hrt
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -152,4 +153,18 @@ func TestDedupFreshSessionStartsAtOne(t *testing.T) {
 	if d.Bounces.Load() != 0 {
 		t.Errorf("bounces = %d for a fresh session", d.Bounces.Load())
 	}
+}
+
+// IsSessionEvicted reports whether err marks a request the server bounced
+// because its session's exactly-once replay state was evicted: the typed
+// error, or the untyped wire message it wraps.
+func IsSessionEvicted(err error) bool {
+	if err == nil {
+		return false
+	}
+	var se *SessionEvictedError
+	if errors.As(err, &se) {
+		return true
+	}
+	return strings.Contains(err.Error(), sessionEvictedMsg)
 }

@@ -63,17 +63,21 @@ type Durability struct {
 	// half-landed request or record.
 	quiesce sync.RWMutex
 
-	// mu guards the journal handle and rotation bookkeeping.
+	// mu guards the journal handle and rotation bookkeeping. sinceSnap is
+	// base (the records the open journal held when opened) plus what the
+	// handle has appended.
 	mu        sync.Mutex
 	wlog      *wal.Journal
 	gen       uint64
 	sinceSnap int
+	base      int
 	failed    error
 	// committer, when set, gates reply-bearing responses on replication
 	// acknowledgement (see ReplCommitter); notify wakes journal tail
-	// followers after each append or rotation (see AppendNotify).
+	// followers (see advance), unwoken counts records since it last did.
 	committer ReplCommitter
 	notify    chan struct{}
+	unwoken   int
 
 	// Group commit (Fsync set): workers enqueue encoded records on
 	// commitq and block on their walCommit.done; the committer goroutine
@@ -94,8 +98,10 @@ type Durability struct {
 	snapshotting atomic.Bool
 	snapWG       sync.WaitGroup
 	// testHookSnapshotWrite, when set by tests, runs on the background
-	// writer goroutine before serialization begins.
+	// writer goroutine before serialization begins; testHookAppended runs
+	// between a direct append's write and its count.
 	testHookSnapshotWrite func()
+	testHookAppended      func()
 
 	recovered RecoveryStats
 
@@ -123,14 +129,15 @@ type Durability struct {
 }
 
 // walCommit is one encoded record waiting in the group-commit queue:
-// the payload, the journal the enqueuing worker found open, and done
-// (buffered), which receives the batch's outcome once the committer has
-// made the record durable — nil, or the write/fsync error that poisoned
-// the batch. Entries are recycled through walCommitPool; the committer
-// must not touch one after sending on its done.
+// the payload, the journal the enqueuing worker found open, advance's
+// wake, and done (buffered), which receives the batch's outcome once the
+// committer has made the record durable — nil, or the write/fsync error
+// that poisoned the batch. Entries are recycled through walCommitPool; the
+// committer must not touch one after sending on its done.
 type walCommit struct {
 	payload []byte
 	j       *wal.Journal
+	wake    bool
 	done    chan error
 }
 
@@ -337,7 +344,7 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 	p.mu.Lock()
 	p.wlog = j
 	p.gen = tip
-	p.sinceSnap = int(tipRecords)
+	p.sinceSnap, p.base = int(tipRecords), int(tipRecords)
 	p.mu.Unlock()
 	p.pruneAbove(tip)
 	if p.opts.Fsync {
@@ -654,7 +661,7 @@ func (p *Durability) journal(req Request, resp Response, eff *recEffects) error 
 		return p.appendFailed(err)
 	}
 	*buf = payload[:0]
-	return p.append(payload)
+	return p.append(payload, true)
 }
 
 // appendFailed counts a failed append, poisons the layer with the first
@@ -683,10 +690,10 @@ func (p *Durability) appendFailed(err error) error {
 // is durable), or as a direct per-record append otherwise. Position
 // bookkeeping (sinceSnap, follower wakeups) advances only after the record
 // is durable, so replication acks and snapshot triggers never run ahead of
-// disk. A durable append is timed into wal_append_ns and counted; a failed
-// one poisons the layer (see appendFailed), so this server stops
-// acknowledging what it cannot make durable.
-func (p *Durability) append(payload []byte) error {
+// disk; wake is advance's. A durable append is timed into wal_append_ns
+// and counted; a failed one poisons the layer (see appendFailed), so this
+// server stops acknowledging what it cannot make durable.
+func (p *Durability) append(payload []byte, wake bool) error {
 	start := time.Now()
 	p.mu.Lock()
 	err, j, q := p.failed, p.wlog, p.commitq
@@ -697,15 +704,19 @@ func (p *Durability) append(payload []byte) error {
 		err = fmt.Errorf("hrt: journal not open")
 	case q != nil:
 		w := walCommitPool.Get().(*walCommit)
-		w.payload, w.j = payload, j
+		w.payload, w.j, w.wake = payload, j, wake
 		q <- w
 		err = <-w.done
 		p.commitWaitNS.Observe(time.Since(start))
 		w.payload, w.j = nil, nil
 		walCommitPool.Put(w)
 	default:
-		if err = j.Append(payload); err == nil {
-			p.advance(1)
+		var n int64
+		if n, err = j.AppendCounted(payload); err == nil {
+			if p.testHookAppended != nil {
+				p.testHookAppended()
+			}
+			p.advance(n, wake)
 		}
 	}
 	if err != nil {
@@ -717,18 +728,41 @@ func (p *Durability) append(payload []byte) error {
 	return nil
 }
 
-// advance counts n newly durable records toward the next snapshot and
-// wakes journal tail followers (see AppendNotify), under one acquisition
-// of p.mu; a rotation passes 0. Caller must not hold p.mu.
-func (p *Durability) advance(n int) {
+// MaxUnwoken bounds the records counted without waking the followers, far
+// below internal/cluster's stamp table (8192) and, as a pump's reading
+// burst, low enough to spare the tail latency of calls (EXPERIMENTS.md).
+const MaxUnwoken = 64
+
+// advance publishes the position once the handle's first records records
+// are durable. The journal counted them in write order, so a record
+// counted late never holds the position below one written after it: every
+// caller's own record is within the position it reads next. It wakes the
+// journal tail followers (see AppendNotify) if wake is set — not for a
+// replicated apply, which a pump mostly passes over — or MaxUnwoken records
+// went by without a wake. A rotation passes 0 and wake. Caller must not
+// hold p.mu.
+func (p *Durability) advance(records int64, wake bool) {
 	p.mu.Lock()
-	p.sinceSnap += n
-	ch := p.notify
-	p.notify = nil
+	if n := p.base + int(records) - p.sinceSnap; n > 0 {
+		p.sinceSnap += n
+		p.unwoken += n
+	}
+	ch := p.takeNotifyLocked(wake || p.unwoken >= MaxUnwoken)
 	p.mu.Unlock()
 	if ch != nil {
 		close(ch)
 	}
+}
+
+// takeNotifyLocked, when wake is set, takes the notification channel for
+// the caller to close and restarts the unwoken count. Caller holds p.mu.
+func (p *Durability) takeNotifyLocked(wake bool) chan struct{} {
+	if !wake {
+		return nil
+	}
+	ch := p.notify
+	p.notify, p.unwoken = nil, 0
+	return ch
 }
 
 // commitLoop is the dedicated WAL committer goroutine: it blocks for
@@ -792,17 +826,21 @@ func (p *Durability) fillBatch(batch []*walCommit, q chan *walCommit) []*walComm
 }
 
 // commitBatch makes one batch durable — one write, one fsync, one
-// position advance. The journal is the one the batch's workers found
-// open: they hold the quiesce read lock until released, so no rotation
-// can have replaced it. payloads is scratch, returned for the next batch.
+// position advance, waking if any record does. The journal is the one the
+// batch's workers found open: they hold the quiesce read lock until
+// released, so no rotation can have replaced it. payloads is scratch,
+// returned for the next batch.
 func (p *Durability) commitBatch(batch []*walCommit, payloads [][]byte) ([][]byte, error) {
+	wake := false
 	for _, w := range batch {
 		payloads = append(payloads, w.payload)
+		wake = wake || w.wake
 	}
-	if err := batch[0].j.AppendBatch(payloads); err != nil {
+	n, err := batch[0].j.AppendCounted(payloads...)
+	if err != nil {
 		return payloads, err
 	}
-	p.advance(len(batch))
+	p.advance(n, wake)
 	p.commitBatches.Add(1)
 	p.commitRecords.Add(int64(len(batch)))
 	p.commitBatchRecs.Observe(time.Duration(len(batch)))
@@ -866,12 +904,18 @@ func (p *Durability) land(f func()) {
 // journal's current position, which covers every record the
 // acknowledgement stands for. A client therefore never observes an
 // acknowledgement for records a promoted follower could be missing. The
-// wait runs outside every lock, so follower applies — which take their own
-// session and store locks — can never deadlock against it.
+// pumps must read the unwoken records the position ends in to pass them
+// over, so the gate wakes them. The wait runs outside every lock, so
+// follower applies — which take their own session and store locks — can
+// never deadlock against it.
 func (p *Durability) awaitReplicated() {
 	p.mu.Lock()
 	c, gen, records := p.committer, p.gen, int64(p.sinceSnap)
+	ch := p.takeNotifyLocked(c != nil && p.unwoken > 0)
 	p.mu.Unlock()
+	if ch != nil {
+		close(ch)
+	}
 	if c != nil {
 		c.WaitCommitted(gen, records)
 	}
@@ -918,7 +962,7 @@ func (p *Durability) switchGeneration(install func(gen uint64) error) (sealed *w
 		err = fmt.Errorf("hrt: journal not open")
 	} else if err = install(next); err == nil {
 		p.mu.Lock()
-		p.wlog, p.gen, p.sinceSnap = j, next, 0
+		p.wlog, p.gen, p.sinceSnap, p.base = j, next, 0, 0
 		p.mu.Unlock()
 	}
 	p.quiesce.Unlock()
@@ -928,7 +972,7 @@ func (p *Durability) switchGeneration(install func(gen uint64) error) (sealed *w
 		os.Remove(p.journalPath(next))
 		return nil, err
 	}
-	p.advance(0) // wake replication pumps so they roll to the new generation
+	p.advance(0, true) // wake replication pumps so they roll to the new generation
 	return sealed, nil
 }
 

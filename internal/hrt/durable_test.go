@@ -117,6 +117,52 @@ func mustRoundTrip(t *testing.T, dd *Dedup, req Request) Response {
 	return resp
 }
 
+// TestDirectAppendCountsInJournalOrder pins the commit gate's target on
+// the per-append path (no fsync, so no committer orders the counts). A
+// record written but not yet counted must not leave the position below a
+// record written after it: the later record's own gate would read that
+// position, and followers that acknowledge in order would release its
+// reply once they held the earlier record only. The seam stalls the first
+// append between its write and its count while a second one lands; the
+// journal reopened over a recovered record checks the count starts from
+// what the generation already held.
+func TestDirectAppendCountsInJournalOrder(t *testing.T) {
+	dir := t.TempDir()
+	res := split(t, stressSrc, core.Spec{Func: "f", Seed: "a"})
+	_, dd1, p1 := startDurable(t, res, dir, DurabilityOptions{SnapshotEvery: -1})
+	mustRoundTrip(t, dd1, Request{Op: OpEnter, Session: 7, Seq: 1, Fn: "f"})
+	crash(t, p1)
+	_, _, p := startDurable(t, res, dir, DurabilityOptions{SnapshotEvery: -1})
+	defer crash(t, p)
+
+	stalled, release := make(chan struct{}), make(chan struct{})
+	first := true
+	p.testHookAppended = func() {
+		if first {
+			first = false
+			close(stalled)
+			<-release
+		}
+	}
+	firstDone := make(chan error, 1)
+	go func() { firstDone <- p.append([]byte("written first, counted last"), true) }()
+	<-stalled
+	if err := p.append([]byte("written second"), true); err != nil {
+		t.Fatal(err)
+	}
+	_, got := p.CurrentPosition()
+	close(release)
+	if err := <-firstDone; err != nil {
+		t.Fatal(err)
+	}
+	if got != 3 {
+		t.Errorf("after the journal's third record landed its appender reads position %d, want 3: its gate would wait for less than its own record", got)
+	}
+	if _, n := p.CurrentPosition(); n != 3 {
+		t.Errorf("position %d once both appends counted, want 3", n)
+	}
+}
+
 // TestDurableJournalReplayResumesSession kills a durable server (no final
 // snapshot) mid-session and restarts it against a freshly recompiled
 // program: the activation must survive with its hidden value, a retried

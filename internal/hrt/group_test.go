@@ -52,7 +52,7 @@ func TestGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = p.append([]byte{byte('a' + i)})
+			errs[i] = p.append([]byte{byte('a' + i)}, true)
 		}()
 	}
 	// First writer alone: its batch takes the held fsync.

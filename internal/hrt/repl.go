@@ -357,9 +357,9 @@ func (ts *TCPServer) ApplyReplicated(payload []byte) error {
 }
 
 // landReplicated claims the record's session slot and, unless the record
-// is a duplicate, decodes and applies it, journals it (durable servers)
-// and settles it into the replay state; a failed landing releases the slot
-// with nothing settled.
+// is a duplicate, decodes and applies it, journals it (durable servers;
+// waking no follower) and settles it into the replay state; a failed
+// landing releases the slot with nothing settled.
 func (ts *TCPServer) landReplicated(payload []byte) error {
 	session, seq, ok := RecordStamp(payload)
 	if !ok {
@@ -380,7 +380,7 @@ func (ts *TCPServer) landReplicated(payload []byte) error {
 	if err != nil {
 		err = fmt.Errorf("hrt: replicated record: %w", err)
 	} else if err = ts.Server.applyRecord(rec); err == nil && ts.Persist != nil {
-		err = ts.Persist.append(payload)
+		err = ts.Persist.append(payload, false)
 	}
 	if err != nil {
 		sh.release(session, e, seq, false, nil)
@@ -476,6 +476,17 @@ func (p *Durability) CurrentPosition() (gen uint64, records int64) {
 	return p.gen, int64(p.sinceSnap)
 }
 
+// WakeFollowers wakes the journal tail followers for records no wake has
+// covered (see advance), so their pass-over lifts come before the poll.
+func (p *Durability) WakeFollowers() {
+	p.mu.Lock()
+	ch := p.takeNotifyLocked(p.unwoken > 0)
+	p.mu.Unlock()
+	if ch != nil {
+		close(ch)
+	}
+}
+
 // JournalFile returns the path of generation gen's journal (for the
 // replication pump's tail scanner).
 func (p *Durability) JournalFile(gen uint64) string { return p.journalPath(gen) }
@@ -490,9 +501,9 @@ func (p *Durability) Generations() ([]uint64, error) {
 	return journals, nil
 }
 
-// AppendNotify returns a channel that is closed at the next journal
-// append or rotation. Acquire the channel before polling the tail: any
-// append after acquisition closes it, so no wakeup is lost.
+// AppendNotify returns a channel that is closed at the next wake (see
+// advance). Acquire the channel before polling the tail: the wake after
+// acquisition closes it, so no wakeup is lost.
 func (p *Durability) AppendNotify() <-chan struct{} {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -223,6 +223,9 @@ func mix64(x uint64) uint64 {
 // startup banner).
 func (s *Server) Shards() int { return len(s.shards) }
 
+// Program returns the compiled hidden program the server runs.
+func (s *Server) Program() *vm.Program { return s.reg.Prog }
+
 // EnterSession opens a hidden activation for split function fn in the
 // given session's namespace; obj is the receiver instance id for methods
 // of classes with hidden fields. When inst is non-zero it is a

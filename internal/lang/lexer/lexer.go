@@ -36,9 +36,6 @@ func New(src string) *Lexer {
 	return l
 }
 
-// Errors returns the lexical errors encountered so far.
-func (l *Lexer) Errors() []*Error { return l.errors }
-
 const eof = rune(-1)
 
 func (l *Lexer) advance() {

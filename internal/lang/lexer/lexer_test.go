@@ -203,3 +203,6 @@ func (l *Lexer) All() []token.Token {
 		}
 	}
 }
+
+// Errors returns the lexical errors encountered so far.
+func (l *Lexer) Errors() []*Error { return l.errors }

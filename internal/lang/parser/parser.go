@@ -54,15 +54,6 @@ func Parse(src string) (*ast.Program, error) {
 	return prog, nil
 }
 
-// MustParse parses src and panics on error; for tests and embedded corpora.
-func MustParse(src string) *ast.Program {
-	prog, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 type parser struct {
 	lex     *lexer.Lexer
 	tok     token.Token

@@ -9,6 +9,7 @@ import (
 
 	"slicehide/internal/corpus"
 	"slicehide/internal/ir"
+	"slicehide/internal/lang/ast"
 	"slicehide/internal/lang/parser"
 	"slicehide/internal/lang/types"
 )
@@ -160,7 +161,7 @@ class C { field g: bool; method m(): bool { var h: bool = !g; return h; } }`,
 	}}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			prog := parser.MustParse(c.src)
+			prog := mustParse(c.src)
 			info, err := types.Check(prog)
 			if c.err != "" {
 				if err == nil || err.Error() != c.err {
@@ -203,7 +204,7 @@ func nestedBlocks(depth int) string {
 // nothing in the checker.
 func TestCheckAllocsFlatInBlockDepth(t *testing.T) {
 	allocs := func(depth int) float64 {
-		prog := parser.MustParse(nestedBlocks(depth))
+		prog := mustParse(nestedBlocks(depth))
 		return testing.AllocsPerRun(20, func() { types.MustCheck(prog) })
 	}
 	if one, deep := allocs(1), allocs(64); one != deep {
@@ -215,7 +216,7 @@ func TestCheckAllocsFlatInBlockDepth(t *testing.T) {
 // nothing in lowering.
 func TestBuildAllocsFlatInBlockDepth(t *testing.T) {
 	allocs := func(depth int) float64 {
-		prog := parser.MustParse(nestedBlocks(depth))
+		prog := mustParse(nestedBlocks(depth))
 		info := types.MustCheck(prog)
 		return testing.AllocsPerRun(20, func() { ir.Build(prog, info) })
 	}
@@ -231,7 +232,7 @@ func BenchmarkParseCorpus(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parser.MustParse(src)
+		mustParse(src)
 	}
 }
 
@@ -242,18 +243,27 @@ func BenchmarkCheckCorpus(b *testing.B) {
 	src := corpus.Generate(corpus.Profiles[0])
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		types.MustCheck(parser.MustParse(src))
+		types.MustCheck(mustParse(src))
 	}
 }
 
 // BenchmarkBuildCorpus lowers one parsed and checked corpus program (javac
 // at full scale) to IR: what ir.build_ms times for one program.
 func BenchmarkBuildCorpus(b *testing.B) {
-	prog := parser.MustParse(corpus.Generate(corpus.Profiles[0]))
+	prog := mustParse(corpus.Generate(corpus.Profiles[0]))
 	info := types.MustCheck(prog)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ir.Build(prog, info)
 	}
+}
+
+// mustParse parses src and panics on error.
+func mustParse(src string) *ast.Program {
+	prog, err := parser.Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return prog
 }

@@ -33,9 +33,6 @@ func (t *Table) Row(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Headers))

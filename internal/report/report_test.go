@@ -55,3 +55,6 @@ func TestNoTitle(t *testing.T) {
 		t.Error("leading blank line without title")
 	}
 }
+
+// NumRows returns the number of data rows.
+func (t *Table) NumRows() int { return len(t.rows) }

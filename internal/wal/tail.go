@@ -157,10 +157,6 @@ func (t *TailScanner) caughtUp() error {
 	return ErrTailCaughtUp
 }
 
-// Offset is the byte offset of the next unread record (a valid restart
-// point for OpenTail).
-func (t *TailScanner) Offset() int64 { return t.off }
-
 // Close releases the read handle.
 func (t *TailScanner) Close() error { return t.f.Close() }
 

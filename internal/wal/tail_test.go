@@ -490,3 +490,7 @@ func TestOffsetTrackerWaitTimeout(t *testing.T) {
 		t.Fatal("covered target reported timeout")
 	}
 }
+
+// Offset is the byte offset of the next unread record (a valid restart
+// point for OpenTail).
+func (t *TailScanner) Offset() int64 { return t.off }

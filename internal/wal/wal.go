@@ -214,7 +214,8 @@ func Open(path string, validLen int64, sync bool) (*Journal, error) {
 // lose. An empty payload is refused: its frame would be all zeros, which
 // is how the log end reads.
 func (j *Journal) Append(payload []byte) error {
-	return j.appendFrames(payload)
+	_, err := j.AppendCounted(payload)
+	return err
 }
 
 // AppendBatch frames every payload and hands the whole batch to the
@@ -226,24 +227,28 @@ func (j *Journal) Append(payload []byte) error {
 // between the write and the flush can lose any suffix of the batch,
 // which recovery truncates away at the last intact record.
 func (j *Journal) AppendBatch(payloads [][]byte) error {
-	return j.appendFrames(payloads...)
+	_, err := j.AppendCounted(payloads...)
+	return err
 }
 
-func (j *Journal) appendFrames(payloads ...[]byte) error {
+// AppendCounted is AppendBatch that also reports how many records this
+// handle holds once the batch is among them: the last payload's place in
+// journal order, counted under the same lock that ordered the write.
+func (j *Journal) AppendCounted(payloads ...[]byte) (int64, error) {
 	need := 0
 	for _, p := range payloads {
 		if len(p) == 0 {
-			return fmt.Errorf("wal: empty record")
+			return 0, fmt.Errorf("wal: empty record")
 		}
 		if len(p) > MaxRecord {
-			return fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(p), MaxRecord)
+			return 0, fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(p), MaxRecord)
 		}
 		need += frameSize + len(p)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
-		return fmt.Errorf("wal: journal closed")
+		return 0, fmt.Errorf("wal: journal closed")
 	}
 	if cap(j.scratch) < need {
 		j.scratch = make([]byte, 0, need+need/2)
@@ -258,19 +263,19 @@ func (j *Journal) appendFrames(payloads ...[]byte) error {
 	end := j.size + int64(need)
 	if j.sync && end > j.filled {
 		if err := j.fillLocked(end); err != nil {
-			return fmt.Errorf("wal: zero-fill journal: %w", err)
+			return 0, fmt.Errorf("wal: zero-fill journal: %w", err)
 		}
 		if j.extended != nil {
 			j.extended()
 		}
 	}
 	if _, err := j.f.WriteAt(b, j.size); err != nil {
-		return fmt.Errorf("wal: append %d record(s): %w", len(payloads), err)
+		return 0, fmt.Errorf("wal: append %d record(s): %w", len(payloads), err)
 	}
 	if j.sync {
 		start := time.Now()
 		if err := j.syncLocked(end); err != nil {
-			return fmt.Errorf("wal: flush %d record(s): %w", len(payloads), err)
+			return 0, fmt.Errorf("wal: flush %d record(s): %w", len(payloads), err)
 		}
 		if j.synced != nil {
 			j.synced(time.Since(start))
@@ -278,7 +283,7 @@ func (j *Journal) appendFrames(payloads ...[]byte) error {
 	}
 	j.size = end
 	j.records += int64(len(payloads))
-	return nil
+	return j.records, nil
 }
 
 // Close truncates the file back to the log end, flushes and closes it.
