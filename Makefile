@@ -131,9 +131,11 @@ one-client:
 # capability probe left the shipped code, 24,645 before replicated applies
 # stopped waking the replication pumps and a program with hidden globals
 # got one owner, paid for by moving helpers only tests call into test
-# files. The ceiling only goes down: a change that lands below it lowers
+# files, 24,642 before cluster.Group kept one record per peer and decided
+# readiness in one function while snapshots began to carry the globals
+# guard. The ceiling only goes down: a change that lands below it lowers
 # it to the new count.
-LINKED_LINES_MAX = 24642
+LINKED_LINES_MAX = 24641
 
 # linked_lines counts the non-test lines of this module that the packages
 # matching $(1) link.
@@ -170,20 +172,21 @@ test:
 # to end, the pooled client streams that move, window and all, between
 # the pool's connections while their readers and writers run, the pump
 # wake rule (applied records wake no pump below the bound; a commit gate
-# and a lag reading wake the pumps for them) and the one owner of a
-# program with hidden globals.
+# and a lag reading wake the pumps for them), the one owner of a program
+# with hidden globals, and the readiness verdict.
 # The sixth line repeats the one record applier recovery and replication
-# share: both orders of landing a journal must agree, a restarted replica
-# must keep the newest global write, both engines' effects must recover
-# alike, a replicated record racing a live request of the same stamp
-# must land once, and a direct append counts in journal order.
+# share: both orders of landing a journal must agree, a replica restarted
+# from its journal or from a snapshot must keep the newest global write,
+# both engines' effects must recover alike, a replicated record racing a
+# live request of the same stamp must land once, and a direct append
+# counts in journal order.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'GroupCommit|Dedup' ./internal/hrt
 	$(GO) test -race -count=10 -run 'SharedFactsConcurrent|AnalyzeConcurrent|CompileConcurrent' ./internal/slicer ./internal/complexity ./internal/ir
 	$(GO) test -race -count=3 -run 'Crash|TailScanner|EmptyRecord|JournalChain|ParentWritten' ./internal/wal ./internal/hrt
-	$(GO) test -race -count=10 -run 'OriginSkip|Cover|Lift|ReplStream|MuxPool|PumpWake|GlobalsLinearizable' ./internal/cluster
-	$(GO) test -race -count=10 -run 'RecoveryMatchesReplication|OlderGlobalAfterRestart|LiveGlobalWriteRecovers|DifferentialDurableEffects|SameStampLandOnce|DirectAppendCountsInJournalOrder' ./internal/hrt
+	$(GO) test -race -count=10 -run 'OriginSkip|Cover|Lift|ReplStream|MuxPool|PumpWake|GlobalsLinearizable|Readiness' ./internal/cluster
+	$(GO) test -race -count=10 -run 'RecoveryMatchesReplication|OlderGlobalAfter|LiveGlobalWriteRecovers|DifferentialDurableEffects|SameStampLandOnce|DirectAppendCountsInJournalOrder' ./internal/hrt
 
 # Run the wire-codec and durability-layer fuzzers for a short budget
 # each (the journal frame scanner and the journal record decoder face

@@ -330,7 +330,7 @@ func TestCatchupTransferResumesAfterSever(t *testing.T) {
 	waitUntil(t, 10*time.Second, "joiner stats to match the sender", func() bool {
 		return joiner.ts.Server.Stats() == senderStats
 	})
-	if got, want := joiner.g.Epoch(), uint64(2); got < want {
+	if got, want := joiner.g.Membership().Epoch, uint64(2); got < want {
 		t.Errorf("joiner epoch %d, want >= %d", got, want)
 	}
 }

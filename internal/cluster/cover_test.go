@@ -285,9 +285,10 @@ func TestReplHandshakeVersionMismatch(t *testing.T) {
 		t.Errorf("the replica answered a version-1 sender with %q, want %q", resp.Err, want)
 	}
 	fleet[0].g.recvMu.Lock()
-	opened := fleet[0].g.recvActive["old-replica"]
+	in := fleet[0].g.recv["old-replica"]
+	opened := in != nil && in.open > 0
 	fleet[0].g.recvMu.Unlock()
-	if opened != 0 {
+	if opened {
 		t.Error("the refused sender got a replication stream")
 	}
 

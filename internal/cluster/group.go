@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,15 +133,12 @@ type Group struct {
 	coverWake    chan struct{}
 	trackerEpoch atomic.Uint64
 
-	mu        sync.Mutex
-	members   Membership
-	leaving   bool // Self asked to leave; do not auto-rejoin
-	closed    bool // Close started; no new pumps may spawn
-	alive     map[string]bool
-	fails     map[string]int // consecutive failed probes per peer
-	deadSince map[string]time.Time
-	promoted  map[string]bool          // failover_ns recorded for this death
-	pumps     map[string]chan struct{} // per-peer pump stop channels
+	mu      sync.Mutex
+	members Membership
+	leaving bool                     // Self asked to leave; do not auto-rejoin
+	closed  bool                     // Close started; no new pumps may spawn
+	peers   map[string]*peerLiveness // one per member, Self's always alive
+	pumps   map[string]chan struct{} // per-peer pump stop channels
 
 	// changeMu serializes local membership mutations (Join/Leave), so two
 	// concurrent admin calls cannot race to the same epoch and drop one
@@ -154,23 +152,11 @@ type Group struct {
 	pumpMu    sync.Mutex
 	pumpConns map[string]net.Conn
 
-	// Inbound-stream bookkeeping (recvMu): per-sender applied positions
-	// (the OpRepl handshake's resume source), per-sender catch-up targets
-	// (from ReplFrameTarget; /readyz holds until met), the single active
-	// snapshot-transfer stage, and which senders hold an open stream.
-	recvMu     sync.Mutex
-	recvPos    map[string]wal.Position
-	targets    map[string]wal.Position
-	stage      *snapStage
-	recvActive map[string]int
-	// recvAnnounced counts, per sender, inbound streams that have announced
-	// the sender's journal position (the ReplFrameTarget after the
-	// handshake). Readiness requires one from every live peer: a replica
-	// that has not heard where each peer's journal stands cannot know it
-	// is caught up — a restarted joiner with an empty journal would
-	// otherwise report ready (zero lag, zero targets) purely out of
-	// ignorance, and serve stale state until the first sender reconnected.
-	recvAnnounced map[string]int
+	// Inbound-stream bookkeeping (recvMu): one record per sender, and the
+	// single active snapshot-transfer stage.
+	recvMu sync.Mutex
+	recv   map[string]*inbound
+	stage  *snapStage
 
 	redirects atomic.Int64
 	replBytes atomic.Int64
@@ -221,34 +207,9 @@ func New(cfg Config, ts *hrt.TCPServer) (*Group, error) {
 			members = persisted
 		}
 	}
-	g := &Group{
-		cfg:           cfg,
-		ts:            ts,
-		tracker:       wal.NewOffsetTracker(),
-		boot:          boot,
-		stamps:        newStampTable(stampTableSize),
-		origins:       make(map[string]*originStream),
-		pumpCovers:    make(map[string]*pumpCover),
-		members:       members,
-		alive:         make(map[string]bool, len(members.Members)),
-		fails:         make(map[string]int, len(members.Members)),
-		deadSince:     make(map[string]time.Time),
-		promoted:      make(map[string]bool),
-		pumps:         make(map[string]chan struct{}),
-		stop:          make(chan struct{}),
-		pumpConns:     make(map[string]net.Conn),
-		recvPos:       make(map[string]wal.Position),
-		targets:       make(map[string]wal.Position),
-		recvActive:    make(map[string]int),
-		recvAnnounced: make(map[string]int),
-	}
+	g := newGroup(cfg, ts, members, boot)
 	if ts.Server != nil && len(ts.Server.Program().Globals.Slots) > 0 {
 		g.pin = ts.Server.Program().Hash | 1
-	}
-	// Boot optimistic: a fleet starting together must not redirect-flail
-	// while the first probe round is still in flight.
-	for _, p := range members.Members {
-		g.alive[p] = true
 	}
 	ts.Router = g
 	ts.ReplHandler = g.handleRepl
@@ -259,6 +220,32 @@ func New(cfg Config, ts *hrt.TCPServer) (*Group, error) {
 		ts.Persist.SetCommitter(g)
 	}
 	return g, nil
+}
+
+// newGroup builds the group's state over members with no server hook
+// installed and no loop started.
+func newGroup(cfg Config, ts *hrt.TCPServer, members Membership, boot uint64) *Group {
+	g := &Group{
+		cfg:        cfg,
+		ts:         ts,
+		tracker:    wal.NewOffsetTracker(),
+		boot:       boot,
+		stamps:     newStampTable(stampTableSize),
+		origins:    make(map[string]*originStream),
+		pumpCovers: make(map[string]*pumpCover),
+		members:    members,
+		peers:      make(map[string]*peerLiveness, len(members.Members)),
+		pumps:      make(map[string]chan struct{}),
+		stop:       make(chan struct{}),
+		pumpConns:  make(map[string]net.Conn),
+		recv:       make(map[string]*inbound),
+	}
+	// Boot optimistic: a fleet starting together must not redirect-flail
+	// while the first probe round is still in flight.
+	for _, p := range members.Members {
+		g.peers[p] = &peerLiveness{alive: true}
+	}
+	return g
 }
 
 // newBootID draws the random non-zero id that tells this process
@@ -330,13 +317,6 @@ func (g *Group) Membership() Membership {
 	return g.members.Clone()
 }
 
-// Epoch returns the current membership epoch.
-func (g *Group) Epoch() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.members.Epoch
-}
-
 // adopt installs m if it supersedes the current table, persists it,
 // reconciles the pump set, and reports whether it was installed.
 func (g *Group) adopt(m Membership, source string) bool {
@@ -347,32 +327,26 @@ func (g *Group) adopt(m Membership, source string) bool {
 	}
 	g.members = m.Clone()
 	for _, p := range m.Members {
-		if _, ok := g.alive[p]; !ok {
+		if g.peers[p] == nil {
 			// New members start optimistically alive, like at boot.
-			g.alive[p] = true
+			g.peers[p] = &peerLiveness{alive: true}
 		}
 	}
 	// Forget liveness state for ex-members so gauges and the router stop
 	// seeing them.
-	for p := range g.alive {
+	for p := range g.peers {
 		if !m.Has(p) {
-			delete(g.alive, p)
-			delete(g.fails, p)
-			delete(g.deadSince, p)
-			delete(g.promoted, p)
+			delete(g.peers, p)
 		}
 	}
 	excluded := !m.Has(g.cfg.Self) && !g.leaving
 	g.mu.Unlock()
 	g.recvMu.Lock()
-	for sender := range g.targets {
+	// An ex-member's target and announcement no longer count; what it had
+	// applied stays, as the resume point should it rejoin.
+	for sender, in := range g.recv {
 		if !m.Has(sender) {
-			delete(g.targets, sender)
-		}
-	}
-	for sender := range g.recvAnnounced {
-		if !m.Has(sender) {
-			delete(g.recvAnnounced, sender)
+			in.target, in.announced = wal.Position{}, 0
 		}
 	}
 	if g.stage != nil && !m.Has(g.stage.sender) {
@@ -543,6 +517,14 @@ func (g *Group) joinLoop() {
 // is bounded by probeFailThreshold × ProbeInterval.
 const probeFailThreshold = 3
 
+// peerLiveness is the prober's record of one member.
+type peerLiveness struct {
+	alive     bool
+	fails     int       // consecutive failed probes
+	deadSince time.Time // when the prober declared it dead
+	promoted  bool      // failover_ns recorded for this death
+}
+
 func (g *Group) probeLoop() {
 	defer g.wg.Done()
 	t := time.NewTicker(g.cfg.ProbeInterval)
@@ -569,18 +551,17 @@ func (g *Group) probeOnce() {
 			}
 		}
 		g.mu.Lock()
-		if !g.members.Has(peer) {
+		l := g.peers[peer]
+		if l == nil {
 			// The peer left the fleet while we probed it.
 			g.mu.Unlock()
 			continue
 		}
-		was := g.alive[peer]
 		died := false
 		if up {
-			g.fails[peer] = 0
-			g.alive[peer] = true
-			if !was {
-				delete(g.deadSince, peer)
+			l.fails = 0
+			if !l.alive {
+				l.alive = true
 				g.cfg.Tracer.Emit(obs.LevelInfo, "cluster_peer_up", obs.Str("peer", peer))
 			}
 		} else {
@@ -590,11 +571,9 @@ func (g *Group) probeOnce() {
 			// clobbering boot optimism on it would zero the live-peer count,
 			// letting readiness and the commit gate pass with no replication
 			// streams established.
-			g.fails[peer]++
-			if was && g.fails[peer] >= probeFailThreshold {
-				g.alive[peer] = false
-				g.deadSince[peer] = time.Now()
-				g.promoted[peer] = false
+			l.fails++
+			if l.alive && l.fails >= probeFailThreshold {
+				l.alive, l.deadSince, l.promoted = false, time.Now(), false
 				died = true
 				g.cfg.Tracer.Emit(obs.LevelWarn, "cluster_peer_down", obs.Str("peer", peer))
 			}
@@ -614,20 +593,15 @@ func (g *Group) probeOnce() {
 func (g *Group) rejoinIfEvicted() {
 	g.mu.Lock()
 	excluded := !g.members.Has(g.cfg.Self) && !g.leaving
-	var via string
-	if excluded {
-		for _, p := range g.members.Members {
-			if g.alive[p] {
-				via = p
-				break
-			}
-		}
-	}
 	g.mu.Unlock()
-	if !excluded || via == "" {
+	if !excluded {
 		return
 	}
-	if reply, err := hrt.GossipExchange(g.cfg.Dial, via, g.cfg.Self, hrt.PingJoin, g.cfg.Self, g.cfg.DialTimeout); err == nil {
+	via := g.livePeers()
+	if len(via) == 0 {
+		return
+	}
+	if reply, err := hrt.GossipExchange(g.cfg.Dial, via[0], g.cfg.Self, hrt.PingJoin, g.cfg.Self, g.cfg.DialTimeout); err == nil {
 		if m, perr := ParseMembership(reply); perr == nil {
 			g.adopt(m, "rejoin")
 		}
@@ -662,15 +636,12 @@ func (g *Group) livePeers() []string {
 	defer g.mu.Unlock()
 	out := make([]string, 0, len(g.members.Members))
 	for _, p := range g.members.Members {
-		if p == g.cfg.Self || g.alive[p] {
+		if g.peers[p].alive {
 			out = append(out, p)
 		}
 	}
 	return out
 }
-
-// AlivePeers reports how many fleet members are currently believed alive.
-func (g *Group) AlivePeers() int { return len(g.livePeers()) }
 
 // ---------------------------------------------------------------------------
 // Routing
@@ -718,15 +689,12 @@ func (g *Group) observePromotion(session uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	staticOwner := Owner(g.place(session), g.members.Members)
-	if staticOwner == g.cfg.Self {
+	l := g.peers[staticOwner]
+	if l == nil || l.alive || l.promoted {
 		return
 	}
-	since, dead := g.deadSince[staticOwner]
-	if !dead || g.promoted[staticOwner] {
-		return
-	}
-	g.promoted[staticOwner] = true
-	ns := time.Since(since).Nanoseconds()
+	l.promoted = true
+	ns := time.Since(l.deadSince).Nanoseconds()
 	g.failoverNS.Store(ns)
 	g.cfg.Tracer.Emit(obs.LevelWarn, "cluster_promotion",
 		obs.Uint("session", session), obs.Str("dead_peer", staticOwner),
@@ -778,11 +746,7 @@ func (g *Group) Lag() int64 {
 		return 0
 	}
 	if min.Gen == gen {
-		d := records - min.Records
-		if d < 0 {
-			d = 0
-		}
-		return d
+		return max(records-min.Records, 0)
 	}
 	if min.Gen > gen {
 		return 0
@@ -790,79 +754,97 @@ func (g *Group) Lag() int64 {
 	return records + 1
 }
 
-// Ready reports whether this replica should receive traffic: a fleet
-// member (joined, not evicted, not leaving), no snapshot transfer or
-// record catch-up in progress on the inbound side, a replication stream
-// established to every live peer, and outbound lag zero. The stream
-// requirement matters at boot — the commit gate only holds responses for
-// *connected* followers, so serving before the pumps are up would hand
-// out acknowledgements nothing replicates. The daemon layer additionally
-// gates on recovery having finished before the group even exists.
-func (g *Group) Ready() (bool, string) {
-	if !g.cfg.Replicate {
-		return true, ""
-	}
-	g.mu.Lock()
-	isMember := g.members.Has(g.cfg.Self)
-	leaving := g.leaving
-	joining := g.cfg.JoinSeed != "" && g.members.Epoch == 1 && len(g.members.Members) == 1
-	g.mu.Unlock()
-	if leaving {
-		return false, "leaving the fleet"
-	}
-	if !isMember {
-		return false, "not a fleet member (evicted; rejoin pending)"
-	}
-	if joining {
-		return false, fmt.Sprintf("joining the fleet via %s", g.cfg.JoinSeed)
-	}
-	if reason := g.catchingUp(); reason != "" {
-		return false, reason
-	}
-	remote := 0
-	for _, p := range g.livePeers() {
-		if p == g.cfg.Self {
-			continue
-		}
-		remote++
-		// The inbound mirror of the stream-count check below: every live
-		// peer must hold an open stream to us that has announced its
-		// journal position. Until then we cannot distinguish "caught up"
-		// from "have not yet been told how far behind we are" — the
-		// restarted-joiner trap.
-		g.recvMu.Lock()
-		announced := g.recvAnnounced[p]
-		g.recvMu.Unlock()
-		if announced == 0 {
-			return false, fmt.Sprintf("awaiting inbound replication stream from %s", p)
-		}
-	}
-	if _, n := g.tracker.Min(); n < remote {
-		return false, fmt.Sprintf("replication streams connecting (%d/%d)", n, remote)
-	}
-	if lag := g.Lag(); lag > 0 {
-		return false, fmt.Sprintf("replication catching up: %d records behind", lag)
-	}
-	return true, ""
+// Ready reports whether this replica should receive traffic (see verdict);
+// the daemon layer gates on recovery before the group even exists.
+func (g *Group) Ready() (bool, string) { return g.readiness().verdict() }
+
+// readiness is the state Ready decides over, read under the group's locks.
+type readiness struct {
+	replicate, member, leaving, joining bool
+	joinSeed, stageFrom                 string
+	staged                              int                // bytes of stageFrom's snapshot transfer
+	live                                []string           // live peers other than Self
+	recv                                map[string]inbound // every other member's inbound record
+	registered                          map[string]bool    // peers the tracker holds a stream to
+	lag                                 int64
 }
 
-// catchingUp reports a non-empty reason while the inbound side is behind:
-// a snapshot transfer is staged, or a sender's announced stream target has
-// not been reached yet. Met targets are cleared as a side effect.
-func (g *Group) catchingUp() string {
-	g.recvMu.Lock()
-	defer g.recvMu.Unlock()
-	if st := g.stage; st != nil {
-		return fmt.Sprintf("snapshot transfer from %s in progress (%d bytes staged)", st.sender, len(st.buf))
+// readiness takes the snapshot under g.mu, recvMu and the tracker's lock
+// in turn, never two at once.
+func (g *Group) readiness() readiness {
+	r := readiness{replicate: g.cfg.Replicate, joinSeed: g.cfg.JoinSeed}
+	if !r.replicate {
+		return r
 	}
-	for sender, tgt := range g.targets {
-		if pos := g.recvPos[sender]; pos.Before(tgt) {
-			return fmt.Sprintf("catching up on %s: applied (%d,%d), stream target (%d,%d)",
-				sender, pos.Gen, pos.Records, tgt.Gen, tgt.Records)
+	r.recv, r.registered = make(map[string]inbound), make(map[string]bool)
+	g.mu.Lock()
+	r.member, r.leaving = g.members.Has(g.cfg.Self), g.leaving
+	r.joining = g.cfg.JoinSeed != "" && g.members.Epoch == 1 && len(g.members.Members) == 1
+	others := g.members.Others(g.cfg.Self)
+	for _, p := range others {
+		if g.peers[p].alive {
+			r.live = append(r.live, p)
 		}
-		delete(g.targets, sender)
 	}
-	return ""
+	g.mu.Unlock()
+	g.recvMu.Lock()
+	if st := g.stage; st != nil {
+		r.stageFrom, r.staged = st.sender, len(st.buf)
+	}
+	for _, p := range others {
+		if in := g.recv[p]; in != nil {
+			r.recv[p] = *in
+		}
+	}
+	g.recvMu.Unlock()
+	g.tracker.Each(func(peer string, _ wal.Position) { r.registered[peer] = true })
+	r.lag = g.Lag()
+	return r
+}
+
+// verdict decides readiness: a fleet member (joined, not evicted, not
+// leaving), no snapshot transfer or record catch-up in progress inbound,
+// an announced inbound stream from every live peer and an outbound one to
+// each, and outbound lag zero. Without the announcements a restarted
+// joiner with an empty journal would report ready out of ignorance;
+// without the pumps the commit gate, which holds responses only for
+// connected followers, would acknowledge what nothing replicates.
+func (r readiness) verdict() (bool, string) {
+	switch {
+	case !r.replicate:
+		return true, ""
+	case r.leaving:
+		return false, "leaving the fleet"
+	case !r.member:
+		return false, "not a fleet member (evicted; rejoin pending)"
+	case r.joining:
+		return false, fmt.Sprintf("joining the fleet via %s", r.joinSeed)
+	case r.stageFrom != "":
+		return false, fmt.Sprintf("snapshot transfer from %s in progress (%d bytes staged)", r.stageFrom, r.staged)
+	}
+	for p, in := range r.recv { // a dead member's unmet target holds too
+		if in.applied.Before(in.target) {
+			return false, fmt.Sprintf("catching up on %s: applied (%d,%d), stream target (%d,%d)",
+				p, in.applied.Gen, in.applied.Records, in.target.Gen, in.target.Records)
+		}
+	}
+	var connecting []string
+	for _, p := range r.live {
+		if r.recv[p].announced == 0 {
+			return false, fmt.Sprintf("awaiting inbound replication stream from %s", p)
+		}
+		if !r.registered[p] {
+			connecting = append(connecting, p)
+		}
+	}
+	if len(connecting) > 0 {
+		return false, fmt.Sprintf("replication streams connecting (%d/%d): awaiting %s",
+			len(r.live)-len(connecting), len(r.live), strings.Join(connecting, ", "))
+	}
+	if r.lag > 0 {
+		return false, fmt.Sprintf("replication catching up: %d records behind", r.lag)
+	}
+	return true, ""
 }
 
 // Redirects reports how many requests were redirected to their owner.
@@ -880,8 +862,8 @@ func (g *Group) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("failover_ns", g.failoverNS.Load)
 	reg.Gauge("repl_sync_waits", g.syncWaits.Load)
 	reg.Gauge("repl_sync_stalls", g.syncStalls.Load)
-	reg.Gauge("cluster_peers_alive", func() int64 { return int64(g.AlivePeers()) })
-	reg.Gauge("cluster_membership_epoch", func() int64 { return int64(g.Epoch()) })
+	reg.Gauge("cluster_peers_alive", func() int64 { return int64(len(g.livePeers())) })
+	reg.Gauge("cluster_membership_epoch", func() int64 { return int64(g.Membership().Epoch) })
 	reg.Gauge("snap_xfer_bytes", g.snapXferBytes.Load)
 	reg.Gauge("snap_xfer_ns", g.snapXferNS.Load)
 	reg.Gauge("snap_xfer_resumes", g.snapResumes.Load)

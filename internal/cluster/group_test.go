@@ -34,23 +34,7 @@ func testGroup(t *testing.T, peer string, commitTimeout time.Duration) *Group {
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	g := &Group{
-		cfg:           cfg,
-		tracker:       wal.NewOffsetTracker(),
-		members:       NewMembership(cfg.Peers),
-		alive:         map[string]bool{peer: true},
-		fails:         make(map[string]int),
-		deadSince:     make(map[string]time.Time),
-		promoted:      make(map[string]bool),
-		pumps:         make(map[string]chan struct{}),
-		stop:          make(chan struct{}),
-		pumpConns:     make(map[string]net.Conn),
-		recvPos:       make(map[string]wal.Position),
-		targets:       make(map[string]wal.Position),
-		recvActive:    make(map[string]int),
-		recvAnnounced: make(map[string]int),
-	}
-	return g
+	return newGroup(cfg, nil, NewMembership(cfg.Peers), 0)
 }
 
 // TestCommitGateReleasesOnProberDeath is the regression test for the
@@ -129,5 +113,56 @@ func TestProbeDeathRequiresThreshold(t *testing.T) {
 	g.probeOnce()
 	if _, n := g.tracker.Min(); n != 0 {
 		t.Fatal("follower still tracked after the prober declared it dead")
+	}
+}
+
+// TestReadinessVerdict pins each reason readiness can give, in the order
+// verdict checks them.
+func TestReadinessVerdict(t *testing.T) {
+	const a, b = "10.0.0.2:7070", "10.0.0.3:7070"
+	met := inbound{applied: wal.Position{Gen: 2, Records: 9}, open: 1, announced: 1}
+	behind := met
+	behind.target = wal.Position{Gen: 3, Records: 4}
+	unannounced := met
+	unannounced.announced = 0
+	// fleet is a member with a and b live, inbound records bIn from b and
+	// met from a, and the given peers' outbound streams registered.
+	fleet := func(bIn inbound, lag int64, registered ...string) readiness {
+		r := readiness{replicate: true, member: true, live: []string{a, b}, lag: lag,
+			recv: map[string]inbound{a: met, b: bIn}, registered: make(map[string]bool)}
+		for _, p := range registered {
+			r.registered[p] = true
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name   string
+		r      readiness
+		ready  bool
+		reason string
+	}{
+		{"not replicating", readiness{}, true, ""},
+		{"leaving", readiness{replicate: true, member: true, leaving: true}, false, "leaving the fleet"},
+		{"evicted", readiness{replicate: true}, false, "not a fleet member (evicted; rejoin pending)"},
+		{"joining", readiness{replicate: true, member: true, joining: true, joinSeed: a}, false,
+			"joining the fleet via " + a},
+		{"staged transfer", readiness{replicate: true, member: true, stageFrom: a, staged: 4096}, false,
+			"snapshot transfer from " + a + " in progress (4096 bytes staged)"},
+		{"unmet target", fleet(behind, 0, a, b), false,
+			"catching up on " + b + ": applied (2,9), stream target (3,4)"},
+		{"dead member's unmet target", readiness{replicate: true, member: true, live: []string{a},
+			recv: map[string]inbound{a: met, b: behind}, registered: map[string]bool{a: true}}, false,
+			"catching up on " + b + ": applied (2,9), stream target (3,4)"},
+		{"no announced stream", fleet(unannounced, 0, a, b), false,
+			"awaiting inbound replication stream from " + b},
+		{"connecting", fleet(met, 0, b), false, "replication streams connecting (1/2): awaiting " + a},
+		{"lag", fleet(met, 7, a, b), false, "replication catching up: 7 records behind"},
+		{"ready", fleet(met, 0, a, b), true, ""},
+		{"ready alone", readiness{replicate: true, member: true}, true, ""},
+	} {
+		ready, reason := tc.r.verdict()
+		if ready != tc.ready || reason != tc.reason {
+			t.Errorf("%s: verdict (%v, %q), want (%v, %q)", tc.name, ready, reason, tc.ready, tc.reason)
+		}
 	}
 }

@@ -492,11 +492,7 @@ func (g *Group) sendSnapshot(peer string, st *replStream, r *bufio.Reader) (wal.
 
 	for i := startChunk; i < nchunks; i++ {
 		lo := i * int64(chunk)
-		hi := lo + int64(chunk)
-		if hi > total {
-			hi = total
-		}
-		body := payload[lo:hi]
+		body := payload[lo:min(lo+int64(chunk), total)]
 		framed := make([]byte, 4+len(body))
 		binary.LittleEndian.PutUint32(framed[0:4], crc32.ChecksumIEEE(body))
 		copy(framed[4:], body)
@@ -763,6 +759,27 @@ func (g *Group) passOver(pm *pump, payload []byte, pos wal.Position) (pass, own 
 // ---------------------------------------------------------------------------
 // Inbound side
 
+// inbound is this replica's record of one sender's replication streams:
+// the newest position applied from it (the OpRepl handshake's resume
+// source), the journal position it last announced (ReplFrameTarget;
+// readiness holds until applied reaches it), its open streams, and how
+// many of those have announced.
+type inbound struct {
+	applied, target wal.Position
+	open, announced int
+}
+
+// inboundLocked returns sender's record, making it on first use. Caller
+// holds recvMu.
+func (g *Group) inboundLocked(sender string) *inbound {
+	in := g.recv[sender]
+	if in == nil {
+		in = &inbound{}
+		g.recv[sender] = in
+	}
+	return in
+}
+
 // replResume implements hrt.TCPServer.ReplResume: the newest position
 // this replica has applied from sender, handed back in the OpRepl
 // handshake so a reconnecting pump resumes where it left off instead of
@@ -770,7 +787,7 @@ func (g *Group) passOver(pm *pump, payload []byte, pos wal.Position) (pass, own 
 func (g *Group) replResume(sender string) (uint64, int64) {
 	g.recvMu.Lock()
 	defer g.recvMu.Unlock()
-	pos := g.recvPos[sender]
+	pos := g.inboundLocked(sender).applied
 	return pos.Gen, pos.Records
 }
 
@@ -788,18 +805,15 @@ func (g *Group) handleRepl(conn net.Conn, r *bufio.Reader, sender string, boot u
 	g.cfg.Tracer.Emit(obs.LevelInfo, "cluster_repl_stream_open",
 		obs.Str("peer", sender), obs.Uint("peer_boot", boot))
 	g.recvMu.Lock()
-	g.recvActive[sender]++
+	in := g.inboundLocked(sender)
+	in.open++
 	g.recvMu.Unlock()
 	announced := false
 	defer func() {
 		g.recvMu.Lock()
-		if g.recvActive[sender]--; g.recvActive[sender] <= 0 {
-			delete(g.recvActive, sender)
-		}
-		if announced && g.recvAnnounced[sender] > 0 {
-			if g.recvAnnounced[sender]--; g.recvAnnounced[sender] == 0 {
-				delete(g.recvAnnounced, sender)
-			}
+		in.open--
+		if announced && in.announced > 0 {
+			in.announced--
 		}
 		g.recvMu.Unlock()
 	}()
@@ -838,7 +852,7 @@ func (g *Group) handleRepl(conn net.Conn, r *bufio.Reader, sender string, boot u
 			g.replApplied.Add(1)
 			g.replBytes.Add(int64(hrt.ReplHeadSize + len(f.Payload)))
 			g.recvMu.Lock()
-			g.recvPos[sender] = wal.Position{Gen: f.Gen, Records: f.Index}
+			in.applied = wal.Position{Gen: f.Gen, Records: f.Index}
 			g.recvMu.Unlock()
 			if st.send(hrt.ReplFrame{Type: hrt.ReplFrameAck, Gen: f.Gen, Index: f.Index}) != nil {
 				return
@@ -851,28 +865,23 @@ func (g *Group) handleRepl(conn net.Conn, r *bufio.Reader, sender string, boot u
 		case hrt.ReplFrameSeal:
 			// The sender's generation f.Gen ended at f.Index records, and the
 			// seal follows the generation's last frame. Lift an applied
-			// position sitting on the boundary across it; catchingUp compares
+			// position sitting on the boundary across it; readiness compares
 			// it against the announced target, and without the lift a target
 			// of (G, 0) wedges readiness when the corpus stops right at the
 			// rotation.
 			g.recvMu.Lock()
-			if g.recvPos[sender] == (wal.Position{Gen: f.Gen, Records: f.Index}) {
-				g.recvPos[sender] = wal.Position{Gen: f.Gen + 1}
+			if in.applied == (wal.Position{Gen: f.Gen, Records: f.Index}) {
+				in.applied = wal.Position{Gen: f.Gen + 1}
 			}
 			g.recvMu.Unlock()
 		case hrt.ReplFrameTarget:
-			pos := wal.Position{Gen: f.Gen, Records: f.Index}
 			g.recvMu.Lock()
-			if g.recvPos[sender].Before(pos) {
-				g.targets[sender] = pos
-			} else {
-				delete(g.targets, sender)
-			}
+			in.target = wal.Position{Gen: f.Gen, Records: f.Index}
 			// The sender has told us where its journal stands: this stream
 			// now counts toward the inbound-side readiness requirement.
 			if !announced {
 				announced = true
-				g.recvAnnounced[sender]++
+				in.announced++
 			}
 			g.recvMu.Unlock()
 		case hrt.ReplFrameSnapBegin:
@@ -911,7 +920,7 @@ func (g *Group) recvSnapBegin(out *replStream, sender string, f hrt.ReplFrame) b
 	}
 	g.recvMu.Lock()
 	if st := g.stage; st != nil && st.sender != sender {
-		if g.recvActive[st.sender] > 0 {
+		if in := g.recv[st.sender]; in != nil && in.open > 0 {
 			g.recvMu.Unlock()
 			return out.send(hrt.ReplFrame{
 				Type: hrt.ReplFrameSnapNack, Gen: f.Gen,
@@ -964,10 +973,7 @@ func (g *Group) recvSnapChunk(out *replStream, sender string, f hrt.ReplFrame) b
 		return false
 	}
 	body := f.Payload[4:]
-	want := st.total - int64(len(st.buf))
-	if want > int64(st.chunk) {
-		want = int64(st.chunk)
-	}
+	want := min(st.total-int64(len(st.buf)), int64(st.chunk))
 	if int64(len(body)) != want || crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(f.Payload[0:4]) {
 		g.recvMu.Unlock()
 		g.cfg.Tracer.Emit(obs.LevelWarn, "cluster_snap_xfer_bad_chunk",
@@ -1014,10 +1020,8 @@ func (g *Group) recvSnapChunk(out *replStream, sender string, f hrt.ReplFrame) b
 		return false
 	}
 	g.recvMu.Lock()
-	g.recvPos[sender] = wal.Position{Gen: snap.gen, Records: 0}
-	if (wal.Position{Gen: snap.gen, Records: 0}).Before(snap.tail) {
-		g.targets[sender] = snap.tail
-	}
+	in := g.inboundLocked(sender)
+	in.applied, in.target = wal.Position{Gen: snap.gen}, snap.tail
 	g.stage = nil
 	g.recvMu.Unlock()
 	g.snapXferNS.Add(time.Since(snap.start).Nanoseconds())

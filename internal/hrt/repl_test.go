@@ -276,6 +276,37 @@ func TestReplicatedOlderGlobalAfterRestart(t *testing.T) {
 	}
 }
 
+// TestReplicatedOlderGlobalAfterSnapshot is the snapshot form of
+// TestReplicatedOlderGlobalAfterRestart: the replica recovers from a
+// snapshot cut after the newer write, with no journal record left to
+// refill the guard from, so the snapshot must carry it.
+func TestReplicatedOlderGlobalAfterSnapshot(t *testing.T) {
+	rest, addA := twoWriterJournal(t, sessA)
+	dir := t.TempDir()
+	ts, p := durableReplica(t, dir)
+	for _, payload := range rest {
+		if err := ts.ApplyReplicated(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	p.snapWG.Wait()
+	crash(t, p)
+	ts, p = durableReplica(t, dir)
+	defer crash(t, p)
+	if rec := p.Recovered(); !rec.SnapshotUsed || rec.Records != 0 {
+		t.Fatalf("recovery %+v, want the snapshot and no journal replay", rec)
+	}
+	if err := ts.ApplyReplicated(addA); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := globalCounter(t, ts.Server), interp.IntV(15); !got.Equal(want) {
+		t.Errorf("counter = %v after the older write arrived, want B's %v", got, want)
+	}
+}
+
 // TestReplicaLiveGlobalWriteRecovers: a replica that executes a write to a
 // hidden global itself stamps the version guard, so a streamed write the
 // guard then skips is skipped again when the replica recovers its journal

@@ -27,8 +27,10 @@ import (
 // outright rather than resolved name by name.
 
 // snapshotFormat versions the snapshot payload layout. Format 2 added the
-// program hash after the format word when stores moved to compiled slots.
-const snapshotFormat = 2
+// program hash after the format word when stores moved to compiled slots;
+// format 3 follows each global's value with its guard version
+// (Server.globalSeen). Format 2 still imports, its guard starting over.
+const snapshotFormat = 3
 
 // maxSnapshotItems bounds every decoded collection count so a corrupt (but
 // CRC-clean) snapshot can never drive allocation; decode loops append as
@@ -192,6 +194,7 @@ type stateCut struct {
 	enters, exits, calls int64
 	globalsVersion       uint64
 	globals              []interp.Value
+	globalSeen           []uint64
 	acts                 []actCut
 	insts                []instCut
 	maxInst              int64
@@ -224,6 +227,7 @@ func captureCut(s *Server, d *Dedup) *stateCut {
 	s.globalsMu.Lock()
 	cut.globalsVersion = s.globalsVersion
 	cut.globals = append([]interp.Value(nil), s.globals.vals...)
+	cut.globalSeen = append([]uint64(nil), s.globalSeen...)
 	s.globalsMu.Unlock()
 
 	for _, sh := range s.shards {
@@ -264,7 +268,7 @@ func encodeCut(cut *stateCut) ([]byte, error) {
 
 	var err error
 	b = binary.LittleEndian.AppendUint64(b, cut.globalsVersion)
-	if b, err = appendVals(b, prog.Globals, cut.globals); err != nil {
+	if b, err = appendVals(b, prog.Globals, cut.globals, cut.globalSeen); err != nil {
 		return nil, err
 	}
 
@@ -276,7 +280,7 @@ func encodeCut(cut *stateCut) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint64(b, a.session)
 		b = binary.LittleEndian.AppendUint64(b, uint64(a.inst))
 		b = binary.LittleEndian.AppendUint64(b, uint64(a.obj))
-		if b, err = appendVals(b, prog.Comps[a.fn].Act, a.vals); err != nil {
+		if b, err = appendVals(b, prog.Comps[a.fn].Act, a.vals, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -288,7 +292,7 @@ func encodeCut(cut *stateCut) ([]byte, error) {
 			return nil, err
 		}
 		b = binary.LittleEndian.AppendUint64(b, uint64(in.obj))
-		if b, err = appendVals(b, prog.Fields[in.class], in.vals); err != nil {
+		if b, err = appendVals(b, prog.Fields[in.class], in.vals, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -321,9 +325,10 @@ func encodeCut(cut *stateCut) ([]byte, error) {
 }
 
 // appendVals encodes one store's values as name→value pairs, taking the
-// stable names from the store's layout. Slot order makes the encoding
+// stable names from the store's layout, each pair followed by its slot's
+// guard version when seen is non-nil. Slot order makes the encoding
 // deterministic for one program build.
-func appendVals(b []byte, l *vm.Layout, vals []interp.Value) ([]byte, error) {
+func appendVals(b []byte, l *vm.Layout, vals []interp.Value, seen []uint64) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(vals)))
 	var err error
 	for slot, val := range vals {
@@ -332,6 +337,9 @@ func appendVals(b []byte, l *vm.Layout, vals []interp.Value) ([]byte, error) {
 		}
 		if b, err = appendValue(b, val); err != nil {
 			return nil, err
+		}
+		if seen != nil {
+			b = binary.LittleEndian.AppendUint64(b, seen[slot])
 		}
 	}
 	return b, nil
@@ -375,8 +383,9 @@ func importSnapshot(s *Server, dd *Dedup, payload []byte) error {
 }
 
 func (s *Server) importState(d *wireReader) error {
-	if format := d.u32(); d.err == nil && format != snapshotFormat {
-		return fmt.Errorf("hrt: snapshot format %d, this build reads %d", format, snapshotFormat)
+	format := d.u32()
+	if d.err == nil && format != 2 && format != snapshotFormat {
+		return fmt.Errorf("hrt: snapshot format %d, this build reads 2 and %d", format, snapshotFormat)
 	}
 	if hash := d.u64(); d.err == nil && hash != s.reg.Prog.Hash {
 		return fmt.Errorf("hrt: snapshot was written by program %016x, this registry compiles to %016x (program changed?)", hash, s.reg.Prog.Hash)
@@ -401,13 +410,16 @@ func (s *Server) importState(d *wireReader) error {
 	}
 	s.globalsMu.Lock()
 	s.globalsVersion = gver
-	// The snapshot replaces the globals wholesale; its one globalsVersion
-	// says nothing about which write each slot holds, so the guard starts
-	// over.
+	// The snapshot replaces the globals wholesale, guard included; a
+	// format-2 one carries no guard, so it starts over.
 	clear(s.globalSeen)
 	for i := uint32(0); i < n; i++ {
 		name := d.str()
 		val := d.value()
+		var seen uint64
+		if format == snapshotFormat {
+			seen = d.u64()
+		}
 		if d.err != nil {
 			s.globalsMu.Unlock()
 			return d.err
@@ -418,6 +430,7 @@ func (s *Server) importState(d *wireReader) error {
 			return fmt.Errorf("hrt: snapshot has unknown global %s (program changed?)", name)
 		}
 		s.globals.vals[slot] = val
+		s.globalSeen[slot] = seen
 	}
 	s.globalsMu.Unlock()
 
