@@ -1,4 +1,4 @@
-# Developer/CI entry points. `make check` is the gate: vet, build, the
+# Developer/CI entry points. `make check` is the gate: gofmt, vet, build, the
 # cross-builds, the one-CFG grep, the test-only-oracle check, the
 # one-request-decoder grep, the one-client grep, the linked-lines ceiling, and the full test suite (including the
 # hrt chaos tests and the load/fleet smoke tests) under the race
@@ -8,9 +8,17 @@
 
 GO ?= go
 
-.PHONY: check vet build cross cfg-once oracle-tests-only printer-tests-only vm-layering wire-layering one-client linked-lines test race fuzz
+.PHONY: check fmt vet build cross cfg-once oracle-tests-only printer-tests-only vm-layering wire-layering one-client linked-lines test race fuzz
 
-check: vet build cross cfg-once oracle-tests-only printer-tests-only vm-layering wire-layering one-client linked-lines race
+check: fmt vet build cross cfg-once oracle-tests-only printer-tests-only vm-layering wire-layering one-client linked-lines race
+
+# The tree stays gofmt-clean: fmt lists every file gofmt would change and
+# fails if there is one.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "$$out"; echo 'these files are not gofmt-clean; run gofmt -w on them' >&2; \
+		exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -133,9 +141,11 @@ one-client:
 # got one owner, paid for by moving helpers only tests call into test
 # files, 24,642 before cluster.Group kept one record per peer and decided
 # readiness in one function while snapshots began to carry the globals
-# guard. The ceiling only goes down: a change that lands below it lowers
-# it to the new count.
-LINKED_LINES_MAX = 24641
+# guard, 24,641 before a session's in-flight slot became a flag and
+# per-request latencies read the monotonic clock alone, paid for by
+# simplifying internal/obs. The ceiling only goes down: a change that
+# lands below it lowers it to the new count.
+LINKED_LINES_MAX = 24638
 
 # linked_lines counts the non-test lines of this module that the packages
 # matching $(1) link.
@@ -156,8 +166,9 @@ test:
 	$(GO) test ./...
 
 # The second line repeats the tests that reach dedup and group-commit
-# state from several goroutines at once: one clean -race pass says little
-# about an interleaving it did not happen to run.
+# state from several goroutines at once, live requests and replicated
+# landings contending for one session's slot among them: one clean -race
+# pass says little about an interleaving it did not happen to run.
 # The third line does the same for the split side's only shared state, the
 # per-function facts built lazily on first use, as the slicer and the §3
 # analysis each meet them, and for the front end, whose scratch stacks must

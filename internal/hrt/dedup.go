@@ -115,12 +115,14 @@ type dedupEntry struct {
 	// executed and every reply-bearing request bounces with the
 	// session-evicted error.
 	lost bool
-	// done is non-nil while a request of this session is in flight —
-	// executing, or waiting for its journal record to become durable;
-	// duplicates and successors wait on it instead of racing. Requests
-	// within a session run strictly one at a time, in seq order, and the
-	// holder publishes lastSeq/respSeq/resp/deferred when it closes done.
-	done chan struct{}
+	// busy is the in-flight slot: set while a request of this session is
+	// executing, or waiting for its journal record to become durable.
+	// Requests within a session run strictly one at a time, in seq order,
+	// and the holder publishes lastSeq/respSeq/resp/deferred when it clears
+	// busy. wait exists only while someone waits: a duplicate or successor
+	// that finds the slot busy makes it, and release closes it.
+	busy bool
+	wait chan struct{}
 	used uint64
 	// lastSeen timestamps the session's newest request, for EvictGrace.
 	lastSeen time.Time
@@ -203,10 +205,7 @@ func (d *Dedup) lazyInit() {
 		if max <= 0 {
 			max = defaultMaxSessions
 		}
-		perShard := (max + n - 1) / n
-		if perShard < 1 {
-			perShard = 1
-		}
+		perShard := (max + n - 1) / n // ≥ 1, as max and n are
 		d.shards = make([]*dedupShard, n)
 		d.mask = uint64(n - 1)
 		for i := range d.shards {
@@ -312,7 +311,7 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 	// records queue behind the same fsync. The slot alone keeps this
 	// session's requests — hence its journal records — in seq order, and
 	// nobody else touches the entry's replay fields while it is held.
-	e.done = make(chan struct{})
+	e.busy = true
 	deferred := e.deferred
 	sh.mu.Unlock()
 
@@ -365,31 +364,39 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 // stamp before any eviction can run, so a newcomer is never its own victim
 // and is covered by the grace window from the start, then waits out any
 // request of the session in flight, so requests run strictly in order and
-// duplicates observe the settled result. The caller unlocks sh.mu; a
-// caller that created the entry decides whether it may evict others.
+// duplicates observe the settled result. A wait ends with a fresh lookup:
+// the holder may have dropped the entry (a failed landing on a fresh
+// session) or an eviction may have taken it, and state settled into a
+// detached entry would be lost. The caller unlocks sh.mu; a caller that
+// created the entry decides whether it may evict others.
 func (d *Dedup) entry(session uint64) (sh *dedupShard, e *dedupEntry, isNew bool) {
 	d.lazyInit()
 	sh = d.shard(session)
 	sh.mu.Lock()
-	sh.clock++
-	e = sh.sessions[session]
-	if isNew = e == nil; isNew {
-		e = &dedupEntry{}
-		sh.sessions[session] = e
-	}
-	// lastSeen only matters to the grace fence, so skip the clock read on
-	// the hot path when no grace window is configured.
-	e.used = sh.clock
-	if d.EvictGrace > 0 {
-		e.lastSeen = d.timeNow()
-	}
-	for e.done != nil {
-		done := e.done
+	for {
+		sh.clock++
+		e = sh.sessions[session]
+		if isNew = e == nil; isNew {
+			e = &dedupEntry{}
+			sh.sessions[session] = e
+		}
+		// lastSeen only matters to the grace fence, so skip the clock read
+		// on the hot path when no grace window is configured.
+		e.used = sh.clock
+		if d.EvictGrace > 0 {
+			e.lastSeen = d.timeNow()
+		}
+		if !e.busy {
+			return sh, e, isNew
+		}
+		if e.wait == nil {
+			e.wait = make(chan struct{})
+		}
+		wait := e.wait
 		sh.mu.Unlock()
-		<-done
+		<-wait
 		sh.mu.Lock()
 	}
-	return sh, e, isNew
 }
 
 // release ends a landing that holds the session's in-flight slot: it
@@ -404,8 +411,11 @@ func (sh *dedupShard) release(session uint64, e *dedupEntry, seq uint64, noReply
 	} else if e.lastSeq == 0 && e.respSeq == 0 && !e.lost && e.deferred == "" {
 		delete(sh.sessions, session)
 	}
-	close(e.done)
-	e.done = nil
+	e.busy = false
+	if e.wait != nil {
+		close(e.wait)
+		e.wait = nil
+	}
 }
 
 // settle publishes request seq of the session as processed: the one rule
@@ -445,7 +455,7 @@ func (d *Dedup) evictLocked(sh *dedupShard) (evicted []uint64) {
 		var oldest uint64
 		found := false
 		for id, e := range sh.sessions {
-			if e.done != nil {
+			if e.busy {
 				continue // still executing; never evict in-flight work
 			}
 			if d.EvictGrace > 0 && e.lastSeen.After(cutoff) {

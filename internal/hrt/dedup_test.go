@@ -3,10 +3,13 @@ package hrt
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"slicehide/internal/interp"
 )
 
 // execRecorder is a Dedup inner transport that records which (session,
@@ -167,4 +170,167 @@ func IsSessionEvicted(err error) bool {
 		return true
 	}
 	return strings.Contains(err.Error(), sessionEvictedMsg)
+}
+
+// memReplica is a replica without a journal, wired as ListenAndServe wires
+// one, without a listener.
+func memReplica(t *testing.T) *TCPServer {
+	t.Helper()
+	s := NewServer(NewRegistry(durableSplit(t)))
+	return &TCPServer{Server: s, dedup: &Dedup{Inner: &Local{Server: s}}}
+}
+
+// TestDedupOneWayRoundTripAllocatesNothing pins the served path's slot:
+// claiming and releasing a session's in-flight slot allocates nothing
+// while no request waits on it, so a steady-state one-way call over Local
+// costs no allocation in the dedup layer.
+func TestDedupOneWayRoundTripAllocatesNothing(t *testing.T) {
+	d := memReplica(t).dedup
+	inst := mustRoundTrip(t, d, Request{Op: OpEnter, Session: 7, Seq: 1, Fn: bumpFn, Obj: 1}).Inst
+	req := bumpCall(7, 1, inst, bumpSetT, interp.IntV(4))
+	req.Flags |= ReqNoReply
+	allocs := testing.AllocsPerRun(200, func() {
+		req.Seq++
+		d.RoundTrip(req)
+	})
+	if allocs != 0 {
+		t.Errorf("a one-way Dedup.RoundTrip allocates %v times, want 0", allocs)
+	}
+	if got := d.HighWater(7); got != req.Seq {
+		t.Fatalf("high-water mark %d after seq %d", got, req.Seq)
+	}
+}
+
+// TestDedupWaiterRereadsDroppedEntry: a landing parked behind a fresh
+// session's in-flight holder must land into the session's entry as it is
+// when the holder lets go, not the one it waited on. A holder whose
+// landing failed drops the entry it left empty; settling into that
+// detached entry lost the landing (HighWater read 0) and bounced the
+// session's next live request as evicted.
+func TestDedupWaiterRereadsDroppedEntry(t *testing.T) {
+	const session = 61
+	var inst int64
+	records := originJournal(t, func(dd *Dedup) {
+		inst = mustRoundTrip(t, dd, Request{Op: OpEnter, Session: session, Seq: 1, Fn: bumpFn, Obj: 1}).Inst
+	})
+	ts := memReplica(t)
+	sh, e, _ := ts.dedup.entry(session)
+	e.busy = true // a landing of the fresh session holds the slot
+	sh.mu.Unlock()
+
+	landed := make(chan error, 1)
+	go func() { landed <- ts.ApplyReplicated(records[0]) }()
+	for parked := false; !parked; {
+		select {
+		case err := <-landed:
+			t.Fatalf("the landing returned %v past a held slot", err)
+		default:
+		}
+		runtime.Gosched()
+		sh.mu.Lock()
+		parked = e.wait != nil
+		sh.mu.Unlock()
+	}
+	sh.release(session, e, 1, false, nil) // the holder failed: nothing settles
+	if err := <-landed; err != nil {
+		t.Fatal(err)
+	}
+	if got := ts.dedup.HighWater(session); got != 1 {
+		t.Fatalf("high-water mark %d after the parked landing, want 1", got)
+	}
+	resp, err := ts.roundTrip(bumpCall(session, 2, inst, bumpSetT, interp.IntV(4)))
+	if err != nil || resp.Err != "" {
+		t.Fatalf("the session's next live request: %+v, %v", resp, err)
+	}
+}
+
+// TestDedupSlotLiveAndReplicatedContend: live requests and replicated
+// landings of one session contend for its slot from several goroutines,
+// each walking the session's requests in order, as mesh peers echo a
+// stream while the promoted client retries it. Each walker yields after
+// every step, so the walkers keep meeting at the frontier and a run parks
+// on the busy slot about a hundred times. Every seq lands exactly once
+// and in order: the tallies match the origin's, the order-sensitive
+// hidden global ends where the origin's did, and no live answer differs
+// from the origin's.
+func TestDedupSlotLiveAndReplicatedContend(t *testing.T) {
+	const session, calls, walkers = 71, 200, 3
+	var reqs []Request
+	var want []Response
+	records := originJournal(t, func(dd *Dedup) {
+		inst := mustRoundTrip(t, dd, Request{Op: OpEnter, Session: session, Seq: 1, Fn: bumpFn, Obj: 1}).Inst
+		for seq := uint64(2); seq < calls+2; seq++ {
+			req := bumpCall(session, seq, inst, bumpCounter)
+			if seq%2 == 0 {
+				req = bumpCall(session, seq, inst, bumpSetT, interp.IntV(int64(seq)))
+			}
+			reqs = append(reqs, req)
+			want = append(want, mustRoundTrip(t, dd, req))
+		}
+	})
+	ts := memReplica(t)
+	if err := ts.ApplyReplicated(records[0]); err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	errs := make(chan error, 2*walkers)
+	var wg sync.WaitGroup
+	for w := 0; w < walkers; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, rec := range records[1:] {
+				if err := ts.ApplyReplicated(rec); err != nil {
+					errs <- err
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			for i, req := range reqs {
+				resp, err := ts.roundTrip(req)
+				for err == nil && resp.Flags&RespResend != 0 {
+					runtime.Gosched() // an earlier seq has not landed yet
+					resp, err = ts.roundTrip(req)
+				}
+				switch {
+				case err != nil:
+				case resp.Err == "" && resp != want[i]:
+					err = fmt.Errorf("seq %d answered %+v, want %+v", req.Seq, resp, want[i])
+				case resp.Err != "" && !strings.Contains(resp.Err, "stale request"):
+					err = fmt.Errorf("seq %d: %s", req.Seq, resp.Err)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := ts.dedup.HighWater(session); got != calls+1 {
+		t.Errorf("high-water mark %d, want %d", got, calls+1)
+	}
+	if st := ts.Server.Stats(); st.Enters != 1 || st.Calls != calls {
+		t.Errorf("tallies %+v, want 1 enter and %d calls", st, calls)
+	}
+	origin := memReplica(t)
+	for _, rec := range records {
+		if err := origin.ApplyReplicated(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := globalCounter(t, ts.Server), globalCounter(t, origin.Server); got != want {
+		t.Errorf("hidden counter %v, want %v", got, want)
+	}
 }

@@ -694,7 +694,7 @@ func (p *Durability) appendFailed(err error) error {
 // and counted; a failed one poisons the layer (see appendFailed), so this
 // server stops acknowledging what it cannot make durable.
 func (p *Durability) append(payload []byte, wake bool) error {
-	start := time.Now()
+	start := monoNow()
 	p.mu.Lock()
 	err, j, q := p.failed, p.wlog, p.commitq
 	p.mu.Unlock()
@@ -707,7 +707,7 @@ func (p *Durability) append(payload []byte, wake bool) error {
 		w.payload, w.j, w.wake = payload, j, wake
 		q <- w
 		err = <-w.done
-		p.commitWaitNS.Observe(time.Since(start))
+		p.commitWaitNS.Observe(monoNow() - start)
 		w.payload, w.j = nil, nil
 		walCommitPool.Put(w)
 	default:
@@ -722,7 +722,7 @@ func (p *Durability) append(payload []byte, wake bool) error {
 	if err != nil {
 		return p.appendFailed(err)
 	}
-	p.appendNS.Observe(time.Since(start))
+	p.appendNS.Observe(monoNow() - start)
 	p.appends.Add(1)
 	p.appendBytes.Add(int64(len(payload)))
 	return nil

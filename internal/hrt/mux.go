@@ -581,8 +581,10 @@ func (s *MuxStream) InFlight() int {
 	return len(s.inflight)
 }
 
-// pruneLocked drops acknowledged requests from the window. Caller holds
-// t.mu.
+// pruneLocked drops acknowledged requests from the window, moving the
+// survivors down within its backing array (appends keep reusing it) and
+// clearing the vacated tail (pruned arguments become unreachable). Caller
+// holds t.mu.
 func (s *MuxStream) pruneLocked(ack uint64) {
 	if ack > s.seq {
 		// A malformed ack cannot acknowledge the future; ignore it.
@@ -591,9 +593,11 @@ func (s *MuxStream) pruneLocked(ack uint64) {
 	if ack > s.acked {
 		s.acked = ack
 	}
-	for len(s.inflight) > 0 && s.inflight[0].Seq <= ack {
-		s.inflight = s.inflight[1:]
+	n := 0
+	for n < len(s.inflight) && s.inflight[n].Seq <= ack {
+		n++
 	}
+	s.inflight = slices.Delete(s.inflight, 0, n)
 }
 
 // Send queues a reply-free request: it is stamped, retained in the
@@ -1106,9 +1110,9 @@ func (ts *TCPServer) muxServeOne(st *muxConnState, req Request, oneway *int, upd
 	if req.NoReply() {
 		// Reply-free: execute in order via the dedup layer (which defers
 		// errors and skips duplicates/gaps) and write nothing back.
-		start := time.Now()
+		start := monoNow()
 		_, _ = ts.roundTrip(req)
-		ts.Metrics.Observe(req.Op, true, time.Since(start))
+		ts.Metrics.Observe(req.Op, true, monoNow()-start)
 		*oneway++
 		if *oneway >= updateEvery {
 			*oneway = 0
@@ -1128,9 +1132,9 @@ func (ts *TCPServer) muxServeOne(st *muxConnState, req Request, oneway *int, upd
 		}
 		return
 	}
-	start := time.Now()
+	start := monoNow()
 	resp, err := ts.roundTrip(req)
-	ts.Metrics.Observe(req.Op, false, time.Since(start))
+	ts.Metrics.Observe(req.Op, false, monoNow()-start)
 	if err != nil {
 		resp = Response{Seq: req.Seq, Err: err.Error()}
 	}

@@ -487,3 +487,51 @@ func (t *MuxTransport) Window() int {
 	defer t.mu.Unlock()
 	return t.window
 }
+
+// TestBarrierAndWindowAllocateNothing pins two client paths a pipelined
+// session runs per call or per barrier. An error-free barrier allocates
+// nothing in its typed-error upgrade. The in-flight window keeps its
+// backing array across prunes: a window's worth of sends followed by the
+// ack that prunes them allocates nothing once warm, and a partial prune
+// leaves no pruned request's arguments reachable behind the survivors.
+func TestBarrierAndWindowAllocateNothing(t *testing.T) {
+	mt := newMux(MuxConfig{Window: 16})
+	s := mt.Stream(5, nil)
+	as := NewAsyncSession(s)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := as.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("an error-free Barrier allocates %v times, want 0", allocs)
+	}
+
+	req := Request{Op: OpCall, Fn: "f", Args: []interp.Value{interp.IntV(1)}}
+	fill := func() {
+		for len(s.inflight) < mt.window {
+			if err := s.Send(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		fill()
+		mt.mu.Lock()
+		s.pruneLocked(s.seq)
+		mt.mu.Unlock()
+	}); allocs != 0 {
+		t.Errorf("a window of sends and its prune allocate %v times, want 0", allocs)
+	}
+	fill()
+	mt.mu.Lock()
+	s.pruneLocked(s.seq - 4)
+	mt.mu.Unlock()
+	if len(s.inflight) != 4 || s.inflight[0].Seq != s.seq-3 {
+		t.Fatalf("window after a partial prune: %d requests from seq %d", len(s.inflight), s.inflight[0].Seq)
+	}
+	for i, r := range s.inflight[len(s.inflight):cap(s.inflight)] {
+		if r.Args != nil {
+			t.Fatalf("slot %d past the window still holds a pruned request's arguments", len(s.inflight)+i)
+		}
+	}
+}

@@ -87,6 +87,12 @@ func (m *RuntimeMetrics) Observe(op Op, oneWay bool, d time.Duration) {
 	m.hists[op][mode].Observe(d)
 }
 
+// monoNow is the clock per-request latencies are differences of: time.Since
+// of clockBase reads the monotonic clock alone, time.Now the wall clock too.
+func monoNow() time.Duration { return time.Since(clockBase) }
+
+var clockBase = time.Now()
+
 // VMMetrics times bytecode fragment executions. The handle set is resolved
 // once at registration; when no registry is attached the server carries a
 // nil VMMetrics and the hot path pays a single pointer check.
@@ -109,9 +115,6 @@ func (s *Server) RegisterVMMetrics(reg *obs.Registry) {
 // valuesAttr formats a value list for tracing. Always attach it with
 // obs.Secret: the values are hidden-state inputs or outputs.
 func valuesAttr(key string, vals []interp.Value) obs.Attr {
-	if len(vals) == 0 {
-		return obs.Secret(key, "")
-	}
 	parts := make([]string, len(vals))
 	for i, v := range vals {
 		parts[i] = v.String()

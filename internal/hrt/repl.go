@@ -374,7 +374,7 @@ func (ts *TCPServer) landReplicated(payload []byte) error {
 		sh.mu.Unlock()
 		return nil // duplicate: re-stream or mesh echo of an observed record
 	}
-	e.done = make(chan struct{})
+	e.busy = true
 	sh.mu.Unlock()
 	rec, err := decodeRecord(payload)
 	if err != nil {

@@ -225,6 +225,23 @@ func twoWriterJournal(t *testing.T, held uint64) (rest [][]byte, heldAdd []byte)
 	return rest, heldAdd
 }
 
+// originJournal runs drive against a fresh durable origin and returns the
+// records its journal holds afterwards, in file order.
+func originJournal(t *testing.T, drive func(dd *Dedup)) [][]byte {
+	t.Helper()
+	_, dd, p := startDurable(t, durableSplit(t), t.TempDir(), DurabilityOptions{SnapshotEvery: -1})
+	defer crash(t, p)
+	drive(dd)
+	var records [][]byte
+	if _, _, err := wal.ScanFile(p.journalPath(p.gen), func(payload []byte) error {
+		records = append(records, append([]byte(nil), payload...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return records
+}
+
 // durableReplica recovers a replica from dir, wired as ListenAndServe
 // wires one, without a listener.
 func durableReplica(t *testing.T, dir string) (*TCPServer, *Durability) {
@@ -421,19 +438,13 @@ func TestFailedAdoptionLeavesReplicaEmpty(t *testing.T) {
 // reply.
 func TestReplicatedAndLiveSameStampLandOnce(t *testing.T) {
 	const session = 51
-	enter := Request{Op: OpEnter, Session: session, Seq: 1, Fn: bumpFn, Obj: 1}
-	_, dd, p := startDurable(t, durableSplit(t), t.TempDir(), DurabilityOptions{SnapshotEvery: -1})
-	inst := mustRoundTrip(t, dd, enter).Inst
-	call := bumpCall(session, 2, inst, bumpSetT, interp.IntV(4))
-	wantResp := mustRoundTrip(t, dd, call)
-	var records [][]byte
-	if _, _, err := wal.ScanFile(p.journalPath(p.gen), func(payload []byte) error {
-		records = append(records, append([]byte(nil), payload...))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	crash(t, p)
+	var call Request
+	var wantResp Response
+	records := originJournal(t, func(dd *Dedup) {
+		inst := mustRoundTrip(t, dd, Request{Op: OpEnter, Session: session, Seq: 1, Fn: bumpFn, Obj: 1}).Inst
+		call = bumpCall(session, 2, inst, bumpSetT, interp.IntV(4))
+		wantResp = mustRoundTrip(t, dd, call)
+	})
 	if len(records) != 2 {
 		t.Fatalf("origin journaled %d records, want 2", len(records))
 	}

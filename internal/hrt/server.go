@@ -20,7 +20,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"slicehide/internal/interp"
 	"slicehide/internal/vm"
@@ -440,9 +439,9 @@ func (s *Server) exec(session uint64, fn string, inst int64, frag int, args []in
 	case s.execRef != nil:
 		v, err = s.execRef(cc, frag, args, env, ws)
 	case s.vmMetrics != nil:
-		t0 := time.Now()
+		t0 := monoNow()
 		v, err = f.Exec(frame, args, env, ws)
-		s.vmMetrics.execCall.Observe(time.Since(t0))
+		s.vmMetrics.execCall.Observe(monoNow() - t0)
 	default:
 		v, err = f.Exec(frame, args, env, ws)
 	}

@@ -454,9 +454,8 @@ func (s *Session) respError(resp Response) error {
 // serves both a reply's error and a one-way send's deferred barrier error,
 // which carry the server's message alike.
 func (s *Session) typedError(err error) error {
-	var se *SessionEvictedError
-	var oe *OwnerRedirectError
-	if err == nil || errors.As(err, &se) || errors.As(err, &oe) {
+	// The errors.As targets escape, so they are made only for an error.
+	if err == nil || errors.As(err, new(*SessionEvictedError)) || errors.As(err, new(*OwnerRedirectError)) {
 		return err
 	}
 	msg := err.Error()

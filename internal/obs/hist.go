@@ -62,23 +62,11 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 	h.sumNs.Add(ns)
 	h.buckets[bucketIndex(d)].Add(1)
-	for {
-		cur := h.minNs.Load()
-		if cur != 0 && cur <= ns {
-			break
-		}
-		if h.minNs.CompareAndSwap(cur, ns) {
-			break
-		}
+	// Lower the minimum (0 is unset) and raise the maximum until ns is
+	// inside them or a compare-and-swap puts it there.
+	for cur := h.minNs.Load(); (cur == 0 || cur > ns) && !h.minNs.CompareAndSwap(cur, ns); cur = h.minNs.Load() {
 	}
-	for {
-		cur := h.maxNs.Load()
-		if cur >= ns {
-			break
-		}
-		if h.maxNs.CompareAndSwap(cur, ns) {
-			break
-		}
+	for cur := h.maxNs.Load(); cur < ns && !h.maxNs.CompareAndSwap(cur, ns); cur = h.maxNs.Load() {
 	}
 }
 
@@ -139,10 +127,7 @@ func quantileNs(counts [numBuckets + 1]int64, total, maxNs int64, q float64) int
 	}
 	// The q-quantile is the smallest rank covering at least q of the
 	// population — round up, or a p99 over 3 samples would target rank 2.
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
+	target := max(int64(math.Ceil(q*float64(total))), 1)
 	var cum int64
 	for i, c := range counts {
 		cum += c

@@ -156,6 +156,28 @@ func TestTracerRedactsSecrets(t *testing.T) {
 	}
 }
 
+// TestEmitDisabledLevelAllocatesNothing: hot paths emit debug events with
+// integer attributes whether or not anyone records them, so an event below
+// the tracer's level (or on a nil tracer) must cost no allocation; the
+// integers are formatted only for an event that is recorded, negative and
+// wide values included.
+func TestEmitDisabledLevelAllocatesNothing(t *testing.T) {
+	tr := NewTracer(TracerConfig{Level: LevelInfo})
+	var nilTracer *Tracer
+	n, u := int64(-123456789), uint64(1)<<63
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.Emit(LevelDebug, "window_stall", Uint("session", u), Int("window", n))
+		nilTracer.Emit(LevelError, "dedup_replay", Uint("session", u), Uint("seq", u))
+	})
+	if allocs != 0 {
+		t.Errorf("a disabled Emit with Int/Uint attributes allocates %v times, want 0", allocs)
+	}
+	tr.Emit(LevelInfo, "e", Int("n", n), Uint("u", u))
+	if got := tr.Events()[0].Attrs; got["n"] != "-123456789" || got["u"] != "9223372036854775808" {
+		t.Errorf("recorded integer attributes = %v", got)
+	}
+}
+
 func TestTracerLevelAndRing(t *testing.T) {
 	tr := NewTracer(TracerConfig{Level: LevelWarn, RingSize: 4})
 	tr.Emit(LevelDebug, "noise")

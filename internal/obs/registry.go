@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -98,18 +99,7 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	counters := make(map[string]*counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]func() int64, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
+	counters, gauges, hists := maps.Clone(r.counters), maps.Clone(r.gauges), maps.Clone(r.hists)
 	r.mu.Unlock()
 	// Sample outside the lock: gauge funcs may take other locks (conn
 	// tables, dedup caches) and must not nest under the registry's.

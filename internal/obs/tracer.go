@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +52,10 @@ const Redacted = "[redacted]"
 type Attr struct {
 	Key string
 	Val string
+	// num carries an Int (signed) or Uint (isNum) value in place of Val;
+	// Emit formats it only for an event it records.
+	num           uint64
+	isNum, signed bool
 	// secret marks values derived from hidden program state; they are
 	// redacted unless the tracer reveals secrets.
 	secret bool
@@ -60,10 +65,10 @@ type Attr struct {
 func Str(k, v string) Attr { return Attr{Key: k, Val: v} }
 
 // Int builds an integer attribute.
-func Int(k string, v int64) Attr { return Attr{Key: k, Val: fmt.Sprintf("%d", v)} }
+func Int(k string, v int64) Attr { return Attr{Key: k, num: uint64(v), isNum: true, signed: true} }
 
 // Uint builds an unsigned integer attribute.
-func Uint(k string, v uint64) Attr { return Attr{Key: k, Val: fmt.Sprintf("%d", v)} }
+func Uint(k string, v uint64) Attr { return Attr{Key: k, num: v, isNum: true} }
 
 // Dur builds a duration attribute.
 func Dur(k string, d time.Duration) Attr { return Attr{Key: k, Val: d.String()} }
@@ -151,8 +156,13 @@ func (t *Tracer) Emit(l Level, kind string, attrs ...Attr) {
 		ev.Attrs = make(map[string]string, len(attrs))
 		for _, a := range attrs {
 			v := a.Val
-			if a.secret && !t.reveal {
+			switch {
+			case a.secret && !t.reveal:
 				v = Redacted
+			case a.signed:
+				v = strconv.FormatInt(int64(a.num), 10)
+			case a.isNum:
+				v = strconv.FormatUint(a.num, 10)
 			}
 			ev.Attrs[a.Key] = v
 		}
@@ -191,10 +201,7 @@ func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Event, 0, t.n)
-	start := t.next - t.n
-	if start < 0 {
-		start += len(t.ring)
-	}
+	start := t.next - t.n + len(t.ring)
 	for i := 0; i < t.n; i++ {
 		out = append(out, t.ring[(start+i)%len(t.ring)])
 	}
