@@ -168,7 +168,11 @@ test:
 # The second line repeats the tests that reach dedup and group-commit
 # state from several goroutines at once, live requests and replicated
 # landings contending for one session's slot among them: one clean -race
-# pass says little about an interleaving it did not happen to run.
+# pass says little about an interleaving it did not happen to run. It
+# also repeats the client's two write paths on one connection: blocking
+# exchanges that write the queue themselves beside the writer goroutine's
+# one-way traffic, a late reply left in a reused reply slot, and the one
+# deadline an attempt's write and wait share.
 # The third line does the same for the split side's only shared state, the
 # per-function facts built lazily on first use, as the slicer and the §3
 # analysis each meet them, and for the front end, whose scratch stacks must
@@ -193,7 +197,7 @@ test:
 # counts in journal order.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'GroupCommit|Dedup' ./internal/hrt
+	$(GO) test -race -count=10 -run 'GroupCommit|Dedup|Exchange' ./internal/hrt
 	$(GO) test -race -count=10 -run 'SharedFactsConcurrent|AnalyzeConcurrent|CompileConcurrent' ./internal/slicer ./internal/complexity ./internal/ir
 	$(GO) test -race -count=3 -run 'Crash|TailScanner|EmptyRecord|JournalChain|ParentWritten' ./internal/wal ./internal/hrt
 	$(GO) test -race -count=10 -run 'OriginSkip|Cover|Lift|ReplStream|MuxPool|PumpWake|GlobalsLinearizable|Readiness' ./internal/cluster

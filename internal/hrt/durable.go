@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -346,7 +347,9 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 	p.gen = tip
 	p.sinceSnap, p.base = int(tipRecords), int(tipRecords)
 	p.mu.Unlock()
-	p.pruneAbove(tip)
+	// Newer generations are leftovers of a rotation whose snapshot turned
+	// out corrupt: their journals build on a base that no longer exists.
+	p.prune(func(g uint64) bool { return g > tip })
 	if p.opts.Fsync {
 		p.commitq = make(chan *walCommit, 1024)
 		p.commitStop = make(chan struct{})
@@ -394,18 +397,10 @@ func (p *Durability) loadBase() (uint64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	gens := make(map[uint64]bool, len(snaps)+len(journals))
-	for _, g := range snaps {
-		gens[g] = true
-	}
-	for _, g := range journals {
-		gens[g] = true
-	}
-	ordered := make([]uint64, 0, len(gens))
-	for g := range gens {
-		ordered = append(ordered, g)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] > ordered[j] })
+	ordered := slices.Concat(snaps, journals)
+	slices.Sort(ordered)
+	ordered = slices.Compact(ordered)
+	slices.Reverse(ordered)
 	for _, g := range ordered {
 		payload, err := wal.ReadSnapshot(p.snapPath(g))
 		if err != nil {
@@ -461,45 +456,31 @@ func (p *Durability) listGenerations() (snaps, journals []uint64, err error) {
 	return snaps, journals, nil
 }
 
-// pruneAbove removes files from generations newer than gen — leftovers of
-// a rotation whose snapshot turned out corrupt, whose journals describe
-// state on top of a base that no longer exists. Best-effort.
-func (p *Durability) pruneAbove(gen uint64) {
+// prune removes the snapshot and journal files of every generation drop
+// picks. Best-effort.
+func (p *Durability) prune(drop func(gen uint64) bool) {
 	snaps, journals, err := p.listGenerations()
 	if err != nil {
 		return
 	}
 	for _, g := range snaps {
-		if g > gen {
+		if drop(g) {
 			os.Remove(p.snapPath(g))
 		}
 	}
 	for _, g := range journals {
-		if g > gen {
+		if drop(g) {
 			os.Remove(p.journalPath(g))
 		}
 	}
 }
 
 // pruneBelow removes generations older than keep (the previous generation
-// is retained as the corruption fallback). Best-effort; generations pinned
-// by an active replication stream or snapshot transfer are skipped and
-// reaped by a later prune pass.
+// is retained as the corruption fallback). Generations pinned by an active
+// replication stream or snapshot transfer are skipped and reaped by a later
+// prune pass.
 func (p *Durability) pruneBelow(keep uint64) {
-	snaps, journals, err := p.listGenerations()
-	if err != nil {
-		return
-	}
-	for _, g := range snaps {
-		if g < keep && !p.pinnedGen(g) {
-			os.Remove(p.snapPath(g))
-		}
-	}
-	for _, g := range journals {
-		if g < keep && !p.pinnedGen(g) {
-			os.Remove(p.journalPath(g))
-		}
-	}
+	p.prune(func(g uint64) bool { return g < keep && !p.pinnedGen(g) })
 }
 
 // PinGeneration protects generation gen's snapshot and journal files from

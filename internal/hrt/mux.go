@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -30,10 +31,11 @@ import (
 //     emits as a session's one-way requests execute, so long pipelined
 //     streams prune their in-flight windows without flush barriers.
 //
-// Requests are unchanged on the wire. The client runs a single writer
-// goroutine per connection that drains every stream's unwritten frames
-// into the shared bufio buffer and flushes once per batch — consecutive
-// frames from many sessions coalesce into one segment. Flow control is
+// Requests are unchanged on the wire. Every stream's unwritten frames go
+// through one write path per connection that drains them into the shared
+// bufio buffer and flushes once per batch — consecutive frames from many
+// sessions coalesce into one segment. A blocking exchange runs it itself;
+// a writer goroutine runs it for one-way traffic. Flow control is
 // per session: a stream whose in-flight window fills blocks (or barriers)
 // only itself; the link and every other stream keep moving. The server
 // demultiplexes by session stamp onto per-session workers backed by the
@@ -72,17 +74,13 @@ const muxWorkerIdle = 500 * time.Millisecond
 // WriteMuxFrame encodes one multiplexed server→client frame — the owning
 // session id followed by the response body — as a single Write.
 func WriteMuxFrame(w io.Writer, session uint64, resp Response) error {
-	bp := getWireBuf()
-	b := binary.LittleEndian.AppendUint64((*bp)[:0], session)
-	b, err := appendResponse(b, resp)
-	if err != nil {
-		*bp = b
-		putWireBuf(bp)
-		return err
+	bp := wireBufPool.Get().(*[]byte)
+	b, err := appendResponse(binary.LittleEndian.AppendUint64((*bp)[:0], session), resp)
+	if err == nil {
+		_, err = w.Write(b)
 	}
-	_, err = w.Write(b)
 	*bp = b
-	putWireBuf(bp)
+	wireBufPool.Put(bp)
 	return err
 }
 
@@ -133,18 +131,18 @@ type muxKey struct {
 }
 
 // MuxTransport is the open-machine side of a multiplexed connection. It
-// owns the socket, the shared writer goroutine, and the reader goroutine;
-// individual sessions attach through Stream, which returns a MuxStream
-// implementing the Transport/AsyncTransport contract. All transport and
-// stream state is guarded by one mutex — streams are cheap bookkeeping,
-// the socket is the contended resource.
+// owns the socket, the writer goroutine for one-way traffic, and the reader
+// goroutine; individual sessions attach through Stream, which returns a
+// MuxStream implementing the Transport/AsyncTransport contract. All
+// transport and stream state is guarded by one mutex — streams are cheap
+// bookkeeping, the socket is the contended resource.
 //
 // Fault tolerance: every request carries its (session, seq) stamp, so on a
 // broken link the next blocking exchange re-dials (one hello, shared by
-// every stream) and the writer replays each stream's unacknowledged
-// window; the server's dedup layer makes the replay exactly-once per
-// session, and RespResend rewinds a single stream's write cursor without
-// disturbing the others.
+// every stream) and writes each stream's unacknowledged window again; the
+// server's dedup layer makes the replay exactly-once per session, and
+// RespResend rewinds a single stream's write cursor without disturbing the
+// others.
 type MuxTransport struct {
 	timeout time.Duration
 	pacer   *retryPacer
@@ -163,10 +161,8 @@ type MuxTransport struct {
 	dead    chan struct{} // closed when the reader goroutine exits
 	streams map[uint64]*MuxStream
 	pending map[muxKey]chan Response
-	// dirty lists streams with unwritten frames for the writer goroutine;
-	// loose holds pre-stamped one-shot requests queued via Exchange.
+	// dirty lists streams with unwritten frames.
 	dirty      []*MuxStream
-	loose      []Request
 	dialedOnce bool
 	closed     bool
 }
@@ -251,26 +247,22 @@ func (t *MuxTransport) connectLocked() error {
 	if t.timeout > 0 {
 		conn.SetDeadline(time.Now().Add(t.timeout))
 	}
-	hello := Request{Op: OpMuxHello, Inst: int64(t.window), Frag: muxProtoVersion}
-	if err := WriteRequest(w, hello); err == nil {
+	err = WriteRequest(w, Request{Op: OpMuxHello, Inst: int64(t.window), Frag: muxProtoVersion})
+	if err == nil {
 		err = w.Flush()
 	}
+	var ack Response
+	if err == nil {
+		ack, err = ReadResponse(r)
+	}
+	if err == nil && ack.Err != "" {
+		err = Terminal(fmt.Errorf("hrt: mux refused: %s", ack.Err))
+	} else if err == nil && (ack.Inst < 1 || ack.Inst > maxMuxWindow) {
+		err = Terminal(fmt.Errorf("hrt: mux hello granted invalid window %d", ack.Inst))
+	}
 	if err != nil {
 		conn.Close()
 		return err
-	}
-	ack, err := ReadResponse(r)
-	if err != nil {
-		conn.Close()
-		return err
-	}
-	if ack.Err != "" {
-		conn.Close()
-		return Terminal(fmt.Errorf("hrt: mux refused: %s", ack.Err))
-	}
-	if ack.Inst < 1 || ack.Inst > maxMuxWindow {
-		conn.Close()
-		return Terminal(fmt.Errorf("hrt: mux hello granted invalid window %d", ack.Inst))
 	}
 	conn.SetDeadline(time.Time{})
 	if int(ack.Inst) < t.window {
@@ -287,7 +279,7 @@ func (t *MuxTransport) connectLocked() error {
 	for _, s := range t.streams {
 		s.wroteSeq = s.acked
 		if len(s.inflight) > 0 {
-			t.markDirtyLocked(s)
+			t.queueLocked(s)
 		}
 	}
 	t.dead = make(chan struct{})
@@ -345,83 +337,90 @@ func (t *MuxTransport) liveConnLocked(streamClosed bool) error {
 	return nil
 }
 
-// markDirtyLocked queues s for the writer goroutine. Caller holds t.mu.
-func (t *MuxTransport) markDirtyLocked(s *MuxStream) {
+// queueLocked lists s among the streams with unwritten frames. Caller
+// holds t.mu.
+func (t *MuxTransport) queueLocked(s *MuxStream) {
 	if !s.queued {
 		s.queued = true
 		t.dirty = append(t.dirty, s)
 	}
-	t.cond.Signal()
 }
 
-// writeLoop is the connection's single writer: it drains every dirty
-// stream's unwritten frames and every loose one-shot request into the
-// shared bufio buffer, then flushes once — frames from many sessions
-// coalesce into one segment. It holds t.mu across the batch (bounded by
-// the write deadline) and survives reconnects; it exits only at Close.
+// writeLoop writes one-way traffic: woken by Send (and by a re-dial), it
+// runs the connection's one write path on whatever is queued. It survives
+// reconnects and exits only at Close.
 func (t *MuxTransport) writeLoop() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		for !t.closed && (t.conn == nil || (len(t.dirty) == 0 && len(t.loose) == 0)) {
+		for !t.closed && (t.conn == nil || len(t.dirty) == 0) {
 			t.cond.Wait()
 		}
 		if t.closed {
 			return
 		}
-		conn, w := t.conn, t.w
-		if t.timeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(t.timeout))
-		}
-		var frames int64
-		var err error
-		for err == nil && (len(t.dirty) > 0 || len(t.loose) > 0) {
-			if len(t.dirty) > 0 {
-				s := t.dirty[0]
-				t.dirty = t.dirty[:copy(t.dirty, t.dirty[1:])]
-				s.queued = false
-				for _, req := range s.inflight {
-					if req.Seq <= s.wroteSeq {
-						continue
-					}
-					if err = WriteRequest(w, req); err != nil {
-						break
-					}
-					s.wroteSeq = req.Seq
-					frames++
-				}
+		t.writeQueuedLocked(nil)
+	}
+}
+
+// writeQueuedLocked is the connection's one write path: it drains every
+// dirty stream's unwritten frames, then bare (a stamped one-shot request)
+// when set, into the shared bufio buffer and flushes once — frames from
+// many sessions coalesce into one segment. A write error drops the
+// connection; in-flight windows replay on the next exchange's re-dial.
+// Caller holds t.mu across the batch (bounded by the write deadline) with a
+// connection installed.
+func (t *MuxTransport) writeQueuedLocked(bare *Request) error {
+	conn, w := t.conn, t.w
+	if t.timeout > 0 {
+		conn.SetWriteDeadline(time.Now().Add(t.timeout))
+	}
+	var frames int64
+	var err error
+	for err == nil && len(t.dirty) > 0 {
+		s := t.dirty[0]
+		t.dirty = t.dirty[:copy(t.dirty, t.dirty[1:])]
+		s.queued = false
+		for _, req := range s.inflight {
+			if req.Seq <= s.wroteSeq {
 				continue
 			}
-			req := t.loose[0]
-			t.loose = t.loose[:copy(t.loose, t.loose[1:])]
-			err = WriteRequest(w, req)
+			if err = WriteRequest(w, req); err != nil {
+				break
+			}
+			s.wroteSeq = req.Seq
 			frames++
 		}
-		if err == nil && frames > 0 {
-			err = w.Flush()
-		}
-		if t.counters != nil && frames > 0 {
-			t.counters.MuxBatchedFrames.Add(frames)
-			t.counters.MuxFlushes.Add(1)
-		}
-		if err != nil {
-			// Drop the connection; in-flight windows replay on the next
-			// exchange's re-dial.
-			t.mu.Unlock()
-			t.dropConn(conn)
-			t.mu.Lock()
-		}
 	}
+	if err == nil && bare != nil {
+		err = WriteRequest(w, *bare)
+		frames++
+	}
+	if err == nil && frames > 0 {
+		err = w.Flush()
+	}
+	if t.counters != nil && frames > 0 {
+		t.counters.MuxBatchedFrames.Add(frames)
+		t.counters.MuxFlushes.Add(1)
+	}
+	if err != nil {
+		t.conn, t.w = nil, nil
+		conn.Close()
+	}
+	return err
 }
 
 // readLoop decodes mux frames off one connection: every frame prunes its
 // stream's in-flight window by the carried ack, window updates stop
 // there, and exchange responses are handed to the waiter keyed by
-// (session, seq).
+// (session, seq). One scratch word serves every frame's fields.
 func (t *MuxTransport) readLoop(conn net.Conn, r *bufio.Reader, dead chan struct{}) {
 	defer close(dead)
+	scratch := new([8]byte)
 	for {
-		session, resp, err := ReadMuxFrame(r)
+		d := wireReader{r: r, br: r, buf: scratch}
+		session := d.u64()
+		resp, err := readResponse(&d)
 		if err != nil {
 			t.dropConn(conn)
 			return
@@ -444,7 +443,19 @@ func (t *MuxTransport) readLoop(conn net.Conn, r *bufio.Reader, dead chan struct
 		delete(t.pending, muxKey{session, resp.Seq})
 		t.mu.Unlock()
 		if ch != nil {
-			ch <- resp // buffered; never blocks
+			deliver(ch, resp)
+		}
+	}
+}
+
+// deliver puts resp in a reply slot without blocking, displacing the late
+// reply of an attempt that gave up.
+func deliver(ch chan Response, resp Response) {
+	for {
+		select {
+		case ch <- resp:
+			return
+		case <-ch:
 		}
 	}
 }
@@ -465,27 +476,75 @@ func (t *MuxTransport) dropConn(conn net.Conn) {
 	}
 }
 
-// await blocks until the response registered under key arrives on ch, the
-// connection it was sent on dies, or the exchange deadline passes. On
-// either failure the response slot is discarded; a timeout also closes
-// the socket so the reader goroutine exits and every stream replays its
-// window over the re-dial.
-func (t *MuxTransport) await(key muxKey, ch chan Response, conn net.Conn, dead chan struct{}) (Response, error) {
+// replySlot is where a blocking exchange waits: the channel the reader
+// delivers its reply into and the timer bounding the attempt. A stream
+// reuses its own for its one exchange at a time; a reply that lands after
+// its attempt gave up stays in ch until the next wait discards it by Seq.
+type replySlot struct {
+	ch    chan Response
+	timer *time.Timer
+}
+
+// arm readies the slot for one attempt bounded by d (unbounded if d <= 0).
+func (r *replySlot) arm(d time.Duration) {
+	if r.ch == nil {
+		r.ch = make(chan Response, 1)
+	}
+	if r.timer == nil && d > 0 {
+		r.timer = time.NewTimer(d)
+	} else if d > 0 {
+		r.timer.Reset(d)
+	}
+}
+
+// disarm stops the timer and drains a tick it already sent (go.mod's go
+// 1.22 keeps the timer channel whose Stop does not drain).
+func (r *replySlot) disarm() {
+	if r.timer != nil && !r.timer.Stop() {
+		select {
+		case <-r.timer.C:
+		default:
+		}
+	}
+}
+
+// exchangeLocked runs one attempt of a request queued for the write path,
+// or of bare: it arms slot, writes the queue itself, and waits until the
+// reply to key lands in slot, the connection it was sent on dies, or the
+// attempt's timer fires — write and wait share the one timeout. A reply
+// with another Seq is the late answer to an attempt that gave up, and is
+// discarded. On a failure the pending entry is dropped; a timeout also
+// closes the socket so the reader goroutine exits and every stream replays
+// its window over the re-dial. Caller holds t.mu with a live connection;
+// exchangeLocked releases it.
+func (t *MuxTransport) exchangeLocked(key muxKey, slot *replySlot, bare *Request) (Response, error) {
+	slot.arm(t.timeout)
+	defer slot.disarm()
+	t.pending[key] = slot.ch
+	conn, dead := t.conn, t.dead
+	err := t.writeQueuedLocked(bare)
+	t.mu.Unlock()
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		err = errors.New("hrt: exchange timed out")
+	} else if err != nil {
+		err = fmt.Errorf("hrt: connection lost: %w", err)
+	}
 	var timeout <-chan time.Time
 	if t.timeout > 0 {
-		timer := time.NewTimer(t.timeout)
-		defer timer.Stop()
-		timeout = timer.C
+		timeout = slot.timer.C
 	}
-	var err error
-	select {
-	case resp := <-ch:
-		return resp, nil
-	case <-dead:
-		err = errors.New("hrt: connection lost")
-	case <-timeout:
-		err = errors.New("hrt: exchange timed out")
-		t.dropConn(conn)
+	for err == nil {
+		select {
+		case resp := <-slot.ch:
+			if resp.Seq == key.seq {
+				return resp, nil
+			}
+		case <-dead:
+			err = errors.New("hrt: connection lost")
+		case <-timeout:
+			err = errors.New("hrt: exchange timed out")
+			t.dropConn(conn)
+		}
 	}
 	t.mu.Lock()
 	delete(t.pending, key)
@@ -503,14 +562,7 @@ func (t *MuxTransport) Exchange(req Request) (Response, error) {
 		t.mu.Unlock()
 		return Response{}, err
 	}
-	key := muxKey{req.Session, req.Seq}
-	ch := make(chan Response, 1)
-	t.pending[key] = ch
-	t.loose = append(t.loose, req)
-	t.cond.Signal()
-	conn, dead := t.conn, t.dead
-	t.mu.Unlock()
-	return t.await(key, ch, conn, dead)
+	return t.exchangeLocked(muxKey{req.Session, req.Seq}, new(replySlot), &req)
 }
 
 // Close shuts the connection and every stream down; subsequent operations
@@ -535,10 +587,11 @@ func (t *MuxTransport) Close() error {
 // implements the Transport/AsyncTransport contract — reply-free sends
 // coalesce into an ordered in-flight window, reply-bearing exchanges are
 // barriers, RespResend rewinds and replays. Its frames share the
-// connection's writer with every other stream, and its window
+// connection's write path with every other stream, and its window
 // backpressure (a full in-flight window forces a flush barrier) lands on
 // this session alone. It is the only client code that stamps, windows,
-// retries and resends requests.
+// retries and resends requests; like the session it carries, it serves one
+// caller at a time.
 type MuxStream struct {
 	t        atomic.Pointer[MuxTransport] // the connection it rides
 	session  uint64
@@ -553,6 +606,8 @@ type MuxStream struct {
 	queued   bool
 	closed   bool
 	home     string // the fleet member that last answered
+
+	slot replySlot // the one caller's, used without t's mutex
 }
 
 var _ AsyncTransport = (*MuxStream)(nil)
@@ -601,7 +656,7 @@ func (s *MuxStream) pruneLocked(ack uint64) {
 }
 
 // Send queues a reply-free request: it is stamped, retained in the
-// stream's in-flight window, and handed to the shared writer without
+// stream's in-flight window, and handed to the writer goroutine without
 // waiting for any acknowledgement. A full window forces an early barrier
 // first (WindowStalls) — on this stream only.
 func (s *MuxStream) Send(req Request) error {
@@ -626,7 +681,8 @@ func (s *MuxStream) Send(req Request) error {
 	req.Session, req.Seq = s.session, s.seq
 	req.Flags |= ReqNoReply
 	s.inflight = append(s.inflight, req)
-	t.markDirtyLocked(s)
+	t.queueLocked(s)
+	t.cond.Signal()
 	t.mu.Unlock()
 	return nil
 }
@@ -635,27 +691,11 @@ func (s *MuxStream) Send(req Request) error {
 // in-flight request of this stream, surfacing the first deferred one-way
 // error. An empty window returns immediately without touching the link.
 func (s *MuxStream) Flush() error {
-	t := s.lock()
-	if t.closed || s.closed {
-		t.mu.Unlock()
-		return errTransportClosed
+	resp, err := s.RoundTrip(Request{Op: OpFlush})
+	if err == nil && resp.Err != "" {
+		err = serverError(resp.Err)
 	}
-	if len(s.inflight) == 0 {
-		t.mu.Unlock()
-		return nil
-	}
-	s.seq++
-	req := Request{Op: OpFlush, Session: s.session, Seq: s.seq}
-	s.inflight = append(s.inflight, req)
-	t.mu.Unlock()
-	resp, err := s.exchange(req)
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return serverError(resp.Err)
-	}
-	return nil
+	return err
 }
 
 // RoundTrip performs a reply-bearing exchange. It is an implicit barrier
@@ -666,6 +706,10 @@ func (s *MuxStream) RoundTrip(req Request) (Response, error) {
 	if t.closed || s.closed {
 		t.mu.Unlock()
 		return Response{}, errTransportClosed
+	}
+	if req.Op == OpFlush && len(s.inflight) == 0 {
+		t.mu.Unlock()
+		return Response{}, nil // a barrier over nothing waits for nothing
 	}
 	s.seq++
 	req.Session, req.Seq = s.session, s.seq
@@ -692,11 +736,11 @@ func (s *MuxStream) exchange(req Request) (Response, error) {
 }
 
 // attemptOn is one try of an exchange on the stream's connection: ensure a
-// connection, hand the stream's window to the shared writer, and wait for
-// the response matching (session, seq). A RespResend answer rewinds this
-// stream's write cursor and resends on the same connection without
-// consuming a retry attempt; resend rounds are bounded so a misbehaving
-// peer cannot loop the client forever.
+// connection, write the stream's window itself, and wait in the stream's
+// reply slot for the response matching (session, seq). A RespResend answer
+// rewinds this stream's write cursor and resends on the same connection
+// without consuming a retry attempt; resend rounds are bounded so a
+// misbehaving peer cannot loop the client forever.
 func (s *MuxStream) attemptOn(req Request) (Response, error) {
 	for resend := 0; ; resend++ {
 		t := s.lock()
@@ -709,28 +753,26 @@ func (s *MuxStream) attemptOn(req Request) (Response, error) {
 			return Response{}, err
 		}
 		key := muxKey{s.session, req.Seq}
-		ch := make(chan Response, 1)
-		t.pending[key] = ch
+		var bare *Request
 		if req.Seq <= s.acked {
 			// The reply to this very request landed while no waiter was
 			// registered (a timeout raced the response): its ack pruned the
 			// frame from the in-flight window and moved the write cursor
-			// past it, so no window replay will ever re-send it. Queue the
-			// bare frame on the loose path; the server's dedup layer replays
-			// the cached response.
-			t.loose = append(t.loose, req)
-			t.cond.Signal()
+			// past it, so no window replay will ever re-send it. Send the
+			// bare frame; the server's dedup layer replays the cached
+			// response.
+			bare = &req
 		} else {
-			t.markDirtyLocked(s)
+			t.queueLocked(s)
 		}
-		conn, dead := t.conn, t.dead
-		t.mu.Unlock()
-
-		resp, err := t.await(key, ch, conn, dead)
+		resp, err := t.exchangeLocked(key, &s.slot, bare)
 		if err != nil {
 			return Response{}, err
 		}
 		t = s.lock()
+		// A late reply accepted from an earlier attempt leaves this
+		// attempt's registration behind.
+		delete(t.pending, key)
 		s.pruneLocked(resp.Ack)
 		resend := resp.Flags&RespResend != 0 && resp.Ack < req.Seq
 		if resend || ParseOwnerRedirect(resp.Err, "") != nil {
@@ -835,7 +877,7 @@ func (s *MuxStream) attemptAt(addr string, req Request) (Response, error) {
 	return resp, nil
 }
 
-// moveTo leaves the stream's connection and its writer's queue for t,
+// moveTo leaves the stream's connection and its write queue for t,
 // where the next attempt replays the window from acked+1.
 func (s *MuxStream) moveTo(t *MuxTransport) {
 	old := s.lock()
@@ -921,12 +963,9 @@ func (ts *TCPServer) serveMux(conn net.Conn, dec *connDecoder, w *bufio.Writer, 
 		writeHelloAck(Response{Seq: hello.Seq, Err: fmt.Sprintf("hrt: unsupported mux protocol version %d", hello.Frag)})
 		return
 	}
-	window := int(hello.Inst)
+	window := min(int(hello.Inst), maxMuxWindow)
 	if window < 1 {
 		window = defaultWindow
-	}
-	if window > maxMuxWindow {
-		window = maxMuxWindow
 	}
 	if !writeHelloAck(Response{Seq: hello.Seq, Inst: int64(window)}) {
 		return
@@ -1075,10 +1114,7 @@ func (ts *TCPServer) muxWriteLoop(st *muxConnState, w *bufio.Writer) {
 func (ts *TCPServer) muxWorker(st *muxConnState, window int, wk *muxSessionWorker) {
 	defer st.wg.Done()
 	oneway := 0
-	updateEvery := window / 2
-	if updateEvery < 1 {
-		updateEvery = 1
-	}
+	updateEvery := max(window/2, 1)
 	for req := range wk.ch {
 		if !st.dead.Load() { // else drain remaining frames after a failure
 			ts.muxServeOne(st, req, &oneway, updateEvery)

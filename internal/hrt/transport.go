@@ -294,7 +294,7 @@ type Counters struct {
 	// restart); see SessionEvictedError.
 	SessionBounces atomic.Int64
 	// MuxBatchedFrames and MuxFlushes tally the multiplexed connection's
-	// shared writer: frames coalesced into the buffer and flushes of it.
+	// write path: frames coalesced into the buffer and flushes of it.
 	// Their ratio is the mean coalesce size. Zero on unmuxed transports.
 	MuxBatchedFrames atomic.Int64
 	MuxFlushes       atomic.Int64
@@ -434,11 +434,7 @@ type Session struct {
 	Counters *Counters
 }
 
-var _ interface {
-	Enter(string, int64) (int64, error)
-	Exit(string, int64) error
-	Call(string, int64, int, []interp.Value) (interp.Value, error)
-} = (*Session)(nil)
+var _ interp.HiddenSession = (*Session)(nil)
 
 // respError converts a server-reported error string into the client-side
 // error.

@@ -58,9 +58,6 @@ const (
 // (a name, a few scalars), so there is no pathological retention.
 var wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-func getWireBuf() *[]byte  { return wireBufPool.Get().(*[]byte) }
-func putWireBuf(b *[]byte) { wireBufPool.Put(b) }
-
 // appendString appends a length-prefixed string.
 func appendString(b []byte, s string) ([]byte, error) {
 	if len(s) > maxWireString {
@@ -223,30 +220,23 @@ func WriteRequest(w io.Writer, req Request) error {
 	if len(req.Args) > maxWireArgs {
 		return fmt.Errorf("hrt: request has %d args, wire limit is %d", len(req.Args), maxWireArgs)
 	}
-	bp := getWireBuf()
+	bp := wireBufPool.Get().(*[]byte)
 	b := append((*bp)[:0], byte(req.Op), req.Flags)
 	b = binary.LittleEndian.AppendUint64(b, req.Session)
 	b = binary.LittleEndian.AppendUint64(b, req.Seq)
-	var err error
-	if b, err = appendString(b, req.Fn); err != nil {
-		*bp = b
-		putWireBuf(bp)
-		return err
-	}
+	b, err := appendString(b, req.Fn)
 	b = binary.LittleEndian.AppendUint64(b, uint64(req.Inst))
 	b = binary.LittleEndian.AppendUint64(b, uint64(req.Obj))
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(req.Frag)))
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(req.Args)))
-	for _, a := range req.Args {
-		if b, err = appendValue(b, a); err != nil {
-			*bp = b
-			putWireBuf(bp)
-			return err
-		}
+	for i := 0; err == nil && i < len(req.Args); i++ {
+		b, err = appendValue(b, req.Args[i])
 	}
-	_, err = w.Write(b)
+	if err == nil {
+		_, err = w.Write(b)
+	}
 	*bp = b
-	putWireBuf(bp)
+	wireBufPool.Put(bp)
 	return err
 }
 
@@ -363,16 +353,13 @@ func appendResponse(b []byte, resp Response) ([]byte, error) {
 
 // WriteResponse encodes resp onto w as a single Write.
 func WriteResponse(w io.Writer, resp Response) error {
-	bp := getWireBuf()
+	bp := wireBufPool.Get().(*[]byte)
 	b, err := appendResponse((*bp)[:0], resp)
-	if err != nil {
-		*bp = b
-		putWireBuf(bp)
-		return err
+	if err == nil {
+		_, err = w.Write(b)
 	}
-	_, err = w.Write(b)
 	*bp = b
-	putWireBuf(bp)
+	wireBufPool.Put(bp)
 	return err
 }
 
