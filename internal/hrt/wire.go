@@ -34,7 +34,9 @@ import (
 // request only and a spent slab is replaced, not reused, so no two
 // requests alias. Nothing keeps Args after the fragment executes, and the
 // VM writes only inside a fragment's own argument region, so a slab lives
-// about as long as the requests cut from it.
+// about as long as the requests cut from it. Component names are interned
+// per connection: a name the connection has sent before is looked up, not
+// allocated, up to maxConnNames names of at most maxInternedName bytes.
 
 const (
 	wireNull byte = iota
@@ -188,14 +190,18 @@ func (d *wireReader) u64() uint64 {
 	return 0
 }
 
-// str reads a length-prefixed string, the one allocation.
-func (d *wireReader) str() string {
+// strBytes reads a length-prefixed string's bytes, which hold until the
+// next take.
+func (d *wireReader) strBytes() []byte {
 	n := d.u32()
 	if n > maxWireString {
 		d.fail(fmt.Errorf("hrt: wire string length %d exceeds limit", n))
 	}
-	return string(d.take(int(n)))
+	return d.take(int(n))
 }
+
+// str reads a length-prefixed string, the one allocation.
+func (d *wireReader) str() string { return string(d.strBytes()) }
 
 func (d *wireReader) value() interp.Value {
 	switch k := d.byte(); k {
@@ -253,16 +259,24 @@ func ReadRequest(r io.Reader) (Request, error) {
 // argSlab is the number of argument values one slab holds.
 const argSlab = 64
 
+// maxConnNames and maxInternedName bound a connection's name table to
+// 32 KiB however many names a peer makes up; a name past either bound is
+// allocated for its request alone, as the one-shot decoder does.
+const maxConnNames, maxInternedName = 256, 128
+
 // connDecoder reads request frames. Over a connection (br set) it reads a
 // frame in place when the whole frame is already buffered and cuts each
 // request's Args from a slab; the zero value decodes one-shot.
 type connDecoder struct {
-	br   *bufio.Reader
-	slab []interp.Value // the unclaimed rest of the current slab
-	d    wireReader     // per connection, so a frame allocates no reader
+	br    *bufio.Reader
+	slab  []interp.Value    // the unclaimed rest of the current slab
+	names map[string]string // the component names interned, nil one-shot
+	d     wireReader        // per connection, so a frame allocates no reader
 }
 
-func newConnDecoder(br *bufio.Reader) *connDecoder { return &connDecoder{br: br} }
+func newConnDecoder(br *bufio.Reader) *connDecoder {
+	return &connDecoder{br: br, names: make(map[string]string)}
+}
 
 // next decodes the connection's next request, blocking until it arrives.
 // A frame parsed in place is Discarded to its exact length, so whoever
@@ -312,6 +326,20 @@ func (c *connDecoder) args(n int) []interp.Value {
 	return a
 }
 
+// name reads a request's component name: over a connection, a name seen
+// before comes out of the name table without an allocation.
+func (c *connDecoder) name(d *wireReader) string {
+	b := d.strBytes()
+	if s, ok := c.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if c.names != nil && len(c.names) < maxConnNames && len(s) <= maxInternedName {
+		c.names[s] = s
+	}
+	return s
+}
+
 // parse decodes one request through d into req, setting every field: the
 // one reading of the layout WriteRequest writes.
 func (c *connDecoder) parse(d *wireReader, req *Request) error {
@@ -319,7 +347,7 @@ func (c *connDecoder) parse(d *wireReader, req *Request) error {
 	req.Flags = d.byte()
 	req.Session = d.u64()
 	req.Seq = d.u64()
-	req.Fn = d.str()
+	req.Fn = c.name(d)
 	req.Inst = int64(d.u64())
 	req.Obj = int64(d.u64())
 	req.Frag = int(int32(d.u32()))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"slicehide/internal/interp"
@@ -375,5 +376,71 @@ func TestConnDecoderMatchesReadRequest(t *testing.T) {
 				t.Fatalf("bufio size %d, frame %d: %+v, ReadRequest %+v", size, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// cycleReader repeats its bytes forever.
+type cycleReader struct {
+	b   []byte
+	off int
+}
+
+func (r *cycleReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
+}
+
+// TestConnDecoderInternsNames: two component names alternate over one
+// connection decoder; every request carries its own name, and once both
+// are in the connection's name table a frame decodes without allocating.
+// A connection that meets more names than its table holds still decodes
+// every one of them.
+func TestConnDecoderInternsNames(t *testing.T) {
+	names := []string{"Account.deposit", "Account.withdraw"}
+	var stream bytes.Buffer
+	for i, fn := range names {
+		if err := WriteRequest(&stream, Request{Op: OpCall, Fn: fn, Session: 1, Seq: uint64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec := newConnDecoder(bufio.NewReader(&cycleReader{b: stream.Bytes()}))
+	frame := func() {
+		for _, want := range names {
+			req, err := dec.next()
+			if err != nil || req.Fn != want {
+				t.Fatalf("decoded %q, %v; want %q", req.Fn, err, want)
+			}
+		}
+	}
+	frame()
+	if allocs := testing.AllocsPerRun(100, frame); allocs != 0 {
+		t.Errorf("%v allocations per two frames, want 0", allocs)
+	}
+
+	stream.Reset()
+	const many = maxConnNames + 50
+	for i := range 2 * many {
+		fn := fmt.Sprintf("C%d.m", i%many)
+		if i%7 == 0 {
+			fn += strings.Repeat("x", maxInternedName)
+		}
+		if err := WriteRequest(&stream, Request{Op: OpCall, Fn: fn, Session: 1, Seq: uint64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec = newConnDecoder(bufio.NewReader(bytes.NewReader(stream.Bytes())))
+	for i := range 2 * many {
+		req, err := dec.next()
+		want := fmt.Sprintf("C%d.m", i%many)
+		if i%7 == 0 {
+			want += strings.Repeat("x", maxInternedName)
+		}
+		if err != nil || req.Fn != want {
+			t.Fatalf("frame %d: decoded %q, %v; want %q", i, req.Fn, err, want)
+		}
+	}
+	if len(dec.names) != maxConnNames {
+		t.Errorf("name table holds %d names, want the cap %d", len(dec.names), maxConnNames)
 	}
 }

@@ -2,10 +2,12 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 
 	"slicehide/internal/lang/ast"
 	"slicehide/internal/lang/parser"
 	"slicehide/internal/lang/types"
+	"slicehide/internal/slab"
 )
 
 // Build lowers a type-checked AST program to IR.
@@ -17,23 +19,17 @@ func Build(prog *ast.Program, info *types.Info) *Program {
 			Funcs:   make(map[string]*Func),
 			Heap:    &Var{Name: "$heap", Kind: VarHeap, Type: types.IntType},
 		},
-		elems:  make(map[*Var]*Var),
-		arrays: make(map[types.Type]*types.Array),
+		elems: make(map[*Var]*Var),
 	}
 	for _, cl := range prog.Classes {
-		ic := &Class{Name: cl.Name}
-		for _, fd := range cl.Fields {
-			ic.Fields = append(ic.Fields, &Var{
-				Name:  fd.Name,
-				Kind:  VarField,
-				Type:  b.resolveType(fd.Type),
-				Class: cl.Name,
-			})
+		ic := &Class{Name: cl.Name, Fields: b.varLists.Make(len(cl.Fields))}
+		for i, fd := range cl.Fields {
+			ic.Fields[i] = b.vars.New(Var{Name: fd.Name, Kind: VarField, Type: b.info.Resolve(fd.Type), Class: cl.Name})
 		}
 		b.prog.Classes[cl.Name] = ic
 	}
 	for _, g := range prog.Globals {
-		gv := &Var{Name: g.Name, Kind: VarGlobal, Type: b.resolveType(g.Type)}
+		gv := b.vars.New(Var{Name: g.Name, Kind: VarGlobal, Type: b.info.Resolve(g.Type)})
 		b.globals = append(b.globals, gv)
 		b.prog.Globals = append(b.prog.Globals, &Global{Var: gv})
 	}
@@ -46,11 +42,12 @@ func Build(prog *ast.Program, info *types.Info) *Program {
 		}
 	}
 	for _, f := range prog.Funcs {
-		b.buildFunc(f, "")
+		b.buildFunc(f, info.Funcs[f.Name], nil)
 	}
 	for _, cl := range prog.Classes {
+		tc, ic := info.Classes[cl.Name], b.prog.Classes[cl.Name]
 		for _, m := range cl.Methods {
-			b.buildFunc(m, cl.Name)
+			b.buildFunc(m, tc.Methods[m.Name], ic)
 		}
 	}
 	return b.prog
@@ -82,51 +79,46 @@ type builder struct {
 	info    *types.Info
 	prog    *Program
 	globals []*Var
-	elems   map[*Var]*Var               // base var -> elems pseudo-var
-	arrays  map[types.Type]*types.Array // the one Array of each element type
+	elems   map[*Var]*Var // base var -> elems pseudo-var
 
-	fn       *Func
-	curClass string
+	fn *Func
+	// class is the class whose method is being built, nil in a function.
+	class *Class
+	// methods maps the names of class's methods to their signatures.
+	methods map[string]*types.FuncSig
 	// scope holds the parameters, then the locals of every open block in
 	// declaration order; a block truncates it back on close.
 	scope []scoped
+	// stmts holds the lowered statements of every open block, innermost
+	// last; a block copies its own off the top once, when it is done.
+	stmts []Stmt
+	// locals is where the function being built collects its locals; it
+	// copies them off once, when it is done.
+	locals []*Var
+
+	// The most frequent nodes, and the lists that hold them, come from
+	// blocks that belong to this build.
+	stmtLists slab.Of[Stmt]
+	exprLists slab.Of[Expr]
+	varLists  slab.Of[*Var]
+	vars      slab.Of[Var]
+	varRefs   slab.Of[VarRef]
+	binaries  slab.Of[Binary]
+	consts    slab.Of[Const]
+	fields    slab.Of[FieldExpr]
+	indexes   slab.Of[IndexExpr]
+	thises    slab.Of[ThisExpr]
+	targets   slab.Of[VarTarget]
+	assigns   slab.Of[AssignStmt]
+	ifs       slab.Of[IfStmt]
+	whiles    slab.Of[WhileStmt]
+	returns   slab.Of[ReturnStmt]
 }
 
 // scoped binds a source name to the variable it denotes.
 type scoped struct {
 	name string
 	v    *Var
-}
-
-func (b *builder) resolveType(t ast.Type) types.Type {
-	switch t := t.(type) {
-	case *ast.BasicType:
-		switch t.Kind {
-		case ast.Int:
-			return types.IntType
-		case ast.Float:
-			return types.FloatType
-		case ast.Bool:
-			return types.BoolType
-		case ast.String:
-			return types.StringType
-		case ast.Void:
-			return types.VoidType
-		}
-	case *ast.ArrayType:
-		elem := b.resolveType(t.Elem)
-		a := b.arrays[elem]
-		if a == nil {
-			a = &types.Array{Elem: elem}
-			b.arrays[elem] = a
-		}
-		return a
-	case *ast.ClassType:
-		if cl, ok := b.info.Classes[t.Name]; ok {
-			return cl
-		}
-	}
-	return types.IntType
 }
 
 func (b *builder) declare(name string, v *Var) {
@@ -141,11 +133,9 @@ func (b *builder) lookup(name string) (*Var, bool) {
 			return b.scope[i].v, true
 		}
 	}
-	if b.curClass != "" {
-		if cl := b.prog.Classes[b.curClass]; cl != nil {
-			if fv := cl.Field(name); fv != nil {
-				return fv, true
-			}
+	if b.class != nil {
+		if fv := b.class.Field(name); fv != nil {
+			return fv, true
 		}
 	}
 	for _, g := range b.globals {
@@ -176,159 +166,186 @@ func (b *builder) elemsVar(arr Expr) *Var {
 	return ev
 }
 
-func (b *builder) buildFunc(decl *ast.FuncDecl, class string) {
-	f := &Func{Name: decl.Name, Class: class}
-	b.fn = f
-	b.curClass = class
-	sig := b.info.Funcs[f.QName()]
-	f.Result = sig.Result
-	b.scope = b.scope[:0]
-	for i, p := range decl.Params {
-		b.declare(p.Name, f.AddParam(p.Name, sig.Params[i]))
+// buildFunc lowers the function or method decl of signature sig; class is
+// the method's class, nil for a function.
+func (b *builder) buildFunc(decl *ast.FuncDecl, sig *types.FuncSig, class *Class) {
+	f := &Func{Name: decl.Name, Class: sig.Class, Result: sig.Result}
+	b.fn, b.class, b.methods = f, class, nil
+	if class != nil {
+		b.methods = b.info.Classes[class.Name].Methods
 	}
+	b.scope = b.scope[:0]
+	f.Params = b.varLists.Make(len(decl.Params))
+	for i, p := range decl.Params {
+		f.Params[i] = b.vars.New(Var{Name: p.Name, Kind: VarParam, Type: sig.Params[i]})
+		b.declare(p.Name, f.Params[i])
+	}
+	f.Locals = b.locals[:0]
 	f.Body = b.block(decl.Body.Stmts)
-	b.prog.Funcs[f.QName()] = f
-	b.prog.Order = append(b.prog.Order, f.QName())
-	b.fn = nil
-	b.curClass = ""
+	b.locals = f.Locals
+	f.Locals = b.varLists.Make(len(b.locals))
+	copy(f.Locals, b.locals)
+	b.prog.Funcs[sig.QName] = f
+	b.prog.Order = append(b.prog.Order, sig.QName)
+	b.fn, b.class, b.methods = nil, nil, nil
+}
+
+// addLocal registers a fresh local of the function being built. A name a
+// parameter or an earlier local already has gets the first free suffix:
+// x, x$1, x$2, ...
+func (b *builder) addLocal(name string, t types.Type) *Var {
+	unique := name
+	for i := 1; b.fn.LookupVar(unique) != nil; i++ {
+		unique = name + "$" + strconv.Itoa(i)
+	}
+	v := b.vars.New(Var{Name: unique, Kind: VarLocal, Type: t})
+	b.fn.Locals = append(b.fn.Locals, v)
+	return v
 }
 
 // block lowers the statements of one block, in a scope of their own.
 func (b *builder) block(list []ast.Stmt) []Stmt {
-	out := b.blockInto(make([]Stmt, 0, len(list)), list)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	base := len(b.stmts)
+	b.blockInto(list)
+	return b.takeStmts(base)
 }
 
-// blockInto appends the lowered statements of one block to out, in a scope
-// of their own.
-func (b *builder) blockInto(out []Stmt, list []ast.Stmt) []Stmt {
+// blockInto appends the lowered statements of one block to b.stmts, in a
+// scope of their own.
+func (b *builder) blockInto(list []ast.Stmt) {
 	mark := len(b.scope)
 	for _, s := range list {
-		out = b.stmt(out, s)
+		b.stmt(s)
 	}
 	b.scope = b.scope[:mark]
+}
+
+// takeStmts moves the statements lowered since b.stmts was base long into a
+// list of their own.
+func (b *builder) takeStmts(base int) []Stmt {
+	out := b.stmtLists.Make(len(b.stmts) - base)
+	copy(out, b.stmts[base:])
+	b.stmts = b.stmts[:base]
 	return out
 }
 
+// this returns the implicit receiver of the method being built.
+func (b *builder) this() *ThisExpr { return b.thises.New(ThisExpr{Class: b.class.Name}) }
+
 // zeroValue returns the implicit initial value for a declared variable.
-func zeroValue(t types.Type) Expr {
-	switch t := t.(type) {
-	case *types.Basic:
+func (b *builder) zeroValue(t types.Type) Expr {
+	c := Const{Kind: ConstNull}
+	if t, ok := t.(*types.Basic); ok {
 		switch t.Kind {
 		case ast.Int:
-			return Int(0)
+			c.Kind = ConstInt
 		case ast.Float:
-			return Float(0)
+			c.Kind = ConstFloat
 		case ast.Bool:
-			return Bool(false)
+			c.Kind = ConstBool
 		case ast.String:
-			return Str("")
+			c.Kind = ConstString
 		}
 	}
-	return Null()
+	return b.consts.New(c)
 }
 
-// stmt appends the lowering of s to out.
-func (b *builder) stmt(out []Stmt, s ast.Stmt) []Stmt {
+// stmt appends the lowering of s to b.stmts.
+func (b *builder) stmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.VarDecl:
-		t := b.resolveType(s.Type)
-		v := b.fn.AddLocal(s.Name, t)
-		init := zeroValue(t)
+		t := b.info.Resolve(s.Type)
+		v := b.addLocal(s.Name, t)
+		var init Expr
 		if s.Init != nil {
 			init = b.expr(s.Init)
+		} else {
+			init = b.zeroValue(t)
 		}
 		b.declare(s.Name, v)
-		return append(out, &AssignStmt{stmtBase: b.fn.NewStmt(s.Pos()), Lhs: &VarTarget{Var: v}, Rhs: init})
+		b.stmts = append(b.stmts, b.assigns.New(AssignStmt{stmtBase: b.fn.NewStmt(s.Pos()), Lhs: b.targets.New(VarTarget{Var: v}), Rhs: init}))
 	case *ast.Assign:
 		lhs := b.target(s.Lhs)
 		rhs := b.expr(s.Rhs)
-		return append(out, &AssignStmt{stmtBase: b.fn.NewStmt(s.Pos()), Lhs: lhs, Rhs: rhs})
+		b.stmts = append(b.stmts, b.assigns.New(AssignStmt{stmtBase: b.fn.NewStmt(s.Pos()), Lhs: lhs, Rhs: rhs}))
 	case *ast.If:
-		st := &IfStmt{stmtBase: b.fn.NewStmt(s.Pos()), Cond: b.expr(s.Cond)}
+		st := b.ifs.New(IfStmt{stmtBase: b.fn.NewStmt(s.Pos()), Cond: b.expr(s.Cond)})
 		st.Then = b.block(s.Then.Stmts)
 		if s.Else != nil {
 			st.Else = b.block(s.Else.Stmts)
 		}
-		return append(out, st)
+		b.stmts = append(b.stmts, st)
 	case *ast.While:
-		st := &WhileStmt{stmtBase: b.fn.NewStmt(s.Pos()), Cond: b.expr(s.Cond)}
+		st := b.whiles.New(WhileStmt{stmtBase: b.fn.NewStmt(s.Pos()), Cond: b.expr(s.Cond)})
 		st.Body = b.block(s.Body.Stmts)
-		return append(out, st)
+		b.stmts = append(b.stmts, st)
 	case *ast.For:
 		mark := len(b.scope)
 		if s.Init != nil {
-			out = b.stmt(out, s.Init)
+			b.stmt(s.Init)
 		}
-		var cond Expr = Bool(true)
+		var cond Expr
 		if s.Cond != nil {
 			cond = b.expr(s.Cond)
+		} else {
+			cond = b.consts.New(Const{Kind: ConstBool, B: true})
 		}
-		loop := &WhileStmt{stmtBase: b.fn.NewStmt(s.Pos()), Cond: cond}
+		loop := b.whiles.New(WhileStmt{stmtBase: b.fn.NewStmt(s.Pos()), Cond: cond})
 		loop.Body = b.block(s.Body.Stmts)
 		if s.Post != nil {
-			loop.Post = b.stmt(nil, s.Post)
+			base := len(b.stmts)
+			b.stmt(s.Post)
+			loop.Post = b.takeStmts(base)
 		}
 		b.scope = b.scope[:mark]
-		return append(out, loop)
+		b.stmts = append(b.stmts, loop)
 	case *ast.Return:
-		st := &ReturnStmt{stmtBase: b.fn.NewStmt(s.Pos())}
+		st := b.returns.New(ReturnStmt{stmtBase: b.fn.NewStmt(s.Pos())})
 		if s.Value != nil {
 			st.Value = b.expr(s.Value)
 		}
-		return append(out, st)
+		b.stmts = append(b.stmts, st)
 	case *ast.Break:
-		return append(out, &BreakStmt{stmtBase: b.fn.NewStmt(s.Pos())})
+		b.stmts = append(b.stmts, &BreakStmt{stmtBase: b.fn.NewStmt(s.Pos())})
 	case *ast.Continue:
-		return append(out, &ContinueStmt{stmtBase: b.fn.NewStmt(s.Pos())})
+		b.stmts = append(b.stmts, &ContinueStmt{stmtBase: b.fn.NewStmt(s.Pos())})
 	case *ast.Print:
-		st := &PrintStmt{stmtBase: b.fn.NewStmt(s.Pos())}
-		for _, a := range s.Args {
-			st.Args = append(st.Args, b.expr(a))
-		}
-		return append(out, st)
+		st := &PrintStmt{stmtBase: b.fn.NewStmt(s.Pos()), Args: b.exprs(s.Args)}
+		b.stmts = append(b.stmts, st)
 	case *ast.ExprStmt:
 		call, ok := b.expr(s.X).(*CallExpr)
 		if !ok {
 			panic(fmt.Sprintf("ir: expression statement is not a call at %s", s.Pos()))
 		}
-		return append(out, &CallStmt{stmtBase: b.fn.NewStmt(s.Pos()), Call: call})
+		b.stmts = append(b.stmts, &CallStmt{stmtBase: b.fn.NewStmt(s.Pos()), Call: call})
 	case *ast.Block:
-		return b.blockInto(out, s.Stmts)
+		b.blockInto(s.Stmts)
+	default:
+		panic(fmt.Sprintf("ir: unknown statement %T", s))
 	}
-	panic(fmt.Sprintf("ir: unknown statement %T", s))
 }
 
+// exprs lowers a list of expressions, left to right.
+func (b *builder) exprs(list []ast.Expr) []Expr {
+	out := b.exprLists.Make(len(list))
+	for i, e := range list {
+		out[i] = b.expr(e)
+	}
+	return out
+}
+
+// target lowers the left-hand side of an assignment, which lowers as the
+// read of the same place would.
 func (b *builder) target(e ast.Expr) Target {
-	switch e := e.(type) {
-	case *ast.Ident:
-		v, ok := b.lookup(e.Name)
-		if !ok {
-			panic(fmt.Sprintf("ir: unresolved variable %s at %s", e.Name, e.Pos()))
-		}
-		if v.Kind == VarField {
-			return &FieldTarget{Obj: &ThisExpr{Class: b.curClass}, Field: v.Name, Class: v.Class, FieldVar: v}
-		}
-		return &VarTarget{Var: v}
-	case *ast.Index:
-		arr := b.expr(e.Arr)
-		return &IndexTarget{Arr: arr, I: b.expr(e.I), ElemsVar: b.elemsVar(arr)}
-	case *ast.FieldAccess:
-		obj := b.expr(e.Obj)
-		cls := b.classOf(e.Obj)
-		return &FieldTarget{Obj: obj, Field: e.Name, Class: cls, FieldVar: b.fieldVar(cls, e.Name)}
+	switch x := b.expr(e).(type) {
+	case *VarRef:
+		return b.targets.New(VarTarget{Var: x.Var})
+	case *IndexExpr:
+		return &IndexTarget{Arr: x.Arr, I: x.I, ElemsVar: x.ElemsVar}
+	case *FieldExpr:
+		return &FieldTarget{Obj: x.Obj, Field: x.Field, Class: x.Class, FieldVar: x.FieldVar}
 	}
-	panic(fmt.Sprintf("ir: invalid assignment target %T", e))
-}
-
-func (b *builder) classOf(obj ast.Expr) string {
-	if cl := b.info.Receivers[obj]; cl != nil {
-		return cl.Name
-	}
-	return ""
+	panic(fmt.Sprintf("ir: invalid assignment target %T at %s", e, e.Pos()))
 }
 
 func (b *builder) fieldVar(class, field string) *Var {
@@ -343,75 +360,66 @@ func (b *builder) fieldVar(class, field string) *Var {
 func (b *builder) expr(e ast.Expr) Expr {
 	switch e := e.(type) {
 	case *ast.IntLit:
-		return Int(e.Value)
+		return b.consts.New(Const{Kind: ConstInt, I: e.Value})
 	case *ast.FloatLit:
-		return Float(e.Value)
+		return b.consts.New(Const{Kind: ConstFloat, F: e.Value})
 	case *ast.BoolLit:
-		return Bool(e.Value)
+		return b.consts.New(Const{Kind: ConstBool, B: e.Value})
 	case *ast.StringLit:
-		return Str(e.Value)
+		return b.consts.New(Const{Kind: ConstString, S: e.Value})
 	case *ast.NullLit:
-		return Null()
+		return b.consts.New(Const{Kind: ConstNull})
 	case *ast.Ident:
 		v, ok := b.lookup(e.Name)
 		if !ok {
 			panic(fmt.Sprintf("ir: unresolved variable %s at %s", e.Name, e.Pos()))
 		}
 		if v.Kind == VarField {
-			return &FieldExpr{Obj: &ThisExpr{Class: b.curClass}, Field: v.Name, Class: v.Class, FieldVar: v}
+			return b.fields.New(FieldExpr{Obj: b.this(), Field: v.Name, Class: v.Class, FieldVar: v})
 		}
-		return &VarRef{Var: v}
+		return b.varRefs.New(VarRef{Var: v})
 	case *ast.Unary:
 		return &Unary{Op: e.Op, X: b.expr(e.X)}
 	case *ast.Binary:
-		return &Binary{Op: e.Op, X: b.expr(e.X), Y: b.expr(e.Y)}
+		return b.binaries.New(Binary{Op: e.Op, X: b.expr(e.X), Y: b.expr(e.Y)})
 	case *ast.Index:
 		arr := b.expr(e.Arr)
-		return &IndexExpr{Arr: arr, I: b.expr(e.I), ElemsVar: b.elemsVar(arr)}
+		return b.indexes.New(IndexExpr{Arr: arr, I: b.expr(e.I), ElemsVar: b.elemsVar(arr)})
 	case *ast.FieldAccess:
-		obj := b.expr(e.Obj)
-		cls := b.classOf(e.Obj)
-		return &FieldExpr{Obj: obj, Field: e.Name, Class: cls, FieldVar: b.fieldVar(cls, e.Name)}
+		var cls string
+		if cl := b.info.Receivers[e.Obj]; cl != nil {
+			cls = cl.Name
+		}
+		return b.fields.New(FieldExpr{Obj: b.expr(e.Obj), Field: e.Name, Class: cls, FieldVar: b.fieldVar(cls, e.Name)})
 	case *ast.Call:
 		var callee string
 		var recv Expr
 		var result types.Type = types.VoidType
 		// Sibling methods shadow top-level functions (matches the checker).
-		if b.curClass != "" {
-			if sig, ok := b.info.Funcs[b.curClass+"."+e.Name]; ok {
-				callee, result = b.curClass+"."+e.Name, sig.Result
-				recv = &ThisExpr{Class: b.curClass}
-			}
-		}
-		if callee == "" {
-			if sig, ok := b.info.Funcs[e.Name]; ok {
-				callee, result = e.Name, sig.Result
-			}
+		if sig, ok := b.methods[e.Name]; ok {
+			callee, result = sig.QName, sig.Result
+			recv = b.this()
+		} else if sig, ok := b.info.Funcs[e.Name]; ok {
+			callee, result = sig.QName, sig.Result
 		}
 		if callee == "" {
 			panic(fmt.Sprintf("ir: unresolved function %s at %s", e.Name, e.Pos()))
 		}
-		args := make([]Expr, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = b.expr(a)
-		}
-		return &CallExpr{Callee: callee, Recv: recv, Args: args, Result: result}
+		return &CallExpr{Callee: callee, Recv: recv, Args: b.exprs(e.Args), Result: result}
 	case *ast.MethodCall:
-		cls := b.classOf(e.Recv)
-		callee := cls + "." + e.Name
-		sig := b.info.Funcs[callee]
+		var sig *types.FuncSig
+		if cl := b.info.Receivers[e.Recv]; cl != nil {
+			sig = cl.Methods[e.Name]
+		}
 		if sig == nil {
-			panic(fmt.Sprintf("ir: unresolved method %s at %s", callee, e.Pos()))
+			panic(fmt.Sprintf("ir: unresolved method %s at %s", e.Name, e.Pos()))
 		}
-		args := make([]Expr, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = b.expr(a)
-		}
-		return &CallExpr{Callee: callee, Recv: b.expr(e.Recv), Args: args, Result: sig.Result}
+		args := b.exprs(e.Args)
+		return &CallExpr{Callee: sig.QName, Recv: b.expr(e.Recv), Args: args, Result: sig.Result}
 	case *ast.NewObject:
 		return &NewObjectExpr{Class: e.Name}
 	case *ast.NewArray:
-		return &NewArrayExpr{Elem: b.resolveType(e.Elem), Size: b.expr(e.Size)}
+		return &NewArrayExpr{Elem: b.info.Resolve(e.Elem), Size: b.expr(e.Size)}
 	case *ast.LenExpr:
 		return &LenExpr{Arr: b.expr(e.Arr)}
 	case *ast.Cond:

@@ -8,7 +8,6 @@ package ir
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 
 	"slicehide/internal/lang/token"
@@ -30,22 +29,13 @@ const (
 	VarHeap // catch-all pseudo-variable for aggregate state not tied to a base variable
 )
 
+var varKindNames = [...]string{"local", "param", "global", "field", "elems", "heap"}
+
 func (k VarKind) String() string {
-	switch k {
-	case VarLocal:
-		return "local"
-	case VarParam:
-		return "param"
-	case VarGlobal:
-		return "global"
-	case VarField:
-		return "field"
-	case VarElems:
-		return "elems"
-	case VarHeap:
-		return "heap"
+	if k < 0 || int(k) >= len(varKindNames) {
+		return "?"
 	}
-	return "?"
+	return varKindNames[k]
 }
 
 // Var is a resolved variable identity. Two references to the same Var are
@@ -373,38 +363,13 @@ func (f *Func) QName() string {
 	return f.Name
 }
 
-// NewStmtID allocates the next statement ID for f.
-func (f *Func) NewStmtID() int {
-	id := f.nextStmtID
-	f.nextStmtID++
-	return id
-}
-
 // NumStmtIDs returns an upper bound on statement IDs allocated so far.
 func (f *Func) NumStmtIDs() int { return f.nextStmtID }
 
 // NewStmt constructs the statement base for a new statement of f.
 func (f *Func) NewStmt(pos token.Pos) stmtBase {
-	return stmtBase{id: f.NewStmtID(), pos: pos}
-}
-
-// AddLocal registers a fresh local variable. A name a parameter or an
-// earlier local already has gets the first free suffix: x, x$1, x$2, ...
-func (f *Func) AddLocal(name string, t types.Type) *Var {
-	unique := name
-	for i := 1; f.LookupVar(unique) != nil; i++ {
-		unique = name + "$" + strconv.Itoa(i)
-	}
-	v := &Var{Name: unique, Kind: VarLocal, Type: t}
-	f.Locals = append(f.Locals, v)
-	return v
-}
-
-// AddParam registers a parameter variable.
-func (f *Func) AddParam(name string, t types.Type) *Var {
-	v := &Var{Name: name, Kind: VarParam, Type: t}
-	f.Params = append(f.Params, v)
-	return v
+	f.nextStmtID++
+	return stmtBase{id: f.nextStmtID - 1, pos: pos}
 }
 
 // LookupVar finds a parameter or local by (uniquified) name, or nil.

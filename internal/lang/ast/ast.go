@@ -32,20 +32,13 @@ const (
 	Void
 )
 
+var basicKindNames = [...]string{Int: "int", Float: "float", Bool: "bool", String: "string", Void: "void"}
+
 func (k BasicKind) String() string {
-	switch k {
-	case Int:
-		return "int"
-	case Float:
-		return "float"
-	case Bool:
-		return "bool"
-	case String:
-		return "string"
-	case Void:
-		return "void"
+	if k < 0 || int(k) >= len(basicKindNames) {
+		return "?"
 	}
-	return "?"
+	return basicKindNames[k]
 }
 
 // BasicType is a primitive type such as int or bool.
@@ -385,24 +378,4 @@ type Program struct {
 	Globals []*GlobalDecl
 	Classes []*ClassDecl
 	Funcs   []*FuncDecl
-}
-
-// Func returns the top-level function named name, or nil.
-func (p *Program) Func(name string) *FuncDecl {
-	for _, f := range p.Funcs {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
-}
-
-// Class returns the class named name, or nil.
-func (p *Program) Class(name string) *ClassDecl {
-	for _, c := range p.Classes {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
 }

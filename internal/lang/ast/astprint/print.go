@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"slicehide/internal/lang/ast"
+	"slicehide/internal/lang/token"
 )
 
 // Format renders the program back to MiniJ source text. The output parses to
@@ -180,13 +181,16 @@ func (p *printer) expr(e ast.Expr, prec int) {
 	case *ast.BoolLit:
 		fmt.Fprintf(p.w, "%t", e.Value)
 	case *ast.StringLit:
-		fmt.Fprintf(p.w, "%q", e.Value)
+		quote(p.w, e.Value)
 	case *ast.NullLit:
 		p.w.WriteString("null")
 	case *ast.Ident:
 		p.w.WriteString(e.Name)
 	case *ast.Unary:
 		p.w.WriteString(e.Op.String())
+		if x, ok := e.X.(*ast.Unary); ok && x.Op == token.MINUS && e.Op == token.MINUS {
+			p.w.WriteByte(' ') // "--" would lex as a decrement
+		}
 		p.expr(e.X, 7)
 	case *ast.Binary:
 		op := e.Op.Precedence()
@@ -246,6 +250,26 @@ func (p *printer) expr(e ast.Expr, prec int) {
 	default:
 		fmt.Fprintf(p.w, "/* unknown expr %T */", e)
 	}
+}
+
+// quote writes s as a MiniJ string literal: the escapes the lexer knows,
+// every other character as itself.
+func quote(w *strings.Builder, s string) {
+	w.WriteByte('"')
+	for _, r := range s {
+		switch r {
+		case '"', '\\':
+			w.WriteByte('\\')
+			w.WriteRune(r)
+		case '\n':
+			w.WriteString(`\n`)
+		case 0:
+			w.WriteString(`\0`)
+		default:
+			w.WriteRune(r)
+		}
+	}
+	w.WriteByte('"')
 }
 
 func (p *printer) args(args []ast.Expr) {

@@ -12,37 +12,18 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 
 	"slicehide/internal/lang/ast"
 	"slicehide/internal/lang/lexer"
 	"slicehide/internal/lang/token"
+	"slicehide/internal/slab"
 )
 
-// Error is a syntax error with a source position.
-type Error struct {
-	Pos token.Pos
-	Msg string
-}
-
-func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
-
-// ErrorList aggregates syntax errors.
-type ErrorList []*Error
-
-func (l ErrorList) Error() string {
-	if len(l) == 0 {
-		return "no errors"
-	}
-	var b strings.Builder
-	for i, e := range l {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		b.WriteString(e.Error())
-	}
-	return b.String()
-}
+// Error is a syntax error; ErrorList is a parse's errors.
+type (
+	Error     = token.Error
+	ErrorList = token.ErrorList
+)
 
 // Parse parses a whole MiniJ program from src.
 func Parse(src string) (*ast.Program, error) {
@@ -62,7 +43,33 @@ type parser struct {
 	errors  ErrorList
 	// stmts holds the statements of every block being parsed, innermost
 	// last; a block copies its own off the top once, at its closing brace.
-	stmts []ast.Stmt
+	// args does the same for argument lists, params for the parameters of
+	// the function being parsed.
+	stmts  []ast.Stmt
+	args   []ast.Expr
+	params []ast.Param
+
+	// The most frequent nodes, and the lists that hold them, come from
+	// blocks that belong to this parse.
+	stmtLists  slab.Of[ast.Stmt]
+	exprLists  slab.Of[ast.Expr]
+	paramLists slab.Of[ast.Param]
+	funcs      slab.Of[ast.FuncDecl]
+	idents     slab.Of[ast.Ident]
+	ints       slab.Of[ast.IntLit]
+	binaries   slab.Of[ast.Binary]
+	basics     slab.Of[ast.BasicType]
+	varDecls   slab.Of[ast.VarDecl]
+	assigns    slab.Of[ast.Assign]
+	ifs        slab.Of[ast.If]
+	whiles     slab.Of[ast.While]
+	fors       slab.Of[ast.For]
+	returns    slab.Of[ast.Return]
+	breaks     slab.Of[ast.Break]
+	continues  slab.Of[ast.Continue]
+	prints     slab.Of[ast.Print]
+	exprStmts  slab.Of[ast.ExprStmt]
+	blocks     slab.Of[ast.Block]
 }
 
 const maxErrors = 20
@@ -148,16 +155,9 @@ func (p *parser) parseProgram() *ast.Program {
 }
 
 func (p *parser) parseGlobal() *ast.GlobalDecl {
-	p.expect(token.VAR)
-	name := p.expect(token.IDENT)
-	p.expect(token.COLON)
-	typ := p.parseType()
-	var init ast.Expr
-	if p.accept(token.ASSIGN) {
-		init = p.parseExpr()
-	}
+	d := p.parseVarDecl()
 	p.expect(token.SEMI)
-	return &ast.GlobalDecl{NPos: name.Pos, Name: name.Lit, Type: typ, Init: init}
+	return &ast.GlobalDecl{NPos: d.NPos, Name: d.Name, Type: d.Type, Init: d.Init}
 }
 
 func (p *parser) parseClass() *ast.ClassDecl {
@@ -190,51 +190,47 @@ func (p *parser) parseFunc(kw token.Kind) *ast.FuncDecl {
 	p.expect(kw)
 	name := p.expect(token.IDENT)
 	p.expect(token.LPAREN)
-	var params []ast.Param
+	p.params = p.params[:0]
 	for p.tok.Kind != token.RPAREN && p.tok.Kind != token.EOF {
-		if len(params) > 0 {
+		if len(p.params) > 0 {
 			p.expect(token.COMMA)
 		}
 		pn := p.expect(token.IDENT)
 		p.expect(token.COLON)
 		pt := p.parseType()
-		params = append(params, ast.Param{NPos: pn.Pos, Name: pn.Lit, Type: pt})
+		p.params = append(p.params, ast.Param{NPos: pn.Pos, Name: pn.Lit, Type: pt})
 	}
+	params := p.paramLists.Make(len(p.params))
+	copy(params, p.params)
 	p.expect(token.RPAREN)
-	var result ast.Type = &ast.BasicType{TPos: name.Pos, Kind: ast.Void}
+	var result ast.Type = p.basics.New(ast.BasicType{TPos: name.Pos, Kind: ast.Void})
 	if p.accept(token.COLON) {
 		result = p.parseType()
 	}
 	body := p.parseBlock()
-	return &ast.FuncDecl{NPos: name.Pos, Name: name.Lit, Params: params, Result: result, Body: body}
+	return p.funcs.New(ast.FuncDecl{NPos: name.Pos, Name: name.Lit, Params: params, Result: result, Body: body})
+}
+
+// basicKinds maps the keywords that name a basic type to it.
+var basicKinds = map[token.Kind]ast.BasicKind{
+	token.INTTYPE: ast.Int, token.FLOATTYPE: ast.Float, token.BOOLTYPE: ast.Bool,
+	token.STRINGTYPE: ast.String, token.VOIDTYPE: ast.Void,
 }
 
 func (p *parser) parseType() ast.Type {
 	pos := p.tok.Pos
 	var t ast.Type
-	switch p.tok.Kind {
-	case token.INTTYPE:
+	switch kind, basic := basicKinds[p.tok.Kind]; {
+	case basic:
 		p.next()
-		t = &ast.BasicType{TPos: pos, Kind: ast.Int}
-	case token.FLOATTYPE:
-		p.next()
-		t = &ast.BasicType{TPos: pos, Kind: ast.Float}
-	case token.BOOLTYPE:
-		p.next()
-		t = &ast.BasicType{TPos: pos, Kind: ast.Bool}
-	case token.STRINGTYPE:
-		p.next()
-		t = &ast.BasicType{TPos: pos, Kind: ast.String}
-	case token.VOIDTYPE:
-		p.next()
-		t = &ast.BasicType{TPos: pos, Kind: ast.Void}
-	case token.IDENT:
+		t = p.basics.New(ast.BasicType{TPos: pos, Kind: kind})
+	case p.tok.Kind == token.IDENT:
 		t = &ast.ClassType{TPos: pos, Name: p.tok.Lit}
 		p.next()
 	default:
 		p.errorf(pos, "expected type, found %s", p.tok)
 		p.next()
-		return &ast.BasicType{TPos: pos, Kind: ast.Int}
+		return p.basics.New(ast.BasicType{TPos: pos, Kind: ast.Int})
 	}
 	for p.tok.Kind == token.LBRACK && p.peek().Kind == token.RBRACK {
 		p.next()
@@ -246,7 +242,7 @@ func (p *parser) parseType() ast.Type {
 
 func (p *parser) parseBlock() *ast.Block {
 	lb := p.expect(token.LBRACE)
-	b := &ast.Block{BPos: lb.Pos}
+	b := p.blocks.New(ast.Block{BPos: lb.Pos})
 	base := len(p.stmts)
 	for p.tok.Kind != token.RBRACE && p.tok.Kind != token.EOF {
 		before := p.tok
@@ -256,10 +252,9 @@ func (p *parser) parseBlock() *ast.Block {
 			p.next()
 		}
 	}
-	if len(p.stmts) > base {
-		b.Stmts = slices.Clone(p.stmts[base:])
-		p.stmts = p.stmts[:base]
-	}
+	b.Stmts = p.stmtLists.Make(len(p.stmts) - base)
+	copy(b.Stmts, p.stmts[base:])
+	p.stmts = p.stmts[:base]
 	p.expect(token.RBRACE)
 	return b
 }
@@ -267,7 +262,9 @@ func (p *parser) parseBlock() *ast.Block {
 func (p *parser) parseStmt() ast.Stmt {
 	switch p.tok.Kind {
 	case token.VAR:
-		return p.parseVarDecl()
+		d := p.parseVarDecl()
+		p.expect(token.SEMI)
+		return d
 	case token.IF:
 		return p.parseIf()
 	case token.WHILE:
@@ -282,31 +279,23 @@ func (p *parser) parseStmt() ast.Stmt {
 			v = p.parseExpr()
 		}
 		p.expect(token.SEMI)
-		return &ast.Return{RPos: r.Pos, Value: v}
+		return p.returns.New(ast.Return{RPos: r.Pos, Value: v})
 	case token.BREAK:
 		b := p.tok
 		p.next()
 		p.expect(token.SEMI)
-		return &ast.Break{BPos: b.Pos}
+		return p.breaks.New(ast.Break{BPos: b.Pos})
 	case token.CONTINUE:
 		c := p.tok
 		p.next()
 		p.expect(token.SEMI)
-		return &ast.Continue{CPos: c.Pos}
+		return p.continues.New(ast.Continue{CPos: c.Pos})
 	case token.PRINT:
 		pr := p.tok
 		p.next()
-		p.expect(token.LPAREN)
-		var args []ast.Expr
-		for p.tok.Kind != token.RPAREN && p.tok.Kind != token.EOF {
-			if len(args) > 0 {
-				p.expect(token.COMMA)
-			}
-			args = append(args, p.parseExpr())
-		}
-		p.expect(token.RPAREN)
+		args := p.parseArgs()
 		p.expect(token.SEMI)
-		return &ast.Print{PPos: pr.Pos, Args: args}
+		return p.prints.New(ast.Print{PPos: pr.Pos, Args: args})
 	case token.LBRACE:
 		return p.parseBlock()
 	}
@@ -315,6 +304,8 @@ func (p *parser) parseStmt() ast.Stmt {
 	return s
 }
 
+// parseVarDecl parses "var name: type [= init]" up to, not including, the
+// semicolon; globals, locals and a for loop's init share it.
 func (p *parser) parseVarDecl() *ast.VarDecl {
 	p.expect(token.VAR)
 	name := p.expect(token.IDENT)
@@ -324,8 +315,7 @@ func (p *parser) parseVarDecl() *ast.VarDecl {
 	if p.accept(token.ASSIGN) {
 		init = p.parseExpr()
 	}
-	p.expect(token.SEMI)
-	return &ast.VarDecl{NPos: name.Pos, Name: name.Lit, Type: typ, Init: init}
+	return p.varDecls.New(ast.VarDecl{NPos: name.Pos, Name: name.Lit, Type: typ, Init: init})
 }
 
 // parseSimpleStmt parses an assignment, op-assignment, increment, or
@@ -338,36 +328,27 @@ func (p *parser) parseSimpleStmt() ast.Stmt {
 	switch kind {
 	case token.ASSIGN:
 		p.next()
-		return &ast.Assign{Lhs: lhs, Rhs: p.parseExpr()}
+		return p.assigns.New(ast.Assign{Lhs: lhs, Rhs: p.parseExpr()})
 	case token.PLUSEQ, token.MINUSEQ, token.STAREQ, token.SLASHEQ, token.PERCENTEQ:
 		p.next()
 		rhs = p.parseExpr()
 	case token.PLUSPLUS, token.MINUSMINUS:
 		p.next()
-		rhs = &ast.IntLit{LPos: lhs.Pos(), Value: 1}
+		rhs = p.ints.New(ast.IntLit{LPos: lhs.Pos(), Value: 1})
 	default:
-		return &ast.ExprStmt{X: lhs}
+		return p.exprStmts.New(ast.ExprStmt{X: lhs})
 	}
 	if ast.HasCall(lhs) {
 		p.errorf(lhs.Pos(), "%s target contains a call or allocation, which it would evaluate twice", kind)
 	}
-	return &ast.Assign{Lhs: lhs, Rhs: &ast.Binary{Op: opOfAssign(kind), X: lhs, Y: rhs}}
+	return p.assigns.New(ast.Assign{Lhs: lhs, Rhs: p.binaries.New(ast.Binary{Op: opOfAssign[kind], X: lhs, Y: rhs})})
 }
 
-func opOfAssign(k token.Kind) token.Kind {
-	switch k {
-	case token.PLUSEQ, token.PLUSPLUS:
-		return token.PLUS
-	case token.MINUSEQ, token.MINUSMINUS:
-		return token.MINUS
-	case token.STAREQ:
-		return token.STAR
-	case token.SLASHEQ:
-		return token.SLASH
-	case token.PERCENTEQ:
-		return token.PERCENT
-	}
-	return token.ILLEGAL
+// opOfAssign maps an op-assignment or increment to its binary operator.
+var opOfAssign = map[token.Kind]token.Kind{
+	token.PLUSEQ: token.PLUS, token.PLUSPLUS: token.PLUS, token.MINUSEQ: token.MINUS,
+	token.MINUSMINUS: token.MINUS, token.STAREQ: token.STAR, token.SLASHEQ: token.SLASH,
+	token.PERCENTEQ: token.PERCENT,
 }
 
 func (p *parser) parseIf() *ast.If {
@@ -380,12 +361,13 @@ func (p *parser) parseIf() *ast.If {
 	if p.accept(token.ELSE) {
 		if p.tok.Kind == token.IF {
 			inner := p.parseIf()
-			els = &ast.Block{BPos: inner.IPos, Stmts: []ast.Stmt{inner}}
+			els = p.blocks.New(ast.Block{BPos: inner.IPos, Stmts: p.stmtLists.Make(1)})
+			els.Stmts[0] = inner
 		} else {
 			els = p.parseBlock()
 		}
 	}
-	return &ast.If{IPos: kw.Pos, Cond: cond, Then: then, Else: els}
+	return p.ifs.New(ast.If{IPos: kw.Pos, Cond: cond, Then: then, Else: els})
 }
 
 func (p *parser) parseWhile() *ast.While {
@@ -394,24 +376,16 @@ func (p *parser) parseWhile() *ast.While {
 	cond := p.parseExpr()
 	p.expect(token.RPAREN)
 	body := p.parseBlock()
-	return &ast.While{WPos: kw.Pos, Cond: cond, Body: body}
+	return p.whiles.New(ast.While{WPos: kw.Pos, Cond: cond, Body: body})
 }
 
 func (p *parser) parseFor() *ast.For {
 	kw := p.expect(token.FOR)
 	p.expect(token.LPAREN)
-	f := &ast.For{FPos: kw.Pos}
+	f := p.fors.New(ast.For{FPos: kw.Pos})
 	if p.tok.Kind != token.SEMI {
 		if p.tok.Kind == token.VAR {
-			p.next()
-			name := p.expect(token.IDENT)
-			p.expect(token.COLON)
-			typ := p.parseType()
-			var init ast.Expr
-			if p.accept(token.ASSIGN) {
-				init = p.parseExpr()
-			}
-			f.Init = &ast.VarDecl{NPos: name.Pos, Name: name.Lit, Type: typ, Init: init}
+			f.Init = p.parseVarDecl()
 		} else {
 			f.Init = p.parseSimpleStmt()
 		}
@@ -457,7 +431,7 @@ func (p *parser) parseBinary(minPrec int) ast.Expr {
 		op := p.tok.Kind
 		p.next()
 		y := p.parseBinary(prec + 1)
-		x = &ast.Binary{Op: op, X: x, Y: y}
+		x = p.binaries.New(ast.Binary{Op: op, X: x, Y: y})
 	}
 }
 
@@ -498,14 +472,17 @@ func (p *parser) parsePostfix() ast.Expr {
 
 func (p *parser) parseArgs() []ast.Expr {
 	p.expect(token.LPAREN)
-	var args []ast.Expr
+	base := len(p.args)
 	for p.tok.Kind != token.RPAREN && p.tok.Kind != token.EOF {
-		if len(args) > 0 {
+		if len(p.args) > base {
 			p.expect(token.COMMA)
 		}
-		args = append(args, p.parseExpr())
+		p.args = append(p.args, p.parseExpr())
 	}
 	p.expect(token.RPAREN)
+	args := p.exprLists.Make(len(p.args) - base)
+	copy(args, p.args[base:])
+	p.args = p.args[:base]
 	return args
 }
 
@@ -518,7 +495,7 @@ func (p *parser) parsePrimary() ast.Expr {
 		if err != nil {
 			p.errorf(t.Pos, "invalid integer literal %q", t.Lit)
 		}
-		return &ast.IntLit{LPos: t.Pos, Value: v}
+		return p.ints.New(ast.IntLit{LPos: t.Pos, Value: v})
 	case token.FLOAT:
 		p.next()
 		v, err := strconv.ParseFloat(t.Lit, 64)
@@ -544,7 +521,7 @@ func (p *parser) parsePrimary() ast.Expr {
 			args := p.parseArgs()
 			return &ast.Call{NPos: t.Pos, Name: t.Lit, Args: args}
 		}
-		return &ast.Ident{NPos: t.Pos, Name: t.Lit}
+		return p.idents.New(ast.Ident{NPos: t.Pos, Name: t.Lit})
 	case token.LEN:
 		p.next()
 		p.expect(token.LPAREN)
@@ -553,10 +530,7 @@ func (p *parser) parsePrimary() ast.Expr {
 		return &ast.LenExpr{NPos: t.Pos, Arr: arr}
 	case token.INTTYPE, token.FLOATTYPE:
 		// Numeric conversion: int(e) / float(e).
-		kind := ast.Int
-		if t.Kind == token.FLOATTYPE {
-			kind = ast.Float
-		}
+		kind := basicKinds[t.Kind]
 		p.next()
 		p.expect(token.LPAREN)
 		x := p.parseExpr()
@@ -590,5 +564,5 @@ func (p *parser) parsePrimary() ast.Expr {
 	}
 	p.errorf(t.Pos, "expected expression, found %s", t)
 	p.next()
-	return &ast.IntLit{LPos: t.Pos, Value: 0}
+	return p.ints.New(ast.IntLit{LPos: t.Pos, Value: 0})
 }

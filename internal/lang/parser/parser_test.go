@@ -65,7 +65,12 @@ func TestParseSample(t *testing.T) {
 	if len(prog.Funcs) != 2 {
 		t.Fatalf("funcs: got %d", len(prog.Funcs))
 	}
-	f := prog.Func("f")
+	var f *ast.FuncDecl
+	for _, fd := range prog.Funcs {
+		if fd.Name == "f" {
+			f = fd
+		}
+	}
 	if f == nil || len(f.Params) != 3 {
 		t.Fatalf("func f: %+v", f)
 	}

@@ -3,7 +3,10 @@
 // software-splitting transformation.
 package token
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Kind identifies the lexical class of a token.
 type Kind int
@@ -114,22 +117,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Keywords maps keyword spellings to their kinds.
-var Keywords = func() map[string]Kind {
-	m := make(map[string]Kind)
-	for k := kwBegin + 1; k < kwEnd; k++ {
-		m[kindNames[k]] = k
-	}
-	return m
-}()
-
-// Lookup returns the keyword kind for ident, or IDENT if it is not a keyword.
-func Lookup(ident string) Kind {
-	if k, ok := Keywords[ident]; ok {
-		return k
-	}
-	return IDENT
-}
+// IsKeyword reports whether k is a keyword kind. The keywords are the kinds
+// from FUNC through LEN, and String spells each of them.
+func (k Kind) IsKeyword() bool { return kwBegin < k && k < kwEnd }
 
 // IsLiteral reports whether k is an identifier or basic literal.
 func (k Kind) IsLiteral() bool {
@@ -166,6 +156,31 @@ func (t Token) String() string {
 		return fmt.Sprintf("%s(%q)", t.Kind, t.Lit)
 	}
 	return t.Kind.String()
+}
+
+// Error is a lexical, syntax or semantic error at a source position.
+type Error struct {
+	Pos Pos
+	Msg string
+}
+
+func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
+
+// ErrorList is the errors one pass found, in the order it found them.
+type ErrorList []*Error
+
+func (l ErrorList) Error() string {
+	if len(l) == 0 {
+		return "no errors"
+	}
+	var b strings.Builder
+	for i, e := range l {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		b.WriteString(e.Error())
+	}
+	return b.String()
 }
 
 // Precedence returns the binary-operator precedence of k (higher binds

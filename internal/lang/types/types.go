@@ -5,7 +5,6 @@ package types
 
 import (
 	"fmt"
-	"strings"
 
 	"slicehide/internal/lang/ast"
 	"slicehide/internal/lang/token"
@@ -43,6 +42,8 @@ func (t *Array) Equal(o Type) bool {
 type Class struct {
 	Name string
 	Decl *ast.ClassDecl
+	// Methods maps the class's method names to their signatures.
+	Methods map[string]*FuncSig
 }
 
 func (t *Class) String() string { return t.Name }
@@ -97,17 +98,10 @@ func IsReference(t Type) bool {
 type FuncSig struct {
 	Name   string
 	Class  string // empty for top-level functions
+	QName  string // "Class.Name" for methods, "Name" for functions
 	Params []Type
 	Result Type
 	Decl   *ast.FuncDecl
-}
-
-// QName returns "Class.Name" for methods and "Name" for functions.
-func (s *FuncSig) QName() string {
-	if s.Class != "" {
-		return s.Class + "." + s.Name
-	}
-	return s.Name
 }
 
 // Info carries the results of type checking.
@@ -120,29 +114,15 @@ type Info struct {
 	Funcs map[string]*FuncSig
 	// Classes maps class names to their semantic types.
 	Classes map[string]*Class
+
+	arrays map[Type]*Array // the one Array of each element type
 }
 
-// Error is a semantic error with position.
-type Error struct {
-	Pos token.Pos
-	Msg string
-}
-
-func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
-
-// ErrorList aggregates semantic errors.
-type ErrorList []*Error
-
-func (l ErrorList) Error() string {
-	var b strings.Builder
-	for i, e := range l {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		b.WriteString(e.Error())
-	}
-	return b.String()
-}
+// Error is a semantic error; ErrorList is a check's errors.
+type (
+	Error     = token.Error
+	ErrorList = token.ErrorList
+)
 
 // Check type-checks prog and returns the collected semantic information.
 func Check(prog *ast.Program) (*Info, error) {
@@ -151,9 +131,9 @@ func Check(prog *ast.Program) (*Info, error) {
 			Receivers: make(map[ast.Expr]*Class),
 			Funcs:     make(map[string]*FuncSig),
 			Classes:   make(map[string]*Class),
+			arrays:    make(map[Type]*Array),
 		},
 		globals: make(map[string]Type),
-		arrays:  make(map[Type]*Array),
 	}
 	c.collect(prog)
 	c.checkBodies(prog)
@@ -167,7 +147,6 @@ type checker struct {
 	info    *Info
 	errors  ErrorList
 	globals map[string]Type
-	arrays  map[Type]*Array // the one Array of each element type
 
 	// Current function context.
 	curClass *Class
@@ -190,40 +169,44 @@ func (c *checker) errorf(pos token.Pos, format string, args ...any) {
 	c.errors = append(c.errors, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
-// resolveType converts a syntactic type to a semantic one.
+// resolveType converts a syntactic type to a semantic one, reporting a
+// class that does not exist.
 func (c *checker) resolveType(t ast.Type) Type {
+	elem := t
+	for a, ok := elem.(*ast.ArrayType); ok; a, ok = elem.(*ast.ArrayType) {
+		elem = a.Elem
+	}
+	if ct, ok := elem.(*ast.ClassType); ok && c.info.Classes[ct.Name] == nil {
+		c.errorf(ct.Pos(), "undefined class %s", ct.Name)
+	}
+	return c.info.Resolve(t)
+}
+
+var basicTypes = [...]*Basic{ast.Int: IntType, ast.Float: FloatType, ast.Bool: BoolType, ast.String: StringType, ast.Void: VoidType}
+
+// Resolve converts a syntactic type to the semantic one the checker gave
+// it, IntType for a class that does not exist. All array types of one
+// element type are one *Array. Resolve is not safe for concurrent use.
+func (info *Info) Resolve(t ast.Type) Type {
 	switch t := t.(type) {
 	case *ast.BasicType:
-		switch t.Kind {
-		case ast.Int:
-			return IntType
-		case ast.Float:
-			return FloatType
-		case ast.Bool:
-			return BoolType
-		case ast.String:
-			return StringType
-		case ast.Void:
-			return VoidType
-		}
+		return basicTypes[t.Kind]
 	case *ast.ArrayType:
-		return c.arrayOf(c.resolveType(t.Elem))
+		return info.arrayOf(info.Resolve(t.Elem))
 	case *ast.ClassType:
-		if cl, ok := c.info.Classes[t.Name]; ok {
+		if cl, ok := info.Classes[t.Name]; ok {
 			return cl
 		}
-		c.errorf(t.Pos(), "undefined class %s", t.Name)
-		return IntType
 	}
 	return IntType
 }
 
 // arrayOf returns the array type of elem, made on first use.
-func (c *checker) arrayOf(elem Type) *Array {
-	a := c.arrays[elem]
+func (info *Info) arrayOf(elem Type) *Array {
+	a := info.arrays[elem]
 	if a == nil {
 		a = &Array{Elem: elem}
-		c.arrays[elem] = a
+		info.arrays[elem] = a
 	}
 	return a
 }
@@ -234,7 +217,7 @@ func (c *checker) collect(prog *ast.Program) {
 			c.errorf(cl.Pos(), "class %s redeclared", cl.Name)
 			continue
 		}
-		c.info.Classes[cl.Name] = &Class{Name: cl.Name, Decl: cl}
+		c.info.Classes[cl.Name] = &Class{Name: cl.Name, Decl: cl, Methods: make(map[string]*FuncSig, len(cl.Methods))}
 	}
 	for _, g := range prog.Globals {
 		if _, dup := c.globals[g.Name]; dup {
@@ -254,16 +237,22 @@ func (c *checker) collect(prog *ast.Program) {
 }
 
 func (c *checker) collectFunc(f *ast.FuncDecl, class string) {
-	sig := &FuncSig{Name: f.Name, Class: class, Result: c.resolveType(f.Result), Decl: f}
-	for _, p := range f.Params {
-		sig.Params = append(sig.Params, c.resolveType(p.Type))
+	sig := &FuncSig{Name: f.Name, Class: class, QName: f.Name, Result: c.resolveType(f.Result), Decl: f}
+	if class != "" {
+		sig.QName = class + "." + f.Name
 	}
-	qn := sig.QName()
-	if _, dup := c.info.Funcs[qn]; dup {
-		c.errorf(f.Pos(), "%s redeclared", qn)
+	sig.Params = make([]Type, len(f.Params))
+	for i, p := range f.Params {
+		sig.Params[i] = c.resolveType(p.Type)
+	}
+	if _, dup := c.info.Funcs[sig.QName]; dup {
+		c.errorf(f.Pos(), "%s redeclared", sig.QName)
 		return
 	}
-	c.info.Funcs[qn] = sig
+	c.info.Funcs[sig.QName] = sig
+	if class != "" {
+		c.info.Classes[class].Methods[f.Name] = sig
+	}
 }
 
 func (c *checker) checkBodies(prog *ast.Program) {
@@ -296,11 +285,11 @@ func (c *checker) checkBodies(prog *ast.Program) {
 
 func (c *checker) checkFunc(f *ast.FuncDecl, class *Class) {
 	c.curClass = class
-	key := f.Name
 	if class != nil {
-		key = class.Name + "." + f.Name
+		c.curSig = class.Methods[f.Name]
+	} else {
+		c.curSig = c.info.Funcs[f.Name]
 	}
-	c.curSig = c.info.Funcs[key]
 	if c.curSig == nil {
 		return // duplicate; already reported
 	}
@@ -535,7 +524,7 @@ func (c *checker) expr(e ast.Expr) Type {
 		// (class scope shadows the global function namespace), then to a
 		// top-level function.
 		if c.curClass != nil {
-			if msig, ok := c.info.Funcs[c.curClass.Name+"."+e.Name]; ok {
+			if msig, ok := c.curClass.Methods[e.Name]; ok {
 				return c.callSig(e.Pos(), msig, e.Args)
 			}
 		}
@@ -559,7 +548,7 @@ func (c *checker) expr(e ast.Expr) Type {
 			return IntType
 		}
 		c.info.Receivers[e.Recv] = cl
-		sig, ok := c.info.Funcs[cl.Name+"."+e.Name]
+		sig, ok := cl.Methods[e.Name]
 		if !ok {
 			c.errorf(e.NPos, "class %s has no method %s", cl.Name, e.Name)
 			for _, a := range e.Args {
@@ -580,7 +569,7 @@ func (c *checker) expr(e ast.Expr) Type {
 		if st != nil && !st.Equal(IntType) {
 			c.errorf(e.Size.Pos(), "array size must be int, got %s", st)
 		}
-		return c.arrayOf(c.resolveType(e.Elem))
+		return c.info.arrayOf(c.resolveType(e.Elem))
 	case *ast.LenExpr:
 		at := c.expr(e.Arr)
 		if _, ok := at.(*Array); !ok {
@@ -615,12 +604,12 @@ func (c *checker) expr(e ast.Expr) Type {
 
 func (c *checker) callSig(pos token.Pos, sig *FuncSig, args []ast.Expr) Type {
 	if len(args) != len(sig.Params) {
-		c.errorf(pos, "%s expects %d arguments, got %d", sig.QName(), len(sig.Params), len(args))
+		c.errorf(pos, "%s expects %d arguments, got %d", sig.QName, len(sig.Params), len(args))
 	}
 	for i, a := range args {
 		at := c.expr(a)
 		if i < len(sig.Params) && at != nil && !assignable(sig.Params[i], at) {
-			c.errorf(a.Pos(), "argument %d of %s: cannot use %s as %s", i+1, sig.QName(), at, sig.Params[i])
+			c.errorf(a.Pos(), "argument %d of %s: cannot use %s as %s", i+1, sig.QName, at, sig.Params[i])
 		}
 	}
 	return sig.Result
