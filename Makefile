@@ -147,9 +147,14 @@ one-client:
 # took its nodes from per-pass blocks while connection decoders interned
 # component names, paid for by one positioned error type for lexer,
 # parser and checker, one type resolver for checker and builder, and a
-# direct ast.HasCall. The ceiling only goes down: a change that lands
-# below it lowers it to the new count.
-LINKED_LINES_MAX = 24637
+# direct ast.HasCall, 24,637 before the machine compared ints inline,
+# fused a loop's back-edge and kept int arrays unboxed while the parser
+# began returning lexical errors, paid for by moving EvalBinOp into the
+# oracle and the opcode names into a test file, by interp.NewArray taking
+# the array-size checks and by one predicate-hiding helper in the
+# splitter. The ceiling only goes down: a change that lands below it
+# lowers it to the new count.
+LINKED_LINES_MAX = 24634
 
 # linked_lines counts the non-test lines of this module that the packages
 # matching $(1) link.

@@ -822,11 +822,17 @@ func (r readiness) verdict() (bool, string) {
 	case r.stageFrom != "":
 		return false, fmt.Sprintf("snapshot transfer from %s in progress (%d bytes staged)", r.stageFrom, r.staged)
 	}
-	for p, in := range r.recv { // a dead member's unmet target holds too
-		if in.applied.Before(in.target) {
-			return false, fmt.Sprintf("catching up on %s: applied (%d,%d), stream target (%d,%d)",
-				p, in.applied.Gen, in.applied.Records, in.target.Gen, in.target.Records)
+	// A dead member's unmet target holds too. The first lagging sender in
+	// order is named, so the reason holds from call to call.
+	lagging := ""
+	for p, in := range r.recv {
+		if in.applied.Before(in.target) && (lagging == "" || p < lagging) {
+			lagging = p
 		}
+	}
+	if in, ok := r.recv[lagging]; ok {
+		return false, fmt.Sprintf("catching up on %s: applied (%d,%d), stream target (%d,%d)",
+			lagging, in.applied.Gen, in.applied.Records, in.target.Gen, in.target.Records)
 	}
 	var connecting []string
 	for _, p := range r.live {

@@ -150,6 +150,9 @@ func TestReadinessVerdict(t *testing.T) {
 			"snapshot transfer from " + a + " in progress (4096 bytes staged)"},
 		{"unmet target", fleet(behind, 0, a, b), false,
 			"catching up on " + b + ": applied (2,9), stream target (3,4)"},
+		{"two unmet targets: the first sender in order", readiness{replicate: true, member: true, live: []string{a, b},
+			recv: map[string]inbound{a: behind, b: behind}, registered: map[string]bool{a: true, b: true}}, false,
+			"catching up on " + a + ": applied (2,9), stream target (3,4)"},
 		{"dead member's unmet target", readiness{replicate: true, member: true, live: []string{a},
 			recv: map[string]inbound{a: met, b: behind}, registered: map[string]bool{a: true}}, false,
 			"catching up on " + b + ": applied (2,9), stream target (3,4)"},
@@ -160,9 +163,10 @@ func TestReadinessVerdict(t *testing.T) {
 		{"ready", fleet(met, 0, a, b), true, ""},
 		{"ready alone", readiness{replicate: true, member: true}, true, ""},
 	} {
-		ready, reason := tc.r.verdict()
-		if ready != tc.ready || reason != tc.reason {
-			t.Errorf("%s: verdict (%v, %q), want (%v, %q)", tc.name, ready, reason, tc.ready, tc.reason)
+		for range 100 { // the same verdict every time, whatever the map order
+			if ready, reason := tc.r.verdict(); ready != tc.ready || reason != tc.reason {
+				t.Fatalf("%s: verdict (%v, %q), want (%v, %q)", tc.name, ready, reason, tc.ready, tc.reason)
+			}
 		}
 	}
 }

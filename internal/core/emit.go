@@ -202,20 +202,25 @@ func (s *splitter) emitIf(st *ir.IfStmt) []ir.Stmt {
 	}
 
 	// Predicate-only hiding (or open predicate): structure stays in Of.
-	var cond ir.Expr
-	if condHidden && evalHideable(st.Cond) && safeToHide(st.Cond) {
-		fr := s.comp.newFragment(FragCond, fmt.Sprintf("s%d: hidden if-predicate", st.ID()))
-		s.comp.Constructs[st.ID()] = fr
-		fr.HidesPredicate = true
-		fb := s.builder(fr)
-		fr.Body = []ir.Stmt{s.comp.shell.NewReturn(st.Pos(), fb.rewriteHidden(st.Cond))}
-		site := &ir.HCallExpr{FragID: fr.ID, Args: fb.openArgs, Leaks: true}
-		s.addILP(ILPCond, fr, site, st.Cond)
-		cond = site
-	} else {
-		cond = s.rewriteOpen(st.Cond)
-	}
+	cond := s.predicate(st, st.Cond, condHidden, "if-predicate")
 	return []ir.Stmt{s.open.NewIf(st.Pos(), cond, s.emitStmts(st.Then), s.emitStmts(st.Else))}
+}
+
+// predicate moves the condition c of st into a fragment that returns it,
+// when c is hidden and can move, and returns the condition the open
+// component evaluates in its place.
+func (s *splitter) predicate(st ir.Stmt, c ir.Expr, hidden bool, what string) ir.Expr {
+	if !hidden || !evalHideable(c) || !safeToHide(c) {
+		return s.rewriteOpen(c)
+	}
+	fr := s.comp.newFragment(FragCond, fmt.Sprintf("s%d: hidden %s", st.ID(), what))
+	s.comp.Constructs[st.ID()] = fr
+	fr.HidesPredicate = true
+	fb := s.builder(fr)
+	fr.Body = []ir.Stmt{s.comp.shell.NewReturn(st.Pos(), fb.rewriteHidden(c))}
+	site := &ir.HCallExpr{FragID: fr.ID, Args: fb.openArgs, Leaks: true}
+	s.addILP(ILPCond, fr, site, c)
+	return site
 }
 
 func (s *splitter) emitWhile(st *ir.WhileStmt) []ir.Stmt {
@@ -241,18 +246,6 @@ func (s *splitter) emitWhile(st *ir.WhileStmt) []ir.Stmt {
 	// iteration ships fresh array elements to the hidden side).
 	s.loopDepth++
 	defer func() { s.loopDepth-- }()
-	var cond ir.Expr
-	if condHidden && evalHideable(st.Cond) && safeToHide(st.Cond) {
-		fr := s.comp.newFragment(FragCond, fmt.Sprintf("s%d: hidden loop-predicate", st.ID()))
-		s.comp.Constructs[st.ID()] = fr
-		fr.HidesPredicate = true
-		fb := s.builder(fr)
-		fr.Body = []ir.Stmt{s.comp.shell.NewReturn(st.Pos(), fb.rewriteHidden(st.Cond))}
-		site := &ir.HCallExpr{FragID: fr.ID, Args: fb.openArgs, Leaks: true}
-		s.addILP(ILPCond, fr, site, st.Cond)
-		cond = site
-	} else {
-		cond = s.rewriteOpen(st.Cond)
-	}
+	cond := s.predicate(st, st.Cond, condHidden, "loop-predicate")
 	return []ir.Stmt{s.open.NewWhile(st.Pos(), cond, s.emitStmts(st.Body), s.emitStmts(st.Post))}
 }

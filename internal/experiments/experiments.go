@@ -245,11 +245,7 @@ func Table5(cfg Config) ([]Table5Row, error) {
 			continue
 		}
 		for _, in := range k.Inputs {
-			size := in.Size / cfg.KernelScale
-			if size < 10 {
-				size = 10
-			}
-			row, err := runKernelOnce(k, in.Label, size, cfg)
+			row, err := Table5ForKernel(k, in, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", k.Name, in.Label, err)
 			}
@@ -515,12 +511,7 @@ func RenderAttack(cases []AttackCase) string {
 	return t.String()
 }
 
-// Table5ForKernel measures one kernel/input row (used by the benchmark
-// harness to parallelize per-workload benchmarks).
+// Table5ForKernel measures one kernel/input row.
 func Table5ForKernel(k corpus.Kernel, in corpus.KernelInput, cfg Config) (Table5Row, error) {
-	size := in.Size / cfg.KernelScale
-	if size < 10 {
-		size = 10
-	}
-	return runKernelOnce(k, in.Label, size, cfg)
+	return runKernelOnce(k, in.Label, max(in.Size/cfg.KernelScale, 10), cfg)
 }

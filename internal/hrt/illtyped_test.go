@@ -56,7 +56,7 @@ func TestIllTypedHiddenCallsStaySafe(t *testing.T) {
 	}
 	for op := vm.OpStep; op <= vm.OpFail; op++ {
 		if !covered[op] {
-			t.Errorf("no fragment compiles to %s", op)
+			t.Errorf("no fragment compiles to opcode %d", op)
 		}
 	}
 

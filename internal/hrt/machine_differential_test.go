@@ -242,6 +242,58 @@ func TestDifferentialMachineVsInterpKernels(t *testing.T) {
 	}
 }
 
+// javacProgramHash is Program.Hash of the javac kernel's registry at a
+// hundredth of its first input, as it was before the machine gained
+// opcodes of its own: the machine's code generation must leave fragment
+// bytecode, and so every journal and snapshot, as it is.
+const javacProgramHash = 0xc83a8dbded174263
+
+// TestFragmentsHoldNoMachineOpcode compiles the registries of the Table 5
+// kernels and the corpus profiles: no fragment may hold an opcode only a
+// Machine runs, and the javac registry's hash is the pinned one.
+func TestFragmentsHoldNoMachineOpcode(t *testing.T) {
+	results := map[string]*core.Result{}
+	for _, k := range corpus.Kernels() {
+		res, err := core.SplitProgram(ir.MustCompile(k.Source(max(k.Inputs[0].Size/100, 10))), k.Split, slicer.Policy{})
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		results["kernel "+k.Name] = res
+	}
+	for _, full := range corpus.Profiles {
+		p := full.Scale(0.01)
+		var specs []core.Spec
+		for i := 0; i < p.SplitWorkers; i++ {
+			specs = append(specs, core.Spec{Func: fmt.Sprintf("worker%d", i)})
+		}
+		res, err := core.SplitProgram(corpus.MustCompile(p), specs, slicer.Policy{})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		results["corpus "+p.Name] = res
+	}
+	for name, res := range results {
+		prog := hrt.NewRegistry(res).Prog
+		frags := 0
+		for cname, c := range prog.Comps {
+			for _, id := range c.FragIDs() {
+				frags++
+				for pc, in := range c.Frag(id).Code {
+					if in.Op >= vm.OpIndex {
+						t.Errorf("%s: %s fragment %d holds machine opcode %d at pc %d", name, cname, id, in.Op, pc)
+					}
+				}
+			}
+		}
+		if frags == 0 {
+			t.Errorf("%s: the registry holds no fragment", name)
+		}
+		if name == "kernel javac" && prog.Hash != javacProgramHash {
+			t.Errorf("javac registry hash %#x, want %#x", prog.Hash, uint64(javacProgramHash))
+		}
+	}
+}
+
 func TestDifferentialMachineVsInterpCorpus(t *testing.T) {
 	scale := 0.03
 	if testing.Short() {
@@ -265,11 +317,15 @@ func TestDifferentialMachineVsInterpCorpus(t *testing.T) {
 // compareRandProgram drives one generated program through both engines,
 // unsplit and with one function split, at an unlimited and a tight budget.
 func compareRandProgram(t testing.TB, seed int64, fnPick, varPick uint8) {
-	prog, err := ir.Compile(oracle.RandProgram(seed))
+	compareProgram(t, fmt.Sprintf("seed %d", seed), oracle.RandProgram(seed), fnPick, varPick)
+}
+
+// compareProgram is compareRandProgram for the program src.
+func compareProgram(t testing.TB, label, src string, fnPick, varPick uint8) {
+	prog, err := ir.Compile(src)
 	if err != nil {
 		t.Skip()
 	}
-	label := fmt.Sprintf("seed %d", seed)
 	ref := compareEngines(t, label, prog, nil, runConfig{maxSteps: 20_000_000})
 	compareEngines(t, label+" limited", prog, nil, runConfig{maxSteps: ref.steps * 2 / 3})
 
@@ -299,7 +355,7 @@ func compareRandProgram(t testing.TB, seed int64, fnPick, varPick uint8) {
 		return
 	}
 	res := assembleSplit(prog, sf)
-	label = fmt.Sprintf("seed %d: %s at %s", seed, fn.QName(), v.Name)
+	label = fmt.Sprintf("%s: %s at %s", label, fn.QName(), v.Name)
 	for _, pipelined := range []bool{false, true} {
 		ref := compareEngines(t, label, nil, res, runConfig{maxSteps: 20_000_000, pipelined: pipelined})
 		compareEngines(t, label+" limited", nil, res, runConfig{maxSteps: ref.steps * 2 / 3, pipelined: pipelined})
@@ -316,28 +372,40 @@ func TestDifferentialMachineVsInterpRandom(t *testing.T) {
 	}
 }
 
-// FuzzMachineVsInterp walks the corpus generator's seed space; any
-// divergence between the engines is a crash.
+// FuzzMachineVsInterp walks the corpus generator's seed space, or with a
+// source runs that program instead; any divergence between the engines is
+// a crash. The directed cases' sources are seeds.
 func FuzzMachineVsInterp(f *testing.F) {
-	f.Add(int64(0), uint8(0), uint8(0))
-	f.Add(int64(7), uint8(1), uint8(2))
-	f.Add(int64(42), uint8(3), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, fnPick, varPick uint8) {
-		compareRandProgram(t, seed, fnPick, varPick)
+	f.Add(int64(0), uint8(0), uint8(0), "")
+	f.Add(int64(7), uint8(1), uint8(2), "")
+	f.Add(int64(42), uint8(3), uint8(1), "")
+	for i, tc := range directedCases {
+		if tc.mutate == nil {
+			f.Add(int64(0), uint8(i), uint8(i>>2), tc.src)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, fnPick, varPick uint8, src string) {
+		if src == "" {
+			compareRandProgram(t, seed, fnPick, varPick)
+			return
+		}
+		compareProgram(t, "source", src, fnPick, varPick)
 	})
 }
 
-// TestDifferentialMachineVsInterpDirected covers what the kernels and the
-// generators do not reach.
-func TestDifferentialMachineVsInterpDirected(t *testing.T) {
-	cases := []struct {
-		name, src string
-		// sweep runs the program at every step budget from 1 to its full
-		// step count, so the limit lands on every statement once.
-		sweep bool
-		split []core.Spec
-	}{
-		{name: "limit between prints in a loop", sweep: true, src: `
+// directedCases cover what the kernels and the generators do not reach.
+// FuzzMachineVsInterp starts from the sources of those without mutate.
+var directedCases = []struct {
+	name, src string
+	// sweep runs the program at every step budget from 1 to its full
+	// step count, so the limit lands on every statement once.
+	sweep bool
+	split []core.Spec
+	// mutate edits the compiled IR, for programs the type checker
+	// would refuse.
+	mutate func(t *testing.T, p *ir.Program)
+}{
+	{name: "limit between prints in a loop", sweep: true, src: `
 var g: int = 3;
 func bump(x: int): int { g = g + x; return g; }
 func main() {
@@ -351,7 +419,7 @@ func main() {
     }
     print(a);
 }`},
-		{name: "limit inside an unbroken run with a failing statement", sweep: true, src: `
+	{name: "limit inside an unbroken run with a failing statement", sweep: true, src: `
 func main() {
     var a: int = 1;
     var b: int = 2;
@@ -361,7 +429,7 @@ func main() {
     var e: int = d + 1;
     print(e);
 }`},
-		{name: "recursion to the depth limit", src: `
+	{name: "recursion to the depth limit", src: `
 func down(n: int): int {
     if (n == 0) { return 0; }
     return 1 + down(n - 1);
@@ -371,7 +439,7 @@ func main() {
     print(down(10000));
     print("unreachable");
 }`},
-		{name: "continue in a for with a post section", sweep: true, src: `
+	{name: "continue in a for with a post section", sweep: true, src: `
 func main() {
     var s: int = 0;
     for (var i: int = 0; i < 6; i++) {
@@ -384,7 +452,7 @@ func main() {
     }
     print(s);
 }`},
-		{name: "short circuit guards a division by zero", src: `
+	{name: "short circuit guards a division by zero", src: `
 func main() {
     var z: int = 0;
     print(z != 0 && 10 / z > 1);
@@ -392,7 +460,7 @@ func main() {
     print(z == 0 && 10 / z > 1);
     print("unreachable");
 }`},
-		{name: "float NaN and infinity comparisons", src: `
+	{name: "float NaN and infinity comparisons", src: `
 func main() {
     var zero: float = 0.0;
     var nan: float = zero / zero;
@@ -401,7 +469,7 @@ func main() {
     print(inf > 1.0, -inf < 1.0, inf == inf, nan, inf, -inf);
     print(int(2.9), int(-2.9), float(3) / 2.0, 7 / 2, -7 / 2, 7 % 3, -7 % 3);
 }`},
-		{name: "string concatenation, comparison and len", src: `
+	{name: "string concatenation, comparison and len", src: `
 func greet(name: string): string { return "hello, " + name; }
 func main() {
     var s: string = greet("world");
@@ -411,7 +479,7 @@ func main() {
     var e: string;
     print(len(e));
 }`},
-		{name: "null receiver after arguments with side effects", src: `
+	{name: "null receiver after arguments with side effects", src: `
 class Box {
     field v: int;
     method put(x: int): int { v = x; return v; }
@@ -425,7 +493,7 @@ func main() {
     print(n.put(noisy(2)));
     print("unreachable");
 }`},
-		{name: "global read before a call that assigns it", src: `
+	{name: "global read before a call that assigns it", src: `
 var g: int = 1;
 func bump(): int { g = g + 10; return g; }
 func main() {
@@ -435,13 +503,13 @@ func main() {
     print(a, g);
     if (g < bump()) { print("lt", g); }
 }`},
-		{name: "print renders each argument before the next is evaluated", src: `
+	{name: "print renders each argument before the next is evaluated", src: `
 func poke(a: int[]): int { a[0] = a[0] + 1; return a[0]; }
 func main() {
     var a: int[] = new int[2];
     print(a, poke(a), a, poke(a));
 }`},
-		{name: "objects, fields, arrays and their runtime errors", sweep: true, src: `
+	{name: "objects, fields, arrays and their runtime errors", sweep: true, src: `
 class P {
     field x: int; field y: float; field name: string; field next: P;
     method sum(): float { return float(x) + y; }
@@ -458,40 +526,194 @@ func main() {
     print(a[2] > 6 ? "big" : "small", len(a));
     print(a[3]);
 }`},
-		{name: "remaining runtime errors", src: `
+	{name: "remaining runtime errors", src: `
 func main() {
     var a: int[] = new int[0 - 1];
 }`},
-		{name: "read from null array", src: `
+	{name: "read from null array", src: `
 func main() {
     var a: int[] = null;
     print(a[0]);
 }`},
-		{name: "store into null array", src: `
+	{name: "store into null array", src: `
 func main() {
     var a: int[] = null;
     a[0] = 1;
 }`},
-		{name: "read field of null object", src: `
+	{name: "read field of null object", src: `
 class C { field v: int; }
 func main() {
     var c: C = null;
     print(c.v);
 }`},
-		{name: "store into null object", src: `
+	{name: "store into null object", src: `
 class C { field v: int; }
 func main() {
     var c: C = null;
     c.v = 1;
 }`},
-		{name: "function falling off its end yields null", src: `
+	{name: "function falling off its end yields null", src: `
 func nothing(x: int): int { if (x > 0) { return x; } }
 func main() {
     print(nothing(1), nothing(0));
     var y: int = nothing(0) + 1;
     print(y);
 }`},
-		{name: "split: hidden loop, sweep the budget", sweep: true, src: `
+	// The step-limit sweeps put the limit at the end of every loop
+	// iteration and one step either side of it, where a loop's
+	// back-edge charges the iteration and the statements before it.
+	{name: "limit around while-loop iterations with output and hidden traffic", sweep: true, src: `
+func f(n: int): int {
+    var a: int = n * 2;
+    var s: int = 0;
+    var i: int = 0;
+    while (i < a) { s = s + i; print("it", i, s); i = i + 1; }
+    while (i > 0) { s = s - 1; i = i - 1; }
+    return s;
+}
+func main() { print(f(2)); print(f(3)); }`,
+		split: []core.Spec{{Func: "f", Seed: "a"}}},
+	{name: "limit around for-loop iterations whose body continues into the post block", sweep: true, src: `
+func main() {
+    var s: int = 0;
+    for (var i: int = 0; i < 6; i++) {
+        s = s + i;
+        if (i % 2 == 0) { continue; }
+        s = s * 2;
+        print("odd", i, s);
+    }
+    for (var j: int = 0; j < 3; j++) { s = s + j; }
+    print(s);
+}`},
+	{name: "limit around for-loop iterations whose post block continues", sweep: true, src: `
+func main() {
+    var s: int = 0;
+    var x: int = 0;
+    for (var i: int = 0; i < 4; i++) {
+        s = s + i;
+        print("at", i, x);
+        x = x + 1;
+        if (x % 3 == 0) { continue; }
+    }
+    print(s, x);
+}`, mutate: func(t *testing.T, p *ir.Program) {
+		// MiniJ's post clause is one assignment: move the body's last
+		// two statements in front of it, so the continue is the post
+		// block's and skips the i++ after it.
+		loop := findStmt[*ir.WhileStmt](t, p.Funcs["main"].Body, 0)
+		n := len(loop.Body)
+		loop.Post = append(append([]ir.Stmt(nil), loop.Body[n-2:]...), loop.Post...)
+		loop.Body = loop.Body[:n-2]
+	}},
+	{name: "ordered comparisons of ints, floats and strings", src: `
+func main() {
+    var i: int = -3;
+    var j: int = 7;
+    print(i < j, i <= j, i > j, i >= j, j < i, j <= i, j > i, j >= i, i < i, i <= i, i > i, i >= i);
+    var x: float = 2.5;
+    var y: float = -0.5;
+    print(x < y, x <= y, x > y, x >= y, y < x, x <= x, x < 3.0, x >= 3.0);
+    var s: string = "abc";
+    var u: string = "abd";
+    print(s < u, s <= u, s > u, s >= u, u < s, s <= s, "" < s, s > "ab");
+    var n: int = 0;
+    while (n <= 4) { n = n + 1; }
+    while (n >= 2) { n = n - 2; }
+    if (x > y) { print("x > y"); }
+    if (y >= x) { print("unreachable"); } else { print("y < x"); }
+    if (s > u) { print("unreachable"); } else { print("s <= u"); }
+    if (u >= s) { print("u >= s"); }
+    print(n);
+}`},
+	{name: "ordered comparison of a bool value", src: `
+func main() {
+    var b: int = 1;
+    var c: int = 0;
+    print("before");
+    print(b < c);
+}`, mutate: func(t *testing.T, p *ir.Program) {
+		findStmt[*ir.AssignStmt](t, p.Funcs["main"].Body, 0).Rhs = &ir.Const{Kind: ir.ConstBool, B: true}
+	}},
+	{name: "ordered compare-and-branch of a bool", src: `
+func main() {
+    var b: int = 1;
+    print("before");
+    if (b >= 0) { print("unreachable"); }
+}`, mutate: func(t *testing.T, p *ir.Program) {
+		findStmt[*ir.AssignStmt](t, p.Funcs["main"].Body, 0).Rhs = &ir.Const{Kind: ir.ConstBool}
+	}},
+	{name: "int arrays: len, print, identity and a read before any write", src: `
+func main() {
+    var a: int[] = new int[4];
+    var b: int[] = a;
+    var c: int[] = new int[4];
+    print(len(a), a, a[2] + 1);
+    a[1] = -9;
+    a[3] = 9223372036854775807;
+    print(a, b, len(new int[0]), new int[0]);
+    print(a == b, a == c, a != c, a == null, c == c);
+}`},
+	{name: "int array read out of range", src: `
+func main() {
+    var a: int[] = new int[3];
+    print(a[2]);
+    print(a[3]);
+}`},
+	{name: "int array write out of range", src: `
+func main() {
+    var a: int[] = new int[3];
+    a[0] = 1;
+    a[0 - 1] = 2;
+}`},
+	{name: "int array of negative size", src: `
+func main() {
+    print("before");
+    var a: int[] = new int[-1];
+}`},
+	{name: "int array written by a callee", src: `
+func squares(a: int[], n: int) {
+    for (var i: int = 0; i < n; i++) { a[i] = i * i; }
+}
+func total(a: int[]): int {
+    var s: int = 0;
+    for (var i: int = 0; i < len(a); i++) { s = s + a[i]; }
+    return s;
+}
+func main() {
+    var a: int[] = new int[5];
+    squares(a, 4);
+    print(a, total(a));
+}`},
+	{name: "int[][], float[], bool[] and string[] keep boxed elements", src: `
+func main() {
+    var m: int[][] = new int[][3];
+    m[1] = new int[2];
+    m[1][0] = 5;
+    print(len(m), m[0] == null, m[1], m[1][0] + m[1][1]);
+    var f: float[] = new float[2];
+    f[1] = 1.5;
+    print(f, f[0] < f[1]);
+    var b: bool[] = new bool[2];
+    b[0] = true;
+    print(b, b[0] && !b[1]);
+    var s: string[] = new string[2];
+    s[1] = "x";
+    print(s, s[0] + s[1]);
+    print(m[2][0]);
+}`},
+	{name: "a float stored into an int array", src: `
+func main() {
+    var a: int[] = new int[3];
+    var f: int = 0;
+    a[0] = 4;
+    a[1] = f;
+    print(a, a[1], a[0] + 1, len(a));
+    a[2] = 7;
+    print(a);
+}`, mutate: func(t *testing.T, p *ir.Program) {
+		findStmt[*ir.AssignStmt](t, p.Funcs["main"].Body, 1).Rhs = &ir.Const{Kind: ir.ConstFloat, F: 2.5}
+	}},
+	{name: "split: hidden loop, sweep the budget", sweep: true, src: `
 func f(x: int, y: int): int {
     var a: int = x * 3 + y;
     var s: int = 0;
@@ -500,8 +722,8 @@ func f(x: int, y: int): int {
     return s;
 }
 func main() { print(f(2, 1)); print(f(0, 4)); }`,
-			split: []core.Spec{{Func: "f", Seed: "a"}}},
-		{name: "split: method of a class with state", src: `
+		split: []core.Spec{{Func: "f", Seed: "a"}}},
+	{name: "split: method of a class with state", src: `
 class Acc {
     field total: int;
     method add(x: int): int {
@@ -516,13 +738,18 @@ func main() {
     var b: Acc = new Acc();
     for (var i: int = 0; i < 5; i++) { print(a.add(i), b.add(i * 2)); }
 }`,
-			split: []core.Spec{{Func: "Acc.add", Seed: "t"}}},
-	}
-	for _, tc := range cases {
+		split: []core.Spec{{Func: "Acc.add", Seed: "t"}}},
+}
+
+func TestDifferentialMachineVsInterpDirected(t *testing.T) {
+	for _, tc := range directedCases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, err := ir.Compile(tc.src)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.mutate != nil {
+				tc.mutate(t, prog)
 			}
 			var res *core.Result
 			if tc.split != nil {
@@ -540,6 +767,22 @@ func main() {
 			}
 		})
 	}
+}
+
+// findStmt returns the n-th statement of type S in list, not descending.
+func findStmt[S ir.Stmt](t *testing.T, list []ir.Stmt, n int) S {
+	t.Helper()
+	for _, st := range list {
+		if s, ok := st.(S); ok {
+			if n == 0 {
+				return s
+			}
+			n--
+		}
+	}
+	var zero S
+	t.Fatalf("no %T in the body", zero)
+	return zero
 }
 
 // TestDifferentialMachineVsInterpHiddenFailure injects a hidden-call

@@ -1,11 +1,11 @@
 // Package interp is the bottom of the execution stack: MiniJ's runtime
-// values, the one definition of its operator semantics (EvalBinOp), the
-// runtime error type, and the contracts between a running open program and
-// the hidden runtime (HiddenSession, AsyncHiddenSession, Tracer, Options).
+// values, its ordered comparison, the runtime error type, and the
+// contracts between a running open program and the hidden runtime
+// (HiddenSession, AsyncHiddenSession, Tracer, Options).
 //
-// Programs run on the bytecode machine of package vm. The tree-walking
-// reference executors the differential tests compare it against live in
-// package oracle, which only tests import.
+// Programs run on the bytecode machine of package vm. The tree-walkers the
+// differential tests compare it against, and EvalBinOp, the reference
+// operator semantics, live in package oracle, which only tests import.
 package interp
 
 import (
@@ -64,9 +64,55 @@ type Value struct {
 	ref  unsafe.Pointer
 }
 
-// ArrayVal is array storage (shared by reference).
+// ArrayVal is array storage (shared by reference). An int array from
+// NewArray keeps its elements unboxed in ints, where the collector has
+// nothing to scan, until a store of another kind boxes them into Elems.
+// Only Len, At and Set read and write an array NewArray made.
 type ArrayVal struct {
 	Elems []Value
+	ints  []int64
+}
+
+// NewArray returns an array of n elements, each zero, or the runtime error
+// for a negative or too large n.
+func NewArray(n int64, zero Value) (*ArrayVal, error) {
+	switch {
+	case n < 0:
+		return nil, &RuntimeError{Msg: fmt.Sprintf("negative array size %d", n)}
+	case n > 1<<26:
+		return nil, &RuntimeError{Msg: fmt.Sprintf("array size %d too large", n)}
+	case zero.Kind == KindInt && zero.I == 0:
+		return &ArrayVal{ints: make([]int64, n)}, nil
+	}
+	a := &ArrayVal{Elems: make([]Value, n)}
+	for i := range a.Elems {
+		a.Elems[i] = zero
+	}
+	return a, nil
+}
+
+// Len returns the number of elements.
+func (a *ArrayVal) Len() int { return len(a.ints) + len(a.Elems) }
+
+// At returns element i, which must be in range.
+func (a *ArrayVal) At(i int64) Value {
+	if a.ints != nil {
+		return IntV(a.ints[i])
+	}
+	return a.Elems[i]
+}
+
+// Set stores v at element i, which must be in range.
+func (a *ArrayVal) Set(i int64, v Value) {
+	if a.ints != nil && v.Kind == KindInt {
+		a.ints[i] = v.I
+		return
+	}
+	for _, x := range a.ints { // a non-int boxes an int array's elements
+		a.Elems = append(a.Elems, IntV(x))
+	}
+	a.ints = nil
+	a.Elems[i] = v
 }
 
 // ObjectVal is object storage (shared by reference).
@@ -165,9 +211,9 @@ func (v Value) String() string {
 		if arr == nil {
 			return "null"
 		}
-		parts := make([]string, len(arr.Elems))
-		for i, e := range arr.Elems {
-			parts[i] = e.String()
+		parts := make([]string, arr.Len())
+		for i := range parts {
+			parts[i] = arr.At(int64(i)).String()
 		}
 		return "[" + strings.Join(parts, " ") + "]"
 	case KindObject:

@@ -33,6 +33,9 @@ type Lexer struct {
 // New returns a Lexer over src.
 func New(src string) *Lexer { return &Lexer{src: src, line: 1} }
 
+// Errors returns the lexical errors encountered so far.
+func (l *Lexer) Errors() []*Error { return l.errors }
+
 type keyword struct {
 	lit  string
 	kind token.Kind

@@ -203,6 +203,3 @@ func (l *Lexer) All() []token.Token {
 		}
 	}
 }
-
-// Errors returns the lexical errors encountered so far.
-func (l *Lexer) Errors() []*Error { return l.errors }

@@ -4,16 +4,25 @@ import (
 	"testing"
 
 	"slicehide/internal/lang/ast/astprint"
+	"slicehide/internal/lang/lexer"
+	"slicehide/internal/lang/token"
 )
 
-// FuzzParse: parsing never panics, and a program that parses prints
-// through astprint to text that parses again and prints the same. The
-// committed seeds under testdata/fuzz/FuzzParse are FuzzLexer's.
+// FuzzParse: parsing never panics, an input the lexer reports an error in
+// never parses, and a program that parses prints through astprint to text
+// that parses again and prints the same. The committed seeds under
+// testdata/fuzz/FuzzParse are FuzzLexer's.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse(src)
 		if err != nil {
 			return
+		}
+		l := lexer.New(src)
+		for l.Next().Kind != token.EOF {
+		}
+		if len(l.Errors()) > 0 {
+			t.Fatalf("%q parses, but lexing it reports %v", src, l.Errors())
 		}
 		text := astprint.Format(prog)
 		prog2, err := Parse(text)

@@ -25,11 +25,13 @@ type (
 	ErrorList = token.ErrorList
 )
 
-// Parse parses a whole MiniJ program from src.
+// Parse parses a whole MiniJ program from src. Its errors are the syntax
+// errors, then the lexical ones, under one cap.
 func Parse(src string) (*ast.Program, error) {
 	p := newParser(src)
 	prog := p.parseProgram()
-	if len(p.errors) > 0 {
+	lexed := p.lex.Errors()
+	if p.errors = append(p.errors, lexed[:min(len(lexed), maxErrors-len(p.errors))]...); len(p.errors) > 0 {
 		return prog, p.errors
 	}
 	return prog, nil

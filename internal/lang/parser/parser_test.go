@@ -276,6 +276,20 @@ func TestSyntaxErrors(t *testing.T) {
 	}
 }
 
+// TestLexicalErrorsFailTheParse: a program whose tokens parse but whose
+// text does not lex is an error, reported at the lexer's position.
+func TestLexicalErrorsFailTheParse(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`func main() { print(1); } /* open`, "1:27: unterminated block comment"},
+		{`func main() { print("a\qb"); }`, "1:24: unknown escape \\q"},
+	} {
+		_, err := Parse(tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%q: error %v, want %q", tc.src, err, tc.want)
+		}
+	}
+}
+
 func TestErrorRecoveryFindsMultiple(t *testing.T) {
 	src := `
 func f() { var x: int = ; }

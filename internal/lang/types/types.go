@@ -44,6 +44,8 @@ type Class struct {
 	Decl *ast.ClassDecl
 	// Methods maps the class's method names to their signatures.
 	Methods map[string]*FuncSig
+	// fields holds the type of each of Decl.Fields, resolved once.
+	fields []Type
 }
 
 func (t *Class) String() string { return t.Name }
@@ -178,6 +180,9 @@ func (c *checker) resolveType(t ast.Type) Type {
 	}
 	if ct, ok := elem.(*ast.ClassType); ok && c.info.Classes[ct.Name] == nil {
 		c.errorf(ct.Pos(), "undefined class %s", ct.Name)
+		if elem == t { // a stand-in, so that no use repeats the error
+			return &Class{Name: ct.Name, Decl: &ast.ClassDecl{}}
+		}
 	}
 	return c.info.Resolve(t)
 }
@@ -218,6 +223,13 @@ func (c *checker) collect(prog *ast.Program) {
 			continue
 		}
 		c.info.Classes[cl.Name] = &Class{Name: cl.Name, Decl: cl, Methods: make(map[string]*FuncSig, len(cl.Methods))}
+	}
+	for _, cl := range prog.Classes {
+		if ct := c.info.Classes[cl.Name]; ct.Decl == cl {
+			for _, fd := range cl.Fields {
+				ct.fields = append(ct.fields, c.resolveType(fd.Type))
+			}
+		}
 	}
 	for _, g := range prog.Globals {
 		if _, dup := c.globals[g.Name]; dup {
@@ -342,9 +354,9 @@ func (c *checker) lookup(name string) Type {
 		}
 	}
 	if c.curClass != nil {
-		for _, fd := range c.curClass.Decl.Fields {
+		for i, fd := range c.curClass.Decl.Fields {
 			if fd.Name == name {
-				return c.resolveType(fd.Type)
+				return c.curClass.fields[i]
 			}
 		}
 	}
@@ -512,9 +524,9 @@ func (c *checker) expr(e ast.Expr) Type {
 			return IntType
 		}
 		c.info.Receivers[e.Obj] = cl
-		for _, fd := range cl.Decl.Fields {
+		for i, fd := range cl.Decl.Fields {
 			if fd.Name == e.Name {
-				return c.resolveType(fd.Type)
+				return cl.fields[i]
 			}
 		}
 		c.errorf(e.NPos, "class %s has no field %s", cl.Name, e.Name)

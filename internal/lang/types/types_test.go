@@ -139,6 +139,16 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestUndefinedFieldClassReportedOnce: a field's type is resolved at its
+// declaration, so however often the field is used, its undefined class is
+// one error there, and the uses report nothing.
+func TestUndefinedFieldClassReportedOnce(t *testing.T) {
+	_, err := check(t, `class C { field f: Nope; method m() { f = null; f = null; f = null; } }`)
+	if err == nil || err.Error() != "1:20: undefined class Nope" {
+		t.Fatalf("error %v, want exactly 1:20: undefined class Nope", err)
+	}
+}
+
 func TestShadowingInInnerScope(t *testing.T) {
 	mustOK(t, `
 func f() {

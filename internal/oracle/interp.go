@@ -422,9 +422,9 @@ func zeroType(t types.Type) interp.Value {
 func zeroOf(v *ir.Var) interp.Value { return zeroType(v.Type) }
 
 // evalBinary applies a non-short-circuit binary operator with the one
-// definition of its semantics, interp.EvalBinOp.
+// definition of its semantics, EvalBinOp.
 func evalBinary(op token.Kind, x, y interp.Value) (interp.Value, error) {
-	return interp.EvalBinOp(ir.BinOpOf(op), x, y)
+	return EvalBinOp(ir.BinOpOf(op), x, y)
 }
 
 func (in *Interp) eval(fr *frame, e ir.Expr) (interp.Value, error) {

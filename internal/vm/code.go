@@ -13,9 +13,8 @@ type Instr struct {
 // Opcode identifies an instruction.
 type Opcode uint32
 
-// Opcodes. Arithmetic and comparison ops mirror interp.EvalBinOp exactly
-// (the executor inlines the scalar fast paths and the differential fuzzer
-// holds them to the interpreter).
+// Opcodes. Arithmetic and comparison ops mirror oracle.EvalBinOp exactly
+// (the differential tests hold them to it).
 const (
 	OpNop Opcode = iota
 	// OpStep adds Dst to the step counter and enforces MaxFragSteps: one
@@ -72,29 +71,11 @@ const (
 	OpJumpNLeq
 	OpJumpNGt
 	OpJumpNGeq
-	opCount
+	// OpLoop is a function loop's back-edge: it charges B steps, the last
+	// of them the iteration of loop statement A, then jumps by Dst.
+	// Fragments keep OpStep 1 and OpJump, their code being hashed.
+	OpLoop
 )
-
-var opNames = [...]string{
-	OpNop: "nop", OpStep: "step", OpMov: "mov", OpNeg: "neg", OpNot: "not",
-	OpToBool: "tobool", OpConvF: "convf", OpConvI: "convi",
-	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpDiv: "div", OpMod: "mod",
-	OpEq: "eq", OpNeq: "neq", OpLt: "lt", OpLeq: "leq", OpGt: "gt", OpGeq: "geq",
-	OpJump: "jump", OpJumpF: "jumpf", OpJumpRawF: "jumprawf", OpJumpRawT: "jumprawt",
-	OpRet: "ret", OpRetNil: "retnil", OpFail: "fail",
-	OpIndex: "index", OpSetIndex: "setindex", OpGetField: "getfield", OpSetField: "setfield",
-	OpNewObj: "newobj", OpNewArr: "newarr", OpLen: "len", OpThis: "this",
-	OpStr: "str", OpPrint: "print", OpCall: "call", OpHCall: "hcall",
-	OpJumpNEq: "jumpneq", OpJumpNNeq: "jumpnneq", OpJumpNLt: "jumpnlt",
-	OpJumpNLeq: "jumpnleq", OpJumpNGt: "jumpngt", OpJumpNGeq: "jumpngeq",
-}
-
-func (op Opcode) String() string {
-	if int(op) < len(opNames) {
-		return opNames[op]
-	}
-	return "?"
-}
 
 // Operand spaces, encoded in the top bits of an operand word.
 const (

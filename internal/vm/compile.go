@@ -223,7 +223,7 @@ func (h *hidden) writeSlots(cc *Comp, act *slots, v *ir.Var) *slots {
 
 func (h *hidden) compileFrag(cc *Comp, act *slots, fr FragSource) *Frag {
 	c := &compiler{pool: newPool(), h: h, comp: cc, act: act, args: fr.Args}
-	c.stmts(fr.Body)
+	c.stmts(fr.Body, false)
 	for _, pc := range c.endJumps {
 		c.patch(pc, len(c.code))
 	}

@@ -226,9 +226,8 @@ stretch:
 				case interp.KindString:
 					*dst(in.Dst) = interp.StrV(a.S() + b.S())
 				default:
-					if _, err = interp.EvalBinOp(ir.BinAdd, *a, *b); err != nil {
-						goto fail
-					}
+					err = &interp.RuntimeError{Msg: "invalid binary op + on " + a.Kind.String()}
+					goto fail
 				}
 			case OpSub:
 				a, b := ld(in.A), ld(in.B)
@@ -266,10 +265,14 @@ stretch:
 			case OpNeq:
 				*dst(in.Dst) = interp.BoolV(!ld(in.A).Equal(*ld(in.B)))
 			case OpLt, OpLeq, OpGt, OpGeq:
-				// Both comparison families follow ir.BinLt..BinGeq's order.
-				var ok bool
-				if ok, err = interp.Compare(ir.BinLt+ir.BinOp(in.Op-OpLt), ld(in.A), ld(in.B)); err != nil {
-					goto fail
+				// Compare's int case, decided here; both comparison
+				// families follow ir.BinLt..BinGeq's order.
+				x, y, rel := ld(in.A), ld(in.B), ir.BinLt+ir.BinOp(in.Op-OpLt)
+				ok := interp.Ordered(rel, x.I, y.I)
+				if x.Kind != interp.KindInt {
+					if ok, err = interp.Compare(rel, x, y); err != nil {
+						goto fail
+					}
 				}
 				*dst(in.Dst) = interp.BoolV(ok)
 			case OpJumpNEq:
@@ -283,14 +286,27 @@ stretch:
 					continue
 				}
 			case OpJumpNLt, OpJumpNLeq, OpJumpNGt, OpJumpNGeq:
-				var ok bool
-				if ok, err = interp.Compare(ir.BinLt+ir.BinOp(in.Op-OpJumpNLt), ld(in.A), ld(in.B)); err != nil {
-					goto fail
+				x, y, rel := ld(in.A), ld(in.B), ir.BinLt+ir.BinOp(in.Op-OpJumpNLt)
+				ok := interp.Ordered(rel, x.I, y.I)
+				if x.Kind != interp.KindInt {
+					if ok, err = interp.Compare(rel, x, y); err != nil {
+						goto fail
+					}
 				}
 				if !ok {
 					pc += int(int32(in.Dst))
 					continue
 				}
+			case OpLoop:
+				if steps += int64(in.B); steps > limit {
+					// The iteration's step comes last, after the run of
+					// statements that ends at the one holding this pc.
+					if steps == limit+1 {
+						return m.abortAtLimit(int(in.A), steps)
+					}
+					return m.abortAtLimit(m.fn.stmtAt(pc), steps-1)
+				}
+				fallthrough
 			case OpJump:
 				pc += int(int32(in.Dst))
 				continue
@@ -329,22 +345,22 @@ stretch:
 					err = errReadNullArr
 					goto fail
 				}
-				if i < 0 || i >= int64(len(arr.Elems)) {
-					err = indexErr(i, len(arr.Elems))
+				if i < 0 || i >= int64(arr.Len()) {
+					err = indexErr(i, arr.Len())
 					goto fail
 				}
-				*dst(in.Dst) = arr.Elems[i]
+				*dst(in.Dst) = arr.At(i)
 			case OpSetIndex:
 				arr, i := ld(in.A).Arr(), ld(in.B).I
 				if arr == nil {
 					err = errStoreNull
 					goto fail
 				}
-				if i < 0 || i >= int64(len(arr.Elems)) {
-					err = indexErr(i, len(arr.Elems))
+				if i < 0 || i >= int64(arr.Len()) {
+					err = indexErr(i, arr.Len())
 					goto fail
 				}
-				arr.Elems[i] = *ld(in.Dst)
+				arr.Set(i, *ld(in.Dst))
 			case OpGetField:
 				obj := ld(in.A).Obj()
 				if obj == nil {
@@ -362,11 +378,11 @@ stretch:
 			case OpNewObj:
 				*dst(in.Dst) = m.newObject(&m.classes[in.A])
 			case OpNewArr:
-				var v interp.Value
-				if v, err = newArray(ld(in.A).I, ld(in.B)); err != nil {
+				var a *interp.ArrayVal
+				if a, err = interp.NewArray(ld(in.A).I, *ld(in.B)); err != nil {
 					goto fail
 				}
-				*dst(in.Dst) = v
+				*dst(in.Dst) = interp.ArrV(a)
 			case OpLen:
 				x := ld(in.A)
 				switch {
@@ -379,7 +395,7 @@ stretch:
 					err = errLenNull
 					goto fail
 				default:
-					*dst(in.Dst) = interp.IntV(int64(len(x.Arr().Elems)))
+					*dst(in.Dst) = interp.IntV(int64(x.Arr().Len()))
 				}
 			case OpThis:
 				x := ld(in.A)

@@ -270,14 +270,16 @@ func (c *compiler) begin(st ir.Stmt) int32 {
 }
 
 // body lowers a nested statement list of the statement at.
-func (c *compiler) body(at int32, list []ir.Stmt) {
+func (c *compiler) body(at int32, list []ir.Stmt, keep bool) {
 	outer := c.parent
 	c.parent = at
-	c.stmts(list)
+	c.stmts(list, keep)
 	c.parent = outer
 }
 
-func (c *compiler) stmts(list []ir.Stmt) {
+// stmts lowers a statement list; unless keep is set, it charges the list's
+// trailing run of simple statements at its end.
+func (c *compiler) stmts(list []ir.Stmt, keep bool) {
 	for _, st := range list {
 		c.pending++
 		c.curTemp = 0
@@ -287,11 +289,11 @@ func (c *compiler) stmts(list []ir.Stmt) {
 			c.assign(st)
 		case *ir.IfStmt:
 			jf := c.jumpUnless(st.Cond)
-			c.body(at, st.Then)
+			c.body(at, st.Then, false)
 			if len(st.Else) > 0 {
 				j := c.emit(Instr{Op: OpJump})
 				c.patch(jf, len(c.code))
-				c.body(at, st.Else)
+				c.body(at, st.Else, false)
 				c.patch(j, len(c.code))
 			} else {
 				c.patch(jf, len(c.code))
@@ -301,7 +303,13 @@ func (c *compiler) stmts(list []ir.Stmt) {
 			jf := c.jumpUnless(st.Cond)
 			lc := &loopCtx{}
 			c.loops = append(c.loops, lc)
-			c.body(at, st.Body)
+			// In a function the back-edge charges the iteration together
+			// with the run of simple statements that ends the body or the
+			// post block, unless a continue jumps into that run.
+			c.body(at, st.Body, c.fn != nil)
+			if len(lc.bodyConts) > 0 {
+				c.flush()
+			}
 			// continue in the body runs the post block; continue in the
 			// post block skips straight to the iteration step (the
 			// tree-walker does not check for it after the post block).
@@ -309,13 +317,21 @@ func (c *compiler) stmts(list []ir.Stmt) {
 				c.patch(pc, len(c.code))
 			}
 			lc.inPost = true
-			c.body(at, st.Post)
-			stepPC := c.emit(Instr{Op: OpStep, Dst: 1, A: uint32(max(at, 0))})
+			c.body(at, st.Post, c.fn != nil)
+			if len(lc.postConts) > 0 {
+				c.flush()
+			}
+			stepPC := len(c.code)
+			if c.fn != nil {
+				c.patch(c.emit(Instr{Op: OpLoop, A: uint32(at), B: c.pending + 1}), loopStart)
+				c.pending = 0
+			} else {
+				c.emit(Instr{Op: OpStep, Dst: 1})
+				c.patch(c.emit(Instr{Op: OpJump}), loopStart)
+			}
 			for _, pc := range lc.postConts {
 				c.patch(pc, stepPC)
 			}
-			jb := c.emit(Instr{Op: OpJump})
-			c.patch(jb, loopStart)
 			c.patch(jf, len(c.code))
 			for _, pc := range lc.breaks {
 				c.patch(pc, len(c.code))
@@ -351,7 +367,9 @@ func (c *compiler) stmts(list []ir.Stmt) {
 			c.effect(st)
 		}
 	}
-	c.flush()
+	if !keep {
+		c.flush()
+	}
 }
 
 // effect lowers the statements only a function can hold: output, calls

@@ -432,21 +432,6 @@ func (m *Machine) newObject(cl *classInfo) interp.Value {
 	return interp.ObjV(obj)
 }
 
-func newArray(size int64, zero *interp.Value) (interp.Value, error) {
-	if size < 0 {
-		return interp.NullV(), &interp.RuntimeError{Msg: fmt.Sprintf("negative array size %d", size)}
-	}
-	const maxArray = 1 << 26
-	if size > maxArray {
-		return interp.NullV(), &interp.RuntimeError{Msg: fmt.Sprintf("array size %d too large", size)}
-	}
-	elems := make([]interp.Value, size)
-	for i := range elems {
-		elems[i] = *zero
-	}
-	return interp.ArrV(&interp.ArrayVal{Elems: elems}), nil
-}
-
 func indexErr(i int64, n int) error {
 	return &interp.RuntimeError{Msg: fmt.Sprintf("index %d out of range [0,%d)", i, n)}
 }

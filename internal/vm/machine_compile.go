@@ -97,7 +97,7 @@ func (mc *machineCompiler) compileFunc(f *funcCode, params, locals []*ir.Var, bo
 	f.nlocals = int(next) - f.nparams - 1
 	c.tempBase = next
 
-	c.stmts(body)
+	c.stmts(body, false)
 	for _, g := range inits {
 		c.curTemp = 0
 		c.pinGlobals = g.Init != nil && ir.HasCall(g.Init)
