@@ -1,6 +1,7 @@
 # Developer/CI entry points. `make check` is the gate: gofmt, vet, build, the
 # cross-builds, the one-CFG grep, the test-only-oracle check, the
-# one-request-decoder grep, the one-client grep, the linked-lines ceiling, and the full test suite (including the
+# one-request-decoder grep, the one-client grep, the batch-always grep, the
+# linked-lines ceiling, and the full test suite (including the
 # hrt chaos tests and the load/fleet smoke tests) under the race
 # detector. The committed fuzz seed corpora replay as ordinary tests
 # under `go test ./...`, so `race` covers them too. Performance is
@@ -8,9 +9,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build cross cfg-once oracle-tests-only printer-tests-only vm-layering wire-layering one-client linked-lines test race fuzz
+.PHONY: check fmt vet build cross cfg-once oracle-tests-only printer-tests-only vm-layering wire-layering one-client batch-always linked-lines test race fuzz
 
-check: fmt vet build cross cfg-once oracle-tests-only printer-tests-only vm-layering wire-layering one-client linked-lines race
+check: fmt vet build cross cfg-once oracle-tests-only printer-tests-only vm-layering wire-layering one-client batch-always linked-lines race
 
 # The tree stays gofmt-clean: fmt lists every file gofmt would change and
 # fails if there is one.
@@ -113,6 +114,16 @@ one-client:
 		exit 1; \
 	fi
 
+# Every split batches: merging adjacent non-leaking hidden calls is the
+# splitter's last step, not an option, so no non-test file names
+# BatchCalls. The unbatched split is a test reference only
+# (internal/core/export_test.go).
+batch-always:
+	@if grep -rn 'BatchCalls' --include='*.go' . | grep -v '_test\.go:'; then \
+		echo 'a non-test file names BatchCalls; every split batches, and the unbatched split is internal/core test code' >&2; \
+		exit 1; \
+	fi
+
 # The shipped binaries carry only what they run. linked-lines prints the
 # sum of GoFiles line counts (non-test files that survive build
 # constraints) over `go list -deps ./cmd/...`, counting only this module's
@@ -152,9 +163,12 @@ one-client:
 # began returning lexical errors, paid for by moving EvalBinOp into the
 # oracle and the opcode names into a test file, by interp.NewArray taking
 # the array-size checks and by one predicate-hiding helper in the
-# splitter. The ceiling only goes down: a change that lands below it
-# lowers it to the new count.
-LINKED_LINES_MAX = 24634
+# splitter, 24,634 before every split batched and a merged run replaced
+# the fragments it merged, paid for by one statement search and one
+# expression search in ir (AnyStmt, AnyExpr) that the splitter's walkers
+# share. The ceiling only goes down: a change that lands below it lowers
+# it to the new count.
+LINKED_LINES_MAX = 24633
 
 # linked_lines counts the non-test lines of this module that the packages
 # matching $(1) link.

@@ -486,38 +486,6 @@ func TestPipelineSmoke(t *testing.T) {
 	t.Logf("blocking operations: sync=%d pipelined=%d", syncTotal, pipeTotal)
 }
 
-// BenchmarkAblationBatching measures the call-batching optimization:
-// adjacent non-leaking hidden calls merged into single round trips. The
-// metric of interest is the interaction count (communication dominates the
-// Table 5 overhead, so fewer round trips means proportionally less cost).
-func BenchmarkAblationBatching(b *testing.B) {
-	prog, err := Compile(figureSrc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(batch bool) int64 {
-		res, err := SplitWith(prog, []Spec{{Func: "f", Seed: "a"}}, Policy{}, Options{BatchCalls: batch})
-		if err != nil {
-			b.Fatal(err)
-		}
-		out := RunSplit(res, nil, 1_000_000)
-		if out.Err != nil {
-			b.Fatal(out.Err)
-		}
-		return out.Interactions
-	}
-	var plain, batched int64
-	for i := 0; i < b.N; i++ {
-		plain = run(false)
-		batched = run(true)
-	}
-	if batched >= plain {
-		b.Fatalf("batching did not reduce interactions: %d vs %d", batched, plain)
-	}
-	b.ReportMetric(float64(plain), "interactions-plain")
-	b.ReportMetric(float64(batched), "interactions-batched")
-}
-
 // fastConfig is a scaled-down configuration: small corpora and kernels, no
 // injected latency (interaction counts are still exact).
 func fastConfig() experiments.Config {

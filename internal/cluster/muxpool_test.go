@@ -17,8 +17,7 @@ import (
 const poolTestSrc = `
 func work(x: int, y: int): int {
     var k: int = x * 3 + y;
-    var t: int = k + x;
-    return t - y;
+    return k + x - y;
 }
 func main() { print(work(2, 1)); }
 `

@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"slicehide/internal/core"
+	"slicehide/internal/corpus"
 	"slicehide/internal/hrt"
 	"slicehide/internal/ir"
 	"slicehide/internal/oracle"
@@ -50,11 +52,11 @@ func TestPropertyBatchingPreservesBehavior(t *testing.T) {
 				if !policy.HideableVar(v) {
 					continue
 				}
-				plain, err := core.SplitOpts(f, v, policy, core.Options{})
+				plain, err := core.SplitUnbatched(f, v, policy, core.Options{})
 				if err != nil {
-					t.Fatalf("seed %d: split %s at %s: %v", seed, qn, v, err)
+					t.Fatalf("seed %d: unbatched split %s at %s: %v", seed, qn, v, err)
 				}
-				batched, err := core.SplitOpts(f, v, policy, core.Options{BatchCalls: true})
+				batched, err := core.SplitOpts(f, v, policy, core.Options{})
 				if err != nil {
 					t.Fatalf("seed %d: batched split %s at %s: %v", seed, qn, v, err)
 				}
@@ -134,7 +136,7 @@ func main() { print(f(3, 1)); print(f(0, 2)); }`
 		t.Fatal(err)
 	}
 	f := prog.Funcs["f"]
-	sf, err := core.SplitOpts(f, f.LookupVar("a"), slicer.Policy{}, core.Options{BatchCalls: true})
+	sf, err := core.Split(f, f.LookupVar("a"), slicer.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,5 +156,136 @@ func main() { print(f(3, 1)); print(f(0, 2)); }`
 	}
 	if out.Output != want {
 		t.Fatalf("batched output %q, want %q", out.Output, want)
+	}
+}
+
+// TestBatchingRepeatedFragment pins the rule that a fragment joins a run at
+// most once. Each conditional assignment to a reads an array element in a
+// lazy arm, so it is computed openly and sent through the one update
+// fragment of a; merged into a single body, the second copy would read the
+// first copy's argument.
+func TestBatchingRepeatedFragment(t *testing.T) {
+	checkBatched(t, `
+func f(x: int, y: int): int {
+    var B: int[] = new int[1];
+    B[0] = y;
+    var a: int = x * 2;
+    var s: int = 0;
+    s = s + a;
+    a = x > 0 ? B[0] : 1;
+    s = s + a;
+    a = x > 1 ? B[0] + 2 : 3;
+    s = s + a;
+    return s;
+}
+func main() { print(f(3, 10)); print(f(1, 4)); }`, slicer.Policy{}, 3)
+}
+
+// TestBatchingKeepsCallArgumentsInPlace pins the rule that an argument
+// holding a call is never merged: reader, rewritten by the §2.2 fallback to
+// fetch the hidden global g, must see the g that the call before it wrote.
+func TestBatchingKeepsCallArgumentsInPlace(t *testing.T) {
+	checkBatched(t, `
+var g: int = 7;
+func reader(): int { return g * 3; }
+func f(x: int): int {
+    var a: int = x * 2;
+    g = a + g;
+    a = reader();
+    return a;
+}
+func main() { print(f(4)); print(f(1)); print(g); }`, slicer.Policy{HideGlobals: true}, 3)
+}
+
+// checkBatched splits src's f at a and checks that the split prints what
+// the original does through an open component making calls hidden calls.
+func checkBatched(t *testing.T, src string, policy slicer.Policy, calls int) {
+	t.Helper()
+	res, err := core.SplitProgram(ir.MustCompile(src), []core.Spec{{Func: "f", Seed: "a"}}, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := ir.FormatFunc(res.Splits["f"].Open)
+	same, want, got, err := hrt.Equivalent(res, 1_000_000)
+	if err != nil || !same {
+		t.Fatalf("batched split printed %q (%v), want %q:\nopen:\n%s\nhidden:\n%s", got, err, want, open, res.Splits["f"].Hidden)
+	}
+	if n := strings.Count(open, "H("); n != calls {
+		t.Errorf("open component makes %d hidden calls, want %d:\n%s", n, calls, open)
+	}
+}
+
+// orphanFrags names each fragment of a split's own hidden component that no
+// H(...) in the split's open function calls.
+func orphanFrags(res *core.Result) []string {
+	var out []string
+	for _, name := range res.SplitNames() {
+		named := make(map[int]bool)
+		ir.WalkStmts(res.Open.Funcs[name].Body, func(st ir.Stmt) bool {
+			ir.StmtExprs(st, func(e ir.Expr) {
+				ir.WalkExpr(e, func(x ir.Expr) {
+					if h, ok := x.(*ir.HCallExpr); ok && h.Component == "" {
+						named[h.FragID] = true
+					}
+				})
+			})
+			return true
+		})
+		for _, id := range res.Splits[name].Hidden.FragIDs() {
+			if !named[id] {
+				out = append(out, fmt.Sprintf("%s frag %d", name, id))
+			}
+		}
+	}
+	return out
+}
+
+// TestNoOrphanFragments is the contract that a merged run replaces the
+// fragments it merged: every fragment of every split's hidden component is
+// named by a call in that split's open code, so nothing dead is compiled,
+// hashed into Program.Hash or loaded by a server. It covers every kernel,
+// every corpus profile at scale 0.01 and every hideable seed of the random
+// programs 200–239.
+func TestNoOrphanFragments(t *testing.T) {
+	check := func(what string, res *core.Result) {
+		t.Helper()
+		if orphans := orphanFrags(res); len(orphans) > 0 {
+			t.Errorf("%s: %d fragments no open call names: %v", what, len(orphans), orphans)
+		}
+	}
+	for _, k := range corpus.Kernels() {
+		for _, in := range k.Inputs {
+			res, err := core.SplitProgram(ir.MustCompile(k.Source(in.Size)), k.Split, slicer.Policy{})
+			if err != nil {
+				t.Fatalf("kernel %s %s: %v", k.Name, in.Label, err)
+			}
+			check("kernel "+k.Name+" "+in.Label, res)
+		}
+	}
+	for _, p := range corpus.Profiles {
+		check("corpus "+p.Name, corpusSplit(t, p.Scale(0.01)))
+	}
+	policy := slicer.Policy{}
+	for seed := int64(200); seed < 240; seed++ {
+		prog, err := ir.Compile(oracle.RandProgram(seed))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, qn := range prog.Order {
+			f := prog.Funcs[qn]
+			if qn == "main" {
+				continue
+			}
+			for _, v := range append(append([]*ir.Var(nil), f.Locals...), f.Params...) {
+				if !policy.HideableVar(v) {
+					continue
+				}
+				sf, err := core.SplitOpts(f, v, policy, core.Options{})
+				if err != nil {
+					t.Fatalf("seed %d: split %s at %s: %v", seed, qn, v, err)
+				}
+				check(fmt.Sprintf("seed %d %s at %s", seed, qn, v), assemble(prog, sf))
+			}
+		}
 	}
 }

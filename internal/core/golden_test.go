@@ -10,11 +10,12 @@ import (
 )
 
 // TestFigure2Golden locks the exact open component produced for the paper's
-// Figure 2 example. Any change to this text is a deliberate change to the
-// transformation and must be reviewed against §2.2.
+// Figure 2 example, unbatched as the paper draws it. Any change to this
+// text is a deliberate change to the transformation and must be reviewed
+// against §2.2.
 func TestFigure2Golden(t *testing.T) {
 	prog := ir.MustCompile(figure2Src)
-	res, err := core.SplitProgram(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{})
+	res, err := splitProgramUnbatched(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestFigure2Golden(t *testing.T) {
 		t.Errorf("Figure 2 open component changed:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	// Stability: two splits of the same input are textually identical.
-	res2, err := core.SplitProgram(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{})
+	res2, err := splitProgramUnbatched(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestFigure2Golden(t *testing.T) {
 // hidden component without pinning every character.
 func TestHiddenComponentGoldenShape(t *testing.T) {
 	prog := ir.MustCompile(figure2Src)
-	res, err := core.SplitProgram(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{})
+	res, err := splitProgramUnbatched(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}

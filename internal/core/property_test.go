@@ -135,6 +135,18 @@ func isIdentByte(b byte) bool {
 	return b == '_' || b == '$' || (b >= '0' && b <= '9') || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
 }
 
+// splitProgramUnbatched is SplitProgram without the batching pass, for a
+// single spec that hides no global or field (assemble runs no §2.2
+// fallback).
+func splitProgramUnbatched(prog *ir.Program, specs []core.Spec, policy slicer.Policy) (*core.Result, error) {
+	f := prog.Func(specs[0].Func)
+	sf, err := core.SplitUnbatched(f, f.LookupVar(specs[0].Seed), policy, core.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return assemble(prog, sf), nil
+}
+
 // assemble builds a one-function split result around sf.
 func assemble(prog *ir.Program, sf *core.SplitFunc) *core.Result {
 	open := &ir.Program{

@@ -38,15 +38,7 @@ func evalHideable(e ir.Expr) bool {
 // (open scalar leaves are snapshot at call time; the open component is
 // blocked during the call, so the snapshot stays valid).
 func pure(e ir.Expr) bool {
-	ok := true
-	ir.WalkExpr(e, func(x ir.Expr) {
-		switch x.(type) {
-		case *ir.Const, *ir.VarRef, *ir.Unary, *ir.Binary, *ir.CondExpr, *ir.ConvertExpr:
-		default:
-			ok = false
-		}
-	})
-	return ok
+	return !ir.AnyExpr(e, func(x ir.Expr) bool { return !evalHideable(x) })
 }
 
 // safeToHide reports whether evaluating e inside the hidden component
@@ -288,14 +280,7 @@ func (s *splitter) movableStmts(stmts []ir.Stmt, inLoop int) bool {
 // hasHiddenWork reports whether the subtree rooted at st contains any
 // statement touched by the slice or a hidden-variable read in a condition.
 func (s *splitter) hasHiddenWork(st ir.Stmt) bool {
-	found := false
-	ir.WalkStmts([]ir.Stmt{st}, func(x ir.Stmt) bool {
-		if s.sl.Roles[x.ID()] != slicer.RoleNone {
-			found = true
-		}
-		return !found
-	})
-	return found
+	return ir.AnyStmt([]ir.Stmt{st}, func(x ir.Stmt) bool { return s.sl.Roles[x.ID()] != slicer.RoleNone })
 }
 
 // transformMovable clones a fully movable statement list into hidden-side
@@ -328,14 +313,7 @@ func (s *splitter) transformMovable(fb *fragBuilder, stmts []ir.Stmt) []ir.Stmt 
 
 // containsLoop reports whether the statement list contains a loop.
 func containsLoop(stmts []ir.Stmt) bool {
-	found := false
-	ir.WalkStmts(stmts, func(x ir.Stmt) bool {
-		if _, ok := x.(*ir.WhileStmt); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
+	return ir.AnyStmt(stmts, func(x ir.Stmt) bool { _, ok := x.(*ir.WhileStmt); return ok })
 }
 
 // condTemp returns a fresh fragment-local temporary used to capture a

@@ -22,10 +22,6 @@ type Options struct {
 	// benchmarks to measure how much security the §2.2 control-flow rules
 	// add.
 	NoControlFlowHiding bool
-	// BatchCalls merges runs of adjacent non-leaking hidden calls into
-	// single round trips, reducing the interaction count (the
-	// communication-cost optimization measured by the batching ablation).
-	BatchCalls bool
 }
 
 // Split applies the splitting transformation to f, seeded at local variable
@@ -39,13 +35,19 @@ type Options struct {
 //	Step 4  inserts update/fetch interactions for open references to
 //	        hidden variables;
 //	plus control-flow hiding: constructs whose bodies moved entirely to Hf
-//	take their predicates and looping structure with them.
+//	take their predicates and looping structure with them, and call
+//	batching: adjacent non-leaking hidden calls become one round trip.
 func Split(f *ir.Func, seed *ir.Var, policy slicer.Policy) (*SplitFunc, error) {
 	return SplitOpts(f, seed, policy, Options{})
 }
 
 // SplitOpts is Split with explicit transformation options.
 func SplitOpts(f *ir.Func, seed *ir.Var, policy slicer.Policy, opts Options) (*SplitFunc, error) {
+	return split(f, seed, policy, opts, true)
+}
+
+// split is SplitOpts with the batching pass optional (tests leave it out).
+func split(f *ir.Func, seed *ir.Var, policy slicer.Policy, opts Options, batch bool) (*SplitFunc, error) {
 	if !policy.HideableVar(seed) {
 		return nil, fmt.Errorf("core: seed %s of %s is not a hideable scalar", seed, f.QName())
 	}
@@ -85,8 +87,9 @@ func SplitOpts(f *ir.Func, seed *ir.Var, policy slicer.Policy, opts Options) (*S
 	}
 	body = append(body, s.emitStmts(f.Body)...)
 	s.open.Body = body
-	if opts.BatchCalls {
+	if batch {
 		s.open.Body = s.batchCalls(s.open.Body)
+		s.dropMerged()
 	}
 	if s.splitErr != nil {
 		return nil, s.splitErr
@@ -129,4 +132,6 @@ type splitter struct {
 	curStmt ir.Stmt
 	// splitErr records an unsupported construct encountered mid-emission.
 	splitErr error
+	// merged lists the fragments batched runs took in.
+	merged []int
 }

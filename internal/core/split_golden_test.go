@@ -30,6 +30,21 @@ type goldenCase struct {
 	src    string
 	specs  []core.Spec
 	policy slicer.Policy
+	// unbatched pins the split without the batching pass, as the paper's
+	// Figure 2 draws it.
+	unbatched bool
+}
+
+// split splits the case's program as the golden and the hash pin see it.
+func (c goldenCase) split() (*core.Result, error) {
+	prog, err := ir.Compile(c.src)
+	if err != nil {
+		return nil, err
+	}
+	if c.unbatched {
+		return splitProgramUnbatched(prog, c.specs, c.policy)
+	}
+	return core.SplitProgram(prog, c.specs, c.policy)
 }
 
 // fallbackCases exercise the §2.2 fallback: hidden state that outlives an
@@ -48,7 +63,7 @@ func main() {
     print(reader());
     print(f(1));
 }
-`, []core.Spec{{Func: "f", Seed: "a"}}, fallbackPolicy},
+`, []core.Spec{{Func: "f", Seed: "a"}}, fallbackPolicy, false},
 	{"field-read-and-write", `
 class Acct {
     field bal: int;
@@ -67,7 +82,7 @@ func main() {
     a.deposit(2);
     print(a.show());
 }
-`, []core.Spec{{Func: "Acct.deposit", Seed: "t"}}, fallbackPolicy},
+`, []core.Spec{{Func: "Acct.deposit", Seed: "t"}}, fallbackPolicy, false},
 	{"fields-and-globals-compose", `
 var counter: int = 0;
 class C {
@@ -85,7 +100,7 @@ func main() {
     print(c.v);
     print(counter);
 }
-`, []core.Spec{{Func: "C.bump", Seed: "t"}}, fallbackPolicy},
+`, []core.Spec{{Func: "C.bump", Seed: "t"}}, fallbackPolicy, false},
 	{"global-inside-field-access", `
 var g: int = 3;
 class O {
@@ -108,17 +123,17 @@ func main() {
     print(o.f);
     print(g);
 }
-`, []core.Spec{{Func: "O.bump", Seed: "t"}}, fallbackPolicy},
+`, []core.Spec{{Func: "O.bump", Seed: "t"}}, fallbackPolicy, false},
 }
 
-// goldenCases returns the fallback programs, Figure 2 and the four measured
-// Table 5 kernels at their smallest input.
+// goldenCases returns the fallback programs, Figure 2 (unbatched) and the
+// four measured Table 5 kernels at their smallest input.
 func goldenCases() []goldenCase {
 	cases := append([]goldenCase{}, fallbackCases...)
-	cases = append(cases, goldenCase{"figure2", figure2Src, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{}})
+	cases = append(cases, goldenCase{"figure2", figure2Src, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{}, true})
 	for _, k := range corpus.Kernels() {
 		if !k.Excluded {
-			cases = append(cases, goldenCase{"kernel/" + k.Name, k.Source(k.Inputs[0].Size), k.Split, slicer.Policy{}})
+			cases = append(cases, goldenCase{"kernel/" + k.Name, k.Source(k.Inputs[0].Size), k.Split, slicer.Policy{}, false})
 		}
 	}
 	return cases
@@ -174,11 +189,7 @@ func renderSplit(b *strings.Builder, res *core.Result) {
 func goldenSplits(t *testing.T) string {
 	var b strings.Builder
 	for _, c := range goldenCases() {
-		prog, err := ir.Compile(c.src)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		res, err := core.SplitProgram(prog, c.specs, c.policy)
+		res, err := c.split()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -258,24 +269,24 @@ func corpusSplit(t *testing.T, p corpus.Profile) *core.Result {
 // that moves these values strands every existing data dir.
 func TestRegistryHashPinned(t *testing.T) {
 	want := map[string]uint64{
-		"global-two-unsplit":         0x9f420e1347e9fdc7,
-		"field-read-and-write":       0xb7afb11d0279fe90,
-		"fields-and-globals-compose": 0xf1e2b6445b4e299c,
-		"global-inside-field-access": 0xaf34330faab69689,
+		"global-two-unsplit":         0x701210c53bb7bcee,
+		"field-read-and-write":       0xe0ccff953f178704,
+		"fields-and-globals-compose": 0xdf8d6889cc14928a,
+		"global-inside-field-access": 0x911f1780a03aac5f,
 		"figure2":                    0xae88ae058ec6d409,
-		"kernel/javac":               0xc83a8dbded174263,
-		"kernel/jess":                0x5712569739a32567,
+		"kernel/javac":               0x40b3320fb64159fe,
+		"kernel/jess":                0xb6709c150322cb88,
 		"kernel/jasmin":              0x7f556b2be73f98ba,
 		"kernel/bloat":               0xf03615d256609f01,
-		"corpus/javac":               0xfc30b7c1f82f7cd1,
-		"corpus/jess":                0x41af3de4fa395235,
-		"corpus/jasmin":              0x7cc57e0e5fa49070,
-		"corpus/bloat":               0xc509984e6f405a36,
-		"corpus/jfig":                0x85106cbb65b57384,
+		"corpus/javac":               0x21284a2a7a3519cc,
+		"corpus/jess":                0x95d573b50c04115b,
+		"corpus/jasmin":              0xa006198557ca55d3,
+		"corpus/bloat":               0x6c698ba0cb5848a9,
+		"corpus/jfig":                0x071efc9adfa74d93,
 	}
 	got := map[string]uint64{}
 	for _, c := range goldenCases() {
-		res, err := core.SplitProgram(ir.MustCompile(c.src), c.specs, c.policy)
+		res, err := c.split()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

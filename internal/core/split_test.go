@@ -499,12 +499,11 @@ func main() { print(f(5)); }
 
 func TestBatchingPreservesBehaviorAndReducesInteractions(t *testing.T) {
 	prog := ir.MustCompile(figure2Src)
-	plain, err := core.SplitProgram(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{})
+	plain, err := splitProgramUnbatched(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := core.SplitProgramOpts(prog, []core.Spec{{Func: "f", Seed: "a"}},
-		slicer.Policy{}, core.Options{BatchCalls: true})
+	batched, err := core.SplitProgram(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,8 +548,7 @@ func TestBatchingOnRandomPrograms(t *testing.T) {
 			if seedVar == nil {
 				continue
 			}
-			res, err := core.SplitProgramOpts(prog, []core.Spec{{Func: qn, Seed: seedVar.Name}},
-				slicer.Policy{}, core.Options{BatchCalls: true})
+			res, err := core.SplitProgram(prog, []core.Spec{{Func: qn, Seed: seedVar.Name}}, slicer.Policy{})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, qn, err)
 			}

@@ -75,11 +75,7 @@ func mutatedByCall(vars []*ir.Var) []*ir.Var {
 // stmtHasCall reports whether s contains a call.
 func stmtHasCall(s ir.Stmt) bool {
 	found := false
-	ir.StmtExprs(s, func(e ir.Expr) {
-		if ir.HasCall(e) {
-			found = true
-		}
-	})
+	ir.StmtExprs(s, func(e ir.Expr) { found = found || ir.HasCall(e) })
 	return found
 }
 

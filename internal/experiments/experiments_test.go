@@ -137,6 +137,74 @@ func TestTable5Shape(t *testing.T) {
 	}
 }
 
+// TestTable5Counts pins Table 5's counts at Fast(): per row, the split
+// run's interactions, the round trips its synchronous and pipelined runs
+// block on, and its wire bytes. Unlike the timings they are exact, so any
+// change to the split or the runtime that moves a round trip shows here.
+func TestTable5Counts(t *testing.T) {
+	want := []struct {
+		bench, input                          string
+		interactions, blocking, pipelined, wb int64
+	}{
+		{"javac", "33K", 3, 5, 3, 458},
+		{"javac", "355K", 4, 6, 3, 548},
+		{"jess", "dilemma (5K)", 9, 11, 3, 940},
+		{"jess", "fullmab (12K)", 9, 11, 3, 940},
+		{"jess", "hard (.5K)", 9, 11, 3, 940},
+		{"jess", "stack (2K)", 9, 11, 3, 940},
+		{"jess", "wordgame (5K)", 9, 11, 3, 940},
+		{"jess", "zebra (7K)", 9, 11, 3, 940},
+		{"jasmin", "small (124K)", 3, 5, 3, 445},
+		{"bloat", "161smin.jar (149K)", 6, 8, 3, 691},
+		{"bloat", "jess.jar (290K)", 6, 8, 3, 691},
+		{"jfig", "(interactive; excluded)", 0, 0, 0, 0},
+	}
+	rows, err := Table5(Fast())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		w := want[i]
+		if r.Benchmark != w.bench || r.Input != w.input || r.Interactions != w.interactions ||
+			r.Blocking != w.blocking || r.PipelinedBlocking != w.pipelined || r.WireBytes != w.wb {
+			t.Errorf("row %d: %s/%s interactions %d, blocking %d sync %d pipelined, %d wire bytes; want %+v",
+				i, r.Benchmark, r.Input, r.Interactions, r.Blocking, r.PipelinedBlocking, r.WireBytes, w)
+		}
+	}
+}
+
+// TestTable5InteractionsGrowWithInput checks the paper's Table 5 trend:
+// within a kernel, a larger input makes more open↔hidden interactions, and
+// inputs of one size make the same number. A quarter of the paper's sizes
+// is the smallest scale at which every pair of jess's inputs differs.
+func TestTable5InteractionsGrowWithInput(t *testing.T) {
+	cfg := Fast()
+	cfg.KernelScale = 4
+	for _, k := range corpus.Kernels() {
+		if k.Excluded {
+			continue
+		}
+		counts := make([]int64, len(k.Inputs))
+		for i, in := range k.Inputs {
+			row, err := Table5ForKernel(k, in, cfg)
+			if err != nil {
+				t.Fatalf("%s %s: %v", k.Name, in.Label, err)
+			}
+			counts[i] = row.Interactions
+		}
+		for i, a := range k.Inputs {
+			for j, b := range k.Inputs {
+				if (a.Size < b.Size) != (counts[i] < counts[j]) || (a.Size == b.Size) != (counts[i] == counts[j]) {
+					t.Errorf("%s: %s makes %d interactions, %s makes %d", k.Name, a.Label, counts[i], b.Label, counts[j])
+				}
+			}
+		}
+	}
+}
+
 func TestAttackMatrix(t *testing.T) {
 	cases, err := AttackMatrix(Fast(), 1234)
 	if err != nil {

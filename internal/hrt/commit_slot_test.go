@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -404,6 +405,9 @@ func TestDedupTraceSinksRunOutsideStripeLock(t *testing.T) {
 func TestRecoverParentWrittenDataDir(t *testing.T) {
 	dir := copyParentWrittenDataDir(t)
 	res := split(t, stressSrc, core.Spec{Func: "f", Seed: "a"})
+	if h := NewRegistry(res).Prog.Hash; h != parentWrittenHash {
+		t.Fatalf("stress split compiles to %#016x, the fixture was written by %#016x", h, uint64(parentWrittenHash))
+	}
 	_, fetchFrag := stressFrags(t, res)
 	server, dd, p := startDurable(t, res, dir, DurabilityOptions{Fsync: true, CommitBytes: 1 << 20, SnapshotEvery: -1})
 	defer crash(t, p)
@@ -429,6 +433,41 @@ func TestRecoverParentWrittenDataDir(t *testing.T) {
 	}
 	if hw := dd.HighWater(22); hw != 1 {
 		t.Errorf("HighWater(22) = %d, want 1", hw)
+	}
+}
+
+// parentWrittenHash is Program.Hash of the split that wrote the
+// pr11_datadir fixture: stressSrc's split, whose open statement keeps its
+// two hidden statements from batching.
+const parentWrittenHash = 0xdf648bd44d9d1263
+
+// TestParentWrittenDataDirRefusesBatchedProgram recovers the fixture under
+// the stress source without its open statement. Batching merges that
+// source's two hidden statements into one fragment, so its program is not
+// the one that wrote the data dir, and recovery must refuse it rather than
+// replay records against the wrong fragments.
+func TestParentWrittenDataDirRefusesBatchedProgram(t *testing.T) {
+	dir := copyParentWrittenDataDir(t)
+	res := split(t, `
+func f(x: int): int {
+    var a: int = x;
+    a = a + 100;
+    return a;
+}
+func main() { print(f(1)); }
+`, core.Spec{Func: "f", Seed: "a"})
+	if h := NewRegistry(res).Prog.Hash; h == parentWrittenHash {
+		t.Fatalf("the batched source compiles to the fixture's program %#016x", h)
+	}
+	server := NewServer(NewRegistry(res))
+	p := NewDurability(DurabilityOptions{Dir: dir, Fsync: true, CommitBytes: 1 << 20, SnapshotEvery: -1})
+	err := p.start(server, &Dedup{Inner: &Local{Server: server}})
+	if err == nil {
+		crash(t, p)
+		t.Fatal("recovered the fixture under a different program")
+	}
+	if !strings.Contains(err.Error(), "program changed") {
+		t.Errorf("recovery error %q, want a program-changed refusal", err)
 	}
 }
 
@@ -471,6 +510,9 @@ func TestParentWrittenDataDirTakesZeroFilledAppends(t *testing.T) {
 	dir := copyParentWrittenDataDir(t)
 	opts := DurabilityOptions{Fsync: true, CommitBytes: 1 << 20, SnapshotEvery: -1}
 	res := split(t, stressSrc, core.Spec{Func: "f", Seed: "a"})
+	if h := NewRegistry(res).Prog.Hash; h != parentWrittenHash {
+		t.Fatalf("stress split compiles to %#016x, the fixture was written by %#016x", h, uint64(parentWrittenHash))
+	}
 	initFrag, fetchFrag := stressFrags(t, res)
 
 	_, dd1, p1 := startDurable(t, res, dir, opts)

@@ -15,14 +15,19 @@ import (
 )
 
 // durableSrc engages both hiding extensions — a hidden global and hidden
-// object fields — so restart recovery has every store kind to rebuild.
+// object fields — so restart recovery has every store kind to rebuild. The
+// open statements on n keep batching from merging the three hidden
+// statements, so tests can drive each as its own fragment (0: t = x + 1,
+// 1: v = v + t, 2: counter = counter + t).
 const durableSrc = `
 var counter: int = 0;
 class C {
     field v: int;
     method bump(x: int) {
         var t: int = x + 1;
+        var n: int = x;
         v = v + t;
+        n = n + 1;
         counter = counter + t;
     }
 }

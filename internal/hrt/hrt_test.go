@@ -106,33 +106,11 @@ func TestActivationsLeftAfterRunAreZero(t *testing.T) {
 func TestInstancesIsolated(t *testing.T) {
 	// Two concurrent activations of the same split function must not share
 	// hidden state.
-	res := split(t, `
-func f(x: int): int {
-    var a: int = x;
-    a = a + 100;
-    return a;
-}
-func main() { print(f(1)); }
-`, core.Spec{Func: "f", Seed: "a"})
+	res := split(t, stressSrc, core.Spec{Func: "f", Seed: "a"})
 	server := NewServer(NewRegistry(res))
 	i1, _ := server.EnterSession(0, "f", 0, 0)
 	i2, _ := server.EnterSession(0, "f", 0, 0)
-	// Fragment 0 is "a = $a0" ... find the exec fragment that sets a from x.
-	comp := res.Splits["f"].Hidden
-	var initFrag, fetchFrag int
-	initFrag, fetchFrag = -1, -1
-	for _, id := range comp.FragIDs() {
-		fr := comp.Frags[id]
-		if fr.Kind == core.FragExec && initFrag < 0 {
-			initFrag = id
-		}
-		if fr.Kind == core.FragFetch {
-			fetchFrag = id
-		}
-	}
-	if initFrag < 0 || fetchFrag < 0 {
-		t.Fatalf("fragments not found:\n%s", comp)
-	}
+	initFrag, fetchFrag := stressFrags(t, res)
 	if _, err := server.CallSession(0, "f", i1, initFrag, []interp.Value{interp.IntV(5)}); err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,13 @@ import (
 // stressSrc isolates one hidden variable behind an init fragment (a = x)
 // and a fetch fragment (return a), so a worker can write a value it alone
 // knows and read it back: any cross-session bleed or lost/duplicated
-// execution shows up as a wrong fetch.
+// execution shows up as a wrong fetch. The open statement between the two
+// hidden ones keeps batching from merging the init fragment with the next,
+// so the split is the program that wrote testdata/pr11_datadir.
 const stressSrc = `
 func f(x: int): int {
     var a: int = x;
+    var b: int = x;
     a = a + 100;
     return a;
 }
@@ -26,7 +29,7 @@ func main() { print(f(1)); }
 `
 
 // stressFrags locates the init (first exec) and fetch fragments of the
-// stress split, the same way TestInstancesIsolated does.
+// stress split.
 func stressFrags(t *testing.T, res *core.Result) (initFrag, fetchFrag int) {
 	t.Helper()
 	comp := res.Splits["f"].Hidden

@@ -443,6 +443,24 @@ func walkStmt(s Stmt, fn func(Stmt) bool) {
 	}
 }
 
+// AnyStmt reports whether pred holds for a statement of the list or of a
+// block nested in one, stopping at the first that it holds for.
+func AnyStmt(stmts []Stmt, pred func(Stmt) bool) bool {
+	found := false
+	WalkStmts(stmts, func(s Stmt) bool {
+		found = found || pred(s)
+		return !found
+	})
+	return found
+}
+
+// AnyExpr reports whether pred holds for e or one of its subexpressions.
+func AnyExpr(e Expr, pred func(Expr) bool) bool {
+	found := false
+	WalkExpr(e, func(x Expr) { found = found || pred(x) })
+	return found
+}
+
 // WalkExpr visits e and all subexpressions in pre-order.
 func WalkExpr(e Expr, fn func(Expr)) {
 	if e == nil {
@@ -568,14 +586,13 @@ func appendExprVars(out []*Var, e Expr) []*Var {
 
 // HasCall reports whether e contains a function/method call or allocation.
 func HasCall(e Expr) bool {
-	found := false
-	WalkExpr(e, func(x Expr) {
+	return AnyExpr(e, func(x Expr) bool {
 		switch x.(type) {
 		case *CallExpr, *NewObjectExpr, *NewArrayExpr:
-			found = true
+			return true
 		}
+		return false
 	})
-	return found
 }
 
 // CloneExpr returns a deep copy of e. Var identities are shared (they are
