@@ -166,9 +166,12 @@ batch-always:
 # splitter, 24,634 before every split batched and a merged run replaced
 # the fragments it merged, paid for by one statement search and one
 # expression search in ir (AnyStmt, AnyExpr) that the splitter's walkers
-# share. The ceiling only goes down: a change that lands below it lowers
-# it to the new count.
-LINKED_LINES_MAX = 24633
+# share, 24,633 before recovery read the data directory with
+# replication's readers (one journal-frame decoder, wal.TailScanner, and
+# one newest-snapshot search, Durability.NewestSnapshot) and the -split
+# and peer lists each got one parser. The ceiling only goes down: a
+# change that lands below it lowers it to the new count.
+LINKED_LINES_MAX = 24569
 
 # linked_lines counts the non-test lines of this module that the packages
 # matching $(1) link.
@@ -229,7 +232,9 @@ race:
 
 # Run the wire-codec and durability-layer fuzzers for a short budget
 # each (the journal frame scanner and the journal record decoder face
-# crash-mangled files the same way the wire codec faces a hostile peer),
+# crash-mangled files the same way the wire codec faces a hostile peer;
+# FuzzScanJournal drives wal.TailScanner, the one frame decoder, which
+# recovery and the replication pump both read the journal with),
 # plus the two execution-engine differential fuzzers (hidden fragments and
 # whole open programs, bytecode VM vs the tree-walkers of internal/oracle:
 # any output, error, step-count, or hidden-call-sequence divergence

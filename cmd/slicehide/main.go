@@ -97,18 +97,6 @@ func loadProgram(path string) (*ir.Program, error) {
 	return ir.Compile(string(src))
 }
 
-func parseSpecs(s string) []core.Spec {
-	if s == "" {
-		return nil
-	}
-	var specs []core.Spec
-	for _, part := range strings.Split(s, ",") {
-		fn, seed, _ := strings.Cut(part, ":")
-		specs = append(specs, core.Spec{Func: strings.TrimSpace(fn), Seed: strings.TrimSpace(seed)})
-	}
-	return specs
-}
-
 func cmdTables(args []string) error {
 	fs := flag.NewFlagSet("tables", flag.ExitOnError)
 	table := fs.String("table", "all", "which table: 1,2,3,4,5,attack,all")
@@ -271,7 +259,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	specs := parseSpecs(*split)
+	specs := core.ParseSpecs(*split)
 	if len(specs) == 0 {
 		return vm.NewMachine(prog, interp.Options{Out: os.Stdout}).Run()
 	}
@@ -303,7 +291,7 @@ func cmdRun(args []string) error {
 		// Fleet mode: the session's stream rides the pool's one multiplexed
 		// upstream per replica and moves, window and all, when a redirect or
 		// a dead primary sends it to the replica that actually serves it.
-		peers := splitPeerList(*clusterPeers)
+		peers := cluster.ParsePeers(*clusterPeers)
 		if len(peers) == 0 {
 			return fmt.Errorf("run: -cluster needs at least one replica address")
 		}
@@ -399,17 +387,6 @@ func describeRunError(err error) error {
 	return err
 }
 
-// splitPeerList parses a comma-separated fleet membership list.
-func splitPeerList(s string) []string {
-	var peers []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return peers
-}
-
 // cmdLoadtest drives the concurrent load harness: M sessions × K hidden
 // fragment calls against a running hiddend (-server) or a running
 // replicating fleet (-cluster), reporting aggregate ops/sec and
@@ -451,7 +428,7 @@ func cmdLoadtest(args []string) error {
 	}
 	res, err := experiments.RunLoad(experiments.LoadConfig{
 		Addr:         *server,
-		Cluster:      splitPeerList(*clusterList),
+		Cluster:      cluster.ParsePeers(*clusterList),
 		Sessions:     *sessions,
 		Ops:          *ops,
 		MuxConns:     *muxConns,

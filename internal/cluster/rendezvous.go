@@ -12,7 +12,21 @@ package cluster
 import (
 	"hash/fnv"
 	"sort"
+	"strings"
 )
+
+// ParsePeers parses a comma-separated membership list, the syntax of the
+// -peers and -cluster flags. Spaces around addresses and blank entries are
+// dropped.
+func ParsePeers(list string) []string {
+	var peers []string
+	for _, p := range strings.Split(list, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			peers = append(peers, p)
+		}
+	}
+	return peers
+}
 
 // mix64 is the splitmix64 finalizer — the same full-avalanche mixer the
 // hidden server uses to stripe sessions across shards, reused here so

@@ -2,8 +2,26 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
+
+// TestParsePeers pins the membership list syntax of -peers and -cluster.
+func TestParsePeers(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []string
+	}{
+		{"", nil},
+		{" , ", nil},
+		{"a:1", []string{"a:1"}},
+		{" a:1 ,b:2,, c:3 ", []string{"a:1", "b:2", "c:3"}},
+	} {
+		if got := ParsePeers(tc.in); !slices.Equal(got, tc.want) {
+			t.Errorf("ParsePeers(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
 
 func replicaSet(n int) []string {
 	out := make([]string, n)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"slicehide/internal/ir"
 	"slicehide/internal/slicer"
@@ -13,6 +14,21 @@ import (
 type Spec struct {
 	Func string
 	Seed string
+}
+
+// ParseSpecs parses the -split list syntax shared by every command: specs
+// separated by commas, each f or f:seed. Spaces around names are ignored,
+// and so are blank entries; an empty list yields no specs.
+func ParseSpecs(list string) []Spec {
+	var specs []Spec
+	for _, part := range strings.Split(list, ",") {
+		if strings.TrimSpace(part) == "" {
+			continue
+		}
+		fn, seed, _ := strings.Cut(part, ":")
+		specs = append(specs, Spec{Func: strings.TrimSpace(fn), Seed: strings.TrimSpace(seed)})
+	}
+	return specs
 }
 
 // Result is a program-level split: the open program (split functions

@@ -563,3 +563,24 @@ func TestBatchingOnRandomPrograms(t *testing.T) {
 		}
 	}
 }
+
+// TestParseSpecs pins the -split list syntax every command parses through
+// core.ParseSpecs.
+func TestParseSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []core.Spec
+	}{
+		{"", nil},
+		{"  ", nil},
+		{"f", []core.Spec{{Func: "f"}}},
+		{"f:", []core.Spec{{Func: "f"}}},
+		{"f:a", []core.Spec{{Func: "f", Seed: "a"}}},
+		{" f : a , C.bump:t ", []core.Spec{{Func: "f", Seed: "a"}, {Func: "C.bump", Seed: "t"}}},
+		{"f:a,,g", []core.Spec{{Func: "f", Seed: "a"}, {Func: "g"}}},
+	} {
+		if got := core.ParseSpecs(tc.in); !slices.Equal(got, tc.want) {
+			t.Errorf("ParseSpecs(%q) = %+v, want %+v", tc.in, got, tc.want)
+		}
+	}
+}

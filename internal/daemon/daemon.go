@@ -15,7 +15,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -112,7 +111,7 @@ func ParseFlags(args []string) (Config, error) {
 	if err := fs.Parse(args); err != nil {
 		return Config{}, err
 	}
-	if cfg.Split == "" || fs.NArg() != 1 {
+	if len(core.ParseSpecs(cfg.Split)) == 0 || fs.NArg() != 1 {
 		return Config{}, fmt.Errorf("usage: hiddend -listen addr -split f[:seed],... [-data-dir dir] [-peers addr,...] program.mj")
 	}
 	if cfg.Replicate && cfg.Peers == "" && cfg.Join == "" {
@@ -196,12 +195,7 @@ func Start(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	var specs []core.Spec
-	for _, part := range strings.Split(cfg.Split, ",") {
-		fn, seed, _ := strings.Cut(part, ":")
-		specs = append(specs, core.Spec{Func: strings.TrimSpace(fn), Seed: strings.TrimSpace(seed)})
-	}
-	res, err := core.SplitProgram(prog, specs, slicer.Policy{})
+	res, err := core.SplitProgram(prog, core.ParseSpecs(cfg.Split), slicer.Policy{})
 	if err != nil {
 		return nil, err
 	}
@@ -244,14 +238,7 @@ func Start(cfg Config) (*Daemon, error) {
 		d.persist.RegisterMetrics(reg)
 	}
 
-	var peers []string
-	if cfg.Peers != "" {
-		for _, p := range strings.Split(cfg.Peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, p)
-			}
-		}
-	}
+	peers := cluster.ParsePeers(cfg.Peers)
 	if cfg.Admin != "" {
 		// The admin endpoint comes up before the listener so /readyz is
 		// observable (and honestly "not ready") while journal recovery and

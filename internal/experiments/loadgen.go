@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -130,8 +129,12 @@ func splitLoadProgram(cfg LoadConfig) (*core.Result, string, int, int, error) {
 	if err != nil {
 		return nil, "", 0, 0, fmt.Errorf("loadgen: compile workload: %w", err)
 	}
-	fn, seed, _ := strings.Cut(cfg.Split, ":")
-	res, err := core.SplitProgram(prog, []core.Spec{{Func: fn, Seed: seed}}, slicer.Policy{})
+	specs := core.ParseSpecs(cfg.Split)
+	if len(specs) != 1 {
+		return nil, "", 0, 0, fmt.Errorf("loadgen: split spec %q names %d functions, want one", cfg.Split, len(specs))
+	}
+	fn := specs[0].Func
+	res, err := core.SplitProgram(prog, specs, slicer.Policy{})
 	if err != nil {
 		return nil, "", 0, 0, fmt.Errorf("loadgen: split workload: %w", err)
 	}

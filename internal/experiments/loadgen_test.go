@@ -28,6 +28,15 @@ func startLoadServer(t *testing.T) string {
 	return addr.String()
 }
 
+// The load harness drives one fragment of one split function, so a -split
+// list naming more than one is refused rather than cut down to its first.
+func TestLoadRefusesSplitList(t *testing.T) {
+	cfg := (&LoadConfig{Split: "work:k, work:k"}).withDefaults()
+	if _, _, _, _, err := splitLoadProgram(cfg); err == nil || !strings.Contains(err.Error(), "want one") {
+		t.Fatalf("two-spec split list: err %v, want a refusal", err)
+	}
+}
+
 // TestLoadSmoke runs the load harness through its real socket path at
 // small scale against a running server: synchronous and pipelined
 // sessions, each over one connection and over connections shared by many

@@ -1,6 +1,7 @@
 package hrt
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -559,4 +560,23 @@ func TestParentWrittenDataDirTakesZeroFilledAppends(t *testing.T) {
 	if got := server3.Stats(); got != liveStats {
 		t.Errorf("stats after clean close %+v, want %+v", got, liveStats)
 	}
+}
+
+// truncatedPrefix returns the byte length of the header and the first n
+// records of the journal at path: ScanFile stops before the record its
+// callback refuses.
+func truncatedPrefix(path string, n int64) (int64, error) {
+	stop := errors.New("stop")
+	var kept int64
+	validLen, _, err := wal.ScanFile(path, func([]byte) error {
+		if kept == n {
+			return stop
+		}
+		kept++
+		return nil
+	})
+	if err == stop {
+		err = nil
+	}
+	return validLen, err
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -326,9 +325,15 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 	}
 	records := tipRecords
 	for onDisk[tip+1] {
-		if short, err := scanStoppedShort(p.journalPath(tip), validLen); err != nil {
+		// A non-tip journal holding anything but zero fill past its valid
+		// prefix is corrupt history the later generations were built on.
+		// (Zero fill alone is a generation whose seal was cut short by the
+		// crash: rotation swaps the journal under the quiesce, the sealed
+		// file is truncated to its log end only later, on the snapshot
+		// writer.)
+		if clean, err := wal.ZeroFrom(p.journalPath(tip), validLen); err != nil {
 			return err
-		} else if short {
+		} else if !clean {
 			p.opts.Tracer.Emit(obs.LevelWarn, "wal_chain_cut", obs.Uint("generation", tip))
 			break
 		}
@@ -375,56 +380,25 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 	return nil
 }
 
-// scanStoppedShort reports whether the journal at path holds anything but
-// zero fill past its valid prefix — a torn or corrupt suffix. (Zero fill
-// alone is a generation whose seal was cut short by the crash: rotation
-// swaps the journal under the quiesce, the sealed file is truncated to
-// its log end only later, on the snapshot writer.) For the tip journal a
-// damaged suffix is simply truncated; for a non-tip journal in a recovery
-// chain it means later generations were built on records that cannot be
-// reproduced, so the chain must be cut.
-func scanStoppedShort(path string, validLen int64) (bool, error) {
-	clean, err := wal.ZeroFrom(path, validLen)
-	return !clean, err
-}
-
-// loadBase picks the newest generation with a readable snapshot (falling
-// back generation by generation past corrupt ones), imports it into the
-// server and the replay cache, and returns the chosen generation. A
-// directory with no usable snapshot starts empty at generation 0.
+// loadBase imports the newest readable snapshot — the one the catch-up
+// sender would ship, found by the same search past corrupt files — into
+// the server and the replay cache, and returns its generation. A
+// directory with no readable snapshot starts empty at generation 0: a
+// later generation's journal builds on a snapshot, only generation 0
+// starts from nothing.
 func (p *Durability) loadBase() (uint64, bool, error) {
-	snaps, journals, err := p.listGenerations()
+	gen, payload, release, err := p.NewestSnapshot()
+	if errors.Is(err, ErrNoSnapshot) {
+		return 0, false, nil
+	}
 	if err != nil {
 		return 0, false, err
 	}
-	ordered := slices.Concat(snaps, journals)
-	slices.Sort(ordered)
-	ordered = slices.Compact(ordered)
-	slices.Reverse(ordered)
-	for _, g := range ordered {
-		payload, err := wal.ReadSnapshot(p.snapPath(g))
-		if err != nil {
-			// Corrupt snapshot: fall back to the previous generation, whose
-			// snapshot+journal reproduce the state this one was taken from.
-			p.snapCorrupt.Add(1)
-			p.opts.Tracer.Emit(obs.LevelWarn, "wal_snapshot_unreadable",
-				obs.Uint("generation", g), obs.Err(err))
-			continue
-		}
-		if payload == nil {
-			// No snapshot at this generation: only generation 0 legitimately
-			// starts from empty state.
-			if g == 0 {
-				return 0, false, nil
-			}
-			continue
-		}
-		if err := importSnapshot(p.server, p.dedup, payload); err != nil {
-			return 0, false, fmt.Errorf("hrt: snapshot %s: %w", filepath.Base(p.snapPath(g)), err)
-		}
-		return g, true, nil
+	defer release()
+	if err := importSnapshot(p.server, p.dedup, payload); err != nil {
+		return 0, false, fmt.Errorf("hrt: snapshot %s: %w", filepath.Base(p.snapPath(gen)), err)
 	}
-	return 0, false, nil
+	return gen, true, nil
 }
 
 // listGenerations scans the data directory for snapshot and journal files.
@@ -515,67 +489,37 @@ func (p *Durability) pinnedGen(gen uint64) bool {
 // replay cache, record by record through the code a replica applies
 // streamed records with (Server.applyRecord, dedupEntry.settle), and
 // returns the prefix length for Open to truncate to. A record that fails
-// to decode ends replay at that point (the same stop-at-first-corruption
-// contract the CRC layer has); a record that references program structure
-// the Registry no longer has aborts startup, because resuming sessions
-// against a different program would corrupt hidden state.
+// to decode ends the prefix before it, like a torn tail (the same
+// stop-at-first-corruption contract the CRC layer has); a record that
+// references program structure the Registry no longer has aborts startup,
+// because resuming sessions against a different program would corrupt
+// hidden state.
 func (p *Durability) replayJournal(path string) (int64, int64, error) {
-	var decodeStop int64 = -1
-	var records int64
-	validLen, _, err := wal.ScanFile(path, func(payload []byte) error {
+	validLen, records, err := wal.ScanFile(path, func(payload []byte) error {
 		rec, err := decodeRecord(payload)
 		if err != nil {
-			// Treat an undecodable (but CRC-clean) record as corruption:
-			// remember where the intact history ends and ignore the rest.
-			if decodeStop < 0 {
-				decodeStop = records
-			}
-			return nil
-		}
-		if decodeStop >= 0 {
-			return nil
+			return errUndecodable
 		}
 		if err := p.server.applyRecord(rec); err != nil {
 			return err
 		}
 		p.dedup.recoverRecord(rec)
-		records++
 		return nil
 	})
-	if err != nil {
-		return 0, 0, err
-	}
-	if decodeStop >= 0 {
-		// Recompute the byte length of the records that decoded, so the
-		// undecodable suffix is truncated away like a torn tail.
-		validLen, err = truncatedPrefix(path, records)
-		if err != nil {
-			return 0, 0, err
-		}
+	if err == errUndecodable {
 		p.opts.Tracer.Emit(obs.LevelWarn, "wal_record_undecodable",
 			obs.Str("journal", filepath.Base(path)), obs.Int("kept_records", records))
+		err = nil
+	}
+	if err != nil {
+		return 0, 0, err
 	}
 	return validLen, records, nil
 }
 
-// truncatedPrefix returns the byte length of the first n records of the
-// journal at path (plus header).
-func truncatedPrefix(path string, n int64) (int64, error) {
-	var kept int64
-	validLen, _, err := wal.ScanFile(path, func(payload []byte) error {
-		if kept >= n {
-			return errStopScan
-		}
-		kept++
-		return nil
-	})
-	if err != nil && err != errStopScan {
-		return 0, err
-	}
-	return validLen, nil
-}
-
-var errStopScan = fmt.Errorf("hrt: stop scan")
+// errUndecodable stops a journal replay at a CRC-clean record that does
+// not decode.
+var errUndecodable = errors.New("hrt: undecodable journal record")
 
 // ---------------------------------------------------------------------------
 // Request journaling (called from the dedup execute branch)

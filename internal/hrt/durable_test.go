@@ -1,8 +1,11 @@
 package hrt
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"slicehide/internal/core"
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
+	"slicehide/internal/obs"
 	"slicehide/internal/slicer"
 	"slicehide/internal/vm"
 )
@@ -346,6 +350,88 @@ func TestDurableTornTailTruncated(t *testing.T) {
 		t.Errorf("calls after torn-tail retry: %d, want 2", got)
 	}
 	crash(t, p2)
+}
+
+// TestDurableUndecodableRecordTruncated plants a CRC-clean frame that no
+// record decoder accepts between two journaled records. Recovery must
+// treat it like a torn tail: keep the records before it, truncate the
+// journal at its offset (dropping the intact record behind it), trace
+// the cut once, and let the next append land where the bad frame was so
+// that a second restart recovers it.
+func TestDurableUndecodableRecordTruncated(t *testing.T) {
+	dir := t.TempDir()
+	res := split(t, stressSrc, core.Spec{Func: "f", Seed: "a"})
+	initFrag, fetchFrag := stressFrags(t, res)
+
+	_, dd1, p1 := startDurable(t, res, dir, DurabilityOptions{})
+	inst := mustRoundTrip(t, dd1, Request{Op: OpEnter, Session: 3, Seq: 1, Fn: "f"}).Inst
+	mustRoundTrip(t, dd1, Request{Op: OpCall, Session: 3, Seq: 2, Fn: "f", Inst: inst,
+		Frag: initFrag, Args: []interp.Value{interp.IntV(55)}})
+	fetch := Request{Op: OpCall, Session: 3, Seq: 3, Fn: "f", Inst: inst, Frag: fetchFrag}
+	fetched := mustRoundTrip(t, dd1, fetch)
+	path := p1.journalPath(p1.gen)
+	crash(t, p1)
+
+	cut, err := truncatedPrefix(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []byte{0xff} // no such op
+	var frame [8]byte
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(bad)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(bad))
+	planted := slices.Concat(data[:cut], frame[:], bad, data[cut:])
+	if err := os.WriteFile(path, planted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tracer := obs.NewTracer(obs.TracerConfig{Level: obs.LevelDebug})
+	server2, dd2, p2 := startDurable(t, res, dir, DurabilityOptions{Tracer: tracer})
+	if got := p2.Recovered().Records; got != 2 {
+		t.Errorf("recovered %d records past an undecodable one, want 2", got)
+	}
+	if got := p2.wlog.Size(); got != cut {
+		t.Errorf("journal reopened at %d, want the undecodable record's offset %d", got, cut)
+	}
+	traced := 0
+	for _, ev := range tracer.Events() {
+		if ev.Kind == "wal_record_undecodable" {
+			traced++
+		}
+	}
+	if traced != 1 {
+		t.Errorf("wal_record_undecodable traced %d times, want 1", traced)
+	}
+	// The fetch was cut with the record behind the bad frame, so the retry
+	// re-executes it, and its record is the one at the cut.
+	retried := mustRoundTrip(t, dd2, fetch)
+	if retried.Err != "" || !retried.Val.Equal(fetched.Val) {
+		t.Errorf("retry after undecodable record %+v, want value %v", retried, fetched.Val)
+	}
+	if got := server2.Stats().Calls; got != 2 {
+		t.Errorf("calls after the retry: %d, want 2", got)
+	}
+	if at, err := truncatedPrefix(path, 2); err != nil || at != cut {
+		t.Fatalf("next append landed after %d bytes (%v), want %d", at, err, cut)
+	}
+	crash(t, p2)
+
+	server3, dd3, p3 := startDurable(t, res, dir, DurabilityOptions{})
+	defer crash(t, p3)
+	if got := p3.Recovered().Records; got != 3 {
+		t.Errorf("second restart recovered %d records, want 3", got)
+	}
+	if got := server3.Stats().Calls; got != 2 {
+		t.Errorf("recovered calls = %d, want 2", got)
+	}
+	again := mustRoundTrip(t, dd3, fetch) // a replay, not a third execution
+	if again.Err != "" || !again.Val.Equal(fetched.Val) || server3.Stats().Calls != 2 {
+		t.Errorf("replayed fetch %+v (calls %d), want value %v from the replay cache", again, server3.Stats().Calls, fetched.Val)
+	}
 }
 
 // TestDurablePoisonedSessionSurvivesRestart checks that a session poisoned

@@ -10,29 +10,33 @@ import (
 	"time"
 )
 
-// Tail streaming: the replication side of the journal. A primary's
-// replication pump follows its own journal file with a TailScanner,
-// shipping each record to followers as it lands, and tracks how far each
-// follower has acknowledged with an OffsetTracker — the distance between
-// the journal end and the slowest acknowledged offset is the replication
-// lag the /readyz endpoint and the repl_lag_records gauge report.
+// Tail reading: the one journal-frame decoder. A TailScanner parses every
+// frame this package reads back — recovery's ScanFile is a loop over one
+// opened at the first record — and a primary's replication pump follows
+// its own journal file with one, shipping each record to followers as it
+// lands. An OffsetTracker tracks how far each follower has acknowledged:
+// the distance between the journal end and the slowest acknowledged
+// offset is the replication lag the /readyz endpoint and the
+// repl_lag_records gauge report.
 //
-// A TailScanner reads with its own file handle, so it never contends with
-// the appender beyond the OS page cache, and it applies the same
-// stop-at-corruption discipline as Scan: a zero frame (the live zero fill
-// ahead of a sync journal's log end), or a torn or CRC-broken frame at the
-// current log end, is not an error, it is "not yet" — the appender's
+// The log end is wherever the next frame is not a complete, CRC-clean
+// record: a zero frame (the zero fill ahead of a sync journal's log end),
+// a torn frame, an oversized length field or a CRC mismatch. None of
+// these is an error, they are "caught up". Recovery takes that offset as
+// the valid prefix; a live tail treats it as "not yet" — the appender's
 // single write(2) per record will complete it, and the scanner re-reads
-// from the same offset on the next call.
+// from the same offset on the next call. A tail stopped at corrupt
+// history therefore waits there rather than crossing it.
 //
-// The scanner reads ahead: one pread fills a small window and records are
-// parsed out of it with no further system call. When the window runs out
-// of complete records and the read that filled it already reached the log
-// end (end of file, zero fill, a torn frame), Next reports caught-up
-// straight from the window. A caller that acquired its append notification
-// before that read can therefore wait on it without a confirming read: an
-// append the window missed landed after the read, hence after the
-// notification was acquired.
+// The scanner reads with its own file handle, so it never contends with
+// the appender beyond the OS page cache, and it reads ahead: one pread
+// fills a small window and records are parsed out of it with no further
+// system call. When the window runs out of complete records and the read
+// that filled it already reached the log end (end of file, zero fill, a
+// torn frame), Next reports caught-up straight from the window. A caller
+// that acquired its append notification before that read can therefore
+// wait on it without a confirming read: an append the window missed
+// landed after the read, hence after the notification was acquired.
 
 // ErrTailCaughtUp is returned by TailScanner.Next when no complete record
 // lies beyond the current offset. The caller waits for an append
@@ -63,9 +67,10 @@ type TailScanner struct {
 
 // OpenTail opens the journal at path for tail reading, starting at off.
 // Offset 0 (or anything below the header) starts at the first record; a
-// larger offset must be a record boundary previously returned by Offset.
-// A journal that does not exist yet is an error — the caller opens the
-// tail only after the appender created the generation.
+// larger offset must be a record boundary previously returned by Offset
+// or by ScanFile. A journal that does not exist yet, or does not start
+// with the journal header, is an error — the caller opens the tail only
+// after the appender created the generation.
 func OpenTail(path string, off int64) (*TailScanner, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -86,11 +91,11 @@ func OpenTail(path string, off int64) (*TailScanner, error) {
 }
 
 // Next returns the next complete record's payload, or ErrTailCaughtUp when
-// the log ends (end of file, zero fill, or a not-yet-complete frame) at
-// the current offset. The returned slice is reused by the following Next
-// call. A CRC mismatch on a frame that is fully present is a real error
-// only once the appender has moved past it: unlike recovery, a live tail
-// never legitimately crosses corrupt history, so it stays put.
+// the log ends (end of file, zero fill, a not-yet-complete frame, an
+// oversized length or a CRC mismatch) at the current offset. The returned
+// slice is reused by the following Next call. A CRC mismatch on a frame
+// that is fully present may be a torn write racing the read (length
+// landed, payload partially visible), so it is the log end like any other.
 //
 // Next reads the file only when the window holds no complete record and
 // has not seen the log end: once per window, plus once more for a frame
@@ -102,20 +107,13 @@ func (t *TailScanner) Next() ([]byte, error) {
 		if rest := t.win[t.pos:]; len(rest) >= frameSize {
 			length := binary.LittleEndian.Uint32(rest[0:4])
 			sum := binary.LittleEndian.Uint32(rest[4:8])
-			if length == 0 {
-				return nil, t.caughtUp() // zero fill: nothing written here yet
-			}
-			if length > MaxRecord {
-				return nil, fmt.Errorf("wal: tail frame length %d exceeds limit", length)
+			if length == 0 || length > MaxRecord {
+				return nil, t.caughtUp() // zero fill, or a corrupt length field
 			}
 			need = frameSize + int(length)
 			if len(rest) >= need {
 				payload := rest[frameSize:need]
 				if crc32.ChecksumIEEE(payload) != sum {
-					// The full frame is present but broken. It may still be a
-					// torn write racing us (length landed, payload partially
-					// visible), so report caught-up; a persistent mismatch
-					// surfaces when the appender moves past it and we do not.
 					return nil, t.caughtUp()
 				}
 				t.pos += need
@@ -134,6 +132,10 @@ func (t *TailScanner) Next() ([]byte, error) {
 		}
 	}
 }
+
+// Offset is the byte offset of the next unread record: after a caught-up
+// answer, the log end (a valid restart point for OpenTail).
+func (t *TailScanner) Offset() int64 { return t.off }
 
 // fill replaces the window with one read at the current offset, sized for
 // a frame of need bytes when that exceeds the standing window.

@@ -254,6 +254,43 @@ func TestTailScannerCRCTornThenCompleted(t *testing.T) {
 	})
 }
 
+// A frame whose length field exceeds MaxRecord is corrupt history, and the
+// tail must read it the way recovery does: as the log end. A live tail that
+// errored there instead would drop its stream and redial into the same
+// error forever; one that waits resumes exactly where recovery truncates.
+func TestTailScannerOversizedLengthIsLogEnd(t *testing.T) {
+	bothLayouts(t, func(t *testing.T, j *Journal, path string) {
+		if err := j.Append([]byte("intact")); err != nil {
+			t.Fatal(err)
+		}
+		var frame [frameSize]byte
+		binary.LittleEndian.PutUint32(frame[0:4], 0xffffffff)
+		writeAtLogEnd(t, path, j.Size(), frame[:], []byte("trailing"))
+
+		tail, err := OpenTail(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tail.Close()
+		if got, err := tail.Next(); err != nil || string(got) != "intact" {
+			t.Fatalf("first record: got %q, %v", got, err)
+		}
+		for range 2 {
+			if _, err := tail.Next(); err != ErrTailCaughtUp {
+				t.Fatalf("oversized frame: got %v, want ErrTailCaughtUp", err)
+			}
+		}
+		validLen, n, err := ScanFile(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 1 || tail.Offset() != validLen {
+			t.Fatalf("tail stopped at %d, recovery at %d with %d records; want the same offset and 1 record",
+				tail.Offset(), validLen, n)
+		}
+	})
+}
+
 // countReads makes tail count the reads it issues against its file.
 func countReads(tail *TailScanner) *int {
 	c := &countingFile{ReaderAt: tail.f, Closer: tail.f}
@@ -490,7 +527,3 @@ func TestOffsetTrackerWaitTimeout(t *testing.T) {
 		t.Fatal("covered target reported timeout")
 	}
 }
-
-// Offset is the byte offset of the next unread record (a valid restart
-// point for OpenTail).
-func (t *TailScanner) Offset() int64 { return t.off }

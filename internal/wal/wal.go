@@ -27,25 +27,26 @@
 // file already has and fdatasync has only those data blocks to flush —
 // appending at end-of-file instead makes every commit change the inode's
 // length, which the filesystem must journal before the flush returns. A
-// frame whose length field is zero is therefore the end of the log, for
-// recovery and for a live tail reader alike; Append refuses empty
-// payloads so no record can look like one. When a write would cross the
-// filled frontier the fill is topped up first; that changes the length,
-// and fdatasync does flush a length change a later read depends on, so
-// the record is covered all the same. Close truncates the file back to
-// the log end: a cleanly closed journal is a plain run of records.
+// frame whose length field is zero is therefore the end of the log;
+// Append refuses empty payloads so no record can look like one. When a
+// write would cross the filled frontier the fill is topped up first; that
+// changes the length, and fdatasync does flush a length change a later
+// read depends on, so the record is covered all the same. Close truncates
+// the file back to the log end: a cleanly closed journal is a plain run
+// of records.
 //
-// In both failure classes recovery scans the journal from the start and
-// stops cleanly at the first frame that is zero, truncated or fails its
-// CRC — the valid prefix is the recovered history. Open truncates the
-// file there and only then re-fills it, durably, before it accepts an
-// append: an intact record stranded beyond a torn one is wiped, so no
-// later append that happens to end where it begins can splice it back
-// into history.
+// One decoder reads frames back: TailScanner (tail.go). The replication
+// pump follows a live journal with it, and recovery's ScanFile is a loop
+// over one opened at the first record. In both failure classes recovery
+// therefore stops cleanly where a live tail would wait — at the first
+// frame that is zero, truncated, oversized or fails its CRC — and the
+// valid prefix is the recovered history. Open truncates the file there
+// and only then re-fills it, durably, before it accepts an append: an
+// intact record stranded beyond a torn one is wiped, so no later append
+// that happens to end where it begins can splice it back into history.
 package wal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -329,57 +330,19 @@ func (j *Journal) Size() int64 {
 	return j.size
 }
 
-// Scan reads a journal byte stream, invoking fn for each intact record in
-// order. It stops cleanly — without error — at the log end, which is a
-// frame with a zero length field (the zero fill of a journal that was not
-// closed) or the end of the input, and at the first sign of corruption: a
-// bad header, a truncated frame, an oversized length, or a CRC mismatch.
+// ScanFile reads the journal at path from its first record, invoking fn
+// for each intact record in order, through the decoder a live tail uses
+// (TailScanner). It stops cleanly — without error — at the log end, which
+// is wherever that scanner first reports caught-up: a frame with a zero
+// length field (the zero fill of a journal that was not closed), the end
+// of the file, a truncated frame, an oversized length or a CRC mismatch.
 // The returned validLen is the byte length of the valid prefix (what Open
-// should truncate to) and n is the number of intact records. The only errors returned are fn's own and non-EOF read
-// failures; corrupt input is never an error, because a torn tail is the
-// expected shape of a crashed journal.
-func Scan(r io.Reader, fn func(payload []byte) error) (validLen int64, n int64, err error) {
-	var head [headerSize]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return 0, 0, nil // empty or shorter than a header: no valid records
-	}
-	if string(head[:]) != string(journalMagic) {
-		return 0, 0, nil
-	}
-	validLen = headerSize
-	var frame [frameSize]byte
-	var buf []byte
-	for {
-		if _, err := io.ReadFull(r, frame[:]); err != nil {
-			return validLen, n, nil // clean end or torn frame header
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		sum := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 || length > MaxRecord {
-			return validLen, n, nil // log end, or a corrupt length field
-		}
-		if cap(buf) < int(length) {
-			buf = make([]byte, length)
-		}
-		buf = buf[:length]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return validLen, n, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(buf) != sum {
-			return validLen, n, nil // bit rot or torn write
-		}
-		if fn != nil {
-			if err := fn(buf); err != nil {
-				return validLen, n, err
-			}
-		}
-		validLen += frameSize + int64(length)
-		n++
-	}
-}
-
-// ScanFile is Scan over the file at path. A missing file is an empty
-// journal, not an error.
+// should truncate to, and a restart point for OpenTail) and n is the
+// number of intact records. When fn refuses a record, both stop before
+// it and fn's error is returned. A missing file, or one shorter than a
+// header or without the journal magic, is an empty journal (0, 0, nil):
+// corrupt input is never an error, because a torn tail is the expected
+// shape of a crashed journal. The only other errors are read failures.
 func ScanFile(path string, fn func(payload []byte) error) (validLen int64, n int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -389,7 +352,37 @@ func ScanFile(path string, fn func(payload []byte) error) (validLen int64, n int
 		return 0, 0, fmt.Errorf("wal: open journal for scan: %w", err)
 	}
 	defer f.Close()
-	return Scan(bufio.NewReaderSize(f, 1<<16), fn)
+	return scan(f, fn)
+}
+
+// scan is ScanFile over r, the whole journal file.
+func scan(r io.ReaderAt, fn func(payload []byte) error) (validLen int64, n int64, err error) {
+	var head [headerSize]byte
+	if got, err := r.ReadAt(head[:], 0); err != nil && err != io.EOF {
+		return 0, 0, fmt.Errorf("wal: read journal header: %w", err)
+	} else if got < headerSize || string(head[:]) != string(journalMagic) {
+		return 0, 0, nil
+	}
+	t := &TailScanner{f: struct {
+		io.ReaderAt
+		io.Closer
+	}{r, nil}, off: headerSize}
+	for {
+		at := t.off
+		payload, err := t.Next()
+		if err == ErrTailCaughtUp {
+			return at, n, nil
+		}
+		if err != nil {
+			return at, n, err
+		}
+		if fn != nil {
+			if err := fn(payload); err != nil {
+				return at, n, err
+			}
+		}
+		n++
+	}
 }
 
 // ZeroFrom reports whether the journal at path holds nothing but zero fill

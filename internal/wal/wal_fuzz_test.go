@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"testing"
 )
 
 // The journal is read back at every hiddend boot, over whatever bytes a
-// crash left on disk — so the scanner faces arbitrary input and must
-// never panic, never over-allocate, and always stop cleanly at the first
-// corrupt record. The fuzzer feeds it raw bytes (seeded with valid
-// journals, torn tails, bit flips, duplicate records, and the zero fill a
-// killed sync journal leaves behind its log end) and checks the
-// invariants Scan promises.
+// crash left on disk, and followed live by every replication pump — both
+// through TailScanner, the one frame decoder — so the scanner faces
+// arbitrary input and must never panic, never over-allocate, and always
+// stop cleanly at the first corrupt record. The fuzzer feeds it raw bytes
+// (seeded with valid journals, torn tails, bit flips, duplicate records,
+// and the zero fill a killed sync journal leaves behind its log end) and
+// checks the invariants ScanFile promises, plus the one the pump relies
+// on: a tail reopened at the recovered log end is caught up.
 
 func fuzzJournal(records ...[]byte) []byte {
 	var b bytes.Buffer
@@ -49,7 +52,7 @@ func FuzzScanJournal(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var total int64
-		validLen, n, err := Scan(bytes.NewReader(data), func(p []byte) error {
+		validLen, n, err := scan(bytes.NewReader(data), func(p []byte) error {
 			if len(p) == 0 {
 				t.Fatal("scan delivered an empty record: a zero frame is the log end")
 			}
@@ -73,9 +76,21 @@ func FuzzScanJournal(f *testing.F) {
 		}
 		// Determinism: scanning the valid prefix alone yields the same records.
 		if validLen > 0 {
-			again, m, err := Scan(bytes.NewReader(data[:validLen]), nil)
+			again, m, err := scan(bytes.NewReader(data[:validLen]), nil)
 			if err != nil || again != validLen || m != n {
 				t.Fatalf("rescan of valid prefix diverged: %d/%d vs %d/%d (%v)", again, m, validLen, n, err)
+			}
+			// The restart point: a tail opened at the recovered log end has
+			// nothing to deliver and stays there.
+			tail := &TailScanner{f: struct {
+				io.ReaderAt
+				io.Closer
+			}{bytes.NewReader(data), nil}, off: validLen}
+			if p, err := tail.Next(); err != ErrTailCaughtUp {
+				t.Fatalf("tail at validLen %d: got %d-byte record, err %v; want caught up", validLen, len(p), err)
+			}
+			if tail.Offset() != validLen {
+				t.Fatalf("caught-up tail moved from %d to %d", validLen, tail.Offset())
 			}
 		}
 	})
