@@ -194,7 +194,10 @@ test:
 # The second line repeats the tests that reach dedup and group-commit
 # state from several goroutines at once, live requests and replicated
 # landings contending for one session's slot among them: one clean -race
-# pass says little about an interleaving it did not happen to run. It
+# pass says little about an interleaving it did not happen to run. The
+# group commit's reply flush is among them: one batch's replies leave the
+# server in one write, and the count of released records the reply writer
+# waits on returns to zero on every path a request can end by. It
 # also repeats the client's two write paths on one connection: blocking
 # exchanges that write the queue themselves beside the writer goroutine's
 # one-way traffic, a late reply left in a reused reply slot, and the one
@@ -206,7 +209,9 @@ test:
 # state when programs compile concurrently.
 # The fourth line repeats the crash matrix of the zero-filled journal
 # layout (seeded, no wall-clock waits) and its tail readers, the read-ahead
-# window cases (TailScannerWindow, TailScannerOneReadPerWakeup) included.
+# window cases (TailScannerWindow, TailScannerOneReadPerWakeup) included,
+# and a tip journal whose damaged header must refuse recovery rather than
+# read as empty.
 # The fifth line repeats the replication pump's shared state: the ack
 # lift that the ack reader and the pump both drive, the stamp table, covers
 # and pending lists every inbound stream and every pump meet in, and the

@@ -157,9 +157,6 @@ type Daemon struct {
 	ready   atomic.Bool
 }
 
-// Group exposes the fleet group, nil outside fleet mode (tests).
-func (d *Daemon) Group() *cluster.Group { return d.group.Load() }
-
 // readiness backs /readyz: not ready while recovery is still replaying the
 // journal, and — in a replicating fleet — while this replica's followers
 // lag behind its journal.
@@ -175,9 +172,6 @@ func (d *Daemon) readiness() (bool, string) {
 
 // Addr is the address the server is listening on.
 func (d *Daemon) Addr() net.Addr { return d.addr }
-
-// Server exposes the underlying TCP server (tests).
-func (d *Daemon) Server() *hrt.TCPServer { return d.server }
 
 // Start compiles and splits the program, recovers durable state when
 // DataDir is set, and begins serving. It returns once the listener is

@@ -2,7 +2,6 @@ package hrt
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -171,19 +170,9 @@ func (e *SessionEvictedError) Hint() string {
 // parseEvictedSession extracts the session id from the server's bounce
 // message ("hrt: session <id> ...").
 func parseEvictedSession(msg string) uint64 {
-	const marker = "session "
-	i := strings.Index(msg, marker)
-	if i < 0 {
-		return 0
-	}
-	rest := msg[i+len(marker):]
-	j := 0
-	for j < len(rest) && rest[j] >= '0' && rest[j] <= '9' {
-		j++
-	}
-	n, err := strconv.ParseUint(rest[:j], 10, 64)
-	if err != nil {
-		return 0
+	var n uint64
+	if i := strings.Index(msg, "session "); i >= 0 {
+		_, _ = fmt.Sscanf(msg[i:], "session %d", &n) // no id leaves n 0
 	}
 	return n
 }
@@ -232,6 +221,14 @@ func (d *Dedup) shard(session uint64) *dedupShard {
 // returned Response is meaningless and must not be written back to the
 // client.
 func (d *Dedup) RoundTrip(req Request) (Response, error) {
+	resp, held := d.roundTrip(req)
+	d.Persist.finish(held)
+	return resp, nil
+}
+
+// roundTrip is RoundTrip reporting held: the fsync committer released the
+// request's record, and the caller finishes with it (Durability.finish).
+func (d *Dedup) roundTrip(req Request) (resp Response, held bool) {
 	sh, e, isNew := d.entry(req.Session)
 	if isNew {
 		if req.Seq > 1 {
@@ -258,13 +255,13 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 		d.Tracer.Emit(obs.LevelWarn, "dedup_bounce",
 			obs.Uint("session", req.Session), obs.Uint("seq", req.Seq))
 		if req.NoReply() {
-			return Response{}, nil
+			return Response{}, false
 		}
 		return Response{
 			Seq: req.Seq,
 			Ack: req.Seq,
 			Err: fmt.Sprintf("hrt: session %d %s; cannot replay request %d exactly once", req.Session, sessionEvictedMsg, req.Seq),
-		}, nil
+		}, false
 	}
 
 	switch {
@@ -277,16 +274,16 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 		d.Tracer.Emit(obs.LevelDebug, "dedup_replay",
 			obs.Uint("session", req.Session), obs.Uint("seq", req.Seq))
 		if req.NoReply() {
-			return Response{}, nil
+			return Response{}, false
 		}
 		if hit {
-			return cached, nil
+			return cached, false
 		}
 		return Response{
 			Seq: req.Seq,
 			Ack: last,
 			Err: fmt.Sprintf("hrt: stale request %d for session %d (newest %d)", req.Seq, req.Session, last),
-		}, nil
+		}, false
 
 	case req.Seq > e.lastSeq+1:
 		// Sequence gap: an earlier frame never arrived. Executing out of
@@ -296,12 +293,12 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 		last := e.lastSeq
 		sh.mu.Unlock()
 		if req.NoReply() {
-			return Response{}, nil
+			return Response{}, false
 		}
 		d.Resends.Add(1)
 		d.Tracer.Emit(obs.LevelInfo, "dedup_gap_resend",
 			obs.Uint("session", req.Session), obs.Uint("seq", req.Seq), obs.Uint("ack", last))
-		return Response{Seq: req.Seq, Ack: last, Flags: RespResend}, nil
+		return Response{Seq: req.Seq, Ack: last, Flags: RespResend}, false
 	}
 
 	// req.Seq == e.lastSeq+1: the next request in order. Claim the
@@ -317,7 +314,6 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 
 	// A poisoned session drains its window without touching hidden state;
 	// the deferred error reports instead.
-	var resp Response
 	var eff *recEffects
 	if deferred == "" {
 		if d.Persist != nil {
@@ -339,7 +335,8 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 	}
 	resp.Seq, resp.Ack = req.Seq, req.Seq
 	if d.Persist != nil {
-		if perr := d.Persist.journal(req, resp, eff); perr != nil && (resp.Err == "" || !req.NoReply()) {
+		var perr error
+		if held, perr = d.Persist.journal(req, resp, eff); perr != nil && (resp.Err == "" || !req.NoReply()) {
 			// The record is not durable, so the answer must not be either:
 			// acknowledge nothing a restart would take back (a one-way
 			// request's own error outranks it as the deferred error).
@@ -353,9 +350,9 @@ func (d *Dedup) RoundTrip(req Request) (Response, error) {
 	// is on disk.
 	sh.release(req.Session, e, req.Seq, req.NoReply(), &resp)
 	if req.NoReply() {
-		return Response{}, nil
+		return Response{}, held
 	}
-	return resp, nil
+	return resp, held
 }
 
 // entry returns session's entry, created if absent (isNew), with its

@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,6 +89,10 @@ type Durability struct {
 	commitDone    chan struct{}
 	commitBatches atomic.Int64
 	commitRecords atomic.Int64
+	// released counts records the committer released whose worker has not
+	// finished: a live request's until its reply is queued (or it has none),
+	// a replicated apply's until its append returns. See muxWriteLoop.
+	released atomic.Int64
 
 	// Background snapshot writing: snapshotting claims the single
 	// in-flight slot, snapWG tracks the writer goroutine so Close can
@@ -401,29 +403,19 @@ func (p *Durability) loadBase() (uint64, bool, error) {
 	return gen, true, nil
 }
 
-// listGenerations scans the data directory for snapshot and journal files.
+// listGenerations scans the data directory for snapshot and journal files:
+// a file is generation g's if snapPath or journalPath names it for g.
 func (p *Durability) listGenerations() (snaps, journals []uint64, err error) {
 	entries, err := os.ReadDir(p.opts.Dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("hrt: read data dir: %w", err)
 	}
-	parse := func(name, prefix, suffix string) (uint64, bool) {
-		rest, ok := strings.CutPrefix(name, prefix)
-		if !ok {
-			return 0, false
-		}
-		rest, ok = strings.CutSuffix(rest, suffix)
-		if !ok {
-			return 0, false
-		}
-		g, err := strconv.ParseUint(rest, 10, 64)
-		return g, err == nil
-	}
 	for _, e := range entries {
-		if g, ok := parse(e.Name(), "snap-", ".snap"); ok {
+		path := filepath.Join(p.opts.Dir, e.Name())
+		var g uint64
+		if _, err := fmt.Sscanf(e.Name(), "snap-%d.snap", &g); err == nil && path == p.snapPath(g) {
 			snaps = append(snaps, g)
-		}
-		if g, ok := parse(e.Name(), "journal-", ".wal"); ok {
+		} else if _, err := fmt.Sscanf(e.Name(), "journal-%d.wal", &g); err == nil && path == p.journalPath(g) {
 			journals = append(journals, g)
 		}
 	}
@@ -562,7 +554,7 @@ type stateDelta struct {
 // poisons the layer: the in-memory state is then ahead of the durable
 // state, so the server refuses to acknowledge — better a loud client
 // error than an acknowledgement a restart would take back.
-func (p *Durability) journal(req Request, resp Response, eff *recEffects) error {
+func (p *Durability) journal(req Request, resp Response, eff *recEffects) (held bool, err error) {
 	rec := journalRecord{
 		op: req.Op, noReply: req.NoReply(),
 		session: req.Session, seq: req.Seq,
@@ -583,10 +575,10 @@ func (p *Durability) journal(req Request, resp Response, eff *recEffects) error 
 	defer recBufPool.Put(buf)
 	payload, err := appendRecord((*buf)[:0], &rec)
 	if err != nil {
-		return p.appendFailed(err)
+		return false, p.appendFailed(err)
 	}
 	*buf = payload[:0]
-	return p.append(payload, true)
+	return p.appendHeld(payload, true)
 }
 
 // appendFailed counts a failed append, poisons the layer with the first
@@ -608,17 +600,19 @@ func (p *Durability) appendFailed(err error) error {
 	return failed
 }
 
-// append lands one encoded record in the journal — a request this server
-// executed or a record a fleet peer streamed, verbatim — and returns once
-// it is durable: through the group-commit queue when the committer is
+// appendHeld lands one encoded record in the journal — a request this
+// server executed or a record a fleet peer streamed, verbatim — and returns
+// once it is durable: through the group-commit queue when the committer is
 // running (the calling worker blocks until the batch carrying its record
 // is durable), or as a direct per-record append otherwise. Position
 // bookkeeping (sinceSnap, follower wakeups) advances only after the record
 // is durable, so replication acks and snapshot triggers never run ahead of
 // disk; wake is advance's. A durable append is timed into wal_append_ns
 // and counted; a failed one poisons the layer (see appendFailed), so this
-// server stops acknowledging what it cannot make durable.
-func (p *Durability) append(payload []byte, wake bool) error {
+// server stops acknowledging what it cannot make durable. held reports
+// that the committer released the record (see released): the caller must
+// finish with it.
+func (p *Durability) appendHeld(payload []byte, wake bool) (held bool, err error) {
 	start := monoNow()
 	p.mu.Lock()
 	err, j, q := p.failed, p.wlog, p.commitq
@@ -631,7 +625,7 @@ func (p *Durability) append(payload []byte, wake bool) error {
 		w := walCommitPool.Get().(*walCommit)
 		w.payload, w.j, w.wake = payload, j, wake
 		q <- w
-		err = <-w.done
+		err, held = <-w.done, true
 		p.commitWaitNS.Observe(monoNow() - start)
 		w.payload, w.j = nil, nil
 		walCommitPool.Put(w)
@@ -645,12 +639,19 @@ func (p *Durability) append(payload []byte, wake bool) error {
 		}
 	}
 	if err != nil {
-		return p.appendFailed(err)
+		return held, p.appendFailed(err)
 	}
 	p.appendNS.Observe(monoNow() - start)
 	p.appends.Add(1)
 	p.appendBytes.Add(int64(len(payload)))
-	return nil
+	return held, nil
+}
+
+// finish ends a worker's hold on a record the committer released, if held.
+func (p *Durability) finish(held bool) {
+	if held {
+		p.released.Add(-1)
+	}
 }
 
 // MaxUnwoken bounds the records counted without waking the followers, far
@@ -672,22 +673,19 @@ func (p *Durability) advance(records int64, wake bool) {
 		p.sinceSnap += n
 		p.unwoken += n
 	}
-	ch := p.takeNotifyLocked(wake || p.unwoken >= MaxUnwoken)
+	p.wakeLocked(wake || p.unwoken >= MaxUnwoken)
 	p.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
 }
 
-// takeNotifyLocked, when wake is set, takes the notification channel for
-// the caller to close and restarts the unwoken count. Caller holds p.mu.
-func (p *Durability) takeNotifyLocked(wake bool) chan struct{} {
-	if !wake {
-		return nil
+// wakeLocked, when wake is set, closes the notification channel and
+// restarts the unwoken count. Caller holds p.mu.
+func (p *Durability) wakeLocked(wake bool) {
+	if wake {
+		if p.notify != nil {
+			close(p.notify)
+		}
+		p.notify, p.unwoken = nil, 0
 	}
-	ch := p.notify
-	p.notify, p.unwoken = nil, 0
-	return ch
 }
 
 // commitLoop is the dedicated WAL committer goroutine: it blocks for
@@ -716,6 +714,7 @@ func (p *Durability) commitLoop(q chan *walCommit, stop, done chan struct{}) {
 			}
 			// A released entry goes back to its worker's pool: it must not
 			// be touched after this send.
+			p.released.Add(int64(len(batch)))
 			for _, w := range batch {
 				w.done <- failed
 			}
@@ -793,16 +792,6 @@ func (p *Durability) CommitBatchStats() (batches, records int64) {
 	return p.commitBatches.Load(), p.commitRecords.Load()
 }
 
-// roundTrip is the durable request path: the dedup round trip is a
-// landing (see land), and its reply waits behind the commit gate.
-func (p *Durability) roundTrip(d *Dedup, req Request) (resp Response, err error) {
-	p.land(func() { resp, err = d.RoundTrip(req) })
-	if !req.NoReply() {
-		p.awaitReplicated()
-	}
-	return resp, err
-}
-
 // land runs one landing — a live request's dedup round trip or a streamed
 // record's apply, each claiming its session slot, executing or applying,
 // appending its record and releasing the slot — under the quiesce read
@@ -836,11 +825,8 @@ func (p *Durability) land(f func()) {
 func (p *Durability) awaitReplicated() {
 	p.mu.Lock()
 	c, gen, records := p.committer, p.gen, int64(p.sinceSnap)
-	ch := p.takeNotifyLocked(c != nil && p.unwoken > 0)
+	p.wakeLocked(c != nil && p.unwoken > 0)
 	p.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
 	if c != nil {
 		c.WaitCommitted(gen, records)
 	}

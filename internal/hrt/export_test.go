@@ -117,6 +117,30 @@ func addSlot(list []int32, slot int32) []int32 {
 // RunSplitOn is RunSplitOpts against a server the test built.
 var RunSplitOn = runSplitOn
 
+// Session reports the stream's session id.
+func (s *MuxStream) Session() uint64 { return s.session }
+
+// roundTrip serves req as a mux worker does (see TCPServer.serve) and
+// finishes with its released record at once.
+func (ts *TCPServer) roundTrip(req Request) (Response, error) {
+	resp, held := ts.serve(req)
+	ts.Persist.finish(held)
+	return resp, nil
+}
+
+// roundTrip is the durable request path of a server serving d through p
+// (see TCPServer.serve), finishing with its released record at once.
+func (p *Durability) roundTrip(d *Dedup, req Request) (Response, error) {
+	return (&TCPServer{Persist: p, dedup: d}).roundTrip(req)
+}
+
+// append is appendHeld finishing with its released record at once.
+func (p *Durability) append(payload []byte, wake bool) error {
+	held, err := p.appendHeld(payload, wake)
+	p.finish(held)
+	return err
+}
+
 // DurableSplit splits a program whose hidden state spans all three stores:
 // an activation variable, a hidden global and hidden object fields.
 var DurableSplit = durableSplit

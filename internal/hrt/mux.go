@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -612,9 +613,6 @@ type MuxStream struct {
 
 var _ AsyncTransport = (*MuxStream)(nil)
 
-// Session reports the stream's session id.
-func (s *MuxStream) Session() uint64 { return s.session }
-
 // lock locks and returns the connection the stream rides. A stream moves
 // under the lock of the connection it leaves, so it stays on the returned
 // one until that lock is released.
@@ -1068,6 +1066,11 @@ func (ts *TCPServer) muxReapLoop(st *muxConnState, stop <-chan struct{}) {
 // muxWriteLoop is the connection's single response writer: it drains
 // every queued frame into the shared bufio buffer and flushes once per
 // batch, so responses from many sessions coalesce into one segment.
+// The fsync committer releases a batch's workers one at a time, and the
+// first reply wakes the writer before the rest are queued: while
+// Durability.released counts an unfinished worker, the writer yields a few
+// times (bounded, timer-free, like fillBatch) so the batch leaves in one
+// write.
 func (ts *TCPServer) muxWriteLoop(st *muxConnState, w *bufio.Writer) {
 	defer close(st.writerDone)
 	for mw := range st.respCh {
@@ -1080,7 +1083,7 @@ func (ts *TCPServer) muxWriteLoop(st *muxConnState, w *bufio.Writer) {
 		frames := int64(1)
 		err := WriteMuxFrame(w, mw.session, mw.resp)
 	batch:
-		for err == nil {
+		for yields := 4; err == nil; {
 			select {
 			case more, ok := <-st.respCh:
 				if !ok {
@@ -1088,9 +1091,14 @@ func (ts *TCPServer) muxWriteLoop(st *muxConnState, w *bufio.Writer) {
 				}
 				err = WriteMuxFrame(w, more.session, more.resp)
 				frames++
+				continue
 			default:
-				break batch
 			}
+			if yields == 0 || ts.Persist == nil || ts.Persist.released.Load() == 0 {
+				break
+			}
+			yields--
+			runtime.Gosched()
 		}
 		if err == nil {
 			err = w.Flush()
@@ -1127,7 +1135,9 @@ func (ts *TCPServer) muxWorker(st *muxConnState, window int, wk *muxSessionWorke
 // execution bug hit by an adversarial frame) is counted, traced, and
 // severs the connection instead of silently wedging the session's worker.
 func (ts *TCPServer) muxServeOne(st *muxConnState, req Request, oneway *int, updateEvery int) {
+	var held bool // finished once the reply, if any, is queued
 	defer func() {
+		ts.Persist.finish(held)
 		if recover() != nil {
 			ts.notePanic(req)
 			st.fail()
@@ -1147,7 +1157,7 @@ func (ts *TCPServer) muxServeOne(st *muxConnState, req Request, oneway *int, upd
 		// Reply-free: execute in order via the dedup layer (which defers
 		// errors and skips duplicates/gaps) and write nothing back.
 		start := monoNow()
-		_, _ = ts.roundTrip(req)
+		_, held = ts.serve(req)
 		ts.Metrics.Observe(req.Op, true, monoNow()-start)
 		*oneway++
 		if *oneway >= updateEvery {
@@ -1169,10 +1179,8 @@ func (ts *TCPServer) muxServeOne(st *muxConnState, req Request, oneway *int, upd
 		return
 	}
 	start := monoNow()
-	resp, err := ts.roundTrip(req)
+	var resp Response
+	resp, held = ts.serve(req)
 	ts.Metrics.Observe(req.Op, false, monoNow()-start)
-	if err != nil {
-		resp = Response{Seq: req.Seq, Err: err.Error()}
-	}
 	st.respCh <- muxWrite{session: req.Session, resp: resp}
 }

@@ -380,7 +380,9 @@ func (ts *TCPServer) landReplicated(payload []byte) error {
 	if err != nil {
 		err = fmt.Errorf("hrt: replicated record: %w", err)
 	} else if err = ts.Server.applyRecord(rec); err == nil && ts.Persist != nil {
-		err = ts.Persist.append(payload, false)
+		var held bool
+		held, err = ts.Persist.appendHeld(payload, false)
+		ts.Persist.finish(held)
 	}
 	if err != nil {
 		sh.release(session, e, seq, false, nil)
@@ -480,11 +482,8 @@ func (p *Durability) CurrentPosition() (gen uint64, records int64) {
 // covered (see advance), so their pass-over lifts come before the poll.
 func (p *Durability) WakeFollowers() {
 	p.mu.Lock()
-	ch := p.takeNotifyLocked(p.unwoken > 0)
+	p.wakeLocked(p.unwoken > 0)
 	p.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
 }
 
 // JournalFile returns the path of generation gen's journal (for the

@@ -116,17 +116,14 @@ func newRetryPacer(pol RetryPolicy) *retryPacer {
 // are re-attempted with the same stamp under backoff until success, a
 // terminal error, or exhaustion of the budget.
 func (p *retryPacer) run(a attempter, req Request, counters *Counters, tracer *obs.Tracer) (Response, error) {
-	var lastErr error
-	attempts := 0
 	for attempt := 0; ; attempt++ {
 		resp, err := a.attempt(req)
-		attempts++
 		if err == nil {
 			return resp, nil
 		}
-		lastErr = err
 		if !Retryable(err) || attempt >= p.pol.Retries {
-			break
+			return Response{}, fmt.Errorf("hrt: request %d of session %d failed after %d attempt(s): %w",
+				req.Seq, req.Session, attempt+1, err)
 		}
 		if counters != nil {
 			counters.Retries.Add(1)
@@ -137,8 +134,6 @@ func (p *retryPacer) run(a attempter, req Request, counters *Counters, tracer *o
 			obs.Int("attempt", int64(attempt+1)), obs.Dur("backoff", d), obs.Err(err))
 		p.pol.Sleep(d)
 	}
-	return Response{}, fmt.Errorf("hrt: request %d of session %d failed after %d attempt(s): %w",
-		req.Seq, req.Session, attempts, lastErr)
 }
 
 // backoff returns the jittered exponential delay before retry `attempt`

@@ -285,14 +285,19 @@ func (ts *TCPServer) notePanic(req Request) {
 		obs.Str("op", req.Op.String()), obs.Uint("session", req.Session), obs.Uint("seq", req.Seq))
 }
 
-// roundTrip dispatches one request through the dedup layer, threading it
-// through the durability layer (journal hooks plus snapshot scheduling)
-// when one is attached.
-func (ts *TCPServer) roundTrip(req Request) (Response, error) {
-	if ts.Persist != nil {
-		return ts.Persist.roundTrip(ts.dedup, req)
+// serve dispatches one request through the dedup layer. With a durability
+// layer attached the round trip is a landing (see Durability.land), and a
+// reply waits behind the commit gate. held is Dedup.roundTrip's.
+func (ts *TCPServer) serve(req Request) (resp Response, held bool) {
+	p := ts.Persist
+	if p == nil {
+		return ts.dedup.roundTrip(req)
 	}
-	return ts.dedup.RoundTrip(req)
+	p.land(func() { resp, held = ts.dedup.roundTrip(req) })
+	if !req.NoReply() {
+		p.awaitReplicated()
+	}
+	return resp, held
 }
 
 // ActiveConns reports the number of live connections (for tests).

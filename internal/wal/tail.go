@@ -67,8 +67,8 @@ type TailScanner struct {
 
 // OpenTail opens the journal at path for tail reading, starting at off.
 // Offset 0 (or anything below the header) starts at the first record; a
-// larger offset must be a record boundary previously returned by Offset
-// or by ScanFile. A journal that does not exist yet, or does not start
+// larger offset must be a record boundary, such as the valid length
+// ScanFile returns. A journal that does not exist yet, or does not start
 // with the journal header, is an error — the caller opens the tail only
 // after the appender created the generation.
 func OpenTail(path string, off int64) (*TailScanner, error) {
@@ -132,10 +132,6 @@ func (t *TailScanner) Next() ([]byte, error) {
 		}
 	}
 }
-
-// Offset is the byte offset of the next unread record: after a caught-up
-// answer, the log end (a valid restart point for OpenTail).
-func (t *TailScanner) Offset() int64 { return t.off }
 
 // fill replaces the window with one read at the current offset, sized for
 // a frame of need bytes when that exceeds the standing window.

@@ -12,6 +12,10 @@ import (
 	"time"
 )
 
+// Offset is the byte offset of the next unread record: after a caught-up
+// answer, the log end (a valid restart point for OpenTail).
+func (t *TailScanner) Offset() int64 { return t.off }
+
 // bothLayouts runs fn against a plain journal (the file ends at the log
 // end) and a sync one (zero fill ahead of it): a tail reader must behave
 // the same whether "nothing here yet" reads as end-of-file or as zeros.

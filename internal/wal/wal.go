@@ -339,10 +339,11 @@ func (j *Journal) Size() int64 {
 // The returned validLen is the byte length of the valid prefix (what Open
 // should truncate to, and a restart point for OpenTail) and n is the
 // number of intact records. When fn refuses a record, both stop before
-// it and fn's error is returned. A missing file, or one shorter than a
-// header or without the journal magic, is an empty journal (0, 0, nil):
-// corrupt input is never an error, because a torn tail is the expected
-// shape of a crashed journal. The only other errors are read failures.
+// it and fn's error is returned. A missing file, or one with only zeros
+// past its header, is an empty journal (0, 0, nil) whether its header reads
+// or not; otherwise a header that does not read is a *DamagedError. Damage
+// past the header is not an error, since a torn tail is the expected shape
+// of a crashed journal. The only other errors are read failures.
 func ScanFile(path string, fn func(payload []byte) error) (validLen int64, n int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -352,7 +353,26 @@ func ScanFile(path string, fn func(payload []byte) error) (validLen int64, n int
 		return 0, 0, fmt.Errorf("wal: open journal for scan: %w", err)
 	}
 	defer f.Close()
-	return scan(f, fn)
+	if validLen, n, err = scan(f, fn); err != nil || validLen > 0 {
+		return validLen, n, err
+	}
+	if clean, err := ZeroFrom(path, headerSize); err != nil || clean {
+		return 0, 0, err
+	}
+	size, _ := f.Seek(0, io.SeekEnd) // only reported; a failed seek reads 0
+	return 0, 0, &DamagedError{Path: path, Size: size}
+}
+
+// DamagedError is a journal whose header does not read while bytes that
+// could be records follow it: recovery refuses it rather than read it as
+// empty and lose them. Offset is where the damage starts.
+type DamagedError struct {
+	Path         string
+	Size, Offset int64
+}
+
+func (e *DamagedError) Error() string {
+	return fmt.Sprintf("wal: journal %s (%d bytes) is damaged at offset %d", e.Path, e.Size, e.Offset)
 }
 
 // scan is ScanFile over r, the whole journal file.

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -187,21 +188,46 @@ func TestJournalBitFlip(t *testing.T) {
 	}
 }
 
-// TestJournalBadHeader: a file that is not a journal recovers as empty.
+// TestJournalBadHeader: a file whose header does not read is an empty
+// journal only while nothing but zeros follows where the header ends (a
+// crash between creating the file and writing the header); with bytes
+// that could be records behind it, it is damaged and left as it is.
 func TestJournalBadHeader(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.wal")
-	if err := os.WriteFile(path, []byte("definitely not a journal header"), 0o644); err != nil {
+	dir := t.TempDir()
+	for name, content := range map[string][]byte{
+		"short":       []byte("SLW"),
+		"zero filled": append([]byte("SLXAL\x01\x00\x00"), make([]byte, 4096)...),
+	} {
+		path := filepath.Join(dir, name+".wal")
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		validLen, n, err := ScanFile(path, nil)
+		if err != nil || validLen != 0 || n != 0 {
+			t.Fatalf("%s header: validLen=%d n=%d err=%v, want an empty journal", name, validLen, n, err)
+		}
+		// Open must rewrite it into a fresh journal.
+		appendAll(t, path, false, []byte("fresh"))
+		if got := scanAll(t, path); len(got) != 1 || string(got[0]) != "fresh" {
+			t.Fatalf("%s header: reinitialized journal: %q", name, got)
+		}
+	}
+
+	path := filepath.Join(dir, "j.wal")
+	garbage := []byte("definitely not a journal header")
+	if err := os.WriteFile(path, garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	validLen, n, err := ScanFile(path, nil)
-	if err != nil || validLen != 0 || n != 0 {
-		t.Fatalf("bad header: validLen=%d n=%d err=%v", validLen, n, err)
+	_, _, err := ScanFile(path, nil)
+	var damaged *DamagedError
+	if !errors.As(err, &damaged) {
+		t.Fatalf("bad header over %d bytes scanned with err=%v, want a *DamagedError", len(garbage), err)
 	}
-	// Open must rewrite it into a fresh journal.
-	appendAll(t, path, false, []byte("fresh"))
-	got := scanAll(t, path)
-	if len(got) != 1 || string(got[0]) != "fresh" {
-		t.Fatalf("reinitialized journal: %q", got)
+	if *damaged != (DamagedError{Path: path, Size: int64(len(garbage)), Offset: 0}) {
+		t.Errorf("damage reported as %+v", *damaged)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, garbage) {
+		t.Errorf("scanning a damaged journal changed it: %q (%v)", got, err)
 	}
 }
 
