@@ -11,7 +11,6 @@ package complexity
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // Type is the arithmetic complexity class of a leaked function.
@@ -73,14 +72,6 @@ func (a AC) String() string {
 	return fmt.Sprintf("<%s, %s, %d>", a.Type, in, a.Degree)
 }
 
-// InputNames returns the sorted input names (for tests).
-func (a AC) InputNames() []string {
-	names := make([]string, 0, a.NumInputs())
-	a.inputs.each(func(i int) { names = append(names, a.inputs.table.list[i]) })
-	sort.Strings(names)
-	return names
-}
-
 // nameTable gives every input name one analysis meets a dense index: a
 // variable's String() or, for a[i], o.f, len(a) and f(x) leaves, the
 // expression's ir.ExprString. Inputs are names, not variables (half are
@@ -133,19 +124,6 @@ func (s inputSet) count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// each calls fn with the index of every member, in increasing order.
-func (s inputSet) each(fn func(int)) {
-	for w, base := s.lo, 0; ; base += 64 {
-		for ; w != 0; w &= w - 1 {
-			fn(base + bits.TrailingZeros64(w))
-		}
-		if base/64 == len(s.hi) {
-			return
-		}
-		w = s.hi[base/64]
-	}
 }
 
 // union joins two sets of one analysis. It never writes into either

@@ -8,6 +8,7 @@ import (
 	"slicehide/internal/core"
 	"slicehide/internal/corpus"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 	"slicehide/internal/slicer"
 )
 
@@ -18,7 +19,7 @@ var benchReports []Report
 // splits, and the functions' facts they analyse, are built once before the
 // timer starts.
 func BenchmarkAnalyzeCorpus(b *testing.B) {
-	prog := ir.MustCompile(corpus.Generate(corpus.Profiles[0]))
+	prog := oracle.MustCompile(corpus.Generate(corpus.Profiles[0]))
 	var splits []*core.SplitFunc
 	for _, qn := range prog.Order {
 		f := prog.Funcs[qn]
@@ -90,9 +91,9 @@ func TestAnalyzeConcurrent(t *testing.T) {
 		}
 		return b.String()
 	}
-	want := render(splits(ir.MustCompile(src)))
+	want := render(splits(oracle.MustCompile(src)))
 
-	shared := splits(ir.MustCompile(src))
+	shared := splits(oracle.MustCompile(src))
 	got := make([]string, 8)
 	var wg sync.WaitGroup
 	for i := range got {

@@ -12,6 +12,7 @@ import (
 	"slicehide/internal/core"
 	"slicehide/internal/corpus"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 	"slicehide/internal/slicer"
 )
 
@@ -55,7 +56,7 @@ func hideableSeeds(f *ir.Func) []*ir.Var {
 // with its error instead.
 func eachSplit(fn func(name, qn string, seed *ir.Var, sf *core.SplitFunc, err error)) {
 	for _, s := range testSources() {
-		prog := ir.MustCompile(s.src)
+		prog := oracle.MustCompile(s.src)
 		for _, qn := range prog.Order {
 			f := prog.Funcs[qn]
 			for _, v := range hideableSeeds(f) {

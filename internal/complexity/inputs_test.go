@@ -3,6 +3,7 @@ package complexity
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -13,6 +14,27 @@ import (
 type modelAC struct {
 	ac    AC
 	model map[string]bool
+}
+
+// InputNames returns the sorted input names of a.
+func (a AC) InputNames() []string {
+	names := make([]string, 0, a.NumInputs())
+	a.inputs.each(func(i int) { names = append(names, a.inputs.table.list[i]) })
+	sort.Strings(names)
+	return names
+}
+
+// each calls fn with the index of every member, in increasing order.
+func (s inputSet) each(fn func(int)) {
+	for w, base := s.lo, 0; ; base += 64 {
+		for ; w != 0; w &= w - 1 {
+			fn(base + bits.TrailingZeros64(w))
+		}
+		if base/64 == len(s.hi) {
+			return
+		}
+		w = s.hi[base/64]
+	}
 }
 
 // words copies the bits of a's input set.

@@ -201,7 +201,7 @@ func main() { print(f(4)); print(f(1)); print(g); }`, slicer.Policy{HideGlobals:
 // the original does through an open component making calls hidden calls.
 func checkBatched(t *testing.T, src string, policy slicer.Policy, calls int) {
 	t.Helper()
-	res, err := core.SplitProgram(ir.MustCompile(src), []core.Spec{{Func: "f", Seed: "a"}}, policy)
+	res, err := core.SplitProgram(oracle.MustCompile(src), []core.Spec{{Func: "f", Seed: "a"}}, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestNoOrphanFragments(t *testing.T) {
 	}
 	for _, k := range corpus.Kernels() {
 		for _, in := range k.Inputs {
-			res, err := core.SplitProgram(ir.MustCompile(k.Source(in.Size)), k.Split, slicer.Policy{})
+			res, err := core.SplitProgram(oracle.MustCompile(k.Source(in.Size)), k.Split, slicer.Policy{})
 			if err != nil {
 				t.Fatalf("kernel %s %s: %v", k.Name, in.Label, err)
 			}

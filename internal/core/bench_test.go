@@ -7,6 +7,7 @@ import (
 	"slicehide/internal/corpus"
 	"slicehide/internal/hrt"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 	"slicehide/internal/slicer"
 )
 
@@ -21,7 +22,7 @@ func BenchmarkSplitCandidates(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		prog := ir.MustCompile(src)
+		prog := oracle.MustCompile(src)
 		b.StartTimer()
 		for _, qn := range prog.Order {
 			f := prog.Funcs[qn]
@@ -43,7 +44,7 @@ func BenchmarkSplitCandidates(b *testing.B) {
 // interest is the interaction count (communication dominates the Table 5
 // overhead, so fewer round trips means proportionally less cost).
 func BenchmarkAblationBatching(b *testing.B) {
-	prog := ir.MustCompile(figure2Src)
+	prog := oracle.MustCompile(figure2Src)
 	run := func(split func(*ir.Program, []core.Spec, slicer.Policy) (*core.Result, error)) int64 {
 		res, err := split(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{})
 		if err != nil {

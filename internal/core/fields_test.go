@@ -8,6 +8,7 @@ import (
 	"slicehide/internal/hrt"
 	"slicehide/internal/interp"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 	"slicehide/internal/slicer"
 	"slicehide/internal/vm"
 )
@@ -47,7 +48,7 @@ func main() {
 
 func splitFields(t *testing.T) *core.Result {
 	t.Helper()
-	prog := ir.MustCompile(accountSrc)
+	prog := oracle.MustCompile(accountSrc)
 	res, err := core.SplitProgram(prog,
 		[]core.Spec{{Func: "Account.deposit", Seed: "t"}},
 		slicer.Policy{HideFields: true})
@@ -138,7 +139,7 @@ func main() {
     print(counter);
 }
 `
-	prog := ir.MustCompile(src)
+	prog := oracle.MustCompile(src)
 	res, err := core.SplitProgram(prog,
 		[]core.Spec{{Func: "C.bump", Seed: "t"}},
 		slicer.Policy{HideFields: true, HideGlobals: true})
@@ -173,7 +174,7 @@ func main() {
     print(a.steal(b));
 }
 `
-	prog := ir.MustCompile(src)
+	prog := oracle.MustCompile(src)
 	_, err := core.SplitProgram(prog,
 		[]core.Spec{{Func: "C.steal", Seed: "t"}},
 		slicer.Policy{HideFields: true})
@@ -229,7 +230,7 @@ func main() {
     }
 }
 `
-	prog := ir.MustCompile(src)
+	prog := oracle.MustCompile(src)
 	res, err := core.SplitProgram(prog,
 		[]core.Spec{{Func: "Cell.add", Seed: "t"}},
 		slicer.Policy{HideFields: true})

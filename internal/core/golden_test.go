@@ -6,6 +6,7 @@ import (
 
 	"slicehide/internal/core"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 	"slicehide/internal/slicer"
 )
 
@@ -14,7 +15,7 @@ import (
 // text is a deliberate change to the transformation and must be reviewed
 // against §2.2.
 func TestFigure2Golden(t *testing.T) {
-	prog := ir.MustCompile(figure2Src)
+	prog := oracle.MustCompile(figure2Src)
 	res, err := splitProgramUnbatched(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +58,7 @@ func TestFigure2Golden(t *testing.T) {
 // TestHiddenComponentGoldenShape locks key structural facts of the Figure 2
 // hidden component without pinning every character.
 func TestHiddenComponentGoldenShape(t *testing.T) {
-	prog := ir.MustCompile(figure2Src)
+	prog := oracle.MustCompile(figure2Src)
 	res, err := splitProgramUnbatched(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"slicehide/internal/core"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 )
 
 func analyze(t *testing.T, src, fn string) core.MethodInfo {
@@ -77,7 +78,7 @@ func TestPrintDisqualifies(t *testing.T) {
 }
 
 func TestInitializerDetection(t *testing.T) {
-	p := ir.MustCompile(`
+	p := oracle.MustCompile(`
 class C {
     field a: int;
     field b: int;
@@ -107,7 +108,7 @@ func big(x: int): int {
 func caller(): int { return tiny(1); }
 func main() { print(caller() + big(2)); }
 `
-	p := ir.MustCompile(src)
+	p := oracle.MustCompile(src)
 	row, infos := core.AnalyzeProgram("test", p)
 	if row.Methods != 4 {
 		t.Errorf("methods: %d", row.Methods)

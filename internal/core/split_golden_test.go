@@ -14,6 +14,7 @@ import (
 	"slicehide/internal/corpus"
 	"slicehide/internal/hrt"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 	"slicehide/internal/slicer"
 )
 
@@ -311,7 +312,7 @@ func TestRegistryHashPinned(t *testing.T) {
 // the golden pins text, this pins behaviour.
 func TestFallbackCasesEquivalent(t *testing.T) {
 	for _, c := range fallbackCases {
-		res, err := core.SplitProgram(ir.MustCompile(c.src), c.specs, c.policy)
+		res, err := core.SplitProgram(oracle.MustCompile(c.src), c.specs, c.policy)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

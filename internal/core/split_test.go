@@ -313,21 +313,21 @@ func TestBestSeedAutoSelection(t *testing.T) {
 }
 
 func TestErrorOnUnknownFunc(t *testing.T) {
-	prog := ir.MustCompile(`func main() { }`)
+	prog := oracle.MustCompile(`func main() { }`)
 	if _, err := core.SplitProgram(prog, []core.Spec{{Func: "nope"}}, slicer.Policy{}); err == nil {
 		t.Fatal("expected error for unknown function")
 	}
 }
 
 func TestErrorOnUnknownSeed(t *testing.T) {
-	prog := ir.MustCompile(`func f() { var a: int = 1; print(a); } func main() { f(); }`)
+	prog := oracle.MustCompile(`func f() { var a: int = 1; print(a); } func main() { f(); }`)
 	if _, err := core.SplitProgram(prog, []core.Spec{{Func: "f", Seed: "zzz"}}, slicer.Policy{}); err == nil {
 		t.Fatal("expected error for unknown seed")
 	}
 }
 
 func TestErrorOnNonScalarSeed(t *testing.T) {
-	prog := ir.MustCompile(`func f() { var a: int[] = new int[3]; print(len(a)); } func main() { f(); }`)
+	prog := oracle.MustCompile(`func f() { var a: int[] = new int[3]; print(len(a)); } func main() { f(); }`)
 	if _, err := core.SplitProgram(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{}); err == nil {
 		t.Fatal("expected error for aggregate seed")
 	}
@@ -351,7 +351,7 @@ func main() {
     print(g);
 }
 `
-	prog := ir.MustCompile(src)
+	prog := oracle.MustCompile(src)
 	res, err := core.SplitProgram(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{HideGlobals: true})
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +401,7 @@ func main() { print(f(4)); print(reader()); }
 }
 
 func TestHiddenGlobalNonConstInitRejected(t *testing.T) {
-	prog := ir.MustCompile(`
+	prog := oracle.MustCompile(`
 func seed(): int { return 3; }
 var g: int = 1;
 func init2() { g = seed(); }
@@ -412,7 +412,7 @@ func main() { init2(); print(f(2)); print(g); }
 	if _, err := core.SplitProgram(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{HideGlobals: true}); err != nil {
 		t.Fatalf("constant init must be accepted: %v", err)
 	}
-	prog2 := ir.MustCompile(`
+	prog2 := oracle.MustCompile(`
 func seed(): int { return 3; }
 var g: int = seed();
 func f(x: int): int { var a: int = x; g = a; return a; }
@@ -424,7 +424,7 @@ func main() { print(f(2)); print(g); }
 }
 
 func TestHiddenGlobalTwoSplitsRejected(t *testing.T) {
-	prog := ir.MustCompile(`
+	prog := oracle.MustCompile(`
 var g: int = 0;
 func f(x: int): int { var a: int = x; g = a; return a; }
 func h(y: int): int { var b: int = y + g; return b; }
@@ -498,7 +498,7 @@ func main() { print(f(5)); }
 }
 
 func TestBatchingPreservesBehaviorAndReducesInteractions(t *testing.T) {
-	prog := ir.MustCompile(figure2Src)
+	prog := oracle.MustCompile(figure2Src)
 	plain, err := splitProgramUnbatched(prog, []core.Spec{{Func: "f", Seed: "a"}}, slicer.Policy{})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"slicehide/internal/core"
 	"slicehide/internal/hrt"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 	"slicehide/internal/slicer"
 )
 
@@ -190,9 +191,9 @@ func TestKernelDeterministicAcrossSizes(t *testing.T) {
 	if p1 != p2 {
 		t.Fatal("kernel source not deterministic")
 	}
-	prog := ir.MustCompile(p1)
+	prog := oracle.MustCompile(p1)
 	o1, _, err1 := hrt.RunOriginal(prog, 10_000_000)
-	o2, _, err2 := hrt.RunOriginal(ir.MustCompile(p2), 10_000_000)
+	o2, _, err2 := hrt.RunOriginal(oracle.MustCompile(p2), 10_000_000)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}

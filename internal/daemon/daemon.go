@@ -15,6 +15,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -169,9 +170,6 @@ func (d *Daemon) readiness() (bool, string) {
 	}
 	return true, ""
 }
-
-// Addr is the address the server is listening on.
-func (d *Daemon) Addr() net.Addr { return d.addr }
 
 // Start compiles and splits the program, recovers durable state when
 // DataDir is set, and begins serving. It returns once the listener is
@@ -329,6 +327,10 @@ func Start(cfg Config) (*Daemon, error) {
 		rec := d.persist.Recovered()
 		fmt.Fprintf(out, "durable state in %s: recovered generation %d (%d journal records, %d sessions, snapshot=%v) in %s\n",
 			cfg.DataDir, rec.Generation, rec.Records, rec.Sessions, rec.SnapshotUsed, rec.Took)
+		if rec.CutBytes != 0 || len(rec.Pruned) != 0 {
+			fmt.Fprintf(out, "recovery discarded %d non-zero bytes past the tip journal's valid prefix; pruned: [%s]\n",
+				rec.CutBytes, strings.Join(rec.Pruned, ", "))
+		}
 	}
 	fmt.Fprintf(out, "hiddend listening on %s (%d session shards)\n", d.addr, d.server.Server.Shards())
 	return d, nil

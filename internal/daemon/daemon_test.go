@@ -80,7 +80,7 @@ func TestGroupCommitFollowsFsync(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			mt, err := hrt.DialMux(hrt.MuxConfig{Addr: d.Addr().String(), Timeout: 5 * time.Second})
+			mt, err := hrt.DialMux(hrt.MuxConfig{Addr: d.addr.String(), Timeout: 5 * time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,9 +24,10 @@ import (
 // Dedup here has a single stripe, so "another session" always means
 // "another session of the same stripe".
 
-// holdNextSync makes j's next fsync block until the returned release runs;
-// held is closed once the committer is inside it.
-func holdNextSync(t *testing.T, j *wal.Journal) (held <-chan struct{}, release func()) {
+// holdNextSync makes p's next group-commit batch block before its write
+// and fsync until the returned release runs; held is closed once the
+// committer is inside the hold.
+func holdNextSync(t *testing.T, p *Durability) (held <-chan struct{}, release func()) {
 	t.Helper()
 	entered := make(chan struct{})
 	gate := make(chan struct{})
@@ -36,10 +37,10 @@ func holdNextSync(t *testing.T, j *wal.Journal) (held <-chan struct{}, release f
 	// inside the held fsync: callers register crash with t.Cleanup before
 	// calling here, so this release runs first.
 	t.Cleanup(release)
-	j.SetSyncFunc(func(f *os.File, _ int64) error {
+	p.onCommit(func() error {
 		enterOnce.Do(func() { close(entered) })
 		<-gate
-		return f.Sync()
+		return nil
 	})
 	return entered, release
 }
@@ -122,7 +123,7 @@ func TestGroupCommitCoalescesSameStripeSessions(t *testing.T) {
 	if len(dd.shards) != 1 {
 		t.Fatalf("dedup has %d stripes, want 1", len(dd.shards))
 	}
-	held, release := holdNextSync(t, p.wlog)
+	held, release := holdNextSync(t, p)
 
 	const sessions = 8
 	enter := func(i int) <-chan Response {
@@ -183,7 +184,7 @@ func TestDedupExactlyOnceWhileCommitHeld(t *testing.T) {
 	otherResp := mustRoundTrip(t, dd, otherEnter)
 	callsBefore := server.Stats().Calls
 
-	held, release := holdNextSync(t, p.wlog)
+	held, release := holdNextSync(t, p)
 	seq3 := Request{Op: OpCall, Session: S, Seq: 3, Fn: "f", Inst: inst,
 		Frag: initFrag, Args: []interp.Value{interp.IntV(7)}}
 	first := asyncRoundTrip(t, dd, seq3)
@@ -284,7 +285,7 @@ func crashSameStripeGlobals(t *testing.T, keep int) {
 	// Session C's enter takes the held fsync; behind it A's second add
 	// (counter = 10) and B's add (counter = 20) execute on the same stripe
 	// and queue in that order, to be coalesced into one batch.
-	held, release := holdNextSync(t, p1.wlog)
+	held, release := holdNextSync(t, p1)
 	enterC := asyncRoundTrip(t, dd1, Request{Op: OpEnter, Session: C, Seq: 1, Fn: fn, Obj: 3})
 	<-held
 	addA := call(A, 4, instA, addToCounter)

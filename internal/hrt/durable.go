@@ -1,7 +1,6 @@
 package hrt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,9 +101,12 @@ type Durability struct {
 	snapWG       sync.WaitGroup
 	// testHookSnapshotWrite, when set by tests, runs on the background
 	// writer goroutine before serialization begins; testHookAppended runs
-	// between a direct append's write and its count.
+	// between a direct append's write and its count; testHookCommit (set
+	// while the committer runs, hence atomic) runs before each group-commit
+	// batch's write, and its error fails the batch as a failed fsync would.
 	testHookSnapshotWrite func()
 	testHookAppended      func()
+	testHookCommit        atomic.Pointer[func() error]
 
 	recovered RecoveryStats
 
@@ -194,6 +197,13 @@ type RecoveryStats struct {
 	Sessions int
 	// Took is the wall-clock recovery time.
 	Took time.Duration
+	// CutBytes counts the non-zero bytes past the tip journal's valid
+	// prefix that recovery truncated away: a torn tail, or the damaged
+	// rest of a journal the chain was cut at.
+	CutBytes int64
+	// Pruned names each file of a generation above the tip that recovery
+	// deleted, with its size ("journal-00000002.wal (173 bytes)").
+	Pruned []string
 }
 
 // NewDurability creates a durability layer over the data directory in
@@ -326,17 +336,19 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 		return err
 	}
 	records := tipRecords
-	for onDisk[tip+1] {
-		// A non-tip journal holding anything but zero fill past its valid
-		// prefix is corrupt history the later generations were built on.
-		// (Zero fill alone is a generation whose seal was cut short by the
-		// crash: rotation swaps the journal under the quiesce, the sealed
-		// file is truncated to its log end only later, on the snapshot
-		// writer.)
-		if clean, err := wal.ZeroFrom(p.journalPath(tip), validLen); err != nil {
+	// cut counts the bytes past the tip's valid prefix that are not zero
+	// fill: a torn tail, or, below a later generation, corrupt history
+	// that generation was built on, so the chain is cut there. (Zero fill
+	// alone is a generation whose seal was cut short by the crash:
+	// rotation swaps the journal under the quiesce, the sealed file is
+	// truncated to its log end only later, on the snapshot writer.) Open
+	// truncates them away.
+	var cut int64
+	for {
+		if cut, err = wal.NonZeroFrom(p.journalPath(tip), validLen); err != nil {
 			return err
-		} else if !clean {
-			p.opts.Tracer.Emit(obs.LevelWarn, "wal_chain_cut", obs.Uint("generation", tip))
+		}
+		if cut != 0 || !onDisk[tip+1] {
 			break
 		}
 		tip++
@@ -355,8 +367,9 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 	p.sinceSnap, p.base = int(tipRecords), int(tipRecords)
 	p.mu.Unlock()
 	// Newer generations are leftovers of a rotation whose snapshot turned
-	// out corrupt: their journals build on a base that no longer exists.
-	p.prune(func(g uint64) bool { return g > tip })
+	// out corrupt, or sit above a chain cut: their journals build on a base
+	// that no longer exists.
+	pruned := p.prune(func(g uint64) bool { return g > tip })
 	if p.opts.Fsync {
 		p.commitq = make(chan *walCommit, 1024)
 		p.commitStop = make(chan struct{})
@@ -373,12 +386,22 @@ func (p *Durability) start(server *Server, dedup *Dedup) error {
 		Records:      records,
 		Sessions:     dedup.Sessions(),
 		Took:         time.Since(begin),
+		CutBytes:     cut,
+		Pruned:       pruned,
 	}
-	p.opts.Tracer.Emit(obs.LevelInfo, "wal_recover",
+	attrs := []obs.Attr{
 		obs.Uint("generation", tip),
 		obs.Int("records", records),
 		obs.Int("sessions", int64(p.recovered.Sessions)),
-		obs.Dur("took", p.recovered.Took))
+		obs.Dur("took", p.recovered.Took),
+	}
+	level := obs.LevelInfo
+	if cut != 0 || len(pruned) != 0 {
+		// Recovery discarded bytes: say so once, at warn level.
+		level = obs.LevelWarn
+		attrs = append(attrs, obs.Int("cut_bytes", cut), obs.Str("pruned", strings.Join(pruned, ", ")))
+	}
+	p.opts.Tracer.Emit(level, "wal_recover", attrs...)
 	return nil
 }
 
@@ -423,22 +446,29 @@ func (p *Durability) listGenerations() (snaps, journals []uint64, err error) {
 }
 
 // prune removes the snapshot and journal files of every generation drop
-// picks. Best-effort.
-func (p *Durability) prune(drop func(gen uint64) bool) {
+// picks, and names each file it removed with its size. Best-effort.
+func (p *Durability) prune(drop func(gen uint64) bool) (removed []string) {
 	snaps, journals, err := p.listGenerations()
 	if err != nil {
-		return
+		return nil
+	}
+	remove := func(path string) {
+		info, err := os.Stat(path)
+		if err == nil && os.Remove(path) == nil {
+			removed = append(removed, fmt.Sprintf("%s (%d bytes)", filepath.Base(path), info.Size()))
+		}
 	}
 	for _, g := range snaps {
 		if drop(g) {
-			os.Remove(p.snapPath(g))
+			remove(p.snapPath(g))
 		}
 	}
 	for _, g := range journals {
 		if drop(g) {
-			os.Remove(p.journalPath(g))
+			remove(p.journalPath(g))
 		}
 	}
+	return removed
 }
 
 // pruneBelow removes generations older than keep (the previous generation
@@ -759,6 +789,11 @@ func (p *Durability) commitBatch(batch []*walCommit, payloads [][]byte) ([][]byt
 	for _, w := range batch {
 		payloads = append(payloads, w.payload)
 		wake = wake || w.wake
+	}
+	if hook := p.testHookCommit.Load(); hook != nil {
+		if err := (*hook)(); err != nil {
+			return payloads, err
+		}
 	}
 	n, err := batch[0].j.AppendCounted(payloads...)
 	if err != nil {
@@ -1207,8 +1242,14 @@ func appendRecord(b []byte, rec *journalRecord) ([]byte, error) {
 	return b, nil
 }
 
+// errRecordTruncated reports a journal record that ends inside a field.
+var errRecordTruncated = errors.New("hrt: journal record truncated")
+
+// decodeRecord decodes an encoded journal record in place: every field is
+// read straight from payload, and strings are copied out, so the record
+// holds nothing of payload once it returns.
 func decodeRecord(payload []byte) (*journalRecord, error) {
-	d := newWireReader(bytes.NewReader(payload))
+	d := wireReader{b: payload}
 	rec := &journalRecord{}
 	rec.op = Op(d.byte())
 	if d.err == nil && (rec.op < OpEnter || rec.op > OpFlush) {
@@ -1245,6 +1286,9 @@ func decodeRecord(payload []byte) (*journalRecord, error) {
 	rec.resp.Val = d.value()
 	rec.resp.Inst = int64(d.u64())
 	rec.resp.Err = d.str()
+	if d.err == errShortFrame {
+		return nil, errRecordTruncated
+	}
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -83,12 +83,14 @@ func startDurable(t *testing.T, res *core.Result, dir string, opts DurabilityOpt
 // crash abandons a durability layer without the final snapshot Close would
 // write and without sealing the journal, so the next boot must recover
 // from what SIGKILL leaves: under Fsync, records followed by zero fill.
+// The journal's handle is dropped unclosed, as a killed process drops it
+// (its file closes when collected); appends through p fail from here on.
 func crash(t *testing.T, p *Durability) {
 	t.Helper()
 	p.stopCommitter()
-	if err := p.wlog.Abandon(); err != nil {
-		t.Fatal(err)
-	}
+	p.mu.Lock()
+	p.wlog = nil
+	p.mu.Unlock()
 }
 
 // writeJournalAt plants raw bytes in the journal file at path, building

@@ -273,3 +273,8 @@ func (d *DurableServer) JournalRecords() ([]string, error) {
 	})
 	return out, err
 }
+
+// onCommit makes fn run on the committer before each group-commit batch's
+// write and fsync: a test holds the batch inside fn, or fails it by
+// returning an error, which poisons the journal as a failed fsync does.
+func (p *Durability) onCommit(fn func() error) { p.testHookCommit.Store(&fn) }

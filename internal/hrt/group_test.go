@@ -38,11 +38,11 @@ func TestGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 	// committer, which is stuck inside the held fsync.
 	t.Cleanup(unblock)
 	var syncs atomic.Int32
-	p.wlog.SetSyncFunc(func(f *os.File, _ int64) error {
+	p.onCommit(func() error {
 		if syncs.Add(1) == 1 {
 			<-release
 		}
-		return f.Sync()
+		return nil
 	})
 
 	const writers = 8
@@ -101,16 +101,15 @@ func TestGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCrashInsideBatch is the satellite-4 referee: the
-// machine dies between a batch's coalesced write and its flush. The
-// sync hook stops flushing (the write landed in page cache only) while
-// remembering the last durable log end it was told; after the crash the
-// journal reads as zeros from that boundary on, simulating the lost cache
-// over the durable zero fill (the file's length is no boundary any more:
-// it lies a chunk beyond the log end, so truncating to f.Stat().Size()
-// would keep the doomed batch). Recovery must resume from the flushed
-// prefix, and the client's retry of the lost request must re-execute
-// exactly once.
+// TestGroupCommitCrashInsideBatch: the machine dies between a batch's
+// coalesced write and its flush. Every acknowledged record before the
+// doomed batch was flushed, so the log end read just before it is the
+// durable boundary; after the crash the journal reads as zeros from that
+// boundary on, simulating the lost cache over the durable zero fill (the
+// file's length is no boundary any more: it lies a chunk beyond the log
+// end, so truncating to f.Stat().Size() would keep the doomed batch).
+// Recovery must resume from the flushed prefix, and the client's retry of
+// the lost request must re-execute exactly once.
 func TestGroupCommitCrashInsideBatch(t *testing.T) {
 	dir := t.TempDir()
 	res := split(t, stressSrc, core.Spec{Func: "f", Seed: "a"})
@@ -118,18 +117,6 @@ func TestGroupCommitCrashInsideBatch(t *testing.T) {
 	opts := DurabilityOptions{Fsync: true, CommitBytes: 1 << 20, SnapshotEvery: -1}
 
 	server1, dd1, p1 := startDurable(t, res, dir, opts)
-	var durable atomic.Int64 // log end at the last completed flush
-	var dying atomic.Bool
-	p1.wlog.SetSyncFunc(func(f *os.File, end int64) error {
-		if dying.Load() {
-			return nil // the flush never reaches the platter
-		}
-		if err := f.Sync(); err != nil {
-			return err
-		}
-		durable.Store(end)
-		return nil
-	})
 
 	resp := mustRoundTrip(t, dd1, Request{Op: OpEnter, Session: 5, Seq: 1, Fn: "f"})
 	inst := resp.Inst
@@ -137,13 +124,13 @@ func TestGroupCommitCrashInsideBatch(t *testing.T) {
 		Frag: initFrag, Args: []interp.Value{interp.IntV(41)}})
 	durableCalls := server1.Stats().Calls
 
-	// The doomed batch: written, acknowledged, never flushed.
-	dying.Store(true)
+	// The doomed batch: written and acknowledged, its flush lost.
+	durable := p1.wlog.Size()
 	mustRoundTrip(t, dd1, Request{Op: OpCall, Session: 5, Seq: 3, Fn: "f", Inst: inst,
 		Frag: initFrag, Args: []interp.Value{interp.IntV(7)}})
 	journalFile := p1.journalPath(p1.gen)
 	crash(t, p1)
-	zeroJournalFrom(t, journalFile, durable.Load())
+	zeroJournalFrom(t, journalFile, durable)
 
 	res2 := split(t, stressSrc, core.Spec{Func: "f", Seed: "a"})
 	server2, dd2, p2 := startDurable(t, res2, dir, opts)

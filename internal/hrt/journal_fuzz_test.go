@@ -77,3 +77,34 @@ func FuzzJournalRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeRecordTruncated cuts every seed record at every length short
+// of whole: each cut reports errRecordTruncated, and the decoded record
+// keeps nothing of the payload it was read from.
+func TestDecodeRecordTruncated(t *testing.T) {
+	for _, seed := range fuzzSeedRecords() {
+		payload, err := appendRecord(nil, &seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < len(payload); n++ {
+			if _, err := decodeRecord(payload[:n]); err != errRecordTruncated {
+				t.Fatalf("%s record cut to %d of %d bytes: error %v, want %v", seed.op, n, len(payload), err, errRecordTruncated)
+			}
+		}
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range payload {
+			payload[i] = 0xAA
+		}
+		again, err := appendRecord(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := appendRecord(nil, &seed); !bytes.Equal(again, want) {
+			t.Fatalf("%s record changed when the payload it was decoded from was overwritten", seed.op)
+		}
+	}
+}

@@ -26,7 +26,6 @@ import (
 type engine interface {
 	Run() error
 	Call(qn string, args []interp.Value) (interp.Value, error)
-	CallMethod(qn string, recv *interp.ObjectVal, args []interp.Value) (interp.Value, error)
 	Steps() int64
 }
 
@@ -255,7 +254,7 @@ const javacProgramHash = 0x40b3320fb64159fe
 func TestFragmentsHoldNoMachineOpcode(t *testing.T) {
 	results := map[string]*core.Result{}
 	for _, k := range corpus.Kernels() {
-		res, err := core.SplitProgram(ir.MustCompile(k.Source(max(k.Inputs[0].Size/100, 10))), k.Split, slicer.Policy{})
+		res, err := core.SplitProgram(oracle.MustCompile(k.Source(max(k.Inputs[0].Size/100, 10))), k.Split, slicer.Policy{})
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
@@ -791,7 +790,7 @@ func findStmt[S ir.Stmt](t *testing.T, list []ir.Stmt, n int) S {
 // call; one-way it is deferred to the next barrier and must suppress
 // exactly the output the synchronous run suppresses — on both engines.
 func TestDifferentialMachineVsInterpHiddenFailure(t *testing.T) {
-	prog := ir.MustCompile(`
+	prog := oracle.MustCompile(`
 func f(x: int, y: int): int {
     var a: int = x * 3 + y;
     var s: int = 0;
@@ -831,17 +830,12 @@ func main() {
 	}
 }
 
-// TestMachineDirectCalls drives Call and CallMethod the way the attack
-// harnesses do: many invocations on one machine, steps accumulating.
+// TestMachineDirectCalls drives Call the way the attack harnesses do: many
+// invocations on one machine, steps accumulating.
 func TestMachineDirectCalls(t *testing.T) {
-	prog := ir.MustCompile(`
-class Counter {
-    field n: int;
-    method inc(by: int): int { n = n + by; return n; }
-}
+	prog := oracle.MustCompile(`
 var calls: int = 0;
 func price(q: int, p: int): int { calls = calls + 1; return q * p + calls; }
-func make(): Counter { return new Counter(); }
 func main() { }`)
 	drive := func(e engine) error {
 		if err := e.Run(); err != nil { // initializes the globals
@@ -856,26 +850,10 @@ func main() { }`)
 				return fmt.Errorf("price(%d, 3) = %s, want %d", i, v, want)
 			}
 		}
-		obj, err := e.Call("make", nil)
-		if err != nil {
-			return err
-		}
-		for i := int64(1); i <= 3; i++ {
-			v, err := e.CallMethod("Counter.inc", obj.Obj(), []interp.Value{interp.IntV(i)})
-			if err != nil {
-				return err
-			}
-			if want := i * (i + 1) / 2; v.I != want {
-				return fmt.Errorf("inc(%d) = %s, want %d", i, v, want)
-			}
-		}
 		if _, err := e.Call("price", []interp.Value{interp.IntV(1)}); err == nil {
 			return errors.New("wrong argument count accepted")
 		}
-		if _, err := e.CallMethod("Counter.inc", nil, []interp.Value{interp.IntV(1)}); err == nil {
-			return errors.New("method ran without a receiver")
-		}
-		_, err = e.Call("missing", nil)
+		_, err := e.Call("missing", nil)
 		return err
 	}
 	got := compareEngines(t, "direct calls", prog, nil, runConfig{drive: drive})

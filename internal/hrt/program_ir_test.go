@@ -7,6 +7,7 @@ import (
 	"slicehide/internal/core"
 	"slicehide/internal/corpus"
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 	"slicehide/internal/slicer"
 )
 
@@ -23,7 +24,7 @@ func TestProgramHoldsNoIR(t *testing.T) {
 		"hidden globals and fields": durableSplit(t),
 	}
 	for _, k := range corpus.Kernels() {
-		res, err := core.SplitProgram(ir.MustCompile(k.Source(k.Inputs[0].Size)), k.Split, slicer.Policy{})
+		res, err := core.SplitProgram(oracle.MustCompile(k.Source(k.Inputs[0].Size)), k.Split, slicer.Policy{})
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}

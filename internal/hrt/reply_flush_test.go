@@ -54,14 +54,13 @@ func TestGroupCommitRepliesShareOneFlush(t *testing.T) {
 	var enterOnce, releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(gate) }) }
 	t.Cleanup(release) // before ts.Close, which waits for the committer
-	p.wlog.SetSyncFunc(func(f *os.File, _ int64) error {
+	p.onCommit(func() error {
 		enterOnce.Do(func() {
 			close(entered)
 			<-gate
 		})
-		err := f.Sync()
 		durable.Store(true)
-		return err
+		return nil
 	})
 	// The holder's record takes the first fsync; it is served in process,
 	// so its reply is no mux frame.
@@ -197,7 +196,7 @@ func TestGroupCommitReleasedCountReturnsToZero(t *testing.T) {
 	}
 	settled("a replicated apply")
 
-	p.wlog.SetSyncFunc(func(*os.File, int64) error { return errors.New("device gone") })
+	p.onCommit(func() error { return errors.New("device gone") })
 	for i := 0; i < 2; i++ { // the failed batch's record, then one refused up front
 		if resp := call(Request{Op: OpCall, Fn: "f", Inst: inst, Frag: fetchFrag}); !strings.Contains(resp.Err, "journal append failed") {
 			t.Fatalf("call %d on a poisoned journal answered %+v", i, resp)

@@ -70,7 +70,7 @@ func TestValueBytesGolden(t *testing.T) {
 			set(i, ir.Int(-7)),
 			set(f, ir.Float(math.Copysign(0, -1))),
 			set(b, ir.Bool(true)),
-			set(s, ir.Str("hé")),
+			set(s, &ir.Const{Kind: ir.ConstString, S: "hé"}),
 			&ir.ReturnStmt{Value: ir.Float(2.5)},
 		}}},
 	}

@@ -239,7 +239,7 @@ func TestRuntimeErrors(t *testing.T) {
 }
 
 func TestStepLimit(t *testing.T) {
-	p := ir.MustCompile(`func main() { for (;;) { } }`)
+	p := oracle.MustCompile(`func main() { for (;;) { } }`)
 	in := oracle.New(p, interp.Options{MaxSteps: 1000})
 	err := in.Run()
 	if err == nil || !strings.Contains(err.Error(), "step limit") {
@@ -257,7 +257,7 @@ func main() { print(f(0)); }`)
 }
 
 func TestStepsCounted(t *testing.T) {
-	p := ir.MustCompile(`func main() { var x: int = 1; x = x + 1; print(x); }`)
+	p := oracle.MustCompile(`func main() { var x: int = 1; x = x + 1; print(x); }`)
 	in := oracle.New(p, interp.Options{})
 	if err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -268,7 +268,7 @@ func TestStepsCounted(t *testing.T) {
 }
 
 func TestCallByQName(t *testing.T) {
-	p := ir.MustCompile(`func add(a: int, b: int): int { return a + b; } func main() { }`)
+	p := oracle.MustCompile(`func add(a: int, b: int): int { return a + b; } func main() { }`)
 	in := oracle.New(p, interp.Options{})
 	v, err := in.Call("add", []interp.Value{interp.IntV(2), interp.IntV(40)})
 	if err != nil {

@@ -117,7 +117,7 @@ func TestCompareNaN(t *testing.T) {
 	for op, want := range map[ir.BinOp]bool{ir.BinLt: false, ir.BinLeq: true, ir.BinGt: false, ir.BinGeq: true} {
 		for _, p := range [][2]interp.Value{{nan, one}, {one, nan}, {nan, nan}} {
 			if got, err := interp.Compare(op, &p[0], &p[1]); got != want || err != nil {
-				t.Errorf("%v %s %v = %v, %v; want %v", p[0], op, p[1], got, err, want)
+				t.Errorf("%v op%d %v = %v, %v; want %v", p[0], op, p[1], got, err, want)
 			}
 		}
 	}

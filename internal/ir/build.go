@@ -66,15 +66,6 @@ func Compile(src string) (*Program, error) {
 	return Build(astProg, info), nil
 }
 
-// MustCompile is Compile panicking on error; for tests and embedded corpora.
-func MustCompile(src string) *Program {
-	p, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type builder struct {
 	info    *types.Info
 	prog    *Program

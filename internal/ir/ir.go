@@ -100,12 +100,6 @@ func Float(v float64) *Const { return &Const{Kind: ConstFloat, F: v} }
 // Bool returns a boolean constant.
 func Bool(v bool) *Const { return &Const{Kind: ConstBool, B: v} }
 
-// Str returns a string constant.
-func Str(v string) *Const { return &Const{Kind: ConstString, S: v} }
-
-// Null returns the null constant.
-func Null() *Const { return &Const{Kind: ConstNull} }
-
 // VarRef reads a variable.
 type VarRef struct{ Var *Var }
 
@@ -362,9 +356,6 @@ func (f *Func) QName() string {
 	}
 	return f.Name
 }
-
-// NumStmtIDs returns an upper bound on statement IDs allocated so far.
-func (f *Func) NumStmtIDs() int { return f.nextStmtID }
 
 // NewStmt constructs the statement base for a new statement of f.
 func (f *Func) NewStmt(pos token.Pos) stmtBase {

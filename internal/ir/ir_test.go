@@ -7,6 +7,16 @@ import (
 	"slicehide/internal/lang/token"
 )
 
+// MustCompile is Compile panicking on error, for the programs these tests
+// embed (other packages' tests use oracle.MustCompile).
+func MustCompile(src string) *Program {
+	p, err := Compile(src)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 const sampleSrc = `
 var g: int = 10;
 

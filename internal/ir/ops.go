@@ -34,19 +34,6 @@ const (
 	BinOr
 )
 
-var binOpNames = [...]string{
-	BinInvalid: "?", BinAdd: "+", BinSub: "-", BinMul: "*", BinDiv: "/",
-	BinMod: "%", BinEq: "==", BinNeq: "!=", BinLt: "<", BinLeq: "<=",
-	BinGt: ">", BinGeq: ">=", BinAnd: "&&", BinOr: "||",
-}
-
-func (op BinOp) String() string {
-	if int(op) < len(binOpNames) {
-		return binOpNames[op]
-	}
-	return "?"
-}
-
 // BinOpOf converts a token kind to its neutral operator (BinInvalid when
 // the kind is not a binary operator).
 func BinOpOf(k token.Kind) BinOp {

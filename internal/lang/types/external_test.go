@@ -12,13 +12,14 @@ import (
 	"slicehide/internal/lang/ast"
 	"slicehide/internal/lang/parser"
 	"slicehide/internal/lang/types"
+	"slicehide/internal/oracle"
 )
 
 // TestUsesResolved checks name resolution where it is consumed: lowering
 // turns every identifier of a checked program into the ir.Var of the right
 // kind — parameter, local, global, or a field of the implicit this.
 func TestUsesResolved(t *testing.T) {
-	prog := ir.MustCompile(`
+	prog := oracle.MustCompile(`
 var g: int = 1;
 class C {
     field fld: int;

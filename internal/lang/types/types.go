@@ -302,8 +302,8 @@ func (c *checker) checkFunc(f *ast.FuncDecl, class *Class) {
 	} else {
 		c.curSig = c.info.Funcs[f.Name]
 	}
-	if c.curSig == nil {
-		return // duplicate; already reported
+	if c.curSig == nil || c.curSig.Decl != f {
+		return // a duplicate declaration, already reported: the signature is the first one's
 	}
 	c.scope, c.block = c.scope[:0], 0
 	for i, p := range f.Params {

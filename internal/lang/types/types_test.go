@@ -130,6 +130,11 @@ func TestErrors(t *testing.T) {
 		{`func f() { var x: int = true ? 1 : 2.0; }`, "mismatched conditional"},
 		{`class C { field v: int; field v: int; }`, "redeclared"},
 		{`func f() { } func f() { }`, "redeclared"},
+		// A duplicate with more parameters than the first declaration is
+		// checked against nothing (FuzzSplit's first find: it indexed the
+		// first signature's parameters and panicked).
+		{`func r(){}func r(A:A){}`, "r redeclared"},
+		{`class C { method m() { } method m(a: int, b: int) { } }`, "C.m redeclared"},
 		{`var g: int; var g: int;`, "redeclared"},
 		{`func f(a: int, a: int) { }`, "redeclared"},
 		{`func f() { var s: string = "a"; var x: int = len(s); var y: int = len(x); }`, "len requires"},

@@ -56,5 +56,12 @@ func EvalBinOp(op ir.BinOp, x, y interp.Value) (interp.Value, error) {
 		}
 		return interp.BoolV(ok), nil
 	}
-	return interp.NullV(), &interp.RuntimeError{Msg: fmt.Sprintf("invalid binary op %s on %s", op, x.Kind)}
+	return interp.NullV(), &interp.RuntimeError{Msg: fmt.Sprintf("invalid binary op %s on %s", binOpNames[op], x.Kind)}
+}
+
+// binOpNames spells each operator as the machine's error messages do.
+var binOpNames = [...]string{
+	ir.BinInvalid: "?", ir.BinAdd: "+", ir.BinSub: "-", ir.BinMul: "*", ir.BinDiv: "/",
+	ir.BinMod: "%", ir.BinEq: "==", ir.BinNeq: "!=", ir.BinLt: "<", ir.BinLeq: "<=",
+	ir.BinGt: ">", ir.BinGeq: ">=", ir.BinAnd: "&&", ir.BinOr: "||",
 }

@@ -94,15 +94,6 @@ func (in *Interp) Call(qn string, args []interp.Value) (interp.Value, error) {
 	return in.callFunc(f, nil, args)
 }
 
-// CallMethod invokes a method on the given receiver.
-func (in *Interp) CallMethod(qn string, recv *interp.ObjectVal, args []interp.Value) (interp.Value, error) {
-	f := in.prog.Func(qn)
-	if f == nil {
-		return interp.NullV(), &interp.RuntimeError{Msg: "undefined method " + qn}
-	}
-	return in.callFunc(f, recv, args)
-}
-
 type frame struct {
 	fn     *ir.Func
 	locals map[*ir.Var]interp.Value

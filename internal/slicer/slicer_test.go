@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"slicehide/internal/ir"
+	"slicehide/internal/oracle"
 )
 
 // figure2Src is the paper's Figure 2 example: splitting function f is
@@ -278,7 +279,7 @@ func main() { f(2); }`, "f", "a", Policy{})
 }
 
 func TestBestSeed(t *testing.T) {
-	p := ir.MustCompile(figure2Src)
+	p := oracle.MustCompile(figure2Src)
 	f := p.Func("f")
 	seed, sl := BestSeed(f, Policy{})
 	if seed == nil || sl == nil {

@@ -143,7 +143,7 @@ func (m *Machine) Steps() int64 { return m.steps }
 // Run initializes globals and executes main(). Output goes to opts.Out;
 // the error reports runtime failures.
 func (m *Machine) Run() error {
-	if _, err := m.invoke(m.globalInit, nil, nil); err != nil {
+	if _, err := m.invoke(m.globalInit, nil); err != nil {
 		return err
 	}
 	if m.funcs["main"] == nil {
@@ -165,16 +165,7 @@ func (m *Machine) Call(qn string, args []interp.Value) (interp.Value, error) {
 	if f == nil {
 		return interp.NullV(), &interp.RuntimeError{Msg: "undefined function " + qn}
 	}
-	return m.invoke(f, nil, args)
-}
-
-// CallMethod invokes a method on the given receiver.
-func (m *Machine) CallMethod(qn string, recv *interp.ObjectVal, args []interp.Value) (interp.Value, error) {
-	f := m.funcs[qn]
-	if f == nil {
-		return interp.NullV(), &interp.RuntimeError{Msg: "undefined method " + qn}
-	}
-	return m.invoke(f, recv, args)
+	return m.invoke(f, args)
 }
 
 func argCountErr(name string, got, want int) error {
@@ -183,16 +174,13 @@ func argCountErr(name string, got, want int) error {
 
 // invoke runs f from Go: it lays the arguments out as a compiled caller
 // would and enters the dispatch loop at the bottom of the stack.
-func (m *Machine) invoke(f *funcCode, recv *interp.ObjectVal, args []interp.Value) (v interp.Value, err error) {
+func (m *Machine) invoke(f *funcCode, args []interp.Value) (v interp.Value, err error) {
 	if len(args) != f.nparams {
 		return interp.NullV(), argCountErr(f.name, len(args), f.nparams)
 	}
 	m.grow(f.nparams + 1)
 	copy(m.stack, args)
 	m.stack[f.nparams] = interp.Value{}
-	if recv != nil {
-		m.stack[f.nparams] = interp.ObjV(recv)
-	}
 	if err := m.enter(f, 0, f.nparams+1, frame{}); err != nil {
 		return interp.NullV(), err
 	}

@@ -131,7 +131,7 @@ func TestComparisonOpcodesFollowBinOpOrder(t *testing.T) {
 	for op := ir.BinLt; op <= ir.BinGeq; op++ {
 		k := Opcode(op - ir.BinLt)
 		if oc := binOpcode(op); oc != OpLt+k || oc-OpEq+OpJumpNEq != OpJumpNLt+k {
-			t.Errorf("%s compiles to %s, not the opcode at offset %d from lt and jumpnlt", op, oc, k)
+			t.Errorf("op %d compiles to %s, not the opcode at offset %d from lt and jumpnlt", op, oc, k)
 		}
 	}
 }
@@ -177,7 +177,7 @@ func main() {
 // TestMachineMatchesWalker is the in-package smoke check; the differential
 // suite in package hrt is the real oracle.
 func TestMachineMatchesWalker(t *testing.T) {
-	prog := ir.MustCompile(machineSrc)
+	prog := oracle.MustCompile(machineSrc)
 	var want, got strings.Builder
 	ref := oracle.New(prog, interp.Options{Out: &want})
 	if err := ref.Run(); err != nil {
@@ -193,7 +193,7 @@ func TestMachineMatchesWalker(t *testing.T) {
 }
 
 func BenchmarkMachineRun(b *testing.B) {
-	prog := ir.MustCompile(machineSrc)
+	prog := oracle.MustCompile(machineSrc)
 	var steps int64
 	for i := 0; i < b.N; i++ {
 		m := NewMachine(prog, interp.Options{})

@@ -17,6 +17,30 @@ import (
 // drops the handle the way a killed process does) — and then recovers.
 // Nothing depends on timing; the randomized cases replay from their seed.
 
+// SetSyncFunc installs fn in place of the journal's own flush (Append,
+// AppendBatch, Sync, Close); end is the log end the flush covers. Passing
+// nil restores the real flush. The crash tests use it to record the last
+// durable boundary and to inject sync faults.
+func (j *Journal) SetSyncFunc(fn func(f *os.File, end int64) error) {
+	j.mu.Lock()
+	j.syncFn = fn
+	j.mu.Unlock()
+}
+
+// Abandon drops the file handle without flushing or truncating, leaving
+// on disk what a killed process leaves: for a sync journal, the records
+// followed by the zero fill.
+func (j *Journal) Abandon() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return nil
+	}
+	err := j.f.Close()
+	j.f = nil
+	return err
+}
+
 // fileBytes reads the journal file whole.
 func fileBytes(t *testing.T, path string) []byte {
 	t.Helper()
@@ -148,8 +172,8 @@ func TestCrashTornBatchDoesNotResurrect(t *testing.T) {
 		if j2.Size() != lostAt {
 			t.Fatalf("seed %d: reopened log end %d, want the tear at %d", seed, j2.Size(), lostAt)
 		}
-		if clean, err := ZeroFrom(path, lostAt); err != nil || !clean {
-			t.Fatalf("seed %d: reopen left bytes beyond the tear (clean=%v, %v)", seed, clean, err)
+		if nonzero, err := NonZeroFrom(path, lostAt); err != nil || nonzero != 0 {
+			t.Fatalf("seed %d: reopen left %d non-zero bytes beyond the tear (%v)", seed, nonzero, err)
 		}
 		// Same framed length as the lost record: ends where stale began.
 		realign := bytes.Repeat([]byte{0xAB}, len(lost))

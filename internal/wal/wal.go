@@ -115,16 +115,6 @@ type Journal struct {
 	extended func()
 }
 
-// SetSyncFunc installs fn in place of the journal's own flush (Append,
-// AppendBatch, Sync, Close); end is the log end the flush covers. Passing
-// nil restores the real flush. Test hook: the crash tests use it to record
-// the last durable boundary and to inject sync faults.
-func (j *Journal) SetSyncFunc(fn func(f *os.File, end int64) error) {
-	j.mu.Lock()
-	j.syncFn = fn
-	j.mu.Unlock()
-}
-
 // Observe installs callbacks for the commit path of a sync journal:
 // synced receives the duration of every flush an append waits for,
 // extended runs after every top-up of the zero-filled region made inside
@@ -308,20 +298,6 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// Abandon drops the file handle without flushing or truncating, leaving
-// on disk what a killed process leaves: for a sync journal, the records
-// followed by the zero fill. For crash tests.
-func (j *Journal) Abandon() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
-
 // Size reports the log end: the byte length of the header and every
 // record, whatever the file's own length.
 func (j *Journal) Size() int64 {
@@ -356,7 +332,7 @@ func ScanFile(path string, fn func(payload []byte) error) (validLen int64, n int
 	if validLen, n, err = scan(f, fn); err != nil || validLen > 0 {
 		return validLen, n, err
 	}
-	if clean, err := ZeroFrom(path, headerSize); err != nil || clean {
+	if nonzero, err := NonZeroFrom(path, headerSize); err != nil || nonzero == 0 {
 		return 0, 0, err
 	}
 	size, _ := f.Seek(0, io.SeekEnd) // only reported; a failed seek reads 0
@@ -405,31 +381,37 @@ func scan(r io.ReaderAt, fn func(payload []byte) error) (validLen int64, n int64
 	}
 }
 
-// ZeroFrom reports whether the journal at path holds nothing but zero fill
-// from offset off to its end (a file that ends at or before off qualifies,
-// and so does a missing one). Recovery uses it to tell a journal that was
-// simply not closed from one whose scan stopped at damage.
-func ZeroFrom(path string, off int64) (bool, error) {
+// NonZeroFrom counts the bytes of the journal at path, from offset off to
+// its end, that are not zero fill (none for a file that ends at or before
+// off, or a missing one). Recovery uses it to tell a journal that was
+// simply not closed from one whose scan stopped at damage, and to report
+// what Open's truncation to the valid prefix discards.
+func NonZeroFrom(path string, off int64) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return true, nil
+			return 0, nil
 		}
-		return false, fmt.Errorf("wal: open journal tail: %w", err)
+		return 0, fmt.Errorf("wal: open journal tail: %w", err)
 	}
 	defer f.Close()
 	buf := make([]byte, len(zeroPage))
+	var nonzero int64
 	for {
 		n, err := f.ReadAt(buf, off)
 		if !bytes.Equal(buf[:n], zeroPage[:n]) {
-			return false, nil
+			for _, c := range buf[:n] {
+				if c != 0 {
+					nonzero++
+				}
+			}
 		}
 		off += int64(n)
 		if err == io.EOF {
-			return true, nil
+			return nonzero, nil
 		}
 		if err != nil {
-			return false, fmt.Errorf("wal: read journal tail: %w", err)
+			return 0, fmt.Errorf("wal: read journal tail: %w", err)
 		}
 	}
 }
