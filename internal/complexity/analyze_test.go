@@ -1,6 +1,7 @@
 package complexity
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -68,8 +69,11 @@ func TestFixpointConverges(t *testing.T) {
 
 // TestAnalyzeConcurrent analyses the same split functions from 8 goroutines
 // at once over shared facts whose CFG and reaching definitions nobody has
-// asked for yet, and requires what a serial run over its own copy of the
-// program reports. Run under -race (see the Makefile's race target).
+// asked for yet; half the goroutines also split the functions themselves,
+// over one program whose facts none of them has built. Each must report,
+// input names included, what a serial run reports when every function
+// meets one seed per compile and so builds its facts for that seed alone.
+// Run under -race (see the Makefile's race target).
 func TestAnalyzeConcurrent(t *testing.T) {
 	src := corpus.Generate(corpus.Profiles[0].Scale(0.05))
 	splits := func(prog *ir.Program) []*core.SplitFunc {
@@ -84,23 +88,53 @@ func TestAnalyzeConcurrent(t *testing.T) {
 		}
 		return out
 	}
-	render := func(sfs []*core.SplitFunc) string {
+	render := func(sf *core.SplitFunc) string {
+		var b strings.Builder
+		renderReports(&b, sf.Orig.QName()+" seed="+sf.Seed.String(), sf)
+		return b.String()
+	}
+	renderAll := func(sfs []*core.SplitFunc) string {
 		var b strings.Builder
 		for _, sf := range sfs {
-			renderReports(&b, sf.Orig.QName()+" seed="+sf.Seed.String(), sf)
+			b.WriteString(render(sf))
 		}
 		return b.String()
 	}
-	want := render(splits(oracle.MustCompile(src)))
+
+	// fresh[i][k] renders function i split at its k-th seed, from a
+	// compile in which no other seed of that function was split.
+	order := oracle.MustCompile(src).Order
+	fresh := make([][]string, len(order))
+	for k, more := 0, true; more; k++ {
+		more = false
+		prog := oracle.MustCompile(src)
+		for i, qn := range order {
+			f := prog.Funcs[qn]
+			seeds := hideableSeeds(f)
+			if k >= len(seeds) {
+				continue
+			}
+			more = true
+			if sf, err := core.SplitOpts(f, seeds[k], slicer.Policy{}, core.Options{}); err == nil {
+				fresh[i] = append(fresh[i], render(sf))
+			}
+		}
+	}
+	want := strings.Join(slices.Concat(fresh...), "")
 
 	shared := splits(oracle.MustCompile(src))
+	unbuilt := oracle.MustCompile(src)
 	got := make([]string, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = render(shared)
+			if i%2 == 0 {
+				got[i] = renderAll(shared)
+			} else {
+				got[i] = renderAll(splits(unbuilt))
+			}
 		}(i)
 	}
 	wg.Wait()

@@ -24,9 +24,9 @@ import (
 // Dedup here has a single stripe, so "another session" always means
 // "another session of the same stripe".
 
-// holdNextSync makes p's next group-commit batch block before its write
-// and fsync until the returned release runs; held is closed once the
-// committer is inside the hold.
+// holdNextSync makes p's next group-commit batch block after its write
+// and fsync, before its workers are released, until the returned release
+// runs; held is closed once the committer is inside the hold.
 func holdNextSync(t *testing.T, p *Durability) (held <-chan struct{}, release func()) {
 	t.Helper()
 	entered := make(chan struct{})

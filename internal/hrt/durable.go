@@ -101,9 +101,9 @@ type Durability struct {
 	snapWG       sync.WaitGroup
 	// testHookSnapshotWrite, when set by tests, runs on the background
 	// writer goroutine before serialization begins; testHookAppended runs
-	// between a direct append's write and its count; testHookCommit (set
-	// while the committer runs, hence atomic) runs before each group-commit
-	// batch's write, and its error fails the batch as a failed fsync would.
+	// between a direct append's write and its count; testHookCommit (atomic:
+	// set while the committer runs) runs after a group-commit batch's fsync,
+	// before the position advances; its error fails the batch as the fsync's.
 	testHookSnapshotWrite func()
 	testHookAppended      func()
 	testHookCommit        atomic.Pointer[func() error]
@@ -790,14 +790,14 @@ func (p *Durability) commitBatch(batch []*walCommit, payloads [][]byte) ([][]byt
 		payloads = append(payloads, w.payload)
 		wake = wake || w.wake
 	}
+	n, err := batch[0].j.AppendCounted(payloads...)
+	if err != nil {
+		return payloads, err
+	}
 	if hook := p.testHookCommit.Load(); hook != nil {
 		if err := (*hook)(); err != nil {
 			return payloads, err
 		}
-	}
-	n, err := batch[0].j.AppendCounted(payloads...)
-	if err != nil {
-		return payloads, err
 	}
 	p.advance(n, wake)
 	p.commitBatches.Add(1)

@@ -274,7 +274,8 @@ func (d *DurableServer) JournalRecords() ([]string, error) {
 	return out, err
 }
 
-// onCommit makes fn run on the committer before each group-commit batch's
-// write and fsync: a test holds the batch inside fn, or fails it by
-// returning an error, which poisons the journal as a failed fsync does.
+// onCommit makes fn run on the committer after each group-commit batch's
+// write and fsync, before the position advances and the batch's workers
+// are released: a test holds the batch inside fn, or fails it by returning
+// an error, which poisons the journal as a failed fsync does.
 func (p *Durability) onCommit(fn func() error) { p.testHookCommit.Store(&fn) }

@@ -84,7 +84,9 @@ func TestComputeMatchesPerSeedOracle(t *testing.T) {
 
 // splitReport splits f at seed and renders everything downstream of the
 // function's facts: the slice, the open function, and the §3 report of
-// every ILP (the AC's input names are pinned by complexity's golden).
+// every ILP. The AC's input names are not rendered (nothing shipped
+// reads them): complexity's TestAnalyzeConcurrent compares them between
+// fresh, shared and concurrently built facts.
 func splitReport(f *ir.Func, seed *ir.Var) string {
 	sf, err := core.SplitOpts(f, seed, slicer.Policy{}, core.Options{})
 	if err != nil {

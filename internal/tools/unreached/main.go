@@ -1,7 +1,10 @@
 // Command unreached checks that the shipped binaries run what they ship:
 // every function declared in a package that `go list -deps ./cmd/...`
 // links must appear in some binary's symbol table, or be named in the
-// allowlist with the reason it lives.
+// allowlist (allow.txt beside this file) with the reason it lives. A main
+// package's functions must appear in the binary built from it; nm names
+// every main package "main", so another binary's symbols cannot vouch for
+// them.
 //
 // It builds each main package under ./cmd with inlining off
 // (-gcflags=all=-l, so a function inlined everywhere still shows as a
@@ -15,7 +18,7 @@
 // is matched.
 //
 // An allowlisted function that a binary links, or that no longer exists,
-// fails the check too, so the list stays exact; -max caps its length.
+// fails the check too, so the list stays exact.
 //
 // Run from the module root: go run ./internal/tools/unreached.
 package main
@@ -24,7 +27,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -37,12 +39,12 @@ import (
 	"strings"
 )
 
+// allowPath is the allowlist: one `name reason` line per function kept
+// alive by code no binary links, relative to the module root.
+const allowPath = "internal/tools/unreached/allow.txt"
+
 func main() {
-	allowPath := flag.String("allow", "internal/tools/unreached/allow.txt", "allowlist: one `name reason` line per function kept alive by code no binary links")
-	maxAllow := flag.Int("max", -1, "fail if the allowlist names more functions than this (-1: no cap)")
-	goCmd := flag.String("go", "go", "go command")
-	flag.Parse()
-	if err := run(*goCmd, *allowPath, *maxAllow, os.Stdout); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "unreached:", err)
 		os.Exit(1)
 	}
@@ -59,20 +61,19 @@ type pkg struct {
 
 // decl is one function declaration of a linked package.
 type decl struct {
-	sym   string // symbol as nm prints it, type arguments dropped
-	pos   string // file:line
+	sym   string          // symbol as nm prints it, type arguments dropped
+	name  string          // import path within the module, then the function
+	in    map[string]bool // the symbols that must hold sym
+	pos   string          // file:line
 	lines int
 }
 
-func run(goCmd, allowPath string, maxAllow int, out io.Writer) error {
+func run(out io.Writer) error {
 	allow, err := readAllow(allowPath)
 	if err != nil {
 		return err
 	}
-	if maxAllow >= 0 && len(allow) > maxAllow {
-		return fmt.Errorf("%s names %d functions, above the ceiling of %d; the allowlist only shrinks", allowPath, len(allow), maxAllow)
-	}
-	mains, err := goList(goCmd, "./cmd/...")
+	mains, err := goList("./cmd/...")
 	if err != nil {
 		return err
 	}
@@ -87,17 +88,18 @@ func run(goCmd, allowPath string, maxAllow int, out io.Writer) error {
 	var decls []decl
 	for _, m := range mains {
 		bin := filepath.Join(tmp, filepath.Base(m.ImportPath))
-		if err := command(nil, goCmd, "build", "-gcflags=all=-l", "-o", bin, m.ImportPath); err != nil {
+		if err := command(nil, "go", "build", "-gcflags=all=-l", "-o", bin, m.ImportPath); err != nil {
 			return err
 		}
 		var nm bytes.Buffer
-		if err := command(&nm, goCmd, "tool", "nm", bin); err != nil {
+		if err := command(&nm, "go", "tool", "nm", bin); err != nil {
 			return err
 		}
+		own := make(map[string]bool) // this binary's symbols alone
 		for _, s := range textSymbols(&nm) {
-			linked[s] = true
+			linked[s], own[s] = true, true
 		}
-		deps, err := goList(goCmd, "-deps", m.ImportPath)
+		deps, err := goList("-deps", m.ImportPath)
 		if err != nil {
 			return err
 		}
@@ -106,7 +108,11 @@ func run(goCmd, allowPath string, maxAllow int, out io.Writer) error {
 				continue
 			}
 			seen[p.ImportPath] = true
-			ds, err := declared(p)
+			in := linked
+			if p.Name == "main" { // only m itself
+				in = own
+			}
+			ds, err := declared(p, strings.TrimPrefix(p.ImportPath, m.Module.Path+"/"), in)
 			if err != nil {
 				return err
 			}
@@ -114,16 +120,15 @@ func run(goCmd, allowPath string, maxAllow int, out io.Writer) error {
 		}
 	}
 
-	mod := mains[0].Module.Path + "/"
 	var missing []decl
 	used := make(map[string]bool)
 	nlinked := 0
 	for _, d := range decls {
-		switch name := strings.TrimPrefix(d.sym, mod); {
-		case linked[d.sym]:
+		switch {
+		case d.in[d.sym]:
 			nlinked++
-		case allow[name] != "":
-			used[name] = true
+		case allow[d.name] != "":
+			used[d.name] = true
 		default:
 			missing = append(missing, d)
 		}
@@ -137,7 +142,7 @@ func run(goCmd, allowPath string, maxAllow int, out io.Writer) error {
 	sort.Strings(stale)
 	fmt.Fprintf(out, "unreached: %d functions declared in linked packages (marker methods excluded), %d linked, %d allowlisted\n", len(decls), nlinked, len(used))
 	for _, d := range missing {
-		fmt.Fprintf(out, "  not linked: %s (%s, %d lines)\n", strings.TrimPrefix(d.sym, mod), d.pos, d.lines)
+		fmt.Fprintf(out, "  not linked: %s (%s, %d lines)\n", d.name, d.pos, d.lines)
 	}
 	for _, name := range stale {
 		fmt.Fprintf(out, "  stale allowlist entry: %s (linked, or no longer declared)\n", name)
@@ -173,9 +178,11 @@ func readAllow(path string) (map[string]string, error) {
 	return allow, nil
 }
 
-func goList(goCmd string, args ...string) ([]pkg, error) {
+// goList runs go list -json; under `go run`, "go" is the toolchain that
+// runs this tool (its bin directory leads PATH).
+func goList(args ...string) ([]pkg, error) {
 	var buf bytes.Buffer
-	if err := command(&buf, goCmd, append([]string{"list", "-json"}, args...)...); err != nil {
+	if err := command(&buf, "go", append([]string{"list", "-json"}, args...)...); err != nil {
 		return nil, err
 	}
 	var pkgs []pkg
@@ -240,9 +247,10 @@ func dropTypeArgs(s string) string {
 }
 
 // declared lists the function declarations of p's non-test files under
-// the symbol names nm gives them, skipping init functions (named init.N
-// and always run) and marker methods.
-func declared(p pkg) ([]decl, error) {
+// the symbol names nm gives them, each to be found in the symbols in and
+// reported as rel.F, skipping init functions (named init.N and always
+// run) and marker methods.
+func declared(p pkg, rel string, in map[string]bool) ([]decl, error) {
 	prefix := p.ImportPath
 	if p.Name == "main" {
 		prefix = "main"
@@ -262,6 +270,8 @@ func declared(p pkg) ([]decl, error) {
 			start, end := fset.Position(fn.Pos()), fset.Position(fn.End())
 			out = append(out, decl{
 				sym:   prefix + "." + funcName(fn),
+				name:  rel + "." + funcName(fn),
+				in:    in,
 				pos:   fmt.Sprintf("%s:%d", filepath.Join(filepath.Base(p.Dir), name), start.Line),
 				lines: end.Line - start.Line + 1,
 			})
