@@ -1,17 +1,18 @@
 # Developer/CI entry points. `make check` is the gate: gofmt, vet, build, the
 # cross-builds, the one-CFG grep, the test-only-oracle check, the
 # one-request-decoder grep, the one-client grep, the batch-always grep, the
-# linked-lines ceiling, the unreached-function scan, and the full test suite (including the
-# hrt chaos tests and the load/fleet smoke tests) under the race
-# detector. The committed fuzz seed corpora replay as ordinary tests
-# under `go test ./...`, so `race` covers them too. Performance is
-# measured by `go run ./bench` (see bench/README.md), not by a make target.
+# unreached-function scan, and the full test suite (including the hrt
+# chaos tests, the process-kill and cluster chaos runs, and the load/fleet
+# smoke tests) under the race detector. CI runs this target once. The
+# committed fuzz seed corpora replay as ordinary tests under
+# `go test ./...`, so `race` covers them too. Performance is measured by
+# `go run ./bench` (see bench/README.md), not by a make target.
 
 GO ?= go
 
-.PHONY: check fmt vet build cross cfg-once oracle-tests-only printer-tests-only vm-layering wire-layering one-client batch-always linked-lines unreached test race fuzz
+.PHONY: check fmt vet build cross cfg-once oracle-tests-only printer-tests-only vm-layering wire-layering one-client batch-always unreached test race fuzz
 
-check: fmt vet build cross cfg-once oracle-tests-only printer-tests-only vm-layering wire-layering one-client batch-always linked-lines unreached race
+check: fmt vet build cross cfg-once oracle-tests-only printer-tests-only vm-layering wire-layering one-client batch-always unreached race
 
 # The tree stays gofmt-clean: fmt lists every file gofmt would change and
 # fails if there is one.
@@ -102,8 +103,10 @@ wire-layering:
 # stamps, windows, retries and resends requests, a fleet session's stream
 # included. Outside internal/hrt and bench/ no non-test file calls
 # MuxTransport.Exchange, the one-shot attempt the benchmark's recovery
-# check replays a known stamp with, and no non-test file declares a Retry
-# type (the in-process chaos tests keep theirs in internal/hrt/fault_test.go).
+# check replays a known stamp with, no non-test file declares a Retry
+# type (the in-process chaos tests keep theirs in internal/hrt/fault_test.go),
+# and in internal/hrt only mux.go calls net.Dial: session traffic has one
+# wire path (gossip probes dial through net.DialTimeout).
 one-client:
 	@if grep -rn '\.Exchange(' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/hrt/' | grep -v '^\./bench/'; then \
 		echo 'a non-test file outside internal/hrt and bench/ calls Exchange; session traffic goes through hrt.MuxStream (cluster.MuxPool.SessionTransport for a fleet)' >&2; \
@@ -111,6 +114,10 @@ one-client:
 	fi
 	@if grep -rnE '^type Retry[[:space:]]' --include='*.go' . | grep -v '_test\.go:'; then \
 		echo 'a non-test file declares type Retry; hrt.MuxStream is the one client that stamps and retries' >&2; \
+		exit 1; \
+	fi
+	@if grep -ln 'net\.Dial(' $$(find internal/hrt -name '*.go' ! -name '*_test.go' ! -name mux.go); then \
+		echo 'a non-test file in internal/hrt other than mux.go calls net.Dial; session traffic has one wire path (MuxTransport)' >&2; \
 		exit 1; \
 	fi
 
@@ -124,72 +131,6 @@ batch-always:
 		exit 1; \
 	fi
 
-# The shipped binaries carry only what they run. linked-lines prints the
-# sum of GoFiles line counts (non-test files that survive build
-# constraints) over `go list -deps ./cmd/...`, counting only this module's
-# slicehide/... packages, and fails above LINKED_LINES_MAX; it also prints
-# each binary's own count, which overlap and are not gated. This is the
-# measure ROADMAP.md and EXPERIMENTS.md quote: 26,847 before fault
-# injection and the random-program generator became test-only and loadtest
-# stopped self-hosting fleets, 25,501 before hidden globals and hidden
-# fields shared one fallback implementation, 25,242 before the call-graph
-# cut reused the CFG's dominator algorithm and reaching definitions were
-# looked up by statement, 24,978 before group commit followed -fsync,
-# loadtest stopped hosting its own server and Table 5 counted the link on
-# a virtual clock, 24,894 before the runtime value became three words and
-# the machine's ordered comparisons became interp.Compare, 24,873 before
-# origin covers replaced third-party relays while the AST printer and
-# test-only helpers moved into test files, 24,868 before the compiled
-# hidden program described itself and stopped holding IR, 24,860 before
-# hidden state landed by one path (one session-slot claim, one journal
-# append, one commit wait, one generation switch) and the session-0 and
-# tracker wrappers that only tests called went, 24,714 before serving
-# connections read requests through one in-place decoder and every wire
-# decoder's first error stuck, 24,665 before a fleet session became a
-# MuxStream that follows its owner and the Retry transport and the async
-# capability probe left the shipped code, 24,645 before replicated applies
-# stopped waking the replication pumps and a program with hidden globals
-# got one owner, paid for by moving helpers only tests call into test
-# files, 24,642 before cluster.Group kept one record per peer and decided
-# readiness in one function while snapshots began to carry the globals
-# guard, 24,641 before a session's in-flight slot became a flag and
-# per-request latencies read the monotonic clock alone, paid for by
-# simplifying internal/obs, 24,638 before the front end lexed bytes and
-# took its nodes from per-pass blocks while connection decoders interned
-# component names, paid for by one positioned error type for lexer,
-# parser and checker, one type resolver for checker and builder, and a
-# direct ast.HasCall, 24,637 before the machine compared ints inline,
-# fused a loop's back-edge and kept int arrays unboxed while the parser
-# began returning lexical errors, paid for by moving EvalBinOp into the
-# oracle and the opcode names into a test file, by interp.NewArray taking
-# the array-size checks and by one predicate-hiding helper in the
-# splitter, 24,634 before every split batched and a merged run replaced
-# the fragments it merged, paid for by one statement search and one
-# expression search in ir (AnyStmt, AnyExpr) that the splitter's walkers
-# share, 24,633 before recovery read the data directory with
-# replication's readers (one journal-frame decoder, wal.TailScanner, and
-# one newest-snapshot search, Durability.NewestSnapshot) and the -split
-# and peer lists each got one parser, 24,569 before the functions only
-# tests call left the linked files (make unreached keeps them out), which
-# also paid for the recovery discard report. The ceiling only goes down: a
-# change that lands below it lowers it to the new count.
-LINKED_LINES_MAX = 24532
-
-# linked_lines counts the non-test lines of this module that the packages
-# matching $(1) link.
-linked_lines = $(GO) list -deps -f '{{range .GoFiles}}{{$$.ImportPath}} {{$$.Dir}}/{{.}}{{"\n"}}{{end}}' $(1) | \
-	awk '$$1 == "slicehide" || index($$1, "slicehide/") == 1 { print $$2 }' | xargs cat | wc -l | tr -d ' '
-
-linked-lines:
-	@for b in hiddend slicehide; do echo "linked non-test lines of cmd/$$b: $$($(call linked_lines,./cmd/$$b))"; done
-	@n=$$($(call linked_lines,./cmd/...)); \
-	if [ "$$n" -eq 0 ]; then echo 'linked-lines: go list found no files' >&2; exit 1; fi; \
-	echo "linked non-test lines: $$n (ceiling $(LINKED_LINES_MAX))"; \
-	if [ "$$n" -gt $(LINKED_LINES_MAX) ]; then \
-		echo 'the binaries link more lines than LINKED_LINES_MAX; keep test-only code in _test.go files or internal/oracle' >&2; \
-		exit 1; \
-	fi
-
 # Shipped code is code a binary runs: unreached builds both binaries with
 # inlining off and fails on any function declared in a package they link
 # that neither binary's symbol table holds, unless
@@ -200,8 +141,7 @@ linked-lines:
 # as linked through any instantiation. A function only tests call belongs
 # in a _test.go file (export_test.go for a seam another package's tests
 # set). An entry a binary links or that no longer exists fails too, so the
-# committed list is exact and only shrinks. This is the rule; the
-# LINKED_LINES_MAX ceiling above is the older proxy for it.
+# committed list is exact and only shrinks.
 unreached:
 	$(GO) run ./internal/tools/unreached
 

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	hiddend -listen :7070 -split f[:seed][,g[:seed]...] [-admin :8081] [-data-dir dir] program.mj
+//	hiddend -listen :7070 -split f[:seed][,g[:seed]...] [-admin :8081] [-data-dir dir [-peers addr,...]] program.mj
 //
 // The open side connects with:
 //
@@ -19,11 +19,12 @@
 // SIGTERM/SIGINT the server drains in-flight connections (bounded by
 // -drain-timeout) before shutting down.
 //
-// With -peers and -replicate, N hiddend processes serve as one
-// replicating fleet (rendezvous session placement, full-mesh journal
-// streaming, semi-synchronous commits, client-driven failover). The
-// fleet is elastic: -join seed-addr starts this replica as a new member
-// of a running fleet instead of a founder — membership is
+// With -peers, N hiddend processes serve as one replicating fleet
+// (rendezvous session placement, full-mesh journal streaming,
+// semi-synchronous commits, client-driven failover); every fleet
+// replicates, so -peers and -join require -data-dir. The fleet is
+// elastic: -join seed-addr starts this replica as a new member of a
+// running fleet instead of a founder — membership is
 // epoch-versioned, gossiped over liveness probes, and persisted in
 // -data-dir — and a joiner that missed pruned history is caught up via
 // a chunked, resumable snapshot transfer. The admin endpoint's POST

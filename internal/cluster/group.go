@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,21 +25,19 @@ type Config struct {
 	Self string
 	// Peers is the initial fleet membership. The live membership is the
 	// epoch-versioned table gossiped over the liveness probes; Peers only
-	// seeds epoch 1 (a newer table persisted in MembershipPath wins at
-	// boot).
+	// seeds epoch 1 (a newer table persisted in the server's data
+	// directory wins at boot).
 	Peers []string
-	// Replicate enables WAL streaming to peers and semi-synchronous commit
-	// gating. It requires the server to have a durability layer.
+	// Replicate is not read: every fleet streams its journals to every
+	// peer and gates responses on follower acknowledgement.
+	//
+	// Deprecated: leave it unset; it goes once nothing sets it.
 	Replicate bool
 	// JoinSeed, when set, makes Start ask the fleet member at this address
 	// to admit Self; the adopted membership then propagates everywhere via
 	// gossip. The replica reports not-ready until it has joined and caught
 	// up.
 	JoinSeed string
-	// MembershipPath, when set, persists the membership table (epoch and
-	// member list) so a restarted replica rejoins the fleet it last knew,
-	// not the one its flags describe.
-	MembershipPath string
 	// SnapChunk bounds a snapshot-transfer chunk (default 256 KiB). Small
 	// chunks keep any single write short so a transfer never stalls live
 	// streams behind a multi-megabyte frame.
@@ -107,11 +106,10 @@ func (c *Config) fill() error {
 }
 
 // Group runs one replica's fleet machinery: the liveness prober (which
-// doubles as the membership gossip), the session router, and — when
-// replication is on — one streaming pump per peer plus the semi-
-// synchronous commit gate. It installs itself into the server's
-// Router/ReplHandler/ReplResume/Gossip hooks at construction and starts
-// its background loops on Start.
+// doubles as the membership gossip), the session router, one streaming
+// pump per peer and the semi-synchronous commit gate. It installs itself
+// into the server's Router/ReplHandler/ReplResume/Gossip hooks at
+// construction and starts its background loops on Start.
 type Group struct {
 	cfg     Config
 	ts      *hrt.TCPServer
@@ -124,6 +122,10 @@ type Group struct {
 	// pin, when non-zero, is the key every session is placed by instead
 	// of its own id: the program has hidden globals (see Route).
 	pin uint64
+	// membershipPath is the file in the server's data directory that every
+	// adopted member table is saved to, so a restarted replica rejoins the
+	// fleet it last knew, not the one its configuration describes.
+	membershipPath string
 
 	// Origin cover state (cover.go): each sender's live covers, each
 	// outbound peer's pending lists, and tracker-change wakeups.
@@ -184,9 +186,11 @@ type Group struct {
 
 // New builds the group and wires it into ts: the Router hook (owner
 // redirects), the ReplHandler/ReplResume/ReplBoot hooks (inbound streams,
-// their resume positions, and the boot id the handshake answers with), the Gossip hook (membership exchange over liveness
-// pings), and — with Replicate — the durability layer's commit gate. Call
-// Start once the server is listening.
+// their resume positions, and the boot id the handshake answers with),
+// the Gossip hook (membership exchange over liveness pings), and the
+// durability layer's commit gate. The server must have a durability
+// layer: replication streams its journal, and the member table is saved
+// in its directory. Call Start once the server is listening.
 func New(cfg Config, ts *hrt.TCPServer) (*Group, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -194,20 +198,20 @@ func New(cfg Config, ts *hrt.TCPServer) (*Group, error) {
 	if ts == nil {
 		return nil, errors.New("cluster: nil server")
 	}
-	if cfg.Replicate && ts.Persist == nil {
-		return nil, errors.New("cluster: replication requires a durable server (-wal)")
+	if ts.Persist == nil {
+		return nil, errors.New("cluster: a fleet replica needs a durable server (-data-dir): replication streams its journal")
 	}
 	boot, err := newBootID()
 	if err != nil {
 		return nil, err
 	}
+	path := filepath.Join(ts.Persist.Dir(), "membership")
 	members := NewMembership(cfg.Peers)
-	if cfg.MembershipPath != "" {
-		if persisted, ok := LoadMembership(cfg.MembershipPath); ok && persisted.Supersedes(members) {
-			members = persisted
-		}
+	if persisted, ok := LoadMembership(path); ok && persisted.Supersedes(members) {
+		members = persisted
 	}
 	g := newGroup(cfg, ts, members, boot)
+	g.membershipPath = path
 	if ts.Server != nil && len(ts.Server.Program().Globals.Slots) > 0 {
 		g.pin = ts.Server.Program().Hash | 1
 	}
@@ -216,9 +220,7 @@ func New(cfg Config, ts *hrt.TCPServer) (*Group, error) {
 	ts.ReplBoot = g.boot
 	ts.ReplResume = g.replResume
 	ts.Gossip = g
-	if cfg.Replicate {
-		ts.Persist.SetCommitter(g)
-	}
+	ts.Persist.SetCommitter(g)
 	return g, nil
 }
 
@@ -262,8 +264,8 @@ func newBootID() (uint64, error) {
 	}
 }
 
-// Start launches the prober, the join loop (with JoinSeed), and — with
-// replication on — one pump per current member.
+// Start launches the prober, the join loop (with JoinSeed), and one pump
+// per current member.
 func (g *Group) Start() {
 	// Our journal's records so far came from an earlier life or before the
 	// group ran: who showed them to us is unknown, so none is ours to flag.
@@ -293,16 +295,11 @@ func (g *Group) Close() {
 	}
 	g.pumpMu.Unlock()
 	g.wg.Wait()
-	if g.cfg.Replicate {
-		g.ts.Persist.SetCommitter(nil)
-	}
+	g.ts.Persist.SetCommitter(nil)
 }
 
-// journalPos reports this replica's journal position (zero without one).
+// journalPos reports this replica's journal position.
 func (g *Group) journalPos() wal.Position {
-	if g.ts.Persist == nil {
-		return wal.Position{}
-	}
 	gen, n := g.ts.Persist.CurrentPosition()
 	return wal.Position{Gen: gen, Records: n}
 }
@@ -355,10 +352,8 @@ func (g *Group) adopt(m Membership, source string) bool {
 	g.recvMu.Unlock()
 	g.cfg.Tracer.Emit(obs.LevelInfo, "cluster_membership",
 		obs.Uint("epoch", m.Epoch), obs.Str("members", m.Encode()), obs.Str("source", source))
-	if g.cfg.MembershipPath != "" {
-		if err := m.Save(g.cfg.MembershipPath); err != nil {
-			g.cfg.Tracer.Emit(obs.LevelWarn, "cluster_membership_persist_error", obs.Err(err))
-		}
+	if err := m.Save(g.membershipPath); err != nil {
+		g.cfg.Tracer.Emit(obs.LevelWarn, "cluster_membership_persist_error", obs.Err(err))
 	}
 	if excluded {
 		// Evicted without asking to leave (an operator removed a replica
@@ -437,14 +432,11 @@ func (g *Group) GossipLeave(addr string) (string, error) {
 }
 
 // syncPumps reconciles the running pump set with the current membership:
-// a pump per member other than Self (replication on and Self a member),
-// none otherwise. Removed members' pumps are stopped, their connections
+// a pump per member other than Self while Self is a member, none
+// otherwise. Removed members' pumps are stopped, their connections
 // severed, and their tracker entries dropped so the commit gate never
 // waits on an ex-member.
 func (g *Group) syncPumps() {
-	if !g.cfg.Replicate {
-		return
-	}
 	var started, stopped []string
 	g.mu.Lock()
 	want := make(map[string]bool)
@@ -648,19 +640,17 @@ func (g *Group) livePeers() []string {
 
 // Route implements hrt.Router. A session whose rendezvous owner over the
 // live member set is this replica is served here; when the owner is
-// another live replica the client is redirected — with replication every
-// replica holds the session's state, so the redirect costs nothing but a
-// redial, and keeping a single writer per session keeps the fleet's
-// journals append-consistent. Without replication a session's state exists
-// only where it executed, so known sessions are always served locally and
-// only unknown ones redirect. Membership epochs re-rank placement: a
-// session whose owner moved is handed off by the same typed redirect a
-// failover uses, and HRW hashing guarantees survivor-owned sessions never
-// move when the fleet grows or shrinks by one. A program with hidden
-// globals places every session by one key derived from its hash, so the
-// whole program lives on one owner and fragment runs that touch the
-// globals stay linearizable fleet-wide; the other replicas are standbys.
-func (g *Group) Route(session uint64, known bool) (string, bool) {
+// another live replica the client is redirected — every replica holds the
+// session's state, so the redirect costs nothing but a redial, and keeping
+// a single writer per session keeps the fleet's journals
+// append-consistent. Membership epochs re-rank placement: a session whose
+// owner moved is handed off by the same typed redirect a failover uses,
+// and HRW hashing guarantees survivor-owned sessions never move when the
+// fleet grows or shrinks by one. A program with hidden globals places
+// every session by one key derived from its hash, so the whole program
+// lives on one owner and fragment runs that touch the globals stay
+// linearizable fleet-wide; the other replicas are standbys.
+func (g *Group) Route(session uint64) (string, bool) {
 	select {
 	case <-g.stop:
 		return "", false
@@ -669,9 +659,6 @@ func (g *Group) Route(session uint64, known bool) (string, bool) {
 	owner := Owner(g.place(session), g.livePeers())
 	if owner == "" || owner == g.cfg.Self {
 		g.observePromotion(session)
-		return "", false
-	}
-	if known && !g.cfg.Replicate {
 		return "", false
 	}
 	g.redirects.Add(1)
@@ -736,9 +723,6 @@ func (g *Group) WaitCommitted(gen uint64, records int64) {
 // is the conservative floor. Lag wakes the pumps for records applied from
 // peers, so their pass-over lifts count by the next reading.
 func (g *Group) Lag() int64 {
-	if !g.cfg.Replicate {
-		return 0
-	}
 	g.ts.Persist.WakeFollowers()
 	gen, records := g.ts.Persist.CurrentPosition()
 	min, n := g.tracker.Min()
@@ -760,23 +744,19 @@ func (g *Group) Ready() (bool, string) { return g.readiness().verdict() }
 
 // readiness is the state Ready decides over, read under the group's locks.
 type readiness struct {
-	replicate, member, leaving, joining bool
-	joinSeed, stageFrom                 string
-	staged                              int                // bytes of stageFrom's snapshot transfer
-	live                                []string           // live peers other than Self
-	recv                                map[string]inbound // every other member's inbound record
-	registered                          map[string]bool    // peers the tracker holds a stream to
-	lag                                 int64
+	member, leaving, joining bool
+	joinSeed, stageFrom      string
+	staged                   int                // bytes of stageFrom's snapshot transfer
+	live                     []string           // live peers other than Self
+	recv                     map[string]inbound // every other member's inbound record
+	registered               map[string]bool    // peers the tracker holds a stream to
+	lag                      int64
 }
 
 // readiness takes the snapshot under g.mu, recvMu and the tracker's lock
 // in turn, never two at once.
 func (g *Group) readiness() readiness {
-	r := readiness{replicate: g.cfg.Replicate, joinSeed: g.cfg.JoinSeed}
-	if !r.replicate {
-		return r
-	}
-	r.recv, r.registered = make(map[string]inbound), make(map[string]bool)
+	r := readiness{joinSeed: g.cfg.JoinSeed, recv: make(map[string]inbound), registered: make(map[string]bool)}
 	g.mu.Lock()
 	r.member, r.leaving = g.members.Has(g.cfg.Self), g.leaving
 	r.joining = g.cfg.JoinSeed != "" && g.members.Epoch == 1 && len(g.members.Members) == 1
@@ -811,8 +791,6 @@ func (g *Group) readiness() readiness {
 // connected followers, would acknowledge what nothing replicates.
 func (r readiness) verdict() (bool, string) {
 	switch {
-	case !r.replicate:
-		return true, ""
 	case r.leaving:
 		return false, "leaving the fleet"
 	case !r.member:

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"slicehide/internal/hrt"
 	"slicehide/internal/wal"
 )
 
@@ -35,6 +37,42 @@ func testGroup(t *testing.T, peer string, commitTimeout time.Duration) *Group {
 		t.Fatal(err)
 	}
 	return newGroup(cfg, nil, NewMembership(cfg.Peers), 0)
+}
+
+// TestNewRefusesServerWithoutJournal: every fleet replica streams its
+// journal to its peers, so New refuses a server with no durability layer
+// and names the flag that gives it one.
+func TestNewRefusesServerWithoutJournal(t *testing.T) {
+	const self = "127.0.0.1:1"
+	_, err := New(Config{Self: self, Peers: []string{self}}, &hrt.TCPServer{})
+	if err == nil || !strings.Contains(err.Error(), "-data-dir") {
+		t.Fatalf("New over a server without a journal: %v, want an error naming -data-dir", err)
+	}
+}
+
+// TestMembershipPersistsInDataDir: a replica saves each member table it
+// adopts in its server's data directory with nothing configured for it,
+// and restarted on that directory with its original peers it boots at
+// the saved epoch, not at the epoch 1 its peer list seeds.
+func TestMembershipPersistsInDataDir(t *testing.T) {
+	res, _ := catchupSplit(t)
+	self, other := deadAddr(t), deadAddr(t)
+	for other == self {
+		other = deadAddr(t)
+	}
+	dir := t.TempDir()
+	cfg := Config{Self: self, Peers: []string{self}}
+	r := startReplica(t, res, dir, self, cfg, 1<<20)
+	m, err := r.g.Join(other)
+	r.stop()
+	if err != nil || m.Epoch != 2 || !m.Has(other) {
+		t.Fatalf("Join(%s) = %v (epoch %d, %v), want epoch 2 holding it", other, err, m.Epoch, m.Members)
+	}
+	r = startReplica(t, res, dir, self, cfg, 1<<20)
+	defer r.stop()
+	if m := r.g.Membership(); m.Epoch != 2 || !m.Has(other) {
+		t.Fatalf("restarted replica boots at epoch %d with %v, want epoch 2 holding %s", m.Epoch, m.Members, other)
+	}
 }
 
 // TestCommitGateReleasesOnProberDeath is the regression test for the
@@ -128,7 +166,7 @@ func TestReadinessVerdict(t *testing.T) {
 	// fleet is a member with a and b live, inbound records bIn from b and
 	// met from a, and the given peers' outbound streams registered.
 	fleet := func(bIn inbound, lag int64, registered ...string) readiness {
-		r := readiness{replicate: true, member: true, live: []string{a, b}, lag: lag,
+		r := readiness{member: true, live: []string{a, b}, lag: lag,
 			recv: map[string]inbound{a: met, b: bIn}, registered: make(map[string]bool)}
 		for _, p := range registered {
 			r.registered[p] = true
@@ -141,19 +179,20 @@ func TestReadinessVerdict(t *testing.T) {
 		ready  bool
 		reason string
 	}{
-		{"not replicating", readiness{}, true, ""},
-		{"leaving", readiness{replicate: true, member: true, leaving: true}, false, "leaving the fleet"},
-		{"evicted", readiness{replicate: true}, false, "not a fleet member (evicted; rejoin pending)"},
-		{"joining", readiness{replicate: true, member: true, joining: true, joinSeed: a}, false,
+		{"evicted with live peers", readiness{live: []string{a, b}, recv: map[string]inbound{a: unannounced}}, false,
+			"not a fleet member (evicted; rejoin pending)"},
+		{"leaving", readiness{member: true, leaving: true}, false, "leaving the fleet"},
+		{"evicted", readiness{}, false, "not a fleet member (evicted; rejoin pending)"},
+		{"joining", readiness{member: true, joining: true, joinSeed: a}, false,
 			"joining the fleet via " + a},
-		{"staged transfer", readiness{replicate: true, member: true, stageFrom: a, staged: 4096}, false,
+		{"staged transfer", readiness{member: true, stageFrom: a, staged: 4096}, false,
 			"snapshot transfer from " + a + " in progress (4096 bytes staged)"},
 		{"unmet target", fleet(behind, 0, a, b), false,
 			"catching up on " + b + ": applied (2,9), stream target (3,4)"},
-		{"two unmet targets: the first sender in order", readiness{replicate: true, member: true, live: []string{a, b},
+		{"two unmet targets: the first sender in order", readiness{member: true, live: []string{a, b},
 			recv: map[string]inbound{a: behind, b: behind}, registered: map[string]bool{a: true, b: true}}, false,
 			"catching up on " + a + ": applied (2,9), stream target (3,4)"},
-		{"dead member's unmet target", readiness{replicate: true, member: true, live: []string{a},
+		{"dead member's unmet target", readiness{member: true, live: []string{a},
 			recv: map[string]inbound{a: met, b: behind}, registered: map[string]bool{a: true}}, false,
 			"catching up on " + b + ": applied (2,9), stream target (3,4)"},
 		{"no announced stream", fleet(unannounced, 0, a, b), false,
@@ -161,7 +200,7 @@ func TestReadinessVerdict(t *testing.T) {
 		{"connecting", fleet(met, 0, b), false, "replication streams connecting (1/2): awaiting " + a},
 		{"lag", fleet(met, 7, a, b), false, "replication catching up: 7 records behind"},
 		{"ready", fleet(met, 0, a, b), true, ""},
-		{"ready alone", readiness{replicate: true, member: true}, true, ""},
+		{"ready alone", readiness{member: true}, true, ""},
 	} {
 		for range 100 { // the same verdict every time, whatever the map order
 			if ready, reason := tc.r.verdict(); ready != tc.ready || reason != tc.reason {

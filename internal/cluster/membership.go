@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -167,10 +166,4 @@ func (m Membership) Save(path string) error {
 		return err
 	}
 	return nil
-}
-
-// MembershipPath returns the file a replica persists its member table to
-// inside its data directory.
-func MembershipPath(dataDir string) string {
-	return filepath.Join(dataDir, "membership")
 }

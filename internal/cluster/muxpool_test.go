@@ -118,13 +118,10 @@ func TestMuxPoolSharesOneConnPerReplica(t *testing.T) {
 	}
 }
 
-// redirectRouter bounces every unknown session to a fixed owner.
+// redirectRouter bounces every session to a fixed owner.
 type redirectRouter struct{ owner string }
 
-func (r redirectRouter) Route(session uint64, known bool) (string, bool) {
-	if known {
-		return "", false
-	}
+func (r redirectRouter) Route(session uint64) (string, bool) {
 	return r.owner, true
 }
 

@@ -661,8 +661,6 @@ func startReplicaWith(t *testing.T, res *core.Result, dir, listen string, cfg Co
 	t.Helper()
 	tracer := obs.NewTracer(obs.TracerConfig{Level: obs.LevelDebug})
 	cfg.Tracer = tracer
-	cfg.Replicate = true
-	cfg.MembershipPath = MembershipPath(dir)
 	if cfg.SnapChunk == 0 {
 		cfg.SnapChunk = 64
 	}

@@ -18,10 +18,19 @@ import (
 	"slicehide/internal/slicer"
 )
 
+// fuzzKernelSize is the input size the Table 5 kernels seed FuzzSplit
+// at: the code of the measured kernels, at up to about 12,500 steps
+// (jess) rather than the 2.3 million of the smallest measured input, so
+// a mutant of one runs in milliseconds.
+const fuzzKernelSize = 50
+
 // fuzzSplitSteps bounds the unsplit run of a FuzzSplit input; a program
-// that does not finish within it is passed over. The Table 5 kernels
-// behind split.golden take up to 2.4 million steps.
-const fuzzSplitSteps = 3_000_000
+// that does not finish within it is passed over. Every seed finishes
+// within it, the longest about eight times over (TestFuzzSplitSeedsFit).
+// The kernels' split output near their measured sizes is held by the
+// Table 5 runs (experiments' TestTable5InteractionsGrowWithInput), their
+// split structure by split.golden and TestNoOrphanFragments, not here.
+const fuzzSplitSteps = 100_000
 
 // FuzzSplit is TestPropertySplitPreservesBehavior over any program the
 // front end accepts: every function with a hideable seed is split at
@@ -29,25 +38,58 @@ const fuzzSplitSteps = 3_000_000
 // open), and the split program, run on the bytecode machine against an
 // in-process server, synchronously and pipelined, must print what the
 // unsplit program prints and fail with the same error text. No fragment
-// may be left without an open call naming it. Seeds: every corpus profile
-// at small scale, the MiniJ sources of examples/, the programs behind
-// testdata/split.golden and a few random programs.
+// may be left without an open call naming it. Seeds: fuzzSplitSeeds.
 func FuzzSplit(f *testing.F) {
-	for _, p := range corpus.Profiles {
-		f.Add([]byte(corpus.Generate(p.Scale(0.01))))
-	}
-	for _, src := range exampleSources(f) {
+	for _, src := range fuzzSplitSeeds(f) {
 		f.Add([]byte(src))
-	}
-	for _, c := range goldenCases() {
-		f.Add([]byte(c.src))
-	}
-	for seed := int64(0); seed < 4; seed++ {
-		f.Add([]byte(oracle.RandProgram(seed)))
 	}
 	f.Fuzz(func(t *testing.T, src []byte) {
 		checkSplitPreserves(t, string(src))
 	})
+}
+
+// fuzzSplitSeeds returns every corpus profile at small scale, the MiniJ
+// sources of examples/, the fallback programs and Figure 2 behind
+// testdata/split.golden, the measured Table 5 kernels at fuzzKernelSize
+// and a few random programs.
+func fuzzSplitSeeds(tb testing.TB) []string {
+	var seeds []string
+	for _, p := range corpus.Profiles {
+		seeds = append(seeds, corpus.Generate(p.Scale(0.01)))
+	}
+	seeds = append(seeds, exampleSources(tb)...)
+	for _, c := range fallbackCases {
+		seeds = append(seeds, c.src)
+	}
+	seeds = append(seeds, figure2Src)
+	for _, k := range corpus.Kernels() {
+		if !k.Excluded {
+			seeds = append(seeds, k.Source(fuzzKernelSize))
+		}
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		seeds = append(seeds, oracle.RandProgram(seed))
+	}
+	return seeds
+}
+
+// TestFuzzSplitSeedsFit: every seed of FuzzSplit that compiles runs to
+// its end within fuzzSplitSteps, so lowering the bound never passes over
+// a seed unnoticed.
+func TestFuzzSplitSeedsFit(t *testing.T) {
+	most := int64(0)
+	for i, src := range fuzzSplitSeeds(t) {
+		prog, err := ir.Compile(src)
+		if err != nil {
+			continue
+		}
+		_, steps, err := hrt.RunOriginal(prog, fuzzSplitSteps)
+		if re := (*interp.RuntimeError)(nil); errors.As(err, &re) && re.Msg == "step limit exceeded" {
+			t.Errorf("seed %d does not finish within fuzzSplitSteps (%d)", i, fuzzSplitSteps)
+		}
+		most = max(most, steps)
+	}
+	t.Logf("longest seed: %d steps of %d", most, fuzzSplitSteps)
 }
 
 // checkSplitPreserves splits every function of src that has a seed and

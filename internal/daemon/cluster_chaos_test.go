@@ -127,7 +127,7 @@ func TestClusterFailoverChaos(t *testing.T) {
 	for i, listen := range peers {
 		children[i] = startChild(t,
 			"-listen", listen, "-split", chaosSplit,
-			"-peers", peersArg, "-replicate",
+			"-peers", peersArg,
 			"-data-dir", t.TempDir(), "-snapshot-every", "16",
 			"-admin", "127.0.0.1:0",
 			prog,

@@ -63,20 +63,18 @@ type Config struct {
 	DrainTimeout time.Duration
 
 	// Peers is the comma-separated full fleet membership (including this
-	// replica's own -listen address). Non-empty turns on fleet mode:
-	// sessions are rendezvous-placed across the members and requests for
-	// sessions owned elsewhere are redirected.
+	// replica's own -listen address). Non-empty makes this replica a fleet
+	// member (requires -data-dir): sessions are rendezvous-placed across
+	// the members, requests for sessions owned elsewhere are redirected,
+	// and the journal streams to every peer, with responses gated on
+	// follower acknowledgement, so a peer can take over a session when
+	// this replica dies.
 	Peers string
-	// Replicate streams this replica's WAL to every peer and gates
-	// responses on follower acknowledgement, so a peer can take over a
-	// session when this replica dies (requires -data-dir, and -peers or
-	// -join).
-	Replicate bool
 	// Join makes this replica ask the fleet member at this address to
 	// admit it: membership is adopted from the fleet's epoch-versioned
 	// table rather than -peers, and the replica catches up — via snapshot
 	// transfer if the fleet has pruned the history it needs — before
-	// reporting ready (requires -replicate).
+	// reporting ready (requires -data-dir).
 	Join string
 	// ReplAckTimeout bounds how long a response waits for follower
 	// acknowledgement before degrading to asynchronous replication
@@ -105,39 +103,33 @@ func ParseFlags(args []string) (Config, error) {
 	fs.BoolVar(&cfg.Fsync, "fsync", false, "fsync every journal append, group-committing concurrent sessions' appends under one flush: durable against power loss, not just process death (requires -data-dir)")
 	fs.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "rotate to a fresh snapshot after this many journal records (0 = default 4096, negative = only at shutdown; requires -data-dir)")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 5*time.Second, "on SIGTERM/SIGINT, wait this long for in-flight connections to finish before severing them")
-	fs.StringVar(&cfg.Peers, "peers", "", "comma-separated fleet membership, including this replica's own -listen address; sessions are rendezvous-placed across the members")
-	fs.BoolVar(&cfg.Replicate, "replicate", false, "stream the WAL to every peer and gate responses on follower acknowledgement, so sessions survive this replica's death (requires -data-dir, and -peers or -join)")
-	fs.StringVar(&cfg.Join, "join", "", "join the running fleet via the member at this address: adopt its membership table and catch up (snapshot transfer + WAL streaming) before reporting ready (requires -replicate)")
-	fs.DurationVar(&cfg.ReplAckTimeout, "repl-ack-timeout", 0, "how long a response may wait for follower acknowledgement before degrading to asynchronous replication (0 = default 5s; requires -replicate)")
+	fs.StringVar(&cfg.Peers, "peers", "", "comma-separated fleet membership, including this replica's own -listen address; sessions are rendezvous-placed across the members, and the journal streams to every peer with responses gated on follower acknowledgement, so sessions survive this replica's death (requires -data-dir)")
+	fs.StringVar(&cfg.Join, "join", "", "join the running fleet via the member at this address: adopt its membership table and catch up (snapshot transfer + WAL streaming) before reporting ready (requires -data-dir)")
+	fs.DurationVar(&cfg.ReplAckTimeout, "repl-ack-timeout", 0, "how long a response may wait for follower acknowledgement before degrading to asynchronous replication (0 = default 5s; requires -peers or -join)")
 	if err := fs.Parse(args); err != nil {
 		return Config{}, err
 	}
 	if len(core.ParseSpecs(cfg.Split)) == 0 || fs.NArg() != 1 {
-		return Config{}, fmt.Errorf("usage: hiddend -listen addr -split f[:seed],... [-data-dir dir] [-peers addr,...] program.mj")
+		return Config{}, fmt.Errorf("usage: hiddend -listen addr -split f[:seed],... [-data-dir dir [-peers addr,... | -join addr]] program.mj")
 	}
-	if cfg.Replicate && cfg.Peers == "" && cfg.Join == "" {
-		return Config{}, fmt.Errorf("hiddend: -replicate requires -peers or -join")
-	}
-	if cfg.Replicate && cfg.DataDir == "" {
-		return Config{}, fmt.Errorf("hiddend: -replicate requires -data-dir (replication streams the journal)")
-	}
-	if cfg.Join != "" && !cfg.Replicate {
-		return Config{}, fmt.Errorf("hiddend: -join requires -replicate (a joiner catches up via snapshot transfer and WAL streaming)")
-	}
+	fleet := len(cluster.ParsePeers(cfg.Peers)) > 0 || cfg.Join != ""
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	// Without -replicate no response waits for a follower, and without
-	// -data-dir there is no journal to flush or rotate: refuse their flags
-	// rather than ignore them silently.
-	if set["repl-ack-timeout"] && !cfg.Replicate {
-		return Config{}, fmt.Errorf("hiddend: -repl-ack-timeout requires -replicate")
+	// Outside a fleet no response waits for a follower, and without
+	// -data-dir there is no journal to stream, flush or rotate: refuse
+	// their flags rather than ignore them silently.
+	if set["repl-ack-timeout"] && !fleet {
+		return Config{}, fmt.Errorf("-repl-ack-timeout requires -peers or -join")
 	}
 	if cfg.DataDir == "" {
+		if fleet {
+			return Config{}, fmt.Errorf("-peers and -join require -data-dir (a fleet replica streams its journal to every peer)")
+		}
 		if cfg.Fsync {
-			return Config{}, fmt.Errorf("hiddend: -fsync requires -data-dir")
+			return Config{}, fmt.Errorf("-fsync requires -data-dir")
 		}
 		if set["snapshot-every"] {
-			return Config{}, fmt.Errorf("hiddend: -snapshot-every requires -data-dir")
+			return Config{}, fmt.Errorf("-snapshot-every requires -data-dir")
 		}
 	}
 	cfg.Program = fs.Arg(0)
@@ -245,11 +237,6 @@ func Start(cfg Config) (*Daemon, error) {
 			if cfg.Join != "" {
 				info["cluster_join"] = cfg.Join
 			}
-			if cfg.Replicate {
-				info["cluster_mode"] = "replicate"
-			} else {
-				info["cluster_mode"] = "route-only"
-			}
 		}
 		mux := obs.AdminMux(obs.AdminConfig{
 			Registry: reg,
@@ -278,21 +265,16 @@ func Start(cfg Config) (*Daemon, error) {
 	// address exists.
 	var group *cluster.Group
 	if len(peers) > 0 || cfg.Join != "" {
-		gc := cluster.Config{
+		// The group persists the membership table beside the journal: a
+		// restarted replica rejoins the fleet it last knew, not the one its
+		// flags described at first boot.
+		group, err = cluster.New(cluster.Config{
 			Self:          cfg.Listen,
 			Peers:         peers,
-			Replicate:     cfg.Replicate,
 			JoinSeed:      cfg.Join,
 			CommitTimeout: cfg.ReplAckTimeout,
 			Tracer:        d.tracer,
-		}
-		if cfg.DataDir != "" {
-			// Persist the membership table beside the journal: a restarted
-			// replica rejoins the fleet it last knew, not the one its flags
-			// described at first boot.
-			gc.MembershipPath = cluster.MembershipPath(cfg.DataDir)
-		}
-		group, err = cluster.New(gc, d.server)
+		}, d.server)
 		if err != nil {
 			if d.admin != nil {
 				d.admin.Close()
@@ -314,8 +296,8 @@ func Start(cfg Config) (*Daemon, error) {
 		group.Start()
 		d.group.Store(group)
 		m := group.Membership()
-		fmt.Fprintf(out, "fleet member %s of %d replicas (replicate=%v, epoch=%d)\n",
-			cfg.Listen, len(m.Members), cfg.Replicate, m.Epoch)
+		fmt.Fprintf(out, "fleet member %s of %d replicas (epoch=%d)\n",
+			cfg.Listen, len(m.Members), m.Epoch)
 	}
 	d.ready.Store(true)
 	for _, name := range res.SplitNames() {

@@ -13,8 +13,9 @@ import (
 )
 
 // TestParseFlags pins hiddend's command-line contract: the retired tuning
-// flags are undefined, journal flags without -data-dir are refused rather
-// than silently ignored, and the fleet flags keep their dependency rules.
+// flags and -replicate are undefined, journal flags without -data-dir are
+// refused rather than silently ignored, and a fleet replica (-peers or
+// -join), which always replicates, needs a journal to stream.
 func TestParseFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -32,13 +33,17 @@ func TestParseFlags(t *testing.T) {
 		{"fsync without data-dir", []string{"-split", "f:a", "-fsync", "p.mj"}, "-fsync requires -data-dir"},
 		{"snapshot-every without data-dir", []string{"-split", "f:a", "-snapshot-every", "0", "p.mj"}, "-snapshot-every requires -data-dir"},
 
-		{"replicate without peers", []string{"-split", "f:a", "-data-dir", "d", "-replicate", "p.mj"}, "-replicate requires -peers or -join"},
-		{"replicate without data-dir", []string{"-split", "f:a", "-peers", "a:1", "-replicate", "p.mj"}, "-replicate requires -data-dir"},
-		{"join without replicate", []string{"-split", "f:a", "-data-dir", "d", "-join", "a:1", "p.mj"}, "-join requires -replicate"},
-		{"repl-ack-timeout without replicate", []string{"-split", "f:a", "-data-dir", "d", "-repl-ack-timeout", "1s", "p.mj"}, "-repl-ack-timeout requires -replicate"},
-		{"replicating member", []string{"-split", "f:a", "-data-dir", "d", "-peers", "a:1", "-replicate", "p.mj"}, ""},
-		{"joiner", []string{"-split", "f:a", "-data-dir", "d", "-join", "a:1", "-replicate", "p.mj"}, ""},
-		{"replicating member with ack timeout", []string{"-split", "f:a", "-data-dir", "d", "-peers", "a:1", "-replicate", "-repl-ack-timeout", "1s", "p.mj"}, ""},
+		{"replicate retired", []string{"-split", "f:a", "-data-dir", "d", "-peers", "a:1", "-replicate", "p.mj"}, "flag provided but not defined: -replicate"},
+		{"replicate without peers", []string{"-split", "f:a", "-data-dir", "d", "-replicate", "p.mj"}, "flag provided but not defined: -replicate"},
+		{"replicate without data-dir", []string{"-split", "f:a", "-peers", "a:1", "-replicate", "p.mj"}, "flag provided but not defined: -replicate"},
+		{"peers without data-dir", []string{"-split", "f:a", "-peers", "a:1", "p.mj"}, "-peers and -join require -data-dir"},
+		{"join without data-dir", []string{"-split", "f:a", "-join", "a:1", "p.mj"}, "-peers and -join require -data-dir"},
+		{"join without replicate", []string{"-split", "f:a", "-data-dir", "d", "-join", "a:1", "p.mj"}, ""},
+		{"repl-ack-timeout without replicate", []string{"-split", "f:a", "-data-dir", "d", "-repl-ack-timeout", "1s", "p.mj"}, "-repl-ack-timeout requires -peers or -join"},
+		{"replicating member", []string{"-split", "f:a", "-data-dir", "d", "-peers", "a:1", "p.mj"}, ""},
+		{"joiner", []string{"-split", "f:a", "-data-dir", "d", "-join", "a:1", "p.mj"}, ""},
+		{"replicating member with ack timeout", []string{"-split", "f:a", "-data-dir", "d", "-peers", "a:1", "-repl-ack-timeout", "1s", "p.mj"}, ""},
+		{"joiner with ack timeout", []string{"-split", "f:a", "-data-dir", "d", "-join", "a:1", "-repl-ack-timeout", "1s", "p.mj"}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := ParseFlags(tc.args)
@@ -55,6 +60,18 @@ func TestParseFlags(t *testing.T) {
 				t.Fatalf("ParseFlags(%q) = %v, want an error containing %q", tc.args, err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestMainNamesItselfOnce: Main prefixes a refused flag combination with
+// the command name, so ParseFlags' errors carry none of their own.
+func TestMainNamesItselfOnce(t *testing.T) {
+	var stderr strings.Builder
+	if code := Main([]string{"-split", "f:a", "-peers", "a:1", "p.mj"}, io.Discard, &stderr); code != 1 {
+		t.Fatalf("Main exit code %d, want 1", code)
+	}
+	if got := stderr.String(); !strings.HasPrefix(got, "hiddend: -peers and -join require -data-dir") || strings.Count(got, "hiddend:") != 1 {
+		t.Fatalf("Main stderr %q, want one line naming hiddend once", got)
 	}
 }
 

@@ -102,7 +102,7 @@ func TestClusterJoinCatchupChaos(t *testing.T) {
 	for i, listen := range founders {
 		children[i] = startChild(t,
 			"-listen", listen, "-split", chaosSplit,
-			"-peers", peersArg, "-replicate",
+			"-peers", peersArg,
 			"-data-dir", t.TempDir(), "-snapshot-every", "4",
 			"-admin", "127.0.0.1:0",
 			prog,
@@ -184,7 +184,7 @@ func TestClusterJoinCatchupChaos(t *testing.T) {
 	startJoiner := func() *child {
 		return startChild(t,
 			"-listen", joinerListen, "-split", chaosSplit,
-			"-join", founders[0], "-replicate",
+			"-join", founders[0],
 			"-data-dir", joinerDir, "-snapshot-every", "4",
 			"-admin", "127.0.0.1:0",
 			prog,

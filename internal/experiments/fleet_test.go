@@ -40,7 +40,7 @@ func startFleet(t *testing.T, n int) []string {
 		// Wire the group before the listener: a peer's pump may connect the
 		// instant the port opens, and the server's fleet hooks must already
 		// be installed when it does.
-		g, err := cluster.New(cluster.Config{Self: addr, Peers: addrs, Replicate: true}, srv)
+		g, err := cluster.New(cluster.Config{Self: addr, Peers: addrs}, srv)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -223,6 +223,9 @@ func NewDurability(opts DurabilityOptions) *Durability {
 // TCPServer's ListenAndServe returned).
 func (p *Durability) Recovered() RecoveryStats { return p.recovered }
 
+// Dir returns the data directory the layer journals and snapshots in.
+func (p *Durability) Dir() string { return p.opts.Dir }
+
 // RegisterMetrics exports journal/snapshot/recovery counters, gauges, and
 // latency histograms into reg.
 func (p *Durability) RegisterMetrics(reg *obs.Registry) {

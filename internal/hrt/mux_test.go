@@ -414,7 +414,7 @@ func TestMuxServerRetiresIdleWorkers(t *testing.T) {
 // panicRouter stands in for a serving-path bug hit by an adversarial frame.
 type panicRouter struct{}
 
-func (panicRouter) Route(uint64, bool) (string, bool) { panic("router bug") }
+func (panicRouter) Route(uint64) (string, bool) { panic("router bug") }
 
 // TestMuxServingPanicIsObservable: a panic while serving a request severs
 // that connection (the server stays up), moves hrt_conn_panics_total, and

@@ -68,7 +68,7 @@ type flipRouter struct {
 	owner string
 }
 
-func (r *flipRouter) Route(session uint64, known bool) (string, bool) {
+func (r *flipRouter) Route(session uint64) (string, bool) {
 	return r.owner, r.on.Load()
 }
 

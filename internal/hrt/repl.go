@@ -293,14 +293,13 @@ func ParseOwnerRedirect(msg, addr string) *OwnerRedirectError {
 	}
 }
 
-// Router decides, per stamped request, whether this replica should serve
-// the session or redirect the client to the owning peer. known reports
-// whether the session already has local replay state — a session this
-// replica executed or had replicated to it is always served locally
-// (promotion after a primary death is implicit: the replicated state is
-// here and the old owner is no longer live).
+// Router decides, per stamped request, whether this replica serves the
+// session or redirects the client to the owning peer. The decision is by
+// placement alone: every fleet replica holds every session's replicated
+// state, so a replica that has the session still redirects while another
+// live member owns it, and promotion after an owner's death is implicit.
 type Router interface {
-	Route(session uint64, known bool) (owner string, redirect bool)
+	Route(session uint64) (owner string, redirect bool)
 }
 
 // ---------------------------------------------------------------------------
@@ -313,7 +312,7 @@ func (ts *TCPServer) routeRedirect(req Request) (Response, bool) {
 	if ts.Router == nil {
 		return Response{}, false
 	}
-	owner, redirect := ts.Router.Route(req.Session, ts.dedup.Has(req.Session))
+	owner, redirect := ts.Router.Route(req.Session)
 	if !redirect {
 		return Response{}, false
 	}
@@ -434,21 +433,6 @@ func (ts *TCPServer) serveRepl(conn net.Conn, r *bufio.Reader, w *bufio.Writer, 
 	}
 	conn.SetReadDeadline(time.Time{})
 	ts.ReplHandler(conn, r, req.Fn, req.Session)
-}
-
-// ---------------------------------------------------------------------------
-// Dedup replication hooks
-
-// Has reports whether session has local replay state (without creating
-// any). The fleet router serves known sessions locally and only considers
-// redirecting unknown ones.
-func (d *Dedup) Has(session uint64) bool {
-	d.lazyInit()
-	sh := d.shard(session)
-	sh.mu.Lock()
-	_, ok := sh.sessions[session]
-	sh.mu.Unlock()
-	return ok
 }
 
 // ---------------------------------------------------------------------------
